@@ -46,9 +46,13 @@ func (m BasicMap) Copy() BasicMap {
 
 // With returns m extended with additional constraints.
 func (m BasicMap) With(cs ...Constraint) BasicMap {
-	nm := m.Copy()
-	nm.Cons = append(nm.Cons, cs...)
-	return nm
+	cons := make([]Constraint, 0, len(m.Cons)+len(cs))
+	return BasicMap{
+		InTuple: m.InTuple, OutTuple: m.OutTuple,
+		In:   append([]string(nil), m.In...),
+		Out:  append([]string(nil), m.Out...),
+		Cons: append(append(cons, m.Cons...), cs...),
+	}
 }
 
 // Rename returns m with all dimension variables renamed through r.
