@@ -94,7 +94,10 @@ func Analyze(m *pdg.Model) *Flow {
 				}
 				dep, exact := flowDep(w, r, read, writers[w.Write.Array])
 				f.Exact = f.Exact && exact
-				if empty, _ := dep.IsEmpty(); !empty {
+				// An inexact dependence is kept even when it came out empty:
+				// the emptiness may be an artifact of the approximation, and
+				// callers must see the inexactness to fall back.
+				if empty, _ := dep.IsEmpty(); !empty || !exact {
 					f.Deps = append(f.Deps, &Dep{Src: w, Dst: r, DstRead: ri, Rel: dep, Exact: exact})
 				}
 			}

@@ -230,9 +230,16 @@ type instrumenter struct {
 
 // classify assigns every declared variable a plan: control variables are
 // excluded (fault model Section 2.2); statically analyzable variables use
-// Algorithm 1; the rest use the dynamic scheme. Inspector detection may
-// upgrade dynamic variables afterwards.
+// Algorithm 1 unless one of their flow dependences is inexact (a use count
+// built on an approximate relation would miscount); the rest use the dynamic
+// scheme. Inspector detection may upgrade dynamic variables afterwards.
 func (ins *instrumenter) classify() {
+	inexact := map[string]bool{}
+	for _, d := range ins.uc.Flow.Deps {
+		if !d.Exact {
+			inexact[d.Src.Write.Array] = true
+		}
+	}
 	control := map[string]bool{}
 	lang.WalkStmts(ins.prog.Body, func(s lang.Stmt) bool {
 		var cond lang.Expr
@@ -255,7 +262,7 @@ func (ins *instrumenter) classify() {
 		switch {
 		case control[d.Name]:
 			ins.plans[d.Name] = PlanControl
-		case ins.uc.Analyzable(d.Name):
+		case ins.uc.Analyzable(d.Name) && !inexact[d.Name]:
 			ins.plans[d.Name] = PlanStatic
 		default:
 			ins.plans[d.Name] = PlanDynamic
