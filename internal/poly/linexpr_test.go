@@ -194,30 +194,30 @@ func TestConstraintNegate(t *testing.T) {
 }
 
 func TestConstraintNormalizeTightening(t *testing.T) {
-	// 2x - 3 >= 0 over integers means x >= 2, i.e. x - 2 >= 0 wait:
-	// 2x >= 3 → x >= ceil(3/2) = 2 → x - 2 >= 0. Normalized form divides by
-	// gcd 2 and floors the constant: floor(-3/2) = -2.
-	c, st := GeZero(Term(2, "x").AddConst(-3)).normalize()
-	if st != normKeep {
-		t.Fatalf("state = %v", st)
+	// 2x - 3 >= 0 over the integers means x >= ceil(3/2) = 2, i.e.
+	// x - 2 >= 0: normalization divides by the gcd 2 and floors the
+	// constant, floor(-3/2) = -2.
+	cs, inf := simplify([]Constraint{GeZero(Term(2, "x").AddConst(-3))})
+	if inf || len(cs) != 1 {
+		t.Fatalf("simplify = %v, infeasible %v", cs, inf)
 	}
-	if c.E.Coeff("x") != 1 || c.E.Const() != -2 {
+	if c := cs[0]; c.E.Coeff("x") != 1 || c.E.Const() != -2 || c.Equality {
 		t.Errorf("normalized to %v, want x - 2 >= 0", c)
 	}
 	// 2x - 3 == 0 has no integer solution.
-	if _, st := EqZero(Term(2, "x").AddConst(-3)).normalize(); st != normInfeasy {
+	if _, inf := simplify([]Constraint{EqZero(Term(2, "x").AddConst(-3))}); !inf {
 		t.Error("2x=3 should be infeasible over integers")
 	}
 	// 2x - 4 == 0 normalizes to x - 2 == 0.
-	c, st = EqZero(Term(2, "x").AddConst(-4)).normalize()
-	if st != normKeep || c.E.Coeff("x") != 1 || c.E.Const() != -2 {
-		t.Errorf("2x=4 normalized to %v", c)
+	cs, inf = simplify([]Constraint{EqZero(Term(2, "x").AddConst(-4))})
+	if inf || len(cs) != 1 || cs[0].E.Coeff("x") != 1 || cs[0].E.Const() != -2 || !cs[0].Equality {
+		t.Errorf("2x=4 normalized to %v", cs)
 	}
 	// Constant constraints resolve.
-	if _, st := GeZero(L(5)).normalize(); st != normDrop {
+	if cs, inf := simplify([]Constraint{GeZero(L(5))}); inf || len(cs) != 0 {
 		t.Error("5 >= 0 should drop")
 	}
-	if _, st := GeZero(L(-5)).normalize(); st != normInfeasy {
+	if _, inf := simplify([]Constraint{GeZero(L(-5))}); !inf {
 		t.Error("-5 >= 0 should be infeasible")
 	}
 }
