@@ -24,7 +24,11 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# One pass of every benchmark: the detector hot path, plus the compile
+# pipeline (BenchmarkCompile) and the dependence analysis under it
+# (BenchmarkAnalyze).
 bench:
 	$(GO) test -bench . -benchtime 1x ./rt/ ./internal/checksum/
+	$(GO) test -run '^$$' -bench '^(BenchmarkCompile|BenchmarkAnalyze)$$' -benchtime 1x . ./internal/deps/
 
 ci: build vet fmt-check test
