@@ -295,13 +295,7 @@ func (r *CampaignResult) Gate() error {
 // a splitmix64 step, so trials are independent of execution order and of one
 // another's random streams.
 func trialSeed(seed int64, trial int) int64 {
-	z := uint64(seed) + uint64(trial+1)*0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
+	return int64(splitmix64(uint64(seed) + uint64(trial)*0x9e3779b97f4a7c15))
 }
 
 // trialTally is one trial's outcome.
@@ -593,46 +587,33 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 	chunk := cfg.Tracer.Start(telemetry.SpanContext{}, "chunk",
 		append([]telemetry.Attr{telemetry.Int("start", job.start), telemetry.Int("count", job.count)}, cellAttrs...)...)
 	defer chunk.End()
+	// Epoch trials fold through the worker's reusable shard (the DME backend
+	// runs its own variants and takes none); classic trials reuse its buffer.
+	var runTrial func(trial int, span telemetry.SpanContext) (trialTally, error)
 	if cfg.Epochs > 0 {
-		// The DME backend runs forked interpreter variants, not the worker's
-		// checksum shard; only take a shard from the pool when it will fold.
 		var sh *rt.Shard
 		if cfg.Backend != BackendDME {
 			sh = ws.shard(cfg.Kind)
 		}
-		for i := 0; i < job.count; i++ {
-			if err := ctx.Err(); err != nil {
-				return tally, err
-			}
-			trial := job.start + i
-			tctx, tcancel := ctx, context.CancelFunc(func() {})
+		runTrial = func(trial int, span telemetry.SpanContext) (trialTally, error) {
+			tctx, cancel := ctx, context.CancelFunc(func() {})
 			if c.TrialTimeout > 0 {
-				tctx, tcancel = context.WithTimeout(ctx, c.TrialTimeout)
+				tctx, cancel = context.WithTimeout(ctx, c.TrialTimeout)
 			}
-			tspan := cfg.Tracer.Start(chunk.Context(), "trial",
-				append([]telemetry.Attr{telemetry.Int("trial", trial)}, cellAttrs...)...)
-			var out trialTally
-			var err error
-			if cfg.Backend == BackendDME {
-				out, err = runDMETrial(tctx, cfg, trial, inst, tspan.Context())
-			} else {
-				out, err = runEpochTrial(tctx, cfg, trial, sh, inst, tspan.Context())
-			}
-			tcancel()
+			defer cancel()
+			out, err := runEpochTrial(tctx, cfg, trial, sh, inst, span)
 			if err != nil {
-				tspan.EndErr(err)
-				return tally, fmt.Errorf("faults: epoch trial %d: %w", trial, err)
+				err = fmt.Errorf("faults: epoch trial %d: %w", trial, err)
 			}
-			tspan.End(telemetry.Bool("detected", out.detected), telemetry.Bool("recovered", out.recovered))
-			tally.add(out)
+			return out, err
 		}
-		return tally, nil
+	} else {
+		if len(ws.buf) < cfg.Words {
+			ws.buf = make([]uint64, cfg.Words)
+		}
+		r := &classicRunner{cfg: cfg, data: ws.buf[:cfg.Words], inst: inst}
+		runTrial = func(trial int, _ telemetry.SpanContext) (trialTally, error) { return r.trial(trial), nil }
 	}
-
-	if len(ws.buf) < cfg.Words {
-		ws.buf = make([]uint64, cfg.Words)
-	}
-	r := &classicRunner{cfg: cfg, data: ws.buf[:cfg.Words], inst: inst}
 	for i := 0; i < job.count; i++ {
 		if err := ctx.Err(); err != nil {
 			return tally, err
@@ -640,8 +621,12 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 		trial := job.start + i
 		tspan := cfg.Tracer.Start(chunk.Context(), "trial",
 			append([]telemetry.Attr{telemetry.Int("trial", trial)}, cellAttrs...)...)
-		out := r.trial(trial)
-		tspan.End(telemetry.Bool("detected", out.detected))
+		out, err := runTrial(trial, tspan.Context())
+		if err != nil {
+			tspan.EndErr(err)
+			return tally, err
+		}
+		tspan.End(telemetry.Bool("detected", out.detected), telemetry.Bool("recovered", out.recovered))
 		tally.add(out)
 	}
 	return tally, nil

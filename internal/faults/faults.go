@@ -10,6 +10,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 )
 
 // Pattern selects how experiment data is initialized, matching the three data
@@ -33,11 +34,27 @@ var patternNames = map[Pattern]string{
 }
 
 // String returns the Table 1 column label for the pattern.
-func (p Pattern) String() string {
-	if s, ok := patternNames[p]; ok {
+func (p Pattern) String() string { return enumName(patternNames, p, "Pattern") }
+
+// enumName returns v's name in names, or typ(v) for an unnamed value.
+func enumName[T ~int](names map[T]string, v T, typ string) string {
+	if s, ok := names[v]; ok {
 		return s
 	}
-	return fmt.Sprintf("faults.Pattern(%d)", int(p))
+	return fmt.Sprintf("faults.%s(%d)", typ, int(v))
+}
+
+// parseEnum resolves a name in names, whose values run densely from 0. The
+// error for an unknown name lists every valid one in value order.
+func parseEnum[T ~int](names map[T]string, s, what string) (T, error) {
+	valid := make([]string, len(names))
+	for v, name := range names {
+		if name == s {
+			return v, nil
+		}
+		valid[v] = name
+	}
+	return 0, fmt.Errorf("faults: unknown %s %q (%s)", what, s, strings.Join(valid, ", "))
 }
 
 // Injector produces reproducible fault injections.

@@ -82,4 +82,40 @@ func TestCoverageTraceEventCounts(t *testing.T) {
 			}
 		})
 	}
+	// A hardened epoch cell scrubs the detector at every verifying
+	// boundary, whatever the backend, and every scrub leaves a scrub.pass or
+	// scrub.fail event matching the defuse_scrub_total counters, so a trace
+	// can explain an addrsum scrub failure as well as a checksum one.
+	for _, b := range []Backend{BackendChecksum, BackendAddrsum} {
+		t.Run("hardened "+b.String()+" epoch", func(t *testing.T) {
+			const trials, epochs = 40, 4
+			sink := &telemetry.Collector{}
+			reg := telemetry.NewRegistry()
+			_, err := RunCoverage(CoverageConfig{
+				Kind: checksum.ModAdd, Words: 32, BitFlips: 1, Pattern: Random,
+				Trials: trials, Seed: 3, Epochs: epochs, Recover: true, Hardened: true,
+				Backend: b, AddrFault: AddrWrong, Trace: sink, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := sink.Count(telemetry.EvFaultInjected); got != trials {
+				t.Errorf("fault.injected events = %d, want %d", got, trials)
+			}
+			pass, fail := sink.Count(telemetry.EvScrubPass), sink.Count(telemetry.EvScrubFail)
+			if pass+fail < trials*epochs {
+				t.Errorf("scrub events = %d pass + %d fail, want at least one per boundary (%d)",
+					pass, fail, trials*epochs)
+			}
+			counters := map[string]int{}
+			for _, ms := range reg.Snapshot().Metrics {
+				if ms.Name == "defuse_scrub_total" {
+					counters[ms.Labels["result"]] = int(ms.Value)
+				}
+			}
+			if counters["pass"] != pass || counters["fail"] != fail {
+				t.Errorf("scrub counters %v, events pass=%d fail=%d", counters, pass, fail)
+			}
+		})
+	}
 }

@@ -33,7 +33,6 @@ import (
 	"defuse/internal/bench"
 	"defuse/internal/faults"
 	"defuse/internal/interp"
-	"defuse/internal/memsim"
 	"defuse/internal/recovery"
 	"defuse/rt"
 	"defuse/telemetry"
@@ -44,11 +43,6 @@ const (
 	KindVerify = "verify"
 	KindKernel = "kernel"
 )
-
-// update advances one word per epoch — the same bijective LCG step the fault
-// campaigns use, so any corruption propagates to a wrong final state instead
-// of coincidentally reconverging.
-func update(v uint64) uint64 { return v*2862933555777941757 + 3037000493 }
 
 // mix is the splitmix64 finalizer, used to derive per-request initial words
 // and to chain result digests.
@@ -83,15 +77,16 @@ func digestWords(words []uint64) uint64 {
 // journaling) and the load generator (to audit responses independently)
 // compute it; a recovered request must land exactly here.
 func ReferenceDigest(words, epochs int, seed, id uint64) uint64 {
-	final := make([]uint64, words)
-	for i := range final {
-		v := initWord(seed, id, i)
-		for e := 0; e < epochs; e++ {
-			v = update(v)
-		}
-		final[i] = v
+	return digestWords(faults.FaultFree(initWords(words, seed, id), epochs))
+}
+
+// initWords derives a verify job's initial words.
+func initWords(words int, seed, id uint64) []uint64 {
+	init := make([]uint64, words)
+	for i := range init {
+		init[i] = initWord(seed, id, i)
 	}
-	return digestWords(final)
+	return init
 }
 
 // verifyJob is one verify request's resolved parameters.
@@ -102,15 +97,6 @@ type verifyJob struct {
 	seed   uint64
 }
 
-// verifySnap checkpoints everything a verify epoch mutates. The injection
-// plan lives outside the snapshot: a transient fault does not recur when the
-// epoch re-executes, which is what makes rollback recovery converge.
-type verifySnap struct {
-	mem      memsim.Snapshot
-	state    rt.EpochState
-	counters []rt.Counter
-}
-
 // jobResult is the outcome of one executed request.
 type jobResult struct {
 	digest    uint64
@@ -118,110 +104,63 @@ type jobResult struct {
 	outcome   recovery.Outcome
 }
 
-// runVerify executes one verify job on a pooled sharded tracker under the
-// recovery supervisor. plan, when non-nil, arms a single transient bit flip
-// at the planned (epoch, word, bit) — injected once, mid-epoch, exactly as a
+// runVerify executes one verify job — the faults package's word workload,
+// folding through a shard of a pooled sharded tracker that owns the epochs —
+// under the recovery supervisor. plan, when non-nil, arms a single transient
+// fault at the planned (epoch, word): injected once, mid-epoch, exactly as a
 // live memory fault would land. The tracker must arrive recycled.
 func runVerify(ctx context.Context, st *rt.ShardedTracker, job verifyJob, plan *faults.LivePlan, pol recovery.Policy, tel bench.Telemetry, span telemetry.SpanContext) (jobResult, error) {
-	words, epochs := job.words, job.epochs
-	mem := memsim.New(words)
 	sh := st.Shard()
 	defer sh.Close()
-	tr := sh.Tracker()
-	counters := sh.Counters(words)
-	for i := 0; i < words; i++ {
-		v := initWord(job.seed, job.id, i)
-		mem.Poke(i, v)
-		rt.DefDyn(tr, &counters[i], uint64(0), v)
-	}
+	w := faults.NewWordWorkload(initWords(job.words, job.seed, job.id), sh.Tracker(), sh.Counters(job.words), st)
 	injected := false
-
+	strike := func(i int) (load, store int) {
+		injected = true
+		load = i
+		if plan.Kind == faults.LiveAddrWrong {
+			// A corrupted index register: this one load observes a different
+			// valid word. The use fold sees the wrong value (distinct with
+			// overwhelming probability — words derive from splitmix64), so the
+			// boundary check flags it.
+			load = plan.Partner
+		} else {
+			w.FlipBit(plan.Word, plan.Bit)
+		}
+		telemetry.Emit(tel.Trace, telemetry.EvFaultInjected, map[string]any{
+			"request": job.id, "epoch": plan.Epoch, "word": plan.Word, "bit": plan.Bit,
+			"kind": plan.Kind.String(), "partner": plan.Partner, "mode": "live",
+		})
+		return load, i
+	}
 	run := func(k int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for i := 0; i < words; i++ {
-			loadIdx := i
-			if plan != nil && !injected && k == plan.Epoch && i == plan.Word {
-				injected = true
-				if plan.Kind == faults.LiveAddrWrong {
-					// A corrupted index register: this one load observes a
-					// different valid word. The use fold sees the wrong value
-					// (distinct with overwhelming probability — words derive
-					// from splitmix64), so the boundary check flags it.
-					loadIdx = plan.Partner
-				} else {
-					mem.FlipBit(plan.Word, plan.Bit)
-				}
-				telemetry.Emit(tel.Trace, telemetry.EvFaultInjected, map[string]any{
-					"request": job.id, "epoch": k, "word": plan.Word, "bit": plan.Bit,
-					"kind": plan.Kind.String(), "partner": plan.Partner, "mode": "live",
-				})
-			}
-			v := rt.Use(tr, &counters[i], mem.Load(loadIdx))
-			next := update(v)
-			mem.Store(i, next)
-			rt.DefDyn(tr, &counters[i], v, next)
+		at := -1
+		if plan != nil && !injected && k == plan.Epoch {
+			at = plan.Word
 		}
+		w.RunEpoch(at, strike)
 		return nil
 	}
-	verify := func(k int) error {
-		// Finalize every live word so the boundary is checksum-quiescent,
-		// scrub the detector's own state, verify the merged fold, then
-		// re-register the survivors for the next epoch.
-		for i := 0; i < words; i++ {
-			rt.Final(tr, &counters[i], mem.Peek(i))
-		}
-		if err := st.ScrubDetector(); err != nil {
-			return err
-		}
-		_, err := st.EndEpoch()
-		if err == nil && k != epochs-1 {
-			for i := 0; i < words; i++ {
-				rt.DefDyn(tr, &counters[i], uint64(0), mem.Peek(i))
-			}
-		}
-		return err
-	}
-
 	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs: epochs,
-		Run:    run,
-		Verify: verify,
-		Checkpoint: func() any {
-			return verifySnap{
-				mem:      mem.Snapshot(),
-				state:    st.BeginEpoch(),
-				counters: append([]rt.Counter(nil), counters...),
-			}
-		},
-		Restore: func(snap any) error {
-			s := snap.(verifySnap)
-			if rerr := mem.Restore(s.mem); rerr != nil {
-				return rerr
-			}
-			if rerr := st.Rollback(s.state); rerr != nil {
-				return rerr
-			}
-			copy(counters, s.counters)
-			return nil
-		},
-		Policy:  pol,
-		Trace:   tel.Trace,
-		Metrics: tel.Metrics,
-		Tracer:  tel.Tracer,
-		Span:    span,
+		Epochs:     job.epochs,
+		Run:        run,
+		Verify:     func(k int) error { return w.Boundary(k == job.epochs-1, st.ScrubDetector) },
+		Checkpoint: w.Checkpoint,
+		Restore:    func(snap any) error { return w.Restore(snap, true) },
+		Policy:     pol,
+		Trace:      tel.Trace,
+		Metrics:    tel.Metrics,
+		Tracer:     tel.Tracer,
+		Span:       span,
 	})
 	if err != nil {
 		return jobResult{}, err
 	}
-	final := make([]uint64, words)
-	for i := range final {
-		final[i] = mem.Peek(i)
-	}
 	return jobResult{
-		digest:    digestWords(final),
-		refDigest: ReferenceDigest(words, epochs, job.seed, job.id),
+		digest:    digestWords(w.Words()),
+		refDigest: ReferenceDigest(job.words, job.epochs, job.seed, job.id),
 		outcome:   out,
 	}, nil
 }
