@@ -227,29 +227,19 @@ func BenchmarkTrackerCountingObserver(b *testing.B) {
 // TestNilObserverOverheadWithinNoise compares the nil-observer tracker path
 // against the identical loop with the observer branch compiled out. The
 // design budget is <2% (a single untaken branch per op); the assertion
-// threshold is deliberately lenient (1.5x) so CI timer jitter cannot fail
-// the build, with the measured ratio logged for inspection. Run the
-// benchmarks above for precise numbers.
+// threshold is deliberately lenient (1.5x) so timer jitter cannot fail the
+// build, with the measured median pair ratio (see pairRatios) logged for
+// inspection. Run the benchmarks above for precise numbers.
 func TestNilObserverOverheadWithinNoise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
-	measure := func(f func(n int)) float64 {
-		best := 0.0
-		for i := 0; i < 3; i++ {
-			r := testing.Benchmark(func(b *testing.B) { f(b.N) })
-			ns := float64(r.NsPerOp())
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
+	const ops, pairs = 1 << 14, 1001
 	tr := NewTracker()
-	withNil := measure(func(n int) { trackerLoop(tr, n) })
-	bare := measure(func(n int) { bareLoop(tr, n) })
-	ratio := withNil / bare
-	t.Logf("nil-observer %.2f ns/op, no-hook baseline %.2f ns/op, ratio %.3f", withNil, bare, ratio)
+	r := pairRatios(pairs, func() { bareLoop(tr, ops) }, func() { trackerLoop(tr, ops) })
+	ratio := r[pairs/2]
+	t.Logf("median nil-observer/no-hook ratio %.3f over %d pairs of %d ops (quartiles %.3f..%.3f)",
+		ratio, pairs, ops, r[pairs/4], r[3*pairs/4])
 	if ratio > 1.5 {
 		t.Errorf("nil-observer overhead ratio %.3f exceeds 1.5x guard", ratio)
 	}
