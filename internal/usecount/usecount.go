@@ -133,7 +133,11 @@ func Analyze(f *deps.Flow) *Analysis {
 			if !a.Analyzable(read.Array) {
 				continue
 			}
-			uncovered := a.uncoveredReads(s, ri)
+			uncovered, exact := a.uncoveredReads(s, ri)
+			if !exact {
+				a.markDynamic(read.Array, fmt.Sprintf("live-in reads of %s read #%d inexact: a flow dependence's range was over-approximated", s.ID, ri))
+				continue
+			}
 			if empty, _ := uncovered.IsEmpty(); empty {
 				continue
 			}
@@ -193,15 +197,20 @@ func (a *Analysis) markDynamic(array, reason string) {
 }
 
 // uncoveredReads computes the read iterations of s's ri-th read that no flow
-// dependence feeds (they observe live-in values).
-func (a *Analysis) uncoveredReads(s *pdg.Statement, ri int) poly.Set {
+// dependence feeds (they observe live-in values). It reports false when a
+// dependence's range is inexact: an over-approximated range covers reads no
+// write feeds, and the result would undercount the live-in uses.
+func (a *Analysis) uncoveredReads(s *pdg.Statement, ri int) (poly.Set, bool) {
 	// Work in the dependence target space: iterators renamed with "'".
 	ren := pdg.RenameSuffix(s.Iters, "'")
 	dom := s.Domain.Rename(ren)
 	covered := poly.Set{}
 	for _, d := range a.Flow.To(s, ri) {
 		for _, bm := range d.Rel.Pieces {
-			rng, _ := bm.Range()
+			rng, exact := bm.Range()
+			if !exact {
+				return poly.Set{}, false
+			}
 			covered.Pieces = append(covered.Pieces, rng)
 		}
 	}
@@ -214,7 +223,7 @@ func (a *Analysis) uncoveredReads(s *pdg.Statement, ri int) poly.Set {
 	for i := range un.Pieces {
 		un.Pieces[i] = un.Pieces[i].Rename(back)
 	}
-	return un
+	return un, true
 }
 
 // classify marks every declared variable analyzable unless some access to it
