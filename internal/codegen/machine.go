@@ -340,7 +340,7 @@ func (m *Machine) ModZero(line, col int) error {
 
 // ModFloat reports % applied to non-integer operands, interp's message text.
 func (m *Machine) ModFloat(line, col int) error {
-	return &RuntimeError{Pos: lang.Pos{Line: line, Col: col}, Msg: "%% requires integer operands"}
+	return &RuntimeError{Pos: lang.Pos{Line: line, Col: col}, Msg: "% requires integer operands"}
 }
 
 // IntExpected reports a value required to be integral (checksum counts),

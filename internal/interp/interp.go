@@ -743,7 +743,7 @@ func (m *Machine) evalBin(x *lang.Bin) (value, error) {
 		return floatVal(l.toFloat() / r.toFloat()), nil
 	case lang.BinMod:
 		if !l.isInt || !r.isInt {
-			return value{}, &RuntimeError{Pos: x.Pos, Msg: "%% requires integer operands"}
+			return value{}, &RuntimeError{Pos: x.Pos, Msg: "% requires integer operands"}
 		}
 		if r.i == 0 {
 			return value{}, &RuntimeError{Pos: x.Pos, Msg: "modulo by zero"}
