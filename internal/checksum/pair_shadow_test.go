@@ -69,8 +69,14 @@ func TestScrubDetectsCorruptPrimary(t *testing.T) {
 	for a := AccDef; a <= AccEUse; a++ {
 		for _, bit := range []uint{0, 17, 63} {
 			p := NewPair(ModAdd)
-			exercise(p, rand.New(rand.NewSource(int64(a)*64+int64(bit))))
+			r := rand.New(rand.NewSource(int64(a)*64 + int64(bit)))
+			exercise(p, r)
 			p.CorruptPrimary(a, bit)
+			// Every fold replays the shadow from its own previous value; one
+			// that re-derived it from the primary would launder the fault.
+			for i := 0; i < 1000; i++ {
+				foldOps[r.Intn(len(foldOps))].pair(p, r.Uint64(), foldCounts[r.Intn(len(foldCounts))])
+			}
 			err := p.Scrub()
 			if err == nil {
 				t.Fatalf("%v bit %d: corrupt primary passed scrub", a, bit)
