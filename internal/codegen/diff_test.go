@@ -256,30 +256,30 @@ func TestDiffSupervisedFaults(t *testing.T) {
 						Inject: inject, Seed: seed, Targets: targets, Policy: pol,
 					}
 					im, cm := buildPair(t, b, prog, seed)
-					bi, err := faults.NewInterpKernelBackend(im, epochs)
+					pi, err := im.PlanEpochs(epochs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ri, err := faults.RunKernelTrial(ctx, bi, cfg)
+					ri, err := faults.RunKernelTrial(ctx, pi, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bc, err := faults.NewCodegenKernelBackend(cm, unit, epochs)
+					pc, err := codegen.PlanEpochs(cm, unit, epochs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rc, err := faults.RunKernelTrial(ctx, bc, cfg)
+					rc, err := faults.RunKernelTrial(ctx, pc, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					diffTrials(t, ri, rc)
 
 					_, gm := buildPair(t, b, prog, seed)
-					bg, err := faults.NewCodegenKernelBackend(gm, genUnit, epochs)
+					pg, err := codegen.PlanEpochs(gm, genUnit, epochs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					rg, err := faults.RunKernelTrial(ctx, bg, cfg)
+					rg, err := faults.RunKernelTrial(ctx, pg, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}

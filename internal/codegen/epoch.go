@@ -1,222 +1,15 @@
 package codegen
 
-import (
-	"context"
-	"encoding/binary"
-	"fmt"
-	"hash/fnv"
-	"sort"
+import "defuse/internal/machine"
 
-	"defuse/internal/checksum"
-	"defuse/internal/lang"
-	"defuse/internal/memsim"
-	"defuse/internal/recovery"
-	"defuse/telemetry"
-)
+// EpochRun is the shared epoch layer (machine.Plan) with a compiled Fn as
+// the epoch body: verify at every boundary, checkpoint, roll back on
+// detection, and seal durable checkpoints, exactly as for the interpreter.
+type EpochRun = machine.Plan
 
-// Epoch-scoped native execution: the same supervision contract as interp's
-// EpochPlan — verify at every boundary, checkpoint, roll back on detection —
-// with the compiled Fn as the epoch body. Checkpoint contents, the durable
-// state encoding, and the run fingerprint are byte-compatible with interp's,
-// so a WAL written by one backend is a valid resume point for the other when
-// the program, parameters, and epoch count agree.
-
-// EpochRun partitions a compiled program's outermost loop into n contiguous
-// iteration blocks.
-type EpochRun struct {
-	m *Machine
-	u *Unit
-	n int
-}
-
-// PlanEpochs builds an n-epoch native run. A program with no top-level loop
-// collapses to a single epoch, exactly as interp.PlanEpochs does.
+// PlanEpochs builds an n-epoch native run of u over m. A program with no
+// top-level loop collapses to a single epoch, exactly as interp.PlanEpochs
+// does.
 func PlanEpochs(m *Machine, u *Unit, n int) (*EpochRun, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("codegen: PlanEpochs needs n >= 1, got %d", n)
-	}
-	if !u.anchored {
-		n = 1
-	}
-	return &EpochRun{m: m, u: u, n: n}, nil
-}
-
-// Epochs returns the number of epochs in the plan.
-func (p *EpochRun) Epochs() int { return p.n }
-
-// Machine returns the plan's target machine.
-func (p *EpochRun) Machine() *Machine { return p.m }
-
-// Reset clears the machine's cached loop bounds so a pooled plan can be
-// reused for a fresh request. Pair with Machine.Reset.
-func (p *EpochRun) Reset() { p.m.lo, p.m.hi, p.m.haveBounds = 0, 0, false }
-
-// RunEpoch executes epoch k natively. Epochs must be started in order the
-// first time, but any epoch may be re-executed after the machine's state is
-// restored to that epoch's entry checkpoint.
-func (p *EpochRun) RunEpoch(k int) error { return p.u.fn(p.m, k, p.n) }
-
-// epochSnap is the supervisor checkpoint of everything an epoch mutates:
-// the simulated memory (digest-sealed), the checksum accumulators with
-// their shadows, and the cached loop bounds.
-type epochSnap struct {
-	mem        memsim.Snapshot
-	pair       checksum.Pair
-	lo, hi     int64
-	haveBounds bool
-}
-
-func (p *EpochRun) checkpoint() any {
-	return epochSnap{
-		mem:  p.m.mem.Snapshot(),
-		pair: *p.m.pair,
-		lo:   p.m.lo, hi: p.m.hi, haveBounds: p.m.haveBounds,
-	}
-}
-
-func (p *EpochRun) restore(snap any) error {
-	s := snap.(epochSnap)
-	if err := p.m.mem.Restore(s.mem); err != nil {
-		return err
-	}
-	*p.m.pair = s.pair
-	p.m.lo, p.m.hi, p.m.haveBounds = s.lo, s.hi, s.haveBounds
-	return nil
-}
-
-func (p *EpochRun) verify(int) error {
-	// Scrub first: a diverged accumulator copy means the def/use comparison
-	// below cannot be trusted, and the supervisor must treat the failure as
-	// a detector fault, not a data fault.
-	if err := p.m.pair.Scrub(); err != nil {
-		return err
-	}
-	err := p.m.pair.Verify()
-	p.m.emitVerify(err)
-	return err
-}
-
-// Supervise runs the plan under a checkpoint/rollback recovery supervisor,
-// verifying the def/use checksums at every epoch boundary — the native
-// counterpart of interp's EpochPlan.Supervise, sharing its soundness
-// condition (epoch-balanced instrumentation).
-func (p *EpochRun) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Outcome, error) {
-	run := p.m.tracer.Start(telemetry.SpanContext{}, "run", telemetry.Int("epochs", p.n))
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs:     p.n,
-		Run:        p.RunEpoch,
-		Verify:     p.verify,
-		Checkpoint: p.checkpoint,
-		Restore:    p.restore,
-		Policy:     pol,
-		Trace:      p.m.trace,
-		Metrics:    p.m.metrics,
-		Tracer:     p.m.tracer,
-		Span:       run.Context(),
-	})
-	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("tainted", out.Tainted))
-	return out, err
-}
-
-// encodeState renders the machine state at an epoch boundary in interp's
-// exact durable layout: twelve little-endian words (checksum kind, four
-// accumulators, four shadows, cached bounds, haveBounds) followed by the
-// encoded memory snapshot.
-func (p *EpochRun) encodeState() ([]byte, error) {
-	snap := p.m.mem.Snapshot()
-	mem, err := snap.Encode()
-	if err != nil {
-		return nil, err
-	}
-	const header = 12 * 8
-	b := make([]byte, header, header+len(mem))
-	pair := p.m.pair
-	sh := pair.Shadows()
-	for i, w := range [...]uint64{
-		uint64(pair.Kind()),
-		pair.Def, pair.Use, pair.EDef, pair.EUse,
-		sh[0], sh[1], sh[2], sh[3],
-		uint64(p.m.lo), uint64(p.m.hi), boolWord(p.m.haveBounds),
-	} {
-		binary.LittleEndian.PutUint64(b[i*8:], w)
-	}
-	return append(b, mem...), nil
-}
-
-// decodeState installs previously encoded state into the machine.
-func (p *EpochRun) decodeState(b []byte) error {
-	const header = 12 * 8
-	if len(b) < header {
-		return fmt.Errorf("codegen: durable state of %d bytes: %w", len(b), memsim.ErrCheckpointCorrupt)
-	}
-	w := func(i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
-	if kind := w(0); kind != uint64(p.m.pair.Kind()) {
-		return fmt.Errorf("codegen: durable state for checksum kind %d, machine uses %d: %w",
-			kind, p.m.pair.Kind(), memsim.ErrCheckpointCorrupt)
-	}
-	snap, err := memsim.DecodeSnapshot(b[header:])
-	if err != nil {
-		return err
-	}
-	if err := p.m.mem.Restore(snap); err != nil {
-		return err
-	}
-	p.m.pair.SetState(w(1), w(2), w(3), w(4), [4]uint64{w(5), w(6), w(7), w(8)})
-	p.m.lo, p.m.hi = int64(w(9)), int64(w(10))
-	p.m.haveBounds = w(11) != 0
-	return nil
-}
-
-func boolWord(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Fingerprint identifies the run configuration with interp's exact recipe
-// (program text, sorted parameters, checksum operator, epoch count), so a
-// durable checkpoint written by either backend resumes under the other.
-func (p *EpochRun) Fingerprint() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "epochs=%d kind=%d\n", p.n, p.m.pair.Kind())
-	h.Write([]byte(lang.Print(p.u.prog)))
-	names := make([]string, 0, len(p.m.params))
-	for name := range p.m.params {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(h, "%s=%d\n", name, p.m.params[name])
-	}
-	return h.Sum64()
-}
-
-// SuperviseDurable is Supervise with durable checkpoints: every verified
-// epoch is sealed into the write-ahead log at walPath, and a fresh process
-// pointed at the same log resumes from the newest valid record.
-func (p *EpochRun) SuperviseDurable(ctx context.Context, pol recovery.Policy, walPath string) (recovery.DurableOutcome, error) {
-	run := p.m.tracer.Start(telemetry.SpanContext{}, "run",
-		telemetry.Int("epochs", p.n), telemetry.Bool("durable", true))
-	d := &recovery.DurableSupervisor{
-		Config: recovery.Config{
-			Epochs:     p.n,
-			Run:        p.RunEpoch,
-			Verify:     p.verify,
-			Checkpoint: p.checkpoint,
-			Restore:    p.restore,
-			Policy:     pol,
-			Trace:      p.m.trace,
-			Metrics:    p.m.metrics,
-			Tracer:     p.m.tracer,
-			Span:       run.Context(),
-		},
-		Path:        walPath,
-		Fingerprint: p.Fingerprint(),
-		EncodeState: p.encodeState,
-		DecodeState: p.decodeState,
-	}
-	out, err := d.Run(ctx)
-	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("resumed", out.Resumed))
-	return out, err
+	return machine.NewPlan(&m.State, u.prog, n, u.anchored, func(k, n int) error { return u.fn(m, k, n) })
 }

@@ -1,37 +1,22 @@
 package interp
 
 import (
-	"context"
 	"fmt"
 
-	"defuse/internal/checksum"
 	"defuse/internal/lang"
-	"defuse/internal/memsim"
-	"defuse/internal/recovery"
-	"defuse/telemetry"
+	"defuse/internal/machine"
 )
 
-// This file wires epoch-scoped execution through the interpreter. The
-// instrumenter places the paper's verification at a post-dominator of all
-// defs and uses; an epoch plan refines that placement to iteration blocks of
-// the outermost loop, so a supervisor can verify, checkpoint, and — on a
-// detected corruption — roll back and re-execute one block instead of
-// discarding the whole run.
+// EpochPlan is the shared epoch layer (machine.Plan) with a tree walk as
+// the epoch body: verify at every boundary, checkpoint, roll back on
+// detection, and seal durable checkpoints, exactly as for compiled code.
+type EpochPlan = machine.Plan
 
-// EpochPlan partitions a program's outermost top-level loop into n
-// contiguous iteration blocks (epochs). Statements before the loop belong to
-// epoch 0 and statements after it to the last epoch, so running epochs
-// 0..n-1 in order is equivalent to Run.
-type EpochPlan struct {
+// epochBody runs one epoch of a program by walking its statements.
+type epochBody struct {
 	m         *Machine
 	pre, post []lang.Stmt
 	loop      *lang.For
-	n         int
-
-	// Loop bounds are evaluated when epoch 0 executes (they may depend on
-	// scalars the prologue computes).
-	lo, hi     int64
-	haveBounds bool
 }
 
 // PlanEpochs builds an n-epoch plan over the machine's program. The epoch
@@ -40,147 +25,59 @@ type EpochPlan struct {
 // produced within them. A program with no top-level loop collapses to a
 // single epoch.
 func (m *Machine) PlanEpochs(n int) (*EpochPlan, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("interp: PlanEpochs needs n >= 1, got %d", n)
-	}
-	p := &EpochPlan{m: m, n: n}
+	b := &epochBody{m: m, pre: m.prog.Body}
 	for i, s := range m.prog.Body {
 		if f, ok := s.(*lang.For); ok {
-			p.pre = m.prog.Body[:i]
-			p.loop = f
-			p.post = m.prog.Body[i+1:]
+			b.pre, b.loop, b.post = m.prog.Body[:i], f, m.prog.Body[i+1:]
 			break
 		}
 	}
-	if p.loop == nil {
-		p.pre = m.prog.Body
-		p.n = 1
-	}
-	return p, nil
+	return machine.NewPlan(&m.State, m.prog, n, b.loop != nil, b.run)
 }
 
-// Epochs returns the number of epochs in the plan.
-func (p *EpochPlan) Epochs() int { return p.n }
-
-// Reset clears the plan's cached loop bounds so a pooled machine's plan can
-// be reused for a fresh request: bounds may depend on scalars the prologue
-// computes, so they must be re-evaluated when epoch 0 next runs. Pair with
-// Machine.Reset.
-func (p *EpochPlan) Reset() {
-	p.lo, p.hi, p.haveBounds = 0, 0, false
-}
-
-// RunEpoch executes epoch k: the prologue (k == 0), the k-th block of
-// outermost-loop iterations, and the epilogue (k == n-1). Epochs must be
-// started in order the first time, but any epoch may be re-executed after
-// the machine's state is restored to that epoch's entry checkpoint.
-func (p *EpochPlan) RunEpoch(k int) error {
-	if k < 0 || k >= p.n {
-		return fmt.Errorf("interp: epoch %d out of range [0,%d)", k, p.n)
+// run executes epoch k of n: the prologue (k == 0), the k-th block of
+// outermost-loop iterations, and the epilogue (k == n-1), then publishes the
+// operation counts.
+func (b *epochBody) run(k, n int) error {
+	m := b.m
+	if k < 0 || k >= n {
+		return fmt.Errorf("interp: epoch %d out of range [0,%d)", k, n)
 	}
-	max := p.m.stepBudget()
+	defer m.publishMetrics()
+	max := m.stepBudget()
 	if k == 0 {
-		if err := p.m.execStmts(p.pre, max); err != nil {
+		if err := m.execStmts(b.pre, max); err != nil {
 			return err
 		}
-		if p.loop != nil {
-			lo, err := p.m.evalInt(p.loop.Lo)
+		if b.loop != nil {
+			lo, err := m.evalInt(b.loop.Lo)
 			if err != nil {
 				return err
 			}
-			hi, err := p.m.evalInt(p.loop.Hi)
+			hi, err := m.evalInt(b.loop.Hi)
 			if err != nil {
 				return err
 			}
-			p.lo, p.hi, p.haveBounds = lo, hi, true
+			m.SetBounds(lo, hi)
 		}
 	}
-	if p.loop != nil {
-		if !p.haveBounds {
+	if b.loop != nil {
+		lo, hi, ok := m.Bounds()
+		if !ok {
 			return fmt.Errorf("interp: epoch %d run before epoch 0 evaluated loop bounds", k)
 		}
-		count := p.hi - p.lo + 1
-		if count < 0 {
-			count = 0
-		}
-		chunk := (count + int64(p.n) - 1) / int64(p.n)
-		start := p.lo + int64(k)*chunk
-		end := start + chunk - 1
-		if end > p.hi {
-			end = p.hi
-		}
+		start, end := machine.Slice(lo, hi, k, n)
 		for i := start; i <= end; i++ {
-			p.m.iters[p.loop.Iter] = i
-			if err := p.m.execStmts(p.loop.Body, max); err != nil {
-				delete(p.m.iters, p.loop.Iter)
+			m.iters[b.loop.Iter] = i
+			if err := m.execStmts(b.loop.Body, max); err != nil {
+				delete(m.iters, b.loop.Iter)
 				return err
 			}
 		}
-		delete(p.m.iters, p.loop.Iter)
+		delete(m.iters, b.loop.Iter)
 	}
-	if k == p.n-1 {
-		return p.m.execStmts(p.post, max)
+	if k == n-1 {
+		return m.execStmts(b.post, max)
 	}
 	return nil
-}
-
-// epochSnap is the supervisor checkpoint of everything an epoch mutates:
-// the simulated memory (as a digest-sealed snapshot), the checksum
-// accumulators, and the plan's cached loop bounds (so a full restart
-// re-evaluates them in epoch 0).
-type epochSnap struct {
-	mem        memsim.Snapshot
-	pair       checksum.Pair
-	lo, hi     int64
-	haveBounds bool
-}
-
-// Supervise runs the plan under a checkpoint/rollback recovery supervisor,
-// verifying the def/use checksums at every epoch boundary. The verification
-// is sound when the instrumentation is epoch-balanced — every value defined
-// in an iteration block has its checksum contributions completed by the
-// block's end, which is exactly the paper's post-dominator condition applied
-// per block. The machine's trace sink and metrics registry, if configured,
-// receive the supervisor's epoch.verify / recovery.* telemetry.
-func (p *EpochPlan) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Outcome, error) {
-	defer p.m.publishMetrics()
-	run := p.m.tracer.Start(telemetry.SpanContext{}, "run", telemetry.Int("epochs", p.n))
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs: p.n,
-		Run:    p.RunEpoch,
-		Verify: func(int) error {
-			// Scrub first: a diverged accumulator copy means the def/use
-			// comparison below cannot be trusted, and the supervisor must
-			// treat the failure as a detector fault, not a data fault.
-			if err := p.m.pair.Scrub(); err != nil {
-				return err
-			}
-			err := p.m.pair.Verify()
-			p.m.emitVerify(err)
-			return err
-		},
-		Checkpoint: func() any {
-			return epochSnap{
-				mem:  p.m.mem.Snapshot(),
-				pair: *p.m.pair,
-				lo:   p.lo, hi: p.hi, haveBounds: p.haveBounds,
-			}
-		},
-		Restore: func(snap any) error {
-			s := snap.(epochSnap)
-			if err := p.m.mem.Restore(s.mem); err != nil {
-				return err
-			}
-			*p.m.pair = s.pair
-			p.lo, p.hi, p.haveBounds = s.lo, s.hi, s.haveBounds
-			return nil
-		},
-		Policy:  pol,
-		Trace:   p.m.trace,
-		Metrics: p.m.metrics,
-		Tracer:  p.m.tracer,
-		Span:    run.Context(),
-	})
-	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("tainted", out.Tainted))
-	return out, err
 }

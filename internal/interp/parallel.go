@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sync"
 
-	"defuse/internal/checksum"
 	"defuse/internal/lang"
+	"defuse/internal/machine"
 	"defuse/telemetry"
 )
 
@@ -103,12 +103,9 @@ func (p *ParallelPlan) Workers() int { return p.workers }
 // on the root machine, whose merge events summarize each worker.
 func (m *Machine) fork() *Machine {
 	return &Machine{
+		State:    m.State.Fork(),
 		prog:     m.prog,
-		mem:      m.mem.SharedView(),
-		params:   m.params,
-		vars:     m.vars,
 		iters:    map[string]int64{},
-		pair:     checksum.NewPair(m.pair.Kind()),
 		MaxSteps: m.MaxSteps,
 	}
 }
@@ -157,16 +154,11 @@ func (p *ParallelPlan) Run() (*ParallelResult, error) {
 		res.WorkerCounts = make([]OpCounts, workers)
 		forks := make([]*Machine, workers)
 		errs := make([]error, workers)
-		chunk := (count + workers - 1) / workers
 		var wg sync.WaitGroup
 		for w := int64(0); w < workers; w++ {
 			wm := m.fork()
 			forks[w] = wm
-			start := lo + w*chunk
-			end := start + chunk - 1
-			if end > hi {
-				end = hi
-			}
+			start, end := machine.Slice(lo, hi, int(w), int(workers))
 			wg.Add(1)
 			go func(wm *Machine, w, start, end int64) {
 				defer wg.Done()
@@ -184,18 +176,18 @@ func (p *ParallelPlan) Run() (*ParallelResult, error) {
 		// worker order keeps the telemetry deterministic — commutativity
 		// makes the merged accumulators order-independent anyway.
 		for w, wm := range forks {
-			m.pair.Merge(wm.pair)
+			m.Pair().Merge(wm.Pair())
 			m.Counts.add(wm.Counts)
-			m.mem.AbsorbCounters(wm.mem)
+			m.Mem().AbsorbCounters(wm.Mem())
 			res.WorkerCounts[w] = wm.Counts
-			if m.trace != nil {
-				telemetry.Emit(m.trace, telemetry.EvShardMerge, map[string]any{
+			if m.Trace() != nil {
+				telemetry.Emit(m.Trace(), telemetry.EvShardMerge, map[string]any{
 					"worker": w, "ops": wm.Counts.Total(), "live": len(forks) - w - 1,
 				})
 			}
 		}
-		if m.trace != nil {
-			telemetry.Emit(m.trace, telemetry.EvShardDrain, map[string]any{"shards": len(forks)})
+		if m.Trace() != nil {
+			telemetry.Emit(m.Trace(), telemetry.EvShardDrain, map[string]any{"shards": len(forks)})
 		}
 		for _, err := range errs {
 			if err != nil {
