@@ -85,8 +85,8 @@ func analysisText(t *testing.T, b *Benchmark, v Variant) string {
 }
 
 // TestAnalysisDigest pins the compile-time analysis of every Table 2 kernel
-// for both instrumented variants. The codegen goldens pin generated text;
-// this pins what produced it, including exactness flags and plans, so a
+// for both instrumented variants. The genkernels drift gate pins generated
+// text; this pins what produced it, including exactness flags and plans, so a
 // change to the polyhedral core that alters any decision fails here.
 // Regenerate with `go test ./internal/bench -run TestAnalysisDigest -update`
 // only when a decision is meant to change.

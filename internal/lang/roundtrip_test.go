@@ -12,8 +12,8 @@ import (
 // The printer must be a faithful inverse of the parser: parse → Print →
 // parse must converge, with the second print byte-identical to the first
 // (Print is the canonical form). Every tool that round-trips programs
-// through text — golden files, WAL fingerprints, the native source
-// generator's registry — relies on this.
+// through text — WAL fingerprints, the native source generator and its
+// registry — relies on this.
 
 // roundTrip asserts print/parse convergence for one program.
 func roundTrip(t *testing.T, label string, prog *lang.Program) {
