@@ -240,7 +240,7 @@ func runLoadgen(target string, streams, requests, words, epochs int, seed uint64
 	}
 
 	if jsonOut != "" {
-		err := bench.MergeServiceRow(jsonOut, row, func(path string, data []byte) error {
+		err := bench.MergeReport(jsonOut, func(r *bench.OverheadReport) { r.Service = &row }, func(path string, data []byte) error {
 			return wal.WriteFileAtomic(path, data, 0o644)
 		})
 		if err != nil {
@@ -287,7 +287,7 @@ func runSoak(seed uint64, duration time.Duration, dir string, gate bool, jsonOut
 	}
 
 	if jsonOut != "" {
-		err := bench.MergeSoakRow(jsonOut, row, func(path string, data []byte) error {
+		err := bench.MergeReport(jsonOut, func(r *bench.OverheadReport) { r.Soak = &row }, func(path string, data []byte) error {
 			return wal.WriteFileAtomic(path, data, 0o644)
 		})
 		if err != nil {

@@ -328,7 +328,7 @@ func runCompare(ctx context.Context, o options, kind checksum.Kind, words int) e
 			}
 			rows = append(rows, row)
 		}
-		err := bench.MergeBackendRows(o.benchOut, rows, func(path string, data []byte) error {
+		err := bench.MergeReport(o.benchOut, func(r *bench.OverheadReport) { r.Backends = rows }, func(path string, data []byte) error {
 			return wal.WriteFileAtomic(path, data, 0o644)
 		})
 		if err != nil {

@@ -28,7 +28,7 @@
 // Scale multiplies the paper's problem sizes; the kernels execute on the
 // package's instruction-counting interpreter, so the op-count columns are
 // deterministic and machine-independent. -json additionally writes the
-// machine-readable overhead report (schema defuse/overhead/v4) for
+// machine-readable overhead report (schema defuse/overhead/v5) for
 // regression tracking across commits, including histogram-derived
 // p50/p99/p999 quantiles for epoch-verification cost and detection latency
 // (measured by a small supervised fault-injection probe). -parallel N runs

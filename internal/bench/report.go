@@ -23,18 +23,8 @@ import (
 // and fault-recovery results from the resident defused service); v4 added the
 // optional native block (wall-clock overheads of the compiled codegen
 // backend); v5 adds the optional soak block (chaos-soak survival results from
-// defused -soak) and the service row's retry tallies. Every earlier field is
-// carried forward unchanged, so v2 through v4 documents are still accepted on
-// read.
+// defused -soak) and the service row's retry tallies. Only v5 is read.
 const OverheadSchema = "defuse/overhead/v5"
-
-// Earlier format versions, accepted on read: each is a valid v5 document
-// with the later optional blocks absent.
-const (
-	overheadSchemaV2 = "defuse/overhead/v2"
-	overheadSchemaV3 = "defuse/overhead/v3"
-	overheadSchemaV4 = "defuse/overhead/v4"
-)
 
 // OverheadRow is one benchmark's measurements across the three variants.
 type OverheadRow struct {
@@ -251,16 +241,17 @@ type OverheadReport struct {
 	// (cmd/overhead -json runs a small supervised fault probe to fill it).
 	Quantiles *OverheadQuantiles `json:"quantiles,omitempty"`
 	// Service is the resident-service load result (defused -loadgen
-	// -json-out merges it into the committed report). New in v3.
+	// -json-out merges it into the committed report).
 	Service *ServiceRow `json:"service,omitempty"`
 	// Backends holds the detection-backend comparison rows (cmd/faultcov
-	// -backend ... -bench-out merges them). Optional under v3.
+	// -backend ... -bench-out merges them).
 	Backends []BackendRow `json:"backends,omitempty"`
 	// Native holds the compiled-backend wall-clock rows (cmd/overhead
-	// -backend native -json merges them). Optional, new in v4.
+	// -backend native -json merges them). The interpreter run remains the
+	// document's owner; the native backend only annotates it.
 	Native []NativeRow `json:"native,omitempty"`
 	// Soak is the chaos-soak survival result (defused -soak -json-out merges
-	// it). Optional, new in v5.
+	// it).
 	Soak *SoakRow `json:"soak,omitempty"`
 }
 
@@ -331,8 +322,7 @@ func ParseOverheadReport(r io.Reader) (OverheadReport, error) {
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return rep, fmt.Errorf("bench: parsing overhead report: %w", err)
 	}
-	if rep.Schema != OverheadSchema && rep.Schema != overheadSchemaV4 &&
-		rep.Schema != overheadSchemaV3 && rep.Schema != overheadSchemaV2 {
+	if rep.Schema != OverheadSchema {
 		return rep, fmt.Errorf("bench: unexpected schema %q (want %q)", rep.Schema, OverheadSchema)
 	}
 	if len(rep.Rows) == 0 {
@@ -341,92 +331,24 @@ func ParseOverheadReport(r io.Reader) (OverheadReport, error) {
 	return rep, nil
 }
 
-// MergeServiceRow installs a loadgen result into an existing report file:
-// the document at path is parsed (v2 or v3), its schema is bumped to the
-// current version, the service block is replaced, and the file is rewritten
-// atomically via the writeFile callback (pass wal.WriteFileAtomic or
-// os.WriteFile). This lets the committed BENCH_overhead.json accumulate the
-// service row without re-running the whole overhead suite.
-func MergeServiceRow(path string, row ServiceRow, writeFile func(string, []byte) error) error {
+// MergeReport installs one block into an existing report file: the document
+// at path is parsed, install replaces its block (for example
+// func(r *OverheadReport) { r.Service = &row }), and the file is rewritten
+// via writeFile (pass wal.WriteFileAtomic or os.WriteFile). Every other
+// block survives, so the committed BENCH_overhead.json accumulates the
+// service, backend, native and soak rows without re-running the whole
+// overhead suite.
+func MergeReport(path string, install func(*OverheadReport), writeFile func(string, []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("bench: merging service row: %w", err)
+		return fmt.Errorf("bench: merging into report: %w", err)
 	}
 	rep, err := ParseOverheadReport(f)
 	f.Close()
 	if err != nil {
 		return err
 	}
-	rep.Schema = OverheadSchema
-	rep.Service = &row
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return writeFile(path, buf.Bytes())
-}
-
-// MergeSoakRow installs a chaos-soak result into an existing report file,
-// replacing any previous soak block, following the same
-// parse-replace-rewrite discipline as MergeServiceRow.
-func MergeSoakRow(path string, row SoakRow, writeFile func(string, []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("bench: merging soak row: %w", err)
-	}
-	rep, err := ParseOverheadReport(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	rep.Schema = OverheadSchema
-	rep.Soak = &row
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return writeFile(path, buf.Bytes())
-}
-
-// MergeBackendRows installs the detection-backend comparison block into an
-// existing report file, replacing any previous block, following the same
-// parse-replace-rewrite discipline as MergeServiceRow.
-func MergeBackendRows(path string, rows []BackendRow, writeFile func(string, []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("bench: merging backend rows: %w", err)
-	}
-	rep, err := ParseOverheadReport(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	rep.Schema = OverheadSchema
-	rep.Backends = rows
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		return err
-	}
-	return writeFile(path, buf.Bytes())
-}
-
-// MergeNativeRows installs the compiled-backend measurement block into an
-// existing report file, replacing any previous block, following the same
-// parse-replace-rewrite discipline as MergeServiceRow. The interpreter run
-// remains the document's owner; the native backend only annotates it, so the
-// service, backend, and quantile blocks survive a native re-measurement.
-func MergeNativeRows(path string, rows []NativeRow, writeFile func(string, []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("bench: merging native rows: %w", err)
-	}
-	rep, err := ParseOverheadReport(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	rep.Schema = OverheadSchema
-	rep.Native = rows
+	install(&rep)
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		return err
