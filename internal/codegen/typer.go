@@ -96,7 +96,7 @@ func (env *typeEnv) exprIsInt(e lang.Expr) bool {
 // interp's evaluator. Check restricts dimension expressions to integer
 // literals, parameters, integer arithmetic, and min/max, so this evaluator
 // is total on checked programs.
-func evalConstInt(e lang.Expr, params map[string]int64) (int64, error) {
+func (m *Machine) evalConstInt(e lang.Expr) (int64, error) {
 	switch ex := e.(type) {
 	case *lang.IntLit:
 		return ex.Val, nil
@@ -104,13 +104,13 @@ func evalConstInt(e lang.Expr, params map[string]int64) (int64, error) {
 		if len(ex.Indices) != 0 {
 			return 0, fmt.Errorf("%s: subscript in constant context", ex.Pos)
 		}
-		v, ok := params[ex.Name]
+		v, ok := m.LookupParam(ex.Name)
 		if !ok {
 			return 0, fmt.Errorf("%s: %q is not a parameter", ex.Pos, ex.Name)
 		}
 		return v, nil
 	case *lang.Un:
-		x, err := evalConstInt(ex.X, params)
+		x, err := m.evalConstInt(ex.X)
 		if err != nil {
 			return 0, err
 		}
@@ -121,11 +121,11 @@ func evalConstInt(e lang.Expr, params map[string]int64) (int64, error) {
 			return B2I(x == 0), nil
 		}
 	case *lang.Bin:
-		l, err := evalConstInt(ex.L, params)
+		l, err := m.evalConstInt(ex.L)
 		if err != nil {
 			return 0, err
 		}
-		r, err := evalConstInt(ex.R, params)
+		r, err := m.evalConstInt(ex.R)
 		if err != nil {
 			return 0, err
 		}
@@ -167,11 +167,11 @@ func evalConstInt(e lang.Expr, params map[string]int64) (int64, error) {
 		if len(ex.Args) != 2 {
 			return 0, fmt.Errorf("%s: %s in constant context", ex.Pos, ex.Name)
 		}
-		l, err := evalConstInt(ex.Args[0], params)
+		l, err := m.evalConstInt(ex.Args[0])
 		if err != nil {
 			return 0, err
 		}
-		r, err := evalConstInt(ex.Args[1], params)
+		r, err := m.evalConstInt(ex.Args[1])
 		if err != nil {
 			return 0, err
 		}
