@@ -260,6 +260,14 @@ func TestDiffSupervisedFaults(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if inject {
+						// Nothing to inject into is a config error, not a panic.
+						noTargets := cfg
+						noTargets.Targets = nil
+						if _, err := faults.RunKernelTrial(ctx, pi, noTargets); err == nil {
+							t.Fatal("injecting trial with no targets: no error")
+						}
+					}
 					ri, err := faults.RunKernelTrial(ctx, pi, cfg)
 					if err != nil {
 						t.Fatal(err)

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -285,6 +287,24 @@ func TestCampaignRejectsForeignCheckpoint(t *testing.T) {
 	_, err := (&Campaign{Cells: []CoverageConfig{b}, CheckpointPath: path}).Run(context.Background())
 	if err == nil {
 		t.Fatal("foreign checkpoint accepted")
+	}
+}
+
+// TestCampaignRejectsV3Checkpoint: a v3 checkpoint of the same campaign
+// keeps its counts under keys v4 no longer reads, so it is refused by schema
+// rather than resumed as empty chunks.
+func TestCampaignRejectsV3Checkpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	camp := &Campaign{Cells: []CoverageConfig{{Kind: checksum.ModAdd, Words: 64, BitFlips: 2,
+		Pattern: Random, Trials: 300, Seed: 1}}, CheckpointPath: path}
+	v3 := fmt.Sprintf(`{"schema":"defuse/faultcov-checkpoint/v3","key":%d,"cells":[{"cell":0,"chunks":[{"start":0,"count":256,"detected":256}]}]}`,
+		camp.fingerprint(DefaultChunkSize))
+	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := camp.Run(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("v3 checkpoint: err = %v, want a schema error", err)
 	}
 }
 

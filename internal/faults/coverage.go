@@ -3,6 +3,7 @@ package faults
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"defuse/internal/checksum"
 	"defuse/telemetry"
@@ -272,6 +273,13 @@ func (cfg CoverageConfig) scheme() string {
 // a given config regardless of worker count or campaign interruption.
 type CoverageResult struct {
 	CoverageConfig
+	Tally
+}
+
+// Tally counts trial outcomes. One type serves one trial, one checkpointed
+// chunk of trials, and a whole cell: a chunk or a cell is the add of its
+// trials' tallies.
+type Tally struct {
 	// Undetected counts trials whose corruption escaped every verification.
 	Undetected int
 	// Detected counts trials whose corruption was flagged by verification.
@@ -288,8 +296,7 @@ type CoverageResult struct {
 	LatencyMax int
 	// LatencyHist is the full detection-latency distribution: per-bucket
 	// counts over telemetry.EpochBuckets plus a trailing overflow bucket,
-	// populated for epoch cells so reports can state p50/p99/p999 rather
-	// than just a mean.
+	// so reports can state p50/p99/p999 rather than just a mean.
 	LatencyHist []int64
 	// Recovered counts detected trials whose rollback re-execution restored
 	// a correct, fully verified final state.
@@ -312,6 +319,42 @@ type CoverageResult struct {
 	DetectorFaults   int64
 	CheckpointFaults int64
 	Rebuilds         int64
+}
+
+// detect counts one detection at latency epochs.
+func (t *Tally) detect(latency int) {
+	t.Detected++
+	t.LatencySum += int64(latency)
+	t.LatencyMax = max(t.LatencyMax, latency)
+	bounds := telemetry.EpochBuckets()
+	if t.LatencyHist == nil {
+		t.LatencyHist = make([]int64, len(bounds)+1)
+	}
+	t.LatencyHist[sort.SearchFloat64s(bounds, float64(latency))]++
+}
+
+// add sums o into t.
+func (t *Tally) add(o Tally) {
+	t.Undetected += o.Undetected
+	t.Detected += o.Detected
+	t.Skipped += o.Skipped
+	t.LatencySum += o.LatencySum
+	t.LatencyMax = max(t.LatencyMax, o.LatencyMax)
+	if len(t.LatencyHist) < len(o.LatencyHist) {
+		t.LatencyHist = append(t.LatencyHist, make([]int64, len(o.LatencyHist)-len(t.LatencyHist))...)
+	}
+	for i, n := range o.LatencyHist {
+		t.LatencyHist[i] += n
+	}
+	t.Recovered += o.Recovered
+	t.Tainted += o.Tainted
+	t.Retries += o.Retries
+	t.Restarts += o.Restarts
+	t.FalseNegatives += o.FalseNegatives
+	t.FalsePositives += o.FalsePositives
+	t.DetectorFaults += o.DetectorFaults
+	t.CheckpointFaults += o.CheckpointFaults
+	t.Rebuilds += o.Rebuilds
 }
 
 // UndetectedPercent returns the percentage of undetected errors, the quantity
@@ -377,13 +420,7 @@ func (r CoverageResult) String() string {
 // settings (one worker pool over trials, no checkpointing). It returns an
 // error for invalid configurations instead of dividing by zero later.
 func RunCoverage(cfg CoverageConfig) (CoverageResult, error) {
-	return RunCoverageContext(context.Background(), cfg)
-}
-
-// RunCoverageContext is RunCoverage under a caller-controlled context.
-func RunCoverageContext(ctx context.Context, cfg CoverageConfig) (CoverageResult, error) {
-	camp := &Campaign{Cells: []CoverageConfig{cfg}}
-	res, err := camp.Run(ctx)
+	res, err := (&Campaign{Cells: []CoverageConfig{cfg}}).Run(context.Background())
 	if err != nil {
 		return CoverageResult{CoverageConfig: cfg}, err
 	}

@@ -289,7 +289,7 @@ func TestValidateDetectorConfigs(t *testing.T) {
 func TestGate(t *testing.T) {
 	clean := CoverageResult{
 		CoverageConfig: CoverageConfig{Trials: 10, Recover: true},
-		Detected:       10, Recovered: 10,
+		Tally:          Tally{Detected: 10, Recovered: 10},
 	}
 	pass := &CampaignResult{Completed: true, Results: []CoverageResult{clean}}
 	if err := pass.Gate(); err != nil {

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"context"
+	"errors"
 
 	"defuse/internal/checksum"
 	"defuse/internal/machine"
@@ -37,10 +38,6 @@ type KernelTrialConfig struct {
 	Targets []string
 	// Policy is the recovery policy (zero value: detect only, no retry).
 	Policy recovery.Policy
-	// Trace/Metrics/Tracer are optional observability hooks.
-	Trace   telemetry.Sink
-	Metrics *telemetry.Registry
-	Tracer  *telemetry.Tracer
 }
 
 // KernelStamp is the per-epoch observable state fingerprint the
@@ -84,7 +81,9 @@ func stripPrefix(s string) string {
 }
 
 // RunKernelTrial executes one supervised trial of an epoch plan over an
-// initialized machine.
+// initialized machine, under the plan's own supervisor configuration (its
+// checkpoint, restore, and the machine's telemetry) with the trial's
+// injecting epoch body and boundary checks.
 // The injector stream draws, in order: injection epoch, target variable
 // slot, word offset within the target, bit. The flip lands at the injected
 // epoch's entry, after its checkpoint is parked — the transient-fault model
@@ -96,6 +95,9 @@ func RunKernelTrial(ctx context.Context, p *machine.Plan, cfg KernelTrialConfig)
 
 	injEpoch, injWord, injBit := -1, -1, -1
 	if cfg.Inject {
+		if len(cfg.Targets) == 0 {
+			return res, errors.New("faults: kernel trial injects but names no target variable")
+		}
 		in := NewInjector(cfg.Seed)
 		injEpoch = in.Intn(epochs)
 		slot := in.Intn(len(cfg.Targets))
@@ -113,7 +115,7 @@ func RunKernelTrial(ctx context.Context, p *machine.Plan, cfg KernelTrialConfig)
 		if cfg.Inject && !injected && k == injEpoch {
 			injected = true
 			m.Mem().FlipBit(injWord, injBit)
-			telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, map[string]any{
+			telemetry.Emit(m.Trace(), telemetry.EvFaultInjected, map[string]any{
 				"scheme": "kernel", "backend": m.Backend(),
 				"epoch": k, "word": injWord, "bit": injBit,
 			})
@@ -134,31 +136,17 @@ func RunKernelTrial(ctx context.Context, p *machine.Plan, cfg KernelTrialConfig)
 		// Interior boundaries: detector self-check only — the kernel's
 		// def/use identity holds at the program's post-dominator, not at
 		// arbitrary interior cuts.
-		if err := m.Pair().Scrub(); err != nil {
-			stamp(k)
-			return err
-		}
-		if k == epochs-1 {
-			if err := m.Pair().Verify(); err != nil {
-				stamp(k)
-				return err
-			}
+		err := m.Pair().Scrub()
+		if err == nil && k == epochs-1 {
+			err = m.Pair().Verify()
 		}
 		stamp(k)
-		return nil
+		return err
 	}
 
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs:     epochs,
-		Run:        run,
-		Verify:     verify,
-		Checkpoint: p.Checkpoint,
-		Restore:    p.Restore,
-		Policy:     cfg.Policy,
-		Trace:      cfg.Trace,
-		Metrics:    cfg.Metrics,
-		Tracer:     cfg.Tracer,
-	})
+	sc := p.Config(cfg.Policy, telemetry.SpanContext{})
+	sc.Run, sc.Verify = run, verify
+	out, err := recovery.Supervise(ctx, sc)
 	res.Outcome = out
 	if err != nil {
 		res.Err = stripPrefix(err.Error())

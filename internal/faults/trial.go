@@ -185,7 +185,7 @@ func (t *epochTrial) arm(sh *rt.Shard) {
 // inst carries the cell's pre-resolved telemetry instruments; span is the
 // parent the supervisor's spans attach to (the campaign's per-trial span),
 // the zero context when untraced. sh may be nil for the DME backend.
-func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Shard, inst cellInstruments, span telemetry.SpanContext) (trialTally, error) {
+func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Shard, inst cellInstruments, span telemetry.SpanContext) (Tally, error) {
 	t := &epochTrial{cfg: cfg, trial: trial, d: drawTrial(cfg, trial), inst: inst}
 	t.arm(sh)
 	out, err := recovery.Supervise(ctx, recovery.Config{
@@ -201,7 +201,7 @@ func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Sh
 		Span:       span,
 	})
 	if err != nil {
-		return trialTally{}, err
+		return Tally{}, err
 	}
 	return t.classify(out), nil
 }
@@ -339,7 +339,7 @@ func (t *epochTrial) checkpoint() any {
 
 // classify turns the supervisor's outcome into the trial's tally and
 // records it on the cell's instruments.
-func (t *epochTrial) classify(out recovery.Outcome) trialTally {
+func (t *epochTrial) classify(out recovery.Outcome) Tally {
 	cfg := t.cfg
 	// A skipped address fault injected nothing: the trial ran clean and
 	// counts as neither detected nor undetected.
@@ -349,34 +349,42 @@ func (t *epochTrial) classify(out recovery.Outcome) trialTally {
 	dataInjected := !skipped &&
 		(cfg.Target == TargetData || cfg.Target == TargetMasking || cfg.Target == TargetCheckpoint)
 	finalOK := t.det.Holds(FaultFree(t.d.init, cfg.Epochs))
-	tally := trialTally{
-		skipped:          skipped,
-		undetected:       !out.Detected && !skipped,
-		detected:         out.Detected,
-		recovered:        out.Recovered && finalOK,
-		tainted:          out.Tainted,
-		retries:          out.Retries,
-		restarts:         out.Restarts,
-		rebuilds:         out.Rebuilds,
-		detectorFaults:   out.DetectorFaults,
-		checkpointFaults: out.CheckpointFaults,
+	tally := Tally{
+		Skipped:          one(skipped),
+		Undetected:       one(!out.Detected && !skipped),
+		Recovered:        one(out.Recovered && finalOK),
+		Tainted:          one(out.Tainted),
+		Retries:          int64(out.Retries),
+		Restarts:         int64(out.Restarts),
+		Rebuilds:         int64(out.Rebuilds),
+		DetectorFaults:   int64(out.DetectorFaults),
+		CheckpointFaults: int64(out.CheckpointFaults),
 		// A false negative finished with every check green and a wrong final
 		// state; a false positive is recovery acting on a data-fault verdict
 		// when the protected data was never touched.
-		falseNegative: !out.Detected && !finalOK,
-		falsePositive: !dataInjected && out.DataFaults > 0,
+		FalseNegatives: one(!out.Detected && !finalOK),
+		FalsePositives: one(!dataInjected && out.DataFaults > 0),
 	}
 	if out.Detected {
-		tally.latency = out.FirstDetection - t.d.epoch
-		t.inst.latency.Observe(float64(tally.latency))
+		latency := out.FirstDetection - t.d.epoch
+		tally.detect(latency)
+		t.inst.latency.Observe(float64(latency))
 	}
 	if !skipped {
-		t.inst.record(tally.undetected)
+		t.inst.record(tally.Undetected > 0)
 	}
-	if tally.recovered {
+	if tally.Recovered > 0 {
 		t.inst.recovered.Inc()
 	}
 	return tally
+}
+
+// one counts a trial outcome: 1 if it happened, else 0.
+func one(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // addrDetector is the PRESAGE-style address-stream backend: it folds every

@@ -119,8 +119,11 @@ func (p *Plan) verify(int) error {
 	return p.m.VerifyChecksums()
 }
 
-// config is the supervisor configuration of a run under span.
-func (p *Plan) config(pol recovery.Policy, span telemetry.SpanContext) recovery.Config {
+// Config is the supervisor configuration Supervise runs under span: the
+// plan's epochs, checkpoint, restore, and boundary verification, with the
+// machine's trace sink, metrics registry and tracer. A caller that runs the
+// plan under its own supervisor overrides only what it changes.
+func (p *Plan) Config(pol recovery.Policy, span telemetry.SpanContext) recovery.Config {
 	return recovery.Config{
 		Epochs:     p.n,
 		Run:        p.RunEpoch,
@@ -144,7 +147,7 @@ func (p *Plan) config(pol recovery.Policy, span telemetry.SpanContext) recovery.
 // the supervisor's epoch.verify / recovery.* telemetry.
 func (p *Plan) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Outcome, error) {
 	run := p.m.cfg.Tracer.Start(telemetry.SpanContext{}, "run", telemetry.Int("epochs", p.n))
-	out, err := recovery.Supervise(ctx, p.config(pol, run.Context()))
+	out, err := recovery.Supervise(ctx, p.Config(pol, run.Context()))
 	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("tainted", out.Tainted))
 	return out, err
 }
@@ -160,7 +163,7 @@ func (p *Plan) SuperviseDurable(ctx context.Context, pol recovery.Policy, walPat
 	run := p.m.cfg.Tracer.Start(telemetry.SpanContext{}, "run",
 		telemetry.Int("epochs", p.n), telemetry.Bool("durable", true))
 	d := &recovery.DurableSupervisor{
-		Config:      p.config(pol, run.Context()),
+		Config:      p.Config(pol, run.Context()),
 		Path:        walPath,
 		Fingerprint: p.Fingerprint(),
 		EncodeState: p.encodeState,
