@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sort"
 	"time"
 
 	"defuse/internal/bench"
@@ -16,12 +17,17 @@ import (
 // (internal/codegen/gennative) — the defuse compiler's output built by the
 // Go compiler — instead of interpreting the lang programs. The interpreter's
 // op-count model does not apply here; wall clock on compiled code IS the
-// measurement, so each variant is averaged over enough repetitions to make
+// measurement, so each kernel runs enough interleaved repetitions to make
 // microsecond-scale kernels measurable, with a fresh machine and freshly
 // seeded data per repetition and only the kernel call inside the timer.
 
-// nativeMinTime is the per-variant timing budget the calibration aims for.
+// nativeMinTime is the Original variant's timing budget the rep count aims
+// for.
 const nativeMinTime = 50 * time.Millisecond
+
+// nativeMinReps is the fewest timed reps a kernel gets, so its ratios have
+// quartiles.
+const nativeMinReps = 5
 
 // nativeMaxReps caps repetitions so pathologically fast kernels terminate.
 const nativeMaxReps = 5000
@@ -68,14 +74,19 @@ func runNative(scale float64, one string, jsonOut bool, jsonPath string) error {
 }
 
 // measureNative times the three variants of one benchmark and checks the
-// native variants' outputs agree bit-for-bit, mirroring the interpreter
-// harness's equivalence gate.
+// instrumented variants' outputs agree bit-for-bit with the Original's,
+// mirroring the interpreter harness's equivalence gate. A first, untimed run
+// of each variant warms it up, supplies the compared outputs and sizes the
+// rep count from the Original's time. Rep r then runs the variants in an
+// order rotated by r, each on a fresh machine with fresh data, so drift in
+// the machine's speed lands on all three alike; each rep gives one ratio per
+// instrumented variant, and the row keeps their medians and quartiles.
 func measureNative(b *bench.Benchmark, scale float64) (bench.NativeRow, error) {
 	params := b.Params(scale)
-	secs := map[bench.Variant]float64{}
-	outs := map[bench.Variant]map[string][]float64{}
-	reps := 0
-	for _, v := range nativeVariants {
+	var runs [3]func() (*codegen.Machine, time.Duration, error)
+	var outs [3]map[string][]float64
+	var first time.Duration
+	for i, v := range nativeVariants {
 		kern, ok := gennative.Lookup(b.Name, string(v))
 		if !ok {
 			return bench.NativeRow{}, fmt.Errorf("overhead: no generated kernel for %s/%s; run: go run ./cmd/genkernels", b.Name, v)
@@ -84,36 +95,62 @@ func measureNative(b *bench.Benchmark, scale float64) (bench.NativeRow, error) {
 		if err != nil {
 			return bench.NativeRow{}, err
 		}
-		mean, out, n, err := timeKernel(b, prog, params, kern.Fn)
+		runs[i] = kernelRun(b, prog, params, kern.Fn)
+		m, d, err := runs[i]()
+		if err == nil {
+			outs[i], err = floatOutputs(b, m)
+		}
 		if err != nil {
 			return bench.NativeRow{}, fmt.Errorf("overhead: native %s/%s: %w", b.Name, v, err)
 		}
-		secs[v], outs[v] = mean, out
-		if v == bench.Original {
-			reps = n
+		if i > 0 {
+			if err := sameNativeOutput(b.Name, outs[0], outs[i], v); err != nil {
+				return bench.NativeRow{}, err
+			}
+		} else {
+			first = d
 		}
 	}
-	for _, v := range []bench.Variant{bench.Resilient, bench.ResilientOpt} {
-		if err := sameNativeOutput(b.Name, outs[bench.Original], outs[v], v); err != nil {
-			return bench.NativeRow{}, err
-		}
+	reps := nativeMinReps
+	if first > 0 && first < nativeMinTime {
+		reps = min(max(int(nativeMinTime/first), nativeMinReps), nativeMaxReps)
 	}
-	orig := secs[bench.Original]
-	row := bench.NativeRow{
+	orig := make([]float64, reps)
+	ratios := [2][]float64{make([]float64, reps), make([]float64, reps)}
+	for r := 0; r < reps; r++ {
+		var secs [3]float64
+		for j := range runs {
+			vi := (j + r) % len(runs)
+			_, d, err := runs[vi]()
+			if err != nil {
+				return bench.NativeRow{}, fmt.Errorf("overhead: native %s/%s: %w", b.Name, nativeVariants[vi], err)
+			}
+			secs[vi] = d.Seconds()
+		}
+		orig[r] = secs[0]
+		ratios[0][r] = nativeRatio(secs[1], secs[0])
+		ratios[1][r] = nativeRatio(secs[2], secs[0])
+	}
+	_, origMedian, _ := quartiles(orig)
+	rq1, rmed, rq3 := quartiles(ratios[0])
+	oq1, omed, oq3 := quartiles(ratios[1])
+	return bench.NativeRow{
 		Bench:           b.Name,
-		OriginalSeconds: orig,
-		ResilientTime:   nativeRatio(secs[bench.Resilient], orig),
-		OptimizedTime:   nativeRatio(secs[bench.ResilientOpt], orig),
+		OriginalSeconds: origMedian,
+		ResilientTime:   rmed,
+		OptimizedTime:   omed,
+		ResilientQ1:     rq1,
+		ResilientQ3:     rq3,
+		OptimizedQ1:     oq1,
+		OptimizedQ3:     oq3,
 		Reps:            reps,
-	}
-	return row, nil
+	}, nil
 }
 
-// timeKernel runs one generated kernel repeatedly — fresh machine and data
-// every repetition, only fn inside the timer — and returns the mean per-run
-// seconds, the float arrays after the first run, and the repetition count.
-func timeKernel(b *bench.Benchmark, prog *lang.Program, params map[string]int64, fn codegen.Fn) (float64, map[string][]float64, int, error) {
-	run := func() (*codegen.Machine, time.Duration, error) {
+// kernelRun returns a runner for one generated kernel: a fresh machine and
+// freshly seeded data per call, only fn inside the timer.
+func kernelRun(b *bench.Benchmark, prog *lang.Program, params map[string]int64, fn codegen.Fn) func() (*codegen.Machine, time.Duration, error) {
+	return func() (*codegen.Machine, time.Duration, error) {
 		m, err := codegen.MachineFor(prog, params)
 		if err != nil {
 			return nil, 0, err
@@ -123,36 +160,37 @@ func timeKernel(b *bench.Benchmark, prog *lang.Program, params map[string]int64,
 		err = fn(m, 0, 1)
 		return m, time.Since(start), err
 	}
-	m, first, err := run()
-	if err != nil {
-		return 0, nil, 0, err
-	}
+}
+
+// floatOutputs snapshots the benchmark's float arrays after a run.
+func floatOutputs(b *bench.Benchmark, m *codegen.Machine) (map[string][]float64, error) {
 	out := map[string][]float64{}
 	for _, d := range b.Program().Decls {
 		if d.Type == lang.TypeFloat && d.IsArray() {
 			snap, err := m.SnapshotFloats(d.Name)
 			if err != nil {
-				return 0, nil, 0, err
+				return nil, err
 			}
 			out[d.Name] = snap
 		}
 	}
-	reps := 1
-	if first > 0 && first < nativeMinTime {
-		reps = int(nativeMinTime / first)
-		if reps > nativeMaxReps {
-			reps = nativeMaxReps
+	return out, nil
+}
+
+// quartiles returns the first quartile, the median and the third quartile
+// of xs, interpolating between the closest ranks.
+func quartiles(xs []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
 		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 	}
-	total := first
-	for r := 1; r < reps; r++ {
-		_, d, err := run()
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		total += d
-	}
-	return total.Seconds() / float64(reps), out, reps, nil
+	return at(0.25), at(0.5), at(0.75)
 }
 
 // sameNativeOutput asserts an instrumented native variant computed exactly

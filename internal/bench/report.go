@@ -187,13 +187,21 @@ type BackendRow struct {
 // block, new in defuse/overhead/v4.
 type NativeRow struct {
 	Bench string `json:"bench"`
-	// OriginalSeconds is the mean per-run wall time of the uninstrumented
-	// kernel; Resilient/Optimized are normalized to it (Original = 1.0).
+	// OriginalSeconds is the median per-run wall time of the uninstrumented
+	// kernel. ResilientTime and OptimizedTime are the medians, over reps, of
+	// a variant's time over the Original's time in the same rep (the three
+	// variants run interleaved rep by rep, Original = 1.0).
 	OriginalSeconds float64 `json:"original_seconds"`
 	ResilientTime   float64 `json:"resilient_time"`
 	OptimizedTime   float64 `json:"optimized_time"`
-	// Reps is how many timed repetitions each variant's mean averages over
-	// (fresh machine and data per rep; only the kernel call is timed).
+	// The quartiles of those per-rep ratios: optional additions to v5, absent
+	// from rows measured before the reps were interleaved.
+	ResilientQ1 float64 `json:"resilient_q1,omitempty"`
+	ResilientQ3 float64 `json:"resilient_q3,omitempty"`
+	OptimizedQ1 float64 `json:"optimized_q1,omitempty"`
+	OptimizedQ3 float64 `json:"optimized_q3,omitempty"`
+	// Reps is how many timed repetitions each variant ran (fresh machine and
+	// data per rep; only the kernel call is timed).
 	Reps int `json:"reps"`
 }
 
@@ -216,14 +224,21 @@ func NativeGeoMeans(rows []NativeRow) (resilient, optimized float64) {
 // Figure 10 table.
 func FormatNative(rows []NativeRow) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "%-10s %14s %12s %12s %8s\n",
-		"Benchmark", "Orig(s/run)", "Resil(wall)", "Opt(wall)", "Reps")
+	fmt.Fprintf(&b, "%-10s %14s %20s %20s %8s\n",
+		"Benchmark", "Orig(s/run)", "Resil(wall) [q1,q3]", "Opt(wall) [q1,q3]", "Reps")
+	spread := func(med, q1, q3 float64) string {
+		if q1 == 0 && q3 == 0 {
+			return fmt.Sprintf("%.3f", med)
+		}
+		return fmt.Sprintf("%.3f [%.2f,%.2f]", med, q1, q3)
+	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %14.6f %12.3f %12.3f %8d\n",
-			r.Bench, r.OriginalSeconds, r.ResilientTime, r.OptimizedTime, r.Reps)
+		fmt.Fprintf(&b, "%-10s %14.6f %20s %20s %8d\n", r.Bench, r.OriginalSeconds,
+			spread(r.ResilientTime, r.ResilientQ1, r.ResilientQ3),
+			spread(r.OptimizedTime, r.OptimizedQ1, r.OptimizedQ3), r.Reps)
 	}
 	rg, og := NativeGeoMeans(rows)
-	fmt.Fprintf(&b, "%-10s %14s %12.3f %12.3f %8s\n", "geomean", "", rg, og, "")
+	fmt.Fprintf(&b, "%-10s %14s %20.3f %20.3f %8s\n", "geomean", "", rg, og, "")
 	return b.String()
 }
 

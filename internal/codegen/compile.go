@@ -41,13 +41,15 @@ type frameVar struct {
 }
 
 // frame is the per-invocation register file: parameter and variable
-// locations resolved against the target machine, plus the loop iterators
-// (register-resident, exactly as in the interpreter's fault model).
+// locations resolved against the target machine, plus the loop iterators and
+// the Let registers (register-resident, exactly as in the interpreter's fault
+// model; a register holds its value's bit pattern).
 type frame struct {
 	m      *Machine
 	params []int64
 	vars   []frameVar
 	iters  []int64
+	regs   []uint64
 }
 
 // Unit is a compiled program.
@@ -92,6 +94,7 @@ func Compile(prog *lang.Program) (*Unit, error) {
 		paramSlot: map[string]int{},
 		varSlot:   map[string]int{},
 		iterSlot:  map[string]int{},
+		regSlot:   map[string]int{},
 	}
 	for i, p := range prog.Params {
 		c.paramSlot[p] = i
@@ -136,13 +139,14 @@ func Compile(prog *lang.Program) (*Unit, error) {
 
 	paramNames := c.paramNames
 	varNames := c.varNames
-	nIters := c.nIters
+	nIters, nRegs := c.nIters, c.nRegs
 	mkFrame := func(m *Machine) *frame {
 		fr := &frame{
 			m:      m,
 			params: make([]int64, len(paramNames)),
 			vars:   make([]frameVar, len(varNames)),
 			iters:  make([]int64, nIters),
+			regs:   make([]uint64, nRegs),
 		}
 		for i, n := range paramNames {
 			fr.params[i] = m.Param(n)
@@ -211,6 +215,8 @@ type compiler struct {
 	varNames   []string
 	iterSlot   map[string]int // active lexical scope
 	nIters     int            // total iterator slots allocated
+	regSlot    map[string]int // registers in scope
+	nRegs      int            // total register slots allocated
 }
 
 func (c *compiler) pushIter(name string) int {
@@ -333,10 +339,17 @@ func (c *compiler) expr(e lang.Expr) cexpr {
 }
 
 // ref compiles a name read with interp's resolution order: live iterator,
-// then parameter (both register-resident), then memory-resident variable.
+// then register, then parameter (all register-resident), then
+// memory-resident variable.
 func (c *compiler) ref(x *lang.Ref) cexpr {
 	if slot, ok := c.iterSlot[x.Name]; ok && len(x.Indices) == 0 {
 		return cexpr{isInt: true, i: func(fr *frame) (int64, error) { return fr.iters[slot], nil }}
+	}
+	if slot, ok := c.regSlot[x.Name]; ok && len(x.Indices) == 0 {
+		if c.env.regs[x.Name] {
+			return cexpr{isInt: true, i: func(fr *frame) (int64, error) { return int64(fr.regs[slot]), nil }}
+		}
+		return cexpr{f: func(fr *frame) (float64, error) { return math.Float64frombits(fr.regs[slot]), nil }}
 	}
 	if slot, ok := c.paramSlot[x.Name]; ok && len(x.Indices) == 0 {
 		return cexpr{isInt: true, i: func(fr *frame) (int64, error) { return fr.params[slot], nil }}
@@ -646,11 +659,18 @@ func floatCmp(op lang.BinOp) func(a, b float64) bool {
 	}
 }
 
-// stmts compiles a statement list to one sequenced op.
+// stmts compiles a statement list to one sequenced op. A register a Let in
+// the list binds goes out of scope at the list's end.
 func (c *compiler) stmts(ss []lang.Stmt) sop {
 	ops := make([]sop, len(ss))
 	for i, s := range ss {
 		ops[i] = c.stmt(s)
+	}
+	for _, s := range ss {
+		if l, ok := s.(*lang.Let); ok {
+			delete(c.regSlot, l.Name)
+			delete(c.env.regs, l.Name)
+		}
 	}
 	return func(fr *frame) error {
 		for _, op := range ops {
@@ -732,6 +752,8 @@ func (c *compiler) stmt(s lang.Stmt) sop {
 		}
 	case *lang.AddToChecksum:
 		return c.addToChecksum(x)
+	case *lang.Let:
+		return c.let(x)
 	case *lang.AssertChecksums:
 		line, col := x.Pos.Line, x.Pos.Col
 		return func(fr *frame) error { return fr.m.Assert(line, col) }
@@ -803,6 +825,39 @@ func (c *compiler) addToChecksum(x *lang.AddToChecksum) sop {
 		}
 		fr.m.Fold(acc, math.Float64bits(v), n)
 		return nil
+	}
+}
+
+// let compiles a register binding: the value, converted to the register's
+// type as a store would convert it, lands in the register's frame slot.
+func (c *compiler) let(x *lang.Let) sop {
+	val := c.expr(x.Value)
+	slot := c.nRegs
+	c.nRegs++
+	c.regSlot[x.Name] = slot
+	isInt := x.Type == lang.TypeInt
+	c.env.regs[x.Name] = isInt
+	switch {
+	case isInt && val.isInt:
+		vi := val.i
+		return func(fr *frame) error {
+			v, err := vi(fr)
+			fr.regs[slot] = uint64(v)
+			return err
+		}
+	case isInt:
+		vf := val.f
+		return func(fr *frame) error {
+			v, err := vf(fr)
+			fr.regs[slot] = uint64(int64(v))
+			return err
+		}
+	}
+	vf := val.asFloat()
+	return func(fr *frame) error {
+		v, err := vf(fr)
+		fr.regs[slot] = math.Float64bits(v)
+		return err
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 //
 // The interpreter types values dynamically, but on a checked program the
 // dynamic type of every expression is a pure function of its static
-// structure: literals carry their type, variables carry their declared type,
-// parameters and iterators are integers, and every operator's result type
+// structure: literals carry their type, variables and registers carry their
+// declared type, parameters and iterators are integers, and every operator's result type
 // depends only on its operand types (lang.Check rules out the constructs —
 // iterator shadowing, floats leaking into integer contexts — that could make
 // this context-sensitive). That function is exprIsInt; the compiler and the
@@ -19,15 +19,17 @@ import (
 // agree with the interpreter's dynamic ones by construction. This is one of
 // the oracle-equivalence invariants documented in DESIGN.md §10.
 
-// typeEnv resolves a name to its integer-ness: declared variables from their
-// declaration, parameters and loop iterators always integer.
+// typeEnv resolves a name to its integer-ness: declared variables and
+// registers from their declaration, parameters and loop iterators always
+// integer.
 type typeEnv struct {
 	vars  map[string]bool // name → isInt for declared variables
 	iters map[string]bool // in-scope loop iterators (always int)
+	regs  map[string]bool // in-scope registers → isInt
 }
 
 func newTypeEnv(prog *lang.Program) *typeEnv {
-	env := &typeEnv{vars: map[string]bool{}, iters: map[string]bool{}}
+	env := &typeEnv{vars: map[string]bool{}, iters: map[string]bool{}, regs: map[string]bool{}}
 	for _, d := range prog.Decls {
 		env.vars[d.Name] = d.Type == lang.TypeInt
 	}
@@ -35,11 +37,14 @@ func newTypeEnv(prog *lang.Program) *typeEnv {
 }
 
 // nameIsInt reports whether a bare name holds an integer. Parameters and
-// iterators are integers; anything else must be a declared variable (Check
-// guarantees it).
+// iterators are integers; anything else must be a register or a declared
+// variable (Check guarantees it).
 func (env *typeEnv) nameIsInt(name string) bool {
 	if env.iters[name] {
 		return true
+	}
+	if isInt, ok := env.regs[name]; ok {
+		return isInt
 	}
 	if isInt, ok := env.vars[name]; ok {
 		return isInt

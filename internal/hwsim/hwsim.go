@@ -12,8 +12,9 @@
 //     retains in software;
 //   - checksum count-expression arithmetic (CsArith) keeps full cost for the
 //     same reason;
-//   - the loads that software checksumming adds (CsLoads) disappear: the
-//     hardware taps the operands of adjacent instructions;
+//   - the loads that add_to_chksm performs itself (CsLoads: the prologue,
+//     the epilogue and dynamic counters) disappear: the hardware taps the
+//     operands of adjacent instructions;
 //   - each checksum operation (CsOps) costs NopCost of a regular operation
 //     (fetch/decode only).
 package hwsim
@@ -37,11 +38,13 @@ type Config struct {
 	// CsOpWeight prices one software checksum operation (a scale plus a
 	// modular add).
 	CsOpWeight float64
-	// CsLoadWeight prices the loads the interpreter performs to evaluate
-	// add_to_chksm operands. Real instrumented code folds the
-	// register-resident value the adjacent program operation already holds
-	// (Section 5 requires values to stay register-resident), so the default
-	// is 0.
+	// CsLoadWeight prices the loads add_to_chksm performs itself. Every
+	// backend folds the register a statement loaded or stored (Section 5),
+	// so these are only the prologue's live-in folds, the epilogue's folds,
+	// a dynamic plan's fold of the value an "=" overwrites, and the shadow
+	// counters its count expressions read. The default of 0 leaves them out
+	// of the model: on moldyn, whose arrays are all dynamic, they number
+	// 0.56 of its program loads, so its modeled overhead is low by that.
 	CsLoadWeight float64
 	// NopCost is the fraction of ArithWeight charged per checksum
 	// instruction under hardware support (fetch/decode only, the paper's

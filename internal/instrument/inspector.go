@@ -507,10 +507,10 @@ func gistParamOnly(cons []poly.Constraint) []poly.Constraint {
 }
 
 // inspectorDefAdds emits the def-checksum additions after a write to an
-// inspector-counted array: the defined value joins the def-checksum once per
-// read it will receive in the next while iteration (Figure 9's
-// "count_p_new[j3]+1").
-func (ins *instrumenter) inspectorDefAdds(x *lang.Assign) []lang.Stmt {
+// inspector-counted array: the defined value, which stored() names, joins the
+// def-checksum once per read it will receive in the next while iteration
+// (Figure 9's "count_p_new[j3]+1").
+func (ins *instrumenter) inspectorDefAdds(x *lang.Assign, stored func() lang.Expr) []lang.Stmt {
 	// Find the plan owning this statement.
 	for _, plan := range ins.insp {
 		iv := plan.vars[x.LHS.Name]
@@ -529,7 +529,7 @@ func (ins *instrumenter) inspectorDefAdds(x *lang.Assign) []lang.Stmt {
 			for _, ix := range x.LHS.Indices {
 				cnt.Indices = append(cnt.Indices, lang.CloneExpr(ix))
 			}
-			out = append(out, addChk(lang.DefCS, refClone(x.LHS), cnt))
+			out = append(out, addChk(lang.DefCS, stored(), cnt))
 		}
 		for _, piece := range iv.static {
 			if piece.Count.IsZero() {
@@ -539,7 +539,7 @@ func (ins *instrumenter) inspectorDefAdds(x *lang.Assign) []lang.Stmt {
 			if err != nil {
 				continue
 			}
-			add := addChk(lang.DefCS, refClone(x.LHS), ce)
+			add := addChk(lang.DefCS, stored(), ce)
 			if cond := consToCond(piece.Domain, rename); cond != nil {
 				out = append(out, &lang.If{Cond: cond, Then: []lang.Stmt{add}})
 			} else {

@@ -445,13 +445,27 @@ func (ins *instrumenter) rewriteWhile(x *lang.While) []lang.Stmt {
 	return out
 }
 
+// rewriteAssign instruments one statement so that its checksum folds consume
+// the values the statement itself loads and stores (Section 5): every memory
+// operand is loaded once, in the interpreter's evaluation order, into a
+// register; the use folds and the statement read those registers, and the
+// def folds read the register holding the stored value. Only a dynamic
+// plan's fold of the value an "=" overwrites still reads memory.
 func (ins *instrumenter) rewriteAssign(x *lang.Assign) []lang.Stmt {
 	st := ins.stmts[x]
 	if st == nil {
 		// Generated or unmodeled statement: pass through.
 		return []lang.Stmt{x}
 	}
-	var pre, post []lang.Stmt
+	ld := &loader{ins: ins, regs: map[*lang.Ref]string{}}
+	value := ld.expr(x.RHS)
+	lhs := &lang.Ref{Pos: x.LHS.Pos, Name: x.LHS.Name, Indices: ld.exprs(x.LHS.Indices)}
+	var old lang.Expr = lhs // the value the statement overwrites
+	if x.Op != lang.OpSet {
+		old = ld.load(x.LHS, refClone(lhs))
+		value = &lang.Bin{Pos: x.Pos, Op: compoundOps[x.Op], L: old, R: value}
+	}
+	out := ld.out
 
 	// Use-checksum contributions for every read, per the read variable's
 	// plan (Algorithm 3 lines 3-8).
@@ -461,33 +475,42 @@ func (ins *instrumenter) rewriteAssign(x *lang.Assign) []lang.Stmt {
 		case PlanControl:
 			continue
 		case PlanDynamic:
-			pre = append(pre, addChk(lang.UseCS, refClone(read.Ref), one()))
-			pre = append(pre, incr(ins.counterRef(read.Ref)))
+			out = append(out, addChk(lang.UseCS, &lang.Ref{Name: ld.regs[read.Ref]}, one()))
+			out = append(out, incr(ins.counterRef(read.Ref)))
 		default: // static, inspector, invariant: plain use add
-			pre = append(pre, addChk(lang.UseCS, refClone(read.Ref), one()))
+			out = append(out, addChk(lang.UseCS, &lang.Ref{Name: ld.regs[read.Ref]}, one()))
 		}
 	}
 
-	// Def-checksum contributions for the write (Algorithm 3 lines 9-18).
+	// Def-checksum contributions for the write (Algorithm 3 lines 9-18),
+	// folding the stored value from a register bound just before the store.
+	var stored string
+	storedRef := func() lang.Expr {
+		if stored == "" {
+			stored = ins.names.fresh(x.LHS.Name + "_w")
+		}
+		return &lang.Ref{Name: stored}
+	}
+	var post []lang.Stmt
 	w := &st.Write
 	switch ins.plans[w.Array] {
 	case PlanControl:
 		// untracked
 	case PlanStatic:
-		post = append(post, ins.staticDefAdds(st)...)
+		post = ins.staticDefAdds(st, storedRef)
 	case PlanDynamic:
 		cnt := ins.counterRef(x.LHS)
-		pre = append(pre,
-			addChk(lang.DefCS, refClone(x.LHS), &lang.Bin{Op: lang.BinSub, L: cnt, R: one()}),
-			addChk(lang.EUseCS, refClone(x.LHS), one()),
+		out = append(out,
+			addChk(lang.DefCS, lang.CloneExpr(old), &lang.Bin{Op: lang.BinSub, L: cnt, R: one()}),
+			addChk(lang.EUseCS, lang.CloneExpr(old), one()),
 		)
 		post = append(post,
-			addChk(lang.DefCS, refClone(x.LHS), one()),
-			addChk(lang.EDefCS, refClone(x.LHS), one()),
+			addChk(lang.DefCS, storedRef(), one()),
+			addChk(lang.EDefCS, storedRef(), one()),
 			&lang.Assign{LHS: ins.counterRef(x.LHS), Op: lang.OpSet, RHS: intLit(0)},
 		)
 	case PlanInspector:
-		post = append(post, ins.inspectorDefAdds(x)...)
+		post = ins.inspectorDefAdds(x, storedRef)
 	case PlanInvariant:
 		// Invariant arrays are unwritten inside their loop; a write would
 		// have failed inspector qualification, so this is a write outside
@@ -495,15 +518,69 @@ func (ins *instrumenter) rewriteAssign(x *lang.Assign) []lang.Stmt {
 		panic("instrument: write to inspector-invariant array " + w.Array)
 	}
 
-	out := append(pre, x)
+	if stored != "" {
+		out = append(out, &lang.Let{Pos: x.Pos, Name: stored, Type: ins.prog.Decl(x.LHS.Name).Type, Value: value})
+		value = &lang.Ref{Pos: x.Pos, Name: stored}
+	}
+	out = append(out, &lang.Assign{Pos: x.Pos, Label: x.Label, LHS: lhs, Op: lang.OpSet, RHS: value})
 	return append(out, post...)
 }
 
-// staticDefAdds emits the guarded def-checksum additions for a statically
-// counted definition: one add per non-zero use-count piece some iteration
-// satisfies, guarded by the piece domain gisted against the statement's
-// iteration domain (Figure 5).
-func (ins *instrumenter) staticDefAdds(st *pdg.Statement) []lang.Stmt {
+// compoundOps maps a compound assignment to the operator it applies.
+var compoundOps = map[lang.AssignOp]lang.BinOp{
+	lang.OpAdd: lang.BinAdd, lang.OpSub: lang.BinSub, lang.OpMul: lang.BinMul, lang.OpDiv: lang.BinDiv,
+}
+
+// loader rewrites a statement's expressions so that every memory operand is
+// loaded once into a register, appending the register bindings to out in
+// the interpreter's evaluation order (left to right, a reference's
+// subscripts before the reference).
+type loader struct {
+	ins  *instrumenter
+	regs map[*lang.Ref]string // original memory reference → its register
+	out  []lang.Stmt
+}
+
+// expr returns e with every memory reference replaced by its register.
+func (ld *loader) expr(e lang.Expr) lang.Expr {
+	switch x := e.(type) {
+	case *lang.Ref:
+		if ld.ins.prog.Decl(x.Name) == nil {
+			return refClone(x) // iterator or parameter: register-resident
+		}
+		return ld.load(x, &lang.Ref{Pos: x.Pos, Name: x.Name, Indices: ld.exprs(x.Indices)})
+	case *lang.Bin:
+		return &lang.Bin{Pos: x.Pos, Op: x.Op, L: ld.expr(x.L), R: ld.expr(x.R)}
+	case *lang.Un:
+		return &lang.Un{Pos: x.Pos, Op: x.Op, X: ld.expr(x.X)}
+	case *lang.Call:
+		return &lang.Call{Pos: x.Pos, Name: x.Name, Args: ld.exprs(x.Args)}
+	}
+	return lang.CloneExpr(e)
+}
+
+func (ld *loader) exprs(es []lang.Expr) []lang.Expr {
+	var out []lang.Expr
+	for _, e := range es {
+		out = append(out, ld.expr(e))
+	}
+	return out
+}
+
+// load binds a fresh register to the value at ref, the rewritten form of
+// orig, and returns a reference to the register.
+func (ld *loader) load(orig, ref *lang.Ref) *lang.Ref {
+	name := ld.ins.names.fresh(orig.Name + "_r")
+	ld.out = append(ld.out, &lang.Let{Pos: orig.Pos, Name: name, Type: ld.ins.prog.Decl(orig.Name).Type, Value: ref})
+	ld.regs[orig] = name
+	return &lang.Ref{Pos: orig.Pos, Name: name}
+}
+
+// staticDefAdds emits the guarded def-checksum additions of the value
+// stored() names for a statically counted definition: one add per non-zero
+// use-count piece some iteration satisfies, guarded by the piece domain
+// gisted against the statement's iteration domain (Figure 5).
+func (ins *instrumenter) staticDefAdds(st *pdg.Statement, stored func() lang.Expr) []lang.Stmt {
 	dc := ins.uc.Defs[st]
 	if dc == nil {
 		return nil
@@ -550,7 +627,7 @@ func (ins *instrumenter) staticDefAdds(st *pdg.Statement) []lang.Stmt {
 			// but degrade to a guard-free skip rather than fail.
 			continue
 		}
-		add := addChk(lang.DefCS, refClone(st.Node.LHS), countExpr)
+		add := addChk(lang.DefCS, stored(), countExpr)
 		if cond := consToCond(p.domain, nil); cond != nil {
 			out = append(out, &lang.If{Cond: cond, Then: []lang.Stmt{add}})
 		} else {

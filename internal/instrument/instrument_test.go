@@ -250,13 +250,19 @@ func TestNoFalsePositivesAndSemanticsPreserved(t *testing.T) {
 func TestCholeskyInstrumentationShape(t *testing.T) {
 	res := instrumented(t, choleskySrc, Options{})
 	src := lang.Print(res.Prog)
-	// The def-checksum for S1's write must be scaled by the n-1-j use count
-	// (paper Figure 5).
-	if !strings.Contains(src, "add_to_chksm(def_cs, A[j][j]") {
-		t.Errorf("missing scaled def add:\n%s", src)
-	}
-	if !strings.Contains(src, "add_to_chksm(use_cs, A[j][j], 1)") {
-		t.Errorf("missing use adds:\n%s", src)
+	// S1 loads A[j][j] once into a register; its use fold reads that
+	// register, and the def fold, scaled by the n-1-j use count (paper
+	// Figure 5), reads the register holding the stored value (Section 5).
+	for _, want := range []string{
+		"float A_r = A[j][j];",
+		"add_to_chksm(use_cs, A_r, 1);",
+		"float A_w = sqrt(A_r);",
+		"S1: A[j][j] = A_w;",
+		"add_to_chksm(def_cs, A_w, -j + n - 1);",
+	} {
+		if !strings.Contains(src, want) {
+			t.Errorf("missing %q:\n%s", want, src)
+		}
 	}
 	if !strings.Contains(src, "assert_checksums();") {
 		t.Errorf("missing verifier:\n%s", src)

@@ -25,8 +25,11 @@ const maxSplitsPerLoop = 6
 func SplitLoops(prog *lang.Program) []lang.Stmt {
 	assigned := map[string]bool{}
 	lang.WalkStmts(prog.Body, func(s lang.Stmt) bool {
-		if a, ok := s.(*lang.Assign); ok {
-			assigned[a.LHS.Name] = true
+		switch x := s.(type) {
+		case *lang.Assign:
+			assigned[x.LHS.Name] = true
+		case *lang.Let:
+			assigned[x.Name] = true
 		}
 		return true
 	})

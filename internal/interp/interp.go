@@ -1,10 +1,10 @@
 // Package interp executes lang programs against a simulated memory
 // subsystem (memsim) under the paper's fault model: loop iterators and
 // parameters are register-resident (control flow is protected by other
-// means, Section 2.2), while every scalar and array element lives in
-// vulnerable memory. The checksum primitives of the language drive a
-// checksum.Pair, and per-operation accounting supports the hardware
-// checksum-unit cost model of Section 6.2.2.
+// means, Section 2.2), as are the registers a Let binds, while every
+// declared scalar and array element lives in vulnerable memory. The checksum
+// primitives of the language drive a checksum.Pair, and per-operation
+// accounting supports the hardware checksum-unit cost model of Section 6.2.2.
 package interp
 
 import (
@@ -78,6 +78,7 @@ type Machine struct {
 
 	prog  *lang.Program
 	iters map[string]int64
+	regs  map[string]value // registers bound by Let statements
 
 	// Counts accumulates dynamic operation counts across Run calls.
 	Counts OpCounts
@@ -148,7 +149,8 @@ func New(prog *lang.Program, params map[string]int64, opts ...Option) (*Machine,
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{State: st, prog: prog, iters: map[string]int64{}, MaxSteps: o.maxSteps, addr: o.addr}
+	m := &Machine{State: st, prog: prog, iters: map[string]int64{}, regs: map[string]value{},
+		MaxSteps: o.maxSteps, addr: o.addr}
 	if err := m.Alloc(prog, m.evalInt); err != nil {
 		return nil, err
 	}
@@ -169,17 +171,16 @@ func (m *Machine) Addr() *addrsum.Tracker { return m.addr }
 
 // Reset returns a pooled machine to its post-New state so it can be reused
 // for a fresh request: memory zeroed, checksum accumulators re-derived,
-// iterators, operation counts, hooks, context, and cached loop bounds
-// cleared. The program, parameter bindings, and variable layout are
+// iterators, registers, operation counts, hooks, context, and cached loop
+// bounds cleared. The program, parameter bindings, and variable layout are
 // preserved — Reset does not re-run initialization, the next user does.
 func (m *Machine) Reset() {
 	m.State.Reset()
 	if m.addr != nil {
 		m.addr.Reset()
 	}
-	for k := range m.iters {
-		delete(m.iters, k)
-	}
+	clear(m.iters)
+	clear(m.regs)
 	m.Counts = OpCounts{}
 	m.inChecksum = false
 }
@@ -228,6 +229,18 @@ func (v value) bits() uint64 {
 		return uint64(v.i)
 	}
 	return math.Float64bits(v.f)
+}
+
+// as converts v to an int or float value, as a store to a variable of that
+// type does.
+func (v value) as(isInt bool) value {
+	switch {
+	case isInt && !v.isInt:
+		return intVal(int64(v.f))
+	case !isInt:
+		return floatVal(v.toFloat())
+	}
+	return v
 }
 
 func (v value) truthy() bool {
@@ -338,6 +351,13 @@ func (m *Machine) execStmt(s lang.Stmt, max uint64) error {
 		return m.execStmts(x.Else, max)
 	case *lang.AddToChecksum:
 		return m.execChecksum(x)
+	case *lang.Let:
+		v, err := m.eval(x.Value)
+		if err != nil {
+			return err
+		}
+		m.regs[x.Name] = v.as(x.Type == lang.TypeInt)
+		return nil
 	case *lang.AssertChecksums:
 		if err := m.VerifyChecksums(); err != nil {
 			return &DetectionError{Pos: x.Pos, Err: err}
@@ -377,7 +397,7 @@ func (m *Machine) execAssign(x *lang.Assign) error {
 			out = numOp(cur, rhs, func(a, b int64) int64 { return a / b }, func(a, b float64) float64 { return a / b })
 		}
 	}
-	m.storeVar(vi, addr, out, x.Pos)
+	m.storeVar(vi, addr, out)
 	return nil
 }
 
@@ -396,18 +416,8 @@ func (m *Machine) loadVar(vi *machine.Var, addr int) value {
 }
 
 // storeVar encodes and stores a value into a variable.
-func (m *Machine) storeVar(vi *machine.Var, addr int, v value, pos lang.Pos) {
-	var raw uint64
-	if vi.Int {
-		if v.isInt {
-			raw = uint64(v.i)
-		} else {
-			raw = uint64(int64(v.f))
-		}
-	} else {
-		raw = math.Float64bits(v.toFloat())
-	}
-	m.Store(addr, raw)
+func (m *Machine) storeVar(vi *machine.Var, addr int, v value) {
+	m.Store(addr, v.as(vi.Int).bits())
 	m.Counts.Stores++
 }
 
@@ -467,6 +477,9 @@ func (m *Machine) eval(e lang.Expr) (value, error) {
 	case *lang.Ref:
 		if v, ok := m.iters[x.Name]; ok && len(x.Indices) == 0 {
 			return intVal(v), nil // register-resident iterator
+		}
+		if v, ok := m.regs[x.Name]; ok && len(x.Indices) == 0 {
+			return v, nil
 		}
 		if v, ok := m.LookupParam(x.Name); ok && len(x.Indices) == 0 {
 			return intVal(v), nil // register-resident parameter

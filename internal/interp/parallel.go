@@ -106,6 +106,7 @@ func (m *Machine) fork() *Machine {
 		State:    m.State.Fork(),
 		prog:     m.prog,
 		iters:    map[string]int64{},
+		regs:     map[string]value{},
 		MaxSteps: m.MaxSteps,
 	}
 }

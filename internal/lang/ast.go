@@ -156,6 +156,20 @@ type AddToChecksum struct {
 	Count Expr
 }
 
+// Let is "float r = value;" (or "int r = value;") in a statement list: it
+// binds the register r for the rest of the list. The value converts to the
+// register's type exactly as a store to a variable of that type would. A
+// register is never allocated in simulated memory, so, like a loop iterator,
+// it is outside the fault model (Section 2.2). The instrumenter loads a
+// statement's operands into registers so that the statement and its checksum
+// folds consume the same loaded values (Section 5).
+type Let struct {
+	Pos   Pos
+	Name  string
+	Type  Type
+	Value Expr
+}
+
 // AssertChecksums is "assert_checksums();": the verifier comparing def/use
 // and e_def/e_use.
 type AssertChecksums struct {
@@ -167,6 +181,7 @@ func (*For) stmtNode()             {}
 func (*While) stmtNode()           {}
 func (*If) stmtNode()              {}
 func (*AddToChecksum) stmtNode()   {}
+func (*Let) stmtNode()             {}
 func (*AssertChecksums) stmtNode() {}
 
 // StmtPos returns the statement's source position.
@@ -175,6 +190,7 @@ func (s *For) StmtPos() Pos             { return s.Pos }
 func (s *While) StmtPos() Pos           { return s.Pos }
 func (s *If) StmtPos() Pos              { return s.Pos }
 func (s *AddToChecksum) StmtPos() Pos   { return s.Pos }
+func (s *Let) StmtPos() Pos             { return s.Pos }
 func (s *AssertChecksums) StmtPos() Pos { return s.Pos }
 
 // Expr is an expression node.
@@ -335,6 +351,8 @@ func CloneStmt(s Stmt) Stmt {
 		return &If{Pos: x.Pos, Cond: CloneExpr(x.Cond), Then: CloneStmts(x.Then), Else: CloneStmts(x.Else)}
 	case *AddToChecksum:
 		return &AddToChecksum{Pos: x.Pos, CS: x.CS, Value: CloneExpr(x.Value), Count: CloneExpr(x.Count)}
+	case *Let:
+		return &Let{Pos: x.Pos, Name: x.Name, Type: x.Type, Value: CloneExpr(x.Value)}
 	case *AssertChecksums:
 		c := *x
 		return &c

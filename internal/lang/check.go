@@ -13,8 +13,9 @@ func (e *SemanticError) Error() string {
 }
 
 // Check performs semantic analysis: every reference resolves to a parameter,
-// declaration, or in-scope loop iterator; subscript arity matches the
-// declaration; iterators and parameters are not assigned; subscripts and loop
+// declaration, in-scope loop iterator or in-scope register; no iterator or
+// register shadows another name; subscript arity matches the declaration;
+// iterators, registers and parameters are not assigned; subscripts and loop
 // bounds are integer-typed.
 func Check(p *Program) error {
 	c := &checker{prog: p, scopes: []map[string]bool{{}}}
@@ -42,6 +43,24 @@ func Check(p *Program) error {
 type checker struct {
 	prog   *Program
 	scopes []map[string]bool // loop iterators in scope
+	regs   []map[string]Type // registers bound in each open statement list
+}
+
+// reg returns the type of the in-scope register name.
+func (c *checker) reg(name string) (Type, bool) {
+	for _, s := range c.regs {
+		if t, ok := s[name]; ok {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
+// bound reports whether name already names a parameter, declaration,
+// in-scope iterator or in-scope register.
+func (c *checker) bound(name string) bool {
+	_, isReg := c.reg(name)
+	return isReg || c.prog.IsParam(name) || c.prog.Decl(name) != nil || c.iterInScope(name)
 }
 
 func (c *checker) iterInScope(name string) bool {
@@ -54,6 +73,8 @@ func (c *checker) iterInScope(name string) bool {
 }
 
 func (c *checker) checkStmts(ss []Stmt) error {
+	c.regs = append(c.regs, map[string]Type{})
+	defer func() { c.regs = c.regs[:len(c.regs)-1] }()
 	for _, s := range ss {
 		if err := c.checkStmt(s); err != nil {
 			return err
@@ -70,7 +91,7 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return c.checkExpr(x.RHS, false)
 	case *For:
-		if c.prog.IsParam(x.Iter) || c.prog.Decl(x.Iter) != nil || c.iterInScope(x.Iter) {
+		if c.bound(x.Iter) {
 			return &SemanticError{Pos: x.Pos, Msg: fmt.Sprintf("loop iterator %q shadows an existing name", x.Iter)}
 		}
 		if err := c.checkExpr(x.Lo, true); err != nil {
@@ -101,6 +122,15 @@ func (c *checker) checkStmt(s Stmt) error {
 			return err
 		}
 		return c.checkExpr(x.Count, false)
+	case *Let:
+		if err := c.checkExpr(x.Value, false); err != nil {
+			return err
+		}
+		if c.bound(x.Name) {
+			return &SemanticError{Pos: x.Pos, Msg: fmt.Sprintf("register %q shadows an existing name", x.Name)}
+		}
+		c.regs[len(c.regs)-1][x.Name] = x.Type
+		return nil
 	case *AssertChecksums:
 		return nil
 	}
@@ -113,6 +143,9 @@ func (c *checker) checkRefTarget(r *Ref) error {
 	}
 	if c.iterInScope(r.Name) {
 		return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to loop iterator %q", r.Name)}
+	}
+	if _, ok := c.reg(r.Name); ok {
+		return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to register %q", r.Name)}
 	}
 	d := c.prog.Decl(r.Name)
 	if d == nil {
@@ -181,6 +214,15 @@ func (c *checker) checkExpr(e Expr, wantInt bool) error {
 }
 
 func (c *checker) checkRefRead(r *Ref, wantInt bool) error {
+	if t, ok := c.reg(r.Name); ok {
+		if len(r.Indices) != 0 {
+			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("%q is not an array", r.Name)}
+		}
+		if wantInt && t != TypeInt {
+			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("float register %q in integer context", r.Name)}
+		}
+		return nil
+	}
 	if c.prog.IsParam(r.Name) || c.iterInScope(r.Name) {
 		if len(r.Indices) != 0 {
 			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("%q is not an array", r.Name)}

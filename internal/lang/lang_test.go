@@ -285,6 +285,12 @@ func TestCheckErrors(t *testing.T) {
 		{"program x(n, n) float y;", "duplicate"},
 		{"program x(n) float y; float y;", "duplicate"},
 		{"program x(n) float A[n]; A[1 < 2] = 1.0;", "integer context"},
+		{"program x(n) float y; float r = y; float r = y;", "shadows"},
+		{"program x(n) float y; for j = 0 to 5 { int j = 1; }", "shadows"},
+		{"program x(n) float y; float r = y; r = 1.0;", "register"},
+		{"program x(n) float y; float r = y; y = r[0];", "not an array"},
+		{"program x(n) float A[n]; float r = 1.0; A[r] = 1.0;", "integer context"},
+		{"program x(n) float y; for j = 0 to 5 { float r = y; } y = r;", "undeclared"},
 	}
 	for _, c := range cases {
 		p, err := Parse(c.src)

@@ -89,7 +89,8 @@ func (p *Parser) parseProgram() (*Program, error) {
 	}
 
 	// Declarations: consecutive "float|int name[dims...][, name...];" lines.
-	for p.cur().Kind == TokFloatKw || p.cur().Kind == TokIntKw {
+	// "float|int name = ..." is a register binding, the first statement.
+	for (p.cur().Kind == TokFloatKw || p.cur().Kind == TokIntKw) && !p.atLet() {
 		decls, err := p.parseDecl()
 		if err != nil {
 			return nil, err
@@ -173,6 +174,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return p.parseIf()
 	case TokAddToChksm:
 		return p.parseAddToChksm()
+	case TokFloatKw, TokIntKw:
+		return p.parseLet()
 	case TokAssertChecksums:
 		p.next()
 		if _, err := p.expect(TokLParen); err != nil {
@@ -320,6 +323,34 @@ func (p *Parser) parseAddToChksm() (Stmt, error) {
 		return nil, err
 	}
 	return &AddToChecksum{Pos: t.Pos, CS: cs, Value: value, Count: count}, nil
+}
+
+// atLet reports whether the tokens ahead read "float|int name =".
+func (p *Parser) atLet() bool {
+	return p.pos+2 < len(p.toks) && p.toks[p.pos+1].Kind == TokIdent && p.toks[p.pos+2].Kind == TokAssign
+}
+
+func (p *Parser) parseLet() (Stmt, error) {
+	t := p.next() // float | int
+	typ := TypeFloat
+	if t.Kind == TokIntKw {
+		typ = TypeInt
+	}
+	id, err := p.expect(TokIdent)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokAssign); err != nil {
+		return nil, err
+	}
+	value, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokSemicolon); err != nil {
+		return nil, err
+	}
+	return &Let{Pos: t.Pos, Name: id.Text, Type: typ, Value: value}, nil
 }
 
 func (p *Parser) parseAssign() (Stmt, error) {

@@ -57,6 +57,8 @@ func printStmts(b *strings.Builder, ss []Stmt, depth int) {
 			b.WriteString(ind + "}\n")
 		case *AddToChecksum:
 			fmt.Fprintf(b, "%sadd_to_chksm(%s, %s, %s);\n", ind, x.CS, ExprString(x.Value), ExprString(x.Count))
+		case *Let:
+			fmt.Fprintf(b, "%s%s %s = %s;\n", ind, x.Type, x.Name, ExprString(x.Value))
 		case *AssertChecksums:
 			b.WriteString(ind + "assert_checksums();\n")
 		default:

@@ -3,7 +3,8 @@
 // constructs the paper's benchmarks need: parameterized affine for-loops,
 // data-dependent while-loops and conditionals, float and int arrays and
 // scalars, and indirect (data-dependent) array subscripts. The checksum
-// instrumentation primitives (add_to_chksm, assert_checksums) are statements
+// instrumentation primitives (add_to_chksm, assert_checksums) and the
+// register bindings the instrumenter feeds them from (Let) are statements
 // of the language itself, so instrumented programs remain ordinary programs
 // that the interpreter can execute.
 package lang
