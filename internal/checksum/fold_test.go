@@ -146,13 +146,27 @@ func FuzzPairFold(f *testing.F) {
 	})
 }
 
-// BenchmarkPairScaleFold is the per-fold cost under a compiled kernel's
-// add_to_chksm (Machine.Fold), cycling through the accumulators.
+// BenchmarkPairScaleFold is the per-fold cost under the interpreter's
+// add_to_chksm (State.Fold), cycling through the accumulators. Compiled
+// kernels pay it once per accumulator per flush (BenchmarkFoldsFold).
 func BenchmarkPairScaleFold(b *testing.B) {
 	p := NewPair(ModAdd)
 	for i := 0; i < b.N; i++ {
 		p.ScaleFold(Acc(i&3), uint64(i), 3)
 	}
+	sinkU64 = p.Def
+}
+
+// BenchmarkFoldsFold is the per-fold cost under a compiled kernel's
+// add_to_chksm, cycling through the accumulators: an inlined delta update in
+// place of a Pair.ScaleFold call.
+func BenchmarkFoldsFold(b *testing.B) {
+	p := NewPair(ModAdd)
+	f := NewFolds(ModAdd)
+	for i := 0; i < b.N; i++ {
+		f.Fold(Acc(i&3), uint64(i), 3)
+	}
+	p.Flush(&f)
 	sinkU64 = p.Def
 }
 

@@ -12,10 +12,13 @@
 // replicate interp's dynamic semantics exactly — evaluation order, integer
 // and float typing (static here, dynamic there, provably equal on checked
 // programs), store conversions, bounds and division-by-zero errors down to
-// the message text, and checksum folds through checksum.Pair.ScaleFold so
-// the shadow copies stay in step. The differential harness in diff_test.go
-// holds the two backends to byte-identical outputs, accumulator and shadow
-// state, epoch digests, verdicts, and detection latencies.
+// the message text, and checksum folds. The folds go into a per-call
+// checksum.Folds delta file, flushed into the checksum.Pair before every
+// assert_checksums and on return; the operators are associative, so the
+// Pair and its shadow copies end bit-identical to the interpreter's direct
+// ScaleFold calls. The differential harness in diff_test.go holds the two
+// backends to byte-identical outputs, accumulator and shadow state, epoch
+// digests, verdicts, and detection latencies.
 //
 // What is different, by design: the native backend does not maintain
 // interp's per-operation OpCounts (the cost-model columns stay

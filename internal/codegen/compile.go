@@ -43,13 +43,16 @@ type frameVar struct {
 // frame is the per-invocation register file: parameter and variable
 // locations resolved against the target machine, plus the loop iterators and
 // the Let registers (register-resident, exactly as in the interpreter's fault
-// model; a register holds its value's bit pattern).
+// model; a register holds its value's bit pattern), and the checksum deltas
+// add_to_chksm folds into, flushed into the machine's Pair before every
+// assert_checksums and on return.
 type frame struct {
 	m      *Machine
 	params []int64
 	vars   []frameVar
 	iters  []int64
 	regs   []uint64
+	cs     checksum.Folds
 }
 
 // Unit is a compiled program.
@@ -147,6 +150,7 @@ func Compile(prog *lang.Program) (*Unit, error) {
 			vars:   make([]frameVar, len(varNames)),
 			iters:  make([]int64, nIters),
 			regs:   make([]uint64, nRegs),
+			cs:     checksum.NewFolds(m.Pair().Kind()),
 		}
 		for i, n := range paramNames {
 			fr.params[i] = m.Param(n)
@@ -163,6 +167,7 @@ func Compile(prog *lang.Program) (*Unit, error) {
 			return err
 		}
 		fr := mkFrame(m)
+		defer m.Pair().Flush(&fr.cs)
 		if loop == nil {
 			if epoch == 0 {
 				return preOp(fr)
@@ -756,7 +761,10 @@ func (c *compiler) stmt(s lang.Stmt) sop {
 		return c.let(x)
 	case *lang.AssertChecksums:
 		line, col := x.Pos.Line, x.Pos.Col
-		return func(fr *frame) error { return fr.m.Assert(line, col) }
+		return func(fr *frame) error {
+			fr.m.Pair().Flush(&fr.cs)
+			return fr.m.Assert(line, col)
+		}
 	default:
 		panic(fmt.Sprintf("codegen: unknown statement %T", s))
 	}
@@ -809,7 +817,7 @@ func (c *compiler) addToChecksum(x *lang.AddToChecksum) sop {
 			if err != nil {
 				return err
 			}
-			fr.m.Fold(acc, uint64(v), n)
+			fr.cs.Fold(acc, uint64(v), n)
 			return nil
 		}
 	}
@@ -823,7 +831,7 @@ func (c *compiler) addToChecksum(x *lang.AddToChecksum) sop {
 		if err != nil {
 			return err
 		}
-		fr.m.Fold(acc, math.Float64bits(v), n)
+		fr.cs.Fold(acc, math.Float64bits(v), n)
 		return nil
 	}
 }

@@ -3,7 +3,10 @@
 // Go functions over the codegen runtime and built with the module. This is
 // the "per-kernel binary" form of the native backend — the Go compiler, not
 // the interpreter or a closure tree, executes the kernel — and the form
-// cmd/overhead's -backend native measures.
+// cmd/overhead's -backend native measures. Every memory access goes through
+// the codegen.Machine; every checksum fold goes into the function's local
+// checksum.Folds delta file, which is flushed into the Machine's Pair before
+// each assert_checksums and on return.
 //
 // Regenerate with: go run ./cmd/genkernels
 // Verify freshness: go run ./cmd/genkernels -check (CI gates on this).

@@ -12,8 +12,9 @@ import (
 // Machine is the native backend's execution state: the shared simulated
 // machine (memory, checksum pair, layout, telemetry wiring, epoch state)
 // without the tree-walking interpreter on top. Compiled closures and
-// generated code run against it through the Fn ABI; its Load/Store/Fold hot
-// path is the embedded State's.
+// generated code run against it through the Fn ABI; its Load/Store hot path
+// is the embedded State's, and compiled folds reach its Pair through
+// checksum.Folds flushes.
 type Machine struct {
 	machine.State
 

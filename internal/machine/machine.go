@@ -260,7 +260,9 @@ func (m *State) Store(addr int, v uint64) { m.mem.Store(addr, v) }
 func (m *State) StoreF(addr int, v float64) { m.mem.Store(addr, math.Float64bits(v)) }
 
 // Fold folds a raw value into the selected accumulator n times through
-// checksum.Pair.ScaleFold, keeping the shadow copies in step.
+// checksum.Pair.ScaleFold, keeping the shadow copies in step. It is the
+// interpreter's add_to_chksm; compiled code folds into a checksum.Folds and
+// flushes it into the Pair instead.
 func (m *State) Fold(a checksum.Acc, v uint64, n int64) { m.pair.ScaleFold(a, v, n) }
 
 // VerifyChecksums is assert_checksums(): it verifies the pair and streams
