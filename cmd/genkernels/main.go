@@ -1,6 +1,8 @@
 // Command genkernels renders every Table 2 benchmark variant through the
 // native source backend and commits the result as the internal/codegen/
-// gennative package.
+// gennative package. The registry records each function's benchmark and
+// variant only: an epoch plan finds the kernel loop it cuts in the program
+// itself (lang.KernelLoop), as the function's own epoch split does.
 //
 // Default mode rewrites the generated files in place. With -check it
 // regenerates everything in memory and exits non-zero if any committed file
@@ -93,12 +95,6 @@ func render(out string) (map[string][]byte, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Compile through the closure backend too: it validates the
-			// program and reports whether a top-level loop anchors epochs.
-			unit, err := codegen.Compile(prog)
-			if err != nil {
-				return nil, fmt.Errorf("genkernels: %s/%s: %w", b.Name, vo.v, err)
-			}
 			name := fmt.Sprintf("run_%s_%s", base, vo.suffix)
 			funcs = append(funcs, codegen.SourceFunc{
 				FuncName: name,
@@ -106,8 +102,7 @@ func render(out string) (map[string][]byte, error) {
 					name, vo.v, b.Name),
 				Prog: prog,
 			})
-			fmt.Fprintf(&reg, "\t{Bench: %q, Variant: %q, Anchored: %v, Fn: %s},\n",
-				b.Name, string(vo.v), unit.Anchored(), name)
+			fmt.Fprintf(&reg, "\t{Bench: %q, Variant: %q, Fn: %s},\n", b.Name, string(vo.v), name)
 		}
 		src, err := codegen.SourceFile("gennative", funcs)
 		if err != nil {

@@ -22,9 +22,11 @@ import (
 // durable supervisor the cancelled epoch is never sealed into the WAL — a
 // resume starts from the last boundary that actually verified.
 
-// cancelScale is larger than diffScale so every epoch spans comfortably
-// more statements/ticks than the backends' 256-step cancellation poll.
-const cancelScale = 0.01
+// cancelScale sizes jacobi1d so every epoch spans comfortably more
+// statements/ticks than the backends' 256-step cancellation poll: epoch 2 of
+// the Resilient kernel loop is about 64,000 interpreted statements and 5,000
+// compiled loop ticks (n = 200, tsteps = 50).
+const cancelScale = 0.0005
 
 const cancelEpochs = 4
 

@@ -38,7 +38,7 @@ import (
 // execution against m. Running epochs 0..epochs-1 in order is equivalent to
 // one full interpreter Run; Fn(m, 0, 1) is the single-shot full run. The
 // epoch partition replicates interp.EpochPlan's chunk arithmetic over the
-// program's first top-level for loop (see Slice).
+// program's kernel loop (lang.KernelLoop; see Slice).
 type Fn func(m *Machine, epoch, epochs int) error
 
 // CheckEpoch validates an epoch coordinate. Generated code calls it on

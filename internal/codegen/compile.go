@@ -57,18 +57,12 @@ type frame struct {
 
 // Unit is a compiled program.
 type Unit struct {
-	prog     *lang.Program
-	anchored bool
-	fn       Fn
+	prog *lang.Program
+	fn   Fn
 }
 
 // Program returns the compiled program's AST.
 func (u *Unit) Program() *lang.Program { return u.prog }
-
-// Anchored reports whether the program has a top-level for loop to partition
-// into epochs; an unanchored program collapses to a single epoch, exactly as
-// interp.PlanEpochs does.
-func (u *Unit) Anchored() bool { return u.anchored }
 
 // Fn returns the native entry point.
 func (u *Unit) Fn() Fn { return u.fn }
@@ -79,11 +73,10 @@ func (u *Unit) Run(m *Machine) error { return u.fn(m, 0, 1) }
 
 // FnUnit wraps a pre-built entry point (typically a generated function from
 // the gennative package) as a Unit, so epoch planning and supervision work
-// identically over generated source and compiled closures. anchored must
-// match the program's structure — generated registries record it.
-func FnUnit(prog *lang.Program, anchored bool, fn Fn) *Unit {
-	return &Unit{prog: prog, anchored: anchored, fn: fn}
-}
+// identically over generated source and compiled closures. prog must be the
+// program fn was generated from: epoch plans cut the kernel loop they find
+// in it.
+func FnUnit(prog *lang.Program, fn Fn) *Unit { return &Unit{prog: prog, fn: fn} }
 
 // Compile lowers a checked program to a compiled closure. The returned
 // Unit's Fn runs any epoch of any partition against any Machine built for
@@ -108,21 +101,7 @@ func Compile(prog *lang.Program) (*Unit, error) {
 		c.varNames = append(c.varNames, d.Name)
 	}
 
-	// Split the body at the epoch anchor: the first top-level for loop.
-	var pre, post []lang.Stmt
-	var loop *lang.For
-	for i, s := range prog.Body {
-		if f, ok := s.(*lang.For); ok {
-			pre = prog.Body[:i]
-			loop = f
-			post = prog.Body[i+1:]
-			break
-		}
-	}
-	if loop == nil {
-		pre = prog.Body
-	}
-
+	pre, loop, post := lang.KernelLoop(prog.Body)
 	preOp := c.stmts(pre)
 	var loOp, hiOp iop
 	var bodyOp, postOp sop
@@ -207,7 +186,7 @@ func Compile(prog *lang.Program) (*Unit, error) {
 		}
 		return nil
 	}
-	return &Unit{prog: prog, anchored: loop != nil, fn: fn}, nil
+	return &Unit{prog: prog, fn: fn}, nil
 }
 
 // compiler carries compile-time name resolution: every name becomes a slot

@@ -123,10 +123,6 @@ func TestDiffCleanKernels(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s/%s: no generated kernel in registry", b.Name, v)
 			}
-			if gen.Anchored != unit.Anchored() {
-				t.Fatalf("%s/%s: registry Anchored=%v, Compile says %v",
-					b.Name, v, gen.Anchored, unit.Anchored())
-			}
 			for _, seed := range seeds {
 				label := string(b.Name) + "/" + string(v)
 				t.Run(label, func(t *testing.T) {
@@ -246,7 +242,7 @@ func TestDiffSupervisedFaults(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no generated kernel", b.Name)
 		}
-		genUnit := codegen.FnUnit(prog, gen.Anchored, gen.Fn)
+		genUnit := codegen.FnUnit(prog, gen.Fn)
 		targets := floatTargets(b)
 		for _, seed := range kernelSeeds(t) {
 			for _, inject := range []bool{false, true} {

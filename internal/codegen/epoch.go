@@ -7,9 +7,9 @@ import "defuse/internal/machine"
 // detection, and seal durable checkpoints, exactly as for the interpreter.
 type EpochRun = machine.Plan
 
-// PlanEpochs builds an n-epoch native run of u over m. A program with no
-// top-level loop collapses to a single epoch, exactly as interp.PlanEpochs
-// does.
+// PlanEpochs builds an n-epoch native run of u over m, cutting the kernel
+// loop of u's program exactly as interp.PlanEpochs does. A program with no
+// top-level loop collapses to a single epoch.
 func PlanEpochs(m *Machine, u *Unit, n int) (*EpochRun, error) {
-	return machine.NewPlan(&m.State, u.prog, n, u.anchored, func(k, n int) error { return u.fn(m, k, n) })
+	return machine.NewPlan(&m.State, u.prog, n, func(k, n int) error { return u.fn(m, k, n) })
 }

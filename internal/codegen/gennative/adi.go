@@ -549,914 +549,906 @@ func run_adi_resilient(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t2 := p_n - int64(1)
-		for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t7 := i_li1 - int64(1)
-			t6 := t7 >= int64(0)
-			if t6 {
-				t8 := -i_li1
-				t9 := t8 + p_n
-				t10 := t9 - int64(2)
-				t6 = t10 >= int64(0)
-			}
-			t5 := t6
-			if t5 {
-				t11 := p_tsteps - int64(1)
-				t5 = t11 >= int64(0)
-			}
-			t4 := t5
-			if t4 {
-				t12 := -i_li0
-				t4 = t12 >= int64(0)
-			}
-			t3 := t4
-			if t3 {
-				t13 := -p_tsteps
-				t14 := t13 + int64(1)
-				t3 = t14 >= int64(0)
-			}
-			if t3 {
-				t15 := i_li0
-				if t15 < 0 || t15 >= d_X[0] {
-					return m.OOB(t15, d_X[0], 0, "X", 0, 0)
+			t2 := p_n - int64(1)
+			for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t16 := i_li1
-				if t16 < 0 || t16 >= d_X[1] {
-					return m.OOB(t16, d_X[1], 1, "X", 0, 0)
+				t7 := i_li1 - int64(1)
+				t6 := t7 >= int64(0)
+				if t6 {
+					t8 := -i_li1
+					t9 := t8 + p_n
+					t10 := t9 - int64(2)
+					t6 = t10 >= int64(0)
 				}
-				t17 := b_X + int((t15)*d_X[1]+t16)
-				t18 := m.LoadF(t17)
-				cs.Fold(checksum.AccDef, math.Float64bits(t18), p_tsteps)
-			}
-			t22 := i_li1 - int64(1)
-			t21 := t22 >= int64(0)
-			if t21 {
-				t23 := -i_li1
-				t24 := t23 + p_n
-				t25 := t24 - int64(2)
-				t21 = t25 >= int64(0)
-			}
-			t20 := t21
-			if t20 {
-				t26 := -i_li0
-				t20 = t26 >= int64(0)
-			}
-			t19 := t20
-			if t19 {
-				t27 := p_tsteps - int64(2)
-				t19 = t27 >= int64(0)
-			}
-			if t19 {
-				t28 := i_li0
-				if t28 < 0 || t28 >= d_X[0] {
-					return m.OOB(t28, d_X[0], 0, "X", 0, 0)
+				t5 := t6
+				if t5 {
+					t11 := p_tsteps - int64(1)
+					t5 = t11 >= int64(0)
 				}
-				t29 := i_li1
-				if t29 < 0 || t29 >= d_X[1] {
-					return m.OOB(t29, d_X[1], 1, "X", 0, 0)
+				t4 := t5
+				if t4 {
+					t12 := -i_li0
+					t4 = t12 >= int64(0)
 				}
-				t30 := b_X + int((t28)*d_X[1]+t29)
-				t31 := m.LoadF(t30)
-				cs.Fold(checksum.AccDef, math.Float64bits(t31), int64(1))
-			}
-			t37 := i_li1 - int64(1)
-			t36 := t37 >= int64(0)
-			if t36 {
-				t38 := -i_li1
-				t39 := t38 + p_n
-				t40 := t39 - int64(2)
-				t36 = t40 >= int64(0)
-			}
-			t35 := t36
-			if t35 {
-				t41 := p_tsteps - int64(1)
-				t35 = t41 >= int64(0)
-			}
-			t34 := t35
-			if t34 {
-				t42 := -i_li0
-				t43 := t42 + p_n
-				t44 := t43 - int64(2)
-				t34 = t44 >= int64(0)
-			}
-			t33 := t34
-			if t33 {
-				t45 := i_li0 - int64(1)
-				t33 = t45 >= int64(0)
-			}
-			t32 := t33
-			if t32 {
-				t46 := -p_tsteps
-				t47 := t46 + int64(1)
-				t32 = t47 >= int64(0)
-			}
-			if t32 {
-				t48 := i_li0
-				if t48 < 0 || t48 >= d_X[0] {
-					return m.OOB(t48, d_X[0], 0, "X", 0, 0)
+				t3 := t4
+				if t3 {
+					t13 := -p_tsteps
+					t14 := t13 + int64(1)
+					t3 = t14 >= int64(0)
 				}
-				t49 := i_li1
-				if t49 < 0 || t49 >= d_X[1] {
-					return m.OOB(t49, d_X[1], 1, "X", 0, 0)
+				if t3 {
+					t15 := i_li0
+					if t15 < 0 || t15 >= d_X[0] {
+						return m.OOB(t15, d_X[0], 0, "X", 0, 0)
+					}
+					t16 := i_li1
+					if t16 < 0 || t16 >= d_X[1] {
+						return m.OOB(t16, d_X[1], 1, "X", 0, 0)
+					}
+					t17 := b_X + int((t15)*d_X[1]+t16)
+					t18 := m.LoadF(t17)
+					cs.Fold(checksum.AccDef, math.Float64bits(t18), p_tsteps)
 				}
-				t50 := b_X + int((t48)*d_X[1]+t49)
-				t51 := m.LoadF(t50)
-				cs.Fold(checksum.AccDef, math.Float64bits(t51), p_tsteps)
-			}
-			t56 := i_li1 - int64(1)
-			t55 := t56 >= int64(0)
-			if t55 {
-				t57 := -i_li1
-				t58 := t57 + p_n
-				t59 := t58 - int64(2)
-				t55 = t59 >= int64(0)
-			}
-			t54 := t55
-			if t54 {
-				t60 := -i_li0
-				t61 := t60 + p_n
-				t62 := t61 - int64(2)
-				t54 = t62 >= int64(0)
-			}
-			t53 := t54
-			if t53 {
-				t63 := i_li0 - int64(1)
-				t53 = t63 >= int64(0)
-			}
-			t52 := t53
-			if t52 {
-				t64 := p_tsteps - int64(2)
-				t52 = t64 >= int64(0)
-			}
-			if t52 {
-				t65 := i_li0
-				if t65 < 0 || t65 >= d_X[0] {
-					return m.OOB(t65, d_X[0], 0, "X", 0, 0)
+				t22 := i_li1 - int64(1)
+				t21 := t22 >= int64(0)
+				if t21 {
+					t23 := -i_li1
+					t24 := t23 + p_n
+					t25 := t24 - int64(2)
+					t21 = t25 >= int64(0)
 				}
-				t66 := i_li1
-				if t66 < 0 || t66 >= d_X[1] {
-					return m.OOB(t66, d_X[1], 1, "X", 0, 0)
+				t20 := t21
+				if t20 {
+					t26 := -i_li0
+					t20 = t26 >= int64(0)
 				}
-				t67 := b_X + int((t65)*d_X[1]+t66)
-				t68 := m.LoadF(t67)
-				cs.Fold(checksum.AccDef, math.Float64bits(t68), int64(1))
-			}
-			t73 := i_li1 - int64(1)
-			t72 := t73 >= int64(0)
-			if t72 {
-				t74 := -i_li1
-				t75 := t74 + p_n
-				t76 := t75 - int64(2)
-				t72 = t76 >= int64(0)
-			}
-			t71 := t72
-			if t71 {
-				t77 := p_tsteps - int64(1)
-				t71 = t77 >= int64(0)
-			}
-			t70 := t71
-			if t70 {
-				t78 := -i_li0
-				t79 := t78 + p_n
-				t80 := t79 - int64(1)
-				t70 = t80 == int64(0)
-			}
-			t69 := t70
-			if t69 {
-				t81 := -p_tsteps
-				t82 := t81 + int64(1)
-				t69 = t82 >= int64(0)
-			}
-			if t69 {
-				t83 := i_li0
-				if t83 < 0 || t83 >= d_X[0] {
-					return m.OOB(t83, d_X[0], 0, "X", 0, 0)
+				t19 := t20
+				if t19 {
+					t27 := p_tsteps - int64(2)
+					t19 = t27 >= int64(0)
 				}
-				t84 := i_li1
-				if t84 < 0 || t84 >= d_X[1] {
-					return m.OOB(t84, d_X[1], 1, "X", 0, 0)
+				if t19 {
+					t28 := i_li0
+					if t28 < 0 || t28 >= d_X[0] {
+						return m.OOB(t28, d_X[0], 0, "X", 0, 0)
+					}
+					t29 := i_li1
+					if t29 < 0 || t29 >= d_X[1] {
+						return m.OOB(t29, d_X[1], 1, "X", 0, 0)
+					}
+					t30 := b_X + int((t28)*d_X[1]+t29)
+					t31 := m.LoadF(t30)
+					cs.Fold(checksum.AccDef, math.Float64bits(t31), int64(1))
 				}
-				t85 := b_X + int((t83)*d_X[1]+t84)
-				t86 := m.LoadF(t85)
-				cs.Fold(checksum.AccDef, math.Float64bits(t86), p_tsteps)
-			}
-			t90 := i_li1 - int64(1)
-			t89 := t90 >= int64(0)
-			if t89 {
-				t91 := -i_li1
-				t92 := t91 + p_n
-				t93 := t92 - int64(2)
-				t89 = t93 >= int64(0)
-			}
-			t88 := t89
-			if t88 {
-				t94 := -i_li0
-				t95 := t94 + p_n
-				t96 := t95 - int64(1)
-				t88 = t96 == int64(0)
-			}
-			t87 := t88
-			if t87 {
-				t97 := p_tsteps - int64(2)
-				t87 = t97 >= int64(0)
-			}
-			if t87 {
-				t98 := i_li0
-				if t98 < 0 || t98 >= d_X[0] {
-					return m.OOB(t98, d_X[0], 0, "X", 0, 0)
+				t37 := i_li1 - int64(1)
+				t36 := t37 >= int64(0)
+				if t36 {
+					t38 := -i_li1
+					t39 := t38 + p_n
+					t40 := t39 - int64(2)
+					t36 = t40 >= int64(0)
 				}
-				t99 := i_li1
-				if t99 < 0 || t99 >= d_X[1] {
-					return m.OOB(t99, d_X[1], 1, "X", 0, 0)
+				t35 := t36
+				if t35 {
+					t41 := p_tsteps - int64(1)
+					t35 = t41 >= int64(0)
 				}
-				t100 := b_X + int((t98)*d_X[1]+t99)
-				t101 := m.LoadF(t100)
-				cs.Fold(checksum.AccDef, math.Float64bits(t101), int64(1))
-			}
-			t106 := p_tsteps - int64(1)
-			t105 := t106 >= int64(0)
-			if t105 {
-				t107 := -i_li0
-				t108 := t107 + p_n
-				t109 := t108 - int64(2)
-				t105 = t109 >= int64(0)
-			}
-			t104 := t105
-			if t104 {
-				t110 := -i_li0
-				t104 = t110 >= int64(0)
-			}
-			t103 := t104
-			if t103 {
-				t111 := -i_li1
-				t112 := t111 + p_n
-				t113 := t112 - int64(1)
-				t103 = t113 == int64(0)
-			}
-			t102 := t103
-			if t102 {
-				t114 := -p_tsteps
-				t115 := t114 + int64(1)
-				t102 = t115 >= int64(0)
-			}
-			if t102 {
-				t116 := i_li0
-				if t116 < 0 || t116 >= d_X[0] {
-					return m.OOB(t116, d_X[0], 0, "X", 0, 0)
+				t34 := t35
+				if t34 {
+					t42 := -i_li0
+					t43 := t42 + p_n
+					t44 := t43 - int64(2)
+					t34 = t44 >= int64(0)
 				}
-				t117 := i_li1
-				if t117 < 0 || t117 >= d_X[1] {
-					return m.OOB(t117, d_X[1], 1, "X", 0, 0)
+				t33 := t34
+				if t33 {
+					t45 := i_li0 - int64(1)
+					t33 = t45 >= int64(0)
 				}
-				t118 := b_X + int((t116)*d_X[1]+t117)
-				t119 := m.LoadF(t118)
-				cs.Fold(checksum.AccDef, math.Float64bits(t119), p_tsteps)
-			}
-			t123 := -i_li0
-			t124 := t123 + p_n
-			t125 := t124 - int64(2)
-			t122 := t125 >= int64(0)
-			if t122 {
-				t126 := -i_li0
-				t122 = t126 >= int64(0)
-			}
-			t121 := t122
-			if t121 {
-				t127 := -i_li1
-				t128 := t127 + p_n
-				t129 := t128 - int64(1)
-				t121 = t129 == int64(0)
-			}
-			t120 := t121
-			if t120 {
-				t130 := p_tsteps - int64(2)
-				t120 = t130 >= int64(0)
-			}
-			if t120 {
-				t131 := i_li0
-				if t131 < 0 || t131 >= d_X[0] {
-					return m.OOB(t131, d_X[0], 0, "X", 0, 0)
+				t32 := t33
+				if t32 {
+					t46 := -p_tsteps
+					t47 := t46 + int64(1)
+					t32 = t47 >= int64(0)
 				}
-				t132 := i_li1
-				if t132 < 0 || t132 >= d_X[1] {
-					return m.OOB(t132, d_X[1], 1, "X", 0, 0)
+				if t32 {
+					t48 := i_li0
+					if t48 < 0 || t48 >= d_X[0] {
+						return m.OOB(t48, d_X[0], 0, "X", 0, 0)
+					}
+					t49 := i_li1
+					if t49 < 0 || t49 >= d_X[1] {
+						return m.OOB(t49, d_X[1], 1, "X", 0, 0)
+					}
+					t50 := b_X + int((t48)*d_X[1]+t49)
+					t51 := m.LoadF(t50)
+					cs.Fold(checksum.AccDef, math.Float64bits(t51), p_tsteps)
 				}
-				t133 := b_X + int((t131)*d_X[1]+t132)
-				t134 := m.LoadF(t133)
-				cs.Fold(checksum.AccDef, math.Float64bits(t134), int64(1))
-			}
-			t139 := p_tsteps - int64(1)
-			t138 := t139 >= int64(0)
-			if t138 {
-				t140 := -i_li0
-				t141 := t140 + p_n
-				t142 := t141 - int64(2)
-				t138 = t142 >= int64(0)
-			}
-			t137 := t138
-			if t137 {
-				t143 := i_li0 - int64(1)
-				t137 = t143 >= int64(0)
-			}
-			t136 := t137
-			if t136 {
-				t144 := -i_li1
-				t145 := t144 + p_n
-				t146 := t145 - int64(1)
-				t136 = t146 == int64(0)
-			}
-			t135 := t136
-			if t135 {
-				t147 := -p_tsteps
-				t148 := t147 + int64(1)
-				t135 = t148 >= int64(0)
-			}
-			if t135 {
-				t149 := i_li0
-				if t149 < 0 || t149 >= d_X[0] {
-					return m.OOB(t149, d_X[0], 0, "X", 0, 0)
+				t56 := i_li1 - int64(1)
+				t55 := t56 >= int64(0)
+				if t55 {
+					t57 := -i_li1
+					t58 := t57 + p_n
+					t59 := t58 - int64(2)
+					t55 = t59 >= int64(0)
 				}
-				t150 := i_li1
-				if t150 < 0 || t150 >= d_X[1] {
-					return m.OOB(t150, d_X[1], 1, "X", 0, 0)
+				t54 := t55
+				if t54 {
+					t60 := -i_li0
+					t61 := t60 + p_n
+					t62 := t61 - int64(2)
+					t54 = t62 >= int64(0)
 				}
-				t151 := b_X + int((t149)*d_X[1]+t150)
-				t152 := m.LoadF(t151)
-				cs.Fold(checksum.AccDef, math.Float64bits(t152), p_tsteps)
-			}
-			t156 := -i_li0
-			t157 := t156 + p_n
-			t158 := t157 - int64(2)
-			t155 := t158 >= int64(0)
-			if t155 {
-				t159 := i_li0 - int64(1)
-				t155 = t159 >= int64(0)
-			}
-			t154 := t155
-			if t154 {
-				t160 := -i_li1
-				t161 := t160 + p_n
-				t162 := t161 - int64(1)
-				t154 = t162 == int64(0)
-			}
-			t153 := t154
-			if t153 {
-				t163 := p_tsteps - int64(2)
-				t153 = t163 >= int64(0)
-			}
-			if t153 {
-				t164 := i_li0
-				if t164 < 0 || t164 >= d_X[0] {
-					return m.OOB(t164, d_X[0], 0, "X", 0, 0)
+				t53 := t54
+				if t53 {
+					t63 := i_li0 - int64(1)
+					t53 = t63 >= int64(0)
 				}
-				t165 := i_li1
-				if t165 < 0 || t165 >= d_X[1] {
-					return m.OOB(t165, d_X[1], 1, "X", 0, 0)
+				t52 := t53
+				if t52 {
+					t64 := p_tsteps - int64(2)
+					t52 = t64 >= int64(0)
 				}
-				t166 := b_X + int((t164)*d_X[1]+t165)
-				t167 := m.LoadF(t166)
-				cs.Fold(checksum.AccDef, math.Float64bits(t167), int64(1))
-			}
-			t172 := p_n - int64(2)
-			t171 := t172 >= int64(0)
-			if t171 {
-				t173 := p_tsteps - int64(1)
-				t171 = t173 >= int64(0)
-			}
-			t170 := t171
-			if t170 {
-				t174 := -i_li0
-				t175 := t174 + p_n
-				t176 := t175 - int64(1)
-				t170 = t176 == int64(0)
-			}
-			t169 := t170
-			if t169 {
-				t177 := -i_li1
-				t178 := t177 + p_n
-				t179 := t178 - int64(1)
-				t169 = t179 == int64(0)
-			}
-			t168 := t169
-			if t168 {
-				t180 := -p_tsteps
-				t181 := t180 + int64(1)
-				t168 = t181 >= int64(0)
-			}
-			if t168 {
-				t182 := i_li0
-				if t182 < 0 || t182 >= d_X[0] {
-					return m.OOB(t182, d_X[0], 0, "X", 0, 0)
+				if t52 {
+					t65 := i_li0
+					if t65 < 0 || t65 >= d_X[0] {
+						return m.OOB(t65, d_X[0], 0, "X", 0, 0)
+					}
+					t66 := i_li1
+					if t66 < 0 || t66 >= d_X[1] {
+						return m.OOB(t66, d_X[1], 1, "X", 0, 0)
+					}
+					t67 := b_X + int((t65)*d_X[1]+t66)
+					t68 := m.LoadF(t67)
+					cs.Fold(checksum.AccDef, math.Float64bits(t68), int64(1))
 				}
-				t183 := i_li1
-				if t183 < 0 || t183 >= d_X[1] {
-					return m.OOB(t183, d_X[1], 1, "X", 0, 0)
+				t73 := i_li1 - int64(1)
+				t72 := t73 >= int64(0)
+				if t72 {
+					t74 := -i_li1
+					t75 := t74 + p_n
+					t76 := t75 - int64(2)
+					t72 = t76 >= int64(0)
 				}
-				t184 := b_X + int((t182)*d_X[1]+t183)
-				t185 := m.LoadF(t184)
-				cs.Fold(checksum.AccDef, math.Float64bits(t185), p_tsteps)
-			}
-			t189 := p_n - int64(2)
-			t188 := t189 >= int64(0)
-			if t188 {
-				t190 := -i_li0
-				t191 := t190 + p_n
-				t192 := t191 - int64(1)
-				t188 = t192 == int64(0)
-			}
-			t187 := t188
-			if t187 {
-				t193 := -i_li1
-				t194 := t193 + p_n
-				t195 := t194 - int64(1)
-				t187 = t195 == int64(0)
-			}
-			t186 := t187
-			if t186 {
-				t196 := p_tsteps - int64(2)
-				t186 = t196 >= int64(0)
-			}
-			if t186 {
-				t197 := i_li0
-				if t197 < 0 || t197 >= d_X[0] {
-					return m.OOB(t197, d_X[0], 0, "X", 0, 0)
+				t71 := t72
+				if t71 {
+					t77 := p_tsteps - int64(1)
+					t71 = t77 >= int64(0)
 				}
-				t198 := i_li1
-				if t198 < 0 || t198 >= d_X[1] {
-					return m.OOB(t198, d_X[1], 1, "X", 0, 0)
+				t70 := t71
+				if t70 {
+					t78 := -i_li0
+					t79 := t78 + p_n
+					t80 := t79 - int64(1)
+					t70 = t80 == int64(0)
 				}
-				t199 := b_X + int((t197)*d_X[1]+t198)
-				t200 := m.LoadF(t199)
-				cs.Fold(checksum.AccDef, math.Float64bits(t200), int64(1))
-			}
-			t204 := -i_li1
-			t203 := t204 >= int64(0)
-			if t203 {
-				t205 := -i_li0
-				t206 := t205 + p_n
-				t207 := t206 - int64(2)
-				t203 = t207 >= int64(0)
-			}
-			t202 := t203
-			if t202 {
-				t208 := -i_li0
-				t202 = t208 >= int64(0)
-			}
-			t201 := t202
-			if t201 {
-				t209 := p_tsteps - int64(1)
-				t201 = t209 >= int64(0)
-			}
-			if t201 {
-				t210 := i_li0
-				if t210 < 0 || t210 >= d_X[0] {
-					return m.OOB(t210, d_X[0], 0, "X", 0, 0)
+				t69 := t70
+				if t69 {
+					t81 := -p_tsteps
+					t82 := t81 + int64(1)
+					t69 = t82 >= int64(0)
 				}
-				t211 := i_li1
-				if t211 < 0 || t211 >= d_X[1] {
-					return m.OOB(t211, d_X[1], 1, "X", 0, 0)
+				if t69 {
+					t83 := i_li0
+					if t83 < 0 || t83 >= d_X[0] {
+						return m.OOB(t83, d_X[0], 0, "X", 0, 0)
+					}
+					t84 := i_li1
+					if t84 < 0 || t84 >= d_X[1] {
+						return m.OOB(t84, d_X[1], 1, "X", 0, 0)
+					}
+					t85 := b_X + int((t83)*d_X[1]+t84)
+					t86 := m.LoadF(t85)
+					cs.Fold(checksum.AccDef, math.Float64bits(t86), p_tsteps)
 				}
-				t212 := b_X + int((t210)*d_X[1]+t211)
-				t213 := m.LoadF(t212)
-				cs.Fold(checksum.AccDef, math.Float64bits(t213), p_tsteps)
-			}
-			t218 := -i_li1
-			t217 := t218 >= int64(0)
-			if t217 {
-				t219 := -i_li0
-				t220 := t219 + p_n
-				t221 := t220 - int64(2)
-				t217 = t221 >= int64(0)
-			}
-			t216 := t217
-			if t216 {
-				t222 := i_li0 - int64(1)
-				t216 = t222 >= int64(0)
-			}
-			t215 := t216
-			if t215 {
-				t223 := p_tsteps - int64(1)
-				t215 = t223 >= int64(0)
-			}
-			t214 := t215
-			if t214 {
-				t224 := -p_tsteps
-				t225 := t224 + int64(1)
-				t214 = t225 >= int64(0)
-			}
-			if t214 {
-				t226 := i_li0
-				if t226 < 0 || t226 >= d_X[0] {
-					return m.OOB(t226, d_X[0], 0, "X", 0, 0)
+				t90 := i_li1 - int64(1)
+				t89 := t90 >= int64(0)
+				if t89 {
+					t91 := -i_li1
+					t92 := t91 + p_n
+					t93 := t92 - int64(2)
+					t89 = t93 >= int64(0)
 				}
-				t227 := i_li1
-				if t227 < 0 || t227 >= d_X[1] {
-					return m.OOB(t227, d_X[1], 1, "X", 0, 0)
+				t88 := t89
+				if t88 {
+					t94 := -i_li0
+					t95 := t94 + p_n
+					t96 := t95 - int64(1)
+					t88 = t96 == int64(0)
 				}
-				t228 := b_X + int((t226)*d_X[1]+t227)
-				t229 := m.LoadF(t228)
-				t230 := int64(3) * p_tsteps
-				cs.Fold(checksum.AccDef, math.Float64bits(t229), t230)
-			}
-			t234 := -i_li1
-			t233 := t234 >= int64(0)
-			if t233 {
-				t235 := -i_li0
-				t236 := t235 + p_n
-				t237 := t236 - int64(2)
-				t233 = t237 >= int64(0)
-			}
-			t232 := t233
-			if t232 {
-				t238 := i_li0 - int64(1)
-				t232 = t238 >= int64(0)
-			}
-			t231 := t232
-			if t231 {
-				t239 := p_tsteps - int64(2)
-				t231 = t239 >= int64(0)
-			}
-			if t231 {
-				t240 := i_li0
-				if t240 < 0 || t240 >= d_X[0] {
-					return m.OOB(t240, d_X[0], 0, "X", 0, 0)
+				t87 := t88
+				if t87 {
+					t97 := p_tsteps - int64(2)
+					t87 = t97 >= int64(0)
 				}
-				t241 := i_li1
-				if t241 < 0 || t241 >= d_X[1] {
-					return m.OOB(t241, d_X[1], 1, "X", 0, 0)
+				if t87 {
+					t98 := i_li0
+					if t98 < 0 || t98 >= d_X[0] {
+						return m.OOB(t98, d_X[0], 0, "X", 0, 0)
+					}
+					t99 := i_li1
+					if t99 < 0 || t99 >= d_X[1] {
+						return m.OOB(t99, d_X[1], 1, "X", 0, 0)
+					}
+					t100 := b_X + int((t98)*d_X[1]+t99)
+					t101 := m.LoadF(t100)
+					cs.Fold(checksum.AccDef, math.Float64bits(t101), int64(1))
 				}
-				t242 := b_X + int((t240)*d_X[1]+t241)
-				t243 := m.LoadF(t242)
-				cs.Fold(checksum.AccDef, math.Float64bits(t243), int64(3))
-			}
-			t248 := -i_li1
-			t247 := t248 >= int64(0)
-			if t247 {
-				t249 := p_n - int64(2)
-				t247 = t249 >= int64(0)
-			}
-			t246 := t247
-			if t246 {
-				t250 := p_tsteps - int64(1)
-				t246 = t250 >= int64(0)
-			}
-			t245 := t246
-			if t245 {
-				t251 := -i_li0
-				t252 := t251 + p_n
-				t253 := t252 - int64(1)
-				t245 = t253 == int64(0)
-			}
-			t244 := t245
-			if t244 {
-				t254 := -p_tsteps
-				t255 := t254 + int64(1)
-				t244 = t255 >= int64(0)
-			}
-			if t244 {
-				t256 := i_li0
-				if t256 < 0 || t256 >= d_X[0] {
-					return m.OOB(t256, d_X[0], 0, "X", 0, 0)
+				t106 := p_tsteps - int64(1)
+				t105 := t106 >= int64(0)
+				if t105 {
+					t107 := -i_li0
+					t108 := t107 + p_n
+					t109 := t108 - int64(2)
+					t105 = t109 >= int64(0)
 				}
-				t257 := i_li1
-				if t257 < 0 || t257 >= d_X[1] {
-					return m.OOB(t257, d_X[1], 1, "X", 0, 0)
+				t104 := t105
+				if t104 {
+					t110 := -i_li0
+					t104 = t110 >= int64(0)
 				}
-				t258 := b_X + int((t256)*d_X[1]+t257)
-				t259 := m.LoadF(t258)
-				cs.Fold(checksum.AccDef, math.Float64bits(t259), p_tsteps)
-			}
-			t263 := -i_li1
-			t262 := t263 >= int64(0)
-			if t262 {
-				t264 := p_n - int64(2)
-				t262 = t264 >= int64(0)
-			}
-			t261 := t262
-			if t261 {
-				t265 := -i_li0
-				t266 := t265 + p_n
-				t267 := t266 - int64(1)
-				t261 = t267 == int64(0)
-			}
-			t260 := t261
-			if t260 {
-				t268 := p_tsteps - int64(2)
-				t260 = t268 >= int64(0)
-			}
-			if t260 {
-				t269 := i_li0
-				if t269 < 0 || t269 >= d_X[0] {
-					return m.OOB(t269, d_X[0], 0, "X", 0, 0)
+				t103 := t104
+				if t103 {
+					t111 := -i_li1
+					t112 := t111 + p_n
+					t113 := t112 - int64(1)
+					t103 = t113 == int64(0)
 				}
-				t270 := i_li1
-				if t270 < 0 || t270 >= d_X[1] {
-					return m.OOB(t270, d_X[1], 1, "X", 0, 0)
+				t102 := t103
+				if t102 {
+					t114 := -p_tsteps
+					t115 := t114 + int64(1)
+					t102 = t115 >= int64(0)
 				}
-				t271 := b_X + int((t269)*d_X[1]+t270)
-				t272 := m.LoadF(t271)
-				cs.Fold(checksum.AccDef, math.Float64bits(t272), int64(1))
-			}
-			t275 := -p_n
-			t276 := t275 + int64(1)
-			t274 := t276 >= int64(0)
-			if t274 {
-				t277 := p_tsteps - int64(1)
-				t274 = t277 >= int64(0)
-			}
-			t273 := t274
-			if t273 {
-				t278 := -p_tsteps
-				t279 := t278 + int64(1)
-				t273 = t279 >= int64(0)
-			}
-			if t273 {
-				t280 := i_li0
-				if t280 < 0 || t280 >= d_X[0] {
-					return m.OOB(t280, d_X[0], 0, "X", 0, 0)
+				if t102 {
+					t116 := i_li0
+					if t116 < 0 || t116 >= d_X[0] {
+						return m.OOB(t116, d_X[0], 0, "X", 0, 0)
+					}
+					t117 := i_li1
+					if t117 < 0 || t117 >= d_X[1] {
+						return m.OOB(t117, d_X[1], 1, "X", 0, 0)
+					}
+					t118 := b_X + int((t116)*d_X[1]+t117)
+					t119 := m.LoadF(t118)
+					cs.Fold(checksum.AccDef, math.Float64bits(t119), p_tsteps)
 				}
-				t281 := i_li1
-				if t281 < 0 || t281 >= d_X[1] {
-					return m.OOB(t281, d_X[1], 1, "X", 0, 0)
+				t123 := -i_li0
+				t124 := t123 + p_n
+				t125 := t124 - int64(2)
+				t122 := t125 >= int64(0)
+				if t122 {
+					t126 := -i_li0
+					t122 = t126 >= int64(0)
 				}
-				t282 := b_X + int((t280)*d_X[1]+t281)
-				t283 := m.LoadF(t282)
-				cs.Fold(checksum.AccDef, math.Float64bits(t283), p_tsteps)
-			}
-			t285 := -p_n
-			t286 := t285 + int64(1)
-			t284 := t286 >= int64(0)
-			if t284 {
-				t287 := p_tsteps - int64(2)
-				t284 = t287 >= int64(0)
-			}
-			if t284 {
-				t288 := i_li0
-				if t288 < 0 || t288 >= d_X[0] {
-					return m.OOB(t288, d_X[0], 0, "X", 0, 0)
+				t121 := t122
+				if t121 {
+					t127 := -i_li1
+					t128 := t127 + p_n
+					t129 := t128 - int64(1)
+					t121 = t129 == int64(0)
 				}
-				t289 := i_li1
-				if t289 < 0 || t289 >= d_X[1] {
-					return m.OOB(t289, d_X[1], 1, "X", 0, 0)
+				t120 := t121
+				if t120 {
+					t130 := p_tsteps - int64(2)
+					t120 = t130 >= int64(0)
 				}
-				t290 := b_X + int((t288)*d_X[1]+t289)
-				t291 := m.LoadF(t290)
-				cs.Fold(checksum.AccDef, math.Float64bits(t291), int64(1))
-			}
-			t295 := -i_li1
-			t296 := t295 + p_n
-			t297 := t296 - int64(3)
-			t294 := t297 >= int64(0)
-			if t294 {
-				t298 := -i_li1
-				t294 = t298 >= int64(0)
-			}
-			t293 := t294
-			if t293 {
-				t299 := -i_li0
-				t293 = t299 >= int64(0)
-			}
-			t292 := t293
-			if t292 {
-				t300 := p_tsteps - int64(1)
-				t292 = t300 >= int64(0)
-			}
-			if t292 {
-				t301 := i_li0
-				if t301 < 0 || t301 >= d_X[0] {
-					return m.OOB(t301, d_X[0], 0, "X", 0, 0)
+				if t120 {
+					t131 := i_li0
+					if t131 < 0 || t131 >= d_X[0] {
+						return m.OOB(t131, d_X[0], 0, "X", 0, 0)
+					}
+					t132 := i_li1
+					if t132 < 0 || t132 >= d_X[1] {
+						return m.OOB(t132, d_X[1], 1, "X", 0, 0)
+					}
+					t133 := b_X + int((t131)*d_X[1]+t132)
+					t134 := m.LoadF(t133)
+					cs.Fold(checksum.AccDef, math.Float64bits(t134), int64(1))
 				}
-				t302 := i_li1
-				if t302 < 0 || t302 >= d_X[1] {
-					return m.OOB(t302, d_X[1], 1, "X", 0, 0)
+				t139 := p_tsteps - int64(1)
+				t138 := t139 >= int64(0)
+				if t138 {
+					t140 := -i_li0
+					t141 := t140 + p_n
+					t142 := t141 - int64(2)
+					t138 = t142 >= int64(0)
 				}
-				t303 := b_X + int((t301)*d_X[1]+t302)
-				t304 := m.LoadF(t303)
-				cs.Fold(checksum.AccDef, math.Float64bits(t304), p_tsteps)
-			}
-			t309 := -i_li1
-			t310 := t309 + p_n
-			t311 := t310 - int64(3)
-			t308 := t311 >= int64(0)
-			if t308 {
-				t312 := -i_li1
-				t308 = t312 >= int64(0)
-			}
-			t307 := t308
-			if t307 {
-				t313 := p_tsteps - int64(1)
-				t307 = t313 >= int64(0)
-			}
-			t306 := t307
-			if t306 {
-				t314 := -i_li0
-				t315 := t314 + p_n
-				t316 := t315 - int64(1)
-				t306 = t316 == int64(0)
-			}
-			t305 := t306
-			if t305 {
-				t317 := -p_tsteps
-				t318 := t317 + int64(1)
-				t305 = t318 >= int64(0)
-			}
-			if t305 {
-				t319 := i_li0
-				if t319 < 0 || t319 >= d_X[0] {
-					return m.OOB(t319, d_X[0], 0, "X", 0, 0)
+				t137 := t138
+				if t137 {
+					t143 := i_li0 - int64(1)
+					t137 = t143 >= int64(0)
 				}
-				t320 := i_li1
-				if t320 < 0 || t320 >= d_X[1] {
-					return m.OOB(t320, d_X[1], 1, "X", 0, 0)
+				t136 := t137
+				if t136 {
+					t144 := -i_li1
+					t145 := t144 + p_n
+					t146 := t145 - int64(1)
+					t136 = t146 == int64(0)
 				}
-				t321 := b_X + int((t319)*d_X[1]+t320)
-				t322 := m.LoadF(t321)
-				cs.Fold(checksum.AccDef, math.Float64bits(t322), p_tsteps)
-			}
-			t326 := -i_li1
-			t327 := t326 + p_n
-			t328 := t327 - int64(3)
-			t325 := t328 >= int64(0)
-			if t325 {
-				t329 := -i_li1
-				t325 = t329 >= int64(0)
-			}
-			t324 := t325
-			if t324 {
-				t330 := -i_li0
-				t331 := t330 + p_n
-				t332 := t331 - int64(1)
-				t324 = t332 == int64(0)
-			}
-			t323 := t324
-			if t323 {
-				t333 := p_tsteps - int64(2)
-				t323 = t333 >= int64(0)
-			}
-			if t323 {
-				t334 := i_li0
-				if t334 < 0 || t334 >= d_X[0] {
-					return m.OOB(t334, d_X[0], 0, "X", 0, 0)
+				t135 := t136
+				if t135 {
+					t147 := -p_tsteps
+					t148 := t147 + int64(1)
+					t135 = t148 >= int64(0)
 				}
-				t335 := i_li1
-				if t335 < 0 || t335 >= d_X[1] {
-					return m.OOB(t335, d_X[1], 1, "X", 0, 0)
+				if t135 {
+					t149 := i_li0
+					if t149 < 0 || t149 >= d_X[0] {
+						return m.OOB(t149, d_X[0], 0, "X", 0, 0)
+					}
+					t150 := i_li1
+					if t150 < 0 || t150 >= d_X[1] {
+						return m.OOB(t150, d_X[1], 1, "X", 0, 0)
+					}
+					t151 := b_X + int((t149)*d_X[1]+t150)
+					t152 := m.LoadF(t151)
+					cs.Fold(checksum.AccDef, math.Float64bits(t152), p_tsteps)
 				}
-				t336 := b_X + int((t334)*d_X[1]+t335)
-				t337 := m.LoadF(t336)
-				cs.Fold(checksum.AccDef, math.Float64bits(t337), int64(1))
-			}
-			t342 := -i_li1
-			t343 := t342 + p_n
-			t344 := t343 - int64(2)
-			t341 := t344 >= int64(0)
-			if t341 {
-				t345 := -i_li1
-				t341 = t345 >= int64(0)
-			}
-			t340 := t341
-			if t340 {
-				t346 := p_tsteps - int64(1)
-				t340 = t346 >= int64(0)
-			}
-			t339 := t340
-			if t339 {
-				t347 := -i_li0
-				t348 := t347 + p_n
-				t349 := t348 - int64(1)
-				t339 = t349 == int64(0)
-			}
-			t338 := t339
-			if t338 {
-				t350 := -p_tsteps
-				t351 := t350 + int64(1)
-				t338 = t351 >= int64(0)
-			}
-			if t338 {
-				t352 := i_li0
-				if t352 < 0 || t352 >= d_X[0] {
-					return m.OOB(t352, d_X[0], 0, "X", 0, 0)
+				t156 := -i_li0
+				t157 := t156 + p_n
+				t158 := t157 - int64(2)
+				t155 := t158 >= int64(0)
+				if t155 {
+					t159 := i_li0 - int64(1)
+					t155 = t159 >= int64(0)
 				}
-				t353 := i_li1
-				if t353 < 0 || t353 >= d_X[1] {
-					return m.OOB(t353, d_X[1], 1, "X", 0, 0)
+				t154 := t155
+				if t154 {
+					t160 := -i_li1
+					t161 := t160 + p_n
+					t162 := t161 - int64(1)
+					t154 = t162 == int64(0)
 				}
-				t354 := b_X + int((t352)*d_X[1]+t353)
-				t355 := m.LoadF(t354)
-				cs.Fold(checksum.AccDef, math.Float64bits(t355), p_tsteps)
-			}
-			t359 := -i_li1
-			t360 := t359 + p_n
-			t361 := t360 - int64(2)
-			t358 := t361 >= int64(0)
-			if t358 {
-				t362 := -i_li1
-				t358 = t362 >= int64(0)
-			}
-			t357 := t358
-			if t357 {
-				t363 := -i_li0
-				t364 := t363 + p_n
-				t365 := t364 - int64(1)
-				t357 = t365 == int64(0)
-			}
-			t356 := t357
-			if t356 {
-				t366 := p_tsteps - int64(2)
-				t356 = t366 >= int64(0)
-			}
-			if t356 {
-				t367 := i_li0
-				if t367 < 0 || t367 >= d_X[0] {
-					return m.OOB(t367, d_X[0], 0, "X", 0, 0)
+				t153 := t154
+				if t153 {
+					t163 := p_tsteps - int64(2)
+					t153 = t163 >= int64(0)
 				}
-				t368 := i_li1
-				if t368 < 0 || t368 >= d_X[1] {
-					return m.OOB(t368, d_X[1], 1, "X", 0, 0)
+				if t153 {
+					t164 := i_li0
+					if t164 < 0 || t164 >= d_X[0] {
+						return m.OOB(t164, d_X[0], 0, "X", 0, 0)
+					}
+					t165 := i_li1
+					if t165 < 0 || t165 >= d_X[1] {
+						return m.OOB(t165, d_X[1], 1, "X", 0, 0)
+					}
+					t166 := b_X + int((t164)*d_X[1]+t165)
+					t167 := m.LoadF(t166)
+					cs.Fold(checksum.AccDef, math.Float64bits(t167), int64(1))
 				}
-				t369 := b_X + int((t367)*d_X[1]+t368)
-				t370 := m.LoadF(t369)
-				cs.Fold(checksum.AccDef, math.Float64bits(t370), int64(1))
-			}
-			t374 := -i_li1
-			t375 := t374 + p_n
-			t376 := t375 - int64(2)
-			t373 := t376 >= int64(0)
-			if t373 {
-				t377 := -i_li1
-				t373 = t377 >= int64(0)
-			}
-			t372 := t373
-			if t372 {
-				t378 := -i_li0
-				t372 = t378 >= int64(0)
-			}
-			t371 := t372
-			if t371 {
-				t379 := p_tsteps - int64(1)
-				t371 = t379 >= int64(0)
-			}
-			if t371 {
-				t380 := i_li0
-				if t380 < 0 || t380 >= d_X[0] {
-					return m.OOB(t380, d_X[0], 0, "X", 0, 0)
+				t172 := p_n - int64(2)
+				t171 := t172 >= int64(0)
+				if t171 {
+					t173 := p_tsteps - int64(1)
+					t171 = t173 >= int64(0)
 				}
-				t381 := i_li1
-				if t381 < 0 || t381 >= d_X[1] {
-					return m.OOB(t381, d_X[1], 1, "X", 0, 0)
+				t170 := t171
+				if t170 {
+					t174 := -i_li0
+					t175 := t174 + p_n
+					t176 := t175 - int64(1)
+					t170 = t176 == int64(0)
 				}
-				t382 := b_X + int((t380)*d_X[1]+t381)
-				t383 := m.LoadF(t382)
-				cs.Fold(checksum.AccDef, math.Float64bits(t383), p_tsteps)
-			}
-			t387 := -i_li0
-			t388 := t387 + p_n
-			t389 := t388 - int64(3)
-			t386 := t389 >= int64(0)
-			if t386 {
-				t390 := -i_li1
-				t386 = t390 >= int64(0)
-			}
-			t385 := t386
-			if t385 {
-				t391 := -i_li0
-				t385 = t391 >= int64(0)
-			}
-			t384 := t385
-			if t384 {
-				t392 := p_tsteps - int64(1)
-				t384 = t392 >= int64(0)
-			}
-			if t384 {
-				t393 := i_li0
-				if t393 < 0 || t393 >= d_X[0] {
-					return m.OOB(t393, d_X[0], 0, "X", 0, 0)
+				t169 := t170
+				if t169 {
+					t177 := -i_li1
+					t178 := t177 + p_n
+					t179 := t178 - int64(1)
+					t169 = t179 == int64(0)
 				}
-				t394 := i_li1
-				if t394 < 0 || t394 >= d_X[1] {
-					return m.OOB(t394, d_X[1], 1, "X", 0, 0)
+				t168 := t169
+				if t168 {
+					t180 := -p_tsteps
+					t181 := t180 + int64(1)
+					t168 = t181 >= int64(0)
 				}
-				t395 := b_X + int((t393)*d_X[1]+t394)
-				t396 := m.LoadF(t395)
-				cs.Fold(checksum.AccDef, math.Float64bits(t396), p_tsteps)
+				if t168 {
+					t182 := i_li0
+					if t182 < 0 || t182 >= d_X[0] {
+						return m.OOB(t182, d_X[0], 0, "X", 0, 0)
+					}
+					t183 := i_li1
+					if t183 < 0 || t183 >= d_X[1] {
+						return m.OOB(t183, d_X[1], 1, "X", 0, 0)
+					}
+					t184 := b_X + int((t182)*d_X[1]+t183)
+					t185 := m.LoadF(t184)
+					cs.Fold(checksum.AccDef, math.Float64bits(t185), p_tsteps)
+				}
+				t189 := p_n - int64(2)
+				t188 := t189 >= int64(0)
+				if t188 {
+					t190 := -i_li0
+					t191 := t190 + p_n
+					t192 := t191 - int64(1)
+					t188 = t192 == int64(0)
+				}
+				t187 := t188
+				if t187 {
+					t193 := -i_li1
+					t194 := t193 + p_n
+					t195 := t194 - int64(1)
+					t187 = t195 == int64(0)
+				}
+				t186 := t187
+				if t186 {
+					t196 := p_tsteps - int64(2)
+					t186 = t196 >= int64(0)
+				}
+				if t186 {
+					t197 := i_li0
+					if t197 < 0 || t197 >= d_X[0] {
+						return m.OOB(t197, d_X[0], 0, "X", 0, 0)
+					}
+					t198 := i_li1
+					if t198 < 0 || t198 >= d_X[1] {
+						return m.OOB(t198, d_X[1], 1, "X", 0, 0)
+					}
+					t199 := b_X + int((t197)*d_X[1]+t198)
+					t200 := m.LoadF(t199)
+					cs.Fold(checksum.AccDef, math.Float64bits(t200), int64(1))
+				}
+				t204 := -i_li1
+				t203 := t204 >= int64(0)
+				if t203 {
+					t205 := -i_li0
+					t206 := t205 + p_n
+					t207 := t206 - int64(2)
+					t203 = t207 >= int64(0)
+				}
+				t202 := t203
+				if t202 {
+					t208 := -i_li0
+					t202 = t208 >= int64(0)
+				}
+				t201 := t202
+				if t201 {
+					t209 := p_tsteps - int64(1)
+					t201 = t209 >= int64(0)
+				}
+				if t201 {
+					t210 := i_li0
+					if t210 < 0 || t210 >= d_X[0] {
+						return m.OOB(t210, d_X[0], 0, "X", 0, 0)
+					}
+					t211 := i_li1
+					if t211 < 0 || t211 >= d_X[1] {
+						return m.OOB(t211, d_X[1], 1, "X", 0, 0)
+					}
+					t212 := b_X + int((t210)*d_X[1]+t211)
+					t213 := m.LoadF(t212)
+					cs.Fold(checksum.AccDef, math.Float64bits(t213), p_tsteps)
+				}
+				t218 := -i_li1
+				t217 := t218 >= int64(0)
+				if t217 {
+					t219 := -i_li0
+					t220 := t219 + p_n
+					t221 := t220 - int64(2)
+					t217 = t221 >= int64(0)
+				}
+				t216 := t217
+				if t216 {
+					t222 := i_li0 - int64(1)
+					t216 = t222 >= int64(0)
+				}
+				t215 := t216
+				if t215 {
+					t223 := p_tsteps - int64(1)
+					t215 = t223 >= int64(0)
+				}
+				t214 := t215
+				if t214 {
+					t224 := -p_tsteps
+					t225 := t224 + int64(1)
+					t214 = t225 >= int64(0)
+				}
+				if t214 {
+					t226 := i_li0
+					if t226 < 0 || t226 >= d_X[0] {
+						return m.OOB(t226, d_X[0], 0, "X", 0, 0)
+					}
+					t227 := i_li1
+					if t227 < 0 || t227 >= d_X[1] {
+						return m.OOB(t227, d_X[1], 1, "X", 0, 0)
+					}
+					t228 := b_X + int((t226)*d_X[1]+t227)
+					t229 := m.LoadF(t228)
+					t230 := int64(3) * p_tsteps
+					cs.Fold(checksum.AccDef, math.Float64bits(t229), t230)
+				}
+				t234 := -i_li1
+				t233 := t234 >= int64(0)
+				if t233 {
+					t235 := -i_li0
+					t236 := t235 + p_n
+					t237 := t236 - int64(2)
+					t233 = t237 >= int64(0)
+				}
+				t232 := t233
+				if t232 {
+					t238 := i_li0 - int64(1)
+					t232 = t238 >= int64(0)
+				}
+				t231 := t232
+				if t231 {
+					t239 := p_tsteps - int64(2)
+					t231 = t239 >= int64(0)
+				}
+				if t231 {
+					t240 := i_li0
+					if t240 < 0 || t240 >= d_X[0] {
+						return m.OOB(t240, d_X[0], 0, "X", 0, 0)
+					}
+					t241 := i_li1
+					if t241 < 0 || t241 >= d_X[1] {
+						return m.OOB(t241, d_X[1], 1, "X", 0, 0)
+					}
+					t242 := b_X + int((t240)*d_X[1]+t241)
+					t243 := m.LoadF(t242)
+					cs.Fold(checksum.AccDef, math.Float64bits(t243), int64(3))
+				}
+				t248 := -i_li1
+				t247 := t248 >= int64(0)
+				if t247 {
+					t249 := p_n - int64(2)
+					t247 = t249 >= int64(0)
+				}
+				t246 := t247
+				if t246 {
+					t250 := p_tsteps - int64(1)
+					t246 = t250 >= int64(0)
+				}
+				t245 := t246
+				if t245 {
+					t251 := -i_li0
+					t252 := t251 + p_n
+					t253 := t252 - int64(1)
+					t245 = t253 == int64(0)
+				}
+				t244 := t245
+				if t244 {
+					t254 := -p_tsteps
+					t255 := t254 + int64(1)
+					t244 = t255 >= int64(0)
+				}
+				if t244 {
+					t256 := i_li0
+					if t256 < 0 || t256 >= d_X[0] {
+						return m.OOB(t256, d_X[0], 0, "X", 0, 0)
+					}
+					t257 := i_li1
+					if t257 < 0 || t257 >= d_X[1] {
+						return m.OOB(t257, d_X[1], 1, "X", 0, 0)
+					}
+					t258 := b_X + int((t256)*d_X[1]+t257)
+					t259 := m.LoadF(t258)
+					cs.Fold(checksum.AccDef, math.Float64bits(t259), p_tsteps)
+				}
+				t263 := -i_li1
+				t262 := t263 >= int64(0)
+				if t262 {
+					t264 := p_n - int64(2)
+					t262 = t264 >= int64(0)
+				}
+				t261 := t262
+				if t261 {
+					t265 := -i_li0
+					t266 := t265 + p_n
+					t267 := t266 - int64(1)
+					t261 = t267 == int64(0)
+				}
+				t260 := t261
+				if t260 {
+					t268 := p_tsteps - int64(2)
+					t260 = t268 >= int64(0)
+				}
+				if t260 {
+					t269 := i_li0
+					if t269 < 0 || t269 >= d_X[0] {
+						return m.OOB(t269, d_X[0], 0, "X", 0, 0)
+					}
+					t270 := i_li1
+					if t270 < 0 || t270 >= d_X[1] {
+						return m.OOB(t270, d_X[1], 1, "X", 0, 0)
+					}
+					t271 := b_X + int((t269)*d_X[1]+t270)
+					t272 := m.LoadF(t271)
+					cs.Fold(checksum.AccDef, math.Float64bits(t272), int64(1))
+				}
+				t275 := -p_n
+				t276 := t275 + int64(1)
+				t274 := t276 >= int64(0)
+				if t274 {
+					t277 := p_tsteps - int64(1)
+					t274 = t277 >= int64(0)
+				}
+				t273 := t274
+				if t273 {
+					t278 := -p_tsteps
+					t279 := t278 + int64(1)
+					t273 = t279 >= int64(0)
+				}
+				if t273 {
+					t280 := i_li0
+					if t280 < 0 || t280 >= d_X[0] {
+						return m.OOB(t280, d_X[0], 0, "X", 0, 0)
+					}
+					t281 := i_li1
+					if t281 < 0 || t281 >= d_X[1] {
+						return m.OOB(t281, d_X[1], 1, "X", 0, 0)
+					}
+					t282 := b_X + int((t280)*d_X[1]+t281)
+					t283 := m.LoadF(t282)
+					cs.Fold(checksum.AccDef, math.Float64bits(t283), p_tsteps)
+				}
+				t285 := -p_n
+				t286 := t285 + int64(1)
+				t284 := t286 >= int64(0)
+				if t284 {
+					t287 := p_tsteps - int64(2)
+					t284 = t287 >= int64(0)
+				}
+				if t284 {
+					t288 := i_li0
+					if t288 < 0 || t288 >= d_X[0] {
+						return m.OOB(t288, d_X[0], 0, "X", 0, 0)
+					}
+					t289 := i_li1
+					if t289 < 0 || t289 >= d_X[1] {
+						return m.OOB(t289, d_X[1], 1, "X", 0, 0)
+					}
+					t290 := b_X + int((t288)*d_X[1]+t289)
+					t291 := m.LoadF(t290)
+					cs.Fold(checksum.AccDef, math.Float64bits(t291), int64(1))
+				}
+				t295 := -i_li1
+				t296 := t295 + p_n
+				t297 := t296 - int64(3)
+				t294 := t297 >= int64(0)
+				if t294 {
+					t298 := -i_li1
+					t294 = t298 >= int64(0)
+				}
+				t293 := t294
+				if t293 {
+					t299 := -i_li0
+					t293 = t299 >= int64(0)
+				}
+				t292 := t293
+				if t292 {
+					t300 := p_tsteps - int64(1)
+					t292 = t300 >= int64(0)
+				}
+				if t292 {
+					t301 := i_li0
+					if t301 < 0 || t301 >= d_X[0] {
+						return m.OOB(t301, d_X[0], 0, "X", 0, 0)
+					}
+					t302 := i_li1
+					if t302 < 0 || t302 >= d_X[1] {
+						return m.OOB(t302, d_X[1], 1, "X", 0, 0)
+					}
+					t303 := b_X + int((t301)*d_X[1]+t302)
+					t304 := m.LoadF(t303)
+					cs.Fold(checksum.AccDef, math.Float64bits(t304), p_tsteps)
+				}
+				t309 := -i_li1
+				t310 := t309 + p_n
+				t311 := t310 - int64(3)
+				t308 := t311 >= int64(0)
+				if t308 {
+					t312 := -i_li1
+					t308 = t312 >= int64(0)
+				}
+				t307 := t308
+				if t307 {
+					t313 := p_tsteps - int64(1)
+					t307 = t313 >= int64(0)
+				}
+				t306 := t307
+				if t306 {
+					t314 := -i_li0
+					t315 := t314 + p_n
+					t316 := t315 - int64(1)
+					t306 = t316 == int64(0)
+				}
+				t305 := t306
+				if t305 {
+					t317 := -p_tsteps
+					t318 := t317 + int64(1)
+					t305 = t318 >= int64(0)
+				}
+				if t305 {
+					t319 := i_li0
+					if t319 < 0 || t319 >= d_X[0] {
+						return m.OOB(t319, d_X[0], 0, "X", 0, 0)
+					}
+					t320 := i_li1
+					if t320 < 0 || t320 >= d_X[1] {
+						return m.OOB(t320, d_X[1], 1, "X", 0, 0)
+					}
+					t321 := b_X + int((t319)*d_X[1]+t320)
+					t322 := m.LoadF(t321)
+					cs.Fold(checksum.AccDef, math.Float64bits(t322), p_tsteps)
+				}
+				t326 := -i_li1
+				t327 := t326 + p_n
+				t328 := t327 - int64(3)
+				t325 := t328 >= int64(0)
+				if t325 {
+					t329 := -i_li1
+					t325 = t329 >= int64(0)
+				}
+				t324 := t325
+				if t324 {
+					t330 := -i_li0
+					t331 := t330 + p_n
+					t332 := t331 - int64(1)
+					t324 = t332 == int64(0)
+				}
+				t323 := t324
+				if t323 {
+					t333 := p_tsteps - int64(2)
+					t323 = t333 >= int64(0)
+				}
+				if t323 {
+					t334 := i_li0
+					if t334 < 0 || t334 >= d_X[0] {
+						return m.OOB(t334, d_X[0], 0, "X", 0, 0)
+					}
+					t335 := i_li1
+					if t335 < 0 || t335 >= d_X[1] {
+						return m.OOB(t335, d_X[1], 1, "X", 0, 0)
+					}
+					t336 := b_X + int((t334)*d_X[1]+t335)
+					t337 := m.LoadF(t336)
+					cs.Fold(checksum.AccDef, math.Float64bits(t337), int64(1))
+				}
+				t342 := -i_li1
+				t343 := t342 + p_n
+				t344 := t343 - int64(2)
+				t341 := t344 >= int64(0)
+				if t341 {
+					t345 := -i_li1
+					t341 = t345 >= int64(0)
+				}
+				t340 := t341
+				if t340 {
+					t346 := p_tsteps - int64(1)
+					t340 = t346 >= int64(0)
+				}
+				t339 := t340
+				if t339 {
+					t347 := -i_li0
+					t348 := t347 + p_n
+					t349 := t348 - int64(1)
+					t339 = t349 == int64(0)
+				}
+				t338 := t339
+				if t338 {
+					t350 := -p_tsteps
+					t351 := t350 + int64(1)
+					t338 = t351 >= int64(0)
+				}
+				if t338 {
+					t352 := i_li0
+					if t352 < 0 || t352 >= d_X[0] {
+						return m.OOB(t352, d_X[0], 0, "X", 0, 0)
+					}
+					t353 := i_li1
+					if t353 < 0 || t353 >= d_X[1] {
+						return m.OOB(t353, d_X[1], 1, "X", 0, 0)
+					}
+					t354 := b_X + int((t352)*d_X[1]+t353)
+					t355 := m.LoadF(t354)
+					cs.Fold(checksum.AccDef, math.Float64bits(t355), p_tsteps)
+				}
+				t359 := -i_li1
+				t360 := t359 + p_n
+				t361 := t360 - int64(2)
+				t358 := t361 >= int64(0)
+				if t358 {
+					t362 := -i_li1
+					t358 = t362 >= int64(0)
+				}
+				t357 := t358
+				if t357 {
+					t363 := -i_li0
+					t364 := t363 + p_n
+					t365 := t364 - int64(1)
+					t357 = t365 == int64(0)
+				}
+				t356 := t357
+				if t356 {
+					t366 := p_tsteps - int64(2)
+					t356 = t366 >= int64(0)
+				}
+				if t356 {
+					t367 := i_li0
+					if t367 < 0 || t367 >= d_X[0] {
+						return m.OOB(t367, d_X[0], 0, "X", 0, 0)
+					}
+					t368 := i_li1
+					if t368 < 0 || t368 >= d_X[1] {
+						return m.OOB(t368, d_X[1], 1, "X", 0, 0)
+					}
+					t369 := b_X + int((t367)*d_X[1]+t368)
+					t370 := m.LoadF(t369)
+					cs.Fold(checksum.AccDef, math.Float64bits(t370), int64(1))
+				}
+				t374 := -i_li1
+				t375 := t374 + p_n
+				t376 := t375 - int64(2)
+				t373 := t376 >= int64(0)
+				if t373 {
+					t377 := -i_li1
+					t373 = t377 >= int64(0)
+				}
+				t372 := t373
+				if t372 {
+					t378 := -i_li0
+					t372 = t378 >= int64(0)
+				}
+				t371 := t372
+				if t371 {
+					t379 := p_tsteps - int64(1)
+					t371 = t379 >= int64(0)
+				}
+				if t371 {
+					t380 := i_li0
+					if t380 < 0 || t380 >= d_X[0] {
+						return m.OOB(t380, d_X[0], 0, "X", 0, 0)
+					}
+					t381 := i_li1
+					if t381 < 0 || t381 >= d_X[1] {
+						return m.OOB(t381, d_X[1], 1, "X", 0, 0)
+					}
+					t382 := b_X + int((t380)*d_X[1]+t381)
+					t383 := m.LoadF(t382)
+					cs.Fold(checksum.AccDef, math.Float64bits(t383), p_tsteps)
+				}
+				t387 := -i_li0
+				t388 := t387 + p_n
+				t389 := t388 - int64(3)
+				t386 := t389 >= int64(0)
+				if t386 {
+					t390 := -i_li1
+					t386 = t390 >= int64(0)
+				}
+				t385 := t386
+				if t385 {
+					t391 := -i_li0
+					t385 = t391 >= int64(0)
+				}
+				t384 := t385
+				if t384 {
+					t392 := p_tsteps - int64(1)
+					t384 = t392 >= int64(0)
+				}
+				if t384 {
+					t393 := i_li0
+					if t393 < 0 || t393 >= d_X[0] {
+						return m.OOB(t393, d_X[0], 0, "X", 0, 0)
+					}
+					t394 := i_li1
+					if t394 < 0 || t394 >= d_X[1] {
+						return m.OOB(t394, d_X[1], 1, "X", 0, 0)
+					}
+					t395 := b_X + int((t393)*d_X[1]+t394)
+					t396 := m.LoadF(t395)
+					cs.Fold(checksum.AccDef, math.Float64bits(t396), p_tsteps)
+				}
 			}
 		}
-	}
-	if epoch == epochs-1 {
 		t397 := p_n - int64(1)
 		for i_li02 := int64(0); i_li02 <= t397; i_li02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -1911,3447 +1903,3455 @@ func run_adi_resilient(m *codegen.Machine, epoch, epochs int) error {
 			}
 		}
 		t578 := p_tsteps - int64(1)
-		for i_t := int64(0); i_t <= t578; i_t++ {
-			if err := m.Tick(4, 1); err != nil {
+		m.SetBounds(int64(0), t578)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(4, 1); err != nil {
+			return err
+		}
+		t579 := p_n - int64(1)
+		for i_i1 := int64(0); i_i1 <= t579; i_i1++ {
+			if err := m.Tick(5, 3); err != nil {
 				return err
 			}
-			t579 := p_n - int64(1)
-			for i_i1 := int64(0); i_i1 <= t579; i_i1++ {
-				if err := m.Tick(5, 3); err != nil {
+			t580 := p_n - int64(1)
+			for i_i2 := int64(1); i_i2 <= t580; i_i2++ {
+				if err := m.Tick(6, 5); err != nil {
 					return err
 				}
-				t580 := p_n - int64(1)
-				for i_i2 := int64(1); i_i2 <= t580; i_i2++ {
-					if err := m.Tick(6, 5); err != nil {
-						return err
-					}
-					t581 := i_i1
-					if t581 < 0 || t581 >= d_X[0] {
-						return m.OOB(t581, d_X[0], 0, "X", 7, 23)
-					}
-					t582 := i_i2
-					if t582 < 0 || t582 >= d_X[1] {
-						return m.OOB(t582, d_X[1], 1, "X", 7, 23)
-					}
-					t583 := b_X + int((t581)*d_X[1]+t582)
-					r_X_r := m.LoadF(t583)
-					t584 := i_i1
-					if t584 < 0 || t584 >= d_X[0] {
-						return m.OOB(t584, d_X[0], 0, "X", 7, 35)
-					}
-					t585 := i_i2 - int64(1)
-					t586 := t585
-					if t586 < 0 || t586 >= d_X[1] {
-						return m.OOB(t586, d_X[1], 1, "X", 7, 35)
-					}
-					t587 := b_X + int((t584)*d_X[1]+t586)
-					r_X_r2 := m.LoadF(t587)
-					t588 := i_i1
-					if t588 < 0 || t588 >= d_A[0] {
-						return m.OOB(t588, d_A[0], 0, "A", 7, 51)
-					}
-					t589 := i_i2
-					if t589 < 0 || t589 >= d_A[1] {
-						return m.OOB(t589, d_A[1], 1, "A", 7, 51)
-					}
-					t590 := b_A + int((t588)*d_A[1]+t589)
-					r_A_r := m.LoadF(t590)
-					t591 := i_i1
-					if t591 < 0 || t591 >= d_B[0] {
-						return m.OOB(t591, d_B[0], 0, "B", 7, 63)
-					}
-					t592 := i_i2 - int64(1)
-					t593 := t592
-					if t593 < 0 || t593 >= d_B[1] {
-						return m.OOB(t593, d_B[1], 1, "B", 7, 63)
-					}
-					t594 := b_B + int((t591)*d_B[1]+t593)
-					r_B_r := m.LoadF(t594)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t595 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t596 := float64(t595 / r_B_r)
-					t597 := float64(r_X_r - t596)
-					r_X_w := t597
-					t598 := i_i1
-					if t598 < 0 || t598 >= d_X[0] {
-						return m.OOB(t598, d_X[0], 0, "X", 7, 11)
-					}
-					t599 := i_i2
-					if t599 < 0 || t599 >= d_X[1] {
-						return m.OOB(t599, d_X[1], 1, "X", 7, 11)
-					}
-					t600 := b_X + int((t598)*d_X[1]+t599)
-					m.StoreF(t600, r_X_w)
-					t603 := -i_i2
-					t604 := t603 + p_n
-					t605 := t604 - int64(2)
-					t602 := t605 >= int64(0)
-					if t602 {
-						t606 := -i_t
-						t602 = t606 >= int64(0)
-					}
-					t601 := t602
-					if t601 {
-						t607 := -i_i1
-						t601 = t607 >= int64(0)
-					}
-					if t601 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t611 := -i_i2
-					t612 := t611 + p_n
-					t613 := t612 - int64(2)
-					t610 := t613 >= int64(0)
-					if t610 {
-						t614 := -i_t
-						t610 = t614 >= int64(0)
-					}
-					t609 := t610
-					if t609 {
-						t615 := i_i1 - int64(1)
-						t609 = t615 >= int64(0)
-					}
-					t608 := t609
-					if t608 {
-						t616 := -i_i1
-						t617 := t616 + p_n
-						t618 := t617 - int64(2)
-						t608 = t618 >= int64(0)
-					}
-					if t608 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t621 := -i_i2
-					t622 := t621 + p_n
-					t623 := t622 - int64(2)
-					t620 := t623 >= int64(0)
-					if t620 {
-						t624 := -i_t
-						t620 = t624 >= int64(0)
-					}
-					t619 := t620
-					if t619 {
-						t625 := i_i1 - p_n
-						t626 := t625 + int64(1)
-						t619 = t626 >= int64(0)
-					}
-					if t619 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t630 := -i_i2
-					t631 := t630 + p_n
-					t632 := t631 - int64(2)
-					t629 := t632 >= int64(0)
-					if t629 {
-						t633 := i_t - int64(1)
-						t629 = t633 >= int64(0)
-					}
-					t628 := t629
-					if t628 {
-						t634 := i_t - p_tsteps
-						t635 := t634 + int64(1)
-						t628 = t635 >= int64(0)
-					}
-					t627 := t628
-					if t627 {
-						t636 := -i_i1
-						t627 = t636 >= int64(0)
-					}
-					if t627 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t641 := -i_i2
-					t642 := t641 + p_n
-					t643 := t642 - int64(2)
-					t640 := t643 >= int64(0)
-					if t640 {
-						t644 := i_t - int64(1)
-						t640 = t644 >= int64(0)
-					}
-					t639 := t640
-					if t639 {
-						t645 := i_t - p_tsteps
-						t646 := t645 + int64(1)
-						t639 = t646 >= int64(0)
-					}
-					t638 := t639
-					if t638 {
-						t647 := i_i1 - int64(1)
-						t638 = t647 >= int64(0)
-					}
-					t637 := t638
-					if t637 {
-						t648 := -i_i1
-						t649 := t648 + p_n
-						t650 := t649 - int64(2)
-						t637 = t650 >= int64(0)
-					}
-					if t637 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t654 := -i_i2
-					t655 := t654 + p_n
-					t656 := t655 - int64(2)
-					t653 := t656 >= int64(0)
-					if t653 {
-						t657 := i_t - int64(1)
-						t653 = t657 >= int64(0)
-					}
-					t652 := t653
-					if t652 {
-						t658 := i_t - p_tsteps
-						t659 := t658 + int64(1)
-						t652 = t659 >= int64(0)
-					}
-					t651 := t652
-					if t651 {
-						t660 := i_i1 - p_n
-						t661 := t660 + int64(1)
-						t651 = t661 >= int64(0)
-					}
-					if t651 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t665 := -i_i2
-					t666 := t665 + p_n
-					t667 := t666 - int64(2)
-					t664 := t667 >= int64(0)
-					if t664 {
-						t668 := i_t - int64(1)
-						t664 = t668 >= int64(0)
-					}
-					t663 := t664
-					if t663 {
-						t669 := -i_t
-						t670 := t669 + p_tsteps
-						t671 := t670 - int64(2)
-						t663 = t671 >= int64(0)
-					}
-					t662 := t663
-					if t662 {
-						t672 := -i_i1
-						t662 = t672 >= int64(0)
-					}
-					if t662 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t677 := -i_i2
-					t678 := t677 + p_n
-					t679 := t678 - int64(2)
-					t676 := t679 >= int64(0)
-					if t676 {
-						t680 := i_t - int64(1)
-						t676 = t680 >= int64(0)
-					}
-					t675 := t676
-					if t675 {
-						t681 := -i_t
-						t682 := t681 + p_tsteps
-						t683 := t682 - int64(2)
-						t675 = t683 >= int64(0)
-					}
-					t674 := t675
-					if t674 {
-						t684 := i_i1 - int64(1)
-						t674 = t684 >= int64(0)
-					}
-					t673 := t674
-					if t673 {
-						t685 := -i_i1
-						t686 := t685 + p_n
-						t687 := t686 - int64(2)
-						t673 = t687 >= int64(0)
-					}
-					if t673 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t691 := -i_i2
-					t692 := t691 + p_n
-					t693 := t692 - int64(2)
-					t690 := t693 >= int64(0)
-					if t690 {
-						t694 := i_t - int64(1)
-						t690 = t694 >= int64(0)
-					}
-					t689 := t690
-					if t689 {
-						t695 := -i_t
-						t696 := t695 + p_tsteps
-						t697 := t696 - int64(2)
-						t689 = t697 >= int64(0)
-					}
-					t688 := t689
-					if t688 {
-						t698 := i_i1 - p_n
-						t699 := t698 + int64(1)
-						t688 = t699 >= int64(0)
-					}
-					if t688 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					}
-					t702 := i_i2 - p_n
-					t703 := t702 + int64(1)
-					t701 := t703 == int64(0)
-					if t701 {
-						t704 := -i_t
-						t701 = t704 >= int64(0)
-					}
-					t700 := t701
-					if t700 {
-						t705 := -i_i1
-						t700 = t705 >= int64(0)
-					}
-					if t700 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t709 := i_i2 - p_n
-					t710 := t709 + int64(1)
-					t708 := t710 == int64(0)
-					if t708 {
-						t711 := -i_t
-						t708 = t711 >= int64(0)
-					}
-					t707 := t708
-					if t707 {
-						t712 := i_i1 - int64(1)
-						t707 = t712 >= int64(0)
-					}
-					t706 := t707
-					if t706 {
-						t713 := -i_i1
-						t714 := t713 + p_n
-						t715 := t714 - int64(2)
-						t706 = t715 >= int64(0)
-					}
-					if t706 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t718 := i_i2 - p_n
-					t719 := t718 + int64(1)
-					t717 := t719 == int64(0)
-					if t717 {
-						t720 := -i_t
-						t717 = t720 >= int64(0)
-					}
-					t716 := t717
-					if t716 {
-						t721 := i_i1 - p_n
-						t722 := t721 + int64(1)
-						t716 = t722 >= int64(0)
-					}
-					if t716 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t726 := i_i2 - p_n
-					t727 := t726 + int64(1)
-					t725 := t727 == int64(0)
-					if t725 {
-						t728 := i_t - int64(1)
-						t725 = t728 >= int64(0)
-					}
-					t724 := t725
-					if t724 {
-						t729 := i_t - p_tsteps
-						t730 := t729 + int64(1)
-						t724 = t730 >= int64(0)
-					}
-					t723 := t724
-					if t723 {
-						t731 := -i_i1
-						t723 = t731 >= int64(0)
-					}
-					if t723 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t736 := i_i2 - p_n
-					t737 := t736 + int64(1)
-					t735 := t737 == int64(0)
-					if t735 {
-						t738 := i_t - int64(1)
-						t735 = t738 >= int64(0)
-					}
-					t734 := t735
-					if t734 {
-						t739 := i_t - p_tsteps
-						t740 := t739 + int64(1)
-						t734 = t740 >= int64(0)
-					}
-					t733 := t734
-					if t733 {
-						t741 := i_i1 - int64(1)
-						t733 = t741 >= int64(0)
-					}
-					t732 := t733
-					if t732 {
-						t742 := -i_i1
-						t743 := t742 + p_n
-						t744 := t743 - int64(2)
-						t732 = t744 >= int64(0)
-					}
-					if t732 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t748 := i_i2 - p_n
-					t749 := t748 + int64(1)
-					t747 := t749 == int64(0)
-					if t747 {
-						t750 := i_t - int64(1)
-						t747 = t750 >= int64(0)
-					}
-					t746 := t747
-					if t746 {
-						t751 := i_t - p_tsteps
-						t752 := t751 + int64(1)
-						t746 = t752 >= int64(0)
-					}
-					t745 := t746
-					if t745 {
-						t753 := i_i1 - p_n
-						t754 := t753 + int64(1)
-						t745 = t754 >= int64(0)
-					}
-					if t745 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t758 := i_i2 - p_n
-					t759 := t758 + int64(1)
-					t757 := t759 == int64(0)
-					if t757 {
-						t760 := i_t - int64(1)
-						t757 = t760 >= int64(0)
-					}
-					t756 := t757
-					if t756 {
-						t761 := -i_t
-						t762 := t761 + p_tsteps
-						t763 := t762 - int64(2)
-						t756 = t763 >= int64(0)
-					}
-					t755 := t756
-					if t755 {
-						t764 := -i_i1
-						t755 = t764 >= int64(0)
-					}
-					if t755 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t769 := i_i2 - p_n
-					t770 := t769 + int64(1)
-					t768 := t770 == int64(0)
-					if t768 {
-						t771 := i_t - int64(1)
-						t768 = t771 >= int64(0)
-					}
-					t767 := t768
-					if t767 {
-						t772 := -i_t
-						t773 := t772 + p_tsteps
-						t774 := t773 - int64(2)
-						t767 = t774 >= int64(0)
-					}
-					t766 := t767
-					if t766 {
-						t775 := i_i1 - int64(1)
-						t766 = t775 >= int64(0)
-					}
-					t765 := t766
-					if t765 {
-						t776 := -i_i1
-						t777 := t776 + p_n
-						t778 := t777 - int64(2)
-						t765 = t778 >= int64(0)
-					}
-					if t765 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t782 := i_i2 - p_n
-					t783 := t782 + int64(1)
-					t781 := t783 == int64(0)
-					if t781 {
-						t784 := i_t - int64(1)
-						t781 = t784 >= int64(0)
-					}
-					t780 := t781
-					if t780 {
-						t785 := -i_t
-						t786 := t785 + p_tsteps
-						t787 := t786 - int64(2)
-						t780 = t787 >= int64(0)
-					}
-					t779 := t780
-					if t779 {
-						t788 := i_i1 - p_n
-						t789 := t788 + int64(1)
-						t779 = t789 >= int64(0)
-					}
-					if t779 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t792 := -i_i2
-					t793 := t792 + p_n
-					t794 := t793 - int64(3)
-					t791 := t794 >= int64(0)
-					if t791 {
-						t795 := -i_t
-						t791 = t795 >= int64(0)
-					}
-					t790 := t791
-					if t790 {
-						t796 := -i_i1
-						t790 = t796 >= int64(0)
-					}
-					if t790 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t800 := -i_i2
-					t801 := t800 + p_n
-					t802 := t801 - int64(3)
-					t799 := t802 >= int64(0)
-					if t799 {
-						t803 := -i_t
-						t799 = t803 >= int64(0)
-					}
-					t798 := t799
-					if t798 {
-						t804 := i_i1 - int64(1)
-						t798 = t804 >= int64(0)
-					}
-					t797 := t798
-					if t797 {
-						t805 := -i_i1
-						t806 := t805 + p_n
-						t807 := t806 - int64(2)
-						t797 = t807 >= int64(0)
-					}
-					if t797 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t810 := -i_i2
-					t811 := t810 + p_n
-					t812 := t811 - int64(3)
-					t809 := t812 >= int64(0)
-					if t809 {
-						t813 := -i_t
-						t809 = t813 >= int64(0)
-					}
-					t808 := t809
-					if t808 {
-						t814 := i_i1 - p_n
-						t815 := t814 + int64(1)
-						t808 = t815 >= int64(0)
-					}
-					if t808 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t819 := -i_i2
-					t820 := t819 + p_n
-					t821 := t820 - int64(3)
-					t818 := t821 >= int64(0)
-					if t818 {
-						t822 := i_t - int64(1)
-						t818 = t822 >= int64(0)
-					}
-					t817 := t818
-					if t817 {
-						t823 := i_t - p_tsteps
-						t824 := t823 + int64(1)
-						t817 = t824 >= int64(0)
-					}
-					t816 := t817
-					if t816 {
-						t825 := -i_i1
-						t816 = t825 >= int64(0)
-					}
-					if t816 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t830 := -i_i2
-					t831 := t830 + p_n
-					t832 := t831 - int64(3)
-					t829 := t832 >= int64(0)
-					if t829 {
-						t833 := i_t - int64(1)
-						t829 = t833 >= int64(0)
-					}
-					t828 := t829
-					if t828 {
-						t834 := i_t - p_tsteps
-						t835 := t834 + int64(1)
-						t828 = t835 >= int64(0)
-					}
-					t827 := t828
-					if t827 {
-						t836 := i_i1 - int64(1)
-						t827 = t836 >= int64(0)
-					}
-					t826 := t827
-					if t826 {
-						t837 := -i_i1
-						t838 := t837 + p_n
-						t839 := t838 - int64(2)
-						t826 = t839 >= int64(0)
-					}
-					if t826 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t843 := -i_i2
-					t844 := t843 + p_n
-					t845 := t844 - int64(3)
-					t842 := t845 >= int64(0)
-					if t842 {
-						t846 := i_t - int64(1)
-						t842 = t846 >= int64(0)
-					}
-					t841 := t842
-					if t841 {
-						t847 := i_t - p_tsteps
-						t848 := t847 + int64(1)
-						t841 = t848 >= int64(0)
-					}
-					t840 := t841
-					if t840 {
-						t849 := i_i1 - p_n
-						t850 := t849 + int64(1)
-						t840 = t850 >= int64(0)
-					}
-					if t840 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t854 := -i_i2
-					t855 := t854 + p_n
-					t856 := t855 - int64(3)
-					t853 := t856 >= int64(0)
-					if t853 {
-						t857 := i_t - int64(1)
-						t853 = t857 >= int64(0)
-					}
-					t852 := t853
-					if t852 {
-						t858 := -i_t
-						t859 := t858 + p_tsteps
-						t860 := t859 - int64(2)
-						t852 = t860 >= int64(0)
-					}
-					t851 := t852
-					if t851 {
-						t861 := -i_i1
-						t851 = t861 >= int64(0)
-					}
-					if t851 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t866 := -i_i2
-					t867 := t866 + p_n
-					t868 := t867 - int64(3)
-					t865 := t868 >= int64(0)
-					if t865 {
-						t869 := i_t - int64(1)
-						t865 = t869 >= int64(0)
-					}
-					t864 := t865
-					if t864 {
-						t870 := -i_t
-						t871 := t870 + p_tsteps
-						t872 := t871 - int64(2)
-						t864 = t872 >= int64(0)
-					}
-					t863 := t864
-					if t863 {
-						t873 := i_i1 - int64(1)
-						t863 = t873 >= int64(0)
-					}
-					t862 := t863
-					if t862 {
-						t874 := -i_i1
-						t875 := t874 + p_n
-						t876 := t875 - int64(2)
-						t862 = t876 >= int64(0)
-					}
-					if t862 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t880 := -i_i2
-					t881 := t880 + p_n
-					t882 := t881 - int64(3)
-					t879 := t882 >= int64(0)
-					if t879 {
-						t883 := i_t - int64(1)
-						t879 = t883 >= int64(0)
-					}
-					t878 := t879
-					if t878 {
-						t884 := -i_t
-						t885 := t884 + p_tsteps
-						t886 := t885 - int64(2)
-						t878 = t886 >= int64(0)
-					}
-					t877 := t878
-					if t877 {
-						t887 := i_i1 - p_n
-						t888 := t887 + int64(1)
-						t877 = t888 >= int64(0)
-					}
-					if t877 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					}
-					t889 := i_i1
-					if t889 < 0 || t889 >= d_B[0] {
-						return m.OOB(t889, d_B[0], 0, "B", 8, 23)
-					}
-					t890 := i_i2
-					if t890 < 0 || t890 >= d_B[1] {
-						return m.OOB(t890, d_B[1], 1, "B", 8, 23)
-					}
-					t891 := b_B + int((t889)*d_B[1]+t890)
-					r_B_r2 := m.LoadF(t891)
-					t892 := i_i1
-					if t892 < 0 || t892 >= d_A[0] {
-						return m.OOB(t892, d_A[0], 0, "A", 8, 35)
-					}
-					t893 := i_i2
-					if t893 < 0 || t893 >= d_A[1] {
-						return m.OOB(t893, d_A[1], 1, "A", 8, 35)
-					}
-					t894 := b_A + int((t892)*d_A[1]+t893)
-					r_A_r2 := m.LoadF(t894)
-					t895 := i_i1
-					if t895 < 0 || t895 >= d_A[0] {
-						return m.OOB(t895, d_A[0], 0, "A", 8, 47)
-					}
-					t896 := i_i2
-					if t896 < 0 || t896 >= d_A[1] {
-						return m.OOB(t896, d_A[1], 1, "A", 8, 47)
-					}
-					t897 := b_A + int((t895)*d_A[1]+t896)
-					r_A_r3 := m.LoadF(t897)
-					t898 := i_i1
-					if t898 < 0 || t898 >= d_B[0] {
-						return m.OOB(t898, d_B[0], 0, "B", 8, 59)
-					}
-					t899 := i_i2 - int64(1)
-					t900 := t899
-					if t900 < 0 || t900 >= d_B[1] {
-						return m.OOB(t900, d_B[1], 1, "B", 8, 59)
-					}
-					t901 := b_B + int((t898)*d_B[1]+t900)
-					r_B_r3 := m.LoadF(t901)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t902 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t903 := float64(t902 / r_B_r3)
-					t904 := float64(r_B_r2 - t903)
-					r_B_w := t904
-					t905 := i_i1
-					if t905 < 0 || t905 >= d_B[0] {
-						return m.OOB(t905, d_B[0], 0, "B", 8, 11)
-					}
-					t906 := i_i2
-					if t906 < 0 || t906 >= d_B[1] {
-						return m.OOB(t906, d_B[1], 1, "B", 8, 11)
-					}
-					t907 := b_B + int((t905)*d_B[1]+t906)
-					m.StoreF(t907, r_B_w)
-					t910 := -i_i2
-					t911 := t910 + p_n
-					t912 := t911 - int64(2)
-					t909 := t912 >= int64(0)
-					if t909 {
-						t913 := -i_t
-						t909 = t913 >= int64(0)
-					}
-					t908 := t909
-					if t908 {
-						t914 := -i_i1
-						t908 = t914 >= int64(0)
-					}
-					if t908 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t917 := -i_i2
-					t918 := t917 + p_n
-					t919 := t918 - int64(2)
-					t916 := t919 >= int64(0)
-					if t916 {
-						t920 := -i_t
-						t916 = t920 >= int64(0)
-					}
-					t915 := t916
-					if t915 {
-						t921 := i_i1 - int64(1)
-						t915 = t921 >= int64(0)
-					}
-					if t915 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t925 := -i_i2
-					t926 := t925 + p_n
-					t927 := t926 - int64(2)
-					t924 := t927 >= int64(0)
-					if t924 {
-						t928 := i_t - int64(1)
-						t924 = t928 >= int64(0)
-					}
-					t923 := t924
-					if t923 {
-						t929 := i_t - p_tsteps
-						t930 := t929 + int64(1)
-						t923 = t930 >= int64(0)
-					}
-					t922 := t923
-					if t922 {
-						t931 := -i_i1
-						t922 = t931 >= int64(0)
-					}
-					if t922 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t935 := -i_i2
-					t936 := t935 + p_n
-					t937 := t936 - int64(2)
-					t934 := t937 >= int64(0)
-					if t934 {
-						t938 := i_t - int64(1)
-						t934 = t938 >= int64(0)
-					}
-					t933 := t934
-					if t933 {
-						t939 := i_t - p_tsteps
-						t940 := t939 + int64(1)
-						t933 = t940 >= int64(0)
-					}
-					t932 := t933
-					if t932 {
-						t941 := i_i1 - int64(1)
-						t932 = t941 >= int64(0)
-					}
-					if t932 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t945 := -i_i2
-					t946 := t945 + p_n
-					t947 := t946 - int64(2)
-					t944 := t947 >= int64(0)
-					if t944 {
-						t948 := i_t - int64(1)
-						t944 = t948 >= int64(0)
-					}
-					t943 := t944
-					if t943 {
-						t949 := -i_t
-						t950 := t949 + p_tsteps
-						t951 := t950 - int64(2)
-						t943 = t951 >= int64(0)
-					}
-					t942 := t943
-					if t942 {
-						t952 := -i_i1
-						t942 = t952 >= int64(0)
-					}
-					if t942 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t956 := -i_i2
-					t957 := t956 + p_n
-					t958 := t957 - int64(2)
-					t955 := t958 >= int64(0)
-					if t955 {
-						t959 := i_t - int64(1)
-						t955 = t959 >= int64(0)
-					}
-					t954 := t955
-					if t954 {
-						t960 := -i_t
-						t961 := t960 + p_tsteps
-						t962 := t961 - int64(2)
-						t954 = t962 >= int64(0)
-					}
-					t953 := t954
-					if t953 {
-						t963 := i_i1 - int64(1)
-						t953 = t963 >= int64(0)
-					}
-					if t953 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t966 := -i_t
-					t967 := t966 + p_tsteps
-					t968 := t967 - int64(2)
-					t965 := t968 >= int64(0)
-					if t965 {
-						t969 := -i_i1
-						t965 = t969 >= int64(0)
-					}
-					t964 := t965
-					if t964 {
-						t970 := i_t - p_tsteps
-						t971 := t970 + int64(2)
-						t964 = t971 >= int64(0)
-					}
-					if t964 {
-						t972 := -i_t
-						t973 := t972 + p_tsteps
-						t974 := t973 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), t974)
-					}
-					t976 := -i_i1
-					t975 := t976 >= int64(0)
-					if t975 {
-						t977 := -i_t
-						t978 := t977 + p_tsteps
-						t979 := t978 - int64(3)
-						t975 = t979 >= int64(0)
-					}
-					if t975 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t982 := i_i2 - p_n
-					t983 := t982 + int64(1)
-					t981 := t983 == int64(0)
-					if t981 {
-						t984 := -i_t
-						t981 = t984 >= int64(0)
-					}
-					t980 := t981
-					if t980 {
-						t985 := -i_i1
-						t980 = t985 >= int64(0)
-					}
-					if t980 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t988 := i_i2 - p_n
-					t989 := t988 + int64(1)
-					t987 := t989 == int64(0)
-					if t987 {
-						t990 := -i_t
-						t987 = t990 >= int64(0)
-					}
-					t986 := t987
-					if t986 {
-						t991 := i_i1 - int64(1)
-						t986 = t991 >= int64(0)
-					}
-					if t986 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t995 := i_i2 - p_n
-					t996 := t995 + int64(1)
-					t994 := t996 == int64(0)
-					if t994 {
-						t997 := i_t - int64(1)
-						t994 = t997 >= int64(0)
-					}
-					t993 := t994
-					if t993 {
-						t998 := i_t - p_tsteps
-						t999 := t998 + int64(1)
-						t993 = t999 >= int64(0)
-					}
-					t992 := t993
-					if t992 {
-						t1000 := -i_i1
-						t992 = t1000 >= int64(0)
-					}
-					if t992 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1004 := i_i2 - p_n
-					t1005 := t1004 + int64(1)
-					t1003 := t1005 == int64(0)
-					if t1003 {
-						t1006 := i_t - int64(1)
-						t1003 = t1006 >= int64(0)
-					}
-					t1002 := t1003
-					if t1002 {
-						t1007 := i_t - p_tsteps
-						t1008 := t1007 + int64(1)
-						t1002 = t1008 >= int64(0)
-					}
-					t1001 := t1002
-					if t1001 {
-						t1009 := i_i1 - int64(1)
-						t1001 = t1009 >= int64(0)
-					}
-					if t1001 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1013 := i_i2 - p_n
-					t1014 := t1013 + int64(1)
-					t1012 := t1014 == int64(0)
-					if t1012 {
-						t1015 := i_t - int64(1)
-						t1012 = t1015 >= int64(0)
-					}
-					t1011 := t1012
-					if t1011 {
-						t1016 := -i_t
-						t1017 := t1016 + p_tsteps
-						t1018 := t1017 - int64(2)
-						t1011 = t1018 >= int64(0)
-					}
-					t1010 := t1011
-					if t1010 {
-						t1019 := -i_i1
-						t1010 = t1019 >= int64(0)
-					}
-					if t1010 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1023 := i_i2 - p_n
-					t1024 := t1023 + int64(1)
-					t1022 := t1024 == int64(0)
-					if t1022 {
-						t1025 := i_t - int64(1)
-						t1022 = t1025 >= int64(0)
-					}
-					t1021 := t1022
-					if t1021 {
-						t1026 := -i_t
-						t1027 := t1026 + p_tsteps
-						t1028 := t1027 - int64(2)
-						t1021 = t1028 >= int64(0)
-					}
-					t1020 := t1021
-					if t1020 {
-						t1029 := i_i1 - int64(1)
-						t1020 = t1029 >= int64(0)
-					}
-					if t1020 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1032 := -i_i2
-					t1033 := t1032 + p_n
-					t1034 := t1033 - int64(3)
-					t1031 := t1034 >= int64(0)
-					if t1031 {
-						t1035 := -i_t
-						t1031 = t1035 >= int64(0)
-					}
-					t1030 := t1031
-					if t1030 {
-						t1036 := -i_i1
-						t1030 = t1036 >= int64(0)
-					}
-					if t1030 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1039 := -i_i2
-					t1040 := t1039 + p_n
-					t1041 := t1040 - int64(3)
-					t1038 := t1041 >= int64(0)
-					if t1038 {
-						t1042 := -i_t
-						t1038 = t1042 >= int64(0)
-					}
-					t1037 := t1038
-					if t1037 {
-						t1043 := i_i1 - int64(1)
-						t1037 = t1043 >= int64(0)
-					}
-					if t1037 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1047 := -i_i2
-					t1048 := t1047 + p_n
-					t1049 := t1048 - int64(3)
-					t1046 := t1049 >= int64(0)
-					if t1046 {
-						t1050 := i_t - int64(1)
-						t1046 = t1050 >= int64(0)
-					}
-					t1045 := t1046
-					if t1045 {
-						t1051 := i_t - p_tsteps
-						t1052 := t1051 + int64(1)
-						t1045 = t1052 >= int64(0)
-					}
-					t1044 := t1045
-					if t1044 {
-						t1053 := -i_i1
-						t1044 = t1053 >= int64(0)
-					}
-					if t1044 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1057 := -i_i2
-					t1058 := t1057 + p_n
-					t1059 := t1058 - int64(3)
-					t1056 := t1059 >= int64(0)
-					if t1056 {
-						t1060 := i_t - int64(1)
-						t1056 = t1060 >= int64(0)
-					}
-					t1055 := t1056
-					if t1055 {
-						t1061 := i_t - p_tsteps
-						t1062 := t1061 + int64(1)
-						t1055 = t1062 >= int64(0)
-					}
-					t1054 := t1055
-					if t1054 {
-						t1063 := i_i1 - int64(1)
-						t1054 = t1063 >= int64(0)
-					}
-					if t1054 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1067 := -i_i2
-					t1068 := t1067 + p_n
-					t1069 := t1068 - int64(3)
-					t1066 := t1069 >= int64(0)
-					if t1066 {
-						t1070 := i_t - int64(1)
-						t1066 = t1070 >= int64(0)
-					}
-					t1065 := t1066
-					if t1065 {
-						t1071 := -i_t
-						t1072 := t1071 + p_tsteps
-						t1073 := t1072 - int64(2)
-						t1065 = t1073 >= int64(0)
-					}
-					t1064 := t1065
-					if t1064 {
-						t1074 := -i_i1
-						t1064 = t1074 >= int64(0)
-					}
-					if t1064 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1078 := -i_i2
-					t1079 := t1078 + p_n
-					t1080 := t1079 - int64(3)
-					t1077 := t1080 >= int64(0)
-					if t1077 {
-						t1081 := i_t - int64(1)
-						t1077 = t1081 >= int64(0)
-					}
-					t1076 := t1077
-					if t1076 {
-						t1082 := -i_t
-						t1083 := t1082 + p_tsteps
-						t1084 := t1083 - int64(2)
-						t1076 = t1084 >= int64(0)
-					}
-					t1075 := t1076
-					if t1075 {
-						t1085 := i_i1 - int64(1)
-						t1075 = t1085 >= int64(0)
-					}
-					if t1075 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1087 := -i_t
-					t1086 := t1087 >= int64(0)
-					if t1086 {
-						t1088 := -i_i1
-						t1086 = t1088 >= int64(0)
-					}
-					if t1086 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t1091 := i_t - int64(1)
-					t1090 := t1091 >= int64(0)
-					if t1090 {
-						t1092 := i_t - p_tsteps
-						t1093 := t1092 + int64(1)
-						t1090 = t1093 >= int64(0)
-					}
-					t1089 := t1090
-					if t1089 {
-						t1094 := -i_i1
-						t1089 = t1094 >= int64(0)
-					}
-					if t1089 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t1097 := i_t - int64(1)
-					t1096 := t1097 >= int64(0)
-					if t1096 {
-						t1098 := -i_t
-						t1099 := t1098 + p_tsteps
-						t1100 := t1099 - int64(2)
-						t1096 = t1100 >= int64(0)
-					}
-					t1095 := t1096
-					if t1095 {
-						t1101 := -i_i1
-						t1095 = t1101 >= int64(0)
-					}
-					if t1095 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					}
-					t1103 := i_i1 - int64(1)
-					t1102 := t1103 >= int64(0)
-					if t1102 {
-						t1104 := -i_t
-						t1102 = t1104 >= int64(0)
-					}
-					if t1102 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1107 := i_i1 - int64(1)
-					t1106 := t1107 >= int64(0)
-					if t1106 {
-						t1108 := i_t - int64(1)
-						t1106 = t1108 >= int64(0)
-					}
-					t1105 := t1106
-					if t1105 {
-						t1109 := i_t - p_tsteps
-						t1110 := t1109 + int64(1)
-						t1105 = t1110 >= int64(0)
-					}
-					if t1105 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-					t1113 := i_i1 - int64(1)
-					t1112 := t1113 >= int64(0)
-					if t1112 {
-						t1114 := i_t - int64(1)
-						t1112 = t1114 >= int64(0)
-					}
-					t1111 := t1112
-					if t1111 {
-						t1115 := -i_t
-						t1116 := t1115 + p_tsteps
-						t1117 := t1116 - int64(2)
-						t1111 = t1117 >= int64(0)
-					}
-					if t1111 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					}
-				}
-			}
-			t1118 := p_n - int64(1)
-			for i_i1 := int64(0); i_i1 <= t1118; i_i1++ {
-				if err := m.Tick(11, 3); err != nil {
-					return err
-				}
-				t1119 := i_i1
-				if t1119 < 0 || t1119 >= d_X[0] {
-					return m.OOB(t1119, d_X[0], 0, "X", 12, 24)
-				}
-				t1120 := p_n - int64(1)
-				t1121 := t1120
-				if t1121 < 0 || t1121 >= d_X[1] {
-					return m.OOB(t1121, d_X[1], 1, "X", 12, 24)
-				}
-				t1122 := b_X + int((t1119)*d_X[1]+t1121)
-				r_X_r3 := m.LoadF(t1122)
-				t1123 := i_i1
-				if t1123 < 0 || t1123 >= d_B[0] {
-					return m.OOB(t1123, d_B[0], 0, "B", 12, 39)
-				}
-				t1124 := p_n - int64(1)
-				t1125 := t1124
-				if t1125 < 0 || t1125 >= d_B[1] {
-					return m.OOB(t1125, d_B[1], 1, "B", 12, 39)
-				}
-				t1126 := b_B + int((t1123)*d_B[1]+t1125)
-				r_B_r4 := m.LoadF(t1126)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t1127 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t1127
-				t1128 := i_i1
-				if t1128 < 0 || t1128 >= d_X[0] {
-					return m.OOB(t1128, d_X[0], 0, "X", 12, 9)
-				}
-				t1129 := p_n - int64(1)
-				t1130 := t1129
-				if t1130 < 0 || t1130 >= d_X[1] {
-					return m.OOB(t1130, d_X[1], 1, "X", 12, 9)
-				}
-				t1131 := b_X + int((t1128)*d_X[1]+t1130)
-				m.StoreF(t1131, r_X_w2)
-				t1135 := -i_t
-				t1136 := t1135 + p_tsteps
-				t1137 := t1136 - int64(2)
-				t1134 := t1137 >= int64(0)
-				if t1134 {
-					t1138 := -i_i1
-					t1134 = t1138 >= int64(0)
-				}
-				t1133 := t1134
-				if t1133 {
-					t1139 := -i_i1
-					t1140 := t1139 + p_n
-					t1141 := t1140 - int64(2)
-					t1133 = t1141 >= int64(0)
-				}
-				t1132 := t1133
-				if t1132 {
-					t1142 := i_t - p_tsteps
-					t1143 := t1142 + int64(2)
-					t1132 = t1143 >= int64(0)
-				}
-				if t1132 {
-					t1144 := -i_t
-					t1145 := t1144 + p_tsteps
-					t1146 := t1145 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), t1146)
-				}
-				t1149 := -i_i1
-				t1148 := t1149 >= int64(0)
-				if t1148 {
-					t1150 := -i_i1
-					t1151 := t1150 + p_n
-					t1152 := t1151 - int64(2)
-					t1148 = t1152 >= int64(0)
-				}
-				t1147 := t1148
-				if t1147 {
-					t1153 := -i_t
-					t1154 := t1153 + p_tsteps
-					t1155 := t1154 - int64(3)
-					t1147 = t1155 >= int64(0)
-				}
-				if t1147 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1158 := i_i1 - int64(1)
-				t1157 := t1158 >= int64(0)
-				if t1157 {
-					t1159 := -i_t
-					t1157 = t1159 >= int64(0)
-				}
-				t1156 := t1157
-				if t1156 {
-					t1160 := -i_i1
-					t1161 := t1160 + p_n
-					t1162 := t1161 - int64(2)
-					t1156 = t1162 >= int64(0)
-				}
-				if t1156 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1165 := p_n - int64(2)
-				t1164 := t1165 >= int64(0)
-				if t1164 {
-					t1166 := -i_t
-					t1164 = t1166 >= int64(0)
-				}
-				t1163 := t1164
-				if t1163 {
-					t1167 := i_i1 - p_n
-					t1168 := t1167 + int64(1)
-					t1163 = t1168 >= int64(0)
-				}
-				if t1163 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1172 := i_i1 - int64(1)
-				t1171 := t1172 >= int64(0)
-				if t1171 {
-					t1173 := i_t - int64(1)
-					t1171 = t1173 >= int64(0)
-				}
-				t1170 := t1171
-				if t1170 {
-					t1174 := i_t - p_tsteps
-					t1175 := t1174 + int64(1)
-					t1170 = t1175 >= int64(0)
-				}
-				t1169 := t1170
-				if t1169 {
-					t1176 := -i_i1
-					t1177 := t1176 + p_n
-					t1178 := t1177 - int64(2)
-					t1169 = t1178 >= int64(0)
-				}
-				if t1169 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1182 := p_n - int64(2)
-				t1181 := t1182 >= int64(0)
-				if t1181 {
-					t1183 := i_t - int64(1)
-					t1181 = t1183 >= int64(0)
-				}
-				t1180 := t1181
-				if t1180 {
-					t1184 := i_t - p_tsteps
-					t1185 := t1184 + int64(1)
-					t1180 = t1185 >= int64(0)
-				}
-				t1179 := t1180
-				if t1179 {
-					t1186 := i_i1 - p_n
-					t1187 := t1186 + int64(1)
-					t1179 = t1187 >= int64(0)
-				}
-				if t1179 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1191 := i_i1 - int64(1)
-				t1190 := t1191 >= int64(0)
-				if t1190 {
-					t1192 := i_t - int64(1)
-					t1190 = t1192 >= int64(0)
-				}
-				t1189 := t1190
-				if t1189 {
-					t1193 := -i_t
-					t1194 := t1193 + p_tsteps
-					t1195 := t1194 - int64(2)
-					t1189 = t1195 >= int64(0)
-				}
-				t1188 := t1189
-				if t1188 {
-					t1196 := -i_i1
-					t1197 := t1196 + p_n
-					t1198 := t1197 - int64(2)
-					t1188 = t1198 >= int64(0)
-				}
-				if t1188 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1202 := p_n - int64(2)
-				t1201 := t1202 >= int64(0)
-				if t1201 {
-					t1203 := i_t - int64(1)
-					t1201 = t1203 >= int64(0)
-				}
-				t1200 := t1201
-				if t1200 {
-					t1204 := -i_t
-					t1205 := t1204 + p_tsteps
-					t1206 := t1205 - int64(2)
-					t1200 = t1206 >= int64(0)
-				}
-				t1199 := t1200
-				if t1199 {
-					t1207 := i_i1 - p_n
-					t1208 := t1207 + int64(1)
-					t1199 = t1208 >= int64(0)
-				}
-				if t1199 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1211 := p_n - int64(2)
-				t1210 := t1211 >= int64(0)
-				if t1210 {
-					t1212 := -i_t
-					t1210 = t1212 >= int64(0)
-				}
-				t1209 := t1210
-				if t1209 {
-					t1213 := -i_i1
-					t1209 = t1213 >= int64(0)
-				}
-				if t1209 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1217 := p_n - int64(2)
-				t1216 := t1217 >= int64(0)
-				if t1216 {
-					t1218 := i_t - int64(1)
-					t1216 = t1218 >= int64(0)
-				}
-				t1215 := t1216
-				if t1215 {
-					t1219 := i_t - p_tsteps
-					t1220 := t1219 + int64(1)
-					t1215 = t1220 >= int64(0)
-				}
-				t1214 := t1215
-				if t1214 {
-					t1221 := -i_i1
-					t1214 = t1221 >= int64(0)
-				}
-				if t1214 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1225 := p_n - int64(2)
-				t1224 := t1225 >= int64(0)
-				if t1224 {
-					t1226 := i_t - int64(1)
-					t1224 = t1226 >= int64(0)
-				}
-				t1223 := t1224
-				if t1223 {
-					t1227 := -i_t
-					t1228 := t1227 + p_tsteps
-					t1229 := t1228 - int64(2)
-					t1223 = t1229 >= int64(0)
-				}
-				t1222 := t1223
-				if t1222 {
-					t1230 := -i_i1
-					t1222 = t1230 >= int64(0)
-				}
-				if t1222 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1232 := -p_n
-				t1233 := t1232 + int64(1)
-				t1231 := t1233 >= int64(0)
-				if t1231 {
-					t1234 := -i_t
-					t1231 = t1234 >= int64(0)
-				}
-				if t1231 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1237 := -p_n
-				t1238 := t1237 + int64(1)
-				t1236 := t1238 >= int64(0)
-				if t1236 {
-					t1239 := i_t - int64(1)
-					t1236 = t1239 >= int64(0)
-				}
-				t1235 := t1236
-				if t1235 {
-					t1240 := i_t - p_tsteps
-					t1241 := t1240 + int64(1)
-					t1235 = t1241 >= int64(0)
-				}
-				if t1235 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1244 := -p_n
-				t1245 := t1244 + int64(1)
-				t1243 := t1245 >= int64(0)
-				if t1243 {
-					t1246 := i_t - int64(1)
-					t1243 = t1246 >= int64(0)
-				}
-				t1242 := t1243
-				if t1242 {
-					t1247 := -i_t
-					t1248 := t1247 + p_tsteps
-					t1249 := t1248 - int64(2)
-					t1242 = t1249 >= int64(0)
-				}
-				if t1242 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1252 := -i_i1
-				t1253 := t1252 + p_n
-				t1254 := t1253 - int64(3)
-				t1251 := t1254 >= int64(0)
-				if t1251 {
-					t1255 := -i_t
-					t1251 = t1255 >= int64(0)
-				}
-				t1250 := t1251
-				if t1250 {
-					t1256 := -i_i1
-					t1250 = t1256 >= int64(0)
-				}
-				if t1250 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1260 := -i_i1
-				t1261 := t1260 + p_n
-				t1262 := t1261 - int64(3)
-				t1259 := t1262 >= int64(0)
-				if t1259 {
-					t1263 := i_t - int64(1)
-					t1259 = t1263 >= int64(0)
-				}
-				t1258 := t1259
-				if t1258 {
-					t1264 := i_t - p_tsteps
-					t1265 := t1264 + int64(1)
-					t1258 = t1265 >= int64(0)
-				}
-				t1257 := t1258
-				if t1257 {
-					t1266 := -i_i1
-					t1257 = t1266 >= int64(0)
-				}
-				if t1257 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-				t1270 := -i_i1
-				t1271 := t1270 + p_n
-				t1272 := t1271 - int64(3)
-				t1269 := t1272 >= int64(0)
-				if t1269 {
-					t1273 := i_t - int64(1)
-					t1269 = t1273 >= int64(0)
-				}
-				t1268 := t1269
-				if t1268 {
-					t1274 := -i_t
-					t1275 := t1274 + p_tsteps
-					t1276 := t1275 - int64(2)
-					t1268 = t1276 >= int64(0)
-				}
-				t1267 := t1268
-				if t1267 {
-					t1277 := -i_i1
-					t1267 = t1277 >= int64(0)
-				}
-				if t1267 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				}
-			}
-			t1278 := p_n - int64(1)
-			for i_i1 := int64(0); i_i1 <= t1278; i_i1++ {
-				if err := m.Tick(14, 3); err != nil {
-					return err
-				}
-				t1279 := p_n - int64(3)
-				for i_i2 := int64(0); i_i2 <= t1279; i_i2++ {
-					if err := m.Tick(15, 5); err != nil {
-						return err
-					}
-					t1280 := i_i1
-					if t1280 < 0 || t1280 >= d_X[0] {
-						return m.OOB(t1280, d_X[0], 0, "X", 16, 32)
-					}
-					t1281 := p_n - int64(2)
-					t1282 := t1281 - i_i2
-					t1283 := t1282
-					if t1283 < 0 || t1283 >= d_X[1] {
-						return m.OOB(t1283, d_X[1], 1, "X", 16, 32)
-					}
-					t1284 := b_X + int((t1280)*d_X[1]+t1283)
-					r_X_r4 := m.LoadF(t1284)
-					t1285 := i_i1
-					if t1285 < 0 || t1285 >= d_X[0] {
-						return m.OOB(t1285, d_X[0], 0, "X", 16, 52)
-					}
-					t1286 := p_n - int64(2)
-					t1287 := t1286 - i_i2
-					t1288 := t1287 - int64(1)
-					t1289 := t1288
-					if t1289 < 0 || t1289 >= d_X[1] {
-						return m.OOB(t1289, d_X[1], 1, "X", 16, 52)
-					}
-					t1290 := b_X + int((t1285)*d_X[1]+t1289)
-					r_X_r5 := m.LoadF(t1290)
-					t1291 := i_i1
-					if t1291 < 0 || t1291 >= d_A[0] {
-						return m.OOB(t1291, d_A[0], 0, "A", 16, 76)
-					}
-					t1292 := p_n - i_i2
-					t1293 := t1292 - int64(3)
-					t1294 := t1293
-					if t1294 < 0 || t1294 >= d_A[1] {
-						return m.OOB(t1294, d_A[1], 1, "A", 16, 76)
-					}
-					t1295 := b_A + int((t1291)*d_A[1]+t1294)
-					r_A_r4 := m.LoadF(t1295)
-					t1296 := i_i1
-					if t1296 < 0 || t1296 >= d_B[0] {
-						return m.OOB(t1296, d_B[0], 0, "B", 16, 97)
-					}
-					t1297 := p_n - int64(3)
-					t1298 := t1297 - i_i2
-					t1299 := t1298
-					if t1299 < 0 || t1299 >= d_B[1] {
-						return m.OOB(t1299, d_B[1], 1, "B", 16, 97)
-					}
-					t1300 := b_B + int((t1296)*d_B[1]+t1299)
-					r_B_r5 := m.LoadF(t1300)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
-					t1301 := float64(r_X_r5 * r_A_r4)
-					t1302 := float64(r_X_r4 - t1301)
-					if r_B_r5 == 0 {
-						return m.DivZero(16, 95)
-					}
-					t1303 := float64(t1302 / r_B_r5)
-					r_X_w3 := t1303
-					t1304 := i_i1
-					if t1304 < 0 || t1304 >= d_X[0] {
-						return m.OOB(t1304, d_X[0], 0, "X", 16, 11)
-					}
-					t1305 := p_n - i_i2
-					t1306 := t1305 - int64(2)
-					t1307 := t1306
-					if t1307 < 0 || t1307 >= d_X[1] {
-						return m.OOB(t1307, d_X[1], 1, "X", 16, 11)
-					}
-					t1308 := b_X + int((t1304)*d_X[1]+t1307)
-					m.StoreF(t1308, r_X_w3)
-					t1311 := -i_t
-					t1312 := t1311 + p_tsteps
-					t1313 := t1312 - int64(2)
-					t1310 := t1313 >= int64(0)
-					if t1310 {
-						t1314 := -i_i1
-						t1310 = t1314 >= int64(0)
-					}
-					t1309 := t1310
-					if t1309 {
-						t1315 := i_t - p_tsteps
-						t1316 := t1315 + int64(2)
-						t1309 = t1316 >= int64(0)
-					}
-					if t1309 {
-						t1317 := -i_t
-						t1318 := t1317 + p_tsteps
-						t1319 := t1318 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), t1319)
-					}
-					t1321 := -i_i1
-					t1320 := t1321 >= int64(0)
-					if t1320 {
-						t1322 := -i_t
-						t1323 := t1322 + p_tsteps
-						t1324 := t1323 - int64(3)
-						t1320 = t1324 >= int64(0)
-					}
-					if t1320 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1327 := i_i1 - int64(1)
-					t1326 := t1327 >= int64(0)
-					if t1326 {
-						t1328 := -i_t
-						t1326 = t1328 >= int64(0)
-					}
-					t1325 := t1326
-					if t1325 {
-						t1329 := -i_i1
-						t1330 := t1329 + p_n
-						t1331 := t1330 - int64(2)
-						t1325 = t1331 >= int64(0)
-					}
-					if t1325 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1333 := -i_t
-					t1332 := t1333 >= int64(0)
-					if t1332 {
-						t1334 := i_i1 - p_n
-						t1335 := t1334 + int64(1)
-						t1332 = t1335 >= int64(0)
-					}
-					if t1332 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1339 := i_i1 - int64(1)
-					t1338 := t1339 >= int64(0)
-					if t1338 {
-						t1340 := i_t - int64(1)
-						t1338 = t1340 >= int64(0)
-					}
-					t1337 := t1338
-					if t1337 {
-						t1341 := i_t - p_tsteps
-						t1342 := t1341 + int64(1)
-						t1337 = t1342 >= int64(0)
-					}
-					t1336 := t1337
-					if t1336 {
-						t1343 := -i_i1
-						t1344 := t1343 + p_n
-						t1345 := t1344 - int64(2)
-						t1336 = t1345 >= int64(0)
-					}
-					if t1336 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1348 := i_t - int64(1)
-					t1347 := t1348 >= int64(0)
-					if t1347 {
-						t1349 := i_t - p_tsteps
-						t1350 := t1349 + int64(1)
-						t1347 = t1350 >= int64(0)
-					}
-					t1346 := t1347
-					if t1346 {
-						t1351 := i_i1 - p_n
-						t1352 := t1351 + int64(1)
-						t1346 = t1352 >= int64(0)
-					}
-					if t1346 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1356 := i_i1 - int64(1)
-					t1355 := t1356 >= int64(0)
-					if t1355 {
-						t1357 := i_t - int64(1)
-						t1355 = t1357 >= int64(0)
-					}
-					t1354 := t1355
-					if t1354 {
-						t1358 := -i_t
-						t1359 := t1358 + p_tsteps
-						t1360 := t1359 - int64(2)
-						t1354 = t1360 >= int64(0)
-					}
-					t1353 := t1354
-					if t1353 {
-						t1361 := -i_i1
-						t1362 := t1361 + p_n
-						t1363 := t1362 - int64(2)
-						t1353 = t1363 >= int64(0)
-					}
-					if t1353 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1366 := i_t - int64(1)
-					t1365 := t1366 >= int64(0)
-					if t1365 {
-						t1367 := -i_t
-						t1368 := t1367 + p_tsteps
-						t1369 := t1368 - int64(2)
-						t1365 = t1369 >= int64(0)
-					}
-					t1364 := t1365
-					if t1364 {
-						t1370 := i_i1 - p_n
-						t1371 := t1370 + int64(1)
-						t1364 = t1371 >= int64(0)
-					}
-					if t1364 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					}
-					t1373 := -i_t
-					t1372 := t1373 >= int64(0)
-					if t1372 {
-						t1374 := -i_i1
-						t1372 = t1374 >= int64(0)
-					}
-					if t1372 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
-					}
-					t1377 := i_t - int64(1)
-					t1376 := t1377 >= int64(0)
-					if t1376 {
-						t1378 := i_t - p_tsteps
-						t1379 := t1378 + int64(1)
-						t1376 = t1379 >= int64(0)
-					}
-					t1375 := t1376
-					if t1375 {
-						t1380 := -i_i1
-						t1375 = t1380 >= int64(0)
-					}
-					if t1375 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
-					}
-					t1383 := i_t - int64(1)
-					t1382 := t1383 >= int64(0)
-					if t1382 {
-						t1384 := -i_t
-						t1385 := t1384 + p_tsteps
-						t1386 := t1385 - int64(2)
-						t1382 = t1386 >= int64(0)
-					}
-					t1381 := t1382
-					if t1381 {
-						t1387 := -i_i1
-						t1381 = t1387 >= int64(0)
-					}
-					if t1381 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
-					}
-				}
-			}
-			t1388 := p_n - int64(1)
-			for i_i1 := int64(1); i_i1 <= t1388; i_i1++ {
-				if err := m.Tick(19, 3); err != nil {
-					return err
-				}
-				t1389 := p_n - int64(1)
-				for i_i2 := int64(0); i_i2 <= t1389; i_i2++ {
-					if err := m.Tick(20, 5); err != nil {
-						return err
-					}
-					t1390 := i_i1
-					if t1390 < 0 || t1390 >= d_X[0] {
-						return m.OOB(t1390, d_X[0], 0, "X", 21, 23)
-					}
-					t1391 := i_i2
-					if t1391 < 0 || t1391 >= d_X[1] {
-						return m.OOB(t1391, d_X[1], 1, "X", 21, 23)
-					}
-					t1392 := b_X + int((t1390)*d_X[1]+t1391)
-					r_X_r6 := m.LoadF(t1392)
-					t1393 := i_i1 - int64(1)
-					t1394 := t1393
-					if t1394 < 0 || t1394 >= d_X[0] {
-						return m.OOB(t1394, d_X[0], 0, "X", 21, 35)
-					}
-					t1395 := i_i2
-					if t1395 < 0 || t1395 >= d_X[1] {
-						return m.OOB(t1395, d_X[1], 1, "X", 21, 35)
-					}
-					t1396 := b_X + int((t1394)*d_X[1]+t1395)
-					r_X_r7 := m.LoadF(t1396)
-					t1397 := i_i1
-					if t1397 < 0 || t1397 >= d_A[0] {
-						return m.OOB(t1397, d_A[0], 0, "A", 21, 51)
-					}
-					t1398 := i_i2
-					if t1398 < 0 || t1398 >= d_A[1] {
-						return m.OOB(t1398, d_A[1], 1, "A", 21, 51)
-					}
-					t1399 := b_A + int((t1397)*d_A[1]+t1398)
-					r_A_r5 := m.LoadF(t1399)
-					t1400 := i_i1 - int64(1)
-					t1401 := t1400
-					if t1401 < 0 || t1401 >= d_B[0] {
-						return m.OOB(t1401, d_B[0], 0, "B", 21, 63)
-					}
-					t1402 := i_i2
-					if t1402 < 0 || t1402 >= d_B[1] {
-						return m.OOB(t1402, d_B[1], 1, "B", 21, 63)
-					}
-					t1403 := b_B + int((t1401)*d_B[1]+t1402)
-					r_B_r6 := m.LoadF(t1403)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1404 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1405 := float64(t1404 / r_B_r6)
-					t1406 := float64(r_X_r6 - t1405)
-					r_X_w4 := t1406
-					t1407 := i_i1
-					if t1407 < 0 || t1407 >= d_X[0] {
-						return m.OOB(t1407, d_X[0], 0, "X", 21, 11)
-					}
-					t1408 := i_i2
-					if t1408 < 0 || t1408 >= d_X[1] {
-						return m.OOB(t1408, d_X[1], 1, "X", 21, 11)
-					}
-					t1409 := b_X + int((t1407)*d_X[1]+t1408)
-					m.StoreF(t1409, r_X_w4)
-					t1412 := -i_i1
-					t1413 := t1412 + p_n
-					t1414 := t1413 - int64(2)
-					t1411 := t1414 >= int64(0)
-					if t1411 {
-						t1415 := -i_i2
-						t1411 = t1415 >= int64(0)
-					}
-					t1410 := t1411
-					if t1410 {
-						t1416 := -i_t
-						t1410 = t1416 >= int64(0)
-					}
-					if t1410 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1420 := -i_i1
-					t1421 := t1420 + p_n
-					t1422 := t1421 - int64(2)
-					t1419 := t1422 >= int64(0)
-					if t1419 {
-						t1423 := -i_i2
-						t1419 = t1423 >= int64(0)
-					}
-					t1418 := t1419
-					if t1418 {
-						t1424 := i_t - int64(1)
-						t1418 = t1424 >= int64(0)
-					}
-					t1417 := t1418
-					if t1417 {
-						t1425 := i_t - p_tsteps
-						t1426 := t1425 + int64(1)
-						t1417 = t1426 >= int64(0)
-					}
-					if t1417 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1430 := -i_i1
-					t1431 := t1430 + p_n
-					t1432 := t1431 - int64(2)
-					t1429 := t1432 >= int64(0)
-					if t1429 {
-						t1433 := -i_i2
-						t1429 = t1433 >= int64(0)
-					}
-					t1428 := t1429
-					if t1428 {
-						t1434 := i_t - int64(1)
-						t1428 = t1434 >= int64(0)
-					}
-					t1427 := t1428
-					if t1427 {
-						t1435 := -i_t
-						t1436 := t1435 + p_tsteps
-						t1437 := t1436 - int64(2)
-						t1427 = t1437 >= int64(0)
-					}
-					if t1427 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1441 := -i_i1
-					t1442 := t1441 + p_n
-					t1443 := t1442 - int64(2)
-					t1440 := t1443 >= int64(0)
-					if t1440 {
-						t1444 := i_i2 - int64(1)
-						t1440 = t1444 >= int64(0)
-					}
-					t1439 := t1440
-					if t1439 {
-						t1445 := -i_t
-						t1439 = t1445 >= int64(0)
-					}
-					t1438 := t1439
-					if t1438 {
-						t1446 := -i_i2
-						t1447 := t1446 + p_n
-						t1448 := t1447 - int64(2)
-						t1438 = t1448 >= int64(0)
-					}
-					if t1438 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1451 := -i_i1
-					t1452 := t1451 + p_n
-					t1453 := t1452 - int64(2)
-					t1450 := t1453 >= int64(0)
-					if t1450 {
-						t1454 := -i_t
-						t1450 = t1454 >= int64(0)
-					}
-					t1449 := t1450
-					if t1449 {
-						t1455 := i_i2 - p_n
-						t1456 := t1455 + int64(1)
-						t1449 = t1456 >= int64(0)
-					}
-					if t1449 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1461 := -i_i1
-					t1462 := t1461 + p_n
-					t1463 := t1462 - int64(2)
-					t1460 := t1463 >= int64(0)
-					if t1460 {
-						t1464 := i_i2 - int64(1)
-						t1460 = t1464 >= int64(0)
-					}
-					t1459 := t1460
-					if t1459 {
-						t1465 := i_t - int64(1)
-						t1459 = t1465 >= int64(0)
-					}
-					t1458 := t1459
-					if t1458 {
-						t1466 := i_t - p_tsteps
-						t1467 := t1466 + int64(1)
-						t1458 = t1467 >= int64(0)
-					}
-					t1457 := t1458
-					if t1457 {
-						t1468 := -i_i2
-						t1469 := t1468 + p_n
-						t1470 := t1469 - int64(2)
-						t1457 = t1470 >= int64(0)
-					}
-					if t1457 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1474 := -i_i1
-					t1475 := t1474 + p_n
-					t1476 := t1475 - int64(2)
-					t1473 := t1476 >= int64(0)
-					if t1473 {
-						t1477 := i_t - int64(1)
-						t1473 = t1477 >= int64(0)
-					}
-					t1472 := t1473
-					if t1472 {
-						t1478 := i_t - p_tsteps
-						t1479 := t1478 + int64(1)
-						t1472 = t1479 >= int64(0)
-					}
-					t1471 := t1472
-					if t1471 {
-						t1480 := i_i2 - p_n
-						t1481 := t1480 + int64(1)
-						t1471 = t1481 >= int64(0)
-					}
-					if t1471 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1486 := -i_i1
-					t1487 := t1486 + p_n
-					t1488 := t1487 - int64(2)
-					t1485 := t1488 >= int64(0)
-					if t1485 {
-						t1489 := i_i2 - int64(1)
-						t1485 = t1489 >= int64(0)
-					}
-					t1484 := t1485
-					if t1484 {
-						t1490 := i_t - int64(1)
-						t1484 = t1490 >= int64(0)
-					}
-					t1483 := t1484
-					if t1483 {
-						t1491 := -i_t
-						t1492 := t1491 + p_tsteps
-						t1493 := t1492 - int64(2)
-						t1483 = t1493 >= int64(0)
-					}
-					t1482 := t1483
-					if t1482 {
-						t1494 := -i_i2
-						t1495 := t1494 + p_n
-						t1496 := t1495 - int64(2)
-						t1482 = t1496 >= int64(0)
-					}
-					if t1482 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1500 := -i_i1
-					t1501 := t1500 + p_n
-					t1502 := t1501 - int64(2)
-					t1499 := t1502 >= int64(0)
-					if t1499 {
-						t1503 := i_t - int64(1)
-						t1499 = t1503 >= int64(0)
-					}
-					t1498 := t1499
-					if t1498 {
-						t1504 := -i_t
-						t1505 := t1504 + p_tsteps
-						t1506 := t1505 - int64(2)
-						t1498 = t1506 >= int64(0)
-					}
-					t1497 := t1498
-					if t1497 {
-						t1507 := i_i2 - p_n
-						t1508 := t1507 + int64(1)
-						t1497 = t1508 >= int64(0)
-					}
-					if t1497 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					}
-					t1511 := i_i1 - p_n
-					t1512 := t1511 + int64(1)
-					t1510 := t1512 == int64(0)
-					if t1510 {
-						t1513 := -i_i2
-						t1510 = t1513 >= int64(0)
-					}
-					t1509 := t1510
-					if t1509 {
-						t1514 := -i_t
-						t1509 = t1514 >= int64(0)
-					}
-					if t1509 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1518 := i_i1 - p_n
-					t1519 := t1518 + int64(1)
-					t1517 := t1519 == int64(0)
-					if t1517 {
-						t1520 := -i_i2
-						t1517 = t1520 >= int64(0)
-					}
-					t1516 := t1517
-					if t1516 {
-						t1521 := i_t - int64(1)
-						t1516 = t1521 >= int64(0)
-					}
-					t1515 := t1516
-					if t1515 {
-						t1522 := i_t - p_tsteps
-						t1523 := t1522 + int64(1)
-						t1515 = t1523 >= int64(0)
-					}
-					if t1515 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1527 := i_i1 - p_n
-					t1528 := t1527 + int64(1)
-					t1526 := t1528 == int64(0)
-					if t1526 {
-						t1529 := -i_i2
-						t1526 = t1529 >= int64(0)
-					}
-					t1525 := t1526
-					if t1525 {
-						t1530 := i_t - int64(1)
-						t1525 = t1530 >= int64(0)
-					}
-					t1524 := t1525
-					if t1524 {
-						t1531 := -i_t
-						t1532 := t1531 + p_tsteps
-						t1533 := t1532 - int64(2)
-						t1524 = t1533 >= int64(0)
-					}
-					if t1524 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1537 := i_i1 - p_n
-					t1538 := t1537 + int64(1)
-					t1536 := t1538 == int64(0)
-					if t1536 {
-						t1539 := i_i2 - int64(1)
-						t1536 = t1539 >= int64(0)
-					}
-					t1535 := t1536
-					if t1535 {
-						t1540 := -i_t
-						t1535 = t1540 >= int64(0)
-					}
-					t1534 := t1535
-					if t1534 {
-						t1541 := -i_i2
-						t1542 := t1541 + p_n
-						t1543 := t1542 - int64(2)
-						t1534 = t1543 >= int64(0)
-					}
-					if t1534 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1546 := i_i1 - p_n
-					t1547 := t1546 + int64(1)
-					t1545 := t1547 == int64(0)
-					if t1545 {
-						t1548 := -i_t
-						t1545 = t1548 >= int64(0)
-					}
-					t1544 := t1545
-					if t1544 {
-						t1549 := i_i2 - p_n
-						t1550 := t1549 + int64(1)
-						t1544 = t1550 >= int64(0)
-					}
-					if t1544 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1555 := i_i1 - p_n
-					t1556 := t1555 + int64(1)
-					t1554 := t1556 == int64(0)
-					if t1554 {
-						t1557 := i_i2 - int64(1)
-						t1554 = t1557 >= int64(0)
-					}
-					t1553 := t1554
-					if t1553 {
-						t1558 := i_t - int64(1)
-						t1553 = t1558 >= int64(0)
-					}
-					t1552 := t1553
-					if t1552 {
-						t1559 := i_t - p_tsteps
-						t1560 := t1559 + int64(1)
-						t1552 = t1560 >= int64(0)
-					}
-					t1551 := t1552
-					if t1551 {
-						t1561 := -i_i2
-						t1562 := t1561 + p_n
-						t1563 := t1562 - int64(2)
-						t1551 = t1563 >= int64(0)
-					}
-					if t1551 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1567 := i_i1 - p_n
-					t1568 := t1567 + int64(1)
-					t1566 := t1568 == int64(0)
-					if t1566 {
-						t1569 := i_t - int64(1)
-						t1566 = t1569 >= int64(0)
-					}
-					t1565 := t1566
-					if t1565 {
-						t1570 := i_t - p_tsteps
-						t1571 := t1570 + int64(1)
-						t1565 = t1571 >= int64(0)
-					}
-					t1564 := t1565
-					if t1564 {
-						t1572 := i_i2 - p_n
-						t1573 := t1572 + int64(1)
-						t1564 = t1573 >= int64(0)
-					}
-					if t1564 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1578 := i_i1 - p_n
-					t1579 := t1578 + int64(1)
-					t1577 := t1579 == int64(0)
-					if t1577 {
-						t1580 := i_i2 - int64(1)
-						t1577 = t1580 >= int64(0)
-					}
-					t1576 := t1577
-					if t1576 {
-						t1581 := i_t - int64(1)
-						t1576 = t1581 >= int64(0)
-					}
-					t1575 := t1576
-					if t1575 {
-						t1582 := -i_t
-						t1583 := t1582 + p_tsteps
-						t1584 := t1583 - int64(2)
-						t1575 = t1584 >= int64(0)
-					}
-					t1574 := t1575
-					if t1574 {
-						t1585 := -i_i2
-						t1586 := t1585 + p_n
-						t1587 := t1586 - int64(2)
-						t1574 = t1587 >= int64(0)
-					}
-					if t1574 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1591 := i_i1 - p_n
-					t1592 := t1591 + int64(1)
-					t1590 := t1592 == int64(0)
-					if t1590 {
-						t1593 := i_t - int64(1)
-						t1590 = t1593 >= int64(0)
-					}
-					t1589 := t1590
-					if t1589 {
-						t1594 := -i_t
-						t1595 := t1594 + p_tsteps
-						t1596 := t1595 - int64(2)
-						t1589 = t1596 >= int64(0)
-					}
-					t1588 := t1589
-					if t1588 {
-						t1597 := i_i2 - p_n
-						t1598 := t1597 + int64(1)
-						t1588 = t1598 >= int64(0)
-					}
-					if t1588 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1601 := -i_i1
-					t1602 := t1601 + p_n
-					t1603 := t1602 - int64(3)
-					t1600 := t1603 >= int64(0)
-					if t1600 {
-						t1604 := -i_i2
-						t1600 = t1604 >= int64(0)
-					}
-					t1599 := t1600
-					if t1599 {
-						t1605 := -i_t
-						t1599 = t1605 >= int64(0)
-					}
-					if t1599 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1609 := -i_i1
-					t1610 := t1609 + p_n
-					t1611 := t1610 - int64(3)
-					t1608 := t1611 >= int64(0)
-					if t1608 {
-						t1612 := -i_i2
-						t1608 = t1612 >= int64(0)
-					}
-					t1607 := t1608
-					if t1607 {
-						t1613 := i_t - int64(1)
-						t1607 = t1613 >= int64(0)
-					}
-					t1606 := t1607
-					if t1606 {
-						t1614 := i_t - p_tsteps
-						t1615 := t1614 + int64(1)
-						t1606 = t1615 >= int64(0)
-					}
-					if t1606 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1619 := -i_i1
-					t1620 := t1619 + p_n
-					t1621 := t1620 - int64(3)
-					t1618 := t1621 >= int64(0)
-					if t1618 {
-						t1622 := -i_i2
-						t1618 = t1622 >= int64(0)
-					}
-					t1617 := t1618
-					if t1617 {
-						t1623 := i_t - int64(1)
-						t1617 = t1623 >= int64(0)
-					}
-					t1616 := t1617
-					if t1616 {
-						t1624 := -i_t
-						t1625 := t1624 + p_tsteps
-						t1626 := t1625 - int64(2)
-						t1616 = t1626 >= int64(0)
-					}
-					if t1616 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1630 := -i_i1
-					t1631 := t1630 + p_n
-					t1632 := t1631 - int64(3)
-					t1629 := t1632 >= int64(0)
-					if t1629 {
-						t1633 := i_i2 - int64(1)
-						t1629 = t1633 >= int64(0)
-					}
-					t1628 := t1629
-					if t1628 {
-						t1634 := -i_t
-						t1628 = t1634 >= int64(0)
-					}
-					t1627 := t1628
-					if t1627 {
-						t1635 := -i_i2
-						t1636 := t1635 + p_n
-						t1637 := t1636 - int64(2)
-						t1627 = t1637 >= int64(0)
-					}
-					if t1627 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1640 := -i_i1
-					t1641 := t1640 + p_n
-					t1642 := t1641 - int64(3)
-					t1639 := t1642 >= int64(0)
-					if t1639 {
-						t1643 := -i_t
-						t1639 = t1643 >= int64(0)
-					}
-					t1638 := t1639
-					if t1638 {
-						t1644 := i_i2 - p_n
-						t1645 := t1644 + int64(1)
-						t1638 = t1645 >= int64(0)
-					}
-					if t1638 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1650 := -i_i1
-					t1651 := t1650 + p_n
-					t1652 := t1651 - int64(3)
-					t1649 := t1652 >= int64(0)
-					if t1649 {
-						t1653 := i_i2 - int64(1)
-						t1649 = t1653 >= int64(0)
-					}
-					t1648 := t1649
-					if t1648 {
-						t1654 := i_t - int64(1)
-						t1648 = t1654 >= int64(0)
-					}
-					t1647 := t1648
-					if t1647 {
-						t1655 := i_t - p_tsteps
-						t1656 := t1655 + int64(1)
-						t1647 = t1656 >= int64(0)
-					}
-					t1646 := t1647
-					if t1646 {
-						t1657 := -i_i2
-						t1658 := t1657 + p_n
-						t1659 := t1658 - int64(2)
-						t1646 = t1659 >= int64(0)
-					}
-					if t1646 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1663 := -i_i1
-					t1664 := t1663 + p_n
-					t1665 := t1664 - int64(3)
-					t1662 := t1665 >= int64(0)
-					if t1662 {
-						t1666 := i_t - int64(1)
-						t1662 = t1666 >= int64(0)
-					}
-					t1661 := t1662
-					if t1661 {
-						t1667 := i_t - p_tsteps
-						t1668 := t1667 + int64(1)
-						t1661 = t1668 >= int64(0)
-					}
-					t1660 := t1661
-					if t1660 {
-						t1669 := i_i2 - p_n
-						t1670 := t1669 + int64(1)
-						t1660 = t1670 >= int64(0)
-					}
-					if t1660 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1675 := -i_i1
-					t1676 := t1675 + p_n
-					t1677 := t1676 - int64(3)
-					t1674 := t1677 >= int64(0)
-					if t1674 {
-						t1678 := i_i2 - int64(1)
-						t1674 = t1678 >= int64(0)
-					}
-					t1673 := t1674
-					if t1673 {
-						t1679 := i_t - int64(1)
-						t1673 = t1679 >= int64(0)
-					}
-					t1672 := t1673
-					if t1672 {
-						t1680 := -i_t
-						t1681 := t1680 + p_tsteps
-						t1682 := t1681 - int64(2)
-						t1672 = t1682 >= int64(0)
-					}
-					t1671 := t1672
-					if t1671 {
-						t1683 := -i_i2
-						t1684 := t1683 + p_n
-						t1685 := t1684 - int64(2)
-						t1671 = t1685 >= int64(0)
-					}
-					if t1671 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1689 := -i_i1
-					t1690 := t1689 + p_n
-					t1691 := t1690 - int64(3)
-					t1688 := t1691 >= int64(0)
-					if t1688 {
-						t1692 := i_t - int64(1)
-						t1688 = t1692 >= int64(0)
-					}
-					t1687 := t1688
-					if t1687 {
-						t1693 := -i_t
-						t1694 := t1693 + p_tsteps
-						t1695 := t1694 - int64(2)
-						t1687 = t1695 >= int64(0)
-					}
-					t1686 := t1687
-					if t1686 {
-						t1696 := i_i2 - p_n
-						t1697 := t1696 + int64(1)
-						t1686 = t1697 >= int64(0)
-					}
-					if t1686 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					}
-					t1698 := i_i1
-					if t1698 < 0 || t1698 >= d_B[0] {
-						return m.OOB(t1698, d_B[0], 0, "B", 22, 23)
-					}
-					t1699 := i_i2
-					if t1699 < 0 || t1699 >= d_B[1] {
-						return m.OOB(t1699, d_B[1], 1, "B", 22, 23)
-					}
-					t1700 := b_B + int((t1698)*d_B[1]+t1699)
-					r_B_r7 := m.LoadF(t1700)
-					t1701 := i_i1
-					if t1701 < 0 || t1701 >= d_A[0] {
-						return m.OOB(t1701, d_A[0], 0, "A", 22, 35)
-					}
-					t1702 := i_i2
-					if t1702 < 0 || t1702 >= d_A[1] {
-						return m.OOB(t1702, d_A[1], 1, "A", 22, 35)
-					}
-					t1703 := b_A + int((t1701)*d_A[1]+t1702)
-					r_A_r6 := m.LoadF(t1703)
-					t1704 := i_i1
-					if t1704 < 0 || t1704 >= d_A[0] {
-						return m.OOB(t1704, d_A[0], 0, "A", 22, 47)
-					}
-					t1705 := i_i2
-					if t1705 < 0 || t1705 >= d_A[1] {
-						return m.OOB(t1705, d_A[1], 1, "A", 22, 47)
-					}
-					t1706 := b_A + int((t1704)*d_A[1]+t1705)
-					r_A_r7 := m.LoadF(t1706)
-					t1707 := i_i1 - int64(1)
-					t1708 := t1707
-					if t1708 < 0 || t1708 >= d_B[0] {
-						return m.OOB(t1708, d_B[0], 0, "B", 22, 59)
-					}
-					t1709 := i_i2
-					if t1709 < 0 || t1709 >= d_B[1] {
-						return m.OOB(t1709, d_B[1], 1, "B", 22, 59)
-					}
-					t1710 := b_B + int((t1708)*d_B[1]+t1709)
-					r_B_r8 := m.LoadF(t1710)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1711 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1712 := float64(t1711 / r_B_r8)
-					t1713 := float64(r_B_r7 - t1712)
-					r_B_w2 := t1713
-					t1714 := i_i1
-					if t1714 < 0 || t1714 >= d_B[0] {
-						return m.OOB(t1714, d_B[0], 0, "B", 22, 11)
-					}
-					t1715 := i_i2
-					if t1715 < 0 || t1715 >= d_B[1] {
-						return m.OOB(t1715, d_B[1], 1, "B", 22, 11)
-					}
-					t1716 := b_B + int((t1714)*d_B[1]+t1715)
-					m.StoreF(t1716, r_B_w2)
-					t1719 := -i_i2
-					t1718 := t1719 >= int64(0)
-					if t1718 {
-						t1720 := -i_t
-						t1721 := t1720 + p_tsteps
-						t1722 := t1721 - int64(2)
-						t1718 = t1722 >= int64(0)
-					}
-					t1717 := t1718
-					if t1717 {
-						t1723 := i_t - p_tsteps
-						t1724 := t1723 + int64(2)
-						t1717 = t1724 >= int64(0)
-					}
-					if t1717 {
-						t1725 := int64(3) * i_t
-						t1726 := -t1725
-						t1727 := int64(3) * p_tsteps
-						t1728 := t1726 + t1727
-						t1729 := t1728 - int64(3)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1729)
-					}
-					t1731 := -i_i2
-					t1730 := t1731 >= int64(0)
-					if t1730 {
-						t1732 := -i_t
-						t1733 := t1732 + p_tsteps
-						t1734 := t1733 - int64(3)
-						t1730 = t1734 >= int64(0)
-					}
-					if t1730 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1737 := i_i2 - int64(1)
-					t1736 := t1737 >= int64(0)
-					if t1736 {
-						t1738 := -i_t
-						t1739 := t1738 + p_tsteps
-						t1740 := t1739 - int64(2)
-						t1736 = t1740 >= int64(0)
-					}
-					t1735 := t1736
-					if t1735 {
-						t1741 := i_t - p_tsteps
-						t1742 := t1741 + int64(2)
-						t1735 = t1742 >= int64(0)
-					}
-					if t1735 {
-						t1743 := -i_t
-						t1744 := t1743 + p_tsteps
-						t1745 := t1744 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1745)
-					}
-					t1747 := i_i2 - int64(1)
-					t1746 := t1747 >= int64(0)
-					if t1746 {
-						t1748 := -i_t
-						t1749 := t1748 + p_tsteps
-						t1750 := t1749 - int64(3)
-						t1746 = t1750 >= int64(0)
-					}
-					if t1746 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1754 := -i_i2
-					t1755 := t1754 + p_n
-					t1756 := t1755 - int64(3)
-					t1753 := t1756 >= int64(0)
-					if t1753 {
-						t1757 := -i_i2
-						t1753 = t1757 >= int64(0)
-					}
-					t1752 := t1753
-					if t1752 {
-						t1758 := -i_t
-						t1759 := t1758 + p_tsteps
-						t1760 := t1759 - int64(2)
-						t1752 = t1760 >= int64(0)
-					}
-					t1751 := t1752
-					if t1751 {
-						t1761 := i_t - p_tsteps
-						t1762 := t1761 + int64(2)
-						t1751 = t1762 >= int64(0)
-					}
-					if t1751 {
-						t1763 := -i_t
-						t1764 := t1763 + p_tsteps
-						t1765 := t1764 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1765)
-					}
-					t1768 := -i_i2
-					t1769 := t1768 + p_n
-					t1770 := t1769 - int64(3)
-					t1767 := t1770 >= int64(0)
-					if t1767 {
-						t1771 := -i_i2
-						t1767 = t1771 >= int64(0)
-					}
-					t1766 := t1767
-					if t1766 {
-						t1772 := -i_t
-						t1773 := t1772 + p_tsteps
-						t1774 := t1773 - int64(3)
-						t1766 = t1774 >= int64(0)
-					}
-					if t1766 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1777 := -i_i1
-					t1778 := t1777 + p_n
-					t1779 := t1778 - int64(2)
-					t1776 := t1779 >= int64(0)
-					if t1776 {
-						t1780 := -i_i2
-						t1776 = t1780 >= int64(0)
-					}
-					t1775 := t1776
-					if t1775 {
-						t1781 := -i_t
-						t1775 = t1781 >= int64(0)
-					}
-					if t1775 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1785 := -i_i1
-					t1786 := t1785 + p_n
-					t1787 := t1786 - int64(2)
-					t1784 := t1787 >= int64(0)
-					if t1784 {
-						t1788 := -i_i2
-						t1784 = t1788 >= int64(0)
-					}
-					t1783 := t1784
-					if t1783 {
-						t1789 := i_t - int64(1)
-						t1783 = t1789 >= int64(0)
-					}
-					t1782 := t1783
-					if t1782 {
-						t1790 := i_t - p_tsteps
-						t1791 := t1790 + int64(1)
-						t1782 = t1791 >= int64(0)
-					}
-					if t1782 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1795 := -i_i1
-					t1796 := t1795 + p_n
-					t1797 := t1796 - int64(2)
-					t1794 := t1797 >= int64(0)
-					if t1794 {
-						t1798 := -i_i2
-						t1794 = t1798 >= int64(0)
-					}
-					t1793 := t1794
-					if t1793 {
-						t1799 := i_t - int64(1)
-						t1793 = t1799 >= int64(0)
-					}
-					t1792 := t1793
-					if t1792 {
-						t1800 := -i_t
-						t1801 := t1800 + p_tsteps
-						t1802 := t1801 - int64(2)
-						t1792 = t1802 >= int64(0)
-					}
-					if t1792 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1805 := -i_i1
-					t1806 := t1805 + p_n
-					t1807 := t1806 - int64(2)
-					t1804 := t1807 >= int64(0)
-					if t1804 {
-						t1808 := i_i2 - int64(1)
-						t1804 = t1808 >= int64(0)
-					}
-					t1803 := t1804
-					if t1803 {
-						t1809 := -i_t
-						t1803 = t1809 >= int64(0)
-					}
-					if t1803 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1813 := -i_i1
-					t1814 := t1813 + p_n
-					t1815 := t1814 - int64(2)
-					t1812 := t1815 >= int64(0)
-					if t1812 {
-						t1816 := i_i2 - int64(1)
-						t1812 = t1816 >= int64(0)
-					}
-					t1811 := t1812
-					if t1811 {
-						t1817 := i_t - int64(1)
-						t1811 = t1817 >= int64(0)
-					}
-					t1810 := t1811
-					if t1810 {
-						t1818 := i_t - p_tsteps
-						t1819 := t1818 + int64(1)
-						t1810 = t1819 >= int64(0)
-					}
-					if t1810 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1823 := -i_i1
-					t1824 := t1823 + p_n
-					t1825 := t1824 - int64(2)
-					t1822 := t1825 >= int64(0)
-					if t1822 {
-						t1826 := i_i2 - int64(1)
-						t1822 = t1826 >= int64(0)
-					}
-					t1821 := t1822
-					if t1821 {
-						t1827 := i_t - int64(1)
-						t1821 = t1827 >= int64(0)
-					}
-					t1820 := t1821
-					if t1820 {
-						t1828 := -i_t
-						t1829 := t1828 + p_tsteps
-						t1830 := t1829 - int64(2)
-						t1820 = t1830 >= int64(0)
-					}
-					if t1820 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					}
-					t1833 := i_i1 - p_n
-					t1834 := t1833 + int64(1)
-					t1832 := t1834 == int64(0)
-					if t1832 {
-						t1835 := -i_i2
-						t1832 = t1835 >= int64(0)
-					}
-					t1831 := t1832
-					if t1831 {
-						t1836 := -i_t
-						t1831 = t1836 >= int64(0)
-					}
-					if t1831 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1840 := i_i1 - p_n
-					t1841 := t1840 + int64(1)
-					t1839 := t1841 == int64(0)
-					if t1839 {
-						t1842 := -i_i2
-						t1839 = t1842 >= int64(0)
-					}
-					t1838 := t1839
-					if t1838 {
-						t1843 := i_t - int64(1)
-						t1838 = t1843 >= int64(0)
-					}
-					t1837 := t1838
-					if t1837 {
-						t1844 := i_t - p_tsteps
-						t1845 := t1844 + int64(1)
-						t1837 = t1845 >= int64(0)
-					}
-					if t1837 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1849 := i_i1 - p_n
-					t1850 := t1849 + int64(1)
-					t1848 := t1850 == int64(0)
-					if t1848 {
-						t1851 := -i_i2
-						t1848 = t1851 >= int64(0)
-					}
-					t1847 := t1848
-					if t1847 {
-						t1852 := i_t - int64(1)
-						t1847 = t1852 >= int64(0)
-					}
-					t1846 := t1847
-					if t1846 {
-						t1853 := -i_t
-						t1854 := t1853 + p_tsteps
-						t1855 := t1854 - int64(2)
-						t1846 = t1855 >= int64(0)
-					}
-					if t1846 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1858 := i_i1 - p_n
-					t1859 := t1858 + int64(1)
-					t1857 := t1859 == int64(0)
-					if t1857 {
-						t1860 := i_i2 - int64(1)
-						t1857 = t1860 >= int64(0)
-					}
-					t1856 := t1857
-					if t1856 {
-						t1861 := -i_t
-						t1856 = t1861 >= int64(0)
-					}
-					if t1856 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1865 := i_i1 - p_n
-					t1866 := t1865 + int64(1)
-					t1864 := t1866 == int64(0)
-					if t1864 {
-						t1867 := i_i2 - int64(1)
-						t1864 = t1867 >= int64(0)
-					}
-					t1863 := t1864
-					if t1863 {
-						t1868 := i_t - int64(1)
-						t1863 = t1868 >= int64(0)
-					}
-					t1862 := t1863
-					if t1862 {
-						t1869 := i_t - p_tsteps
-						t1870 := t1869 + int64(1)
-						t1862 = t1870 >= int64(0)
-					}
-					if t1862 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-					t1874 := i_i1 - p_n
-					t1875 := t1874 + int64(1)
-					t1873 := t1875 == int64(0)
-					if t1873 {
-						t1876 := i_i2 - int64(1)
-						t1873 = t1876 >= int64(0)
-					}
-					t1872 := t1873
-					if t1872 {
-						t1877 := i_t - int64(1)
-						t1872 = t1877 >= int64(0)
-					}
-					t1871 := t1872
-					if t1871 {
-						t1878 := -i_t
-						t1879 := t1878 + p_tsteps
-						t1880 := t1879 - int64(2)
-						t1871 = t1880 >= int64(0)
-					}
-					if t1871 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					}
-				}
-			}
-			t1881 := p_n - int64(1)
-			for i_i2 := int64(0); i_i2 <= t1881; i_i2++ {
-				if err := m.Tick(25, 3); err != nil {
-					return err
-				}
-				t1882 := p_n - int64(1)
-				t1883 := t1882
-				if t1883 < 0 || t1883 >= d_X[0] {
-					return m.OOB(t1883, d_X[0], 0, "X", 26, 24)
-				}
-				t1884 := i_i2
-				if t1884 < 0 || t1884 >= d_X[1] {
-					return m.OOB(t1884, d_X[1], 1, "X", 26, 24)
-				}
-				t1885 := b_X + int((t1883)*d_X[1]+t1884)
-				r_X_r8 := m.LoadF(t1885)
-				t1886 := p_n - int64(1)
-				t1887 := t1886
-				if t1887 < 0 || t1887 >= d_B[0] {
-					return m.OOB(t1887, d_B[0], 0, "B", 26, 39)
-				}
-				t1888 := i_i2
-				if t1888 < 0 || t1888 >= d_B[1] {
-					return m.OOB(t1888, d_B[1], 1, "B", 26, 39)
-				}
-				t1889 := b_B + int((t1887)*d_B[1]+t1888)
-				r_B_r9 := m.LoadF(t1889)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1890 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1890
-				t1891 := p_n - int64(1)
-				t1892 := t1891
-				if t1892 < 0 || t1892 >= d_X[0] {
-					return m.OOB(t1892, d_X[0], 0, "X", 26, 9)
-				}
-				t1893 := i_i2
-				if t1893 < 0 || t1893 >= d_X[1] {
-					return m.OOB(t1893, d_X[1], 1, "X", 26, 9)
-				}
-				t1894 := b_X + int((t1892)*d_X[1]+t1893)
-				m.StoreF(t1894, r_X_w5)
-				t1898 := i_i2 - int64(1)
-				t1897 := t1898 >= int64(0)
-				if t1897 {
-					t1899 := -i_t
-					t1900 := t1899 + p_tsteps
-					t1901 := t1900 - int64(2)
-					t1897 = t1901 >= int64(0)
-				}
-				t1896 := t1897
-				if t1896 {
-					t1902 := -i_i2
-					t1903 := t1902 + p_n
-					t1904 := t1903 - int64(2)
-					t1896 = t1904 >= int64(0)
-				}
-				t1895 := t1896
-				if t1895 {
-					t1905 := i_t - p_tsteps
-					t1906 := t1905 + int64(2)
-					t1895 = t1906 >= int64(0)
-				}
-				if t1895 {
-					t1907 := -i_t
-					t1908 := t1907 + p_tsteps
-					t1909 := t1908 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1909)
-				}
-				t1912 := i_i2 - int64(1)
-				t1911 := t1912 >= int64(0)
-				if t1911 {
-					t1913 := -i_i2
-					t1914 := t1913 + p_n
-					t1915 := t1914 - int64(2)
-					t1911 = t1915 >= int64(0)
-				}
-				t1910 := t1911
-				if t1910 {
-					t1916 := -i_t
-					t1917 := t1916 + p_tsteps
-					t1918 := t1917 - int64(3)
-					t1910 = t1918 >= int64(0)
-				}
-				if t1910 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-				t1922 := -i_t
-				t1923 := t1922 + p_tsteps
-				t1924 := t1923 - int64(2)
-				t1921 := t1924 >= int64(0)
-				if t1921 {
-					t1925 := i_i2 - p_n
-					t1926 := t1925 + int64(1)
-					t1921 = t1926 >= int64(0)
-				}
-				t1920 := t1921
-				if t1920 {
-					t1927 := p_n - int64(2)
-					t1920 = t1927 >= int64(0)
-				}
-				t1919 := t1920
-				if t1919 {
-					t1928 := i_t - p_tsteps
-					t1929 := t1928 + int64(2)
-					t1919 = t1929 >= int64(0)
-				}
-				if t1919 {
-					t1930 := -i_t
-					t1931 := t1930 + p_tsteps
-					t1932 := t1931 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1932)
-				}
-				t1935 := i_i2 - p_n
-				t1936 := t1935 + int64(1)
-				t1934 := t1936 >= int64(0)
-				if t1934 {
-					t1937 := p_n - int64(2)
-					t1934 = t1937 >= int64(0)
-				}
-				t1933 := t1934
-				if t1933 {
-					t1938 := -i_t
-					t1939 := t1938 + p_tsteps
-					t1940 := t1939 - int64(3)
-					t1933 = t1940 >= int64(0)
-				}
-				if t1933 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-				t1944 := -i_i2
-				t1943 := t1944 >= int64(0)
-				if t1943 {
-					t1945 := p_n - int64(2)
-					t1943 = t1945 >= int64(0)
-				}
-				t1942 := t1943
-				if t1942 {
-					t1946 := -i_t
-					t1947 := t1946 + p_tsteps
-					t1948 := t1947 - int64(2)
-					t1942 = t1948 >= int64(0)
-				}
-				t1941 := t1942
-				if t1941 {
-					t1949 := i_t - p_tsteps
-					t1950 := t1949 + int64(2)
-					t1941 = t1950 >= int64(0)
-				}
-				if t1941 {
-					t1951 := -i_t
-					t1952 := t1951 + p_tsteps
-					t1953 := t1952 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1953)
-				}
-				t1956 := -i_i2
-				t1955 := t1956 >= int64(0)
-				if t1955 {
-					t1957 := p_n - int64(2)
-					t1955 = t1957 >= int64(0)
-				}
-				t1954 := t1955
-				if t1954 {
-					t1958 := -i_t
-					t1959 := t1958 + p_tsteps
-					t1960 := t1959 - int64(3)
-					t1954 = t1960 >= int64(0)
-				}
-				if t1954 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-				t1963 := -p_n
-				t1964 := t1963 + int64(1)
-				t1962 := t1964 >= int64(0)
-				if t1962 {
-					t1965 := -i_t
-					t1966 := t1965 + p_tsteps
-					t1967 := t1966 - int64(2)
-					t1962 = t1967 >= int64(0)
-				}
-				t1961 := t1962
-				if t1961 {
-					t1968 := i_t - p_tsteps
-					t1969 := t1968 + int64(2)
-					t1961 = t1969 >= int64(0)
-				}
-				if t1961 {
-					t1970 := -i_t
-					t1971 := t1970 + p_tsteps
-					t1972 := t1971 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1972)
-				}
-				t1974 := -p_n
-				t1975 := t1974 + int64(1)
-				t1973 := t1975 >= int64(0)
-				if t1973 {
-					t1976 := -i_t
-					t1977 := t1976 + p_tsteps
-					t1978 := t1977 - int64(3)
-					t1973 = t1978 >= int64(0)
-				}
-				if t1973 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-				t1982 := -i_i2
-				t1983 := t1982 + p_n
-				t1984 := t1983 - int64(3)
-				t1981 := t1984 >= int64(0)
-				if t1981 {
-					t1985 := -i_i2
-					t1981 = t1985 >= int64(0)
-				}
-				t1980 := t1981
-				if t1980 {
-					t1986 := -i_t
-					t1987 := t1986 + p_tsteps
-					t1988 := t1987 - int64(2)
-					t1980 = t1988 >= int64(0)
-				}
-				t1979 := t1980
-				if t1979 {
-					t1989 := i_t - p_tsteps
-					t1990 := t1989 + int64(2)
-					t1979 = t1990 >= int64(0)
-				}
-				if t1979 {
-					t1991 := -i_t
-					t1992 := t1991 + p_tsteps
-					t1993 := t1992 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1993)
-				}
-				t1996 := -i_i2
-				t1997 := t1996 + p_n
-				t1998 := t1997 - int64(3)
-				t1995 := t1998 >= int64(0)
-				if t1995 {
-					t1999 := -i_i2
-					t1995 = t1999 >= int64(0)
-				}
-				t1994 := t1995
-				if t1994 {
-					t2000 := -i_t
-					t2001 := t2000 + p_tsteps
-					t2002 := t2001 - int64(3)
-					t1994 = t2002 >= int64(0)
-				}
-				if t1994 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-				t2006 := -i_i2
-				t2005 := t2006 >= int64(0)
-				if t2005 {
-					t2007 := -i_i2
-					t2008 := t2007 + p_n
-					t2009 := t2008 - int64(2)
-					t2005 = t2009 >= int64(0)
-				}
-				t2004 := t2005
-				if t2004 {
-					t2010 := -i_t
-					t2011 := t2010 + p_tsteps
-					t2012 := t2011 - int64(2)
-					t2004 = t2012 >= int64(0)
-				}
-				t2003 := t2004
-				if t2003 {
-					t2013 := i_t - p_tsteps
-					t2014 := t2013 + int64(2)
-					t2003 = t2014 >= int64(0)
-				}
-				if t2003 {
-					t2015 := -i_t
-					t2016 := t2015 + p_tsteps
-					t2017 := t2016 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t2017)
-				}
-				t2020 := -i_i2
-				t2019 := t2020 >= int64(0)
-				if t2019 {
-					t2021 := -i_i2
-					t2022 := t2021 + p_n
-					t2023 := t2022 - int64(2)
-					t2019 = t2023 >= int64(0)
-				}
-				t2018 := t2019
-				if t2018 {
-					t2024 := -i_t
-					t2025 := t2024 + p_tsteps
-					t2026 := t2025 - int64(3)
-					t2018 = t2026 >= int64(0)
-				}
-				if t2018 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				}
-			}
-			t2027 := p_n - int64(3)
-			for i_i1 := int64(0); i_i1 <= t2027; i_i1++ {
-				if err := m.Tick(28, 3); err != nil {
-					return err
-				}
-				t2028 := p_n - int64(1)
-				for i_i2 := int64(0); i_i2 <= t2028; i_i2++ {
-					if err := m.Tick(29, 5); err != nil {
-						return err
-					}
-					t2029 := p_n - int64(2)
-					t2030 := t2029 - i_i1
-					t2031 := t2030
-					if t2031 < 0 || t2031 >= d_X[0] {
-						return m.OOB(t2031, d_X[0], 0, "X", 30, 32)
-					}
-					t2032 := i_i2
-					if t2032 < 0 || t2032 >= d_X[1] {
-						return m.OOB(t2032, d_X[1], 1, "X", 30, 32)
-					}
-					t2033 := b_X + int((t2031)*d_X[1]+t2032)
-					r_X_r9 := m.LoadF(t2033)
-					t2034 := p_n - i_i1
-					t2035 := t2034 - int64(3)
-					t2036 := t2035
-					if t2036 < 0 || t2036 >= d_X[0] {
-						return m.OOB(t2036, d_X[0], 0, "X", 30, 52)
-					}
-					t2037 := i_i2
-					if t2037 < 0 || t2037 >= d_X[1] {
-						return m.OOB(t2037, d_X[1], 1, "X", 30, 52)
-					}
-					t2038 := b_X + int((t2036)*d_X[1]+t2037)
-					r_X_r10 := m.LoadF(t2038)
-					t2039 := p_n - int64(3)
-					t2040 := t2039 - i_i1
-					t2041 := t2040
-					if t2041 < 0 || t2041 >= d_A[0] {
-						return m.OOB(t2041, d_A[0], 0, "A", 30, 72)
-					}
-					t2042 := i_i2
-					if t2042 < 0 || t2042 >= d_A[1] {
-						return m.OOB(t2042, d_A[1], 1, "A", 30, 72)
-					}
-					t2043 := b_A + int((t2041)*d_A[1]+t2042)
-					r_A_r8 := m.LoadF(t2043)
-					t2044 := p_n - int64(2)
-					t2045 := t2044 - i_i1
-					t2046 := t2045
-					if t2046 < 0 || t2046 >= d_B[0] {
-						return m.OOB(t2046, d_B[0], 0, "B", 30, 93)
-					}
-					t2047 := i_i2
-					if t2047 < 0 || t2047 >= d_B[1] {
-						return m.OOB(t2047, d_B[1], 1, "B", 30, 93)
-					}
-					t2048 := b_B + int((t2046)*d_B[1]+t2047)
-					r_B_r10 := m.LoadF(t2048)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
-					t2049 := float64(r_X_r10 * r_A_r8)
-					t2050 := float64(r_X_r9 - t2049)
-					if r_B_r10 == 0 {
-						return m.DivZero(30, 91)
-					}
-					t2051 := float64(t2050 / r_B_r10)
-					r_X_w6 := t2051
-					t2052 := p_n - int64(2)
-					t2053 := t2052 - i_i1
-					t2054 := t2053
-					if t2054 < 0 || t2054 >= d_X[0] {
-						return m.OOB(t2054, d_X[0], 0, "X", 30, 11)
-					}
-					t2055 := i_i2
-					if t2055 < 0 || t2055 >= d_X[1] {
-						return m.OOB(t2055, d_X[1], 1, "X", 30, 11)
-					}
-					t2056 := b_X + int((t2054)*d_X[1]+t2055)
-					m.StoreF(t2056, r_X_w6)
-					t2060 := i_i2 - int64(1)
-					t2059 := t2060 >= int64(0)
-					if t2059 {
-						t2061 := -i_t
-						t2062 := t2061 + p_tsteps
-						t2063 := t2062 - int64(2)
-						t2059 = t2063 >= int64(0)
-					}
-					t2058 := t2059
-					if t2058 {
-						t2064 := -i_i2
-						t2065 := t2064 + p_n
-						t2066 := t2065 - int64(2)
-						t2058 = t2066 >= int64(0)
-					}
-					t2057 := t2058
-					if t2057 {
-						t2067 := i_t - p_tsteps
-						t2068 := t2067 + int64(2)
-						t2057 = t2068 >= int64(0)
-					}
-					if t2057 {
-						t2069 := -i_t
-						t2070 := t2069 + p_tsteps
-						t2071 := t2070 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2071)
-					}
-					t2074 := i_i2 - int64(1)
-					t2073 := t2074 >= int64(0)
-					if t2073 {
-						t2075 := -i_i2
-						t2076 := t2075 + p_n
-						t2077 := t2076 - int64(2)
-						t2073 = t2077 >= int64(0)
-					}
-					t2072 := t2073
-					if t2072 {
-						t2078 := -i_t
-						t2079 := t2078 + p_tsteps
-						t2080 := t2079 - int64(3)
-						t2072 = t2080 >= int64(0)
-					}
-					if t2072 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
-					}
-					t2083 := -i_t
-					t2084 := t2083 + p_tsteps
-					t2085 := t2084 - int64(2)
-					t2082 := t2085 >= int64(0)
-					if t2082 {
-						t2086 := i_i2 - p_n
-						t2087 := t2086 + int64(1)
-						t2082 = t2087 >= int64(0)
-					}
-					t2081 := t2082
-					if t2081 {
-						t2088 := i_t - p_tsteps
-						t2089 := t2088 + int64(2)
-						t2081 = t2089 >= int64(0)
-					}
-					if t2081 {
-						t2090 := -i_t
-						t2091 := t2090 + p_tsteps
-						t2092 := t2091 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2092)
-					}
-					t2094 := i_i2 - p_n
-					t2095 := t2094 + int64(1)
-					t2093 := t2095 >= int64(0)
-					if t2093 {
-						t2096 := -i_t
-						t2097 := t2096 + p_tsteps
-						t2098 := t2097 - int64(3)
-						t2093 = t2098 >= int64(0)
-					}
-					if t2093 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
-					}
-					t2101 := -i_i2
-					t2100 := t2101 >= int64(0)
-					if t2100 {
-						t2102 := -i_t
-						t2103 := t2102 + p_tsteps
-						t2104 := t2103 - int64(2)
-						t2100 = t2104 >= int64(0)
-					}
-					t2099 := t2100
-					if t2099 {
-						t2105 := i_t - p_tsteps
-						t2106 := t2105 + int64(2)
-						t2099 = t2106 >= int64(0)
-					}
-					if t2099 {
-						t2107 := int64(3) * i_t
-						t2108 := -t2107
-						t2109 := int64(3) * p_tsteps
-						t2110 := t2108 + t2109
-						t2111 := t2110 - int64(3)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2111)
-					}
-					t2113 := -i_i2
-					t2112 := t2113 >= int64(0)
-					if t2112 {
-						t2114 := -i_t
-						t2115 := t2114 + p_tsteps
-						t2116 := t2115 - int64(3)
-						t2112 = t2116 >= int64(0)
-					}
-					if t2112 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(3))
-					}
+				t581 := i_i1
+				if t581 < 0 || t581 >= d_X[0] {
+					return m.OOB(t581, d_X[0], 0, "X", 7, 23)
+				}
+				t582 := i_i2
+				if t582 < 0 || t582 >= d_X[1] {
+					return m.OOB(t582, d_X[1], 1, "X", 7, 23)
+				}
+				t583 := b_X + int((t581)*d_X[1]+t582)
+				r_X_r := m.LoadF(t583)
+				t584 := i_i1
+				if t584 < 0 || t584 >= d_X[0] {
+					return m.OOB(t584, d_X[0], 0, "X", 7, 35)
+				}
+				t585 := i_i2 - int64(1)
+				t586 := t585
+				if t586 < 0 || t586 >= d_X[1] {
+					return m.OOB(t586, d_X[1], 1, "X", 7, 35)
+				}
+				t587 := b_X + int((t584)*d_X[1]+t586)
+				r_X_r2 := m.LoadF(t587)
+				t588 := i_i1
+				if t588 < 0 || t588 >= d_A[0] {
+					return m.OOB(t588, d_A[0], 0, "A", 7, 51)
+				}
+				t589 := i_i2
+				if t589 < 0 || t589 >= d_A[1] {
+					return m.OOB(t589, d_A[1], 1, "A", 7, 51)
+				}
+				t590 := b_A + int((t588)*d_A[1]+t589)
+				r_A_r := m.LoadF(t590)
+				t591 := i_i1
+				if t591 < 0 || t591 >= d_B[0] {
+					return m.OOB(t591, d_B[0], 0, "B", 7, 63)
+				}
+				t592 := i_i2 - int64(1)
+				t593 := t592
+				if t593 < 0 || t593 >= d_B[1] {
+					return m.OOB(t593, d_B[1], 1, "B", 7, 63)
+				}
+				t594 := b_B + int((t591)*d_B[1]+t593)
+				r_B_r := m.LoadF(t594)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t595 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t596 := float64(t595 / r_B_r)
+				t597 := float64(r_X_r - t596)
+				r_X_w := t597
+				t598 := i_i1
+				if t598 < 0 || t598 >= d_X[0] {
+					return m.OOB(t598, d_X[0], 0, "X", 7, 11)
+				}
+				t599 := i_i2
+				if t599 < 0 || t599 >= d_X[1] {
+					return m.OOB(t599, d_X[1], 1, "X", 7, 11)
+				}
+				t600 := b_X + int((t598)*d_X[1]+t599)
+				m.StoreF(t600, r_X_w)
+				t603 := -i_i2
+				t604 := t603 + p_n
+				t605 := t604 - int64(2)
+				t602 := t605 >= int64(0)
+				if t602 {
+					t606 := -i_t
+					t602 = t606 >= int64(0)
+				}
+				t601 := t602
+				if t601 {
+					t607 := -i_i1
+					t601 = t607 >= int64(0)
+				}
+				if t601 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t611 := -i_i2
+				t612 := t611 + p_n
+				t613 := t612 - int64(2)
+				t610 := t613 >= int64(0)
+				if t610 {
+					t614 := -i_t
+					t610 = t614 >= int64(0)
+				}
+				t609 := t610
+				if t609 {
+					t615 := i_i1 - int64(1)
+					t609 = t615 >= int64(0)
+				}
+				t608 := t609
+				if t608 {
+					t616 := -i_i1
+					t617 := t616 + p_n
+					t618 := t617 - int64(2)
+					t608 = t618 >= int64(0)
+				}
+				if t608 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t621 := -i_i2
+				t622 := t621 + p_n
+				t623 := t622 - int64(2)
+				t620 := t623 >= int64(0)
+				if t620 {
+					t624 := -i_t
+					t620 = t624 >= int64(0)
+				}
+				t619 := t620
+				if t619 {
+					t625 := i_i1 - p_n
+					t626 := t625 + int64(1)
+					t619 = t626 >= int64(0)
+				}
+				if t619 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t630 := -i_i2
+				t631 := t630 + p_n
+				t632 := t631 - int64(2)
+				t629 := t632 >= int64(0)
+				if t629 {
+					t633 := i_t - int64(1)
+					t629 = t633 >= int64(0)
+				}
+				t628 := t629
+				if t628 {
+					t634 := i_t - p_tsteps
+					t635 := t634 + int64(1)
+					t628 = t635 >= int64(0)
+				}
+				t627 := t628
+				if t627 {
+					t636 := -i_i1
+					t627 = t636 >= int64(0)
+				}
+				if t627 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t641 := -i_i2
+				t642 := t641 + p_n
+				t643 := t642 - int64(2)
+				t640 := t643 >= int64(0)
+				if t640 {
+					t644 := i_t - int64(1)
+					t640 = t644 >= int64(0)
+				}
+				t639 := t640
+				if t639 {
+					t645 := i_t - p_tsteps
+					t646 := t645 + int64(1)
+					t639 = t646 >= int64(0)
+				}
+				t638 := t639
+				if t638 {
+					t647 := i_i1 - int64(1)
+					t638 = t647 >= int64(0)
+				}
+				t637 := t638
+				if t637 {
+					t648 := -i_i1
+					t649 := t648 + p_n
+					t650 := t649 - int64(2)
+					t637 = t650 >= int64(0)
+				}
+				if t637 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t654 := -i_i2
+				t655 := t654 + p_n
+				t656 := t655 - int64(2)
+				t653 := t656 >= int64(0)
+				if t653 {
+					t657 := i_t - int64(1)
+					t653 = t657 >= int64(0)
+				}
+				t652 := t653
+				if t652 {
+					t658 := i_t - p_tsteps
+					t659 := t658 + int64(1)
+					t652 = t659 >= int64(0)
+				}
+				t651 := t652
+				if t651 {
+					t660 := i_i1 - p_n
+					t661 := t660 + int64(1)
+					t651 = t661 >= int64(0)
+				}
+				if t651 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t665 := -i_i2
+				t666 := t665 + p_n
+				t667 := t666 - int64(2)
+				t664 := t667 >= int64(0)
+				if t664 {
+					t668 := i_t - int64(1)
+					t664 = t668 >= int64(0)
+				}
+				t663 := t664
+				if t663 {
+					t669 := -i_t
+					t670 := t669 + p_tsteps
+					t671 := t670 - int64(2)
+					t663 = t671 >= int64(0)
+				}
+				t662 := t663
+				if t662 {
+					t672 := -i_i1
+					t662 = t672 >= int64(0)
+				}
+				if t662 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t677 := -i_i2
+				t678 := t677 + p_n
+				t679 := t678 - int64(2)
+				t676 := t679 >= int64(0)
+				if t676 {
+					t680 := i_t - int64(1)
+					t676 = t680 >= int64(0)
+				}
+				t675 := t676
+				if t675 {
+					t681 := -i_t
+					t682 := t681 + p_tsteps
+					t683 := t682 - int64(2)
+					t675 = t683 >= int64(0)
+				}
+				t674 := t675
+				if t674 {
+					t684 := i_i1 - int64(1)
+					t674 = t684 >= int64(0)
+				}
+				t673 := t674
+				if t673 {
+					t685 := -i_i1
+					t686 := t685 + p_n
+					t687 := t686 - int64(2)
+					t673 = t687 >= int64(0)
+				}
+				if t673 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t691 := -i_i2
+				t692 := t691 + p_n
+				t693 := t692 - int64(2)
+				t690 := t693 >= int64(0)
+				if t690 {
+					t694 := i_t - int64(1)
+					t690 = t694 >= int64(0)
+				}
+				t689 := t690
+				if t689 {
+					t695 := -i_t
+					t696 := t695 + p_tsteps
+					t697 := t696 - int64(2)
+					t689 = t697 >= int64(0)
+				}
+				t688 := t689
+				if t688 {
+					t698 := i_i1 - p_n
+					t699 := t698 + int64(1)
+					t688 = t699 >= int64(0)
+				}
+				if t688 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				}
+				t702 := i_i2 - p_n
+				t703 := t702 + int64(1)
+				t701 := t703 == int64(0)
+				if t701 {
+					t704 := -i_t
+					t701 = t704 >= int64(0)
+				}
+				t700 := t701
+				if t700 {
+					t705 := -i_i1
+					t700 = t705 >= int64(0)
+				}
+				if t700 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t709 := i_i2 - p_n
+				t710 := t709 + int64(1)
+				t708 := t710 == int64(0)
+				if t708 {
+					t711 := -i_t
+					t708 = t711 >= int64(0)
+				}
+				t707 := t708
+				if t707 {
+					t712 := i_i1 - int64(1)
+					t707 = t712 >= int64(0)
+				}
+				t706 := t707
+				if t706 {
+					t713 := -i_i1
+					t714 := t713 + p_n
+					t715 := t714 - int64(2)
+					t706 = t715 >= int64(0)
+				}
+				if t706 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t718 := i_i2 - p_n
+				t719 := t718 + int64(1)
+				t717 := t719 == int64(0)
+				if t717 {
+					t720 := -i_t
+					t717 = t720 >= int64(0)
+				}
+				t716 := t717
+				if t716 {
+					t721 := i_i1 - p_n
+					t722 := t721 + int64(1)
+					t716 = t722 >= int64(0)
+				}
+				if t716 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t726 := i_i2 - p_n
+				t727 := t726 + int64(1)
+				t725 := t727 == int64(0)
+				if t725 {
+					t728 := i_t - int64(1)
+					t725 = t728 >= int64(0)
+				}
+				t724 := t725
+				if t724 {
+					t729 := i_t - p_tsteps
+					t730 := t729 + int64(1)
+					t724 = t730 >= int64(0)
+				}
+				t723 := t724
+				if t723 {
+					t731 := -i_i1
+					t723 = t731 >= int64(0)
+				}
+				if t723 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t736 := i_i2 - p_n
+				t737 := t736 + int64(1)
+				t735 := t737 == int64(0)
+				if t735 {
+					t738 := i_t - int64(1)
+					t735 = t738 >= int64(0)
+				}
+				t734 := t735
+				if t734 {
+					t739 := i_t - p_tsteps
+					t740 := t739 + int64(1)
+					t734 = t740 >= int64(0)
+				}
+				t733 := t734
+				if t733 {
+					t741 := i_i1 - int64(1)
+					t733 = t741 >= int64(0)
+				}
+				t732 := t733
+				if t732 {
+					t742 := -i_i1
+					t743 := t742 + p_n
+					t744 := t743 - int64(2)
+					t732 = t744 >= int64(0)
+				}
+				if t732 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t748 := i_i2 - p_n
+				t749 := t748 + int64(1)
+				t747 := t749 == int64(0)
+				if t747 {
+					t750 := i_t - int64(1)
+					t747 = t750 >= int64(0)
+				}
+				t746 := t747
+				if t746 {
+					t751 := i_t - p_tsteps
+					t752 := t751 + int64(1)
+					t746 = t752 >= int64(0)
+				}
+				t745 := t746
+				if t745 {
+					t753 := i_i1 - p_n
+					t754 := t753 + int64(1)
+					t745 = t754 >= int64(0)
+				}
+				if t745 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t758 := i_i2 - p_n
+				t759 := t758 + int64(1)
+				t757 := t759 == int64(0)
+				if t757 {
+					t760 := i_t - int64(1)
+					t757 = t760 >= int64(0)
+				}
+				t756 := t757
+				if t756 {
+					t761 := -i_t
+					t762 := t761 + p_tsteps
+					t763 := t762 - int64(2)
+					t756 = t763 >= int64(0)
+				}
+				t755 := t756
+				if t755 {
+					t764 := -i_i1
+					t755 = t764 >= int64(0)
+				}
+				if t755 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t769 := i_i2 - p_n
+				t770 := t769 + int64(1)
+				t768 := t770 == int64(0)
+				if t768 {
+					t771 := i_t - int64(1)
+					t768 = t771 >= int64(0)
+				}
+				t767 := t768
+				if t767 {
+					t772 := -i_t
+					t773 := t772 + p_tsteps
+					t774 := t773 - int64(2)
+					t767 = t774 >= int64(0)
+				}
+				t766 := t767
+				if t766 {
+					t775 := i_i1 - int64(1)
+					t766 = t775 >= int64(0)
+				}
+				t765 := t766
+				if t765 {
+					t776 := -i_i1
+					t777 := t776 + p_n
+					t778 := t777 - int64(2)
+					t765 = t778 >= int64(0)
+				}
+				if t765 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t782 := i_i2 - p_n
+				t783 := t782 + int64(1)
+				t781 := t783 == int64(0)
+				if t781 {
+					t784 := i_t - int64(1)
+					t781 = t784 >= int64(0)
+				}
+				t780 := t781
+				if t780 {
+					t785 := -i_t
+					t786 := t785 + p_tsteps
+					t787 := t786 - int64(2)
+					t780 = t787 >= int64(0)
+				}
+				t779 := t780
+				if t779 {
+					t788 := i_i1 - p_n
+					t789 := t788 + int64(1)
+					t779 = t789 >= int64(0)
+				}
+				if t779 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t792 := -i_i2
+				t793 := t792 + p_n
+				t794 := t793 - int64(3)
+				t791 := t794 >= int64(0)
+				if t791 {
+					t795 := -i_t
+					t791 = t795 >= int64(0)
+				}
+				t790 := t791
+				if t790 {
+					t796 := -i_i1
+					t790 = t796 >= int64(0)
+				}
+				if t790 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t800 := -i_i2
+				t801 := t800 + p_n
+				t802 := t801 - int64(3)
+				t799 := t802 >= int64(0)
+				if t799 {
+					t803 := -i_t
+					t799 = t803 >= int64(0)
+				}
+				t798 := t799
+				if t798 {
+					t804 := i_i1 - int64(1)
+					t798 = t804 >= int64(0)
+				}
+				t797 := t798
+				if t797 {
+					t805 := -i_i1
+					t806 := t805 + p_n
+					t807 := t806 - int64(2)
+					t797 = t807 >= int64(0)
+				}
+				if t797 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t810 := -i_i2
+				t811 := t810 + p_n
+				t812 := t811 - int64(3)
+				t809 := t812 >= int64(0)
+				if t809 {
+					t813 := -i_t
+					t809 = t813 >= int64(0)
+				}
+				t808 := t809
+				if t808 {
+					t814 := i_i1 - p_n
+					t815 := t814 + int64(1)
+					t808 = t815 >= int64(0)
+				}
+				if t808 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t819 := -i_i2
+				t820 := t819 + p_n
+				t821 := t820 - int64(3)
+				t818 := t821 >= int64(0)
+				if t818 {
+					t822 := i_t - int64(1)
+					t818 = t822 >= int64(0)
+				}
+				t817 := t818
+				if t817 {
+					t823 := i_t - p_tsteps
+					t824 := t823 + int64(1)
+					t817 = t824 >= int64(0)
+				}
+				t816 := t817
+				if t816 {
+					t825 := -i_i1
+					t816 = t825 >= int64(0)
+				}
+				if t816 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t830 := -i_i2
+				t831 := t830 + p_n
+				t832 := t831 - int64(3)
+				t829 := t832 >= int64(0)
+				if t829 {
+					t833 := i_t - int64(1)
+					t829 = t833 >= int64(0)
+				}
+				t828 := t829
+				if t828 {
+					t834 := i_t - p_tsteps
+					t835 := t834 + int64(1)
+					t828 = t835 >= int64(0)
+				}
+				t827 := t828
+				if t827 {
+					t836 := i_i1 - int64(1)
+					t827 = t836 >= int64(0)
+				}
+				t826 := t827
+				if t826 {
+					t837 := -i_i1
+					t838 := t837 + p_n
+					t839 := t838 - int64(2)
+					t826 = t839 >= int64(0)
+				}
+				if t826 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t843 := -i_i2
+				t844 := t843 + p_n
+				t845 := t844 - int64(3)
+				t842 := t845 >= int64(0)
+				if t842 {
+					t846 := i_t - int64(1)
+					t842 = t846 >= int64(0)
+				}
+				t841 := t842
+				if t841 {
+					t847 := i_t - p_tsteps
+					t848 := t847 + int64(1)
+					t841 = t848 >= int64(0)
+				}
+				t840 := t841
+				if t840 {
+					t849 := i_i1 - p_n
+					t850 := t849 + int64(1)
+					t840 = t850 >= int64(0)
+				}
+				if t840 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t854 := -i_i2
+				t855 := t854 + p_n
+				t856 := t855 - int64(3)
+				t853 := t856 >= int64(0)
+				if t853 {
+					t857 := i_t - int64(1)
+					t853 = t857 >= int64(0)
+				}
+				t852 := t853
+				if t852 {
+					t858 := -i_t
+					t859 := t858 + p_tsteps
+					t860 := t859 - int64(2)
+					t852 = t860 >= int64(0)
+				}
+				t851 := t852
+				if t851 {
+					t861 := -i_i1
+					t851 = t861 >= int64(0)
+				}
+				if t851 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t866 := -i_i2
+				t867 := t866 + p_n
+				t868 := t867 - int64(3)
+				t865 := t868 >= int64(0)
+				if t865 {
+					t869 := i_t - int64(1)
+					t865 = t869 >= int64(0)
+				}
+				t864 := t865
+				if t864 {
+					t870 := -i_t
+					t871 := t870 + p_tsteps
+					t872 := t871 - int64(2)
+					t864 = t872 >= int64(0)
+				}
+				t863 := t864
+				if t863 {
+					t873 := i_i1 - int64(1)
+					t863 = t873 >= int64(0)
+				}
+				t862 := t863
+				if t862 {
+					t874 := -i_i1
+					t875 := t874 + p_n
+					t876 := t875 - int64(2)
+					t862 = t876 >= int64(0)
+				}
+				if t862 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t880 := -i_i2
+				t881 := t880 + p_n
+				t882 := t881 - int64(3)
+				t879 := t882 >= int64(0)
+				if t879 {
+					t883 := i_t - int64(1)
+					t879 = t883 >= int64(0)
+				}
+				t878 := t879
+				if t878 {
+					t884 := -i_t
+					t885 := t884 + p_tsteps
+					t886 := t885 - int64(2)
+					t878 = t886 >= int64(0)
+				}
+				t877 := t878
+				if t877 {
+					t887 := i_i1 - p_n
+					t888 := t887 + int64(1)
+					t877 = t888 >= int64(0)
+				}
+				if t877 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				}
+				t889 := i_i1
+				if t889 < 0 || t889 >= d_B[0] {
+					return m.OOB(t889, d_B[0], 0, "B", 8, 23)
+				}
+				t890 := i_i2
+				if t890 < 0 || t890 >= d_B[1] {
+					return m.OOB(t890, d_B[1], 1, "B", 8, 23)
+				}
+				t891 := b_B + int((t889)*d_B[1]+t890)
+				r_B_r2 := m.LoadF(t891)
+				t892 := i_i1
+				if t892 < 0 || t892 >= d_A[0] {
+					return m.OOB(t892, d_A[0], 0, "A", 8, 35)
+				}
+				t893 := i_i2
+				if t893 < 0 || t893 >= d_A[1] {
+					return m.OOB(t893, d_A[1], 1, "A", 8, 35)
+				}
+				t894 := b_A + int((t892)*d_A[1]+t893)
+				r_A_r2 := m.LoadF(t894)
+				t895 := i_i1
+				if t895 < 0 || t895 >= d_A[0] {
+					return m.OOB(t895, d_A[0], 0, "A", 8, 47)
+				}
+				t896 := i_i2
+				if t896 < 0 || t896 >= d_A[1] {
+					return m.OOB(t896, d_A[1], 1, "A", 8, 47)
+				}
+				t897 := b_A + int((t895)*d_A[1]+t896)
+				r_A_r3 := m.LoadF(t897)
+				t898 := i_i1
+				if t898 < 0 || t898 >= d_B[0] {
+					return m.OOB(t898, d_B[0], 0, "B", 8, 59)
+				}
+				t899 := i_i2 - int64(1)
+				t900 := t899
+				if t900 < 0 || t900 >= d_B[1] {
+					return m.OOB(t900, d_B[1], 1, "B", 8, 59)
+				}
+				t901 := b_B + int((t898)*d_B[1]+t900)
+				r_B_r3 := m.LoadF(t901)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t902 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t903 := float64(t902 / r_B_r3)
+				t904 := float64(r_B_r2 - t903)
+				r_B_w := t904
+				t905 := i_i1
+				if t905 < 0 || t905 >= d_B[0] {
+					return m.OOB(t905, d_B[0], 0, "B", 8, 11)
+				}
+				t906 := i_i2
+				if t906 < 0 || t906 >= d_B[1] {
+					return m.OOB(t906, d_B[1], 1, "B", 8, 11)
+				}
+				t907 := b_B + int((t905)*d_B[1]+t906)
+				m.StoreF(t907, r_B_w)
+				t910 := -i_i2
+				t911 := t910 + p_n
+				t912 := t911 - int64(2)
+				t909 := t912 >= int64(0)
+				if t909 {
+					t913 := -i_t
+					t909 = t913 >= int64(0)
+				}
+				t908 := t909
+				if t908 {
+					t914 := -i_i1
+					t908 = t914 >= int64(0)
+				}
+				if t908 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t917 := -i_i2
+				t918 := t917 + p_n
+				t919 := t918 - int64(2)
+				t916 := t919 >= int64(0)
+				if t916 {
+					t920 := -i_t
+					t916 = t920 >= int64(0)
+				}
+				t915 := t916
+				if t915 {
+					t921 := i_i1 - int64(1)
+					t915 = t921 >= int64(0)
+				}
+				if t915 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t925 := -i_i2
+				t926 := t925 + p_n
+				t927 := t926 - int64(2)
+				t924 := t927 >= int64(0)
+				if t924 {
+					t928 := i_t - int64(1)
+					t924 = t928 >= int64(0)
+				}
+				t923 := t924
+				if t923 {
+					t929 := i_t - p_tsteps
+					t930 := t929 + int64(1)
+					t923 = t930 >= int64(0)
+				}
+				t922 := t923
+				if t922 {
+					t931 := -i_i1
+					t922 = t931 >= int64(0)
+				}
+				if t922 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t935 := -i_i2
+				t936 := t935 + p_n
+				t937 := t936 - int64(2)
+				t934 := t937 >= int64(0)
+				if t934 {
+					t938 := i_t - int64(1)
+					t934 = t938 >= int64(0)
+				}
+				t933 := t934
+				if t933 {
+					t939 := i_t - p_tsteps
+					t940 := t939 + int64(1)
+					t933 = t940 >= int64(0)
+				}
+				t932 := t933
+				if t932 {
+					t941 := i_i1 - int64(1)
+					t932 = t941 >= int64(0)
+				}
+				if t932 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t945 := -i_i2
+				t946 := t945 + p_n
+				t947 := t946 - int64(2)
+				t944 := t947 >= int64(0)
+				if t944 {
+					t948 := i_t - int64(1)
+					t944 = t948 >= int64(0)
+				}
+				t943 := t944
+				if t943 {
+					t949 := -i_t
+					t950 := t949 + p_tsteps
+					t951 := t950 - int64(2)
+					t943 = t951 >= int64(0)
+				}
+				t942 := t943
+				if t942 {
+					t952 := -i_i1
+					t942 = t952 >= int64(0)
+				}
+				if t942 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t956 := -i_i2
+				t957 := t956 + p_n
+				t958 := t957 - int64(2)
+				t955 := t958 >= int64(0)
+				if t955 {
+					t959 := i_t - int64(1)
+					t955 = t959 >= int64(0)
+				}
+				t954 := t955
+				if t954 {
+					t960 := -i_t
+					t961 := t960 + p_tsteps
+					t962 := t961 - int64(2)
+					t954 = t962 >= int64(0)
+				}
+				t953 := t954
+				if t953 {
+					t963 := i_i1 - int64(1)
+					t953 = t963 >= int64(0)
+				}
+				if t953 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t966 := -i_t
+				t967 := t966 + p_tsteps
+				t968 := t967 - int64(2)
+				t965 := t968 >= int64(0)
+				if t965 {
+					t969 := -i_i1
+					t965 = t969 >= int64(0)
+				}
+				t964 := t965
+				if t964 {
+					t970 := i_t - p_tsteps
+					t971 := t970 + int64(2)
+					t964 = t971 >= int64(0)
+				}
+				if t964 {
+					t972 := -i_t
+					t973 := t972 + p_tsteps
+					t974 := t973 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), t974)
+				}
+				t976 := -i_i1
+				t975 := t976 >= int64(0)
+				if t975 {
+					t977 := -i_t
+					t978 := t977 + p_tsteps
+					t979 := t978 - int64(3)
+					t975 = t979 >= int64(0)
+				}
+				if t975 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t982 := i_i2 - p_n
+				t983 := t982 + int64(1)
+				t981 := t983 == int64(0)
+				if t981 {
+					t984 := -i_t
+					t981 = t984 >= int64(0)
+				}
+				t980 := t981
+				if t980 {
+					t985 := -i_i1
+					t980 = t985 >= int64(0)
+				}
+				if t980 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t988 := i_i2 - p_n
+				t989 := t988 + int64(1)
+				t987 := t989 == int64(0)
+				if t987 {
+					t990 := -i_t
+					t987 = t990 >= int64(0)
+				}
+				t986 := t987
+				if t986 {
+					t991 := i_i1 - int64(1)
+					t986 = t991 >= int64(0)
+				}
+				if t986 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t995 := i_i2 - p_n
+				t996 := t995 + int64(1)
+				t994 := t996 == int64(0)
+				if t994 {
+					t997 := i_t - int64(1)
+					t994 = t997 >= int64(0)
+				}
+				t993 := t994
+				if t993 {
+					t998 := i_t - p_tsteps
+					t999 := t998 + int64(1)
+					t993 = t999 >= int64(0)
+				}
+				t992 := t993
+				if t992 {
+					t1000 := -i_i1
+					t992 = t1000 >= int64(0)
+				}
+				if t992 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1004 := i_i2 - p_n
+				t1005 := t1004 + int64(1)
+				t1003 := t1005 == int64(0)
+				if t1003 {
+					t1006 := i_t - int64(1)
+					t1003 = t1006 >= int64(0)
+				}
+				t1002 := t1003
+				if t1002 {
+					t1007 := i_t - p_tsteps
+					t1008 := t1007 + int64(1)
+					t1002 = t1008 >= int64(0)
+				}
+				t1001 := t1002
+				if t1001 {
+					t1009 := i_i1 - int64(1)
+					t1001 = t1009 >= int64(0)
+				}
+				if t1001 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1013 := i_i2 - p_n
+				t1014 := t1013 + int64(1)
+				t1012 := t1014 == int64(0)
+				if t1012 {
+					t1015 := i_t - int64(1)
+					t1012 = t1015 >= int64(0)
+				}
+				t1011 := t1012
+				if t1011 {
+					t1016 := -i_t
+					t1017 := t1016 + p_tsteps
+					t1018 := t1017 - int64(2)
+					t1011 = t1018 >= int64(0)
+				}
+				t1010 := t1011
+				if t1010 {
+					t1019 := -i_i1
+					t1010 = t1019 >= int64(0)
+				}
+				if t1010 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1023 := i_i2 - p_n
+				t1024 := t1023 + int64(1)
+				t1022 := t1024 == int64(0)
+				if t1022 {
+					t1025 := i_t - int64(1)
+					t1022 = t1025 >= int64(0)
+				}
+				t1021 := t1022
+				if t1021 {
+					t1026 := -i_t
+					t1027 := t1026 + p_tsteps
+					t1028 := t1027 - int64(2)
+					t1021 = t1028 >= int64(0)
+				}
+				t1020 := t1021
+				if t1020 {
+					t1029 := i_i1 - int64(1)
+					t1020 = t1029 >= int64(0)
+				}
+				if t1020 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1032 := -i_i2
+				t1033 := t1032 + p_n
+				t1034 := t1033 - int64(3)
+				t1031 := t1034 >= int64(0)
+				if t1031 {
+					t1035 := -i_t
+					t1031 = t1035 >= int64(0)
+				}
+				t1030 := t1031
+				if t1030 {
+					t1036 := -i_i1
+					t1030 = t1036 >= int64(0)
+				}
+				if t1030 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1039 := -i_i2
+				t1040 := t1039 + p_n
+				t1041 := t1040 - int64(3)
+				t1038 := t1041 >= int64(0)
+				if t1038 {
+					t1042 := -i_t
+					t1038 = t1042 >= int64(0)
+				}
+				t1037 := t1038
+				if t1037 {
+					t1043 := i_i1 - int64(1)
+					t1037 = t1043 >= int64(0)
+				}
+				if t1037 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1047 := -i_i2
+				t1048 := t1047 + p_n
+				t1049 := t1048 - int64(3)
+				t1046 := t1049 >= int64(0)
+				if t1046 {
+					t1050 := i_t - int64(1)
+					t1046 = t1050 >= int64(0)
+				}
+				t1045 := t1046
+				if t1045 {
+					t1051 := i_t - p_tsteps
+					t1052 := t1051 + int64(1)
+					t1045 = t1052 >= int64(0)
+				}
+				t1044 := t1045
+				if t1044 {
+					t1053 := -i_i1
+					t1044 = t1053 >= int64(0)
+				}
+				if t1044 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1057 := -i_i2
+				t1058 := t1057 + p_n
+				t1059 := t1058 - int64(3)
+				t1056 := t1059 >= int64(0)
+				if t1056 {
+					t1060 := i_t - int64(1)
+					t1056 = t1060 >= int64(0)
+				}
+				t1055 := t1056
+				if t1055 {
+					t1061 := i_t - p_tsteps
+					t1062 := t1061 + int64(1)
+					t1055 = t1062 >= int64(0)
+				}
+				t1054 := t1055
+				if t1054 {
+					t1063 := i_i1 - int64(1)
+					t1054 = t1063 >= int64(0)
+				}
+				if t1054 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1067 := -i_i2
+				t1068 := t1067 + p_n
+				t1069 := t1068 - int64(3)
+				t1066 := t1069 >= int64(0)
+				if t1066 {
+					t1070 := i_t - int64(1)
+					t1066 = t1070 >= int64(0)
+				}
+				t1065 := t1066
+				if t1065 {
+					t1071 := -i_t
+					t1072 := t1071 + p_tsteps
+					t1073 := t1072 - int64(2)
+					t1065 = t1073 >= int64(0)
+				}
+				t1064 := t1065
+				if t1064 {
+					t1074 := -i_i1
+					t1064 = t1074 >= int64(0)
+				}
+				if t1064 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1078 := -i_i2
+				t1079 := t1078 + p_n
+				t1080 := t1079 - int64(3)
+				t1077 := t1080 >= int64(0)
+				if t1077 {
+					t1081 := i_t - int64(1)
+					t1077 = t1081 >= int64(0)
+				}
+				t1076 := t1077
+				if t1076 {
+					t1082 := -i_t
+					t1083 := t1082 + p_tsteps
+					t1084 := t1083 - int64(2)
+					t1076 = t1084 >= int64(0)
+				}
+				t1075 := t1076
+				if t1075 {
+					t1085 := i_i1 - int64(1)
+					t1075 = t1085 >= int64(0)
+				}
+				if t1075 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1087 := -i_t
+				t1086 := t1087 >= int64(0)
+				if t1086 {
+					t1088 := -i_i1
+					t1086 = t1088 >= int64(0)
+				}
+				if t1086 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t1091 := i_t - int64(1)
+				t1090 := t1091 >= int64(0)
+				if t1090 {
+					t1092 := i_t - p_tsteps
+					t1093 := t1092 + int64(1)
+					t1090 = t1093 >= int64(0)
+				}
+				t1089 := t1090
+				if t1089 {
+					t1094 := -i_i1
+					t1089 = t1094 >= int64(0)
+				}
+				if t1089 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t1097 := i_t - int64(1)
+				t1096 := t1097 >= int64(0)
+				if t1096 {
+					t1098 := -i_t
+					t1099 := t1098 + p_tsteps
+					t1100 := t1099 - int64(2)
+					t1096 = t1100 >= int64(0)
+				}
+				t1095 := t1096
+				if t1095 {
+					t1101 := -i_i1
+					t1095 = t1101 >= int64(0)
+				}
+				if t1095 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				}
+				t1103 := i_i1 - int64(1)
+				t1102 := t1103 >= int64(0)
+				if t1102 {
+					t1104 := -i_t
+					t1102 = t1104 >= int64(0)
+				}
+				if t1102 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1107 := i_i1 - int64(1)
+				t1106 := t1107 >= int64(0)
+				if t1106 {
+					t1108 := i_t - int64(1)
+					t1106 = t1108 >= int64(0)
+				}
+				t1105 := t1106
+				if t1105 {
+					t1109 := i_t - p_tsteps
+					t1110 := t1109 + int64(1)
+					t1105 = t1110 >= int64(0)
+				}
+				if t1105 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				}
+				t1113 := i_i1 - int64(1)
+				t1112 := t1113 >= int64(0)
+				if t1112 {
+					t1114 := i_t - int64(1)
+					t1112 = t1114 >= int64(0)
+				}
+				t1111 := t1112
+				if t1111 {
+					t1115 := -i_t
+					t1116 := t1115 + p_tsteps
+					t1117 := t1116 - int64(2)
+					t1111 = t1117 >= int64(0)
+				}
+				if t1111 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
 				}
 			}
 		}
+		t1118 := p_n - int64(1)
+		for i_i1 := int64(0); i_i1 <= t1118; i_i1++ {
+			if err := m.Tick(11, 3); err != nil {
+				return err
+			}
+			t1119 := i_i1
+			if t1119 < 0 || t1119 >= d_X[0] {
+				return m.OOB(t1119, d_X[0], 0, "X", 12, 24)
+			}
+			t1120 := p_n - int64(1)
+			t1121 := t1120
+			if t1121 < 0 || t1121 >= d_X[1] {
+				return m.OOB(t1121, d_X[1], 1, "X", 12, 24)
+			}
+			t1122 := b_X + int((t1119)*d_X[1]+t1121)
+			r_X_r3 := m.LoadF(t1122)
+			t1123 := i_i1
+			if t1123 < 0 || t1123 >= d_B[0] {
+				return m.OOB(t1123, d_B[0], 0, "B", 12, 39)
+			}
+			t1124 := p_n - int64(1)
+			t1125 := t1124
+			if t1125 < 0 || t1125 >= d_B[1] {
+				return m.OOB(t1125, d_B[1], 1, "B", 12, 39)
+			}
+			t1126 := b_B + int((t1123)*d_B[1]+t1125)
+			r_B_r4 := m.LoadF(t1126)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t1127 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t1127
+			t1128 := i_i1
+			if t1128 < 0 || t1128 >= d_X[0] {
+				return m.OOB(t1128, d_X[0], 0, "X", 12, 9)
+			}
+			t1129 := p_n - int64(1)
+			t1130 := t1129
+			if t1130 < 0 || t1130 >= d_X[1] {
+				return m.OOB(t1130, d_X[1], 1, "X", 12, 9)
+			}
+			t1131 := b_X + int((t1128)*d_X[1]+t1130)
+			m.StoreF(t1131, r_X_w2)
+			t1135 := -i_t
+			t1136 := t1135 + p_tsteps
+			t1137 := t1136 - int64(2)
+			t1134 := t1137 >= int64(0)
+			if t1134 {
+				t1138 := -i_i1
+				t1134 = t1138 >= int64(0)
+			}
+			t1133 := t1134
+			if t1133 {
+				t1139 := -i_i1
+				t1140 := t1139 + p_n
+				t1141 := t1140 - int64(2)
+				t1133 = t1141 >= int64(0)
+			}
+			t1132 := t1133
+			if t1132 {
+				t1142 := i_t - p_tsteps
+				t1143 := t1142 + int64(2)
+				t1132 = t1143 >= int64(0)
+			}
+			if t1132 {
+				t1144 := -i_t
+				t1145 := t1144 + p_tsteps
+				t1146 := t1145 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), t1146)
+			}
+			t1149 := -i_i1
+			t1148 := t1149 >= int64(0)
+			if t1148 {
+				t1150 := -i_i1
+				t1151 := t1150 + p_n
+				t1152 := t1151 - int64(2)
+				t1148 = t1152 >= int64(0)
+			}
+			t1147 := t1148
+			if t1147 {
+				t1153 := -i_t
+				t1154 := t1153 + p_tsteps
+				t1155 := t1154 - int64(3)
+				t1147 = t1155 >= int64(0)
+			}
+			if t1147 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1158 := i_i1 - int64(1)
+			t1157 := t1158 >= int64(0)
+			if t1157 {
+				t1159 := -i_t
+				t1157 = t1159 >= int64(0)
+			}
+			t1156 := t1157
+			if t1156 {
+				t1160 := -i_i1
+				t1161 := t1160 + p_n
+				t1162 := t1161 - int64(2)
+				t1156 = t1162 >= int64(0)
+			}
+			if t1156 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1165 := p_n - int64(2)
+			t1164 := t1165 >= int64(0)
+			if t1164 {
+				t1166 := -i_t
+				t1164 = t1166 >= int64(0)
+			}
+			t1163 := t1164
+			if t1163 {
+				t1167 := i_i1 - p_n
+				t1168 := t1167 + int64(1)
+				t1163 = t1168 >= int64(0)
+			}
+			if t1163 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1172 := i_i1 - int64(1)
+			t1171 := t1172 >= int64(0)
+			if t1171 {
+				t1173 := i_t - int64(1)
+				t1171 = t1173 >= int64(0)
+			}
+			t1170 := t1171
+			if t1170 {
+				t1174 := i_t - p_tsteps
+				t1175 := t1174 + int64(1)
+				t1170 = t1175 >= int64(0)
+			}
+			t1169 := t1170
+			if t1169 {
+				t1176 := -i_i1
+				t1177 := t1176 + p_n
+				t1178 := t1177 - int64(2)
+				t1169 = t1178 >= int64(0)
+			}
+			if t1169 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1182 := p_n - int64(2)
+			t1181 := t1182 >= int64(0)
+			if t1181 {
+				t1183 := i_t - int64(1)
+				t1181 = t1183 >= int64(0)
+			}
+			t1180 := t1181
+			if t1180 {
+				t1184 := i_t - p_tsteps
+				t1185 := t1184 + int64(1)
+				t1180 = t1185 >= int64(0)
+			}
+			t1179 := t1180
+			if t1179 {
+				t1186 := i_i1 - p_n
+				t1187 := t1186 + int64(1)
+				t1179 = t1187 >= int64(0)
+			}
+			if t1179 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1191 := i_i1 - int64(1)
+			t1190 := t1191 >= int64(0)
+			if t1190 {
+				t1192 := i_t - int64(1)
+				t1190 = t1192 >= int64(0)
+			}
+			t1189 := t1190
+			if t1189 {
+				t1193 := -i_t
+				t1194 := t1193 + p_tsteps
+				t1195 := t1194 - int64(2)
+				t1189 = t1195 >= int64(0)
+			}
+			t1188 := t1189
+			if t1188 {
+				t1196 := -i_i1
+				t1197 := t1196 + p_n
+				t1198 := t1197 - int64(2)
+				t1188 = t1198 >= int64(0)
+			}
+			if t1188 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1202 := p_n - int64(2)
+			t1201 := t1202 >= int64(0)
+			if t1201 {
+				t1203 := i_t - int64(1)
+				t1201 = t1203 >= int64(0)
+			}
+			t1200 := t1201
+			if t1200 {
+				t1204 := -i_t
+				t1205 := t1204 + p_tsteps
+				t1206 := t1205 - int64(2)
+				t1200 = t1206 >= int64(0)
+			}
+			t1199 := t1200
+			if t1199 {
+				t1207 := i_i1 - p_n
+				t1208 := t1207 + int64(1)
+				t1199 = t1208 >= int64(0)
+			}
+			if t1199 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1211 := p_n - int64(2)
+			t1210 := t1211 >= int64(0)
+			if t1210 {
+				t1212 := -i_t
+				t1210 = t1212 >= int64(0)
+			}
+			t1209 := t1210
+			if t1209 {
+				t1213 := -i_i1
+				t1209 = t1213 >= int64(0)
+			}
+			if t1209 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1217 := p_n - int64(2)
+			t1216 := t1217 >= int64(0)
+			if t1216 {
+				t1218 := i_t - int64(1)
+				t1216 = t1218 >= int64(0)
+			}
+			t1215 := t1216
+			if t1215 {
+				t1219 := i_t - p_tsteps
+				t1220 := t1219 + int64(1)
+				t1215 = t1220 >= int64(0)
+			}
+			t1214 := t1215
+			if t1214 {
+				t1221 := -i_i1
+				t1214 = t1221 >= int64(0)
+			}
+			if t1214 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1225 := p_n - int64(2)
+			t1224 := t1225 >= int64(0)
+			if t1224 {
+				t1226 := i_t - int64(1)
+				t1224 = t1226 >= int64(0)
+			}
+			t1223 := t1224
+			if t1223 {
+				t1227 := -i_t
+				t1228 := t1227 + p_tsteps
+				t1229 := t1228 - int64(2)
+				t1223 = t1229 >= int64(0)
+			}
+			t1222 := t1223
+			if t1222 {
+				t1230 := -i_i1
+				t1222 = t1230 >= int64(0)
+			}
+			if t1222 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1232 := -p_n
+			t1233 := t1232 + int64(1)
+			t1231 := t1233 >= int64(0)
+			if t1231 {
+				t1234 := -i_t
+				t1231 = t1234 >= int64(0)
+			}
+			if t1231 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1237 := -p_n
+			t1238 := t1237 + int64(1)
+			t1236 := t1238 >= int64(0)
+			if t1236 {
+				t1239 := i_t - int64(1)
+				t1236 = t1239 >= int64(0)
+			}
+			t1235 := t1236
+			if t1235 {
+				t1240 := i_t - p_tsteps
+				t1241 := t1240 + int64(1)
+				t1235 = t1241 >= int64(0)
+			}
+			if t1235 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1244 := -p_n
+			t1245 := t1244 + int64(1)
+			t1243 := t1245 >= int64(0)
+			if t1243 {
+				t1246 := i_t - int64(1)
+				t1243 = t1246 >= int64(0)
+			}
+			t1242 := t1243
+			if t1242 {
+				t1247 := -i_t
+				t1248 := t1247 + p_tsteps
+				t1249 := t1248 - int64(2)
+				t1242 = t1249 >= int64(0)
+			}
+			if t1242 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1252 := -i_i1
+			t1253 := t1252 + p_n
+			t1254 := t1253 - int64(3)
+			t1251 := t1254 >= int64(0)
+			if t1251 {
+				t1255 := -i_t
+				t1251 = t1255 >= int64(0)
+			}
+			t1250 := t1251
+			if t1250 {
+				t1256 := -i_i1
+				t1250 = t1256 >= int64(0)
+			}
+			if t1250 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1260 := -i_i1
+			t1261 := t1260 + p_n
+			t1262 := t1261 - int64(3)
+			t1259 := t1262 >= int64(0)
+			if t1259 {
+				t1263 := i_t - int64(1)
+				t1259 = t1263 >= int64(0)
+			}
+			t1258 := t1259
+			if t1258 {
+				t1264 := i_t - p_tsteps
+				t1265 := t1264 + int64(1)
+				t1258 = t1265 >= int64(0)
+			}
+			t1257 := t1258
+			if t1257 {
+				t1266 := -i_i1
+				t1257 = t1266 >= int64(0)
+			}
+			if t1257 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+			t1270 := -i_i1
+			t1271 := t1270 + p_n
+			t1272 := t1271 - int64(3)
+			t1269 := t1272 >= int64(0)
+			if t1269 {
+				t1273 := i_t - int64(1)
+				t1269 = t1273 >= int64(0)
+			}
+			t1268 := t1269
+			if t1268 {
+				t1274 := -i_t
+				t1275 := t1274 + p_tsteps
+				t1276 := t1275 - int64(2)
+				t1268 = t1276 >= int64(0)
+			}
+			t1267 := t1268
+			if t1267 {
+				t1277 := -i_i1
+				t1267 = t1277 >= int64(0)
+			}
+			if t1267 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			}
+		}
+		t1278 := p_n - int64(1)
+		for i_i1 := int64(0); i_i1 <= t1278; i_i1++ {
+			if err := m.Tick(14, 3); err != nil {
+				return err
+			}
+			t1279 := p_n - int64(3)
+			for i_i2 := int64(0); i_i2 <= t1279; i_i2++ {
+				if err := m.Tick(15, 5); err != nil {
+					return err
+				}
+				t1280 := i_i1
+				if t1280 < 0 || t1280 >= d_X[0] {
+					return m.OOB(t1280, d_X[0], 0, "X", 16, 32)
+				}
+				t1281 := p_n - int64(2)
+				t1282 := t1281 - i_i2
+				t1283 := t1282
+				if t1283 < 0 || t1283 >= d_X[1] {
+					return m.OOB(t1283, d_X[1], 1, "X", 16, 32)
+				}
+				t1284 := b_X + int((t1280)*d_X[1]+t1283)
+				r_X_r4 := m.LoadF(t1284)
+				t1285 := i_i1
+				if t1285 < 0 || t1285 >= d_X[0] {
+					return m.OOB(t1285, d_X[0], 0, "X", 16, 52)
+				}
+				t1286 := p_n - int64(2)
+				t1287 := t1286 - i_i2
+				t1288 := t1287 - int64(1)
+				t1289 := t1288
+				if t1289 < 0 || t1289 >= d_X[1] {
+					return m.OOB(t1289, d_X[1], 1, "X", 16, 52)
+				}
+				t1290 := b_X + int((t1285)*d_X[1]+t1289)
+				r_X_r5 := m.LoadF(t1290)
+				t1291 := i_i1
+				if t1291 < 0 || t1291 >= d_A[0] {
+					return m.OOB(t1291, d_A[0], 0, "A", 16, 76)
+				}
+				t1292 := p_n - i_i2
+				t1293 := t1292 - int64(3)
+				t1294 := t1293
+				if t1294 < 0 || t1294 >= d_A[1] {
+					return m.OOB(t1294, d_A[1], 1, "A", 16, 76)
+				}
+				t1295 := b_A + int((t1291)*d_A[1]+t1294)
+				r_A_r4 := m.LoadF(t1295)
+				t1296 := i_i1
+				if t1296 < 0 || t1296 >= d_B[0] {
+					return m.OOB(t1296, d_B[0], 0, "B", 16, 97)
+				}
+				t1297 := p_n - int64(3)
+				t1298 := t1297 - i_i2
+				t1299 := t1298
+				if t1299 < 0 || t1299 >= d_B[1] {
+					return m.OOB(t1299, d_B[1], 1, "B", 16, 97)
+				}
+				t1300 := b_B + int((t1296)*d_B[1]+t1299)
+				r_B_r5 := m.LoadF(t1300)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
+				t1301 := float64(r_X_r5 * r_A_r4)
+				t1302 := float64(r_X_r4 - t1301)
+				if r_B_r5 == 0 {
+					return m.DivZero(16, 95)
+				}
+				t1303 := float64(t1302 / r_B_r5)
+				r_X_w3 := t1303
+				t1304 := i_i1
+				if t1304 < 0 || t1304 >= d_X[0] {
+					return m.OOB(t1304, d_X[0], 0, "X", 16, 11)
+				}
+				t1305 := p_n - i_i2
+				t1306 := t1305 - int64(2)
+				t1307 := t1306
+				if t1307 < 0 || t1307 >= d_X[1] {
+					return m.OOB(t1307, d_X[1], 1, "X", 16, 11)
+				}
+				t1308 := b_X + int((t1304)*d_X[1]+t1307)
+				m.StoreF(t1308, r_X_w3)
+				t1311 := -i_t
+				t1312 := t1311 + p_tsteps
+				t1313 := t1312 - int64(2)
+				t1310 := t1313 >= int64(0)
+				if t1310 {
+					t1314 := -i_i1
+					t1310 = t1314 >= int64(0)
+				}
+				t1309 := t1310
+				if t1309 {
+					t1315 := i_t - p_tsteps
+					t1316 := t1315 + int64(2)
+					t1309 = t1316 >= int64(0)
+				}
+				if t1309 {
+					t1317 := -i_t
+					t1318 := t1317 + p_tsteps
+					t1319 := t1318 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), t1319)
+				}
+				t1321 := -i_i1
+				t1320 := t1321 >= int64(0)
+				if t1320 {
+					t1322 := -i_t
+					t1323 := t1322 + p_tsteps
+					t1324 := t1323 - int64(3)
+					t1320 = t1324 >= int64(0)
+				}
+				if t1320 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1327 := i_i1 - int64(1)
+				t1326 := t1327 >= int64(0)
+				if t1326 {
+					t1328 := -i_t
+					t1326 = t1328 >= int64(0)
+				}
+				t1325 := t1326
+				if t1325 {
+					t1329 := -i_i1
+					t1330 := t1329 + p_n
+					t1331 := t1330 - int64(2)
+					t1325 = t1331 >= int64(0)
+				}
+				if t1325 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1333 := -i_t
+				t1332 := t1333 >= int64(0)
+				if t1332 {
+					t1334 := i_i1 - p_n
+					t1335 := t1334 + int64(1)
+					t1332 = t1335 >= int64(0)
+				}
+				if t1332 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1339 := i_i1 - int64(1)
+				t1338 := t1339 >= int64(0)
+				if t1338 {
+					t1340 := i_t - int64(1)
+					t1338 = t1340 >= int64(0)
+				}
+				t1337 := t1338
+				if t1337 {
+					t1341 := i_t - p_tsteps
+					t1342 := t1341 + int64(1)
+					t1337 = t1342 >= int64(0)
+				}
+				t1336 := t1337
+				if t1336 {
+					t1343 := -i_i1
+					t1344 := t1343 + p_n
+					t1345 := t1344 - int64(2)
+					t1336 = t1345 >= int64(0)
+				}
+				if t1336 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1348 := i_t - int64(1)
+				t1347 := t1348 >= int64(0)
+				if t1347 {
+					t1349 := i_t - p_tsteps
+					t1350 := t1349 + int64(1)
+					t1347 = t1350 >= int64(0)
+				}
+				t1346 := t1347
+				if t1346 {
+					t1351 := i_i1 - p_n
+					t1352 := t1351 + int64(1)
+					t1346 = t1352 >= int64(0)
+				}
+				if t1346 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1356 := i_i1 - int64(1)
+				t1355 := t1356 >= int64(0)
+				if t1355 {
+					t1357 := i_t - int64(1)
+					t1355 = t1357 >= int64(0)
+				}
+				t1354 := t1355
+				if t1354 {
+					t1358 := -i_t
+					t1359 := t1358 + p_tsteps
+					t1360 := t1359 - int64(2)
+					t1354 = t1360 >= int64(0)
+				}
+				t1353 := t1354
+				if t1353 {
+					t1361 := -i_i1
+					t1362 := t1361 + p_n
+					t1363 := t1362 - int64(2)
+					t1353 = t1363 >= int64(0)
+				}
+				if t1353 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1366 := i_t - int64(1)
+				t1365 := t1366 >= int64(0)
+				if t1365 {
+					t1367 := -i_t
+					t1368 := t1367 + p_tsteps
+					t1369 := t1368 - int64(2)
+					t1365 = t1369 >= int64(0)
+				}
+				t1364 := t1365
+				if t1364 {
+					t1370 := i_i1 - p_n
+					t1371 := t1370 + int64(1)
+					t1364 = t1371 >= int64(0)
+				}
+				if t1364 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				}
+				t1373 := -i_t
+				t1372 := t1373 >= int64(0)
+				if t1372 {
+					t1374 := -i_i1
+					t1372 = t1374 >= int64(0)
+				}
+				if t1372 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
+				}
+				t1377 := i_t - int64(1)
+				t1376 := t1377 >= int64(0)
+				if t1376 {
+					t1378 := i_t - p_tsteps
+					t1379 := t1378 + int64(1)
+					t1376 = t1379 >= int64(0)
+				}
+				t1375 := t1376
+				if t1375 {
+					t1380 := -i_i1
+					t1375 = t1380 >= int64(0)
+				}
+				if t1375 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
+				}
+				t1383 := i_t - int64(1)
+				t1382 := t1383 >= int64(0)
+				if t1382 {
+					t1384 := -i_t
+					t1385 := t1384 + p_tsteps
+					t1386 := t1385 - int64(2)
+					t1382 = t1386 >= int64(0)
+				}
+				t1381 := t1382
+				if t1381 {
+					t1387 := -i_i1
+					t1381 = t1387 >= int64(0)
+				}
+				if t1381 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
+				}
+			}
+		}
+		t1388 := p_n - int64(1)
+		for i_i1 := int64(1); i_i1 <= t1388; i_i1++ {
+			if err := m.Tick(19, 3); err != nil {
+				return err
+			}
+			t1389 := p_n - int64(1)
+			for i_i2 := int64(0); i_i2 <= t1389; i_i2++ {
+				if err := m.Tick(20, 5); err != nil {
+					return err
+				}
+				t1390 := i_i1
+				if t1390 < 0 || t1390 >= d_X[0] {
+					return m.OOB(t1390, d_X[0], 0, "X", 21, 23)
+				}
+				t1391 := i_i2
+				if t1391 < 0 || t1391 >= d_X[1] {
+					return m.OOB(t1391, d_X[1], 1, "X", 21, 23)
+				}
+				t1392 := b_X + int((t1390)*d_X[1]+t1391)
+				r_X_r6 := m.LoadF(t1392)
+				t1393 := i_i1 - int64(1)
+				t1394 := t1393
+				if t1394 < 0 || t1394 >= d_X[0] {
+					return m.OOB(t1394, d_X[0], 0, "X", 21, 35)
+				}
+				t1395 := i_i2
+				if t1395 < 0 || t1395 >= d_X[1] {
+					return m.OOB(t1395, d_X[1], 1, "X", 21, 35)
+				}
+				t1396 := b_X + int((t1394)*d_X[1]+t1395)
+				r_X_r7 := m.LoadF(t1396)
+				t1397 := i_i1
+				if t1397 < 0 || t1397 >= d_A[0] {
+					return m.OOB(t1397, d_A[0], 0, "A", 21, 51)
+				}
+				t1398 := i_i2
+				if t1398 < 0 || t1398 >= d_A[1] {
+					return m.OOB(t1398, d_A[1], 1, "A", 21, 51)
+				}
+				t1399 := b_A + int((t1397)*d_A[1]+t1398)
+				r_A_r5 := m.LoadF(t1399)
+				t1400 := i_i1 - int64(1)
+				t1401 := t1400
+				if t1401 < 0 || t1401 >= d_B[0] {
+					return m.OOB(t1401, d_B[0], 0, "B", 21, 63)
+				}
+				t1402 := i_i2
+				if t1402 < 0 || t1402 >= d_B[1] {
+					return m.OOB(t1402, d_B[1], 1, "B", 21, 63)
+				}
+				t1403 := b_B + int((t1401)*d_B[1]+t1402)
+				r_B_r6 := m.LoadF(t1403)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1404 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1405 := float64(t1404 / r_B_r6)
+				t1406 := float64(r_X_r6 - t1405)
+				r_X_w4 := t1406
+				t1407 := i_i1
+				if t1407 < 0 || t1407 >= d_X[0] {
+					return m.OOB(t1407, d_X[0], 0, "X", 21, 11)
+				}
+				t1408 := i_i2
+				if t1408 < 0 || t1408 >= d_X[1] {
+					return m.OOB(t1408, d_X[1], 1, "X", 21, 11)
+				}
+				t1409 := b_X + int((t1407)*d_X[1]+t1408)
+				m.StoreF(t1409, r_X_w4)
+				t1412 := -i_i1
+				t1413 := t1412 + p_n
+				t1414 := t1413 - int64(2)
+				t1411 := t1414 >= int64(0)
+				if t1411 {
+					t1415 := -i_i2
+					t1411 = t1415 >= int64(0)
+				}
+				t1410 := t1411
+				if t1410 {
+					t1416 := -i_t
+					t1410 = t1416 >= int64(0)
+				}
+				if t1410 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1420 := -i_i1
+				t1421 := t1420 + p_n
+				t1422 := t1421 - int64(2)
+				t1419 := t1422 >= int64(0)
+				if t1419 {
+					t1423 := -i_i2
+					t1419 = t1423 >= int64(0)
+				}
+				t1418 := t1419
+				if t1418 {
+					t1424 := i_t - int64(1)
+					t1418 = t1424 >= int64(0)
+				}
+				t1417 := t1418
+				if t1417 {
+					t1425 := i_t - p_tsteps
+					t1426 := t1425 + int64(1)
+					t1417 = t1426 >= int64(0)
+				}
+				if t1417 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1430 := -i_i1
+				t1431 := t1430 + p_n
+				t1432 := t1431 - int64(2)
+				t1429 := t1432 >= int64(0)
+				if t1429 {
+					t1433 := -i_i2
+					t1429 = t1433 >= int64(0)
+				}
+				t1428 := t1429
+				if t1428 {
+					t1434 := i_t - int64(1)
+					t1428 = t1434 >= int64(0)
+				}
+				t1427 := t1428
+				if t1427 {
+					t1435 := -i_t
+					t1436 := t1435 + p_tsteps
+					t1437 := t1436 - int64(2)
+					t1427 = t1437 >= int64(0)
+				}
+				if t1427 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1441 := -i_i1
+				t1442 := t1441 + p_n
+				t1443 := t1442 - int64(2)
+				t1440 := t1443 >= int64(0)
+				if t1440 {
+					t1444 := i_i2 - int64(1)
+					t1440 = t1444 >= int64(0)
+				}
+				t1439 := t1440
+				if t1439 {
+					t1445 := -i_t
+					t1439 = t1445 >= int64(0)
+				}
+				t1438 := t1439
+				if t1438 {
+					t1446 := -i_i2
+					t1447 := t1446 + p_n
+					t1448 := t1447 - int64(2)
+					t1438 = t1448 >= int64(0)
+				}
+				if t1438 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1451 := -i_i1
+				t1452 := t1451 + p_n
+				t1453 := t1452 - int64(2)
+				t1450 := t1453 >= int64(0)
+				if t1450 {
+					t1454 := -i_t
+					t1450 = t1454 >= int64(0)
+				}
+				t1449 := t1450
+				if t1449 {
+					t1455 := i_i2 - p_n
+					t1456 := t1455 + int64(1)
+					t1449 = t1456 >= int64(0)
+				}
+				if t1449 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1461 := -i_i1
+				t1462 := t1461 + p_n
+				t1463 := t1462 - int64(2)
+				t1460 := t1463 >= int64(0)
+				if t1460 {
+					t1464 := i_i2 - int64(1)
+					t1460 = t1464 >= int64(0)
+				}
+				t1459 := t1460
+				if t1459 {
+					t1465 := i_t - int64(1)
+					t1459 = t1465 >= int64(0)
+				}
+				t1458 := t1459
+				if t1458 {
+					t1466 := i_t - p_tsteps
+					t1467 := t1466 + int64(1)
+					t1458 = t1467 >= int64(0)
+				}
+				t1457 := t1458
+				if t1457 {
+					t1468 := -i_i2
+					t1469 := t1468 + p_n
+					t1470 := t1469 - int64(2)
+					t1457 = t1470 >= int64(0)
+				}
+				if t1457 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1474 := -i_i1
+				t1475 := t1474 + p_n
+				t1476 := t1475 - int64(2)
+				t1473 := t1476 >= int64(0)
+				if t1473 {
+					t1477 := i_t - int64(1)
+					t1473 = t1477 >= int64(0)
+				}
+				t1472 := t1473
+				if t1472 {
+					t1478 := i_t - p_tsteps
+					t1479 := t1478 + int64(1)
+					t1472 = t1479 >= int64(0)
+				}
+				t1471 := t1472
+				if t1471 {
+					t1480 := i_i2 - p_n
+					t1481 := t1480 + int64(1)
+					t1471 = t1481 >= int64(0)
+				}
+				if t1471 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1486 := -i_i1
+				t1487 := t1486 + p_n
+				t1488 := t1487 - int64(2)
+				t1485 := t1488 >= int64(0)
+				if t1485 {
+					t1489 := i_i2 - int64(1)
+					t1485 = t1489 >= int64(0)
+				}
+				t1484 := t1485
+				if t1484 {
+					t1490 := i_t - int64(1)
+					t1484 = t1490 >= int64(0)
+				}
+				t1483 := t1484
+				if t1483 {
+					t1491 := -i_t
+					t1492 := t1491 + p_tsteps
+					t1493 := t1492 - int64(2)
+					t1483 = t1493 >= int64(0)
+				}
+				t1482 := t1483
+				if t1482 {
+					t1494 := -i_i2
+					t1495 := t1494 + p_n
+					t1496 := t1495 - int64(2)
+					t1482 = t1496 >= int64(0)
+				}
+				if t1482 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1500 := -i_i1
+				t1501 := t1500 + p_n
+				t1502 := t1501 - int64(2)
+				t1499 := t1502 >= int64(0)
+				if t1499 {
+					t1503 := i_t - int64(1)
+					t1499 = t1503 >= int64(0)
+				}
+				t1498 := t1499
+				if t1498 {
+					t1504 := -i_t
+					t1505 := t1504 + p_tsteps
+					t1506 := t1505 - int64(2)
+					t1498 = t1506 >= int64(0)
+				}
+				t1497 := t1498
+				if t1497 {
+					t1507 := i_i2 - p_n
+					t1508 := t1507 + int64(1)
+					t1497 = t1508 >= int64(0)
+				}
+				if t1497 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				}
+				t1511 := i_i1 - p_n
+				t1512 := t1511 + int64(1)
+				t1510 := t1512 == int64(0)
+				if t1510 {
+					t1513 := -i_i2
+					t1510 = t1513 >= int64(0)
+				}
+				t1509 := t1510
+				if t1509 {
+					t1514 := -i_t
+					t1509 = t1514 >= int64(0)
+				}
+				if t1509 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1518 := i_i1 - p_n
+				t1519 := t1518 + int64(1)
+				t1517 := t1519 == int64(0)
+				if t1517 {
+					t1520 := -i_i2
+					t1517 = t1520 >= int64(0)
+				}
+				t1516 := t1517
+				if t1516 {
+					t1521 := i_t - int64(1)
+					t1516 = t1521 >= int64(0)
+				}
+				t1515 := t1516
+				if t1515 {
+					t1522 := i_t - p_tsteps
+					t1523 := t1522 + int64(1)
+					t1515 = t1523 >= int64(0)
+				}
+				if t1515 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1527 := i_i1 - p_n
+				t1528 := t1527 + int64(1)
+				t1526 := t1528 == int64(0)
+				if t1526 {
+					t1529 := -i_i2
+					t1526 = t1529 >= int64(0)
+				}
+				t1525 := t1526
+				if t1525 {
+					t1530 := i_t - int64(1)
+					t1525 = t1530 >= int64(0)
+				}
+				t1524 := t1525
+				if t1524 {
+					t1531 := -i_t
+					t1532 := t1531 + p_tsteps
+					t1533 := t1532 - int64(2)
+					t1524 = t1533 >= int64(0)
+				}
+				if t1524 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1537 := i_i1 - p_n
+				t1538 := t1537 + int64(1)
+				t1536 := t1538 == int64(0)
+				if t1536 {
+					t1539 := i_i2 - int64(1)
+					t1536 = t1539 >= int64(0)
+				}
+				t1535 := t1536
+				if t1535 {
+					t1540 := -i_t
+					t1535 = t1540 >= int64(0)
+				}
+				t1534 := t1535
+				if t1534 {
+					t1541 := -i_i2
+					t1542 := t1541 + p_n
+					t1543 := t1542 - int64(2)
+					t1534 = t1543 >= int64(0)
+				}
+				if t1534 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1546 := i_i1 - p_n
+				t1547 := t1546 + int64(1)
+				t1545 := t1547 == int64(0)
+				if t1545 {
+					t1548 := -i_t
+					t1545 = t1548 >= int64(0)
+				}
+				t1544 := t1545
+				if t1544 {
+					t1549 := i_i2 - p_n
+					t1550 := t1549 + int64(1)
+					t1544 = t1550 >= int64(0)
+				}
+				if t1544 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1555 := i_i1 - p_n
+				t1556 := t1555 + int64(1)
+				t1554 := t1556 == int64(0)
+				if t1554 {
+					t1557 := i_i2 - int64(1)
+					t1554 = t1557 >= int64(0)
+				}
+				t1553 := t1554
+				if t1553 {
+					t1558 := i_t - int64(1)
+					t1553 = t1558 >= int64(0)
+				}
+				t1552 := t1553
+				if t1552 {
+					t1559 := i_t - p_tsteps
+					t1560 := t1559 + int64(1)
+					t1552 = t1560 >= int64(0)
+				}
+				t1551 := t1552
+				if t1551 {
+					t1561 := -i_i2
+					t1562 := t1561 + p_n
+					t1563 := t1562 - int64(2)
+					t1551 = t1563 >= int64(0)
+				}
+				if t1551 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1567 := i_i1 - p_n
+				t1568 := t1567 + int64(1)
+				t1566 := t1568 == int64(0)
+				if t1566 {
+					t1569 := i_t - int64(1)
+					t1566 = t1569 >= int64(0)
+				}
+				t1565 := t1566
+				if t1565 {
+					t1570 := i_t - p_tsteps
+					t1571 := t1570 + int64(1)
+					t1565 = t1571 >= int64(0)
+				}
+				t1564 := t1565
+				if t1564 {
+					t1572 := i_i2 - p_n
+					t1573 := t1572 + int64(1)
+					t1564 = t1573 >= int64(0)
+				}
+				if t1564 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1578 := i_i1 - p_n
+				t1579 := t1578 + int64(1)
+				t1577 := t1579 == int64(0)
+				if t1577 {
+					t1580 := i_i2 - int64(1)
+					t1577 = t1580 >= int64(0)
+				}
+				t1576 := t1577
+				if t1576 {
+					t1581 := i_t - int64(1)
+					t1576 = t1581 >= int64(0)
+				}
+				t1575 := t1576
+				if t1575 {
+					t1582 := -i_t
+					t1583 := t1582 + p_tsteps
+					t1584 := t1583 - int64(2)
+					t1575 = t1584 >= int64(0)
+				}
+				t1574 := t1575
+				if t1574 {
+					t1585 := -i_i2
+					t1586 := t1585 + p_n
+					t1587 := t1586 - int64(2)
+					t1574 = t1587 >= int64(0)
+				}
+				if t1574 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1591 := i_i1 - p_n
+				t1592 := t1591 + int64(1)
+				t1590 := t1592 == int64(0)
+				if t1590 {
+					t1593 := i_t - int64(1)
+					t1590 = t1593 >= int64(0)
+				}
+				t1589 := t1590
+				if t1589 {
+					t1594 := -i_t
+					t1595 := t1594 + p_tsteps
+					t1596 := t1595 - int64(2)
+					t1589 = t1596 >= int64(0)
+				}
+				t1588 := t1589
+				if t1588 {
+					t1597 := i_i2 - p_n
+					t1598 := t1597 + int64(1)
+					t1588 = t1598 >= int64(0)
+				}
+				if t1588 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1601 := -i_i1
+				t1602 := t1601 + p_n
+				t1603 := t1602 - int64(3)
+				t1600 := t1603 >= int64(0)
+				if t1600 {
+					t1604 := -i_i2
+					t1600 = t1604 >= int64(0)
+				}
+				t1599 := t1600
+				if t1599 {
+					t1605 := -i_t
+					t1599 = t1605 >= int64(0)
+				}
+				if t1599 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1609 := -i_i1
+				t1610 := t1609 + p_n
+				t1611 := t1610 - int64(3)
+				t1608 := t1611 >= int64(0)
+				if t1608 {
+					t1612 := -i_i2
+					t1608 = t1612 >= int64(0)
+				}
+				t1607 := t1608
+				if t1607 {
+					t1613 := i_t - int64(1)
+					t1607 = t1613 >= int64(0)
+				}
+				t1606 := t1607
+				if t1606 {
+					t1614 := i_t - p_tsteps
+					t1615 := t1614 + int64(1)
+					t1606 = t1615 >= int64(0)
+				}
+				if t1606 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1619 := -i_i1
+				t1620 := t1619 + p_n
+				t1621 := t1620 - int64(3)
+				t1618 := t1621 >= int64(0)
+				if t1618 {
+					t1622 := -i_i2
+					t1618 = t1622 >= int64(0)
+				}
+				t1617 := t1618
+				if t1617 {
+					t1623 := i_t - int64(1)
+					t1617 = t1623 >= int64(0)
+				}
+				t1616 := t1617
+				if t1616 {
+					t1624 := -i_t
+					t1625 := t1624 + p_tsteps
+					t1626 := t1625 - int64(2)
+					t1616 = t1626 >= int64(0)
+				}
+				if t1616 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1630 := -i_i1
+				t1631 := t1630 + p_n
+				t1632 := t1631 - int64(3)
+				t1629 := t1632 >= int64(0)
+				if t1629 {
+					t1633 := i_i2 - int64(1)
+					t1629 = t1633 >= int64(0)
+				}
+				t1628 := t1629
+				if t1628 {
+					t1634 := -i_t
+					t1628 = t1634 >= int64(0)
+				}
+				t1627 := t1628
+				if t1627 {
+					t1635 := -i_i2
+					t1636 := t1635 + p_n
+					t1637 := t1636 - int64(2)
+					t1627 = t1637 >= int64(0)
+				}
+				if t1627 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1640 := -i_i1
+				t1641 := t1640 + p_n
+				t1642 := t1641 - int64(3)
+				t1639 := t1642 >= int64(0)
+				if t1639 {
+					t1643 := -i_t
+					t1639 = t1643 >= int64(0)
+				}
+				t1638 := t1639
+				if t1638 {
+					t1644 := i_i2 - p_n
+					t1645 := t1644 + int64(1)
+					t1638 = t1645 >= int64(0)
+				}
+				if t1638 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1650 := -i_i1
+				t1651 := t1650 + p_n
+				t1652 := t1651 - int64(3)
+				t1649 := t1652 >= int64(0)
+				if t1649 {
+					t1653 := i_i2 - int64(1)
+					t1649 = t1653 >= int64(0)
+				}
+				t1648 := t1649
+				if t1648 {
+					t1654 := i_t - int64(1)
+					t1648 = t1654 >= int64(0)
+				}
+				t1647 := t1648
+				if t1647 {
+					t1655 := i_t - p_tsteps
+					t1656 := t1655 + int64(1)
+					t1647 = t1656 >= int64(0)
+				}
+				t1646 := t1647
+				if t1646 {
+					t1657 := -i_i2
+					t1658 := t1657 + p_n
+					t1659 := t1658 - int64(2)
+					t1646 = t1659 >= int64(0)
+				}
+				if t1646 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1663 := -i_i1
+				t1664 := t1663 + p_n
+				t1665 := t1664 - int64(3)
+				t1662 := t1665 >= int64(0)
+				if t1662 {
+					t1666 := i_t - int64(1)
+					t1662 = t1666 >= int64(0)
+				}
+				t1661 := t1662
+				if t1661 {
+					t1667 := i_t - p_tsteps
+					t1668 := t1667 + int64(1)
+					t1661 = t1668 >= int64(0)
+				}
+				t1660 := t1661
+				if t1660 {
+					t1669 := i_i2 - p_n
+					t1670 := t1669 + int64(1)
+					t1660 = t1670 >= int64(0)
+				}
+				if t1660 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1675 := -i_i1
+				t1676 := t1675 + p_n
+				t1677 := t1676 - int64(3)
+				t1674 := t1677 >= int64(0)
+				if t1674 {
+					t1678 := i_i2 - int64(1)
+					t1674 = t1678 >= int64(0)
+				}
+				t1673 := t1674
+				if t1673 {
+					t1679 := i_t - int64(1)
+					t1673 = t1679 >= int64(0)
+				}
+				t1672 := t1673
+				if t1672 {
+					t1680 := -i_t
+					t1681 := t1680 + p_tsteps
+					t1682 := t1681 - int64(2)
+					t1672 = t1682 >= int64(0)
+				}
+				t1671 := t1672
+				if t1671 {
+					t1683 := -i_i2
+					t1684 := t1683 + p_n
+					t1685 := t1684 - int64(2)
+					t1671 = t1685 >= int64(0)
+				}
+				if t1671 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1689 := -i_i1
+				t1690 := t1689 + p_n
+				t1691 := t1690 - int64(3)
+				t1688 := t1691 >= int64(0)
+				if t1688 {
+					t1692 := i_t - int64(1)
+					t1688 = t1692 >= int64(0)
+				}
+				t1687 := t1688
+				if t1687 {
+					t1693 := -i_t
+					t1694 := t1693 + p_tsteps
+					t1695 := t1694 - int64(2)
+					t1687 = t1695 >= int64(0)
+				}
+				t1686 := t1687
+				if t1686 {
+					t1696 := i_i2 - p_n
+					t1697 := t1696 + int64(1)
+					t1686 = t1697 >= int64(0)
+				}
+				if t1686 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				}
+				t1698 := i_i1
+				if t1698 < 0 || t1698 >= d_B[0] {
+					return m.OOB(t1698, d_B[0], 0, "B", 22, 23)
+				}
+				t1699 := i_i2
+				if t1699 < 0 || t1699 >= d_B[1] {
+					return m.OOB(t1699, d_B[1], 1, "B", 22, 23)
+				}
+				t1700 := b_B + int((t1698)*d_B[1]+t1699)
+				r_B_r7 := m.LoadF(t1700)
+				t1701 := i_i1
+				if t1701 < 0 || t1701 >= d_A[0] {
+					return m.OOB(t1701, d_A[0], 0, "A", 22, 35)
+				}
+				t1702 := i_i2
+				if t1702 < 0 || t1702 >= d_A[1] {
+					return m.OOB(t1702, d_A[1], 1, "A", 22, 35)
+				}
+				t1703 := b_A + int((t1701)*d_A[1]+t1702)
+				r_A_r6 := m.LoadF(t1703)
+				t1704 := i_i1
+				if t1704 < 0 || t1704 >= d_A[0] {
+					return m.OOB(t1704, d_A[0], 0, "A", 22, 47)
+				}
+				t1705 := i_i2
+				if t1705 < 0 || t1705 >= d_A[1] {
+					return m.OOB(t1705, d_A[1], 1, "A", 22, 47)
+				}
+				t1706 := b_A + int((t1704)*d_A[1]+t1705)
+				r_A_r7 := m.LoadF(t1706)
+				t1707 := i_i1 - int64(1)
+				t1708 := t1707
+				if t1708 < 0 || t1708 >= d_B[0] {
+					return m.OOB(t1708, d_B[0], 0, "B", 22, 59)
+				}
+				t1709 := i_i2
+				if t1709 < 0 || t1709 >= d_B[1] {
+					return m.OOB(t1709, d_B[1], 1, "B", 22, 59)
+				}
+				t1710 := b_B + int((t1708)*d_B[1]+t1709)
+				r_B_r8 := m.LoadF(t1710)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1711 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1712 := float64(t1711 / r_B_r8)
+				t1713 := float64(r_B_r7 - t1712)
+				r_B_w2 := t1713
+				t1714 := i_i1
+				if t1714 < 0 || t1714 >= d_B[0] {
+					return m.OOB(t1714, d_B[0], 0, "B", 22, 11)
+				}
+				t1715 := i_i2
+				if t1715 < 0 || t1715 >= d_B[1] {
+					return m.OOB(t1715, d_B[1], 1, "B", 22, 11)
+				}
+				t1716 := b_B + int((t1714)*d_B[1]+t1715)
+				m.StoreF(t1716, r_B_w2)
+				t1719 := -i_i2
+				t1718 := t1719 >= int64(0)
+				if t1718 {
+					t1720 := -i_t
+					t1721 := t1720 + p_tsteps
+					t1722 := t1721 - int64(2)
+					t1718 = t1722 >= int64(0)
+				}
+				t1717 := t1718
+				if t1717 {
+					t1723 := i_t - p_tsteps
+					t1724 := t1723 + int64(2)
+					t1717 = t1724 >= int64(0)
+				}
+				if t1717 {
+					t1725 := int64(3) * i_t
+					t1726 := -t1725
+					t1727 := int64(3) * p_tsteps
+					t1728 := t1726 + t1727
+					t1729 := t1728 - int64(3)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1729)
+				}
+				t1731 := -i_i2
+				t1730 := t1731 >= int64(0)
+				if t1730 {
+					t1732 := -i_t
+					t1733 := t1732 + p_tsteps
+					t1734 := t1733 - int64(3)
+					t1730 = t1734 >= int64(0)
+				}
+				if t1730 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1737 := i_i2 - int64(1)
+				t1736 := t1737 >= int64(0)
+				if t1736 {
+					t1738 := -i_t
+					t1739 := t1738 + p_tsteps
+					t1740 := t1739 - int64(2)
+					t1736 = t1740 >= int64(0)
+				}
+				t1735 := t1736
+				if t1735 {
+					t1741 := i_t - p_tsteps
+					t1742 := t1741 + int64(2)
+					t1735 = t1742 >= int64(0)
+				}
+				if t1735 {
+					t1743 := -i_t
+					t1744 := t1743 + p_tsteps
+					t1745 := t1744 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1745)
+				}
+				t1747 := i_i2 - int64(1)
+				t1746 := t1747 >= int64(0)
+				if t1746 {
+					t1748 := -i_t
+					t1749 := t1748 + p_tsteps
+					t1750 := t1749 - int64(3)
+					t1746 = t1750 >= int64(0)
+				}
+				if t1746 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1754 := -i_i2
+				t1755 := t1754 + p_n
+				t1756 := t1755 - int64(3)
+				t1753 := t1756 >= int64(0)
+				if t1753 {
+					t1757 := -i_i2
+					t1753 = t1757 >= int64(0)
+				}
+				t1752 := t1753
+				if t1752 {
+					t1758 := -i_t
+					t1759 := t1758 + p_tsteps
+					t1760 := t1759 - int64(2)
+					t1752 = t1760 >= int64(0)
+				}
+				t1751 := t1752
+				if t1751 {
+					t1761 := i_t - p_tsteps
+					t1762 := t1761 + int64(2)
+					t1751 = t1762 >= int64(0)
+				}
+				if t1751 {
+					t1763 := -i_t
+					t1764 := t1763 + p_tsteps
+					t1765 := t1764 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), t1765)
+				}
+				t1768 := -i_i2
+				t1769 := t1768 + p_n
+				t1770 := t1769 - int64(3)
+				t1767 := t1770 >= int64(0)
+				if t1767 {
+					t1771 := -i_i2
+					t1767 = t1771 >= int64(0)
+				}
+				t1766 := t1767
+				if t1766 {
+					t1772 := -i_t
+					t1773 := t1772 + p_tsteps
+					t1774 := t1773 - int64(3)
+					t1766 = t1774 >= int64(0)
+				}
+				if t1766 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1777 := -i_i1
+				t1778 := t1777 + p_n
+				t1779 := t1778 - int64(2)
+				t1776 := t1779 >= int64(0)
+				if t1776 {
+					t1780 := -i_i2
+					t1776 = t1780 >= int64(0)
+				}
+				t1775 := t1776
+				if t1775 {
+					t1781 := -i_t
+					t1775 = t1781 >= int64(0)
+				}
+				if t1775 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1785 := -i_i1
+				t1786 := t1785 + p_n
+				t1787 := t1786 - int64(2)
+				t1784 := t1787 >= int64(0)
+				if t1784 {
+					t1788 := -i_i2
+					t1784 = t1788 >= int64(0)
+				}
+				t1783 := t1784
+				if t1783 {
+					t1789 := i_t - int64(1)
+					t1783 = t1789 >= int64(0)
+				}
+				t1782 := t1783
+				if t1782 {
+					t1790 := i_t - p_tsteps
+					t1791 := t1790 + int64(1)
+					t1782 = t1791 >= int64(0)
+				}
+				if t1782 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1795 := -i_i1
+				t1796 := t1795 + p_n
+				t1797 := t1796 - int64(2)
+				t1794 := t1797 >= int64(0)
+				if t1794 {
+					t1798 := -i_i2
+					t1794 = t1798 >= int64(0)
+				}
+				t1793 := t1794
+				if t1793 {
+					t1799 := i_t - int64(1)
+					t1793 = t1799 >= int64(0)
+				}
+				t1792 := t1793
+				if t1792 {
+					t1800 := -i_t
+					t1801 := t1800 + p_tsteps
+					t1802 := t1801 - int64(2)
+					t1792 = t1802 >= int64(0)
+				}
+				if t1792 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1805 := -i_i1
+				t1806 := t1805 + p_n
+				t1807 := t1806 - int64(2)
+				t1804 := t1807 >= int64(0)
+				if t1804 {
+					t1808 := i_i2 - int64(1)
+					t1804 = t1808 >= int64(0)
+				}
+				t1803 := t1804
+				if t1803 {
+					t1809 := -i_t
+					t1803 = t1809 >= int64(0)
+				}
+				if t1803 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1813 := -i_i1
+				t1814 := t1813 + p_n
+				t1815 := t1814 - int64(2)
+				t1812 := t1815 >= int64(0)
+				if t1812 {
+					t1816 := i_i2 - int64(1)
+					t1812 = t1816 >= int64(0)
+				}
+				t1811 := t1812
+				if t1811 {
+					t1817 := i_t - int64(1)
+					t1811 = t1817 >= int64(0)
+				}
+				t1810 := t1811
+				if t1810 {
+					t1818 := i_t - p_tsteps
+					t1819 := t1818 + int64(1)
+					t1810 = t1819 >= int64(0)
+				}
+				if t1810 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1823 := -i_i1
+				t1824 := t1823 + p_n
+				t1825 := t1824 - int64(2)
+				t1822 := t1825 >= int64(0)
+				if t1822 {
+					t1826 := i_i2 - int64(1)
+					t1822 = t1826 >= int64(0)
+				}
+				t1821 := t1822
+				if t1821 {
+					t1827 := i_t - int64(1)
+					t1821 = t1827 >= int64(0)
+				}
+				t1820 := t1821
+				if t1820 {
+					t1828 := -i_t
+					t1829 := t1828 + p_tsteps
+					t1830 := t1829 - int64(2)
+					t1820 = t1830 >= int64(0)
+				}
+				if t1820 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				}
+				t1833 := i_i1 - p_n
+				t1834 := t1833 + int64(1)
+				t1832 := t1834 == int64(0)
+				if t1832 {
+					t1835 := -i_i2
+					t1832 = t1835 >= int64(0)
+				}
+				t1831 := t1832
+				if t1831 {
+					t1836 := -i_t
+					t1831 = t1836 >= int64(0)
+				}
+				if t1831 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1840 := i_i1 - p_n
+				t1841 := t1840 + int64(1)
+				t1839 := t1841 == int64(0)
+				if t1839 {
+					t1842 := -i_i2
+					t1839 = t1842 >= int64(0)
+				}
+				t1838 := t1839
+				if t1838 {
+					t1843 := i_t - int64(1)
+					t1838 = t1843 >= int64(0)
+				}
+				t1837 := t1838
+				if t1837 {
+					t1844 := i_t - p_tsteps
+					t1845 := t1844 + int64(1)
+					t1837 = t1845 >= int64(0)
+				}
+				if t1837 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1849 := i_i1 - p_n
+				t1850 := t1849 + int64(1)
+				t1848 := t1850 == int64(0)
+				if t1848 {
+					t1851 := -i_i2
+					t1848 = t1851 >= int64(0)
+				}
+				t1847 := t1848
+				if t1847 {
+					t1852 := i_t - int64(1)
+					t1847 = t1852 >= int64(0)
+				}
+				t1846 := t1847
+				if t1846 {
+					t1853 := -i_t
+					t1854 := t1853 + p_tsteps
+					t1855 := t1854 - int64(2)
+					t1846 = t1855 >= int64(0)
+				}
+				if t1846 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1858 := i_i1 - p_n
+				t1859 := t1858 + int64(1)
+				t1857 := t1859 == int64(0)
+				if t1857 {
+					t1860 := i_i2 - int64(1)
+					t1857 = t1860 >= int64(0)
+				}
+				t1856 := t1857
+				if t1856 {
+					t1861 := -i_t
+					t1856 = t1861 >= int64(0)
+				}
+				if t1856 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1865 := i_i1 - p_n
+				t1866 := t1865 + int64(1)
+				t1864 := t1866 == int64(0)
+				if t1864 {
+					t1867 := i_i2 - int64(1)
+					t1864 = t1867 >= int64(0)
+				}
+				t1863 := t1864
+				if t1863 {
+					t1868 := i_t - int64(1)
+					t1863 = t1868 >= int64(0)
+				}
+				t1862 := t1863
+				if t1862 {
+					t1869 := i_t - p_tsteps
+					t1870 := t1869 + int64(1)
+					t1862 = t1870 >= int64(0)
+				}
+				if t1862 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+				t1874 := i_i1 - p_n
+				t1875 := t1874 + int64(1)
+				t1873 := t1875 == int64(0)
+				if t1873 {
+					t1876 := i_i2 - int64(1)
+					t1873 = t1876 >= int64(0)
+				}
+				t1872 := t1873
+				if t1872 {
+					t1877 := i_t - int64(1)
+					t1872 = t1877 >= int64(0)
+				}
+				t1871 := t1872
+				if t1871 {
+					t1878 := -i_t
+					t1879 := t1878 + p_tsteps
+					t1880 := t1879 - int64(2)
+					t1871 = t1880 >= int64(0)
+				}
+				if t1871 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				}
+			}
+		}
+		t1881 := p_n - int64(1)
+		for i_i2 := int64(0); i_i2 <= t1881; i_i2++ {
+			if err := m.Tick(25, 3); err != nil {
+				return err
+			}
+			t1882 := p_n - int64(1)
+			t1883 := t1882
+			if t1883 < 0 || t1883 >= d_X[0] {
+				return m.OOB(t1883, d_X[0], 0, "X", 26, 24)
+			}
+			t1884 := i_i2
+			if t1884 < 0 || t1884 >= d_X[1] {
+				return m.OOB(t1884, d_X[1], 1, "X", 26, 24)
+			}
+			t1885 := b_X + int((t1883)*d_X[1]+t1884)
+			r_X_r8 := m.LoadF(t1885)
+			t1886 := p_n - int64(1)
+			t1887 := t1886
+			if t1887 < 0 || t1887 >= d_B[0] {
+				return m.OOB(t1887, d_B[0], 0, "B", 26, 39)
+			}
+			t1888 := i_i2
+			if t1888 < 0 || t1888 >= d_B[1] {
+				return m.OOB(t1888, d_B[1], 1, "B", 26, 39)
+			}
+			t1889 := b_B + int((t1887)*d_B[1]+t1888)
+			r_B_r9 := m.LoadF(t1889)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1890 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1890
+			t1891 := p_n - int64(1)
+			t1892 := t1891
+			if t1892 < 0 || t1892 >= d_X[0] {
+				return m.OOB(t1892, d_X[0], 0, "X", 26, 9)
+			}
+			t1893 := i_i2
+			if t1893 < 0 || t1893 >= d_X[1] {
+				return m.OOB(t1893, d_X[1], 1, "X", 26, 9)
+			}
+			t1894 := b_X + int((t1892)*d_X[1]+t1893)
+			m.StoreF(t1894, r_X_w5)
+			t1898 := i_i2 - int64(1)
+			t1897 := t1898 >= int64(0)
+			if t1897 {
+				t1899 := -i_t
+				t1900 := t1899 + p_tsteps
+				t1901 := t1900 - int64(2)
+				t1897 = t1901 >= int64(0)
+			}
+			t1896 := t1897
+			if t1896 {
+				t1902 := -i_i2
+				t1903 := t1902 + p_n
+				t1904 := t1903 - int64(2)
+				t1896 = t1904 >= int64(0)
+			}
+			t1895 := t1896
+			if t1895 {
+				t1905 := i_t - p_tsteps
+				t1906 := t1905 + int64(2)
+				t1895 = t1906 >= int64(0)
+			}
+			if t1895 {
+				t1907 := -i_t
+				t1908 := t1907 + p_tsteps
+				t1909 := t1908 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1909)
+			}
+			t1912 := i_i2 - int64(1)
+			t1911 := t1912 >= int64(0)
+			if t1911 {
+				t1913 := -i_i2
+				t1914 := t1913 + p_n
+				t1915 := t1914 - int64(2)
+				t1911 = t1915 >= int64(0)
+			}
+			t1910 := t1911
+			if t1910 {
+				t1916 := -i_t
+				t1917 := t1916 + p_tsteps
+				t1918 := t1917 - int64(3)
+				t1910 = t1918 >= int64(0)
+			}
+			if t1910 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+			t1922 := -i_t
+			t1923 := t1922 + p_tsteps
+			t1924 := t1923 - int64(2)
+			t1921 := t1924 >= int64(0)
+			if t1921 {
+				t1925 := i_i2 - p_n
+				t1926 := t1925 + int64(1)
+				t1921 = t1926 >= int64(0)
+			}
+			t1920 := t1921
+			if t1920 {
+				t1927 := p_n - int64(2)
+				t1920 = t1927 >= int64(0)
+			}
+			t1919 := t1920
+			if t1919 {
+				t1928 := i_t - p_tsteps
+				t1929 := t1928 + int64(2)
+				t1919 = t1929 >= int64(0)
+			}
+			if t1919 {
+				t1930 := -i_t
+				t1931 := t1930 + p_tsteps
+				t1932 := t1931 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1932)
+			}
+			t1935 := i_i2 - p_n
+			t1936 := t1935 + int64(1)
+			t1934 := t1936 >= int64(0)
+			if t1934 {
+				t1937 := p_n - int64(2)
+				t1934 = t1937 >= int64(0)
+			}
+			t1933 := t1934
+			if t1933 {
+				t1938 := -i_t
+				t1939 := t1938 + p_tsteps
+				t1940 := t1939 - int64(3)
+				t1933 = t1940 >= int64(0)
+			}
+			if t1933 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+			t1944 := -i_i2
+			t1943 := t1944 >= int64(0)
+			if t1943 {
+				t1945 := p_n - int64(2)
+				t1943 = t1945 >= int64(0)
+			}
+			t1942 := t1943
+			if t1942 {
+				t1946 := -i_t
+				t1947 := t1946 + p_tsteps
+				t1948 := t1947 - int64(2)
+				t1942 = t1948 >= int64(0)
+			}
+			t1941 := t1942
+			if t1941 {
+				t1949 := i_t - p_tsteps
+				t1950 := t1949 + int64(2)
+				t1941 = t1950 >= int64(0)
+			}
+			if t1941 {
+				t1951 := -i_t
+				t1952 := t1951 + p_tsteps
+				t1953 := t1952 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1953)
+			}
+			t1956 := -i_i2
+			t1955 := t1956 >= int64(0)
+			if t1955 {
+				t1957 := p_n - int64(2)
+				t1955 = t1957 >= int64(0)
+			}
+			t1954 := t1955
+			if t1954 {
+				t1958 := -i_t
+				t1959 := t1958 + p_tsteps
+				t1960 := t1959 - int64(3)
+				t1954 = t1960 >= int64(0)
+			}
+			if t1954 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+			t1963 := -p_n
+			t1964 := t1963 + int64(1)
+			t1962 := t1964 >= int64(0)
+			if t1962 {
+				t1965 := -i_t
+				t1966 := t1965 + p_tsteps
+				t1967 := t1966 - int64(2)
+				t1962 = t1967 >= int64(0)
+			}
+			t1961 := t1962
+			if t1961 {
+				t1968 := i_t - p_tsteps
+				t1969 := t1968 + int64(2)
+				t1961 = t1969 >= int64(0)
+			}
+			if t1961 {
+				t1970 := -i_t
+				t1971 := t1970 + p_tsteps
+				t1972 := t1971 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1972)
+			}
+			t1974 := -p_n
+			t1975 := t1974 + int64(1)
+			t1973 := t1975 >= int64(0)
+			if t1973 {
+				t1976 := -i_t
+				t1977 := t1976 + p_tsteps
+				t1978 := t1977 - int64(3)
+				t1973 = t1978 >= int64(0)
+			}
+			if t1973 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+			t1982 := -i_i2
+			t1983 := t1982 + p_n
+			t1984 := t1983 - int64(3)
+			t1981 := t1984 >= int64(0)
+			if t1981 {
+				t1985 := -i_i2
+				t1981 = t1985 >= int64(0)
+			}
+			t1980 := t1981
+			if t1980 {
+				t1986 := -i_t
+				t1987 := t1986 + p_tsteps
+				t1988 := t1987 - int64(2)
+				t1980 = t1988 >= int64(0)
+			}
+			t1979 := t1980
+			if t1979 {
+				t1989 := i_t - p_tsteps
+				t1990 := t1989 + int64(2)
+				t1979 = t1990 >= int64(0)
+			}
+			if t1979 {
+				t1991 := -i_t
+				t1992 := t1991 + p_tsteps
+				t1993 := t1992 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t1993)
+			}
+			t1996 := -i_i2
+			t1997 := t1996 + p_n
+			t1998 := t1997 - int64(3)
+			t1995 := t1998 >= int64(0)
+			if t1995 {
+				t1999 := -i_i2
+				t1995 = t1999 >= int64(0)
+			}
+			t1994 := t1995
+			if t1994 {
+				t2000 := -i_t
+				t2001 := t2000 + p_tsteps
+				t2002 := t2001 - int64(3)
+				t1994 = t2002 >= int64(0)
+			}
+			if t1994 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+			t2006 := -i_i2
+			t2005 := t2006 >= int64(0)
+			if t2005 {
+				t2007 := -i_i2
+				t2008 := t2007 + p_n
+				t2009 := t2008 - int64(2)
+				t2005 = t2009 >= int64(0)
+			}
+			t2004 := t2005
+			if t2004 {
+				t2010 := -i_t
+				t2011 := t2010 + p_tsteps
+				t2012 := t2011 - int64(2)
+				t2004 = t2012 >= int64(0)
+			}
+			t2003 := t2004
+			if t2003 {
+				t2013 := i_t - p_tsteps
+				t2014 := t2013 + int64(2)
+				t2003 = t2014 >= int64(0)
+			}
+			if t2003 {
+				t2015 := -i_t
+				t2016 := t2015 + p_tsteps
+				t2017 := t2016 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), t2017)
+			}
+			t2020 := -i_i2
+			t2019 := t2020 >= int64(0)
+			if t2019 {
+				t2021 := -i_i2
+				t2022 := t2021 + p_n
+				t2023 := t2022 - int64(2)
+				t2019 = t2023 >= int64(0)
+			}
+			t2018 := t2019
+			if t2018 {
+				t2024 := -i_t
+				t2025 := t2024 + p_tsteps
+				t2026 := t2025 - int64(3)
+				t2018 = t2026 >= int64(0)
+			}
+			if t2018 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			}
+		}
+		t2027 := p_n - int64(3)
+		for i_i1 := int64(0); i_i1 <= t2027; i_i1++ {
+			if err := m.Tick(28, 3); err != nil {
+				return err
+			}
+			t2028 := p_n - int64(1)
+			for i_i2 := int64(0); i_i2 <= t2028; i_i2++ {
+				if err := m.Tick(29, 5); err != nil {
+					return err
+				}
+				t2029 := p_n - int64(2)
+				t2030 := t2029 - i_i1
+				t2031 := t2030
+				if t2031 < 0 || t2031 >= d_X[0] {
+					return m.OOB(t2031, d_X[0], 0, "X", 30, 32)
+				}
+				t2032 := i_i2
+				if t2032 < 0 || t2032 >= d_X[1] {
+					return m.OOB(t2032, d_X[1], 1, "X", 30, 32)
+				}
+				t2033 := b_X + int((t2031)*d_X[1]+t2032)
+				r_X_r9 := m.LoadF(t2033)
+				t2034 := p_n - i_i1
+				t2035 := t2034 - int64(3)
+				t2036 := t2035
+				if t2036 < 0 || t2036 >= d_X[0] {
+					return m.OOB(t2036, d_X[0], 0, "X", 30, 52)
+				}
+				t2037 := i_i2
+				if t2037 < 0 || t2037 >= d_X[1] {
+					return m.OOB(t2037, d_X[1], 1, "X", 30, 52)
+				}
+				t2038 := b_X + int((t2036)*d_X[1]+t2037)
+				r_X_r10 := m.LoadF(t2038)
+				t2039 := p_n - int64(3)
+				t2040 := t2039 - i_i1
+				t2041 := t2040
+				if t2041 < 0 || t2041 >= d_A[0] {
+					return m.OOB(t2041, d_A[0], 0, "A", 30, 72)
+				}
+				t2042 := i_i2
+				if t2042 < 0 || t2042 >= d_A[1] {
+					return m.OOB(t2042, d_A[1], 1, "A", 30, 72)
+				}
+				t2043 := b_A + int((t2041)*d_A[1]+t2042)
+				r_A_r8 := m.LoadF(t2043)
+				t2044 := p_n - int64(2)
+				t2045 := t2044 - i_i1
+				t2046 := t2045
+				if t2046 < 0 || t2046 >= d_B[0] {
+					return m.OOB(t2046, d_B[0], 0, "B", 30, 93)
+				}
+				t2047 := i_i2
+				if t2047 < 0 || t2047 >= d_B[1] {
+					return m.OOB(t2047, d_B[1], 1, "B", 30, 93)
+				}
+				t2048 := b_B + int((t2046)*d_B[1]+t2047)
+				r_B_r10 := m.LoadF(t2048)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
+				t2049 := float64(r_X_r10 * r_A_r8)
+				t2050 := float64(r_X_r9 - t2049)
+				if r_B_r10 == 0 {
+					return m.DivZero(30, 91)
+				}
+				t2051 := float64(t2050 / r_B_r10)
+				r_X_w6 := t2051
+				t2052 := p_n - int64(2)
+				t2053 := t2052 - i_i1
+				t2054 := t2053
+				if t2054 < 0 || t2054 >= d_X[0] {
+					return m.OOB(t2054, d_X[0], 0, "X", 30, 11)
+				}
+				t2055 := i_i2
+				if t2055 < 0 || t2055 >= d_X[1] {
+					return m.OOB(t2055, d_X[1], 1, "X", 30, 11)
+				}
+				t2056 := b_X + int((t2054)*d_X[1]+t2055)
+				m.StoreF(t2056, r_X_w6)
+				t2060 := i_i2 - int64(1)
+				t2059 := t2060 >= int64(0)
+				if t2059 {
+					t2061 := -i_t
+					t2062 := t2061 + p_tsteps
+					t2063 := t2062 - int64(2)
+					t2059 = t2063 >= int64(0)
+				}
+				t2058 := t2059
+				if t2058 {
+					t2064 := -i_i2
+					t2065 := t2064 + p_n
+					t2066 := t2065 - int64(2)
+					t2058 = t2066 >= int64(0)
+				}
+				t2057 := t2058
+				if t2057 {
+					t2067 := i_t - p_tsteps
+					t2068 := t2067 + int64(2)
+					t2057 = t2068 >= int64(0)
+				}
+				if t2057 {
+					t2069 := -i_t
+					t2070 := t2069 + p_tsteps
+					t2071 := t2070 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2071)
+				}
+				t2074 := i_i2 - int64(1)
+				t2073 := t2074 >= int64(0)
+				if t2073 {
+					t2075 := -i_i2
+					t2076 := t2075 + p_n
+					t2077 := t2076 - int64(2)
+					t2073 = t2077 >= int64(0)
+				}
+				t2072 := t2073
+				if t2072 {
+					t2078 := -i_t
+					t2079 := t2078 + p_tsteps
+					t2080 := t2079 - int64(3)
+					t2072 = t2080 >= int64(0)
+				}
+				if t2072 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
+				}
+				t2083 := -i_t
+				t2084 := t2083 + p_tsteps
+				t2085 := t2084 - int64(2)
+				t2082 := t2085 >= int64(0)
+				if t2082 {
+					t2086 := i_i2 - p_n
+					t2087 := t2086 + int64(1)
+					t2082 = t2087 >= int64(0)
+				}
+				t2081 := t2082
+				if t2081 {
+					t2088 := i_t - p_tsteps
+					t2089 := t2088 + int64(2)
+					t2081 = t2089 >= int64(0)
+				}
+				if t2081 {
+					t2090 := -i_t
+					t2091 := t2090 + p_tsteps
+					t2092 := t2091 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2092)
+				}
+				t2094 := i_i2 - p_n
+				t2095 := t2094 + int64(1)
+				t2093 := t2095 >= int64(0)
+				if t2093 {
+					t2096 := -i_t
+					t2097 := t2096 + p_tsteps
+					t2098 := t2097 - int64(3)
+					t2093 = t2098 >= int64(0)
+				}
+				if t2093 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
+				}
+				t2101 := -i_i2
+				t2100 := t2101 >= int64(0)
+				if t2100 {
+					t2102 := -i_t
+					t2103 := t2102 + p_tsteps
+					t2104 := t2103 - int64(2)
+					t2100 = t2104 >= int64(0)
+				}
+				t2099 := t2100
+				if t2099 {
+					t2105 := i_t - p_tsteps
+					t2106 := t2105 + int64(2)
+					t2099 = t2106 >= int64(0)
+				}
+				if t2099 {
+					t2107 := int64(3) * i_t
+					t2108 := -t2107
+					t2109 := int64(3) * p_tsteps
+					t2110 := t2108 + t2109
+					t2111 := t2110 - int64(3)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), t2111)
+				}
+				t2113 := -i_i2
+				t2112 := t2113 >= int64(0)
+				if t2112 {
+					t2114 := -i_t
+					t2115 := t2114 + p_tsteps
+					t2116 := t2115 - int64(3)
+					t2112 = t2116 >= int64(0)
+				}
+				if t2112 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(3))
+				}
+			}
+		}
+	}
+	if epoch == epochs-1 {
 		m.Pair().Flush(&cs)
 		if err := m.Assert(0, 0); err != nil {
 			return err
@@ -5375,164 +5375,156 @@ func run_adi_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	if epoch == 0 {
 		t1 := p_n - int64(3)
 		t2 := codegen.MinI(t1, int64(0))
-		m.SetBounds(int64(0), t2)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t3 := p_n - int64(1)
-		t4 := codegen.MinI(t3, int64(0))
-		for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+		for i_li0 := int64(0); i_li0 <= t2; i_li0++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t5 := p_tsteps - int64(1)
-			if t5 >= int64(0) {
-				t6 := i_li0
-				if t6 < 0 || t6 >= d_X[0] {
-					return m.OOB(t6, d_X[0], 0, "X", 0, 0)
+			t3 := p_n - int64(1)
+			t4 := codegen.MinI(t3, int64(0))
+			for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t7 := i_li1
-				if t7 < 0 || t7 >= d_X[1] {
-					return m.OOB(t7, d_X[1], 1, "X", 0, 0)
+				t5 := p_tsteps - int64(1)
+				if t5 >= int64(0) {
+					t6 := i_li0
+					if t6 < 0 || t6 >= d_X[0] {
+						return m.OOB(t6, d_X[0], 0, "X", 0, 0)
+					}
+					t7 := i_li1
+					if t7 < 0 || t7 >= d_X[1] {
+						return m.OOB(t7, d_X[1], 1, "X", 0, 0)
+					}
+					t8 := b_X + int((t6)*d_X[1]+t7)
+					t9 := m.LoadF(t8)
+					cs.Fold(checksum.AccDef, math.Float64bits(t9), p_tsteps)
 				}
-				t8 := b_X + int((t6)*d_X[1]+t7)
-				t9 := m.LoadF(t8)
-				cs.Fold(checksum.AccDef, math.Float64bits(t9), p_tsteps)
+				t10 := p_tsteps - int64(1)
+				if t10 >= int64(0) {
+					t11 := i_li0
+					if t11 < 0 || t11 >= d_X[0] {
+						return m.OOB(t11, d_X[0], 0, "X", 0, 0)
+					}
+					t12 := i_li1
+					if t12 < 0 || t12 >= d_X[1] {
+						return m.OOB(t12, d_X[1], 1, "X", 0, 0)
+					}
+					t13 := b_X + int((t11)*d_X[1]+t12)
+					t14 := m.LoadF(t13)
+					cs.Fold(checksum.AccDef, math.Float64bits(t14), p_tsteps)
+				}
+				t15 := p_tsteps - int64(1)
+				if t15 >= int64(0) {
+					t16 := i_li0
+					if t16 < 0 || t16 >= d_X[0] {
+						return m.OOB(t16, d_X[0], 0, "X", 0, 0)
+					}
+					t17 := i_li1
+					if t17 < 0 || t17 >= d_X[1] {
+						return m.OOB(t17, d_X[1], 1, "X", 0, 0)
+					}
+					t18 := b_X + int((t16)*d_X[1]+t17)
+					t19 := m.LoadF(t18)
+					cs.Fold(checksum.AccDef, math.Float64bits(t19), p_tsteps)
+				}
+				t20 := p_tsteps - int64(1)
+				if t20 >= int64(0) {
+					t21 := i_li0
+					if t21 < 0 || t21 >= d_X[0] {
+						return m.OOB(t21, d_X[0], 0, "X", 0, 0)
+					}
+					t22 := i_li1
+					if t22 < 0 || t22 >= d_X[1] {
+						return m.OOB(t22, d_X[1], 1, "X", 0, 0)
+					}
+					t23 := b_X + int((t21)*d_X[1]+t22)
+					t24 := m.LoadF(t23)
+					cs.Fold(checksum.AccDef, math.Float64bits(t24), p_tsteps)
+				}
 			}
-			t10 := p_tsteps - int64(1)
-			if t10 >= int64(0) {
-				t11 := i_li0
-				if t11 < 0 || t11 >= d_X[0] {
-					return m.OOB(t11, d_X[0], 0, "X", 0, 0)
+			t25 := p_n - int64(2)
+			for i_li1 := int64(1); i_li1 <= t25; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t12 := i_li1
-				if t12 < 0 || t12 >= d_X[1] {
-					return m.OOB(t12, d_X[1], 1, "X", 0, 0)
+				t27 := p_tsteps - int64(1)
+				t26 := t27 >= int64(0)
+				if t26 {
+					t28 := -p_tsteps
+					t29 := t28 + int64(1)
+					t26 = t29 >= int64(0)
 				}
-				t13 := b_X + int((t11)*d_X[1]+t12)
-				t14 := m.LoadF(t13)
-				cs.Fold(checksum.AccDef, math.Float64bits(t14), p_tsteps)
+				if t26 {
+					t30 := i_li0
+					if t30 < 0 || t30 >= d_X[0] {
+						return m.OOB(t30, d_X[0], 0, "X", 0, 0)
+					}
+					t31 := i_li1
+					if t31 < 0 || t31 >= d_X[1] {
+						return m.OOB(t31, d_X[1], 1, "X", 0, 0)
+					}
+					t32 := b_X + int((t30)*d_X[1]+t31)
+					t33 := m.LoadF(t32)
+					cs.Fold(checksum.AccDef, math.Float64bits(t33), p_tsteps)
+				}
+				t34 := p_tsteps - int64(2)
+				if t34 >= int64(0) {
+					t35 := i_li0
+					if t35 < 0 || t35 >= d_X[0] {
+						return m.OOB(t35, d_X[0], 0, "X", 0, 0)
+					}
+					t36 := i_li1
+					if t36 < 0 || t36 >= d_X[1] {
+						return m.OOB(t36, d_X[1], 1, "X", 0, 0)
+					}
+					t37 := b_X + int((t35)*d_X[1]+t36)
+					t38 := m.LoadF(t37)
+					cs.Fold(checksum.AccDef, math.Float64bits(t38), int64(1))
+				}
 			}
-			t15 := p_tsteps - int64(1)
-			if t15 >= int64(0) {
-				t16 := i_li0
-				if t16 < 0 || t16 >= d_X[0] {
-					return m.OOB(t16, d_X[0], 0, "X", 0, 0)
+			t39 := p_n - int64(1)
+			t40 := codegen.MaxI(int64(1), t39)
+			t41 := p_n - int64(1)
+			for i_li1 := t40; i_li1 <= t41; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t17 := i_li1
-				if t17 < 0 || t17 >= d_X[1] {
-					return m.OOB(t17, d_X[1], 1, "X", 0, 0)
+				t43 := p_tsteps - int64(1)
+				t42 := t43 >= int64(0)
+				if t42 {
+					t44 := -p_tsteps
+					t45 := t44 + int64(1)
+					t42 = t45 >= int64(0)
 				}
-				t18 := b_X + int((t16)*d_X[1]+t17)
-				t19 := m.LoadF(t18)
-				cs.Fold(checksum.AccDef, math.Float64bits(t19), p_tsteps)
-			}
-			t20 := p_tsteps - int64(1)
-			if t20 >= int64(0) {
-				t21 := i_li0
-				if t21 < 0 || t21 >= d_X[0] {
-					return m.OOB(t21, d_X[0], 0, "X", 0, 0)
+				if t42 {
+					t46 := i_li0
+					if t46 < 0 || t46 >= d_X[0] {
+						return m.OOB(t46, d_X[0], 0, "X", 0, 0)
+					}
+					t47 := i_li1
+					if t47 < 0 || t47 >= d_X[1] {
+						return m.OOB(t47, d_X[1], 1, "X", 0, 0)
+					}
+					t48 := b_X + int((t46)*d_X[1]+t47)
+					t49 := m.LoadF(t48)
+					cs.Fold(checksum.AccDef, math.Float64bits(t49), p_tsteps)
 				}
-				t22 := i_li1
-				if t22 < 0 || t22 >= d_X[1] {
-					return m.OOB(t22, d_X[1], 1, "X", 0, 0)
+				t50 := p_tsteps - int64(2)
+				if t50 >= int64(0) {
+					t51 := i_li0
+					if t51 < 0 || t51 >= d_X[0] {
+						return m.OOB(t51, d_X[0], 0, "X", 0, 0)
+					}
+					t52 := i_li1
+					if t52 < 0 || t52 >= d_X[1] {
+						return m.OOB(t52, d_X[1], 1, "X", 0, 0)
+					}
+					t53 := b_X + int((t51)*d_X[1]+t52)
+					t54 := m.LoadF(t53)
+					cs.Fold(checksum.AccDef, math.Float64bits(t54), int64(1))
 				}
-				t23 := b_X + int((t21)*d_X[1]+t22)
-				t24 := m.LoadF(t23)
-				cs.Fold(checksum.AccDef, math.Float64bits(t24), p_tsteps)
 			}
 		}
-		t25 := p_n - int64(2)
-		for i_li1 := int64(1); i_li1 <= t25; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t27 := p_tsteps - int64(1)
-			t26 := t27 >= int64(0)
-			if t26 {
-				t28 := -p_tsteps
-				t29 := t28 + int64(1)
-				t26 = t29 >= int64(0)
-			}
-			if t26 {
-				t30 := i_li0
-				if t30 < 0 || t30 >= d_X[0] {
-					return m.OOB(t30, d_X[0], 0, "X", 0, 0)
-				}
-				t31 := i_li1
-				if t31 < 0 || t31 >= d_X[1] {
-					return m.OOB(t31, d_X[1], 1, "X", 0, 0)
-				}
-				t32 := b_X + int((t30)*d_X[1]+t31)
-				t33 := m.LoadF(t32)
-				cs.Fold(checksum.AccDef, math.Float64bits(t33), p_tsteps)
-			}
-			t34 := p_tsteps - int64(2)
-			if t34 >= int64(0) {
-				t35 := i_li0
-				if t35 < 0 || t35 >= d_X[0] {
-					return m.OOB(t35, d_X[0], 0, "X", 0, 0)
-				}
-				t36 := i_li1
-				if t36 < 0 || t36 >= d_X[1] {
-					return m.OOB(t36, d_X[1], 1, "X", 0, 0)
-				}
-				t37 := b_X + int((t35)*d_X[1]+t36)
-				t38 := m.LoadF(t37)
-				cs.Fold(checksum.AccDef, math.Float64bits(t38), int64(1))
-			}
-		}
-		t39 := p_n - int64(1)
-		t40 := codegen.MaxI(int64(1), t39)
-		t41 := p_n - int64(1)
-		for i_li1 := t40; i_li1 <= t41; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t43 := p_tsteps - int64(1)
-			t42 := t43 >= int64(0)
-			if t42 {
-				t44 := -p_tsteps
-				t45 := t44 + int64(1)
-				t42 = t45 >= int64(0)
-			}
-			if t42 {
-				t46 := i_li0
-				if t46 < 0 || t46 >= d_X[0] {
-					return m.OOB(t46, d_X[0], 0, "X", 0, 0)
-				}
-				t47 := i_li1
-				if t47 < 0 || t47 >= d_X[1] {
-					return m.OOB(t47, d_X[1], 1, "X", 0, 0)
-				}
-				t48 := b_X + int((t46)*d_X[1]+t47)
-				t49 := m.LoadF(t48)
-				cs.Fold(checksum.AccDef, math.Float64bits(t49), p_tsteps)
-			}
-			t50 := p_tsteps - int64(2)
-			if t50 >= int64(0) {
-				t51 := i_li0
-				if t51 < 0 || t51 >= d_X[0] {
-					return m.OOB(t51, d_X[0], 0, "X", 0, 0)
-				}
-				t52 := i_li1
-				if t52 < 0 || t52 >= d_X[1] {
-					return m.OOB(t52, d_X[1], 1, "X", 0, 0)
-				}
-				t53 := b_X + int((t51)*d_X[1]+t52)
-				t54 := m.LoadF(t53)
-				cs.Fold(checksum.AccDef, math.Float64bits(t54), int64(1))
-			}
-		}
-	}
-	if epoch == epochs-1 {
 		t55 := p_n - int64(2)
 		t56 := codegen.MaxI(int64(0), t55)
 		t57 := p_n - int64(2)
@@ -6893,3635 +6885,3643 @@ func run_adi_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 		}
 		t555 := p_tsteps - int64(3)
 		t556 := codegen.MinI(t555, int64(0))
-		for i_t := int64(0); i_t <= t556; i_t++ {
+		m.SetBounds(int64(0), t556)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t557 := p_n - int64(1)
+		t558 := codegen.MinI(t557, int64(0))
+		for i_i1 := int64(0); i_i1 <= t558; i_i1++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t557 := p_n - int64(1)
-			t558 := codegen.MinI(t557, int64(0))
-			for i_i1 := int64(0); i_i1 <= t558; i_i1++ {
+			t559 := p_n - int64(3)
+			for i_i2 := int64(1); i_i2 <= t559; i_i2++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t559 := p_n - int64(3)
-				for i_i2 := int64(1); i_i2 <= t559; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t560 := i_i1
-					if t560 < 0 || t560 >= d_X[0] {
-						return m.OOB(t560, d_X[0], 0, "X", 7, 23)
-					}
-					t561 := i_i2
-					if t561 < 0 || t561 >= d_X[1] {
-						return m.OOB(t561, d_X[1], 1, "X", 7, 23)
-					}
-					t562 := b_X + int((t560)*d_X[1]+t561)
-					r_X_r := m.LoadF(t562)
-					t563 := i_i1
-					if t563 < 0 || t563 >= d_X[0] {
-						return m.OOB(t563, d_X[0], 0, "X", 7, 35)
-					}
-					t564 := i_i2 - int64(1)
-					t565 := t564
-					if t565 < 0 || t565 >= d_X[1] {
-						return m.OOB(t565, d_X[1], 1, "X", 7, 35)
-					}
-					t566 := b_X + int((t563)*d_X[1]+t565)
-					r_X_r2 := m.LoadF(t566)
-					t567 := i_i1
-					if t567 < 0 || t567 >= d_A[0] {
-						return m.OOB(t567, d_A[0], 0, "A", 7, 51)
-					}
-					t568 := i_i2
-					if t568 < 0 || t568 >= d_A[1] {
-						return m.OOB(t568, d_A[1], 1, "A", 7, 51)
-					}
-					t569 := b_A + int((t567)*d_A[1]+t568)
-					r_A_r := m.LoadF(t569)
-					t570 := i_i1
-					if t570 < 0 || t570 >= d_B[0] {
-						return m.OOB(t570, d_B[0], 0, "B", 7, 63)
-					}
-					t571 := i_i2 - int64(1)
-					t572 := t571
-					if t572 < 0 || t572 >= d_B[1] {
-						return m.OOB(t572, d_B[1], 1, "B", 7, 63)
-					}
-					t573 := b_B + int((t570)*d_B[1]+t572)
-					r_B_r := m.LoadF(t573)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t574 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t575 := float64(t574 / r_B_r)
-					t576 := float64(r_X_r - t575)
-					r_X_w := t576
-					t577 := i_i1
-					if t577 < 0 || t577 >= d_X[0] {
-						return m.OOB(t577, d_X[0], 0, "X", 7, 11)
-					}
-					t578 := i_i2
-					if t578 < 0 || t578 >= d_X[1] {
-						return m.OOB(t578, d_X[1], 1, "X", 7, 11)
-					}
-					t579 := b_X + int((t577)*d_X[1]+t578)
-					m.StoreF(t579, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t580 := i_i1
-					if t580 < 0 || t580 >= d_B[0] {
-						return m.OOB(t580, d_B[0], 0, "B", 8, 23)
-					}
-					t581 := i_i2
-					if t581 < 0 || t581 >= d_B[1] {
-						return m.OOB(t581, d_B[1], 1, "B", 8, 23)
-					}
-					t582 := b_B + int((t580)*d_B[1]+t581)
-					r_B_r2 := m.LoadF(t582)
-					t583 := i_i1
-					if t583 < 0 || t583 >= d_A[0] {
-						return m.OOB(t583, d_A[0], 0, "A", 8, 35)
-					}
-					t584 := i_i2
-					if t584 < 0 || t584 >= d_A[1] {
-						return m.OOB(t584, d_A[1], 1, "A", 8, 35)
-					}
-					t585 := b_A + int((t583)*d_A[1]+t584)
-					r_A_r2 := m.LoadF(t585)
-					t586 := i_i1
-					if t586 < 0 || t586 >= d_A[0] {
-						return m.OOB(t586, d_A[0], 0, "A", 8, 47)
-					}
-					t587 := i_i2
-					if t587 < 0 || t587 >= d_A[1] {
-						return m.OOB(t587, d_A[1], 1, "A", 8, 47)
-					}
-					t588 := b_A + int((t586)*d_A[1]+t587)
-					r_A_r3 := m.LoadF(t588)
-					t589 := i_i1
-					if t589 < 0 || t589 >= d_B[0] {
-						return m.OOB(t589, d_B[0], 0, "B", 8, 59)
-					}
-					t590 := i_i2 - int64(1)
-					t591 := t590
-					if t591 < 0 || t591 >= d_B[1] {
-						return m.OOB(t591, d_B[1], 1, "B", 8, 59)
-					}
-					t592 := b_B + int((t589)*d_B[1]+t591)
-					r_B_r3 := m.LoadF(t592)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t593 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t594 := float64(t593 / r_B_r3)
-					t595 := float64(r_B_r2 - t594)
-					r_B_w := t595
-					t596 := i_i1
-					if t596 < 0 || t596 >= d_B[0] {
-						return m.OOB(t596, d_B[0], 0, "B", 8, 11)
-					}
-					t597 := i_i2
-					if t597 < 0 || t597 >= d_B[1] {
-						return m.OOB(t597, d_B[1], 1, "B", 8, 11)
-					}
-					t598 := b_B + int((t596)*d_B[1]+t597)
-					m.StoreF(t598, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				t560 := i_i1
+				if t560 < 0 || t560 >= d_X[0] {
+					return m.OOB(t560, d_X[0], 0, "X", 7, 23)
 				}
-				t599 := p_n - int64(2)
-				t600 := codegen.MaxI(int64(1), t599)
-				t601 := p_n - int64(2)
-				for i_i2 := t600; i_i2 <= t601; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t602 := i_i1
-					if t602 < 0 || t602 >= d_X[0] {
-						return m.OOB(t602, d_X[0], 0, "X", 7, 23)
-					}
-					t603 := i_i2
-					if t603 < 0 || t603 >= d_X[1] {
-						return m.OOB(t603, d_X[1], 1, "X", 7, 23)
-					}
-					t604 := b_X + int((t602)*d_X[1]+t603)
-					r_X_r := m.LoadF(t604)
-					t605 := i_i1
-					if t605 < 0 || t605 >= d_X[0] {
-						return m.OOB(t605, d_X[0], 0, "X", 7, 35)
-					}
-					t606 := i_i2 - int64(1)
-					t607 := t606
-					if t607 < 0 || t607 >= d_X[1] {
-						return m.OOB(t607, d_X[1], 1, "X", 7, 35)
-					}
-					t608 := b_X + int((t605)*d_X[1]+t607)
-					r_X_r2 := m.LoadF(t608)
-					t609 := i_i1
-					if t609 < 0 || t609 >= d_A[0] {
-						return m.OOB(t609, d_A[0], 0, "A", 7, 51)
-					}
-					t610 := i_i2
-					if t610 < 0 || t610 >= d_A[1] {
-						return m.OOB(t610, d_A[1], 1, "A", 7, 51)
-					}
-					t611 := b_A + int((t609)*d_A[1]+t610)
-					r_A_r := m.LoadF(t611)
-					t612 := i_i1
-					if t612 < 0 || t612 >= d_B[0] {
-						return m.OOB(t612, d_B[0], 0, "B", 7, 63)
-					}
-					t613 := i_i2 - int64(1)
-					t614 := t613
-					if t614 < 0 || t614 >= d_B[1] {
-						return m.OOB(t614, d_B[1], 1, "B", 7, 63)
-					}
-					t615 := b_B + int((t612)*d_B[1]+t614)
-					r_B_r := m.LoadF(t615)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t616 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t617 := float64(t616 / r_B_r)
-					t618 := float64(r_X_r - t617)
-					r_X_w := t618
-					t619 := i_i1
-					if t619 < 0 || t619 >= d_X[0] {
-						return m.OOB(t619, d_X[0], 0, "X", 7, 11)
-					}
-					t620 := i_i2
-					if t620 < 0 || t620 >= d_X[1] {
-						return m.OOB(t620, d_X[1], 1, "X", 7, 11)
-					}
-					t621 := b_X + int((t619)*d_X[1]+t620)
-					m.StoreF(t621, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					t622 := i_i1
-					if t622 < 0 || t622 >= d_B[0] {
-						return m.OOB(t622, d_B[0], 0, "B", 8, 23)
-					}
-					t623 := i_i2
-					if t623 < 0 || t623 >= d_B[1] {
-						return m.OOB(t623, d_B[1], 1, "B", 8, 23)
-					}
-					t624 := b_B + int((t622)*d_B[1]+t623)
-					r_B_r2 := m.LoadF(t624)
-					t625 := i_i1
-					if t625 < 0 || t625 >= d_A[0] {
-						return m.OOB(t625, d_A[0], 0, "A", 8, 35)
-					}
-					t626 := i_i2
-					if t626 < 0 || t626 >= d_A[1] {
-						return m.OOB(t626, d_A[1], 1, "A", 8, 35)
-					}
-					t627 := b_A + int((t625)*d_A[1]+t626)
-					r_A_r2 := m.LoadF(t627)
-					t628 := i_i1
-					if t628 < 0 || t628 >= d_A[0] {
-						return m.OOB(t628, d_A[0], 0, "A", 8, 47)
-					}
-					t629 := i_i2
-					if t629 < 0 || t629 >= d_A[1] {
-						return m.OOB(t629, d_A[1], 1, "A", 8, 47)
-					}
-					t630 := b_A + int((t628)*d_A[1]+t629)
-					r_A_r3 := m.LoadF(t630)
-					t631 := i_i1
-					if t631 < 0 || t631 >= d_B[0] {
-						return m.OOB(t631, d_B[0], 0, "B", 8, 59)
-					}
-					t632 := i_i2 - int64(1)
-					t633 := t632
-					if t633 < 0 || t633 >= d_B[1] {
-						return m.OOB(t633, d_B[1], 1, "B", 8, 59)
-					}
-					t634 := b_B + int((t631)*d_B[1]+t633)
-					r_B_r3 := m.LoadF(t634)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t635 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t636 := float64(t635 / r_B_r3)
-					t637 := float64(r_B_r2 - t636)
-					r_B_w := t637
-					t638 := i_i1
-					if t638 < 0 || t638 >= d_B[0] {
-						return m.OOB(t638, d_B[0], 0, "B", 8, 11)
-					}
-					t639 := i_i2
-					if t639 < 0 || t639 >= d_B[1] {
-						return m.OOB(t639, d_B[1], 1, "B", 8, 11)
-					}
-					t640 := b_B + int((t638)*d_B[1]+t639)
-					m.StoreF(t640, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				t561 := i_i2
+				if t561 < 0 || t561 >= d_X[1] {
+					return m.OOB(t561, d_X[1], 1, "X", 7, 23)
 				}
-				t641 := p_n - int64(1)
-				t642 := codegen.MaxI(int64(1), t641)
-				t643 := p_n - int64(1)
-				for i_i2 := t642; i_i2 <= t643; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t644 := i_i1
-					if t644 < 0 || t644 >= d_X[0] {
-						return m.OOB(t644, d_X[0], 0, "X", 7, 23)
-					}
-					t645 := i_i2
-					if t645 < 0 || t645 >= d_X[1] {
-						return m.OOB(t645, d_X[1], 1, "X", 7, 23)
-					}
-					t646 := b_X + int((t644)*d_X[1]+t645)
-					r_X_r := m.LoadF(t646)
-					t647 := i_i1
-					if t647 < 0 || t647 >= d_X[0] {
-						return m.OOB(t647, d_X[0], 0, "X", 7, 35)
-					}
-					t648 := i_i2 - int64(1)
-					t649 := t648
-					if t649 < 0 || t649 >= d_X[1] {
-						return m.OOB(t649, d_X[1], 1, "X", 7, 35)
-					}
-					t650 := b_X + int((t647)*d_X[1]+t649)
-					r_X_r2 := m.LoadF(t650)
-					t651 := i_i1
-					if t651 < 0 || t651 >= d_A[0] {
-						return m.OOB(t651, d_A[0], 0, "A", 7, 51)
-					}
-					t652 := i_i2
-					if t652 < 0 || t652 >= d_A[1] {
-						return m.OOB(t652, d_A[1], 1, "A", 7, 51)
-					}
-					t653 := b_A + int((t651)*d_A[1]+t652)
-					r_A_r := m.LoadF(t653)
-					t654 := i_i1
-					if t654 < 0 || t654 >= d_B[0] {
-						return m.OOB(t654, d_B[0], 0, "B", 7, 63)
-					}
-					t655 := i_i2 - int64(1)
-					t656 := t655
-					if t656 < 0 || t656 >= d_B[1] {
-						return m.OOB(t656, d_B[1], 1, "B", 7, 63)
-					}
-					t657 := b_B + int((t654)*d_B[1]+t656)
-					r_B_r := m.LoadF(t657)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t658 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t659 := float64(t658 / r_B_r)
-					t660 := float64(r_X_r - t659)
-					r_X_w := t660
-					t661 := i_i1
-					if t661 < 0 || t661 >= d_X[0] {
-						return m.OOB(t661, d_X[0], 0, "X", 7, 11)
-					}
-					t662 := i_i2
-					if t662 < 0 || t662 >= d_X[1] {
-						return m.OOB(t662, d_X[1], 1, "X", 7, 11)
-					}
-					t663 := b_X + int((t661)*d_X[1]+t662)
-					m.StoreF(t663, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t664 := i_i1
-					if t664 < 0 || t664 >= d_B[0] {
-						return m.OOB(t664, d_B[0], 0, "B", 8, 23)
-					}
-					t665 := i_i2
-					if t665 < 0 || t665 >= d_B[1] {
-						return m.OOB(t665, d_B[1], 1, "B", 8, 23)
-					}
-					t666 := b_B + int((t664)*d_B[1]+t665)
-					r_B_r2 := m.LoadF(t666)
-					t667 := i_i1
-					if t667 < 0 || t667 >= d_A[0] {
-						return m.OOB(t667, d_A[0], 0, "A", 8, 35)
-					}
-					t668 := i_i2
-					if t668 < 0 || t668 >= d_A[1] {
-						return m.OOB(t668, d_A[1], 1, "A", 8, 35)
-					}
-					t669 := b_A + int((t667)*d_A[1]+t668)
-					r_A_r2 := m.LoadF(t669)
-					t670 := i_i1
-					if t670 < 0 || t670 >= d_A[0] {
-						return m.OOB(t670, d_A[0], 0, "A", 8, 47)
-					}
-					t671 := i_i2
-					if t671 < 0 || t671 >= d_A[1] {
-						return m.OOB(t671, d_A[1], 1, "A", 8, 47)
-					}
-					t672 := b_A + int((t670)*d_A[1]+t671)
-					r_A_r3 := m.LoadF(t672)
-					t673 := i_i1
-					if t673 < 0 || t673 >= d_B[0] {
-						return m.OOB(t673, d_B[0], 0, "B", 8, 59)
-					}
-					t674 := i_i2 - int64(1)
-					t675 := t674
-					if t675 < 0 || t675 >= d_B[1] {
-						return m.OOB(t675, d_B[1], 1, "B", 8, 59)
-					}
-					t676 := b_B + int((t673)*d_B[1]+t675)
-					r_B_r3 := m.LoadF(t676)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t677 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t678 := float64(t677 / r_B_r3)
-					t679 := float64(r_B_r2 - t678)
-					r_B_w := t679
-					t680 := i_i1
-					if t680 < 0 || t680 >= d_B[0] {
-						return m.OOB(t680, d_B[0], 0, "B", 8, 11)
-					}
-					t681 := i_i2
-					if t681 < 0 || t681 >= d_B[1] {
-						return m.OOB(t681, d_B[1], 1, "B", 8, 11)
-					}
-					t682 := b_B + int((t680)*d_B[1]+t681)
-					m.StoreF(t682, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				t562 := b_X + int((t560)*d_X[1]+t561)
+				r_X_r := m.LoadF(t562)
+				t563 := i_i1
+				if t563 < 0 || t563 >= d_X[0] {
+					return m.OOB(t563, d_X[0], 0, "X", 7, 35)
 				}
+				t564 := i_i2 - int64(1)
+				t565 := t564
+				if t565 < 0 || t565 >= d_X[1] {
+					return m.OOB(t565, d_X[1], 1, "X", 7, 35)
+				}
+				t566 := b_X + int((t563)*d_X[1]+t565)
+				r_X_r2 := m.LoadF(t566)
+				t567 := i_i1
+				if t567 < 0 || t567 >= d_A[0] {
+					return m.OOB(t567, d_A[0], 0, "A", 7, 51)
+				}
+				t568 := i_i2
+				if t568 < 0 || t568 >= d_A[1] {
+					return m.OOB(t568, d_A[1], 1, "A", 7, 51)
+				}
+				t569 := b_A + int((t567)*d_A[1]+t568)
+				r_A_r := m.LoadF(t569)
+				t570 := i_i1
+				if t570 < 0 || t570 >= d_B[0] {
+					return m.OOB(t570, d_B[0], 0, "B", 7, 63)
+				}
+				t571 := i_i2 - int64(1)
+				t572 := t571
+				if t572 < 0 || t572 >= d_B[1] {
+					return m.OOB(t572, d_B[1], 1, "B", 7, 63)
+				}
+				t573 := b_B + int((t570)*d_B[1]+t572)
+				r_B_r := m.LoadF(t573)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t574 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t575 := float64(t574 / r_B_r)
+				t576 := float64(r_X_r - t575)
+				r_X_w := t576
+				t577 := i_i1
+				if t577 < 0 || t577 >= d_X[0] {
+					return m.OOB(t577, d_X[0], 0, "X", 7, 11)
+				}
+				t578 := i_i2
+				if t578 < 0 || t578 >= d_X[1] {
+					return m.OOB(t578, d_X[1], 1, "X", 7, 11)
+				}
+				t579 := b_X + int((t577)*d_X[1]+t578)
+				m.StoreF(t579, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t580 := i_i1
+				if t580 < 0 || t580 >= d_B[0] {
+					return m.OOB(t580, d_B[0], 0, "B", 8, 23)
+				}
+				t581 := i_i2
+				if t581 < 0 || t581 >= d_B[1] {
+					return m.OOB(t581, d_B[1], 1, "B", 8, 23)
+				}
+				t582 := b_B + int((t580)*d_B[1]+t581)
+				r_B_r2 := m.LoadF(t582)
+				t583 := i_i1
+				if t583 < 0 || t583 >= d_A[0] {
+					return m.OOB(t583, d_A[0], 0, "A", 8, 35)
+				}
+				t584 := i_i2
+				if t584 < 0 || t584 >= d_A[1] {
+					return m.OOB(t584, d_A[1], 1, "A", 8, 35)
+				}
+				t585 := b_A + int((t583)*d_A[1]+t584)
+				r_A_r2 := m.LoadF(t585)
+				t586 := i_i1
+				if t586 < 0 || t586 >= d_A[0] {
+					return m.OOB(t586, d_A[0], 0, "A", 8, 47)
+				}
+				t587 := i_i2
+				if t587 < 0 || t587 >= d_A[1] {
+					return m.OOB(t587, d_A[1], 1, "A", 8, 47)
+				}
+				t588 := b_A + int((t586)*d_A[1]+t587)
+				r_A_r3 := m.LoadF(t588)
+				t589 := i_i1
+				if t589 < 0 || t589 >= d_B[0] {
+					return m.OOB(t589, d_B[0], 0, "B", 8, 59)
+				}
+				t590 := i_i2 - int64(1)
+				t591 := t590
+				if t591 < 0 || t591 >= d_B[1] {
+					return m.OOB(t591, d_B[1], 1, "B", 8, 59)
+				}
+				t592 := b_B + int((t589)*d_B[1]+t591)
+				r_B_r3 := m.LoadF(t592)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t593 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t594 := float64(t593 / r_B_r3)
+				t595 := float64(r_B_r2 - t594)
+				r_B_w := t595
+				t596 := i_i1
+				if t596 < 0 || t596 >= d_B[0] {
+					return m.OOB(t596, d_B[0], 0, "B", 8, 11)
+				}
+				t597 := i_i2
+				if t597 < 0 || t597 >= d_B[1] {
+					return m.OOB(t597, d_B[1], 1, "B", 8, 11)
+				}
+				t598 := b_B + int((t596)*d_B[1]+t597)
+				m.StoreF(t598, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
 			}
-			t683 := p_n - int64(2)
-			for i_i1 := int64(1); i_i1 <= t683; i_i1++ {
+			t599 := p_n - int64(2)
+			t600 := codegen.MaxI(int64(1), t599)
+			t601 := p_n - int64(2)
+			for i_i2 := t600; i_i2 <= t601; i_i2++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t684 := p_n - int64(3)
-				for i_i2 := int64(1); i_i2 <= t684; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t685 := i_i1
-					if t685 < 0 || t685 >= d_X[0] {
-						return m.OOB(t685, d_X[0], 0, "X", 7, 23)
-					}
-					t686 := i_i2
-					if t686 < 0 || t686 >= d_X[1] {
-						return m.OOB(t686, d_X[1], 1, "X", 7, 23)
-					}
-					t687 := b_X + int((t685)*d_X[1]+t686)
-					r_X_r := m.LoadF(t687)
-					t688 := i_i1
-					if t688 < 0 || t688 >= d_X[0] {
-						return m.OOB(t688, d_X[0], 0, "X", 7, 35)
-					}
-					t689 := i_i2 - int64(1)
-					t690 := t689
-					if t690 < 0 || t690 >= d_X[1] {
-						return m.OOB(t690, d_X[1], 1, "X", 7, 35)
-					}
-					t691 := b_X + int((t688)*d_X[1]+t690)
-					r_X_r2 := m.LoadF(t691)
-					t692 := i_i1
-					if t692 < 0 || t692 >= d_A[0] {
-						return m.OOB(t692, d_A[0], 0, "A", 7, 51)
-					}
-					t693 := i_i2
-					if t693 < 0 || t693 >= d_A[1] {
-						return m.OOB(t693, d_A[1], 1, "A", 7, 51)
-					}
-					t694 := b_A + int((t692)*d_A[1]+t693)
-					r_A_r := m.LoadF(t694)
-					t695 := i_i1
-					if t695 < 0 || t695 >= d_B[0] {
-						return m.OOB(t695, d_B[0], 0, "B", 7, 63)
-					}
-					t696 := i_i2 - int64(1)
-					t697 := t696
-					if t697 < 0 || t697 >= d_B[1] {
-						return m.OOB(t697, d_B[1], 1, "B", 7, 63)
-					}
-					t698 := b_B + int((t695)*d_B[1]+t697)
-					r_B_r := m.LoadF(t698)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t699 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t700 := float64(t699 / r_B_r)
-					t701 := float64(r_X_r - t700)
-					r_X_w := t701
-					t702 := i_i1
-					if t702 < 0 || t702 >= d_X[0] {
-						return m.OOB(t702, d_X[0], 0, "X", 7, 11)
-					}
-					t703 := i_i2
-					if t703 < 0 || t703 >= d_X[1] {
-						return m.OOB(t703, d_X[1], 1, "X", 7, 11)
-					}
-					t704 := b_X + int((t702)*d_X[1]+t703)
-					m.StoreF(t704, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t705 := i_i1
-					if t705 < 0 || t705 >= d_B[0] {
-						return m.OOB(t705, d_B[0], 0, "B", 8, 23)
-					}
-					t706 := i_i2
-					if t706 < 0 || t706 >= d_B[1] {
-						return m.OOB(t706, d_B[1], 1, "B", 8, 23)
-					}
-					t707 := b_B + int((t705)*d_B[1]+t706)
-					r_B_r2 := m.LoadF(t707)
-					t708 := i_i1
-					if t708 < 0 || t708 >= d_A[0] {
-						return m.OOB(t708, d_A[0], 0, "A", 8, 35)
-					}
-					t709 := i_i2
-					if t709 < 0 || t709 >= d_A[1] {
-						return m.OOB(t709, d_A[1], 1, "A", 8, 35)
-					}
-					t710 := b_A + int((t708)*d_A[1]+t709)
-					r_A_r2 := m.LoadF(t710)
-					t711 := i_i1
-					if t711 < 0 || t711 >= d_A[0] {
-						return m.OOB(t711, d_A[0], 0, "A", 8, 47)
-					}
-					t712 := i_i2
-					if t712 < 0 || t712 >= d_A[1] {
-						return m.OOB(t712, d_A[1], 1, "A", 8, 47)
-					}
-					t713 := b_A + int((t711)*d_A[1]+t712)
-					r_A_r3 := m.LoadF(t713)
-					t714 := i_i1
-					if t714 < 0 || t714 >= d_B[0] {
-						return m.OOB(t714, d_B[0], 0, "B", 8, 59)
-					}
-					t715 := i_i2 - int64(1)
-					t716 := t715
-					if t716 < 0 || t716 >= d_B[1] {
-						return m.OOB(t716, d_B[1], 1, "B", 8, 59)
-					}
-					t717 := b_B + int((t714)*d_B[1]+t716)
-					r_B_r3 := m.LoadF(t717)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t718 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t719 := float64(t718 / r_B_r3)
-					t720 := float64(r_B_r2 - t719)
-					r_B_w := t720
-					t721 := i_i1
-					if t721 < 0 || t721 >= d_B[0] {
-						return m.OOB(t721, d_B[0], 0, "B", 8, 11)
-					}
-					t722 := i_i2
-					if t722 < 0 || t722 >= d_B[1] {
-						return m.OOB(t722, d_B[1], 1, "B", 8, 11)
-					}
-					t723 := b_B + int((t721)*d_B[1]+t722)
-					m.StoreF(t723, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				t602 := i_i1
+				if t602 < 0 || t602 >= d_X[0] {
+					return m.OOB(t602, d_X[0], 0, "X", 7, 23)
 				}
-				t724 := p_n - int64(2)
-				t725 := codegen.MaxI(int64(1), t724)
-				t726 := p_n - int64(2)
-				for i_i2 := t725; i_i2 <= t726; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t727 := i_i1
-					if t727 < 0 || t727 >= d_X[0] {
-						return m.OOB(t727, d_X[0], 0, "X", 7, 23)
-					}
-					t728 := i_i2
-					if t728 < 0 || t728 >= d_X[1] {
-						return m.OOB(t728, d_X[1], 1, "X", 7, 23)
-					}
-					t729 := b_X + int((t727)*d_X[1]+t728)
-					r_X_r := m.LoadF(t729)
-					t730 := i_i1
-					if t730 < 0 || t730 >= d_X[0] {
-						return m.OOB(t730, d_X[0], 0, "X", 7, 35)
-					}
-					t731 := i_i2 - int64(1)
-					t732 := t731
-					if t732 < 0 || t732 >= d_X[1] {
-						return m.OOB(t732, d_X[1], 1, "X", 7, 35)
-					}
-					t733 := b_X + int((t730)*d_X[1]+t732)
-					r_X_r2 := m.LoadF(t733)
-					t734 := i_i1
-					if t734 < 0 || t734 >= d_A[0] {
-						return m.OOB(t734, d_A[0], 0, "A", 7, 51)
-					}
-					t735 := i_i2
-					if t735 < 0 || t735 >= d_A[1] {
-						return m.OOB(t735, d_A[1], 1, "A", 7, 51)
-					}
-					t736 := b_A + int((t734)*d_A[1]+t735)
-					r_A_r := m.LoadF(t736)
-					t737 := i_i1
-					if t737 < 0 || t737 >= d_B[0] {
-						return m.OOB(t737, d_B[0], 0, "B", 7, 63)
-					}
-					t738 := i_i2 - int64(1)
-					t739 := t738
-					if t739 < 0 || t739 >= d_B[1] {
-						return m.OOB(t739, d_B[1], 1, "B", 7, 63)
-					}
-					t740 := b_B + int((t737)*d_B[1]+t739)
-					r_B_r := m.LoadF(t740)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t741 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t742 := float64(t741 / r_B_r)
-					t743 := float64(r_X_r - t742)
-					r_X_w := t743
-					t744 := i_i1
-					if t744 < 0 || t744 >= d_X[0] {
-						return m.OOB(t744, d_X[0], 0, "X", 7, 11)
-					}
-					t745 := i_i2
-					if t745 < 0 || t745 >= d_X[1] {
-						return m.OOB(t745, d_X[1], 1, "X", 7, 11)
-					}
-					t746 := b_X + int((t744)*d_X[1]+t745)
-					m.StoreF(t746, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					t747 := i_i1
-					if t747 < 0 || t747 >= d_B[0] {
-						return m.OOB(t747, d_B[0], 0, "B", 8, 23)
-					}
-					t748 := i_i2
-					if t748 < 0 || t748 >= d_B[1] {
-						return m.OOB(t748, d_B[1], 1, "B", 8, 23)
-					}
-					t749 := b_B + int((t747)*d_B[1]+t748)
-					r_B_r2 := m.LoadF(t749)
-					t750 := i_i1
-					if t750 < 0 || t750 >= d_A[0] {
-						return m.OOB(t750, d_A[0], 0, "A", 8, 35)
-					}
-					t751 := i_i2
-					if t751 < 0 || t751 >= d_A[1] {
-						return m.OOB(t751, d_A[1], 1, "A", 8, 35)
-					}
-					t752 := b_A + int((t750)*d_A[1]+t751)
-					r_A_r2 := m.LoadF(t752)
-					t753 := i_i1
-					if t753 < 0 || t753 >= d_A[0] {
-						return m.OOB(t753, d_A[0], 0, "A", 8, 47)
-					}
-					t754 := i_i2
-					if t754 < 0 || t754 >= d_A[1] {
-						return m.OOB(t754, d_A[1], 1, "A", 8, 47)
-					}
-					t755 := b_A + int((t753)*d_A[1]+t754)
-					r_A_r3 := m.LoadF(t755)
-					t756 := i_i1
-					if t756 < 0 || t756 >= d_B[0] {
-						return m.OOB(t756, d_B[0], 0, "B", 8, 59)
-					}
-					t757 := i_i2 - int64(1)
-					t758 := t757
-					if t758 < 0 || t758 >= d_B[1] {
-						return m.OOB(t758, d_B[1], 1, "B", 8, 59)
-					}
-					t759 := b_B + int((t756)*d_B[1]+t758)
-					r_B_r3 := m.LoadF(t759)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t760 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t761 := float64(t760 / r_B_r3)
-					t762 := float64(r_B_r2 - t761)
-					r_B_w := t762
-					t763 := i_i1
-					if t763 < 0 || t763 >= d_B[0] {
-						return m.OOB(t763, d_B[0], 0, "B", 8, 11)
-					}
-					t764 := i_i2
-					if t764 < 0 || t764 >= d_B[1] {
-						return m.OOB(t764, d_B[1], 1, "B", 8, 11)
-					}
-					t765 := b_B + int((t763)*d_B[1]+t764)
-					m.StoreF(t765, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				t603 := i_i2
+				if t603 < 0 || t603 >= d_X[1] {
+					return m.OOB(t603, d_X[1], 1, "X", 7, 23)
 				}
-				t766 := p_n - int64(1)
-				t767 := codegen.MaxI(int64(1), t766)
-				t768 := p_n - int64(1)
-				for i_i2 := t767; i_i2 <= t768; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t769 := i_i1
-					if t769 < 0 || t769 >= d_X[0] {
-						return m.OOB(t769, d_X[0], 0, "X", 7, 23)
-					}
-					t770 := i_i2
-					if t770 < 0 || t770 >= d_X[1] {
-						return m.OOB(t770, d_X[1], 1, "X", 7, 23)
-					}
-					t771 := b_X + int((t769)*d_X[1]+t770)
-					r_X_r := m.LoadF(t771)
-					t772 := i_i1
-					if t772 < 0 || t772 >= d_X[0] {
-						return m.OOB(t772, d_X[0], 0, "X", 7, 35)
-					}
-					t773 := i_i2 - int64(1)
-					t774 := t773
-					if t774 < 0 || t774 >= d_X[1] {
-						return m.OOB(t774, d_X[1], 1, "X", 7, 35)
-					}
-					t775 := b_X + int((t772)*d_X[1]+t774)
-					r_X_r2 := m.LoadF(t775)
-					t776 := i_i1
-					if t776 < 0 || t776 >= d_A[0] {
-						return m.OOB(t776, d_A[0], 0, "A", 7, 51)
-					}
-					t777 := i_i2
-					if t777 < 0 || t777 >= d_A[1] {
-						return m.OOB(t777, d_A[1], 1, "A", 7, 51)
-					}
-					t778 := b_A + int((t776)*d_A[1]+t777)
-					r_A_r := m.LoadF(t778)
-					t779 := i_i1
-					if t779 < 0 || t779 >= d_B[0] {
-						return m.OOB(t779, d_B[0], 0, "B", 7, 63)
-					}
-					t780 := i_i2 - int64(1)
-					t781 := t780
-					if t781 < 0 || t781 >= d_B[1] {
-						return m.OOB(t781, d_B[1], 1, "B", 7, 63)
-					}
-					t782 := b_B + int((t779)*d_B[1]+t781)
-					r_B_r := m.LoadF(t782)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t783 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t784 := float64(t783 / r_B_r)
-					t785 := float64(r_X_r - t784)
-					r_X_w := t785
-					t786 := i_i1
-					if t786 < 0 || t786 >= d_X[0] {
-						return m.OOB(t786, d_X[0], 0, "X", 7, 11)
-					}
-					t787 := i_i2
-					if t787 < 0 || t787 >= d_X[1] {
-						return m.OOB(t787, d_X[1], 1, "X", 7, 11)
-					}
-					t788 := b_X + int((t786)*d_X[1]+t787)
-					m.StoreF(t788, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t789 := i_i1
-					if t789 < 0 || t789 >= d_B[0] {
-						return m.OOB(t789, d_B[0], 0, "B", 8, 23)
-					}
-					t790 := i_i2
-					if t790 < 0 || t790 >= d_B[1] {
-						return m.OOB(t790, d_B[1], 1, "B", 8, 23)
-					}
-					t791 := b_B + int((t789)*d_B[1]+t790)
-					r_B_r2 := m.LoadF(t791)
-					t792 := i_i1
-					if t792 < 0 || t792 >= d_A[0] {
-						return m.OOB(t792, d_A[0], 0, "A", 8, 35)
-					}
-					t793 := i_i2
-					if t793 < 0 || t793 >= d_A[1] {
-						return m.OOB(t793, d_A[1], 1, "A", 8, 35)
-					}
-					t794 := b_A + int((t792)*d_A[1]+t793)
-					r_A_r2 := m.LoadF(t794)
-					t795 := i_i1
-					if t795 < 0 || t795 >= d_A[0] {
-						return m.OOB(t795, d_A[0], 0, "A", 8, 47)
-					}
-					t796 := i_i2
-					if t796 < 0 || t796 >= d_A[1] {
-						return m.OOB(t796, d_A[1], 1, "A", 8, 47)
-					}
-					t797 := b_A + int((t795)*d_A[1]+t796)
-					r_A_r3 := m.LoadF(t797)
-					t798 := i_i1
-					if t798 < 0 || t798 >= d_B[0] {
-						return m.OOB(t798, d_B[0], 0, "B", 8, 59)
-					}
-					t799 := i_i2 - int64(1)
-					t800 := t799
-					if t800 < 0 || t800 >= d_B[1] {
-						return m.OOB(t800, d_B[1], 1, "B", 8, 59)
-					}
-					t801 := b_B + int((t798)*d_B[1]+t800)
-					r_B_r3 := m.LoadF(t801)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t802 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t803 := float64(t802 / r_B_r3)
-					t804 := float64(r_B_r2 - t803)
-					r_B_w := t804
-					t805 := i_i1
-					if t805 < 0 || t805 >= d_B[0] {
-						return m.OOB(t805, d_B[0], 0, "B", 8, 11)
-					}
-					t806 := i_i2
-					if t806 < 0 || t806 >= d_B[1] {
-						return m.OOB(t806, d_B[1], 1, "B", 8, 11)
-					}
-					t807 := b_B + int((t805)*d_B[1]+t806)
-					m.StoreF(t807, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				t604 := b_X + int((t602)*d_X[1]+t603)
+				r_X_r := m.LoadF(t604)
+				t605 := i_i1
+				if t605 < 0 || t605 >= d_X[0] {
+					return m.OOB(t605, d_X[0], 0, "X", 7, 35)
 				}
+				t606 := i_i2 - int64(1)
+				t607 := t606
+				if t607 < 0 || t607 >= d_X[1] {
+					return m.OOB(t607, d_X[1], 1, "X", 7, 35)
+				}
+				t608 := b_X + int((t605)*d_X[1]+t607)
+				r_X_r2 := m.LoadF(t608)
+				t609 := i_i1
+				if t609 < 0 || t609 >= d_A[0] {
+					return m.OOB(t609, d_A[0], 0, "A", 7, 51)
+				}
+				t610 := i_i2
+				if t610 < 0 || t610 >= d_A[1] {
+					return m.OOB(t610, d_A[1], 1, "A", 7, 51)
+				}
+				t611 := b_A + int((t609)*d_A[1]+t610)
+				r_A_r := m.LoadF(t611)
+				t612 := i_i1
+				if t612 < 0 || t612 >= d_B[0] {
+					return m.OOB(t612, d_B[0], 0, "B", 7, 63)
+				}
+				t613 := i_i2 - int64(1)
+				t614 := t613
+				if t614 < 0 || t614 >= d_B[1] {
+					return m.OOB(t614, d_B[1], 1, "B", 7, 63)
+				}
+				t615 := b_B + int((t612)*d_B[1]+t614)
+				r_B_r := m.LoadF(t615)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t616 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t617 := float64(t616 / r_B_r)
+				t618 := float64(r_X_r - t617)
+				r_X_w := t618
+				t619 := i_i1
+				if t619 < 0 || t619 >= d_X[0] {
+					return m.OOB(t619, d_X[0], 0, "X", 7, 11)
+				}
+				t620 := i_i2
+				if t620 < 0 || t620 >= d_X[1] {
+					return m.OOB(t620, d_X[1], 1, "X", 7, 11)
+				}
+				t621 := b_X + int((t619)*d_X[1]+t620)
+				m.StoreF(t621, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				t622 := i_i1
+				if t622 < 0 || t622 >= d_B[0] {
+					return m.OOB(t622, d_B[0], 0, "B", 8, 23)
+				}
+				t623 := i_i2
+				if t623 < 0 || t623 >= d_B[1] {
+					return m.OOB(t623, d_B[1], 1, "B", 8, 23)
+				}
+				t624 := b_B + int((t622)*d_B[1]+t623)
+				r_B_r2 := m.LoadF(t624)
+				t625 := i_i1
+				if t625 < 0 || t625 >= d_A[0] {
+					return m.OOB(t625, d_A[0], 0, "A", 8, 35)
+				}
+				t626 := i_i2
+				if t626 < 0 || t626 >= d_A[1] {
+					return m.OOB(t626, d_A[1], 1, "A", 8, 35)
+				}
+				t627 := b_A + int((t625)*d_A[1]+t626)
+				r_A_r2 := m.LoadF(t627)
+				t628 := i_i1
+				if t628 < 0 || t628 >= d_A[0] {
+					return m.OOB(t628, d_A[0], 0, "A", 8, 47)
+				}
+				t629 := i_i2
+				if t629 < 0 || t629 >= d_A[1] {
+					return m.OOB(t629, d_A[1], 1, "A", 8, 47)
+				}
+				t630 := b_A + int((t628)*d_A[1]+t629)
+				r_A_r3 := m.LoadF(t630)
+				t631 := i_i1
+				if t631 < 0 || t631 >= d_B[0] {
+					return m.OOB(t631, d_B[0], 0, "B", 8, 59)
+				}
+				t632 := i_i2 - int64(1)
+				t633 := t632
+				if t633 < 0 || t633 >= d_B[1] {
+					return m.OOB(t633, d_B[1], 1, "B", 8, 59)
+				}
+				t634 := b_B + int((t631)*d_B[1]+t633)
+				r_B_r3 := m.LoadF(t634)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t635 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t636 := float64(t635 / r_B_r3)
+				t637 := float64(r_B_r2 - t636)
+				r_B_w := t637
+				t638 := i_i1
+				if t638 < 0 || t638 >= d_B[0] {
+					return m.OOB(t638, d_B[0], 0, "B", 8, 11)
+				}
+				t639 := i_i2
+				if t639 < 0 || t639 >= d_B[1] {
+					return m.OOB(t639, d_B[1], 1, "B", 8, 11)
+				}
+				t640 := b_B + int((t638)*d_B[1]+t639)
+				m.StoreF(t640, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
 			}
-			t808 := p_n - int64(1)
-			t809 := codegen.MaxI(int64(1), t808)
-			t810 := p_n - int64(1)
-			for i_i1 := t809; i_i1 <= t810; i_i1++ {
+			t641 := p_n - int64(1)
+			t642 := codegen.MaxI(int64(1), t641)
+			t643 := p_n - int64(1)
+			for i_i2 := t642; i_i2 <= t643; i_i2++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t811 := p_n - int64(3)
-				for i_i2 := int64(1); i_i2 <= t811; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t812 := i_i1
-					if t812 < 0 || t812 >= d_X[0] {
-						return m.OOB(t812, d_X[0], 0, "X", 7, 23)
-					}
-					t813 := i_i2
-					if t813 < 0 || t813 >= d_X[1] {
-						return m.OOB(t813, d_X[1], 1, "X", 7, 23)
-					}
-					t814 := b_X + int((t812)*d_X[1]+t813)
-					r_X_r := m.LoadF(t814)
-					t815 := i_i1
-					if t815 < 0 || t815 >= d_X[0] {
-						return m.OOB(t815, d_X[0], 0, "X", 7, 35)
-					}
-					t816 := i_i2 - int64(1)
-					t817 := t816
-					if t817 < 0 || t817 >= d_X[1] {
-						return m.OOB(t817, d_X[1], 1, "X", 7, 35)
-					}
-					t818 := b_X + int((t815)*d_X[1]+t817)
-					r_X_r2 := m.LoadF(t818)
-					t819 := i_i1
-					if t819 < 0 || t819 >= d_A[0] {
-						return m.OOB(t819, d_A[0], 0, "A", 7, 51)
-					}
-					t820 := i_i2
-					if t820 < 0 || t820 >= d_A[1] {
-						return m.OOB(t820, d_A[1], 1, "A", 7, 51)
-					}
-					t821 := b_A + int((t819)*d_A[1]+t820)
-					r_A_r := m.LoadF(t821)
-					t822 := i_i1
-					if t822 < 0 || t822 >= d_B[0] {
-						return m.OOB(t822, d_B[0], 0, "B", 7, 63)
-					}
-					t823 := i_i2 - int64(1)
-					t824 := t823
-					if t824 < 0 || t824 >= d_B[1] {
-						return m.OOB(t824, d_B[1], 1, "B", 7, 63)
-					}
-					t825 := b_B + int((t822)*d_B[1]+t824)
-					r_B_r := m.LoadF(t825)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t826 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t827 := float64(t826 / r_B_r)
-					t828 := float64(r_X_r - t827)
-					r_X_w := t828
-					t829 := i_i1
-					if t829 < 0 || t829 >= d_X[0] {
-						return m.OOB(t829, d_X[0], 0, "X", 7, 11)
-					}
-					t830 := i_i2
-					if t830 < 0 || t830 >= d_X[1] {
-						return m.OOB(t830, d_X[1], 1, "X", 7, 11)
-					}
-					t831 := b_X + int((t829)*d_X[1]+t830)
-					m.StoreF(t831, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t832 := i_i1
-					if t832 < 0 || t832 >= d_B[0] {
-						return m.OOB(t832, d_B[0], 0, "B", 8, 23)
-					}
-					t833 := i_i2
-					if t833 < 0 || t833 >= d_B[1] {
-						return m.OOB(t833, d_B[1], 1, "B", 8, 23)
-					}
-					t834 := b_B + int((t832)*d_B[1]+t833)
-					r_B_r2 := m.LoadF(t834)
-					t835 := i_i1
-					if t835 < 0 || t835 >= d_A[0] {
-						return m.OOB(t835, d_A[0], 0, "A", 8, 35)
-					}
-					t836 := i_i2
-					if t836 < 0 || t836 >= d_A[1] {
-						return m.OOB(t836, d_A[1], 1, "A", 8, 35)
-					}
-					t837 := b_A + int((t835)*d_A[1]+t836)
-					r_A_r2 := m.LoadF(t837)
-					t838 := i_i1
-					if t838 < 0 || t838 >= d_A[0] {
-						return m.OOB(t838, d_A[0], 0, "A", 8, 47)
-					}
-					t839 := i_i2
-					if t839 < 0 || t839 >= d_A[1] {
-						return m.OOB(t839, d_A[1], 1, "A", 8, 47)
-					}
-					t840 := b_A + int((t838)*d_A[1]+t839)
-					r_A_r3 := m.LoadF(t840)
-					t841 := i_i1
-					if t841 < 0 || t841 >= d_B[0] {
-						return m.OOB(t841, d_B[0], 0, "B", 8, 59)
-					}
-					t842 := i_i2 - int64(1)
-					t843 := t842
-					if t843 < 0 || t843 >= d_B[1] {
-						return m.OOB(t843, d_B[1], 1, "B", 8, 59)
-					}
-					t844 := b_B + int((t841)*d_B[1]+t843)
-					r_B_r3 := m.LoadF(t844)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t845 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t846 := float64(t845 / r_B_r3)
-					t847 := float64(r_B_r2 - t846)
-					r_B_w := t847
-					t848 := i_i1
-					if t848 < 0 || t848 >= d_B[0] {
-						return m.OOB(t848, d_B[0], 0, "B", 8, 11)
-					}
-					t849 := i_i2
-					if t849 < 0 || t849 >= d_B[1] {
-						return m.OOB(t849, d_B[1], 1, "B", 8, 11)
-					}
-					t850 := b_B + int((t848)*d_B[1]+t849)
-					m.StoreF(t850, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-				t851 := p_n - int64(2)
-				t852 := codegen.MaxI(int64(1), t851)
-				t853 := p_n - int64(2)
-				for i_i2 := t852; i_i2 <= t853; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t854 := i_i1
-					if t854 < 0 || t854 >= d_X[0] {
-						return m.OOB(t854, d_X[0], 0, "X", 7, 23)
-					}
-					t855 := i_i2
-					if t855 < 0 || t855 >= d_X[1] {
-						return m.OOB(t855, d_X[1], 1, "X", 7, 23)
-					}
-					t856 := b_X + int((t854)*d_X[1]+t855)
-					r_X_r := m.LoadF(t856)
-					t857 := i_i1
-					if t857 < 0 || t857 >= d_X[0] {
-						return m.OOB(t857, d_X[0], 0, "X", 7, 35)
-					}
-					t858 := i_i2 - int64(1)
-					t859 := t858
-					if t859 < 0 || t859 >= d_X[1] {
-						return m.OOB(t859, d_X[1], 1, "X", 7, 35)
-					}
-					t860 := b_X + int((t857)*d_X[1]+t859)
-					r_X_r2 := m.LoadF(t860)
-					t861 := i_i1
-					if t861 < 0 || t861 >= d_A[0] {
-						return m.OOB(t861, d_A[0], 0, "A", 7, 51)
-					}
-					t862 := i_i2
-					if t862 < 0 || t862 >= d_A[1] {
-						return m.OOB(t862, d_A[1], 1, "A", 7, 51)
-					}
-					t863 := b_A + int((t861)*d_A[1]+t862)
-					r_A_r := m.LoadF(t863)
-					t864 := i_i1
-					if t864 < 0 || t864 >= d_B[0] {
-						return m.OOB(t864, d_B[0], 0, "B", 7, 63)
-					}
-					t865 := i_i2 - int64(1)
-					t866 := t865
-					if t866 < 0 || t866 >= d_B[1] {
-						return m.OOB(t866, d_B[1], 1, "B", 7, 63)
-					}
-					t867 := b_B + int((t864)*d_B[1]+t866)
-					r_B_r := m.LoadF(t867)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t868 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t869 := float64(t868 / r_B_r)
-					t870 := float64(r_X_r - t869)
-					r_X_w := t870
-					t871 := i_i1
-					if t871 < 0 || t871 >= d_X[0] {
-						return m.OOB(t871, d_X[0], 0, "X", 7, 11)
-					}
-					t872 := i_i2
-					if t872 < 0 || t872 >= d_X[1] {
-						return m.OOB(t872, d_X[1], 1, "X", 7, 11)
-					}
-					t873 := b_X + int((t871)*d_X[1]+t872)
-					m.StoreF(t873, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
-					t874 := i_i1
-					if t874 < 0 || t874 >= d_B[0] {
-						return m.OOB(t874, d_B[0], 0, "B", 8, 23)
-					}
-					t875 := i_i2
-					if t875 < 0 || t875 >= d_B[1] {
-						return m.OOB(t875, d_B[1], 1, "B", 8, 23)
-					}
-					t876 := b_B + int((t874)*d_B[1]+t875)
-					r_B_r2 := m.LoadF(t876)
-					t877 := i_i1
-					if t877 < 0 || t877 >= d_A[0] {
-						return m.OOB(t877, d_A[0], 0, "A", 8, 35)
-					}
-					t878 := i_i2
-					if t878 < 0 || t878 >= d_A[1] {
-						return m.OOB(t878, d_A[1], 1, "A", 8, 35)
-					}
-					t879 := b_A + int((t877)*d_A[1]+t878)
-					r_A_r2 := m.LoadF(t879)
-					t880 := i_i1
-					if t880 < 0 || t880 >= d_A[0] {
-						return m.OOB(t880, d_A[0], 0, "A", 8, 47)
-					}
-					t881 := i_i2
-					if t881 < 0 || t881 >= d_A[1] {
-						return m.OOB(t881, d_A[1], 1, "A", 8, 47)
-					}
-					t882 := b_A + int((t880)*d_A[1]+t881)
-					r_A_r3 := m.LoadF(t882)
-					t883 := i_i1
-					if t883 < 0 || t883 >= d_B[0] {
-						return m.OOB(t883, d_B[0], 0, "B", 8, 59)
-					}
-					t884 := i_i2 - int64(1)
-					t885 := t884
-					if t885 < 0 || t885 >= d_B[1] {
-						return m.OOB(t885, d_B[1], 1, "B", 8, 59)
-					}
-					t886 := b_B + int((t883)*d_B[1]+t885)
-					r_B_r3 := m.LoadF(t886)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t887 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t888 := float64(t887 / r_B_r3)
-					t889 := float64(r_B_r2 - t888)
-					r_B_w := t889
-					t890 := i_i1
-					if t890 < 0 || t890 >= d_B[0] {
-						return m.OOB(t890, d_B[0], 0, "B", 8, 11)
-					}
-					t891 := i_i2
-					if t891 < 0 || t891 >= d_B[1] {
-						return m.OOB(t891, d_B[1], 1, "B", 8, 11)
-					}
-					t892 := b_B + int((t890)*d_B[1]+t891)
-					m.StoreF(t892, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-				t893 := p_n - int64(1)
-				t894 := codegen.MaxI(int64(1), t893)
-				t895 := p_n - int64(1)
-				for i_i2 := t894; i_i2 <= t895; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t896 := i_i1
-					if t896 < 0 || t896 >= d_X[0] {
-						return m.OOB(t896, d_X[0], 0, "X", 7, 23)
-					}
-					t897 := i_i2
-					if t897 < 0 || t897 >= d_X[1] {
-						return m.OOB(t897, d_X[1], 1, "X", 7, 23)
-					}
-					t898 := b_X + int((t896)*d_X[1]+t897)
-					r_X_r := m.LoadF(t898)
-					t899 := i_i1
-					if t899 < 0 || t899 >= d_X[0] {
-						return m.OOB(t899, d_X[0], 0, "X", 7, 35)
-					}
-					t900 := i_i2 - int64(1)
-					t901 := t900
-					if t901 < 0 || t901 >= d_X[1] {
-						return m.OOB(t901, d_X[1], 1, "X", 7, 35)
-					}
-					t902 := b_X + int((t899)*d_X[1]+t901)
-					r_X_r2 := m.LoadF(t902)
-					t903 := i_i1
-					if t903 < 0 || t903 >= d_A[0] {
-						return m.OOB(t903, d_A[0], 0, "A", 7, 51)
-					}
-					t904 := i_i2
-					if t904 < 0 || t904 >= d_A[1] {
-						return m.OOB(t904, d_A[1], 1, "A", 7, 51)
-					}
-					t905 := b_A + int((t903)*d_A[1]+t904)
-					r_A_r := m.LoadF(t905)
-					t906 := i_i1
-					if t906 < 0 || t906 >= d_B[0] {
-						return m.OOB(t906, d_B[0], 0, "B", 7, 63)
-					}
-					t907 := i_i2 - int64(1)
-					t908 := t907
-					if t908 < 0 || t908 >= d_B[1] {
-						return m.OOB(t908, d_B[1], 1, "B", 7, 63)
-					}
-					t909 := b_B + int((t906)*d_B[1]+t908)
-					r_B_r := m.LoadF(t909)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-					t910 := float64(r_X_r2 * r_A_r)
-					if r_B_r == 0 {
-						return m.DivZero(7, 61)
-					}
-					t911 := float64(t910 / r_B_r)
-					t912 := float64(r_X_r - t911)
-					r_X_w := t912
-					t913 := i_i1
-					if t913 < 0 || t913 >= d_X[0] {
-						return m.OOB(t913, d_X[0], 0, "X", 7, 11)
-					}
-					t914 := i_i2
-					if t914 < 0 || t914 >= d_X[1] {
-						return m.OOB(t914, d_X[1], 1, "X", 7, 11)
-					}
-					t915 := b_X + int((t913)*d_X[1]+t914)
-					m.StoreF(t915, r_X_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
-					t916 := i_i1
-					if t916 < 0 || t916 >= d_B[0] {
-						return m.OOB(t916, d_B[0], 0, "B", 8, 23)
-					}
-					t917 := i_i2
-					if t917 < 0 || t917 >= d_B[1] {
-						return m.OOB(t917, d_B[1], 1, "B", 8, 23)
-					}
-					t918 := b_B + int((t916)*d_B[1]+t917)
-					r_B_r2 := m.LoadF(t918)
-					t919 := i_i1
-					if t919 < 0 || t919 >= d_A[0] {
-						return m.OOB(t919, d_A[0], 0, "A", 8, 35)
-					}
-					t920 := i_i2
-					if t920 < 0 || t920 >= d_A[1] {
-						return m.OOB(t920, d_A[1], 1, "A", 8, 35)
-					}
-					t921 := b_A + int((t919)*d_A[1]+t920)
-					r_A_r2 := m.LoadF(t921)
-					t922 := i_i1
-					if t922 < 0 || t922 >= d_A[0] {
-						return m.OOB(t922, d_A[0], 0, "A", 8, 47)
-					}
-					t923 := i_i2
-					if t923 < 0 || t923 >= d_A[1] {
-						return m.OOB(t923, d_A[1], 1, "A", 8, 47)
-					}
-					t924 := b_A + int((t922)*d_A[1]+t923)
-					r_A_r3 := m.LoadF(t924)
-					t925 := i_i1
-					if t925 < 0 || t925 >= d_B[0] {
-						return m.OOB(t925, d_B[0], 0, "B", 8, 59)
-					}
-					t926 := i_i2 - int64(1)
-					t927 := t926
-					if t927 < 0 || t927 >= d_B[1] {
-						return m.OOB(t927, d_B[1], 1, "B", 8, 59)
-					}
-					t928 := b_B + int((t925)*d_B[1]+t927)
-					r_B_r3 := m.LoadF(t928)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
-					t929 := float64(r_A_r2 * r_A_r3)
-					if r_B_r3 == 0 {
-						return m.DivZero(8, 57)
-					}
-					t930 := float64(t929 / r_B_r3)
-					t931 := float64(r_B_r2 - t930)
-					r_B_w := t931
-					t932 := i_i1
-					if t932 < 0 || t932 >= d_B[0] {
-						return m.OOB(t932, d_B[0], 0, "B", 8, 11)
-					}
-					t933 := i_i2
-					if t933 < 0 || t933 >= d_B[1] {
-						return m.OOB(t933, d_B[1], 1, "B", 8, 11)
-					}
-					t934 := b_B + int((t932)*d_B[1]+t933)
-					m.StoreF(t934, r_B_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-			}
-			t935 := p_n - int64(3)
-			t936 := codegen.MinI(t935, int64(0))
-			for i_i1 := int64(0); i_i1 <= t936; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t937 := i_i1
-				if t937 < 0 || t937 >= d_X[0] {
-					return m.OOB(t937, d_X[0], 0, "X", 12, 24)
-				}
-				t938 := p_n - int64(1)
-				t939 := t938
-				if t939 < 0 || t939 >= d_X[1] {
-					return m.OOB(t939, d_X[1], 1, "X", 12, 24)
-				}
-				t940 := b_X + int((t937)*d_X[1]+t939)
-				r_X_r3 := m.LoadF(t940)
-				t941 := i_i1
-				if t941 < 0 || t941 >= d_B[0] {
-					return m.OOB(t941, d_B[0], 0, "B", 12, 39)
-				}
-				t942 := p_n - int64(1)
-				t943 := t942
-				if t943 < 0 || t943 >= d_B[1] {
-					return m.OOB(t943, d_B[1], 1, "B", 12, 39)
-				}
-				t944 := b_B + int((t941)*d_B[1]+t943)
-				r_B_r4 := m.LoadF(t944)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t945 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t945
-				t946 := i_i1
-				if t946 < 0 || t946 >= d_X[0] {
-					return m.OOB(t946, d_X[0], 0, "X", 12, 9)
-				}
-				t947 := p_n - int64(1)
-				t948 := t947
-				if t948 < 0 || t948 >= d_X[1] {
-					return m.OOB(t948, d_X[1], 1, "X", 12, 9)
-				}
-				t949 := b_X + int((t946)*d_X[1]+t948)
-				m.StoreF(t949, r_X_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-			}
-			t950 := p_n - int64(2)
-			t951 := codegen.MaxI(int64(0), t950)
-			t952 := p_n - int64(2)
-			t953 := codegen.MinI(t952, int64(0))
-			for i_i1 := t951; i_i1 <= t953; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t954 := i_i1
-				if t954 < 0 || t954 >= d_X[0] {
-					return m.OOB(t954, d_X[0], 0, "X", 12, 24)
-				}
-				t955 := p_n - int64(1)
-				t956 := t955
-				if t956 < 0 || t956 >= d_X[1] {
-					return m.OOB(t956, d_X[1], 1, "X", 12, 24)
-				}
-				t957 := b_X + int((t954)*d_X[1]+t956)
-				r_X_r3 := m.LoadF(t957)
-				t958 := i_i1
-				if t958 < 0 || t958 >= d_B[0] {
-					return m.OOB(t958, d_B[0], 0, "B", 12, 39)
-				}
-				t959 := p_n - int64(1)
-				t960 := t959
-				if t960 < 0 || t960 >= d_B[1] {
-					return m.OOB(t960, d_B[1], 1, "B", 12, 39)
-				}
-				t961 := b_B + int((t958)*d_B[1]+t960)
-				r_B_r4 := m.LoadF(t961)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t962 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t962
-				t963 := i_i1
-				if t963 < 0 || t963 >= d_X[0] {
-					return m.OOB(t963, d_X[0], 0, "X", 12, 9)
-				}
-				t964 := p_n - int64(1)
-				t965 := t964
-				if t965 < 0 || t965 >= d_X[1] {
-					return m.OOB(t965, d_X[1], 1, "X", 12, 9)
-				}
-				t966 := b_X + int((t963)*d_X[1]+t965)
-				m.StoreF(t966, r_X_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-			}
-			t967 := p_n - int64(1)
-			t968 := codegen.MaxI(int64(0), t967)
-			t969 := p_n - int64(1)
-			t970 := codegen.MinI(t969, int64(0))
-			for i_i1 := t968; i_i1 <= t970; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t971 := i_i1
-				if t971 < 0 || t971 >= d_X[0] {
-					return m.OOB(t971, d_X[0], 0, "X", 12, 24)
-				}
-				t972 := p_n - int64(1)
-				t973 := t972
-				if t973 < 0 || t973 >= d_X[1] {
-					return m.OOB(t973, d_X[1], 1, "X", 12, 24)
-				}
-				t974 := b_X + int((t971)*d_X[1]+t973)
-				r_X_r3 := m.LoadF(t974)
-				t975 := i_i1
-				if t975 < 0 || t975 >= d_B[0] {
-					return m.OOB(t975, d_B[0], 0, "B", 12, 39)
-				}
-				t976 := p_n - int64(1)
-				t977 := t976
-				if t977 < 0 || t977 >= d_B[1] {
-					return m.OOB(t977, d_B[1], 1, "B", 12, 39)
-				}
-				t978 := b_B + int((t975)*d_B[1]+t977)
-				r_B_r4 := m.LoadF(t978)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t979 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t979
-				t980 := i_i1
-				if t980 < 0 || t980 >= d_X[0] {
-					return m.OOB(t980, d_X[0], 0, "X", 12, 9)
-				}
-				t981 := p_n - int64(1)
-				t982 := t981
-				if t982 < 0 || t982 >= d_X[1] {
-					return m.OOB(t982, d_X[1], 1, "X", 12, 9)
-				}
-				t983 := b_X + int((t980)*d_X[1]+t982)
-				m.StoreF(t983, r_X_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-			}
-			t984 := p_n - int64(2)
-			for i_i1 := int64(1); i_i1 <= t984; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t985 := i_i1
-				if t985 < 0 || t985 >= d_X[0] {
-					return m.OOB(t985, d_X[0], 0, "X", 12, 24)
-				}
-				t986 := p_n - int64(1)
-				t987 := t986
-				if t987 < 0 || t987 >= d_X[1] {
-					return m.OOB(t987, d_X[1], 1, "X", 12, 24)
-				}
-				t988 := b_X + int((t985)*d_X[1]+t987)
-				r_X_r3 := m.LoadF(t988)
-				t989 := i_i1
-				if t989 < 0 || t989 >= d_B[0] {
-					return m.OOB(t989, d_B[0], 0, "B", 12, 39)
-				}
-				t990 := p_n - int64(1)
-				t991 := t990
-				if t991 < 0 || t991 >= d_B[1] {
-					return m.OOB(t991, d_B[1], 1, "B", 12, 39)
-				}
-				t992 := b_B + int((t989)*d_B[1]+t991)
-				r_B_r4 := m.LoadF(t992)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t993 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t993
-				t994 := i_i1
-				if t994 < 0 || t994 >= d_X[0] {
-					return m.OOB(t994, d_X[0], 0, "X", 12, 9)
-				}
-				t995 := p_n - int64(1)
-				t996 := t995
-				if t996 < 0 || t996 >= d_X[1] {
-					return m.OOB(t996, d_X[1], 1, "X", 12, 9)
-				}
-				t997 := b_X + int((t994)*d_X[1]+t996)
-				m.StoreF(t997, r_X_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-			}
-			t998 := p_n - int64(1)
-			t999 := codegen.MaxI(int64(1), t998)
-			t1000 := p_n - int64(1)
-			for i_i1 := t999; i_i1 <= t1000; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1001 := i_i1
-				if t1001 < 0 || t1001 >= d_X[0] {
-					return m.OOB(t1001, d_X[0], 0, "X", 12, 24)
-				}
-				t1002 := p_n - int64(1)
-				t1003 := t1002
-				if t1003 < 0 || t1003 >= d_X[1] {
-					return m.OOB(t1003, d_X[1], 1, "X", 12, 24)
-				}
-				t1004 := b_X + int((t1001)*d_X[1]+t1003)
-				r_X_r3 := m.LoadF(t1004)
-				t1005 := i_i1
-				if t1005 < 0 || t1005 >= d_B[0] {
-					return m.OOB(t1005, d_B[0], 0, "B", 12, 39)
-				}
-				t1006 := p_n - int64(1)
-				t1007 := t1006
-				if t1007 < 0 || t1007 >= d_B[1] {
-					return m.OOB(t1007, d_B[1], 1, "B", 12, 39)
-				}
-				t1008 := b_B + int((t1005)*d_B[1]+t1007)
-				r_B_r4 := m.LoadF(t1008)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
-				if r_B_r4 == 0 {
-					return m.DivZero(12, 37)
-				}
-				t1009 := float64(r_X_r3 / r_B_r4)
-				r_X_w2 := t1009
-				t1010 := i_i1
-				if t1010 < 0 || t1010 >= d_X[0] {
-					return m.OOB(t1010, d_X[0], 0, "X", 12, 9)
-				}
-				t1011 := p_n - int64(1)
-				t1012 := t1011
-				if t1012 < 0 || t1012 >= d_X[1] {
-					return m.OOB(t1012, d_X[1], 1, "X", 12, 9)
-				}
-				t1013 := b_X + int((t1010)*d_X[1]+t1012)
-				m.StoreF(t1013, r_X_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
-			}
-			t1014 := p_n - int64(1)
-			t1015 := codegen.MinI(t1014, int64(0))
-			for i_i1 := int64(0); i_i1 <= t1015; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1016 := p_n - int64(3)
-				for i_i2 := int64(0); i_i2 <= t1016; i_i2++ {
-					if err := m.Tick(15, 5); err != nil {
-						return err
-					}
-					t1017 := i_i1
-					if t1017 < 0 || t1017 >= d_X[0] {
-						return m.OOB(t1017, d_X[0], 0, "X", 16, 32)
-					}
-					t1018 := p_n - int64(2)
-					t1019 := t1018 - i_i2
-					t1020 := t1019
-					if t1020 < 0 || t1020 >= d_X[1] {
-						return m.OOB(t1020, d_X[1], 1, "X", 16, 32)
-					}
-					t1021 := b_X + int((t1017)*d_X[1]+t1020)
-					r_X_r4 := m.LoadF(t1021)
-					t1022 := i_i1
-					if t1022 < 0 || t1022 >= d_X[0] {
-						return m.OOB(t1022, d_X[0], 0, "X", 16, 52)
-					}
-					t1023 := p_n - int64(2)
-					t1024 := t1023 - i_i2
-					t1025 := t1024 - int64(1)
-					t1026 := t1025
-					if t1026 < 0 || t1026 >= d_X[1] {
-						return m.OOB(t1026, d_X[1], 1, "X", 16, 52)
-					}
-					t1027 := b_X + int((t1022)*d_X[1]+t1026)
-					r_X_r5 := m.LoadF(t1027)
-					t1028 := i_i1
-					if t1028 < 0 || t1028 >= d_A[0] {
-						return m.OOB(t1028, d_A[0], 0, "A", 16, 76)
-					}
-					t1029 := p_n - i_i2
-					t1030 := t1029 - int64(3)
-					t1031 := t1030
-					if t1031 < 0 || t1031 >= d_A[1] {
-						return m.OOB(t1031, d_A[1], 1, "A", 16, 76)
-					}
-					t1032 := b_A + int((t1028)*d_A[1]+t1031)
-					r_A_r4 := m.LoadF(t1032)
-					t1033 := i_i1
-					if t1033 < 0 || t1033 >= d_B[0] {
-						return m.OOB(t1033, d_B[0], 0, "B", 16, 97)
-					}
-					t1034 := p_n - int64(3)
-					t1035 := t1034 - i_i2
-					t1036 := t1035
-					if t1036 < 0 || t1036 >= d_B[1] {
-						return m.OOB(t1036, d_B[1], 1, "B", 16, 97)
-					}
-					t1037 := b_B + int((t1033)*d_B[1]+t1036)
-					r_B_r5 := m.LoadF(t1037)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
-					t1038 := float64(r_X_r5 * r_A_r4)
-					t1039 := float64(r_X_r4 - t1038)
-					if r_B_r5 == 0 {
-						return m.DivZero(16, 95)
-					}
-					t1040 := float64(t1039 / r_B_r5)
-					r_X_w3 := t1040
-					t1041 := i_i1
-					if t1041 < 0 || t1041 >= d_X[0] {
-						return m.OOB(t1041, d_X[0], 0, "X", 16, 11)
-					}
-					t1042 := p_n - i_i2
-					t1043 := t1042 - int64(2)
-					t1044 := t1043
-					if t1044 < 0 || t1044 >= d_X[1] {
-						return m.OOB(t1044, d_X[1], 1, "X", 16, 11)
-					}
-					t1045 := b_X + int((t1041)*d_X[1]+t1044)
-					m.StoreF(t1045, r_X_w3)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
-				}
-			}
-			t1046 := p_n - int64(2)
-			for i_i1 := int64(1); i_i1 <= t1046; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1047 := p_n - int64(3)
-				for i_i2 := int64(0); i_i2 <= t1047; i_i2++ {
-					if err := m.Tick(15, 5); err != nil {
-						return err
-					}
-					t1048 := i_i1
-					if t1048 < 0 || t1048 >= d_X[0] {
-						return m.OOB(t1048, d_X[0], 0, "X", 16, 32)
-					}
-					t1049 := p_n - int64(2)
-					t1050 := t1049 - i_i2
-					t1051 := t1050
-					if t1051 < 0 || t1051 >= d_X[1] {
-						return m.OOB(t1051, d_X[1], 1, "X", 16, 32)
-					}
-					t1052 := b_X + int((t1048)*d_X[1]+t1051)
-					r_X_r4 := m.LoadF(t1052)
-					t1053 := i_i1
-					if t1053 < 0 || t1053 >= d_X[0] {
-						return m.OOB(t1053, d_X[0], 0, "X", 16, 52)
-					}
-					t1054 := p_n - int64(2)
-					t1055 := t1054 - i_i2
-					t1056 := t1055 - int64(1)
-					t1057 := t1056
-					if t1057 < 0 || t1057 >= d_X[1] {
-						return m.OOB(t1057, d_X[1], 1, "X", 16, 52)
-					}
-					t1058 := b_X + int((t1053)*d_X[1]+t1057)
-					r_X_r5 := m.LoadF(t1058)
-					t1059 := i_i1
-					if t1059 < 0 || t1059 >= d_A[0] {
-						return m.OOB(t1059, d_A[0], 0, "A", 16, 76)
-					}
-					t1060 := p_n - i_i2
-					t1061 := t1060 - int64(3)
-					t1062 := t1061
-					if t1062 < 0 || t1062 >= d_A[1] {
-						return m.OOB(t1062, d_A[1], 1, "A", 16, 76)
-					}
-					t1063 := b_A + int((t1059)*d_A[1]+t1062)
-					r_A_r4 := m.LoadF(t1063)
-					t1064 := i_i1
-					if t1064 < 0 || t1064 >= d_B[0] {
-						return m.OOB(t1064, d_B[0], 0, "B", 16, 97)
-					}
-					t1065 := p_n - int64(3)
-					t1066 := t1065 - i_i2
-					t1067 := t1066
-					if t1067 < 0 || t1067 >= d_B[1] {
-						return m.OOB(t1067, d_B[1], 1, "B", 16, 97)
-					}
-					t1068 := b_B + int((t1064)*d_B[1]+t1067)
-					r_B_r5 := m.LoadF(t1068)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
-					t1069 := float64(r_X_r5 * r_A_r4)
-					t1070 := float64(r_X_r4 - t1069)
-					if r_B_r5 == 0 {
-						return m.DivZero(16, 95)
-					}
-					t1071 := float64(t1070 / r_B_r5)
-					r_X_w3 := t1071
-					t1072 := i_i1
-					if t1072 < 0 || t1072 >= d_X[0] {
-						return m.OOB(t1072, d_X[0], 0, "X", 16, 11)
-					}
-					t1073 := p_n - i_i2
-					t1074 := t1073 - int64(2)
-					t1075 := t1074
-					if t1075 < 0 || t1075 >= d_X[1] {
-						return m.OOB(t1075, d_X[1], 1, "X", 16, 11)
-					}
-					t1076 := b_X + int((t1072)*d_X[1]+t1075)
-					m.StoreF(t1076, r_X_w3)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-				}
-			}
-			t1077 := p_n - int64(1)
-			t1078 := codegen.MaxI(int64(1), t1077)
-			t1079 := p_n - int64(1)
-			for i_i1 := t1078; i_i1 <= t1079; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1080 := p_n - int64(3)
-				for i_i2 := int64(0); i_i2 <= t1080; i_i2++ {
-					if err := m.Tick(15, 5); err != nil {
-						return err
-					}
-					t1081 := i_i1
-					if t1081 < 0 || t1081 >= d_X[0] {
-						return m.OOB(t1081, d_X[0], 0, "X", 16, 32)
-					}
-					t1082 := p_n - int64(2)
-					t1083 := t1082 - i_i2
-					t1084 := t1083
-					if t1084 < 0 || t1084 >= d_X[1] {
-						return m.OOB(t1084, d_X[1], 1, "X", 16, 32)
-					}
-					t1085 := b_X + int((t1081)*d_X[1]+t1084)
-					r_X_r4 := m.LoadF(t1085)
-					t1086 := i_i1
-					if t1086 < 0 || t1086 >= d_X[0] {
-						return m.OOB(t1086, d_X[0], 0, "X", 16, 52)
-					}
-					t1087 := p_n - int64(2)
-					t1088 := t1087 - i_i2
-					t1089 := t1088 - int64(1)
-					t1090 := t1089
-					if t1090 < 0 || t1090 >= d_X[1] {
-						return m.OOB(t1090, d_X[1], 1, "X", 16, 52)
-					}
-					t1091 := b_X + int((t1086)*d_X[1]+t1090)
-					r_X_r5 := m.LoadF(t1091)
-					t1092 := i_i1
-					if t1092 < 0 || t1092 >= d_A[0] {
-						return m.OOB(t1092, d_A[0], 0, "A", 16, 76)
-					}
-					t1093 := p_n - i_i2
-					t1094 := t1093 - int64(3)
-					t1095 := t1094
-					if t1095 < 0 || t1095 >= d_A[1] {
-						return m.OOB(t1095, d_A[1], 1, "A", 16, 76)
-					}
-					t1096 := b_A + int((t1092)*d_A[1]+t1095)
-					r_A_r4 := m.LoadF(t1096)
-					t1097 := i_i1
-					if t1097 < 0 || t1097 >= d_B[0] {
-						return m.OOB(t1097, d_B[0], 0, "B", 16, 97)
-					}
-					t1098 := p_n - int64(3)
-					t1099 := t1098 - i_i2
-					t1100 := t1099
-					if t1100 < 0 || t1100 >= d_B[1] {
-						return m.OOB(t1100, d_B[1], 1, "B", 16, 97)
-					}
-					t1101 := b_B + int((t1097)*d_B[1]+t1100)
-					r_B_r5 := m.LoadF(t1101)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
-					t1102 := float64(r_X_r5 * r_A_r4)
-					t1103 := float64(r_X_r4 - t1102)
-					if r_B_r5 == 0 {
-						return m.DivZero(16, 95)
-					}
-					t1104 := float64(t1103 / r_B_r5)
-					r_X_w3 := t1104
-					t1105 := i_i1
-					if t1105 < 0 || t1105 >= d_X[0] {
-						return m.OOB(t1105, d_X[0], 0, "X", 16, 11)
-					}
-					t1106 := p_n - i_i2
-					t1107 := t1106 - int64(2)
-					t1108 := t1107
-					if t1108 < 0 || t1108 >= d_X[1] {
-						return m.OOB(t1108, d_X[1], 1, "X", 16, 11)
-					}
-					t1109 := b_X + int((t1105)*d_X[1]+t1108)
-					m.StoreF(t1109, r_X_w3)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
-				}
-			}
-			t1110 := p_n - int64(3)
-			for i_i1 := int64(1); i_i1 <= t1110; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1111 := p_n - int64(1)
-				t1112 := codegen.MinI(t1111, int64(0))
-				for i_i2 := int64(0); i_i2 <= t1112; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1113 := i_i1
-					if t1113 < 0 || t1113 >= d_X[0] {
-						return m.OOB(t1113, d_X[0], 0, "X", 21, 23)
-					}
-					t1114 := i_i2
-					if t1114 < 0 || t1114 >= d_X[1] {
-						return m.OOB(t1114, d_X[1], 1, "X", 21, 23)
-					}
-					t1115 := b_X + int((t1113)*d_X[1]+t1114)
-					r_X_r6 := m.LoadF(t1115)
-					t1116 := i_i1 - int64(1)
-					t1117 := t1116
-					if t1117 < 0 || t1117 >= d_X[0] {
-						return m.OOB(t1117, d_X[0], 0, "X", 21, 35)
-					}
-					t1118 := i_i2
-					if t1118 < 0 || t1118 >= d_X[1] {
-						return m.OOB(t1118, d_X[1], 1, "X", 21, 35)
-					}
-					t1119 := b_X + int((t1117)*d_X[1]+t1118)
-					r_X_r7 := m.LoadF(t1119)
-					t1120 := i_i1
-					if t1120 < 0 || t1120 >= d_A[0] {
-						return m.OOB(t1120, d_A[0], 0, "A", 21, 51)
-					}
-					t1121 := i_i2
-					if t1121 < 0 || t1121 >= d_A[1] {
-						return m.OOB(t1121, d_A[1], 1, "A", 21, 51)
-					}
-					t1122 := b_A + int((t1120)*d_A[1]+t1121)
-					r_A_r5 := m.LoadF(t1122)
-					t1123 := i_i1 - int64(1)
-					t1124 := t1123
-					if t1124 < 0 || t1124 >= d_B[0] {
-						return m.OOB(t1124, d_B[0], 0, "B", 21, 63)
-					}
-					t1125 := i_i2
-					if t1125 < 0 || t1125 >= d_B[1] {
-						return m.OOB(t1125, d_B[1], 1, "B", 21, 63)
-					}
-					t1126 := b_B + int((t1124)*d_B[1]+t1125)
-					r_B_r6 := m.LoadF(t1126)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1127 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1128 := float64(t1127 / r_B_r6)
-					t1129 := float64(r_X_r6 - t1128)
-					r_X_w4 := t1129
-					t1130 := i_i1
-					if t1130 < 0 || t1130 >= d_X[0] {
-						return m.OOB(t1130, d_X[0], 0, "X", 21, 11)
-					}
-					t1131 := i_i2
-					if t1131 < 0 || t1131 >= d_X[1] {
-						return m.OOB(t1131, d_X[1], 1, "X", 21, 11)
-					}
-					t1132 := b_X + int((t1130)*d_X[1]+t1131)
-					m.StoreF(t1132, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1133 := i_i1
-					if t1133 < 0 || t1133 >= d_B[0] {
-						return m.OOB(t1133, d_B[0], 0, "B", 22, 23)
-					}
-					t1134 := i_i2
-					if t1134 < 0 || t1134 >= d_B[1] {
-						return m.OOB(t1134, d_B[1], 1, "B", 22, 23)
-					}
-					t1135 := b_B + int((t1133)*d_B[1]+t1134)
-					r_B_r7 := m.LoadF(t1135)
-					t1136 := i_i1
-					if t1136 < 0 || t1136 >= d_A[0] {
-						return m.OOB(t1136, d_A[0], 0, "A", 22, 35)
-					}
-					t1137 := i_i2
-					if t1137 < 0 || t1137 >= d_A[1] {
-						return m.OOB(t1137, d_A[1], 1, "A", 22, 35)
-					}
-					t1138 := b_A + int((t1136)*d_A[1]+t1137)
-					r_A_r6 := m.LoadF(t1138)
-					t1139 := i_i1
-					if t1139 < 0 || t1139 >= d_A[0] {
-						return m.OOB(t1139, d_A[0], 0, "A", 22, 47)
-					}
-					t1140 := i_i2
-					if t1140 < 0 || t1140 >= d_A[1] {
-						return m.OOB(t1140, d_A[1], 1, "A", 22, 47)
-					}
-					t1141 := b_A + int((t1139)*d_A[1]+t1140)
-					r_A_r7 := m.LoadF(t1141)
-					t1142 := i_i1 - int64(1)
-					t1143 := t1142
-					if t1143 < 0 || t1143 >= d_B[0] {
-						return m.OOB(t1143, d_B[0], 0, "B", 22, 59)
-					}
-					t1144 := i_i2
-					if t1144 < 0 || t1144 >= d_B[1] {
-						return m.OOB(t1144, d_B[1], 1, "B", 22, 59)
-					}
-					t1145 := b_B + int((t1143)*d_B[1]+t1144)
-					r_B_r8 := m.LoadF(t1145)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1146 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1147 := float64(t1146 / r_B_r8)
-					t1148 := float64(r_B_r7 - t1147)
-					r_B_w2 := t1148
-					t1149 := i_i1
-					if t1149 < 0 || t1149 >= d_B[0] {
-						return m.OOB(t1149, d_B[0], 0, "B", 22, 11)
-					}
-					t1150 := i_i2
-					if t1150 < 0 || t1150 >= d_B[1] {
-						return m.OOB(t1150, d_B[1], 1, "B", 22, 11)
-					}
-					t1151 := b_B + int((t1149)*d_B[1]+t1150)
-					m.StoreF(t1151, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-				t1152 := p_n - int64(2)
-				for i_i2 := int64(1); i_i2 <= t1152; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1153 := i_i1
-					if t1153 < 0 || t1153 >= d_X[0] {
-						return m.OOB(t1153, d_X[0], 0, "X", 21, 23)
-					}
-					t1154 := i_i2
-					if t1154 < 0 || t1154 >= d_X[1] {
-						return m.OOB(t1154, d_X[1], 1, "X", 21, 23)
-					}
-					t1155 := b_X + int((t1153)*d_X[1]+t1154)
-					r_X_r6 := m.LoadF(t1155)
-					t1156 := i_i1 - int64(1)
-					t1157 := t1156
-					if t1157 < 0 || t1157 >= d_X[0] {
-						return m.OOB(t1157, d_X[0], 0, "X", 21, 35)
-					}
-					t1158 := i_i2
-					if t1158 < 0 || t1158 >= d_X[1] {
-						return m.OOB(t1158, d_X[1], 1, "X", 21, 35)
-					}
-					t1159 := b_X + int((t1157)*d_X[1]+t1158)
-					r_X_r7 := m.LoadF(t1159)
-					t1160 := i_i1
-					if t1160 < 0 || t1160 >= d_A[0] {
-						return m.OOB(t1160, d_A[0], 0, "A", 21, 51)
-					}
-					t1161 := i_i2
-					if t1161 < 0 || t1161 >= d_A[1] {
-						return m.OOB(t1161, d_A[1], 1, "A", 21, 51)
-					}
-					t1162 := b_A + int((t1160)*d_A[1]+t1161)
-					r_A_r5 := m.LoadF(t1162)
-					t1163 := i_i1 - int64(1)
-					t1164 := t1163
-					if t1164 < 0 || t1164 >= d_B[0] {
-						return m.OOB(t1164, d_B[0], 0, "B", 21, 63)
-					}
-					t1165 := i_i2
-					if t1165 < 0 || t1165 >= d_B[1] {
-						return m.OOB(t1165, d_B[1], 1, "B", 21, 63)
-					}
-					t1166 := b_B + int((t1164)*d_B[1]+t1165)
-					r_B_r6 := m.LoadF(t1166)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1167 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1168 := float64(t1167 / r_B_r6)
-					t1169 := float64(r_X_r6 - t1168)
-					r_X_w4 := t1169
-					t1170 := i_i1
-					if t1170 < 0 || t1170 >= d_X[0] {
-						return m.OOB(t1170, d_X[0], 0, "X", 21, 11)
-					}
-					t1171 := i_i2
-					if t1171 < 0 || t1171 >= d_X[1] {
-						return m.OOB(t1171, d_X[1], 1, "X", 21, 11)
-					}
-					t1172 := b_X + int((t1170)*d_X[1]+t1171)
-					m.StoreF(t1172, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1173 := i_i1
-					if t1173 < 0 || t1173 >= d_B[0] {
-						return m.OOB(t1173, d_B[0], 0, "B", 22, 23)
-					}
-					t1174 := i_i2
-					if t1174 < 0 || t1174 >= d_B[1] {
-						return m.OOB(t1174, d_B[1], 1, "B", 22, 23)
-					}
-					t1175 := b_B + int((t1173)*d_B[1]+t1174)
-					r_B_r7 := m.LoadF(t1175)
-					t1176 := i_i1
-					if t1176 < 0 || t1176 >= d_A[0] {
-						return m.OOB(t1176, d_A[0], 0, "A", 22, 35)
-					}
-					t1177 := i_i2
-					if t1177 < 0 || t1177 >= d_A[1] {
-						return m.OOB(t1177, d_A[1], 1, "A", 22, 35)
-					}
-					t1178 := b_A + int((t1176)*d_A[1]+t1177)
-					r_A_r6 := m.LoadF(t1178)
-					t1179 := i_i1
-					if t1179 < 0 || t1179 >= d_A[0] {
-						return m.OOB(t1179, d_A[0], 0, "A", 22, 47)
-					}
-					t1180 := i_i2
-					if t1180 < 0 || t1180 >= d_A[1] {
-						return m.OOB(t1180, d_A[1], 1, "A", 22, 47)
-					}
-					t1181 := b_A + int((t1179)*d_A[1]+t1180)
-					r_A_r7 := m.LoadF(t1181)
-					t1182 := i_i1 - int64(1)
-					t1183 := t1182
-					if t1183 < 0 || t1183 >= d_B[0] {
-						return m.OOB(t1183, d_B[0], 0, "B", 22, 59)
-					}
-					t1184 := i_i2
-					if t1184 < 0 || t1184 >= d_B[1] {
-						return m.OOB(t1184, d_B[1], 1, "B", 22, 59)
-					}
-					t1185 := b_B + int((t1183)*d_B[1]+t1184)
-					r_B_r8 := m.LoadF(t1185)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1186 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1187 := float64(t1186 / r_B_r8)
-					t1188 := float64(r_B_r7 - t1187)
-					r_B_w2 := t1188
-					t1189 := i_i1
-					if t1189 < 0 || t1189 >= d_B[0] {
-						return m.OOB(t1189, d_B[0], 0, "B", 22, 11)
-					}
-					t1190 := i_i2
-					if t1190 < 0 || t1190 >= d_B[1] {
-						return m.OOB(t1190, d_B[1], 1, "B", 22, 11)
-					}
-					t1191 := b_B + int((t1189)*d_B[1]+t1190)
-					m.StoreF(t1191, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-				t1192 := p_n - int64(1)
-				t1193 := codegen.MaxI(int64(1), t1192)
-				t1194 := p_n - int64(1)
-				for i_i2 := t1193; i_i2 <= t1194; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1195 := i_i1
-					if t1195 < 0 || t1195 >= d_X[0] {
-						return m.OOB(t1195, d_X[0], 0, "X", 21, 23)
-					}
-					t1196 := i_i2
-					if t1196 < 0 || t1196 >= d_X[1] {
-						return m.OOB(t1196, d_X[1], 1, "X", 21, 23)
-					}
-					t1197 := b_X + int((t1195)*d_X[1]+t1196)
-					r_X_r6 := m.LoadF(t1197)
-					t1198 := i_i1 - int64(1)
-					t1199 := t1198
-					if t1199 < 0 || t1199 >= d_X[0] {
-						return m.OOB(t1199, d_X[0], 0, "X", 21, 35)
-					}
-					t1200 := i_i2
-					if t1200 < 0 || t1200 >= d_X[1] {
-						return m.OOB(t1200, d_X[1], 1, "X", 21, 35)
-					}
-					t1201 := b_X + int((t1199)*d_X[1]+t1200)
-					r_X_r7 := m.LoadF(t1201)
-					t1202 := i_i1
-					if t1202 < 0 || t1202 >= d_A[0] {
-						return m.OOB(t1202, d_A[0], 0, "A", 21, 51)
-					}
-					t1203 := i_i2
-					if t1203 < 0 || t1203 >= d_A[1] {
-						return m.OOB(t1203, d_A[1], 1, "A", 21, 51)
-					}
-					t1204 := b_A + int((t1202)*d_A[1]+t1203)
-					r_A_r5 := m.LoadF(t1204)
-					t1205 := i_i1 - int64(1)
-					t1206 := t1205
-					if t1206 < 0 || t1206 >= d_B[0] {
-						return m.OOB(t1206, d_B[0], 0, "B", 21, 63)
-					}
-					t1207 := i_i2
-					if t1207 < 0 || t1207 >= d_B[1] {
-						return m.OOB(t1207, d_B[1], 1, "B", 21, 63)
-					}
-					t1208 := b_B + int((t1206)*d_B[1]+t1207)
-					r_B_r6 := m.LoadF(t1208)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1209 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1210 := float64(t1209 / r_B_r6)
-					t1211 := float64(r_X_r6 - t1210)
-					r_X_w4 := t1211
-					t1212 := i_i1
-					if t1212 < 0 || t1212 >= d_X[0] {
-						return m.OOB(t1212, d_X[0], 0, "X", 21, 11)
-					}
-					t1213 := i_i2
-					if t1213 < 0 || t1213 >= d_X[1] {
-						return m.OOB(t1213, d_X[1], 1, "X", 21, 11)
-					}
-					t1214 := b_X + int((t1212)*d_X[1]+t1213)
-					m.StoreF(t1214, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1215 := i_i1
-					if t1215 < 0 || t1215 >= d_B[0] {
-						return m.OOB(t1215, d_B[0], 0, "B", 22, 23)
-					}
-					t1216 := i_i2
-					if t1216 < 0 || t1216 >= d_B[1] {
-						return m.OOB(t1216, d_B[1], 1, "B", 22, 23)
-					}
-					t1217 := b_B + int((t1215)*d_B[1]+t1216)
-					r_B_r7 := m.LoadF(t1217)
-					t1218 := i_i1
-					if t1218 < 0 || t1218 >= d_A[0] {
-						return m.OOB(t1218, d_A[0], 0, "A", 22, 35)
-					}
-					t1219 := i_i2
-					if t1219 < 0 || t1219 >= d_A[1] {
-						return m.OOB(t1219, d_A[1], 1, "A", 22, 35)
-					}
-					t1220 := b_A + int((t1218)*d_A[1]+t1219)
-					r_A_r6 := m.LoadF(t1220)
-					t1221 := i_i1
-					if t1221 < 0 || t1221 >= d_A[0] {
-						return m.OOB(t1221, d_A[0], 0, "A", 22, 47)
-					}
-					t1222 := i_i2
-					if t1222 < 0 || t1222 >= d_A[1] {
-						return m.OOB(t1222, d_A[1], 1, "A", 22, 47)
-					}
-					t1223 := b_A + int((t1221)*d_A[1]+t1222)
-					r_A_r7 := m.LoadF(t1223)
-					t1224 := i_i1 - int64(1)
-					t1225 := t1224
-					if t1225 < 0 || t1225 >= d_B[0] {
-						return m.OOB(t1225, d_B[0], 0, "B", 22, 59)
-					}
-					t1226 := i_i2
-					if t1226 < 0 || t1226 >= d_B[1] {
-						return m.OOB(t1226, d_B[1], 1, "B", 22, 59)
-					}
-					t1227 := b_B + int((t1225)*d_B[1]+t1226)
-					r_B_r8 := m.LoadF(t1227)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1228 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1229 := float64(t1228 / r_B_r8)
-					t1230 := float64(r_B_r7 - t1229)
-					r_B_w2 := t1230
-					t1231 := i_i1
-					if t1231 < 0 || t1231 >= d_B[0] {
-						return m.OOB(t1231, d_B[0], 0, "B", 22, 11)
-					}
-					t1232 := i_i2
-					if t1232 < 0 || t1232 >= d_B[1] {
-						return m.OOB(t1232, d_B[1], 1, "B", 22, 11)
-					}
-					t1233 := b_B + int((t1231)*d_B[1]+t1232)
-					m.StoreF(t1233, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-			}
-			t1234 := p_n - int64(2)
-			t1235 := codegen.MaxI(int64(1), t1234)
-			t1236 := p_n - int64(2)
-			for i_i1 := t1235; i_i1 <= t1236; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1237 := p_n - int64(1)
-				t1238 := codegen.MinI(t1237, int64(0))
-				for i_i2 := int64(0); i_i2 <= t1238; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1239 := i_i1
-					if t1239 < 0 || t1239 >= d_X[0] {
-						return m.OOB(t1239, d_X[0], 0, "X", 21, 23)
-					}
-					t1240 := i_i2
-					if t1240 < 0 || t1240 >= d_X[1] {
-						return m.OOB(t1240, d_X[1], 1, "X", 21, 23)
-					}
-					t1241 := b_X + int((t1239)*d_X[1]+t1240)
-					r_X_r6 := m.LoadF(t1241)
-					t1242 := i_i1 - int64(1)
-					t1243 := t1242
-					if t1243 < 0 || t1243 >= d_X[0] {
-						return m.OOB(t1243, d_X[0], 0, "X", 21, 35)
-					}
-					t1244 := i_i2
-					if t1244 < 0 || t1244 >= d_X[1] {
-						return m.OOB(t1244, d_X[1], 1, "X", 21, 35)
-					}
-					t1245 := b_X + int((t1243)*d_X[1]+t1244)
-					r_X_r7 := m.LoadF(t1245)
-					t1246 := i_i1
-					if t1246 < 0 || t1246 >= d_A[0] {
-						return m.OOB(t1246, d_A[0], 0, "A", 21, 51)
-					}
-					t1247 := i_i2
-					if t1247 < 0 || t1247 >= d_A[1] {
-						return m.OOB(t1247, d_A[1], 1, "A", 21, 51)
-					}
-					t1248 := b_A + int((t1246)*d_A[1]+t1247)
-					r_A_r5 := m.LoadF(t1248)
-					t1249 := i_i1 - int64(1)
-					t1250 := t1249
-					if t1250 < 0 || t1250 >= d_B[0] {
-						return m.OOB(t1250, d_B[0], 0, "B", 21, 63)
-					}
-					t1251 := i_i2
-					if t1251 < 0 || t1251 >= d_B[1] {
-						return m.OOB(t1251, d_B[1], 1, "B", 21, 63)
-					}
-					t1252 := b_B + int((t1250)*d_B[1]+t1251)
-					r_B_r6 := m.LoadF(t1252)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1253 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1254 := float64(t1253 / r_B_r6)
-					t1255 := float64(r_X_r6 - t1254)
-					r_X_w4 := t1255
-					t1256 := i_i1
-					if t1256 < 0 || t1256 >= d_X[0] {
-						return m.OOB(t1256, d_X[0], 0, "X", 21, 11)
-					}
-					t1257 := i_i2
-					if t1257 < 0 || t1257 >= d_X[1] {
-						return m.OOB(t1257, d_X[1], 1, "X", 21, 11)
-					}
-					t1258 := b_X + int((t1256)*d_X[1]+t1257)
-					m.StoreF(t1258, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					t1259 := i_i1
-					if t1259 < 0 || t1259 >= d_B[0] {
-						return m.OOB(t1259, d_B[0], 0, "B", 22, 23)
-					}
-					t1260 := i_i2
-					if t1260 < 0 || t1260 >= d_B[1] {
-						return m.OOB(t1260, d_B[1], 1, "B", 22, 23)
-					}
-					t1261 := b_B + int((t1259)*d_B[1]+t1260)
-					r_B_r7 := m.LoadF(t1261)
-					t1262 := i_i1
-					if t1262 < 0 || t1262 >= d_A[0] {
-						return m.OOB(t1262, d_A[0], 0, "A", 22, 35)
-					}
-					t1263 := i_i2
-					if t1263 < 0 || t1263 >= d_A[1] {
-						return m.OOB(t1263, d_A[1], 1, "A", 22, 35)
-					}
-					t1264 := b_A + int((t1262)*d_A[1]+t1263)
-					r_A_r6 := m.LoadF(t1264)
-					t1265 := i_i1
-					if t1265 < 0 || t1265 >= d_A[0] {
-						return m.OOB(t1265, d_A[0], 0, "A", 22, 47)
-					}
-					t1266 := i_i2
-					if t1266 < 0 || t1266 >= d_A[1] {
-						return m.OOB(t1266, d_A[1], 1, "A", 22, 47)
-					}
-					t1267 := b_A + int((t1265)*d_A[1]+t1266)
-					r_A_r7 := m.LoadF(t1267)
-					t1268 := i_i1 - int64(1)
-					t1269 := t1268
-					if t1269 < 0 || t1269 >= d_B[0] {
-						return m.OOB(t1269, d_B[0], 0, "B", 22, 59)
-					}
-					t1270 := i_i2
-					if t1270 < 0 || t1270 >= d_B[1] {
-						return m.OOB(t1270, d_B[1], 1, "B", 22, 59)
-					}
-					t1271 := b_B + int((t1269)*d_B[1]+t1270)
-					r_B_r8 := m.LoadF(t1271)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1272 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1273 := float64(t1272 / r_B_r8)
-					t1274 := float64(r_B_r7 - t1273)
-					r_B_w2 := t1274
-					t1275 := i_i1
-					if t1275 < 0 || t1275 >= d_B[0] {
-						return m.OOB(t1275, d_B[0], 0, "B", 22, 11)
-					}
-					t1276 := i_i2
-					if t1276 < 0 || t1276 >= d_B[1] {
-						return m.OOB(t1276, d_B[1], 1, "B", 22, 11)
-					}
-					t1277 := b_B + int((t1275)*d_B[1]+t1276)
-					m.StoreF(t1277, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-				t1278 := p_n - int64(2)
-				for i_i2 := int64(1); i_i2 <= t1278; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1279 := i_i1
-					if t1279 < 0 || t1279 >= d_X[0] {
-						return m.OOB(t1279, d_X[0], 0, "X", 21, 23)
-					}
-					t1280 := i_i2
-					if t1280 < 0 || t1280 >= d_X[1] {
-						return m.OOB(t1280, d_X[1], 1, "X", 21, 23)
-					}
-					t1281 := b_X + int((t1279)*d_X[1]+t1280)
-					r_X_r6 := m.LoadF(t1281)
-					t1282 := i_i1 - int64(1)
-					t1283 := t1282
-					if t1283 < 0 || t1283 >= d_X[0] {
-						return m.OOB(t1283, d_X[0], 0, "X", 21, 35)
-					}
-					t1284 := i_i2
-					if t1284 < 0 || t1284 >= d_X[1] {
-						return m.OOB(t1284, d_X[1], 1, "X", 21, 35)
-					}
-					t1285 := b_X + int((t1283)*d_X[1]+t1284)
-					r_X_r7 := m.LoadF(t1285)
-					t1286 := i_i1
-					if t1286 < 0 || t1286 >= d_A[0] {
-						return m.OOB(t1286, d_A[0], 0, "A", 21, 51)
-					}
-					t1287 := i_i2
-					if t1287 < 0 || t1287 >= d_A[1] {
-						return m.OOB(t1287, d_A[1], 1, "A", 21, 51)
-					}
-					t1288 := b_A + int((t1286)*d_A[1]+t1287)
-					r_A_r5 := m.LoadF(t1288)
-					t1289 := i_i1 - int64(1)
-					t1290 := t1289
-					if t1290 < 0 || t1290 >= d_B[0] {
-						return m.OOB(t1290, d_B[0], 0, "B", 21, 63)
-					}
-					t1291 := i_i2
-					if t1291 < 0 || t1291 >= d_B[1] {
-						return m.OOB(t1291, d_B[1], 1, "B", 21, 63)
-					}
-					t1292 := b_B + int((t1290)*d_B[1]+t1291)
-					r_B_r6 := m.LoadF(t1292)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1293 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1294 := float64(t1293 / r_B_r6)
-					t1295 := float64(r_X_r6 - t1294)
-					r_X_w4 := t1295
-					t1296 := i_i1
-					if t1296 < 0 || t1296 >= d_X[0] {
-						return m.OOB(t1296, d_X[0], 0, "X", 21, 11)
-					}
-					t1297 := i_i2
-					if t1297 < 0 || t1297 >= d_X[1] {
-						return m.OOB(t1297, d_X[1], 1, "X", 21, 11)
-					}
-					t1298 := b_X + int((t1296)*d_X[1]+t1297)
-					m.StoreF(t1298, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					t1299 := i_i1
-					if t1299 < 0 || t1299 >= d_B[0] {
-						return m.OOB(t1299, d_B[0], 0, "B", 22, 23)
-					}
-					t1300 := i_i2
-					if t1300 < 0 || t1300 >= d_B[1] {
-						return m.OOB(t1300, d_B[1], 1, "B", 22, 23)
-					}
-					t1301 := b_B + int((t1299)*d_B[1]+t1300)
-					r_B_r7 := m.LoadF(t1301)
-					t1302 := i_i1
-					if t1302 < 0 || t1302 >= d_A[0] {
-						return m.OOB(t1302, d_A[0], 0, "A", 22, 35)
-					}
-					t1303 := i_i2
-					if t1303 < 0 || t1303 >= d_A[1] {
-						return m.OOB(t1303, d_A[1], 1, "A", 22, 35)
-					}
-					t1304 := b_A + int((t1302)*d_A[1]+t1303)
-					r_A_r6 := m.LoadF(t1304)
-					t1305 := i_i1
-					if t1305 < 0 || t1305 >= d_A[0] {
-						return m.OOB(t1305, d_A[0], 0, "A", 22, 47)
-					}
-					t1306 := i_i2
-					if t1306 < 0 || t1306 >= d_A[1] {
-						return m.OOB(t1306, d_A[1], 1, "A", 22, 47)
-					}
-					t1307 := b_A + int((t1305)*d_A[1]+t1306)
-					r_A_r7 := m.LoadF(t1307)
-					t1308 := i_i1 - int64(1)
-					t1309 := t1308
-					if t1309 < 0 || t1309 >= d_B[0] {
-						return m.OOB(t1309, d_B[0], 0, "B", 22, 59)
-					}
-					t1310 := i_i2
-					if t1310 < 0 || t1310 >= d_B[1] {
-						return m.OOB(t1310, d_B[1], 1, "B", 22, 59)
-					}
-					t1311 := b_B + int((t1309)*d_B[1]+t1310)
-					r_B_r8 := m.LoadF(t1311)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1312 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1313 := float64(t1312 / r_B_r8)
-					t1314 := float64(r_B_r7 - t1313)
-					r_B_w2 := t1314
-					t1315 := i_i1
-					if t1315 < 0 || t1315 >= d_B[0] {
-						return m.OOB(t1315, d_B[0], 0, "B", 22, 11)
-					}
-					t1316 := i_i2
-					if t1316 < 0 || t1316 >= d_B[1] {
-						return m.OOB(t1316, d_B[1], 1, "B", 22, 11)
-					}
-					t1317 := b_B + int((t1315)*d_B[1]+t1316)
-					m.StoreF(t1317, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-				t1318 := p_n - int64(1)
-				t1319 := codegen.MaxI(int64(1), t1318)
-				t1320 := p_n - int64(1)
-				for i_i2 := t1319; i_i2 <= t1320; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1321 := i_i1
-					if t1321 < 0 || t1321 >= d_X[0] {
-						return m.OOB(t1321, d_X[0], 0, "X", 21, 23)
-					}
-					t1322 := i_i2
-					if t1322 < 0 || t1322 >= d_X[1] {
-						return m.OOB(t1322, d_X[1], 1, "X", 21, 23)
-					}
-					t1323 := b_X + int((t1321)*d_X[1]+t1322)
-					r_X_r6 := m.LoadF(t1323)
-					t1324 := i_i1 - int64(1)
-					t1325 := t1324
-					if t1325 < 0 || t1325 >= d_X[0] {
-						return m.OOB(t1325, d_X[0], 0, "X", 21, 35)
-					}
-					t1326 := i_i2
-					if t1326 < 0 || t1326 >= d_X[1] {
-						return m.OOB(t1326, d_X[1], 1, "X", 21, 35)
-					}
-					t1327 := b_X + int((t1325)*d_X[1]+t1326)
-					r_X_r7 := m.LoadF(t1327)
-					t1328 := i_i1
-					if t1328 < 0 || t1328 >= d_A[0] {
-						return m.OOB(t1328, d_A[0], 0, "A", 21, 51)
-					}
-					t1329 := i_i2
-					if t1329 < 0 || t1329 >= d_A[1] {
-						return m.OOB(t1329, d_A[1], 1, "A", 21, 51)
-					}
-					t1330 := b_A + int((t1328)*d_A[1]+t1329)
-					r_A_r5 := m.LoadF(t1330)
-					t1331 := i_i1 - int64(1)
-					t1332 := t1331
-					if t1332 < 0 || t1332 >= d_B[0] {
-						return m.OOB(t1332, d_B[0], 0, "B", 21, 63)
-					}
-					t1333 := i_i2
-					if t1333 < 0 || t1333 >= d_B[1] {
-						return m.OOB(t1333, d_B[1], 1, "B", 21, 63)
-					}
-					t1334 := b_B + int((t1332)*d_B[1]+t1333)
-					r_B_r6 := m.LoadF(t1334)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1335 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1336 := float64(t1335 / r_B_r6)
-					t1337 := float64(r_X_r6 - t1336)
-					r_X_w4 := t1337
-					t1338 := i_i1
-					if t1338 < 0 || t1338 >= d_X[0] {
-						return m.OOB(t1338, d_X[0], 0, "X", 21, 11)
-					}
-					t1339 := i_i2
-					if t1339 < 0 || t1339 >= d_X[1] {
-						return m.OOB(t1339, d_X[1], 1, "X", 21, 11)
-					}
-					t1340 := b_X + int((t1338)*d_X[1]+t1339)
-					m.StoreF(t1340, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
-					t1341 := i_i1
-					if t1341 < 0 || t1341 >= d_B[0] {
-						return m.OOB(t1341, d_B[0], 0, "B", 22, 23)
-					}
-					t1342 := i_i2
-					if t1342 < 0 || t1342 >= d_B[1] {
-						return m.OOB(t1342, d_B[1], 1, "B", 22, 23)
-					}
-					t1343 := b_B + int((t1341)*d_B[1]+t1342)
-					r_B_r7 := m.LoadF(t1343)
-					t1344 := i_i1
-					if t1344 < 0 || t1344 >= d_A[0] {
-						return m.OOB(t1344, d_A[0], 0, "A", 22, 35)
-					}
-					t1345 := i_i2
-					if t1345 < 0 || t1345 >= d_A[1] {
-						return m.OOB(t1345, d_A[1], 1, "A", 22, 35)
-					}
-					t1346 := b_A + int((t1344)*d_A[1]+t1345)
-					r_A_r6 := m.LoadF(t1346)
-					t1347 := i_i1
-					if t1347 < 0 || t1347 >= d_A[0] {
-						return m.OOB(t1347, d_A[0], 0, "A", 22, 47)
-					}
-					t1348 := i_i2
-					if t1348 < 0 || t1348 >= d_A[1] {
-						return m.OOB(t1348, d_A[1], 1, "A", 22, 47)
-					}
-					t1349 := b_A + int((t1347)*d_A[1]+t1348)
-					r_A_r7 := m.LoadF(t1349)
-					t1350 := i_i1 - int64(1)
-					t1351 := t1350
-					if t1351 < 0 || t1351 >= d_B[0] {
-						return m.OOB(t1351, d_B[0], 0, "B", 22, 59)
-					}
-					t1352 := i_i2
-					if t1352 < 0 || t1352 >= d_B[1] {
-						return m.OOB(t1352, d_B[1], 1, "B", 22, 59)
-					}
-					t1353 := b_B + int((t1351)*d_B[1]+t1352)
-					r_B_r8 := m.LoadF(t1353)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1354 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1355 := float64(t1354 / r_B_r8)
-					t1356 := float64(r_B_r7 - t1355)
-					r_B_w2 := t1356
-					t1357 := i_i1
-					if t1357 < 0 || t1357 >= d_B[0] {
-						return m.OOB(t1357, d_B[0], 0, "B", 22, 11)
-					}
-					t1358 := i_i2
-					if t1358 < 0 || t1358 >= d_B[1] {
-						return m.OOB(t1358, d_B[1], 1, "B", 22, 11)
-					}
-					t1359 := b_B + int((t1357)*d_B[1]+t1358)
-					m.StoreF(t1359, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-				}
-			}
-			t1360 := p_n - int64(1)
-			t1361 := codegen.MaxI(int64(1), t1360)
-			t1362 := p_n - int64(1)
-			for i_i1 := t1361; i_i1 <= t1362; i_i1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1363 := p_n - int64(3)
-				t1364 := codegen.MinI(t1363, int64(0))
-				for i_i2 := int64(0); i_i2 <= t1364; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1365 := i_i1
-					if t1365 < 0 || t1365 >= d_X[0] {
-						return m.OOB(t1365, d_X[0], 0, "X", 21, 23)
-					}
-					t1366 := i_i2
-					if t1366 < 0 || t1366 >= d_X[1] {
-						return m.OOB(t1366, d_X[1], 1, "X", 21, 23)
-					}
-					t1367 := b_X + int((t1365)*d_X[1]+t1366)
-					r_X_r6 := m.LoadF(t1367)
-					t1368 := i_i1 - int64(1)
-					t1369 := t1368
-					if t1369 < 0 || t1369 >= d_X[0] {
-						return m.OOB(t1369, d_X[0], 0, "X", 21, 35)
-					}
-					t1370 := i_i2
-					if t1370 < 0 || t1370 >= d_X[1] {
-						return m.OOB(t1370, d_X[1], 1, "X", 21, 35)
-					}
-					t1371 := b_X + int((t1369)*d_X[1]+t1370)
-					r_X_r7 := m.LoadF(t1371)
-					t1372 := i_i1
-					if t1372 < 0 || t1372 >= d_A[0] {
-						return m.OOB(t1372, d_A[0], 0, "A", 21, 51)
-					}
-					t1373 := i_i2
-					if t1373 < 0 || t1373 >= d_A[1] {
-						return m.OOB(t1373, d_A[1], 1, "A", 21, 51)
-					}
-					t1374 := b_A + int((t1372)*d_A[1]+t1373)
-					r_A_r5 := m.LoadF(t1374)
-					t1375 := i_i1 - int64(1)
-					t1376 := t1375
-					if t1376 < 0 || t1376 >= d_B[0] {
-						return m.OOB(t1376, d_B[0], 0, "B", 21, 63)
-					}
-					t1377 := i_i2
-					if t1377 < 0 || t1377 >= d_B[1] {
-						return m.OOB(t1377, d_B[1], 1, "B", 21, 63)
-					}
-					t1378 := b_B + int((t1376)*d_B[1]+t1377)
-					r_B_r6 := m.LoadF(t1378)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1379 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1380 := float64(t1379 / r_B_r6)
-					t1381 := float64(r_X_r6 - t1380)
-					r_X_w4 := t1381
-					t1382 := i_i1
-					if t1382 < 0 || t1382 >= d_X[0] {
-						return m.OOB(t1382, d_X[0], 0, "X", 21, 11)
-					}
-					t1383 := i_i2
-					if t1383 < 0 || t1383 >= d_X[1] {
-						return m.OOB(t1383, d_X[1], 1, "X", 21, 11)
-					}
-					t1384 := b_X + int((t1382)*d_X[1]+t1383)
-					m.StoreF(t1384, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1385 := i_i1
-					if t1385 < 0 || t1385 >= d_B[0] {
-						return m.OOB(t1385, d_B[0], 0, "B", 22, 23)
-					}
-					t1386 := i_i2
-					if t1386 < 0 || t1386 >= d_B[1] {
-						return m.OOB(t1386, d_B[1], 1, "B", 22, 23)
-					}
-					t1387 := b_B + int((t1385)*d_B[1]+t1386)
-					r_B_r7 := m.LoadF(t1387)
-					t1388 := i_i1
-					if t1388 < 0 || t1388 >= d_A[0] {
-						return m.OOB(t1388, d_A[0], 0, "A", 22, 35)
-					}
-					t1389 := i_i2
-					if t1389 < 0 || t1389 >= d_A[1] {
-						return m.OOB(t1389, d_A[1], 1, "A", 22, 35)
-					}
-					t1390 := b_A + int((t1388)*d_A[1]+t1389)
-					r_A_r6 := m.LoadF(t1390)
-					t1391 := i_i1
-					if t1391 < 0 || t1391 >= d_A[0] {
-						return m.OOB(t1391, d_A[0], 0, "A", 22, 47)
-					}
-					t1392 := i_i2
-					if t1392 < 0 || t1392 >= d_A[1] {
-						return m.OOB(t1392, d_A[1], 1, "A", 22, 47)
-					}
-					t1393 := b_A + int((t1391)*d_A[1]+t1392)
-					r_A_r7 := m.LoadF(t1393)
-					t1394 := i_i1 - int64(1)
-					t1395 := t1394
-					if t1395 < 0 || t1395 >= d_B[0] {
-						return m.OOB(t1395, d_B[0], 0, "B", 22, 59)
-					}
-					t1396 := i_i2
-					if t1396 < 0 || t1396 >= d_B[1] {
-						return m.OOB(t1396, d_B[1], 1, "B", 22, 59)
-					}
-					t1397 := b_B + int((t1395)*d_B[1]+t1396)
-					r_B_r8 := m.LoadF(t1397)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1398 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1399 := float64(t1398 / r_B_r8)
-					t1400 := float64(r_B_r7 - t1399)
-					r_B_w2 := t1400
-					t1401 := i_i1
-					if t1401 < 0 || t1401 >= d_B[0] {
-						return m.OOB(t1401, d_B[0], 0, "B", 22, 11)
-					}
-					t1402 := i_i2
-					if t1402 < 0 || t1402 >= d_B[1] {
-						return m.OOB(t1402, d_B[1], 1, "B", 22, 11)
-					}
-					t1403 := b_B + int((t1401)*d_B[1]+t1402)
-					m.StoreF(t1403, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-				}
-				t1404 := p_n - int64(2)
-				t1405 := codegen.MaxI(int64(0), t1404)
-				t1406 := p_n - int64(1)
-				t1407 := codegen.MinI(t1406, int64(0))
-				for i_i2 := t1405; i_i2 <= t1407; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1408 := i_i1
-					if t1408 < 0 || t1408 >= d_X[0] {
-						return m.OOB(t1408, d_X[0], 0, "X", 21, 23)
-					}
-					t1409 := i_i2
-					if t1409 < 0 || t1409 >= d_X[1] {
-						return m.OOB(t1409, d_X[1], 1, "X", 21, 23)
-					}
-					t1410 := b_X + int((t1408)*d_X[1]+t1409)
-					r_X_r6 := m.LoadF(t1410)
-					t1411 := i_i1 - int64(1)
-					t1412 := t1411
-					if t1412 < 0 || t1412 >= d_X[0] {
-						return m.OOB(t1412, d_X[0], 0, "X", 21, 35)
-					}
-					t1413 := i_i2
-					if t1413 < 0 || t1413 >= d_X[1] {
-						return m.OOB(t1413, d_X[1], 1, "X", 21, 35)
-					}
-					t1414 := b_X + int((t1412)*d_X[1]+t1413)
-					r_X_r7 := m.LoadF(t1414)
-					t1415 := i_i1
-					if t1415 < 0 || t1415 >= d_A[0] {
-						return m.OOB(t1415, d_A[0], 0, "A", 21, 51)
-					}
-					t1416 := i_i2
-					if t1416 < 0 || t1416 >= d_A[1] {
-						return m.OOB(t1416, d_A[1], 1, "A", 21, 51)
-					}
-					t1417 := b_A + int((t1415)*d_A[1]+t1416)
-					r_A_r5 := m.LoadF(t1417)
-					t1418 := i_i1 - int64(1)
-					t1419 := t1418
-					if t1419 < 0 || t1419 >= d_B[0] {
-						return m.OOB(t1419, d_B[0], 0, "B", 21, 63)
-					}
-					t1420 := i_i2
-					if t1420 < 0 || t1420 >= d_B[1] {
-						return m.OOB(t1420, d_B[1], 1, "B", 21, 63)
-					}
-					t1421 := b_B + int((t1419)*d_B[1]+t1420)
-					r_B_r6 := m.LoadF(t1421)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1422 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1423 := float64(t1422 / r_B_r6)
-					t1424 := float64(r_X_r6 - t1423)
-					r_X_w4 := t1424
-					t1425 := i_i1
-					if t1425 < 0 || t1425 >= d_X[0] {
-						return m.OOB(t1425, d_X[0], 0, "X", 21, 11)
-					}
-					t1426 := i_i2
-					if t1426 < 0 || t1426 >= d_X[1] {
-						return m.OOB(t1426, d_X[1], 1, "X", 21, 11)
-					}
-					t1427 := b_X + int((t1425)*d_X[1]+t1426)
-					m.StoreF(t1427, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1428 := i_i1
-					if t1428 < 0 || t1428 >= d_B[0] {
-						return m.OOB(t1428, d_B[0], 0, "B", 22, 23)
-					}
-					t1429 := i_i2
-					if t1429 < 0 || t1429 >= d_B[1] {
-						return m.OOB(t1429, d_B[1], 1, "B", 22, 23)
-					}
-					t1430 := b_B + int((t1428)*d_B[1]+t1429)
-					r_B_r7 := m.LoadF(t1430)
-					t1431 := i_i1
-					if t1431 < 0 || t1431 >= d_A[0] {
-						return m.OOB(t1431, d_A[0], 0, "A", 22, 35)
-					}
-					t1432 := i_i2
-					if t1432 < 0 || t1432 >= d_A[1] {
-						return m.OOB(t1432, d_A[1], 1, "A", 22, 35)
-					}
-					t1433 := b_A + int((t1431)*d_A[1]+t1432)
-					r_A_r6 := m.LoadF(t1433)
-					t1434 := i_i1
-					if t1434 < 0 || t1434 >= d_A[0] {
-						return m.OOB(t1434, d_A[0], 0, "A", 22, 47)
-					}
-					t1435 := i_i2
-					if t1435 < 0 || t1435 >= d_A[1] {
-						return m.OOB(t1435, d_A[1], 1, "A", 22, 47)
-					}
-					t1436 := b_A + int((t1434)*d_A[1]+t1435)
-					r_A_r7 := m.LoadF(t1436)
-					t1437 := i_i1 - int64(1)
-					t1438 := t1437
-					if t1438 < 0 || t1438 >= d_B[0] {
-						return m.OOB(t1438, d_B[0], 0, "B", 22, 59)
-					}
-					t1439 := i_i2
-					if t1439 < 0 || t1439 >= d_B[1] {
-						return m.OOB(t1439, d_B[1], 1, "B", 22, 59)
-					}
-					t1440 := b_B + int((t1438)*d_B[1]+t1439)
-					r_B_r8 := m.LoadF(t1440)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1441 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1442 := float64(t1441 / r_B_r8)
-					t1443 := float64(r_B_r7 - t1442)
-					r_B_w2 := t1443
-					t1444 := i_i1
-					if t1444 < 0 || t1444 >= d_B[0] {
-						return m.OOB(t1444, d_B[0], 0, "B", 22, 11)
-					}
-					t1445 := i_i2
-					if t1445 < 0 || t1445 >= d_B[1] {
-						return m.OOB(t1445, d_B[1], 1, "B", 22, 11)
-					}
-					t1446 := b_B + int((t1444)*d_B[1]+t1445)
-					m.StoreF(t1446, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-				}
-				t1447 := p_n - int64(2)
-				for i_i2 := int64(1); i_i2 <= t1447; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1448 := i_i1
-					if t1448 < 0 || t1448 >= d_X[0] {
-						return m.OOB(t1448, d_X[0], 0, "X", 21, 23)
-					}
-					t1449 := i_i2
-					if t1449 < 0 || t1449 >= d_X[1] {
-						return m.OOB(t1449, d_X[1], 1, "X", 21, 23)
-					}
-					t1450 := b_X + int((t1448)*d_X[1]+t1449)
-					r_X_r6 := m.LoadF(t1450)
-					t1451 := i_i1 - int64(1)
-					t1452 := t1451
-					if t1452 < 0 || t1452 >= d_X[0] {
-						return m.OOB(t1452, d_X[0], 0, "X", 21, 35)
-					}
-					t1453 := i_i2
-					if t1453 < 0 || t1453 >= d_X[1] {
-						return m.OOB(t1453, d_X[1], 1, "X", 21, 35)
-					}
-					t1454 := b_X + int((t1452)*d_X[1]+t1453)
-					r_X_r7 := m.LoadF(t1454)
-					t1455 := i_i1
-					if t1455 < 0 || t1455 >= d_A[0] {
-						return m.OOB(t1455, d_A[0], 0, "A", 21, 51)
-					}
-					t1456 := i_i2
-					if t1456 < 0 || t1456 >= d_A[1] {
-						return m.OOB(t1456, d_A[1], 1, "A", 21, 51)
-					}
-					t1457 := b_A + int((t1455)*d_A[1]+t1456)
-					r_A_r5 := m.LoadF(t1457)
-					t1458 := i_i1 - int64(1)
-					t1459 := t1458
-					if t1459 < 0 || t1459 >= d_B[0] {
-						return m.OOB(t1459, d_B[0], 0, "B", 21, 63)
-					}
-					t1460 := i_i2
-					if t1460 < 0 || t1460 >= d_B[1] {
-						return m.OOB(t1460, d_B[1], 1, "B", 21, 63)
-					}
-					t1461 := b_B + int((t1459)*d_B[1]+t1460)
-					r_B_r6 := m.LoadF(t1461)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1462 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1463 := float64(t1462 / r_B_r6)
-					t1464 := float64(r_X_r6 - t1463)
-					r_X_w4 := t1464
-					t1465 := i_i1
-					if t1465 < 0 || t1465 >= d_X[0] {
-						return m.OOB(t1465, d_X[0], 0, "X", 21, 11)
-					}
-					t1466 := i_i2
-					if t1466 < 0 || t1466 >= d_X[1] {
-						return m.OOB(t1466, d_X[1], 1, "X", 21, 11)
-					}
-					t1467 := b_X + int((t1465)*d_X[1]+t1466)
-					m.StoreF(t1467, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1468 := i_i1
-					if t1468 < 0 || t1468 >= d_B[0] {
-						return m.OOB(t1468, d_B[0], 0, "B", 22, 23)
-					}
-					t1469 := i_i2
-					if t1469 < 0 || t1469 >= d_B[1] {
-						return m.OOB(t1469, d_B[1], 1, "B", 22, 23)
-					}
-					t1470 := b_B + int((t1468)*d_B[1]+t1469)
-					r_B_r7 := m.LoadF(t1470)
-					t1471 := i_i1
-					if t1471 < 0 || t1471 >= d_A[0] {
-						return m.OOB(t1471, d_A[0], 0, "A", 22, 35)
-					}
-					t1472 := i_i2
-					if t1472 < 0 || t1472 >= d_A[1] {
-						return m.OOB(t1472, d_A[1], 1, "A", 22, 35)
-					}
-					t1473 := b_A + int((t1471)*d_A[1]+t1472)
-					r_A_r6 := m.LoadF(t1473)
-					t1474 := i_i1
-					if t1474 < 0 || t1474 >= d_A[0] {
-						return m.OOB(t1474, d_A[0], 0, "A", 22, 47)
-					}
-					t1475 := i_i2
-					if t1475 < 0 || t1475 >= d_A[1] {
-						return m.OOB(t1475, d_A[1], 1, "A", 22, 47)
-					}
-					t1476 := b_A + int((t1474)*d_A[1]+t1475)
-					r_A_r7 := m.LoadF(t1476)
-					t1477 := i_i1 - int64(1)
-					t1478 := t1477
-					if t1478 < 0 || t1478 >= d_B[0] {
-						return m.OOB(t1478, d_B[0], 0, "B", 22, 59)
-					}
-					t1479 := i_i2
-					if t1479 < 0 || t1479 >= d_B[1] {
-						return m.OOB(t1479, d_B[1], 1, "B", 22, 59)
-					}
-					t1480 := b_B + int((t1478)*d_B[1]+t1479)
-					r_B_r8 := m.LoadF(t1480)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1481 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1482 := float64(t1481 / r_B_r8)
-					t1483 := float64(r_B_r7 - t1482)
-					r_B_w2 := t1483
-					t1484 := i_i1
-					if t1484 < 0 || t1484 >= d_B[0] {
-						return m.OOB(t1484, d_B[0], 0, "B", 22, 11)
-					}
-					t1485 := i_i2
-					if t1485 < 0 || t1485 >= d_B[1] {
-						return m.OOB(t1485, d_B[1], 1, "B", 22, 11)
-					}
-					t1486 := b_B + int((t1484)*d_B[1]+t1485)
-					m.StoreF(t1486, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-				}
-				t1487 := p_n - int64(1)
-				t1488 := codegen.MaxI(int64(1), t1487)
-				t1489 := p_n - int64(1)
-				for i_i2 := t1488; i_i2 <= t1489; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1490 := i_i1
-					if t1490 < 0 || t1490 >= d_X[0] {
-						return m.OOB(t1490, d_X[0], 0, "X", 21, 23)
-					}
-					t1491 := i_i2
-					if t1491 < 0 || t1491 >= d_X[1] {
-						return m.OOB(t1491, d_X[1], 1, "X", 21, 23)
-					}
-					t1492 := b_X + int((t1490)*d_X[1]+t1491)
-					r_X_r6 := m.LoadF(t1492)
-					t1493 := i_i1 - int64(1)
-					t1494 := t1493
-					if t1494 < 0 || t1494 >= d_X[0] {
-						return m.OOB(t1494, d_X[0], 0, "X", 21, 35)
-					}
-					t1495 := i_i2
-					if t1495 < 0 || t1495 >= d_X[1] {
-						return m.OOB(t1495, d_X[1], 1, "X", 21, 35)
-					}
-					t1496 := b_X + int((t1494)*d_X[1]+t1495)
-					r_X_r7 := m.LoadF(t1496)
-					t1497 := i_i1
-					if t1497 < 0 || t1497 >= d_A[0] {
-						return m.OOB(t1497, d_A[0], 0, "A", 21, 51)
-					}
-					t1498 := i_i2
-					if t1498 < 0 || t1498 >= d_A[1] {
-						return m.OOB(t1498, d_A[1], 1, "A", 21, 51)
-					}
-					t1499 := b_A + int((t1497)*d_A[1]+t1498)
-					r_A_r5 := m.LoadF(t1499)
-					t1500 := i_i1 - int64(1)
-					t1501 := t1500
-					if t1501 < 0 || t1501 >= d_B[0] {
-						return m.OOB(t1501, d_B[0], 0, "B", 21, 63)
-					}
-					t1502 := i_i2
-					if t1502 < 0 || t1502 >= d_B[1] {
-						return m.OOB(t1502, d_B[1], 1, "B", 21, 63)
-					}
-					t1503 := b_B + int((t1501)*d_B[1]+t1502)
-					r_B_r6 := m.LoadF(t1503)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
-					t1504 := float64(r_X_r7 * r_A_r5)
-					if r_B_r6 == 0 {
-						return m.DivZero(21, 61)
-					}
-					t1505 := float64(t1504 / r_B_r6)
-					t1506 := float64(r_X_r6 - t1505)
-					r_X_w4 := t1506
-					t1507 := i_i1
-					if t1507 < 0 || t1507 >= d_X[0] {
-						return m.OOB(t1507, d_X[0], 0, "X", 21, 11)
-					}
-					t1508 := i_i2
-					if t1508 < 0 || t1508 >= d_X[1] {
-						return m.OOB(t1508, d_X[1], 1, "X", 21, 11)
-					}
-					t1509 := b_X + int((t1507)*d_X[1]+t1508)
-					m.StoreF(t1509, r_X_w4)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
-					t1510 := i_i1
-					if t1510 < 0 || t1510 >= d_B[0] {
-						return m.OOB(t1510, d_B[0], 0, "B", 22, 23)
-					}
-					t1511 := i_i2
-					if t1511 < 0 || t1511 >= d_B[1] {
-						return m.OOB(t1511, d_B[1], 1, "B", 22, 23)
-					}
-					t1512 := b_B + int((t1510)*d_B[1]+t1511)
-					r_B_r7 := m.LoadF(t1512)
-					t1513 := i_i1
-					if t1513 < 0 || t1513 >= d_A[0] {
-						return m.OOB(t1513, d_A[0], 0, "A", 22, 35)
-					}
-					t1514 := i_i2
-					if t1514 < 0 || t1514 >= d_A[1] {
-						return m.OOB(t1514, d_A[1], 1, "A", 22, 35)
-					}
-					t1515 := b_A + int((t1513)*d_A[1]+t1514)
-					r_A_r6 := m.LoadF(t1515)
-					t1516 := i_i1
-					if t1516 < 0 || t1516 >= d_A[0] {
-						return m.OOB(t1516, d_A[0], 0, "A", 22, 47)
-					}
-					t1517 := i_i2
-					if t1517 < 0 || t1517 >= d_A[1] {
-						return m.OOB(t1517, d_A[1], 1, "A", 22, 47)
-					}
-					t1518 := b_A + int((t1516)*d_A[1]+t1517)
-					r_A_r7 := m.LoadF(t1518)
-					t1519 := i_i1 - int64(1)
-					t1520 := t1519
-					if t1520 < 0 || t1520 >= d_B[0] {
-						return m.OOB(t1520, d_B[0], 0, "B", 22, 59)
-					}
-					t1521 := i_i2
-					if t1521 < 0 || t1521 >= d_B[1] {
-						return m.OOB(t1521, d_B[1], 1, "B", 22, 59)
-					}
-					t1522 := b_B + int((t1520)*d_B[1]+t1521)
-					r_B_r8 := m.LoadF(t1522)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
-					t1523 := float64(r_A_r6 * r_A_r7)
-					if r_B_r8 == 0 {
-						return m.DivZero(22, 57)
-					}
-					t1524 := float64(t1523 / r_B_r8)
-					t1525 := float64(r_B_r7 - t1524)
-					r_B_w2 := t1525
-					t1526 := i_i1
-					if t1526 < 0 || t1526 >= d_B[0] {
-						return m.OOB(t1526, d_B[0], 0, "B", 22, 11)
-					}
-					t1527 := i_i2
-					if t1527 < 0 || t1527 >= d_B[1] {
-						return m.OOB(t1527, d_B[1], 1, "B", 22, 11)
-					}
-					t1528 := b_B + int((t1526)*d_B[1]+t1527)
-					m.StoreF(t1528, r_B_w2)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
-				}
-			}
-			t1529 := p_n - int64(3)
-			t1530 := codegen.MinI(t1529, int64(0))
-			for i_i2 := int64(0); i_i2 <= t1530; i_i2++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1531 := p_n - int64(1)
-				t1532 := t1531
-				if t1532 < 0 || t1532 >= d_X[0] {
-					return m.OOB(t1532, d_X[0], 0, "X", 26, 24)
-				}
-				t1533 := i_i2
-				if t1533 < 0 || t1533 >= d_X[1] {
-					return m.OOB(t1533, d_X[1], 1, "X", 26, 24)
-				}
-				t1534 := b_X + int((t1532)*d_X[1]+t1533)
-				r_X_r8 := m.LoadF(t1534)
-				t1535 := p_n - int64(1)
-				t1536 := t1535
-				if t1536 < 0 || t1536 >= d_B[0] {
-					return m.OOB(t1536, d_B[0], 0, "B", 26, 39)
-				}
-				t1537 := i_i2
-				if t1537 < 0 || t1537 >= d_B[1] {
-					return m.OOB(t1537, d_B[1], 1, "B", 26, 39)
-				}
-				t1538 := b_B + int((t1536)*d_B[1]+t1537)
-				r_B_r9 := m.LoadF(t1538)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1539 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1539
-				t1540 := p_n - int64(1)
-				t1541 := t1540
-				if t1541 < 0 || t1541 >= d_X[0] {
-					return m.OOB(t1541, d_X[0], 0, "X", 26, 9)
-				}
-				t1542 := i_i2
-				if t1542 < 0 || t1542 >= d_X[1] {
-					return m.OOB(t1542, d_X[1], 1, "X", 26, 9)
-				}
-				t1543 := b_X + int((t1541)*d_X[1]+t1542)
-				m.StoreF(t1543, r_X_w5)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-			}
-			t1544 := p_n - int64(2)
-			t1545 := codegen.MaxI(int64(0), t1544)
-			t1546 := p_n - int64(2)
-			t1547 := codegen.MinI(t1546, int64(0))
-			for i_i2 := t1545; i_i2 <= t1547; i_i2++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1548 := p_n - int64(1)
-				t1549 := t1548
-				if t1549 < 0 || t1549 >= d_X[0] {
-					return m.OOB(t1549, d_X[0], 0, "X", 26, 24)
-				}
-				t1550 := i_i2
-				if t1550 < 0 || t1550 >= d_X[1] {
-					return m.OOB(t1550, d_X[1], 1, "X", 26, 24)
-				}
-				t1551 := b_X + int((t1549)*d_X[1]+t1550)
-				r_X_r8 := m.LoadF(t1551)
-				t1552 := p_n - int64(1)
-				t1553 := t1552
-				if t1553 < 0 || t1553 >= d_B[0] {
-					return m.OOB(t1553, d_B[0], 0, "B", 26, 39)
-				}
-				t1554 := i_i2
-				if t1554 < 0 || t1554 >= d_B[1] {
-					return m.OOB(t1554, d_B[1], 1, "B", 26, 39)
-				}
-				t1555 := b_B + int((t1553)*d_B[1]+t1554)
-				r_B_r9 := m.LoadF(t1555)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1556 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1556
-				t1557 := p_n - int64(1)
-				t1558 := t1557
-				if t1558 < 0 || t1558 >= d_X[0] {
-					return m.OOB(t1558, d_X[0], 0, "X", 26, 9)
-				}
-				t1559 := i_i2
-				if t1559 < 0 || t1559 >= d_X[1] {
-					return m.OOB(t1559, d_X[1], 1, "X", 26, 9)
-				}
-				t1560 := b_X + int((t1558)*d_X[1]+t1559)
-				m.StoreF(t1560, r_X_w5)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-			}
-			t1561 := p_n - int64(1)
-			t1562 := codegen.MaxI(int64(0), t1561)
-			t1563 := p_n - int64(1)
-			t1564 := codegen.MinI(t1563, int64(0))
-			for i_i2 := t1562; i_i2 <= t1564; i_i2++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1565 := p_n - int64(1)
-				t1566 := t1565
-				if t1566 < 0 || t1566 >= d_X[0] {
-					return m.OOB(t1566, d_X[0], 0, "X", 26, 24)
-				}
-				t1567 := i_i2
-				if t1567 < 0 || t1567 >= d_X[1] {
-					return m.OOB(t1567, d_X[1], 1, "X", 26, 24)
-				}
-				t1568 := b_X + int((t1566)*d_X[1]+t1567)
-				r_X_r8 := m.LoadF(t1568)
-				t1569 := p_n - int64(1)
-				t1570 := t1569
-				if t1570 < 0 || t1570 >= d_B[0] {
-					return m.OOB(t1570, d_B[0], 0, "B", 26, 39)
-				}
-				t1571 := i_i2
-				if t1571 < 0 || t1571 >= d_B[1] {
-					return m.OOB(t1571, d_B[1], 1, "B", 26, 39)
-				}
-				t1572 := b_B + int((t1570)*d_B[1]+t1571)
-				r_B_r9 := m.LoadF(t1572)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1573 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1573
-				t1574 := p_n - int64(1)
-				t1575 := t1574
-				if t1575 < 0 || t1575 >= d_X[0] {
-					return m.OOB(t1575, d_X[0], 0, "X", 26, 9)
-				}
-				t1576 := i_i2
-				if t1576 < 0 || t1576 >= d_X[1] {
-					return m.OOB(t1576, d_X[1], 1, "X", 26, 9)
-				}
-				t1577 := b_X + int((t1575)*d_X[1]+t1576)
-				m.StoreF(t1577, r_X_w5)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-			}
-			t1578 := p_n - int64(2)
-			for i_i2 := int64(1); i_i2 <= t1578; i_i2++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1579 := p_n - int64(1)
-				t1580 := t1579
-				if t1580 < 0 || t1580 >= d_X[0] {
-					return m.OOB(t1580, d_X[0], 0, "X", 26, 24)
-				}
-				t1581 := i_i2
-				if t1581 < 0 || t1581 >= d_X[1] {
-					return m.OOB(t1581, d_X[1], 1, "X", 26, 24)
-				}
-				t1582 := b_X + int((t1580)*d_X[1]+t1581)
-				r_X_r8 := m.LoadF(t1582)
-				t1583 := p_n - int64(1)
-				t1584 := t1583
-				if t1584 < 0 || t1584 >= d_B[0] {
-					return m.OOB(t1584, d_B[0], 0, "B", 26, 39)
-				}
-				t1585 := i_i2
-				if t1585 < 0 || t1585 >= d_B[1] {
-					return m.OOB(t1585, d_B[1], 1, "B", 26, 39)
-				}
-				t1586 := b_B + int((t1584)*d_B[1]+t1585)
-				r_B_r9 := m.LoadF(t1586)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1587 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1587
-				t1588 := p_n - int64(1)
-				t1589 := t1588
-				if t1589 < 0 || t1589 >= d_X[0] {
-					return m.OOB(t1589, d_X[0], 0, "X", 26, 9)
-				}
-				t1590 := i_i2
-				if t1590 < 0 || t1590 >= d_X[1] {
-					return m.OOB(t1590, d_X[1], 1, "X", 26, 9)
-				}
-				t1591 := b_X + int((t1589)*d_X[1]+t1590)
-				m.StoreF(t1591, r_X_w5)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-			}
-			t1592 := p_n - int64(1)
-			t1593 := codegen.MaxI(int64(1), t1592)
-			t1594 := p_n - int64(1)
-			for i_i2 := t1593; i_i2 <= t1594; i_i2++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t1595 := p_n - int64(1)
-				t1596 := t1595
-				if t1596 < 0 || t1596 >= d_X[0] {
-					return m.OOB(t1596, d_X[0], 0, "X", 26, 24)
-				}
-				t1597 := i_i2
-				if t1597 < 0 || t1597 >= d_X[1] {
-					return m.OOB(t1597, d_X[1], 1, "X", 26, 24)
-				}
-				t1598 := b_X + int((t1596)*d_X[1]+t1597)
-				r_X_r8 := m.LoadF(t1598)
-				t1599 := p_n - int64(1)
-				t1600 := t1599
-				if t1600 < 0 || t1600 >= d_B[0] {
-					return m.OOB(t1600, d_B[0], 0, "B", 26, 39)
-				}
-				t1601 := i_i2
-				if t1601 < 0 || t1601 >= d_B[1] {
-					return m.OOB(t1601, d_B[1], 1, "B", 26, 39)
-				}
-				t1602 := b_B + int((t1600)*d_B[1]+t1601)
-				r_B_r9 := m.LoadF(t1602)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
-				if r_B_r9 == 0 {
-					return m.DivZero(26, 37)
-				}
-				t1603 := float64(r_X_r8 / r_B_r9)
-				r_X_w5 := t1603
-				t1604 := p_n - int64(1)
-				t1605 := t1604
-				if t1605 < 0 || t1605 >= d_X[0] {
-					return m.OOB(t1605, d_X[0], 0, "X", 26, 9)
-				}
-				t1606 := i_i2
-				if t1606 < 0 || t1606 >= d_X[1] {
-					return m.OOB(t1606, d_X[1], 1, "X", 26, 9)
-				}
-				t1607 := b_X + int((t1605)*d_X[1]+t1606)
-				m.StoreF(t1607, r_X_w5)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
-			}
-			t1608 := p_n - int64(3)
-			for i_i1 := int64(0); i_i1 <= t1608; i_i1++ {
-				if err := m.Tick(28, 3); err != nil {
-					return err
-				}
-				t1609 := p_n - int64(1)
-				t1610 := codegen.MinI(t1609, int64(0))
-				for i_i2 := int64(0); i_i2 <= t1610; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1611 := p_n - int64(2)
-					t1612 := t1611 - i_i1
-					t1613 := t1612
-					if t1613 < 0 || t1613 >= d_X[0] {
-						return m.OOB(t1613, d_X[0], 0, "X", 30, 32)
-					}
-					t1614 := i_i2
-					if t1614 < 0 || t1614 >= d_X[1] {
-						return m.OOB(t1614, d_X[1], 1, "X", 30, 32)
-					}
-					t1615 := b_X + int((t1613)*d_X[1]+t1614)
-					r_X_r9 := m.LoadF(t1615)
-					t1616 := p_n - i_i1
-					t1617 := t1616 - int64(3)
-					t1618 := t1617
-					if t1618 < 0 || t1618 >= d_X[0] {
-						return m.OOB(t1618, d_X[0], 0, "X", 30, 52)
-					}
-					t1619 := i_i2
-					if t1619 < 0 || t1619 >= d_X[1] {
-						return m.OOB(t1619, d_X[1], 1, "X", 30, 52)
-					}
-					t1620 := b_X + int((t1618)*d_X[1]+t1619)
-					r_X_r10 := m.LoadF(t1620)
-					t1621 := p_n - int64(3)
-					t1622 := t1621 - i_i1
-					t1623 := t1622
-					if t1623 < 0 || t1623 >= d_A[0] {
-						return m.OOB(t1623, d_A[0], 0, "A", 30, 72)
-					}
-					t1624 := i_i2
-					if t1624 < 0 || t1624 >= d_A[1] {
-						return m.OOB(t1624, d_A[1], 1, "A", 30, 72)
-					}
-					t1625 := b_A + int((t1623)*d_A[1]+t1624)
-					r_A_r8 := m.LoadF(t1625)
-					t1626 := p_n - int64(2)
-					t1627 := t1626 - i_i1
-					t1628 := t1627
-					if t1628 < 0 || t1628 >= d_B[0] {
-						return m.OOB(t1628, d_B[0], 0, "B", 30, 93)
-					}
-					t1629 := i_i2
-					if t1629 < 0 || t1629 >= d_B[1] {
-						return m.OOB(t1629, d_B[1], 1, "B", 30, 93)
-					}
-					t1630 := b_B + int((t1628)*d_B[1]+t1629)
-					r_B_r10 := m.LoadF(t1630)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
-					t1631 := float64(r_X_r10 * r_A_r8)
-					t1632 := float64(r_X_r9 - t1631)
-					if r_B_r10 == 0 {
-						return m.DivZero(30, 91)
-					}
-					t1633 := float64(t1632 / r_B_r10)
-					r_X_w6 := t1633
-					t1634 := p_n - int64(2)
-					t1635 := t1634 - i_i1
-					t1636 := t1635
-					if t1636 < 0 || t1636 >= d_X[0] {
-						return m.OOB(t1636, d_X[0], 0, "X", 30, 11)
-					}
-					t1637 := i_i2
-					if t1637 < 0 || t1637 >= d_X[1] {
-						return m.OOB(t1637, d_X[1], 1, "X", 30, 11)
-					}
-					t1638 := b_X + int((t1636)*d_X[1]+t1637)
-					m.StoreF(t1638, r_X_w6)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(3))
-				}
-				t1639 := p_n - int64(2)
-				for i_i2 := int64(1); i_i2 <= t1639; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1640 := p_n - int64(2)
-					t1641 := t1640 - i_i1
-					t1642 := t1641
-					if t1642 < 0 || t1642 >= d_X[0] {
-						return m.OOB(t1642, d_X[0], 0, "X", 30, 32)
-					}
-					t1643 := i_i2
-					if t1643 < 0 || t1643 >= d_X[1] {
-						return m.OOB(t1643, d_X[1], 1, "X", 30, 32)
-					}
-					t1644 := b_X + int((t1642)*d_X[1]+t1643)
-					r_X_r9 := m.LoadF(t1644)
-					t1645 := p_n - i_i1
-					t1646 := t1645 - int64(3)
-					t1647 := t1646
-					if t1647 < 0 || t1647 >= d_X[0] {
-						return m.OOB(t1647, d_X[0], 0, "X", 30, 52)
-					}
-					t1648 := i_i2
-					if t1648 < 0 || t1648 >= d_X[1] {
-						return m.OOB(t1648, d_X[1], 1, "X", 30, 52)
-					}
-					t1649 := b_X + int((t1647)*d_X[1]+t1648)
-					r_X_r10 := m.LoadF(t1649)
-					t1650 := p_n - int64(3)
-					t1651 := t1650 - i_i1
-					t1652 := t1651
-					if t1652 < 0 || t1652 >= d_A[0] {
-						return m.OOB(t1652, d_A[0], 0, "A", 30, 72)
-					}
-					t1653 := i_i2
-					if t1653 < 0 || t1653 >= d_A[1] {
-						return m.OOB(t1653, d_A[1], 1, "A", 30, 72)
-					}
-					t1654 := b_A + int((t1652)*d_A[1]+t1653)
-					r_A_r8 := m.LoadF(t1654)
-					t1655 := p_n - int64(2)
-					t1656 := t1655 - i_i1
-					t1657 := t1656
-					if t1657 < 0 || t1657 >= d_B[0] {
-						return m.OOB(t1657, d_B[0], 0, "B", 30, 93)
-					}
-					t1658 := i_i2
-					if t1658 < 0 || t1658 >= d_B[1] {
-						return m.OOB(t1658, d_B[1], 1, "B", 30, 93)
-					}
-					t1659 := b_B + int((t1657)*d_B[1]+t1658)
-					r_B_r10 := m.LoadF(t1659)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
-					t1660 := float64(r_X_r10 * r_A_r8)
-					t1661 := float64(r_X_r9 - t1660)
-					if r_B_r10 == 0 {
-						return m.DivZero(30, 91)
-					}
-					t1662 := float64(t1661 / r_B_r10)
-					r_X_w6 := t1662
-					t1663 := p_n - int64(2)
-					t1664 := t1663 - i_i1
-					t1665 := t1664
-					if t1665 < 0 || t1665 >= d_X[0] {
-						return m.OOB(t1665, d_X[0], 0, "X", 30, 11)
-					}
-					t1666 := i_i2
-					if t1666 < 0 || t1666 >= d_X[1] {
-						return m.OOB(t1666, d_X[1], 1, "X", 30, 11)
-					}
-					t1667 := b_X + int((t1665)*d_X[1]+t1666)
-					m.StoreF(t1667, r_X_w6)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
-				}
-				t1668 := p_n - int64(1)
-				t1669 := codegen.MaxI(int64(1), t1668)
-				t1670 := p_n - int64(1)
-				for i_i2 := t1669; i_i2 <= t1670; i_i2++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1671 := p_n - int64(2)
-					t1672 := t1671 - i_i1
-					t1673 := t1672
-					if t1673 < 0 || t1673 >= d_X[0] {
-						return m.OOB(t1673, d_X[0], 0, "X", 30, 32)
-					}
-					t1674 := i_i2
-					if t1674 < 0 || t1674 >= d_X[1] {
-						return m.OOB(t1674, d_X[1], 1, "X", 30, 32)
-					}
-					t1675 := b_X + int((t1673)*d_X[1]+t1674)
-					r_X_r9 := m.LoadF(t1675)
-					t1676 := p_n - i_i1
-					t1677 := t1676 - int64(3)
-					t1678 := t1677
-					if t1678 < 0 || t1678 >= d_X[0] {
-						return m.OOB(t1678, d_X[0], 0, "X", 30, 52)
-					}
-					t1679 := i_i2
-					if t1679 < 0 || t1679 >= d_X[1] {
-						return m.OOB(t1679, d_X[1], 1, "X", 30, 52)
-					}
-					t1680 := b_X + int((t1678)*d_X[1]+t1679)
-					r_X_r10 := m.LoadF(t1680)
-					t1681 := p_n - int64(3)
-					t1682 := t1681 - i_i1
-					t1683 := t1682
-					if t1683 < 0 || t1683 >= d_A[0] {
-						return m.OOB(t1683, d_A[0], 0, "A", 30, 72)
-					}
-					t1684 := i_i2
-					if t1684 < 0 || t1684 >= d_A[1] {
-						return m.OOB(t1684, d_A[1], 1, "A", 30, 72)
-					}
-					t1685 := b_A + int((t1683)*d_A[1]+t1684)
-					r_A_r8 := m.LoadF(t1685)
-					t1686 := p_n - int64(2)
-					t1687 := t1686 - i_i1
-					t1688 := t1687
-					if t1688 < 0 || t1688 >= d_B[0] {
-						return m.OOB(t1688, d_B[0], 0, "B", 30, 93)
-					}
-					t1689 := i_i2
-					if t1689 < 0 || t1689 >= d_B[1] {
-						return m.OOB(t1689, d_B[1], 1, "B", 30, 93)
-					}
-					t1690 := b_B + int((t1688)*d_B[1]+t1689)
-					r_B_r10 := m.LoadF(t1690)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
-					t1691 := float64(r_X_r10 * r_A_r8)
-					t1692 := float64(r_X_r9 - t1691)
-					if r_B_r10 == 0 {
-						return m.DivZero(30, 91)
-					}
-					t1693 := float64(t1692 / r_B_r10)
-					r_X_w6 := t1693
-					t1694 := p_n - int64(2)
-					t1695 := t1694 - i_i1
-					t1696 := t1695
-					if t1696 < 0 || t1696 >= d_X[0] {
-						return m.OOB(t1696, d_X[0], 0, "X", 30, 11)
-					}
-					t1697 := i_i2
-					if t1697 < 0 || t1697 >= d_X[1] {
-						return m.OOB(t1697, d_X[1], 1, "X", 30, 11)
-					}
-					t1698 := b_X + int((t1696)*d_X[1]+t1697)
-					m.StoreF(t1698, r_X_w6)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
-				}
+				t644 := i_i1
+				if t644 < 0 || t644 >= d_X[0] {
+					return m.OOB(t644, d_X[0], 0, "X", 7, 23)
+				}
+				t645 := i_i2
+				if t645 < 0 || t645 >= d_X[1] {
+					return m.OOB(t645, d_X[1], 1, "X", 7, 23)
+				}
+				t646 := b_X + int((t644)*d_X[1]+t645)
+				r_X_r := m.LoadF(t646)
+				t647 := i_i1
+				if t647 < 0 || t647 >= d_X[0] {
+					return m.OOB(t647, d_X[0], 0, "X", 7, 35)
+				}
+				t648 := i_i2 - int64(1)
+				t649 := t648
+				if t649 < 0 || t649 >= d_X[1] {
+					return m.OOB(t649, d_X[1], 1, "X", 7, 35)
+				}
+				t650 := b_X + int((t647)*d_X[1]+t649)
+				r_X_r2 := m.LoadF(t650)
+				t651 := i_i1
+				if t651 < 0 || t651 >= d_A[0] {
+					return m.OOB(t651, d_A[0], 0, "A", 7, 51)
+				}
+				t652 := i_i2
+				if t652 < 0 || t652 >= d_A[1] {
+					return m.OOB(t652, d_A[1], 1, "A", 7, 51)
+				}
+				t653 := b_A + int((t651)*d_A[1]+t652)
+				r_A_r := m.LoadF(t653)
+				t654 := i_i1
+				if t654 < 0 || t654 >= d_B[0] {
+					return m.OOB(t654, d_B[0], 0, "B", 7, 63)
+				}
+				t655 := i_i2 - int64(1)
+				t656 := t655
+				if t656 < 0 || t656 >= d_B[1] {
+					return m.OOB(t656, d_B[1], 1, "B", 7, 63)
+				}
+				t657 := b_B + int((t654)*d_B[1]+t656)
+				r_B_r := m.LoadF(t657)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t658 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t659 := float64(t658 / r_B_r)
+				t660 := float64(r_X_r - t659)
+				r_X_w := t660
+				t661 := i_i1
+				if t661 < 0 || t661 >= d_X[0] {
+					return m.OOB(t661, d_X[0], 0, "X", 7, 11)
+				}
+				t662 := i_i2
+				if t662 < 0 || t662 >= d_X[1] {
+					return m.OOB(t662, d_X[1], 1, "X", 7, 11)
+				}
+				t663 := b_X + int((t661)*d_X[1]+t662)
+				m.StoreF(t663, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t664 := i_i1
+				if t664 < 0 || t664 >= d_B[0] {
+					return m.OOB(t664, d_B[0], 0, "B", 8, 23)
+				}
+				t665 := i_i2
+				if t665 < 0 || t665 >= d_B[1] {
+					return m.OOB(t665, d_B[1], 1, "B", 8, 23)
+				}
+				t666 := b_B + int((t664)*d_B[1]+t665)
+				r_B_r2 := m.LoadF(t666)
+				t667 := i_i1
+				if t667 < 0 || t667 >= d_A[0] {
+					return m.OOB(t667, d_A[0], 0, "A", 8, 35)
+				}
+				t668 := i_i2
+				if t668 < 0 || t668 >= d_A[1] {
+					return m.OOB(t668, d_A[1], 1, "A", 8, 35)
+				}
+				t669 := b_A + int((t667)*d_A[1]+t668)
+				r_A_r2 := m.LoadF(t669)
+				t670 := i_i1
+				if t670 < 0 || t670 >= d_A[0] {
+					return m.OOB(t670, d_A[0], 0, "A", 8, 47)
+				}
+				t671 := i_i2
+				if t671 < 0 || t671 >= d_A[1] {
+					return m.OOB(t671, d_A[1], 1, "A", 8, 47)
+				}
+				t672 := b_A + int((t670)*d_A[1]+t671)
+				r_A_r3 := m.LoadF(t672)
+				t673 := i_i1
+				if t673 < 0 || t673 >= d_B[0] {
+					return m.OOB(t673, d_B[0], 0, "B", 8, 59)
+				}
+				t674 := i_i2 - int64(1)
+				t675 := t674
+				if t675 < 0 || t675 >= d_B[1] {
+					return m.OOB(t675, d_B[1], 1, "B", 8, 59)
+				}
+				t676 := b_B + int((t673)*d_B[1]+t675)
+				r_B_r3 := m.LoadF(t676)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t677 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t678 := float64(t677 / r_B_r3)
+				t679 := float64(r_B_r2 - t678)
+				r_B_w := t679
+				t680 := i_i1
+				if t680 < 0 || t680 >= d_B[0] {
+					return m.OOB(t680, d_B[0], 0, "B", 8, 11)
+				}
+				t681 := i_i2
+				if t681 < 0 || t681 >= d_B[1] {
+					return m.OOB(t681, d_B[1], 1, "B", 8, 11)
+				}
+				t682 := b_B + int((t680)*d_B[1]+t681)
+				m.StoreF(t682, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
 			}
 		}
+		t683 := p_n - int64(2)
+		for i_i1 := int64(1); i_i1 <= t683; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t684 := p_n - int64(3)
+			for i_i2 := int64(1); i_i2 <= t684; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t685 := i_i1
+				if t685 < 0 || t685 >= d_X[0] {
+					return m.OOB(t685, d_X[0], 0, "X", 7, 23)
+				}
+				t686 := i_i2
+				if t686 < 0 || t686 >= d_X[1] {
+					return m.OOB(t686, d_X[1], 1, "X", 7, 23)
+				}
+				t687 := b_X + int((t685)*d_X[1]+t686)
+				r_X_r := m.LoadF(t687)
+				t688 := i_i1
+				if t688 < 0 || t688 >= d_X[0] {
+					return m.OOB(t688, d_X[0], 0, "X", 7, 35)
+				}
+				t689 := i_i2 - int64(1)
+				t690 := t689
+				if t690 < 0 || t690 >= d_X[1] {
+					return m.OOB(t690, d_X[1], 1, "X", 7, 35)
+				}
+				t691 := b_X + int((t688)*d_X[1]+t690)
+				r_X_r2 := m.LoadF(t691)
+				t692 := i_i1
+				if t692 < 0 || t692 >= d_A[0] {
+					return m.OOB(t692, d_A[0], 0, "A", 7, 51)
+				}
+				t693 := i_i2
+				if t693 < 0 || t693 >= d_A[1] {
+					return m.OOB(t693, d_A[1], 1, "A", 7, 51)
+				}
+				t694 := b_A + int((t692)*d_A[1]+t693)
+				r_A_r := m.LoadF(t694)
+				t695 := i_i1
+				if t695 < 0 || t695 >= d_B[0] {
+					return m.OOB(t695, d_B[0], 0, "B", 7, 63)
+				}
+				t696 := i_i2 - int64(1)
+				t697 := t696
+				if t697 < 0 || t697 >= d_B[1] {
+					return m.OOB(t697, d_B[1], 1, "B", 7, 63)
+				}
+				t698 := b_B + int((t695)*d_B[1]+t697)
+				r_B_r := m.LoadF(t698)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t699 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t700 := float64(t699 / r_B_r)
+				t701 := float64(r_X_r - t700)
+				r_X_w := t701
+				t702 := i_i1
+				if t702 < 0 || t702 >= d_X[0] {
+					return m.OOB(t702, d_X[0], 0, "X", 7, 11)
+				}
+				t703 := i_i2
+				if t703 < 0 || t703 >= d_X[1] {
+					return m.OOB(t703, d_X[1], 1, "X", 7, 11)
+				}
+				t704 := b_X + int((t702)*d_X[1]+t703)
+				m.StoreF(t704, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t705 := i_i1
+				if t705 < 0 || t705 >= d_B[0] {
+					return m.OOB(t705, d_B[0], 0, "B", 8, 23)
+				}
+				t706 := i_i2
+				if t706 < 0 || t706 >= d_B[1] {
+					return m.OOB(t706, d_B[1], 1, "B", 8, 23)
+				}
+				t707 := b_B + int((t705)*d_B[1]+t706)
+				r_B_r2 := m.LoadF(t707)
+				t708 := i_i1
+				if t708 < 0 || t708 >= d_A[0] {
+					return m.OOB(t708, d_A[0], 0, "A", 8, 35)
+				}
+				t709 := i_i2
+				if t709 < 0 || t709 >= d_A[1] {
+					return m.OOB(t709, d_A[1], 1, "A", 8, 35)
+				}
+				t710 := b_A + int((t708)*d_A[1]+t709)
+				r_A_r2 := m.LoadF(t710)
+				t711 := i_i1
+				if t711 < 0 || t711 >= d_A[0] {
+					return m.OOB(t711, d_A[0], 0, "A", 8, 47)
+				}
+				t712 := i_i2
+				if t712 < 0 || t712 >= d_A[1] {
+					return m.OOB(t712, d_A[1], 1, "A", 8, 47)
+				}
+				t713 := b_A + int((t711)*d_A[1]+t712)
+				r_A_r3 := m.LoadF(t713)
+				t714 := i_i1
+				if t714 < 0 || t714 >= d_B[0] {
+					return m.OOB(t714, d_B[0], 0, "B", 8, 59)
+				}
+				t715 := i_i2 - int64(1)
+				t716 := t715
+				if t716 < 0 || t716 >= d_B[1] {
+					return m.OOB(t716, d_B[1], 1, "B", 8, 59)
+				}
+				t717 := b_B + int((t714)*d_B[1]+t716)
+				r_B_r3 := m.LoadF(t717)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t718 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t719 := float64(t718 / r_B_r3)
+				t720 := float64(r_B_r2 - t719)
+				r_B_w := t720
+				t721 := i_i1
+				if t721 < 0 || t721 >= d_B[0] {
+					return m.OOB(t721, d_B[0], 0, "B", 8, 11)
+				}
+				t722 := i_i2
+				if t722 < 0 || t722 >= d_B[1] {
+					return m.OOB(t722, d_B[1], 1, "B", 8, 11)
+				}
+				t723 := b_B + int((t721)*d_B[1]+t722)
+				m.StoreF(t723, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+			t724 := p_n - int64(2)
+			t725 := codegen.MaxI(int64(1), t724)
+			t726 := p_n - int64(2)
+			for i_i2 := t725; i_i2 <= t726; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t727 := i_i1
+				if t727 < 0 || t727 >= d_X[0] {
+					return m.OOB(t727, d_X[0], 0, "X", 7, 23)
+				}
+				t728 := i_i2
+				if t728 < 0 || t728 >= d_X[1] {
+					return m.OOB(t728, d_X[1], 1, "X", 7, 23)
+				}
+				t729 := b_X + int((t727)*d_X[1]+t728)
+				r_X_r := m.LoadF(t729)
+				t730 := i_i1
+				if t730 < 0 || t730 >= d_X[0] {
+					return m.OOB(t730, d_X[0], 0, "X", 7, 35)
+				}
+				t731 := i_i2 - int64(1)
+				t732 := t731
+				if t732 < 0 || t732 >= d_X[1] {
+					return m.OOB(t732, d_X[1], 1, "X", 7, 35)
+				}
+				t733 := b_X + int((t730)*d_X[1]+t732)
+				r_X_r2 := m.LoadF(t733)
+				t734 := i_i1
+				if t734 < 0 || t734 >= d_A[0] {
+					return m.OOB(t734, d_A[0], 0, "A", 7, 51)
+				}
+				t735 := i_i2
+				if t735 < 0 || t735 >= d_A[1] {
+					return m.OOB(t735, d_A[1], 1, "A", 7, 51)
+				}
+				t736 := b_A + int((t734)*d_A[1]+t735)
+				r_A_r := m.LoadF(t736)
+				t737 := i_i1
+				if t737 < 0 || t737 >= d_B[0] {
+					return m.OOB(t737, d_B[0], 0, "B", 7, 63)
+				}
+				t738 := i_i2 - int64(1)
+				t739 := t738
+				if t739 < 0 || t739 >= d_B[1] {
+					return m.OOB(t739, d_B[1], 1, "B", 7, 63)
+				}
+				t740 := b_B + int((t737)*d_B[1]+t739)
+				r_B_r := m.LoadF(t740)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t741 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t742 := float64(t741 / r_B_r)
+				t743 := float64(r_X_r - t742)
+				r_X_w := t743
+				t744 := i_i1
+				if t744 < 0 || t744 >= d_X[0] {
+					return m.OOB(t744, d_X[0], 0, "X", 7, 11)
+				}
+				t745 := i_i2
+				if t745 < 0 || t745 >= d_X[1] {
+					return m.OOB(t745, d_X[1], 1, "X", 7, 11)
+				}
+				t746 := b_X + int((t744)*d_X[1]+t745)
+				m.StoreF(t746, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				t747 := i_i1
+				if t747 < 0 || t747 >= d_B[0] {
+					return m.OOB(t747, d_B[0], 0, "B", 8, 23)
+				}
+				t748 := i_i2
+				if t748 < 0 || t748 >= d_B[1] {
+					return m.OOB(t748, d_B[1], 1, "B", 8, 23)
+				}
+				t749 := b_B + int((t747)*d_B[1]+t748)
+				r_B_r2 := m.LoadF(t749)
+				t750 := i_i1
+				if t750 < 0 || t750 >= d_A[0] {
+					return m.OOB(t750, d_A[0], 0, "A", 8, 35)
+				}
+				t751 := i_i2
+				if t751 < 0 || t751 >= d_A[1] {
+					return m.OOB(t751, d_A[1], 1, "A", 8, 35)
+				}
+				t752 := b_A + int((t750)*d_A[1]+t751)
+				r_A_r2 := m.LoadF(t752)
+				t753 := i_i1
+				if t753 < 0 || t753 >= d_A[0] {
+					return m.OOB(t753, d_A[0], 0, "A", 8, 47)
+				}
+				t754 := i_i2
+				if t754 < 0 || t754 >= d_A[1] {
+					return m.OOB(t754, d_A[1], 1, "A", 8, 47)
+				}
+				t755 := b_A + int((t753)*d_A[1]+t754)
+				r_A_r3 := m.LoadF(t755)
+				t756 := i_i1
+				if t756 < 0 || t756 >= d_B[0] {
+					return m.OOB(t756, d_B[0], 0, "B", 8, 59)
+				}
+				t757 := i_i2 - int64(1)
+				t758 := t757
+				if t758 < 0 || t758 >= d_B[1] {
+					return m.OOB(t758, d_B[1], 1, "B", 8, 59)
+				}
+				t759 := b_B + int((t756)*d_B[1]+t758)
+				r_B_r3 := m.LoadF(t759)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t760 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t761 := float64(t760 / r_B_r3)
+				t762 := float64(r_B_r2 - t761)
+				r_B_w := t762
+				t763 := i_i1
+				if t763 < 0 || t763 >= d_B[0] {
+					return m.OOB(t763, d_B[0], 0, "B", 8, 11)
+				}
+				t764 := i_i2
+				if t764 < 0 || t764 >= d_B[1] {
+					return m.OOB(t764, d_B[1], 1, "B", 8, 11)
+				}
+				t765 := b_B + int((t763)*d_B[1]+t764)
+				m.StoreF(t765, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+			t766 := p_n - int64(1)
+			t767 := codegen.MaxI(int64(1), t766)
+			t768 := p_n - int64(1)
+			for i_i2 := t767; i_i2 <= t768; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t769 := i_i1
+				if t769 < 0 || t769 >= d_X[0] {
+					return m.OOB(t769, d_X[0], 0, "X", 7, 23)
+				}
+				t770 := i_i2
+				if t770 < 0 || t770 >= d_X[1] {
+					return m.OOB(t770, d_X[1], 1, "X", 7, 23)
+				}
+				t771 := b_X + int((t769)*d_X[1]+t770)
+				r_X_r := m.LoadF(t771)
+				t772 := i_i1
+				if t772 < 0 || t772 >= d_X[0] {
+					return m.OOB(t772, d_X[0], 0, "X", 7, 35)
+				}
+				t773 := i_i2 - int64(1)
+				t774 := t773
+				if t774 < 0 || t774 >= d_X[1] {
+					return m.OOB(t774, d_X[1], 1, "X", 7, 35)
+				}
+				t775 := b_X + int((t772)*d_X[1]+t774)
+				r_X_r2 := m.LoadF(t775)
+				t776 := i_i1
+				if t776 < 0 || t776 >= d_A[0] {
+					return m.OOB(t776, d_A[0], 0, "A", 7, 51)
+				}
+				t777 := i_i2
+				if t777 < 0 || t777 >= d_A[1] {
+					return m.OOB(t777, d_A[1], 1, "A", 7, 51)
+				}
+				t778 := b_A + int((t776)*d_A[1]+t777)
+				r_A_r := m.LoadF(t778)
+				t779 := i_i1
+				if t779 < 0 || t779 >= d_B[0] {
+					return m.OOB(t779, d_B[0], 0, "B", 7, 63)
+				}
+				t780 := i_i2 - int64(1)
+				t781 := t780
+				if t781 < 0 || t781 >= d_B[1] {
+					return m.OOB(t781, d_B[1], 1, "B", 7, 63)
+				}
+				t782 := b_B + int((t779)*d_B[1]+t781)
+				r_B_r := m.LoadF(t782)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t783 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t784 := float64(t783 / r_B_r)
+				t785 := float64(r_X_r - t784)
+				r_X_w := t785
+				t786 := i_i1
+				if t786 < 0 || t786 >= d_X[0] {
+					return m.OOB(t786, d_X[0], 0, "X", 7, 11)
+				}
+				t787 := i_i2
+				if t787 < 0 || t787 >= d_X[1] {
+					return m.OOB(t787, d_X[1], 1, "X", 7, 11)
+				}
+				t788 := b_X + int((t786)*d_X[1]+t787)
+				m.StoreF(t788, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t789 := i_i1
+				if t789 < 0 || t789 >= d_B[0] {
+					return m.OOB(t789, d_B[0], 0, "B", 8, 23)
+				}
+				t790 := i_i2
+				if t790 < 0 || t790 >= d_B[1] {
+					return m.OOB(t790, d_B[1], 1, "B", 8, 23)
+				}
+				t791 := b_B + int((t789)*d_B[1]+t790)
+				r_B_r2 := m.LoadF(t791)
+				t792 := i_i1
+				if t792 < 0 || t792 >= d_A[0] {
+					return m.OOB(t792, d_A[0], 0, "A", 8, 35)
+				}
+				t793 := i_i2
+				if t793 < 0 || t793 >= d_A[1] {
+					return m.OOB(t793, d_A[1], 1, "A", 8, 35)
+				}
+				t794 := b_A + int((t792)*d_A[1]+t793)
+				r_A_r2 := m.LoadF(t794)
+				t795 := i_i1
+				if t795 < 0 || t795 >= d_A[0] {
+					return m.OOB(t795, d_A[0], 0, "A", 8, 47)
+				}
+				t796 := i_i2
+				if t796 < 0 || t796 >= d_A[1] {
+					return m.OOB(t796, d_A[1], 1, "A", 8, 47)
+				}
+				t797 := b_A + int((t795)*d_A[1]+t796)
+				r_A_r3 := m.LoadF(t797)
+				t798 := i_i1
+				if t798 < 0 || t798 >= d_B[0] {
+					return m.OOB(t798, d_B[0], 0, "B", 8, 59)
+				}
+				t799 := i_i2 - int64(1)
+				t800 := t799
+				if t800 < 0 || t800 >= d_B[1] {
+					return m.OOB(t800, d_B[1], 1, "B", 8, 59)
+				}
+				t801 := b_B + int((t798)*d_B[1]+t800)
+				r_B_r3 := m.LoadF(t801)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t802 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t803 := float64(t802 / r_B_r3)
+				t804 := float64(r_B_r2 - t803)
+				r_B_w := t804
+				t805 := i_i1
+				if t805 < 0 || t805 >= d_B[0] {
+					return m.OOB(t805, d_B[0], 0, "B", 8, 11)
+				}
+				t806 := i_i2
+				if t806 < 0 || t806 >= d_B[1] {
+					return m.OOB(t806, d_B[1], 1, "B", 8, 11)
+				}
+				t807 := b_B + int((t805)*d_B[1]+t806)
+				m.StoreF(t807, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+		}
+		t808 := p_n - int64(1)
+		t809 := codegen.MaxI(int64(1), t808)
+		t810 := p_n - int64(1)
+		for i_i1 := t809; i_i1 <= t810; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t811 := p_n - int64(3)
+			for i_i2 := int64(1); i_i2 <= t811; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t812 := i_i1
+				if t812 < 0 || t812 >= d_X[0] {
+					return m.OOB(t812, d_X[0], 0, "X", 7, 23)
+				}
+				t813 := i_i2
+				if t813 < 0 || t813 >= d_X[1] {
+					return m.OOB(t813, d_X[1], 1, "X", 7, 23)
+				}
+				t814 := b_X + int((t812)*d_X[1]+t813)
+				r_X_r := m.LoadF(t814)
+				t815 := i_i1
+				if t815 < 0 || t815 >= d_X[0] {
+					return m.OOB(t815, d_X[0], 0, "X", 7, 35)
+				}
+				t816 := i_i2 - int64(1)
+				t817 := t816
+				if t817 < 0 || t817 >= d_X[1] {
+					return m.OOB(t817, d_X[1], 1, "X", 7, 35)
+				}
+				t818 := b_X + int((t815)*d_X[1]+t817)
+				r_X_r2 := m.LoadF(t818)
+				t819 := i_i1
+				if t819 < 0 || t819 >= d_A[0] {
+					return m.OOB(t819, d_A[0], 0, "A", 7, 51)
+				}
+				t820 := i_i2
+				if t820 < 0 || t820 >= d_A[1] {
+					return m.OOB(t820, d_A[1], 1, "A", 7, 51)
+				}
+				t821 := b_A + int((t819)*d_A[1]+t820)
+				r_A_r := m.LoadF(t821)
+				t822 := i_i1
+				if t822 < 0 || t822 >= d_B[0] {
+					return m.OOB(t822, d_B[0], 0, "B", 7, 63)
+				}
+				t823 := i_i2 - int64(1)
+				t824 := t823
+				if t824 < 0 || t824 >= d_B[1] {
+					return m.OOB(t824, d_B[1], 1, "B", 7, 63)
+				}
+				t825 := b_B + int((t822)*d_B[1]+t824)
+				r_B_r := m.LoadF(t825)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t826 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t827 := float64(t826 / r_B_r)
+				t828 := float64(r_X_r - t827)
+				r_X_w := t828
+				t829 := i_i1
+				if t829 < 0 || t829 >= d_X[0] {
+					return m.OOB(t829, d_X[0], 0, "X", 7, 11)
+				}
+				t830 := i_i2
+				if t830 < 0 || t830 >= d_X[1] {
+					return m.OOB(t830, d_X[1], 1, "X", 7, 11)
+				}
+				t831 := b_X + int((t829)*d_X[1]+t830)
+				m.StoreF(t831, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t832 := i_i1
+				if t832 < 0 || t832 >= d_B[0] {
+					return m.OOB(t832, d_B[0], 0, "B", 8, 23)
+				}
+				t833 := i_i2
+				if t833 < 0 || t833 >= d_B[1] {
+					return m.OOB(t833, d_B[1], 1, "B", 8, 23)
+				}
+				t834 := b_B + int((t832)*d_B[1]+t833)
+				r_B_r2 := m.LoadF(t834)
+				t835 := i_i1
+				if t835 < 0 || t835 >= d_A[0] {
+					return m.OOB(t835, d_A[0], 0, "A", 8, 35)
+				}
+				t836 := i_i2
+				if t836 < 0 || t836 >= d_A[1] {
+					return m.OOB(t836, d_A[1], 1, "A", 8, 35)
+				}
+				t837 := b_A + int((t835)*d_A[1]+t836)
+				r_A_r2 := m.LoadF(t837)
+				t838 := i_i1
+				if t838 < 0 || t838 >= d_A[0] {
+					return m.OOB(t838, d_A[0], 0, "A", 8, 47)
+				}
+				t839 := i_i2
+				if t839 < 0 || t839 >= d_A[1] {
+					return m.OOB(t839, d_A[1], 1, "A", 8, 47)
+				}
+				t840 := b_A + int((t838)*d_A[1]+t839)
+				r_A_r3 := m.LoadF(t840)
+				t841 := i_i1
+				if t841 < 0 || t841 >= d_B[0] {
+					return m.OOB(t841, d_B[0], 0, "B", 8, 59)
+				}
+				t842 := i_i2 - int64(1)
+				t843 := t842
+				if t843 < 0 || t843 >= d_B[1] {
+					return m.OOB(t843, d_B[1], 1, "B", 8, 59)
+				}
+				t844 := b_B + int((t841)*d_B[1]+t843)
+				r_B_r3 := m.LoadF(t844)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t845 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t846 := float64(t845 / r_B_r3)
+				t847 := float64(r_B_r2 - t846)
+				r_B_w := t847
+				t848 := i_i1
+				if t848 < 0 || t848 >= d_B[0] {
+					return m.OOB(t848, d_B[0], 0, "B", 8, 11)
+				}
+				t849 := i_i2
+				if t849 < 0 || t849 >= d_B[1] {
+					return m.OOB(t849, d_B[1], 1, "B", 8, 11)
+				}
+				t850 := b_B + int((t848)*d_B[1]+t849)
+				m.StoreF(t850, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+			t851 := p_n - int64(2)
+			t852 := codegen.MaxI(int64(1), t851)
+			t853 := p_n - int64(2)
+			for i_i2 := t852; i_i2 <= t853; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t854 := i_i1
+				if t854 < 0 || t854 >= d_X[0] {
+					return m.OOB(t854, d_X[0], 0, "X", 7, 23)
+				}
+				t855 := i_i2
+				if t855 < 0 || t855 >= d_X[1] {
+					return m.OOB(t855, d_X[1], 1, "X", 7, 23)
+				}
+				t856 := b_X + int((t854)*d_X[1]+t855)
+				r_X_r := m.LoadF(t856)
+				t857 := i_i1
+				if t857 < 0 || t857 >= d_X[0] {
+					return m.OOB(t857, d_X[0], 0, "X", 7, 35)
+				}
+				t858 := i_i2 - int64(1)
+				t859 := t858
+				if t859 < 0 || t859 >= d_X[1] {
+					return m.OOB(t859, d_X[1], 1, "X", 7, 35)
+				}
+				t860 := b_X + int((t857)*d_X[1]+t859)
+				r_X_r2 := m.LoadF(t860)
+				t861 := i_i1
+				if t861 < 0 || t861 >= d_A[0] {
+					return m.OOB(t861, d_A[0], 0, "A", 7, 51)
+				}
+				t862 := i_i2
+				if t862 < 0 || t862 >= d_A[1] {
+					return m.OOB(t862, d_A[1], 1, "A", 7, 51)
+				}
+				t863 := b_A + int((t861)*d_A[1]+t862)
+				r_A_r := m.LoadF(t863)
+				t864 := i_i1
+				if t864 < 0 || t864 >= d_B[0] {
+					return m.OOB(t864, d_B[0], 0, "B", 7, 63)
+				}
+				t865 := i_i2 - int64(1)
+				t866 := t865
+				if t866 < 0 || t866 >= d_B[1] {
+					return m.OOB(t866, d_B[1], 1, "B", 7, 63)
+				}
+				t867 := b_B + int((t864)*d_B[1]+t866)
+				r_B_r := m.LoadF(t867)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t868 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t869 := float64(t868 / r_B_r)
+				t870 := float64(r_X_r - t869)
+				r_X_w := t870
+				t871 := i_i1
+				if t871 < 0 || t871 >= d_X[0] {
+					return m.OOB(t871, d_X[0], 0, "X", 7, 11)
+				}
+				t872 := i_i2
+				if t872 < 0 || t872 >= d_X[1] {
+					return m.OOB(t872, d_X[1], 1, "X", 7, 11)
+				}
+				t873 := b_X + int((t871)*d_X[1]+t872)
+				m.StoreF(t873, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(2))
+				t874 := i_i1
+				if t874 < 0 || t874 >= d_B[0] {
+					return m.OOB(t874, d_B[0], 0, "B", 8, 23)
+				}
+				t875 := i_i2
+				if t875 < 0 || t875 >= d_B[1] {
+					return m.OOB(t875, d_B[1], 1, "B", 8, 23)
+				}
+				t876 := b_B + int((t874)*d_B[1]+t875)
+				r_B_r2 := m.LoadF(t876)
+				t877 := i_i1
+				if t877 < 0 || t877 >= d_A[0] {
+					return m.OOB(t877, d_A[0], 0, "A", 8, 35)
+				}
+				t878 := i_i2
+				if t878 < 0 || t878 >= d_A[1] {
+					return m.OOB(t878, d_A[1], 1, "A", 8, 35)
+				}
+				t879 := b_A + int((t877)*d_A[1]+t878)
+				r_A_r2 := m.LoadF(t879)
+				t880 := i_i1
+				if t880 < 0 || t880 >= d_A[0] {
+					return m.OOB(t880, d_A[0], 0, "A", 8, 47)
+				}
+				t881 := i_i2
+				if t881 < 0 || t881 >= d_A[1] {
+					return m.OOB(t881, d_A[1], 1, "A", 8, 47)
+				}
+				t882 := b_A + int((t880)*d_A[1]+t881)
+				r_A_r3 := m.LoadF(t882)
+				t883 := i_i1
+				if t883 < 0 || t883 >= d_B[0] {
+					return m.OOB(t883, d_B[0], 0, "B", 8, 59)
+				}
+				t884 := i_i2 - int64(1)
+				t885 := t884
+				if t885 < 0 || t885 >= d_B[1] {
+					return m.OOB(t885, d_B[1], 1, "B", 8, 59)
+				}
+				t886 := b_B + int((t883)*d_B[1]+t885)
+				r_B_r3 := m.LoadF(t886)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t887 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t888 := float64(t887 / r_B_r3)
+				t889 := float64(r_B_r2 - t888)
+				r_B_w := t889
+				t890 := i_i1
+				if t890 < 0 || t890 >= d_B[0] {
+					return m.OOB(t890, d_B[0], 0, "B", 8, 11)
+				}
+				t891 := i_i2
+				if t891 < 0 || t891 >= d_B[1] {
+					return m.OOB(t891, d_B[1], 1, "B", 8, 11)
+				}
+				t892 := b_B + int((t890)*d_B[1]+t891)
+				m.StoreF(t892, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+			t893 := p_n - int64(1)
+			t894 := codegen.MaxI(int64(1), t893)
+			t895 := p_n - int64(1)
+			for i_i2 := t894; i_i2 <= t895; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t896 := i_i1
+				if t896 < 0 || t896 >= d_X[0] {
+					return m.OOB(t896, d_X[0], 0, "X", 7, 23)
+				}
+				t897 := i_i2
+				if t897 < 0 || t897 >= d_X[1] {
+					return m.OOB(t897, d_X[1], 1, "X", 7, 23)
+				}
+				t898 := b_X + int((t896)*d_X[1]+t897)
+				r_X_r := m.LoadF(t898)
+				t899 := i_i1
+				if t899 < 0 || t899 >= d_X[0] {
+					return m.OOB(t899, d_X[0], 0, "X", 7, 35)
+				}
+				t900 := i_i2 - int64(1)
+				t901 := t900
+				if t901 < 0 || t901 >= d_X[1] {
+					return m.OOB(t901, d_X[1], 1, "X", 7, 35)
+				}
+				t902 := b_X + int((t899)*d_X[1]+t901)
+				r_X_r2 := m.LoadF(t902)
+				t903 := i_i1
+				if t903 < 0 || t903 >= d_A[0] {
+					return m.OOB(t903, d_A[0], 0, "A", 7, 51)
+				}
+				t904 := i_i2
+				if t904 < 0 || t904 >= d_A[1] {
+					return m.OOB(t904, d_A[1], 1, "A", 7, 51)
+				}
+				t905 := b_A + int((t903)*d_A[1]+t904)
+				r_A_r := m.LoadF(t905)
+				t906 := i_i1
+				if t906 < 0 || t906 >= d_B[0] {
+					return m.OOB(t906, d_B[0], 0, "B", 7, 63)
+				}
+				t907 := i_i2 - int64(1)
+				t908 := t907
+				if t908 < 0 || t908 >= d_B[1] {
+					return m.OOB(t908, d_B[1], 1, "B", 7, 63)
+				}
+				t909 := b_B + int((t906)*d_B[1]+t908)
+				r_B_r := m.LoadF(t909)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+				t910 := float64(r_X_r2 * r_A_r)
+				if r_B_r == 0 {
+					return m.DivZero(7, 61)
+				}
+				t911 := float64(t910 / r_B_r)
+				t912 := float64(r_X_r - t911)
+				r_X_w := t912
+				t913 := i_i1
+				if t913 < 0 || t913 >= d_X[0] {
+					return m.OOB(t913, d_X[0], 0, "X", 7, 11)
+				}
+				t914 := i_i2
+				if t914 < 0 || t914 >= d_X[1] {
+					return m.OOB(t914, d_X[1], 1, "X", 7, 11)
+				}
+				t915 := b_X + int((t913)*d_X[1]+t914)
+				m.StoreF(t915, r_X_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w), int64(1))
+				t916 := i_i1
+				if t916 < 0 || t916 >= d_B[0] {
+					return m.OOB(t916, d_B[0], 0, "B", 8, 23)
+				}
+				t917 := i_i2
+				if t917 < 0 || t917 >= d_B[1] {
+					return m.OOB(t917, d_B[1], 1, "B", 8, 23)
+				}
+				t918 := b_B + int((t916)*d_B[1]+t917)
+				r_B_r2 := m.LoadF(t918)
+				t919 := i_i1
+				if t919 < 0 || t919 >= d_A[0] {
+					return m.OOB(t919, d_A[0], 0, "A", 8, 35)
+				}
+				t920 := i_i2
+				if t920 < 0 || t920 >= d_A[1] {
+					return m.OOB(t920, d_A[1], 1, "A", 8, 35)
+				}
+				t921 := b_A + int((t919)*d_A[1]+t920)
+				r_A_r2 := m.LoadF(t921)
+				t922 := i_i1
+				if t922 < 0 || t922 >= d_A[0] {
+					return m.OOB(t922, d_A[0], 0, "A", 8, 47)
+				}
+				t923 := i_i2
+				if t923 < 0 || t923 >= d_A[1] {
+					return m.OOB(t923, d_A[1], 1, "A", 8, 47)
+				}
+				t924 := b_A + int((t922)*d_A[1]+t923)
+				r_A_r3 := m.LoadF(t924)
+				t925 := i_i1
+				if t925 < 0 || t925 >= d_B[0] {
+					return m.OOB(t925, d_B[0], 0, "B", 8, 59)
+				}
+				t926 := i_i2 - int64(1)
+				t927 := t926
+				if t927 < 0 || t927 >= d_B[1] {
+					return m.OOB(t927, d_B[1], 1, "B", 8, 59)
+				}
+				t928 := b_B + int((t925)*d_B[1]+t927)
+				r_B_r3 := m.LoadF(t928)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r3), int64(1))
+				t929 := float64(r_A_r2 * r_A_r3)
+				if r_B_r3 == 0 {
+					return m.DivZero(8, 57)
+				}
+				t930 := float64(t929 / r_B_r3)
+				t931 := float64(r_B_r2 - t930)
+				r_B_w := t931
+				t932 := i_i1
+				if t932 < 0 || t932 >= d_B[0] {
+					return m.OOB(t932, d_B[0], 0, "B", 8, 11)
+				}
+				t933 := i_i2
+				if t933 < 0 || t933 >= d_B[1] {
+					return m.OOB(t933, d_B[1], 1, "B", 8, 11)
+				}
+				t934 := b_B + int((t932)*d_B[1]+t933)
+				m.StoreF(t934, r_B_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+		}
+		t935 := p_n - int64(3)
+		t936 := codegen.MinI(t935, int64(0))
+		for i_i1 := int64(0); i_i1 <= t936; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t937 := i_i1
+			if t937 < 0 || t937 >= d_X[0] {
+				return m.OOB(t937, d_X[0], 0, "X", 12, 24)
+			}
+			t938 := p_n - int64(1)
+			t939 := t938
+			if t939 < 0 || t939 >= d_X[1] {
+				return m.OOB(t939, d_X[1], 1, "X", 12, 24)
+			}
+			t940 := b_X + int((t937)*d_X[1]+t939)
+			r_X_r3 := m.LoadF(t940)
+			t941 := i_i1
+			if t941 < 0 || t941 >= d_B[0] {
+				return m.OOB(t941, d_B[0], 0, "B", 12, 39)
+			}
+			t942 := p_n - int64(1)
+			t943 := t942
+			if t943 < 0 || t943 >= d_B[1] {
+				return m.OOB(t943, d_B[1], 1, "B", 12, 39)
+			}
+			t944 := b_B + int((t941)*d_B[1]+t943)
+			r_B_r4 := m.LoadF(t944)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t945 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t945
+			t946 := i_i1
+			if t946 < 0 || t946 >= d_X[0] {
+				return m.OOB(t946, d_X[0], 0, "X", 12, 9)
+			}
+			t947 := p_n - int64(1)
+			t948 := t947
+			if t948 < 0 || t948 >= d_X[1] {
+				return m.OOB(t948, d_X[1], 1, "X", 12, 9)
+			}
+			t949 := b_X + int((t946)*d_X[1]+t948)
+			m.StoreF(t949, r_X_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+		}
+		t950 := p_n - int64(2)
+		t951 := codegen.MaxI(int64(0), t950)
+		t952 := p_n - int64(2)
+		t953 := codegen.MinI(t952, int64(0))
+		for i_i1 := t951; i_i1 <= t953; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t954 := i_i1
+			if t954 < 0 || t954 >= d_X[0] {
+				return m.OOB(t954, d_X[0], 0, "X", 12, 24)
+			}
+			t955 := p_n - int64(1)
+			t956 := t955
+			if t956 < 0 || t956 >= d_X[1] {
+				return m.OOB(t956, d_X[1], 1, "X", 12, 24)
+			}
+			t957 := b_X + int((t954)*d_X[1]+t956)
+			r_X_r3 := m.LoadF(t957)
+			t958 := i_i1
+			if t958 < 0 || t958 >= d_B[0] {
+				return m.OOB(t958, d_B[0], 0, "B", 12, 39)
+			}
+			t959 := p_n - int64(1)
+			t960 := t959
+			if t960 < 0 || t960 >= d_B[1] {
+				return m.OOB(t960, d_B[1], 1, "B", 12, 39)
+			}
+			t961 := b_B + int((t958)*d_B[1]+t960)
+			r_B_r4 := m.LoadF(t961)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t962 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t962
+			t963 := i_i1
+			if t963 < 0 || t963 >= d_X[0] {
+				return m.OOB(t963, d_X[0], 0, "X", 12, 9)
+			}
+			t964 := p_n - int64(1)
+			t965 := t964
+			if t965 < 0 || t965 >= d_X[1] {
+				return m.OOB(t965, d_X[1], 1, "X", 12, 9)
+			}
+			t966 := b_X + int((t963)*d_X[1]+t965)
+			m.StoreF(t966, r_X_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+		}
+		t967 := p_n - int64(1)
+		t968 := codegen.MaxI(int64(0), t967)
+		t969 := p_n - int64(1)
+		t970 := codegen.MinI(t969, int64(0))
+		for i_i1 := t968; i_i1 <= t970; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t971 := i_i1
+			if t971 < 0 || t971 >= d_X[0] {
+				return m.OOB(t971, d_X[0], 0, "X", 12, 24)
+			}
+			t972 := p_n - int64(1)
+			t973 := t972
+			if t973 < 0 || t973 >= d_X[1] {
+				return m.OOB(t973, d_X[1], 1, "X", 12, 24)
+			}
+			t974 := b_X + int((t971)*d_X[1]+t973)
+			r_X_r3 := m.LoadF(t974)
+			t975 := i_i1
+			if t975 < 0 || t975 >= d_B[0] {
+				return m.OOB(t975, d_B[0], 0, "B", 12, 39)
+			}
+			t976 := p_n - int64(1)
+			t977 := t976
+			if t977 < 0 || t977 >= d_B[1] {
+				return m.OOB(t977, d_B[1], 1, "B", 12, 39)
+			}
+			t978 := b_B + int((t975)*d_B[1]+t977)
+			r_B_r4 := m.LoadF(t978)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t979 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t979
+			t980 := i_i1
+			if t980 < 0 || t980 >= d_X[0] {
+				return m.OOB(t980, d_X[0], 0, "X", 12, 9)
+			}
+			t981 := p_n - int64(1)
+			t982 := t981
+			if t982 < 0 || t982 >= d_X[1] {
+				return m.OOB(t982, d_X[1], 1, "X", 12, 9)
+			}
+			t983 := b_X + int((t980)*d_X[1]+t982)
+			m.StoreF(t983, r_X_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+		}
+		t984 := p_n - int64(2)
+		for i_i1 := int64(1); i_i1 <= t984; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t985 := i_i1
+			if t985 < 0 || t985 >= d_X[0] {
+				return m.OOB(t985, d_X[0], 0, "X", 12, 24)
+			}
+			t986 := p_n - int64(1)
+			t987 := t986
+			if t987 < 0 || t987 >= d_X[1] {
+				return m.OOB(t987, d_X[1], 1, "X", 12, 24)
+			}
+			t988 := b_X + int((t985)*d_X[1]+t987)
+			r_X_r3 := m.LoadF(t988)
+			t989 := i_i1
+			if t989 < 0 || t989 >= d_B[0] {
+				return m.OOB(t989, d_B[0], 0, "B", 12, 39)
+			}
+			t990 := p_n - int64(1)
+			t991 := t990
+			if t991 < 0 || t991 >= d_B[1] {
+				return m.OOB(t991, d_B[1], 1, "B", 12, 39)
+			}
+			t992 := b_B + int((t989)*d_B[1]+t991)
+			r_B_r4 := m.LoadF(t992)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t993 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t993
+			t994 := i_i1
+			if t994 < 0 || t994 >= d_X[0] {
+				return m.OOB(t994, d_X[0], 0, "X", 12, 9)
+			}
+			t995 := p_n - int64(1)
+			t996 := t995
+			if t996 < 0 || t996 >= d_X[1] {
+				return m.OOB(t996, d_X[1], 1, "X", 12, 9)
+			}
+			t997 := b_X + int((t994)*d_X[1]+t996)
+			m.StoreF(t997, r_X_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+		}
+		t998 := p_n - int64(1)
+		t999 := codegen.MaxI(int64(1), t998)
+		t1000 := p_n - int64(1)
+		for i_i1 := t999; i_i1 <= t1000; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1001 := i_i1
+			if t1001 < 0 || t1001 >= d_X[0] {
+				return m.OOB(t1001, d_X[0], 0, "X", 12, 24)
+			}
+			t1002 := p_n - int64(1)
+			t1003 := t1002
+			if t1003 < 0 || t1003 >= d_X[1] {
+				return m.OOB(t1003, d_X[1], 1, "X", 12, 24)
+			}
+			t1004 := b_X + int((t1001)*d_X[1]+t1003)
+			r_X_r3 := m.LoadF(t1004)
+			t1005 := i_i1
+			if t1005 < 0 || t1005 >= d_B[0] {
+				return m.OOB(t1005, d_B[0], 0, "B", 12, 39)
+			}
+			t1006 := p_n - int64(1)
+			t1007 := t1006
+			if t1007 < 0 || t1007 >= d_B[1] {
+				return m.OOB(t1007, d_B[1], 1, "B", 12, 39)
+			}
+			t1008 := b_B + int((t1005)*d_B[1]+t1007)
+			r_B_r4 := m.LoadF(t1008)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r3), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r4), int64(1))
+			if r_B_r4 == 0 {
+				return m.DivZero(12, 37)
+			}
+			t1009 := float64(r_X_r3 / r_B_r4)
+			r_X_w2 := t1009
+			t1010 := i_i1
+			if t1010 < 0 || t1010 >= d_X[0] {
+				return m.OOB(t1010, d_X[0], 0, "X", 12, 9)
+			}
+			t1011 := p_n - int64(1)
+			t1012 := t1011
+			if t1012 < 0 || t1012 >= d_X[1] {
+				return m.OOB(t1012, d_X[1], 1, "X", 12, 9)
+			}
+			t1013 := b_X + int((t1010)*d_X[1]+t1012)
+			m.StoreF(t1013, r_X_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w2), int64(1))
+		}
+		t1014 := p_n - int64(1)
+		t1015 := codegen.MinI(t1014, int64(0))
+		for i_i1 := int64(0); i_i1 <= t1015; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1016 := p_n - int64(3)
+			for i_i2 := int64(0); i_i2 <= t1016; i_i2++ {
+				if err := m.Tick(15, 5); err != nil {
+					return err
+				}
+				t1017 := i_i1
+				if t1017 < 0 || t1017 >= d_X[0] {
+					return m.OOB(t1017, d_X[0], 0, "X", 16, 32)
+				}
+				t1018 := p_n - int64(2)
+				t1019 := t1018 - i_i2
+				t1020 := t1019
+				if t1020 < 0 || t1020 >= d_X[1] {
+					return m.OOB(t1020, d_X[1], 1, "X", 16, 32)
+				}
+				t1021 := b_X + int((t1017)*d_X[1]+t1020)
+				r_X_r4 := m.LoadF(t1021)
+				t1022 := i_i1
+				if t1022 < 0 || t1022 >= d_X[0] {
+					return m.OOB(t1022, d_X[0], 0, "X", 16, 52)
+				}
+				t1023 := p_n - int64(2)
+				t1024 := t1023 - i_i2
+				t1025 := t1024 - int64(1)
+				t1026 := t1025
+				if t1026 < 0 || t1026 >= d_X[1] {
+					return m.OOB(t1026, d_X[1], 1, "X", 16, 52)
+				}
+				t1027 := b_X + int((t1022)*d_X[1]+t1026)
+				r_X_r5 := m.LoadF(t1027)
+				t1028 := i_i1
+				if t1028 < 0 || t1028 >= d_A[0] {
+					return m.OOB(t1028, d_A[0], 0, "A", 16, 76)
+				}
+				t1029 := p_n - i_i2
+				t1030 := t1029 - int64(3)
+				t1031 := t1030
+				if t1031 < 0 || t1031 >= d_A[1] {
+					return m.OOB(t1031, d_A[1], 1, "A", 16, 76)
+				}
+				t1032 := b_A + int((t1028)*d_A[1]+t1031)
+				r_A_r4 := m.LoadF(t1032)
+				t1033 := i_i1
+				if t1033 < 0 || t1033 >= d_B[0] {
+					return m.OOB(t1033, d_B[0], 0, "B", 16, 97)
+				}
+				t1034 := p_n - int64(3)
+				t1035 := t1034 - i_i2
+				t1036 := t1035
+				if t1036 < 0 || t1036 >= d_B[1] {
+					return m.OOB(t1036, d_B[1], 1, "B", 16, 97)
+				}
+				t1037 := b_B + int((t1033)*d_B[1]+t1036)
+				r_B_r5 := m.LoadF(t1037)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
+				t1038 := float64(r_X_r5 * r_A_r4)
+				t1039 := float64(r_X_r4 - t1038)
+				if r_B_r5 == 0 {
+					return m.DivZero(16, 95)
+				}
+				t1040 := float64(t1039 / r_B_r5)
+				r_X_w3 := t1040
+				t1041 := i_i1
+				if t1041 < 0 || t1041 >= d_X[0] {
+					return m.OOB(t1041, d_X[0], 0, "X", 16, 11)
+				}
+				t1042 := p_n - i_i2
+				t1043 := t1042 - int64(2)
+				t1044 := t1043
+				if t1044 < 0 || t1044 >= d_X[1] {
+					return m.OOB(t1044, d_X[1], 1, "X", 16, 11)
+				}
+				t1045 := b_X + int((t1041)*d_X[1]+t1044)
+				m.StoreF(t1045, r_X_w3)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(2))
+			}
+		}
+		t1046 := p_n - int64(2)
+		for i_i1 := int64(1); i_i1 <= t1046; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1047 := p_n - int64(3)
+			for i_i2 := int64(0); i_i2 <= t1047; i_i2++ {
+				if err := m.Tick(15, 5); err != nil {
+					return err
+				}
+				t1048 := i_i1
+				if t1048 < 0 || t1048 >= d_X[0] {
+					return m.OOB(t1048, d_X[0], 0, "X", 16, 32)
+				}
+				t1049 := p_n - int64(2)
+				t1050 := t1049 - i_i2
+				t1051 := t1050
+				if t1051 < 0 || t1051 >= d_X[1] {
+					return m.OOB(t1051, d_X[1], 1, "X", 16, 32)
+				}
+				t1052 := b_X + int((t1048)*d_X[1]+t1051)
+				r_X_r4 := m.LoadF(t1052)
+				t1053 := i_i1
+				if t1053 < 0 || t1053 >= d_X[0] {
+					return m.OOB(t1053, d_X[0], 0, "X", 16, 52)
+				}
+				t1054 := p_n - int64(2)
+				t1055 := t1054 - i_i2
+				t1056 := t1055 - int64(1)
+				t1057 := t1056
+				if t1057 < 0 || t1057 >= d_X[1] {
+					return m.OOB(t1057, d_X[1], 1, "X", 16, 52)
+				}
+				t1058 := b_X + int((t1053)*d_X[1]+t1057)
+				r_X_r5 := m.LoadF(t1058)
+				t1059 := i_i1
+				if t1059 < 0 || t1059 >= d_A[0] {
+					return m.OOB(t1059, d_A[0], 0, "A", 16, 76)
+				}
+				t1060 := p_n - i_i2
+				t1061 := t1060 - int64(3)
+				t1062 := t1061
+				if t1062 < 0 || t1062 >= d_A[1] {
+					return m.OOB(t1062, d_A[1], 1, "A", 16, 76)
+				}
+				t1063 := b_A + int((t1059)*d_A[1]+t1062)
+				r_A_r4 := m.LoadF(t1063)
+				t1064 := i_i1
+				if t1064 < 0 || t1064 >= d_B[0] {
+					return m.OOB(t1064, d_B[0], 0, "B", 16, 97)
+				}
+				t1065 := p_n - int64(3)
+				t1066 := t1065 - i_i2
+				t1067 := t1066
+				if t1067 < 0 || t1067 >= d_B[1] {
+					return m.OOB(t1067, d_B[1], 1, "B", 16, 97)
+				}
+				t1068 := b_B + int((t1064)*d_B[1]+t1067)
+				r_B_r5 := m.LoadF(t1068)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
+				t1069 := float64(r_X_r5 * r_A_r4)
+				t1070 := float64(r_X_r4 - t1069)
+				if r_B_r5 == 0 {
+					return m.DivZero(16, 95)
+				}
+				t1071 := float64(t1070 / r_B_r5)
+				r_X_w3 := t1071
+				t1072 := i_i1
+				if t1072 < 0 || t1072 >= d_X[0] {
+					return m.OOB(t1072, d_X[0], 0, "X", 16, 11)
+				}
+				t1073 := p_n - i_i2
+				t1074 := t1073 - int64(2)
+				t1075 := t1074
+				if t1075 < 0 || t1075 >= d_X[1] {
+					return m.OOB(t1075, d_X[1], 1, "X", 16, 11)
+				}
+				t1076 := b_X + int((t1072)*d_X[1]+t1075)
+				m.StoreF(t1076, r_X_w3)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+			}
+		}
+		t1077 := p_n - int64(1)
+		t1078 := codegen.MaxI(int64(1), t1077)
+		t1079 := p_n - int64(1)
+		for i_i1 := t1078; i_i1 <= t1079; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1080 := p_n - int64(3)
+			for i_i2 := int64(0); i_i2 <= t1080; i_i2++ {
+				if err := m.Tick(15, 5); err != nil {
+					return err
+				}
+				t1081 := i_i1
+				if t1081 < 0 || t1081 >= d_X[0] {
+					return m.OOB(t1081, d_X[0], 0, "X", 16, 32)
+				}
+				t1082 := p_n - int64(2)
+				t1083 := t1082 - i_i2
+				t1084 := t1083
+				if t1084 < 0 || t1084 >= d_X[1] {
+					return m.OOB(t1084, d_X[1], 1, "X", 16, 32)
+				}
+				t1085 := b_X + int((t1081)*d_X[1]+t1084)
+				r_X_r4 := m.LoadF(t1085)
+				t1086 := i_i1
+				if t1086 < 0 || t1086 >= d_X[0] {
+					return m.OOB(t1086, d_X[0], 0, "X", 16, 52)
+				}
+				t1087 := p_n - int64(2)
+				t1088 := t1087 - i_i2
+				t1089 := t1088 - int64(1)
+				t1090 := t1089
+				if t1090 < 0 || t1090 >= d_X[1] {
+					return m.OOB(t1090, d_X[1], 1, "X", 16, 52)
+				}
+				t1091 := b_X + int((t1086)*d_X[1]+t1090)
+				r_X_r5 := m.LoadF(t1091)
+				t1092 := i_i1
+				if t1092 < 0 || t1092 >= d_A[0] {
+					return m.OOB(t1092, d_A[0], 0, "A", 16, 76)
+				}
+				t1093 := p_n - i_i2
+				t1094 := t1093 - int64(3)
+				t1095 := t1094
+				if t1095 < 0 || t1095 >= d_A[1] {
+					return m.OOB(t1095, d_A[1], 1, "A", 16, 76)
+				}
+				t1096 := b_A + int((t1092)*d_A[1]+t1095)
+				r_A_r4 := m.LoadF(t1096)
+				t1097 := i_i1
+				if t1097 < 0 || t1097 >= d_B[0] {
+					return m.OOB(t1097, d_B[0], 0, "B", 16, 97)
+				}
+				t1098 := p_n - int64(3)
+				t1099 := t1098 - i_i2
+				t1100 := t1099
+				if t1100 < 0 || t1100 >= d_B[1] {
+					return m.OOB(t1100, d_B[1], 1, "B", 16, 97)
+				}
+				t1101 := b_B + int((t1097)*d_B[1]+t1100)
+				r_B_r5 := m.LoadF(t1101)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r5), int64(1))
+				t1102 := float64(r_X_r5 * r_A_r4)
+				t1103 := float64(r_X_r4 - t1102)
+				if r_B_r5 == 0 {
+					return m.DivZero(16, 95)
+				}
+				t1104 := float64(t1103 / r_B_r5)
+				r_X_w3 := t1104
+				t1105 := i_i1
+				if t1105 < 0 || t1105 >= d_X[0] {
+					return m.OOB(t1105, d_X[0], 0, "X", 16, 11)
+				}
+				t1106 := p_n - i_i2
+				t1107 := t1106 - int64(2)
+				t1108 := t1107
+				if t1108 < 0 || t1108 >= d_X[1] {
+					return m.OOB(t1108, d_X[1], 1, "X", 16, 11)
+				}
+				t1109 := b_X + int((t1105)*d_X[1]+t1108)
+				m.StoreF(t1109, r_X_w3)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w3), int64(1))
+			}
+		}
+		t1110 := p_n - int64(3)
+		for i_i1 := int64(1); i_i1 <= t1110; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1111 := p_n - int64(1)
+			t1112 := codegen.MinI(t1111, int64(0))
+			for i_i2 := int64(0); i_i2 <= t1112; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1113 := i_i1
+				if t1113 < 0 || t1113 >= d_X[0] {
+					return m.OOB(t1113, d_X[0], 0, "X", 21, 23)
+				}
+				t1114 := i_i2
+				if t1114 < 0 || t1114 >= d_X[1] {
+					return m.OOB(t1114, d_X[1], 1, "X", 21, 23)
+				}
+				t1115 := b_X + int((t1113)*d_X[1]+t1114)
+				r_X_r6 := m.LoadF(t1115)
+				t1116 := i_i1 - int64(1)
+				t1117 := t1116
+				if t1117 < 0 || t1117 >= d_X[0] {
+					return m.OOB(t1117, d_X[0], 0, "X", 21, 35)
+				}
+				t1118 := i_i2
+				if t1118 < 0 || t1118 >= d_X[1] {
+					return m.OOB(t1118, d_X[1], 1, "X", 21, 35)
+				}
+				t1119 := b_X + int((t1117)*d_X[1]+t1118)
+				r_X_r7 := m.LoadF(t1119)
+				t1120 := i_i1
+				if t1120 < 0 || t1120 >= d_A[0] {
+					return m.OOB(t1120, d_A[0], 0, "A", 21, 51)
+				}
+				t1121 := i_i2
+				if t1121 < 0 || t1121 >= d_A[1] {
+					return m.OOB(t1121, d_A[1], 1, "A", 21, 51)
+				}
+				t1122 := b_A + int((t1120)*d_A[1]+t1121)
+				r_A_r5 := m.LoadF(t1122)
+				t1123 := i_i1 - int64(1)
+				t1124 := t1123
+				if t1124 < 0 || t1124 >= d_B[0] {
+					return m.OOB(t1124, d_B[0], 0, "B", 21, 63)
+				}
+				t1125 := i_i2
+				if t1125 < 0 || t1125 >= d_B[1] {
+					return m.OOB(t1125, d_B[1], 1, "B", 21, 63)
+				}
+				t1126 := b_B + int((t1124)*d_B[1]+t1125)
+				r_B_r6 := m.LoadF(t1126)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1127 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1128 := float64(t1127 / r_B_r6)
+				t1129 := float64(r_X_r6 - t1128)
+				r_X_w4 := t1129
+				t1130 := i_i1
+				if t1130 < 0 || t1130 >= d_X[0] {
+					return m.OOB(t1130, d_X[0], 0, "X", 21, 11)
+				}
+				t1131 := i_i2
+				if t1131 < 0 || t1131 >= d_X[1] {
+					return m.OOB(t1131, d_X[1], 1, "X", 21, 11)
+				}
+				t1132 := b_X + int((t1130)*d_X[1]+t1131)
+				m.StoreF(t1132, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1133 := i_i1
+				if t1133 < 0 || t1133 >= d_B[0] {
+					return m.OOB(t1133, d_B[0], 0, "B", 22, 23)
+				}
+				t1134 := i_i2
+				if t1134 < 0 || t1134 >= d_B[1] {
+					return m.OOB(t1134, d_B[1], 1, "B", 22, 23)
+				}
+				t1135 := b_B + int((t1133)*d_B[1]+t1134)
+				r_B_r7 := m.LoadF(t1135)
+				t1136 := i_i1
+				if t1136 < 0 || t1136 >= d_A[0] {
+					return m.OOB(t1136, d_A[0], 0, "A", 22, 35)
+				}
+				t1137 := i_i2
+				if t1137 < 0 || t1137 >= d_A[1] {
+					return m.OOB(t1137, d_A[1], 1, "A", 22, 35)
+				}
+				t1138 := b_A + int((t1136)*d_A[1]+t1137)
+				r_A_r6 := m.LoadF(t1138)
+				t1139 := i_i1
+				if t1139 < 0 || t1139 >= d_A[0] {
+					return m.OOB(t1139, d_A[0], 0, "A", 22, 47)
+				}
+				t1140 := i_i2
+				if t1140 < 0 || t1140 >= d_A[1] {
+					return m.OOB(t1140, d_A[1], 1, "A", 22, 47)
+				}
+				t1141 := b_A + int((t1139)*d_A[1]+t1140)
+				r_A_r7 := m.LoadF(t1141)
+				t1142 := i_i1 - int64(1)
+				t1143 := t1142
+				if t1143 < 0 || t1143 >= d_B[0] {
+					return m.OOB(t1143, d_B[0], 0, "B", 22, 59)
+				}
+				t1144 := i_i2
+				if t1144 < 0 || t1144 >= d_B[1] {
+					return m.OOB(t1144, d_B[1], 1, "B", 22, 59)
+				}
+				t1145 := b_B + int((t1143)*d_B[1]+t1144)
+				r_B_r8 := m.LoadF(t1145)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1146 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1147 := float64(t1146 / r_B_r8)
+				t1148 := float64(r_B_r7 - t1147)
+				r_B_w2 := t1148
+				t1149 := i_i1
+				if t1149 < 0 || t1149 >= d_B[0] {
+					return m.OOB(t1149, d_B[0], 0, "B", 22, 11)
+				}
+				t1150 := i_i2
+				if t1150 < 0 || t1150 >= d_B[1] {
+					return m.OOB(t1150, d_B[1], 1, "B", 22, 11)
+				}
+				t1151 := b_B + int((t1149)*d_B[1]+t1150)
+				m.StoreF(t1151, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+			t1152 := p_n - int64(2)
+			for i_i2 := int64(1); i_i2 <= t1152; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1153 := i_i1
+				if t1153 < 0 || t1153 >= d_X[0] {
+					return m.OOB(t1153, d_X[0], 0, "X", 21, 23)
+				}
+				t1154 := i_i2
+				if t1154 < 0 || t1154 >= d_X[1] {
+					return m.OOB(t1154, d_X[1], 1, "X", 21, 23)
+				}
+				t1155 := b_X + int((t1153)*d_X[1]+t1154)
+				r_X_r6 := m.LoadF(t1155)
+				t1156 := i_i1 - int64(1)
+				t1157 := t1156
+				if t1157 < 0 || t1157 >= d_X[0] {
+					return m.OOB(t1157, d_X[0], 0, "X", 21, 35)
+				}
+				t1158 := i_i2
+				if t1158 < 0 || t1158 >= d_X[1] {
+					return m.OOB(t1158, d_X[1], 1, "X", 21, 35)
+				}
+				t1159 := b_X + int((t1157)*d_X[1]+t1158)
+				r_X_r7 := m.LoadF(t1159)
+				t1160 := i_i1
+				if t1160 < 0 || t1160 >= d_A[0] {
+					return m.OOB(t1160, d_A[0], 0, "A", 21, 51)
+				}
+				t1161 := i_i2
+				if t1161 < 0 || t1161 >= d_A[1] {
+					return m.OOB(t1161, d_A[1], 1, "A", 21, 51)
+				}
+				t1162 := b_A + int((t1160)*d_A[1]+t1161)
+				r_A_r5 := m.LoadF(t1162)
+				t1163 := i_i1 - int64(1)
+				t1164 := t1163
+				if t1164 < 0 || t1164 >= d_B[0] {
+					return m.OOB(t1164, d_B[0], 0, "B", 21, 63)
+				}
+				t1165 := i_i2
+				if t1165 < 0 || t1165 >= d_B[1] {
+					return m.OOB(t1165, d_B[1], 1, "B", 21, 63)
+				}
+				t1166 := b_B + int((t1164)*d_B[1]+t1165)
+				r_B_r6 := m.LoadF(t1166)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1167 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1168 := float64(t1167 / r_B_r6)
+				t1169 := float64(r_X_r6 - t1168)
+				r_X_w4 := t1169
+				t1170 := i_i1
+				if t1170 < 0 || t1170 >= d_X[0] {
+					return m.OOB(t1170, d_X[0], 0, "X", 21, 11)
+				}
+				t1171 := i_i2
+				if t1171 < 0 || t1171 >= d_X[1] {
+					return m.OOB(t1171, d_X[1], 1, "X", 21, 11)
+				}
+				t1172 := b_X + int((t1170)*d_X[1]+t1171)
+				m.StoreF(t1172, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1173 := i_i1
+				if t1173 < 0 || t1173 >= d_B[0] {
+					return m.OOB(t1173, d_B[0], 0, "B", 22, 23)
+				}
+				t1174 := i_i2
+				if t1174 < 0 || t1174 >= d_B[1] {
+					return m.OOB(t1174, d_B[1], 1, "B", 22, 23)
+				}
+				t1175 := b_B + int((t1173)*d_B[1]+t1174)
+				r_B_r7 := m.LoadF(t1175)
+				t1176 := i_i1
+				if t1176 < 0 || t1176 >= d_A[0] {
+					return m.OOB(t1176, d_A[0], 0, "A", 22, 35)
+				}
+				t1177 := i_i2
+				if t1177 < 0 || t1177 >= d_A[1] {
+					return m.OOB(t1177, d_A[1], 1, "A", 22, 35)
+				}
+				t1178 := b_A + int((t1176)*d_A[1]+t1177)
+				r_A_r6 := m.LoadF(t1178)
+				t1179 := i_i1
+				if t1179 < 0 || t1179 >= d_A[0] {
+					return m.OOB(t1179, d_A[0], 0, "A", 22, 47)
+				}
+				t1180 := i_i2
+				if t1180 < 0 || t1180 >= d_A[1] {
+					return m.OOB(t1180, d_A[1], 1, "A", 22, 47)
+				}
+				t1181 := b_A + int((t1179)*d_A[1]+t1180)
+				r_A_r7 := m.LoadF(t1181)
+				t1182 := i_i1 - int64(1)
+				t1183 := t1182
+				if t1183 < 0 || t1183 >= d_B[0] {
+					return m.OOB(t1183, d_B[0], 0, "B", 22, 59)
+				}
+				t1184 := i_i2
+				if t1184 < 0 || t1184 >= d_B[1] {
+					return m.OOB(t1184, d_B[1], 1, "B", 22, 59)
+				}
+				t1185 := b_B + int((t1183)*d_B[1]+t1184)
+				r_B_r8 := m.LoadF(t1185)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1186 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1187 := float64(t1186 / r_B_r8)
+				t1188 := float64(r_B_r7 - t1187)
+				r_B_w2 := t1188
+				t1189 := i_i1
+				if t1189 < 0 || t1189 >= d_B[0] {
+					return m.OOB(t1189, d_B[0], 0, "B", 22, 11)
+				}
+				t1190 := i_i2
+				if t1190 < 0 || t1190 >= d_B[1] {
+					return m.OOB(t1190, d_B[1], 1, "B", 22, 11)
+				}
+				t1191 := b_B + int((t1189)*d_B[1]+t1190)
+				m.StoreF(t1191, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+			t1192 := p_n - int64(1)
+			t1193 := codegen.MaxI(int64(1), t1192)
+			t1194 := p_n - int64(1)
+			for i_i2 := t1193; i_i2 <= t1194; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1195 := i_i1
+				if t1195 < 0 || t1195 >= d_X[0] {
+					return m.OOB(t1195, d_X[0], 0, "X", 21, 23)
+				}
+				t1196 := i_i2
+				if t1196 < 0 || t1196 >= d_X[1] {
+					return m.OOB(t1196, d_X[1], 1, "X", 21, 23)
+				}
+				t1197 := b_X + int((t1195)*d_X[1]+t1196)
+				r_X_r6 := m.LoadF(t1197)
+				t1198 := i_i1 - int64(1)
+				t1199 := t1198
+				if t1199 < 0 || t1199 >= d_X[0] {
+					return m.OOB(t1199, d_X[0], 0, "X", 21, 35)
+				}
+				t1200 := i_i2
+				if t1200 < 0 || t1200 >= d_X[1] {
+					return m.OOB(t1200, d_X[1], 1, "X", 21, 35)
+				}
+				t1201 := b_X + int((t1199)*d_X[1]+t1200)
+				r_X_r7 := m.LoadF(t1201)
+				t1202 := i_i1
+				if t1202 < 0 || t1202 >= d_A[0] {
+					return m.OOB(t1202, d_A[0], 0, "A", 21, 51)
+				}
+				t1203 := i_i2
+				if t1203 < 0 || t1203 >= d_A[1] {
+					return m.OOB(t1203, d_A[1], 1, "A", 21, 51)
+				}
+				t1204 := b_A + int((t1202)*d_A[1]+t1203)
+				r_A_r5 := m.LoadF(t1204)
+				t1205 := i_i1 - int64(1)
+				t1206 := t1205
+				if t1206 < 0 || t1206 >= d_B[0] {
+					return m.OOB(t1206, d_B[0], 0, "B", 21, 63)
+				}
+				t1207 := i_i2
+				if t1207 < 0 || t1207 >= d_B[1] {
+					return m.OOB(t1207, d_B[1], 1, "B", 21, 63)
+				}
+				t1208 := b_B + int((t1206)*d_B[1]+t1207)
+				r_B_r6 := m.LoadF(t1208)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1209 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1210 := float64(t1209 / r_B_r6)
+				t1211 := float64(r_X_r6 - t1210)
+				r_X_w4 := t1211
+				t1212 := i_i1
+				if t1212 < 0 || t1212 >= d_X[0] {
+					return m.OOB(t1212, d_X[0], 0, "X", 21, 11)
+				}
+				t1213 := i_i2
+				if t1213 < 0 || t1213 >= d_X[1] {
+					return m.OOB(t1213, d_X[1], 1, "X", 21, 11)
+				}
+				t1214 := b_X + int((t1212)*d_X[1]+t1213)
+				m.StoreF(t1214, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1215 := i_i1
+				if t1215 < 0 || t1215 >= d_B[0] {
+					return m.OOB(t1215, d_B[0], 0, "B", 22, 23)
+				}
+				t1216 := i_i2
+				if t1216 < 0 || t1216 >= d_B[1] {
+					return m.OOB(t1216, d_B[1], 1, "B", 22, 23)
+				}
+				t1217 := b_B + int((t1215)*d_B[1]+t1216)
+				r_B_r7 := m.LoadF(t1217)
+				t1218 := i_i1
+				if t1218 < 0 || t1218 >= d_A[0] {
+					return m.OOB(t1218, d_A[0], 0, "A", 22, 35)
+				}
+				t1219 := i_i2
+				if t1219 < 0 || t1219 >= d_A[1] {
+					return m.OOB(t1219, d_A[1], 1, "A", 22, 35)
+				}
+				t1220 := b_A + int((t1218)*d_A[1]+t1219)
+				r_A_r6 := m.LoadF(t1220)
+				t1221 := i_i1
+				if t1221 < 0 || t1221 >= d_A[0] {
+					return m.OOB(t1221, d_A[0], 0, "A", 22, 47)
+				}
+				t1222 := i_i2
+				if t1222 < 0 || t1222 >= d_A[1] {
+					return m.OOB(t1222, d_A[1], 1, "A", 22, 47)
+				}
+				t1223 := b_A + int((t1221)*d_A[1]+t1222)
+				r_A_r7 := m.LoadF(t1223)
+				t1224 := i_i1 - int64(1)
+				t1225 := t1224
+				if t1225 < 0 || t1225 >= d_B[0] {
+					return m.OOB(t1225, d_B[0], 0, "B", 22, 59)
+				}
+				t1226 := i_i2
+				if t1226 < 0 || t1226 >= d_B[1] {
+					return m.OOB(t1226, d_B[1], 1, "B", 22, 59)
+				}
+				t1227 := b_B + int((t1225)*d_B[1]+t1226)
+				r_B_r8 := m.LoadF(t1227)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1228 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1229 := float64(t1228 / r_B_r8)
+				t1230 := float64(r_B_r7 - t1229)
+				r_B_w2 := t1230
+				t1231 := i_i1
+				if t1231 < 0 || t1231 >= d_B[0] {
+					return m.OOB(t1231, d_B[0], 0, "B", 22, 11)
+				}
+				t1232 := i_i2
+				if t1232 < 0 || t1232 >= d_B[1] {
+					return m.OOB(t1232, d_B[1], 1, "B", 22, 11)
+				}
+				t1233 := b_B + int((t1231)*d_B[1]+t1232)
+				m.StoreF(t1233, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+		}
+		t1234 := p_n - int64(2)
+		t1235 := codegen.MaxI(int64(1), t1234)
+		t1236 := p_n - int64(2)
+		for i_i1 := t1235; i_i1 <= t1236; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1237 := p_n - int64(1)
+			t1238 := codegen.MinI(t1237, int64(0))
+			for i_i2 := int64(0); i_i2 <= t1238; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1239 := i_i1
+				if t1239 < 0 || t1239 >= d_X[0] {
+					return m.OOB(t1239, d_X[0], 0, "X", 21, 23)
+				}
+				t1240 := i_i2
+				if t1240 < 0 || t1240 >= d_X[1] {
+					return m.OOB(t1240, d_X[1], 1, "X", 21, 23)
+				}
+				t1241 := b_X + int((t1239)*d_X[1]+t1240)
+				r_X_r6 := m.LoadF(t1241)
+				t1242 := i_i1 - int64(1)
+				t1243 := t1242
+				if t1243 < 0 || t1243 >= d_X[0] {
+					return m.OOB(t1243, d_X[0], 0, "X", 21, 35)
+				}
+				t1244 := i_i2
+				if t1244 < 0 || t1244 >= d_X[1] {
+					return m.OOB(t1244, d_X[1], 1, "X", 21, 35)
+				}
+				t1245 := b_X + int((t1243)*d_X[1]+t1244)
+				r_X_r7 := m.LoadF(t1245)
+				t1246 := i_i1
+				if t1246 < 0 || t1246 >= d_A[0] {
+					return m.OOB(t1246, d_A[0], 0, "A", 21, 51)
+				}
+				t1247 := i_i2
+				if t1247 < 0 || t1247 >= d_A[1] {
+					return m.OOB(t1247, d_A[1], 1, "A", 21, 51)
+				}
+				t1248 := b_A + int((t1246)*d_A[1]+t1247)
+				r_A_r5 := m.LoadF(t1248)
+				t1249 := i_i1 - int64(1)
+				t1250 := t1249
+				if t1250 < 0 || t1250 >= d_B[0] {
+					return m.OOB(t1250, d_B[0], 0, "B", 21, 63)
+				}
+				t1251 := i_i2
+				if t1251 < 0 || t1251 >= d_B[1] {
+					return m.OOB(t1251, d_B[1], 1, "B", 21, 63)
+				}
+				t1252 := b_B + int((t1250)*d_B[1]+t1251)
+				r_B_r6 := m.LoadF(t1252)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1253 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1254 := float64(t1253 / r_B_r6)
+				t1255 := float64(r_X_r6 - t1254)
+				r_X_w4 := t1255
+				t1256 := i_i1
+				if t1256 < 0 || t1256 >= d_X[0] {
+					return m.OOB(t1256, d_X[0], 0, "X", 21, 11)
+				}
+				t1257 := i_i2
+				if t1257 < 0 || t1257 >= d_X[1] {
+					return m.OOB(t1257, d_X[1], 1, "X", 21, 11)
+				}
+				t1258 := b_X + int((t1256)*d_X[1]+t1257)
+				m.StoreF(t1258, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				t1259 := i_i1
+				if t1259 < 0 || t1259 >= d_B[0] {
+					return m.OOB(t1259, d_B[0], 0, "B", 22, 23)
+				}
+				t1260 := i_i2
+				if t1260 < 0 || t1260 >= d_B[1] {
+					return m.OOB(t1260, d_B[1], 1, "B", 22, 23)
+				}
+				t1261 := b_B + int((t1259)*d_B[1]+t1260)
+				r_B_r7 := m.LoadF(t1261)
+				t1262 := i_i1
+				if t1262 < 0 || t1262 >= d_A[0] {
+					return m.OOB(t1262, d_A[0], 0, "A", 22, 35)
+				}
+				t1263 := i_i2
+				if t1263 < 0 || t1263 >= d_A[1] {
+					return m.OOB(t1263, d_A[1], 1, "A", 22, 35)
+				}
+				t1264 := b_A + int((t1262)*d_A[1]+t1263)
+				r_A_r6 := m.LoadF(t1264)
+				t1265 := i_i1
+				if t1265 < 0 || t1265 >= d_A[0] {
+					return m.OOB(t1265, d_A[0], 0, "A", 22, 47)
+				}
+				t1266 := i_i2
+				if t1266 < 0 || t1266 >= d_A[1] {
+					return m.OOB(t1266, d_A[1], 1, "A", 22, 47)
+				}
+				t1267 := b_A + int((t1265)*d_A[1]+t1266)
+				r_A_r7 := m.LoadF(t1267)
+				t1268 := i_i1 - int64(1)
+				t1269 := t1268
+				if t1269 < 0 || t1269 >= d_B[0] {
+					return m.OOB(t1269, d_B[0], 0, "B", 22, 59)
+				}
+				t1270 := i_i2
+				if t1270 < 0 || t1270 >= d_B[1] {
+					return m.OOB(t1270, d_B[1], 1, "B", 22, 59)
+				}
+				t1271 := b_B + int((t1269)*d_B[1]+t1270)
+				r_B_r8 := m.LoadF(t1271)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1272 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1273 := float64(t1272 / r_B_r8)
+				t1274 := float64(r_B_r7 - t1273)
+				r_B_w2 := t1274
+				t1275 := i_i1
+				if t1275 < 0 || t1275 >= d_B[0] {
+					return m.OOB(t1275, d_B[0], 0, "B", 22, 11)
+				}
+				t1276 := i_i2
+				if t1276 < 0 || t1276 >= d_B[1] {
+					return m.OOB(t1276, d_B[1], 1, "B", 22, 11)
+				}
+				t1277 := b_B + int((t1275)*d_B[1]+t1276)
+				m.StoreF(t1277, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+			t1278 := p_n - int64(2)
+			for i_i2 := int64(1); i_i2 <= t1278; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1279 := i_i1
+				if t1279 < 0 || t1279 >= d_X[0] {
+					return m.OOB(t1279, d_X[0], 0, "X", 21, 23)
+				}
+				t1280 := i_i2
+				if t1280 < 0 || t1280 >= d_X[1] {
+					return m.OOB(t1280, d_X[1], 1, "X", 21, 23)
+				}
+				t1281 := b_X + int((t1279)*d_X[1]+t1280)
+				r_X_r6 := m.LoadF(t1281)
+				t1282 := i_i1 - int64(1)
+				t1283 := t1282
+				if t1283 < 0 || t1283 >= d_X[0] {
+					return m.OOB(t1283, d_X[0], 0, "X", 21, 35)
+				}
+				t1284 := i_i2
+				if t1284 < 0 || t1284 >= d_X[1] {
+					return m.OOB(t1284, d_X[1], 1, "X", 21, 35)
+				}
+				t1285 := b_X + int((t1283)*d_X[1]+t1284)
+				r_X_r7 := m.LoadF(t1285)
+				t1286 := i_i1
+				if t1286 < 0 || t1286 >= d_A[0] {
+					return m.OOB(t1286, d_A[0], 0, "A", 21, 51)
+				}
+				t1287 := i_i2
+				if t1287 < 0 || t1287 >= d_A[1] {
+					return m.OOB(t1287, d_A[1], 1, "A", 21, 51)
+				}
+				t1288 := b_A + int((t1286)*d_A[1]+t1287)
+				r_A_r5 := m.LoadF(t1288)
+				t1289 := i_i1 - int64(1)
+				t1290 := t1289
+				if t1290 < 0 || t1290 >= d_B[0] {
+					return m.OOB(t1290, d_B[0], 0, "B", 21, 63)
+				}
+				t1291 := i_i2
+				if t1291 < 0 || t1291 >= d_B[1] {
+					return m.OOB(t1291, d_B[1], 1, "B", 21, 63)
+				}
+				t1292 := b_B + int((t1290)*d_B[1]+t1291)
+				r_B_r6 := m.LoadF(t1292)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1293 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1294 := float64(t1293 / r_B_r6)
+				t1295 := float64(r_X_r6 - t1294)
+				r_X_w4 := t1295
+				t1296 := i_i1
+				if t1296 < 0 || t1296 >= d_X[0] {
+					return m.OOB(t1296, d_X[0], 0, "X", 21, 11)
+				}
+				t1297 := i_i2
+				if t1297 < 0 || t1297 >= d_X[1] {
+					return m.OOB(t1297, d_X[1], 1, "X", 21, 11)
+				}
+				t1298 := b_X + int((t1296)*d_X[1]+t1297)
+				m.StoreF(t1298, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				t1299 := i_i1
+				if t1299 < 0 || t1299 >= d_B[0] {
+					return m.OOB(t1299, d_B[0], 0, "B", 22, 23)
+				}
+				t1300 := i_i2
+				if t1300 < 0 || t1300 >= d_B[1] {
+					return m.OOB(t1300, d_B[1], 1, "B", 22, 23)
+				}
+				t1301 := b_B + int((t1299)*d_B[1]+t1300)
+				r_B_r7 := m.LoadF(t1301)
+				t1302 := i_i1
+				if t1302 < 0 || t1302 >= d_A[0] {
+					return m.OOB(t1302, d_A[0], 0, "A", 22, 35)
+				}
+				t1303 := i_i2
+				if t1303 < 0 || t1303 >= d_A[1] {
+					return m.OOB(t1303, d_A[1], 1, "A", 22, 35)
+				}
+				t1304 := b_A + int((t1302)*d_A[1]+t1303)
+				r_A_r6 := m.LoadF(t1304)
+				t1305 := i_i1
+				if t1305 < 0 || t1305 >= d_A[0] {
+					return m.OOB(t1305, d_A[0], 0, "A", 22, 47)
+				}
+				t1306 := i_i2
+				if t1306 < 0 || t1306 >= d_A[1] {
+					return m.OOB(t1306, d_A[1], 1, "A", 22, 47)
+				}
+				t1307 := b_A + int((t1305)*d_A[1]+t1306)
+				r_A_r7 := m.LoadF(t1307)
+				t1308 := i_i1 - int64(1)
+				t1309 := t1308
+				if t1309 < 0 || t1309 >= d_B[0] {
+					return m.OOB(t1309, d_B[0], 0, "B", 22, 59)
+				}
+				t1310 := i_i2
+				if t1310 < 0 || t1310 >= d_B[1] {
+					return m.OOB(t1310, d_B[1], 1, "B", 22, 59)
+				}
+				t1311 := b_B + int((t1309)*d_B[1]+t1310)
+				r_B_r8 := m.LoadF(t1311)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1312 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1313 := float64(t1312 / r_B_r8)
+				t1314 := float64(r_B_r7 - t1313)
+				r_B_w2 := t1314
+				t1315 := i_i1
+				if t1315 < 0 || t1315 >= d_B[0] {
+					return m.OOB(t1315, d_B[0], 0, "B", 22, 11)
+				}
+				t1316 := i_i2
+				if t1316 < 0 || t1316 >= d_B[1] {
+					return m.OOB(t1316, d_B[1], 1, "B", 22, 11)
+				}
+				t1317 := b_B + int((t1315)*d_B[1]+t1316)
+				m.StoreF(t1317, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+			t1318 := p_n - int64(1)
+			t1319 := codegen.MaxI(int64(1), t1318)
+			t1320 := p_n - int64(1)
+			for i_i2 := t1319; i_i2 <= t1320; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1321 := i_i1
+				if t1321 < 0 || t1321 >= d_X[0] {
+					return m.OOB(t1321, d_X[0], 0, "X", 21, 23)
+				}
+				t1322 := i_i2
+				if t1322 < 0 || t1322 >= d_X[1] {
+					return m.OOB(t1322, d_X[1], 1, "X", 21, 23)
+				}
+				t1323 := b_X + int((t1321)*d_X[1]+t1322)
+				r_X_r6 := m.LoadF(t1323)
+				t1324 := i_i1 - int64(1)
+				t1325 := t1324
+				if t1325 < 0 || t1325 >= d_X[0] {
+					return m.OOB(t1325, d_X[0], 0, "X", 21, 35)
+				}
+				t1326 := i_i2
+				if t1326 < 0 || t1326 >= d_X[1] {
+					return m.OOB(t1326, d_X[1], 1, "X", 21, 35)
+				}
+				t1327 := b_X + int((t1325)*d_X[1]+t1326)
+				r_X_r7 := m.LoadF(t1327)
+				t1328 := i_i1
+				if t1328 < 0 || t1328 >= d_A[0] {
+					return m.OOB(t1328, d_A[0], 0, "A", 21, 51)
+				}
+				t1329 := i_i2
+				if t1329 < 0 || t1329 >= d_A[1] {
+					return m.OOB(t1329, d_A[1], 1, "A", 21, 51)
+				}
+				t1330 := b_A + int((t1328)*d_A[1]+t1329)
+				r_A_r5 := m.LoadF(t1330)
+				t1331 := i_i1 - int64(1)
+				t1332 := t1331
+				if t1332 < 0 || t1332 >= d_B[0] {
+					return m.OOB(t1332, d_B[0], 0, "B", 21, 63)
+				}
+				t1333 := i_i2
+				if t1333 < 0 || t1333 >= d_B[1] {
+					return m.OOB(t1333, d_B[1], 1, "B", 21, 63)
+				}
+				t1334 := b_B + int((t1332)*d_B[1]+t1333)
+				r_B_r6 := m.LoadF(t1334)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1335 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1336 := float64(t1335 / r_B_r6)
+				t1337 := float64(r_X_r6 - t1336)
+				r_X_w4 := t1337
+				t1338 := i_i1
+				if t1338 < 0 || t1338 >= d_X[0] {
+					return m.OOB(t1338, d_X[0], 0, "X", 21, 11)
+				}
+				t1339 := i_i2
+				if t1339 < 0 || t1339 >= d_X[1] {
+					return m.OOB(t1339, d_X[1], 1, "X", 21, 11)
+				}
+				t1340 := b_X + int((t1338)*d_X[1]+t1339)
+				m.StoreF(t1340, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(2))
+				t1341 := i_i1
+				if t1341 < 0 || t1341 >= d_B[0] {
+					return m.OOB(t1341, d_B[0], 0, "B", 22, 23)
+				}
+				t1342 := i_i2
+				if t1342 < 0 || t1342 >= d_B[1] {
+					return m.OOB(t1342, d_B[1], 1, "B", 22, 23)
+				}
+				t1343 := b_B + int((t1341)*d_B[1]+t1342)
+				r_B_r7 := m.LoadF(t1343)
+				t1344 := i_i1
+				if t1344 < 0 || t1344 >= d_A[0] {
+					return m.OOB(t1344, d_A[0], 0, "A", 22, 35)
+				}
+				t1345 := i_i2
+				if t1345 < 0 || t1345 >= d_A[1] {
+					return m.OOB(t1345, d_A[1], 1, "A", 22, 35)
+				}
+				t1346 := b_A + int((t1344)*d_A[1]+t1345)
+				r_A_r6 := m.LoadF(t1346)
+				t1347 := i_i1
+				if t1347 < 0 || t1347 >= d_A[0] {
+					return m.OOB(t1347, d_A[0], 0, "A", 22, 47)
+				}
+				t1348 := i_i2
+				if t1348 < 0 || t1348 >= d_A[1] {
+					return m.OOB(t1348, d_A[1], 1, "A", 22, 47)
+				}
+				t1349 := b_A + int((t1347)*d_A[1]+t1348)
+				r_A_r7 := m.LoadF(t1349)
+				t1350 := i_i1 - int64(1)
+				t1351 := t1350
+				if t1351 < 0 || t1351 >= d_B[0] {
+					return m.OOB(t1351, d_B[0], 0, "B", 22, 59)
+				}
+				t1352 := i_i2
+				if t1352 < 0 || t1352 >= d_B[1] {
+					return m.OOB(t1352, d_B[1], 1, "B", 22, 59)
+				}
+				t1353 := b_B + int((t1351)*d_B[1]+t1352)
+				r_B_r8 := m.LoadF(t1353)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1354 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1355 := float64(t1354 / r_B_r8)
+				t1356 := float64(r_B_r7 - t1355)
+				r_B_w2 := t1356
+				t1357 := i_i1
+				if t1357 < 0 || t1357 >= d_B[0] {
+					return m.OOB(t1357, d_B[0], 0, "B", 22, 11)
+				}
+				t1358 := i_i2
+				if t1358 < 0 || t1358 >= d_B[1] {
+					return m.OOB(t1358, d_B[1], 1, "B", 22, 11)
+				}
+				t1359 := b_B + int((t1357)*d_B[1]+t1358)
+				m.StoreF(t1359, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+			}
+		}
+		t1360 := p_n - int64(1)
+		t1361 := codegen.MaxI(int64(1), t1360)
+		t1362 := p_n - int64(1)
+		for i_i1 := t1361; i_i1 <= t1362; i_i1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1363 := p_n - int64(3)
+			t1364 := codegen.MinI(t1363, int64(0))
+			for i_i2 := int64(0); i_i2 <= t1364; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1365 := i_i1
+				if t1365 < 0 || t1365 >= d_X[0] {
+					return m.OOB(t1365, d_X[0], 0, "X", 21, 23)
+				}
+				t1366 := i_i2
+				if t1366 < 0 || t1366 >= d_X[1] {
+					return m.OOB(t1366, d_X[1], 1, "X", 21, 23)
+				}
+				t1367 := b_X + int((t1365)*d_X[1]+t1366)
+				r_X_r6 := m.LoadF(t1367)
+				t1368 := i_i1 - int64(1)
+				t1369 := t1368
+				if t1369 < 0 || t1369 >= d_X[0] {
+					return m.OOB(t1369, d_X[0], 0, "X", 21, 35)
+				}
+				t1370 := i_i2
+				if t1370 < 0 || t1370 >= d_X[1] {
+					return m.OOB(t1370, d_X[1], 1, "X", 21, 35)
+				}
+				t1371 := b_X + int((t1369)*d_X[1]+t1370)
+				r_X_r7 := m.LoadF(t1371)
+				t1372 := i_i1
+				if t1372 < 0 || t1372 >= d_A[0] {
+					return m.OOB(t1372, d_A[0], 0, "A", 21, 51)
+				}
+				t1373 := i_i2
+				if t1373 < 0 || t1373 >= d_A[1] {
+					return m.OOB(t1373, d_A[1], 1, "A", 21, 51)
+				}
+				t1374 := b_A + int((t1372)*d_A[1]+t1373)
+				r_A_r5 := m.LoadF(t1374)
+				t1375 := i_i1 - int64(1)
+				t1376 := t1375
+				if t1376 < 0 || t1376 >= d_B[0] {
+					return m.OOB(t1376, d_B[0], 0, "B", 21, 63)
+				}
+				t1377 := i_i2
+				if t1377 < 0 || t1377 >= d_B[1] {
+					return m.OOB(t1377, d_B[1], 1, "B", 21, 63)
+				}
+				t1378 := b_B + int((t1376)*d_B[1]+t1377)
+				r_B_r6 := m.LoadF(t1378)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1379 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1380 := float64(t1379 / r_B_r6)
+				t1381 := float64(r_X_r6 - t1380)
+				r_X_w4 := t1381
+				t1382 := i_i1
+				if t1382 < 0 || t1382 >= d_X[0] {
+					return m.OOB(t1382, d_X[0], 0, "X", 21, 11)
+				}
+				t1383 := i_i2
+				if t1383 < 0 || t1383 >= d_X[1] {
+					return m.OOB(t1383, d_X[1], 1, "X", 21, 11)
+				}
+				t1384 := b_X + int((t1382)*d_X[1]+t1383)
+				m.StoreF(t1384, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1385 := i_i1
+				if t1385 < 0 || t1385 >= d_B[0] {
+					return m.OOB(t1385, d_B[0], 0, "B", 22, 23)
+				}
+				t1386 := i_i2
+				if t1386 < 0 || t1386 >= d_B[1] {
+					return m.OOB(t1386, d_B[1], 1, "B", 22, 23)
+				}
+				t1387 := b_B + int((t1385)*d_B[1]+t1386)
+				r_B_r7 := m.LoadF(t1387)
+				t1388 := i_i1
+				if t1388 < 0 || t1388 >= d_A[0] {
+					return m.OOB(t1388, d_A[0], 0, "A", 22, 35)
+				}
+				t1389 := i_i2
+				if t1389 < 0 || t1389 >= d_A[1] {
+					return m.OOB(t1389, d_A[1], 1, "A", 22, 35)
+				}
+				t1390 := b_A + int((t1388)*d_A[1]+t1389)
+				r_A_r6 := m.LoadF(t1390)
+				t1391 := i_i1
+				if t1391 < 0 || t1391 >= d_A[0] {
+					return m.OOB(t1391, d_A[0], 0, "A", 22, 47)
+				}
+				t1392 := i_i2
+				if t1392 < 0 || t1392 >= d_A[1] {
+					return m.OOB(t1392, d_A[1], 1, "A", 22, 47)
+				}
+				t1393 := b_A + int((t1391)*d_A[1]+t1392)
+				r_A_r7 := m.LoadF(t1393)
+				t1394 := i_i1 - int64(1)
+				t1395 := t1394
+				if t1395 < 0 || t1395 >= d_B[0] {
+					return m.OOB(t1395, d_B[0], 0, "B", 22, 59)
+				}
+				t1396 := i_i2
+				if t1396 < 0 || t1396 >= d_B[1] {
+					return m.OOB(t1396, d_B[1], 1, "B", 22, 59)
+				}
+				t1397 := b_B + int((t1395)*d_B[1]+t1396)
+				r_B_r8 := m.LoadF(t1397)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1398 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1399 := float64(t1398 / r_B_r8)
+				t1400 := float64(r_B_r7 - t1399)
+				r_B_w2 := t1400
+				t1401 := i_i1
+				if t1401 < 0 || t1401 >= d_B[0] {
+					return m.OOB(t1401, d_B[0], 0, "B", 22, 11)
+				}
+				t1402 := i_i2
+				if t1402 < 0 || t1402 >= d_B[1] {
+					return m.OOB(t1402, d_B[1], 1, "B", 22, 11)
+				}
+				t1403 := b_B + int((t1401)*d_B[1]+t1402)
+				m.StoreF(t1403, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+			}
+			t1404 := p_n - int64(2)
+			t1405 := codegen.MaxI(int64(0), t1404)
+			t1406 := p_n - int64(1)
+			t1407 := codegen.MinI(t1406, int64(0))
+			for i_i2 := t1405; i_i2 <= t1407; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1408 := i_i1
+				if t1408 < 0 || t1408 >= d_X[0] {
+					return m.OOB(t1408, d_X[0], 0, "X", 21, 23)
+				}
+				t1409 := i_i2
+				if t1409 < 0 || t1409 >= d_X[1] {
+					return m.OOB(t1409, d_X[1], 1, "X", 21, 23)
+				}
+				t1410 := b_X + int((t1408)*d_X[1]+t1409)
+				r_X_r6 := m.LoadF(t1410)
+				t1411 := i_i1 - int64(1)
+				t1412 := t1411
+				if t1412 < 0 || t1412 >= d_X[0] {
+					return m.OOB(t1412, d_X[0], 0, "X", 21, 35)
+				}
+				t1413 := i_i2
+				if t1413 < 0 || t1413 >= d_X[1] {
+					return m.OOB(t1413, d_X[1], 1, "X", 21, 35)
+				}
+				t1414 := b_X + int((t1412)*d_X[1]+t1413)
+				r_X_r7 := m.LoadF(t1414)
+				t1415 := i_i1
+				if t1415 < 0 || t1415 >= d_A[0] {
+					return m.OOB(t1415, d_A[0], 0, "A", 21, 51)
+				}
+				t1416 := i_i2
+				if t1416 < 0 || t1416 >= d_A[1] {
+					return m.OOB(t1416, d_A[1], 1, "A", 21, 51)
+				}
+				t1417 := b_A + int((t1415)*d_A[1]+t1416)
+				r_A_r5 := m.LoadF(t1417)
+				t1418 := i_i1 - int64(1)
+				t1419 := t1418
+				if t1419 < 0 || t1419 >= d_B[0] {
+					return m.OOB(t1419, d_B[0], 0, "B", 21, 63)
+				}
+				t1420 := i_i2
+				if t1420 < 0 || t1420 >= d_B[1] {
+					return m.OOB(t1420, d_B[1], 1, "B", 21, 63)
+				}
+				t1421 := b_B + int((t1419)*d_B[1]+t1420)
+				r_B_r6 := m.LoadF(t1421)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1422 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1423 := float64(t1422 / r_B_r6)
+				t1424 := float64(r_X_r6 - t1423)
+				r_X_w4 := t1424
+				t1425 := i_i1
+				if t1425 < 0 || t1425 >= d_X[0] {
+					return m.OOB(t1425, d_X[0], 0, "X", 21, 11)
+				}
+				t1426 := i_i2
+				if t1426 < 0 || t1426 >= d_X[1] {
+					return m.OOB(t1426, d_X[1], 1, "X", 21, 11)
+				}
+				t1427 := b_X + int((t1425)*d_X[1]+t1426)
+				m.StoreF(t1427, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1428 := i_i1
+				if t1428 < 0 || t1428 >= d_B[0] {
+					return m.OOB(t1428, d_B[0], 0, "B", 22, 23)
+				}
+				t1429 := i_i2
+				if t1429 < 0 || t1429 >= d_B[1] {
+					return m.OOB(t1429, d_B[1], 1, "B", 22, 23)
+				}
+				t1430 := b_B + int((t1428)*d_B[1]+t1429)
+				r_B_r7 := m.LoadF(t1430)
+				t1431 := i_i1
+				if t1431 < 0 || t1431 >= d_A[0] {
+					return m.OOB(t1431, d_A[0], 0, "A", 22, 35)
+				}
+				t1432 := i_i2
+				if t1432 < 0 || t1432 >= d_A[1] {
+					return m.OOB(t1432, d_A[1], 1, "A", 22, 35)
+				}
+				t1433 := b_A + int((t1431)*d_A[1]+t1432)
+				r_A_r6 := m.LoadF(t1433)
+				t1434 := i_i1
+				if t1434 < 0 || t1434 >= d_A[0] {
+					return m.OOB(t1434, d_A[0], 0, "A", 22, 47)
+				}
+				t1435 := i_i2
+				if t1435 < 0 || t1435 >= d_A[1] {
+					return m.OOB(t1435, d_A[1], 1, "A", 22, 47)
+				}
+				t1436 := b_A + int((t1434)*d_A[1]+t1435)
+				r_A_r7 := m.LoadF(t1436)
+				t1437 := i_i1 - int64(1)
+				t1438 := t1437
+				if t1438 < 0 || t1438 >= d_B[0] {
+					return m.OOB(t1438, d_B[0], 0, "B", 22, 59)
+				}
+				t1439 := i_i2
+				if t1439 < 0 || t1439 >= d_B[1] {
+					return m.OOB(t1439, d_B[1], 1, "B", 22, 59)
+				}
+				t1440 := b_B + int((t1438)*d_B[1]+t1439)
+				r_B_r8 := m.LoadF(t1440)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1441 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1442 := float64(t1441 / r_B_r8)
+				t1443 := float64(r_B_r7 - t1442)
+				r_B_w2 := t1443
+				t1444 := i_i1
+				if t1444 < 0 || t1444 >= d_B[0] {
+					return m.OOB(t1444, d_B[0], 0, "B", 22, 11)
+				}
+				t1445 := i_i2
+				if t1445 < 0 || t1445 >= d_B[1] {
+					return m.OOB(t1445, d_B[1], 1, "B", 22, 11)
+				}
+				t1446 := b_B + int((t1444)*d_B[1]+t1445)
+				m.StoreF(t1446, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(3))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+			}
+			t1447 := p_n - int64(2)
+			for i_i2 := int64(1); i_i2 <= t1447; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1448 := i_i1
+				if t1448 < 0 || t1448 >= d_X[0] {
+					return m.OOB(t1448, d_X[0], 0, "X", 21, 23)
+				}
+				t1449 := i_i2
+				if t1449 < 0 || t1449 >= d_X[1] {
+					return m.OOB(t1449, d_X[1], 1, "X", 21, 23)
+				}
+				t1450 := b_X + int((t1448)*d_X[1]+t1449)
+				r_X_r6 := m.LoadF(t1450)
+				t1451 := i_i1 - int64(1)
+				t1452 := t1451
+				if t1452 < 0 || t1452 >= d_X[0] {
+					return m.OOB(t1452, d_X[0], 0, "X", 21, 35)
+				}
+				t1453 := i_i2
+				if t1453 < 0 || t1453 >= d_X[1] {
+					return m.OOB(t1453, d_X[1], 1, "X", 21, 35)
+				}
+				t1454 := b_X + int((t1452)*d_X[1]+t1453)
+				r_X_r7 := m.LoadF(t1454)
+				t1455 := i_i1
+				if t1455 < 0 || t1455 >= d_A[0] {
+					return m.OOB(t1455, d_A[0], 0, "A", 21, 51)
+				}
+				t1456 := i_i2
+				if t1456 < 0 || t1456 >= d_A[1] {
+					return m.OOB(t1456, d_A[1], 1, "A", 21, 51)
+				}
+				t1457 := b_A + int((t1455)*d_A[1]+t1456)
+				r_A_r5 := m.LoadF(t1457)
+				t1458 := i_i1 - int64(1)
+				t1459 := t1458
+				if t1459 < 0 || t1459 >= d_B[0] {
+					return m.OOB(t1459, d_B[0], 0, "B", 21, 63)
+				}
+				t1460 := i_i2
+				if t1460 < 0 || t1460 >= d_B[1] {
+					return m.OOB(t1460, d_B[1], 1, "B", 21, 63)
+				}
+				t1461 := b_B + int((t1459)*d_B[1]+t1460)
+				r_B_r6 := m.LoadF(t1461)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1462 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1463 := float64(t1462 / r_B_r6)
+				t1464 := float64(r_X_r6 - t1463)
+				r_X_w4 := t1464
+				t1465 := i_i1
+				if t1465 < 0 || t1465 >= d_X[0] {
+					return m.OOB(t1465, d_X[0], 0, "X", 21, 11)
+				}
+				t1466 := i_i2
+				if t1466 < 0 || t1466 >= d_X[1] {
+					return m.OOB(t1466, d_X[1], 1, "X", 21, 11)
+				}
+				t1467 := b_X + int((t1465)*d_X[1]+t1466)
+				m.StoreF(t1467, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1468 := i_i1
+				if t1468 < 0 || t1468 >= d_B[0] {
+					return m.OOB(t1468, d_B[0], 0, "B", 22, 23)
+				}
+				t1469 := i_i2
+				if t1469 < 0 || t1469 >= d_B[1] {
+					return m.OOB(t1469, d_B[1], 1, "B", 22, 23)
+				}
+				t1470 := b_B + int((t1468)*d_B[1]+t1469)
+				r_B_r7 := m.LoadF(t1470)
+				t1471 := i_i1
+				if t1471 < 0 || t1471 >= d_A[0] {
+					return m.OOB(t1471, d_A[0], 0, "A", 22, 35)
+				}
+				t1472 := i_i2
+				if t1472 < 0 || t1472 >= d_A[1] {
+					return m.OOB(t1472, d_A[1], 1, "A", 22, 35)
+				}
+				t1473 := b_A + int((t1471)*d_A[1]+t1472)
+				r_A_r6 := m.LoadF(t1473)
+				t1474 := i_i1
+				if t1474 < 0 || t1474 >= d_A[0] {
+					return m.OOB(t1474, d_A[0], 0, "A", 22, 47)
+				}
+				t1475 := i_i2
+				if t1475 < 0 || t1475 >= d_A[1] {
+					return m.OOB(t1475, d_A[1], 1, "A", 22, 47)
+				}
+				t1476 := b_A + int((t1474)*d_A[1]+t1475)
+				r_A_r7 := m.LoadF(t1476)
+				t1477 := i_i1 - int64(1)
+				t1478 := t1477
+				if t1478 < 0 || t1478 >= d_B[0] {
+					return m.OOB(t1478, d_B[0], 0, "B", 22, 59)
+				}
+				t1479 := i_i2
+				if t1479 < 0 || t1479 >= d_B[1] {
+					return m.OOB(t1479, d_B[1], 1, "B", 22, 59)
+				}
+				t1480 := b_B + int((t1478)*d_B[1]+t1479)
+				r_B_r8 := m.LoadF(t1480)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1481 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1482 := float64(t1481 / r_B_r8)
+				t1483 := float64(r_B_r7 - t1482)
+				r_B_w2 := t1483
+				t1484 := i_i1
+				if t1484 < 0 || t1484 >= d_B[0] {
+					return m.OOB(t1484, d_B[0], 0, "B", 22, 11)
+				}
+				t1485 := i_i2
+				if t1485 < 0 || t1485 >= d_B[1] {
+					return m.OOB(t1485, d_B[1], 1, "B", 22, 11)
+				}
+				t1486 := b_B + int((t1484)*d_B[1]+t1485)
+				m.StoreF(t1486, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+			}
+			t1487 := p_n - int64(1)
+			t1488 := codegen.MaxI(int64(1), t1487)
+			t1489 := p_n - int64(1)
+			for i_i2 := t1488; i_i2 <= t1489; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1490 := i_i1
+				if t1490 < 0 || t1490 >= d_X[0] {
+					return m.OOB(t1490, d_X[0], 0, "X", 21, 23)
+				}
+				t1491 := i_i2
+				if t1491 < 0 || t1491 >= d_X[1] {
+					return m.OOB(t1491, d_X[1], 1, "X", 21, 23)
+				}
+				t1492 := b_X + int((t1490)*d_X[1]+t1491)
+				r_X_r6 := m.LoadF(t1492)
+				t1493 := i_i1 - int64(1)
+				t1494 := t1493
+				if t1494 < 0 || t1494 >= d_X[0] {
+					return m.OOB(t1494, d_X[0], 0, "X", 21, 35)
+				}
+				t1495 := i_i2
+				if t1495 < 0 || t1495 >= d_X[1] {
+					return m.OOB(t1495, d_X[1], 1, "X", 21, 35)
+				}
+				t1496 := b_X + int((t1494)*d_X[1]+t1495)
+				r_X_r7 := m.LoadF(t1496)
+				t1497 := i_i1
+				if t1497 < 0 || t1497 >= d_A[0] {
+					return m.OOB(t1497, d_A[0], 0, "A", 21, 51)
+				}
+				t1498 := i_i2
+				if t1498 < 0 || t1498 >= d_A[1] {
+					return m.OOB(t1498, d_A[1], 1, "A", 21, 51)
+				}
+				t1499 := b_A + int((t1497)*d_A[1]+t1498)
+				r_A_r5 := m.LoadF(t1499)
+				t1500 := i_i1 - int64(1)
+				t1501 := t1500
+				if t1501 < 0 || t1501 >= d_B[0] {
+					return m.OOB(t1501, d_B[0], 0, "B", 21, 63)
+				}
+				t1502 := i_i2
+				if t1502 < 0 || t1502 >= d_B[1] {
+					return m.OOB(t1502, d_B[1], 1, "B", 21, 63)
+				}
+				t1503 := b_B + int((t1501)*d_B[1]+t1502)
+				r_B_r6 := m.LoadF(t1503)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r6), int64(1))
+				t1504 := float64(r_X_r7 * r_A_r5)
+				if r_B_r6 == 0 {
+					return m.DivZero(21, 61)
+				}
+				t1505 := float64(t1504 / r_B_r6)
+				t1506 := float64(r_X_r6 - t1505)
+				r_X_w4 := t1506
+				t1507 := i_i1
+				if t1507 < 0 || t1507 >= d_X[0] {
+					return m.OOB(t1507, d_X[0], 0, "X", 21, 11)
+				}
+				t1508 := i_i2
+				if t1508 < 0 || t1508 >= d_X[1] {
+					return m.OOB(t1508, d_X[1], 1, "X", 21, 11)
+				}
+				t1509 := b_X + int((t1507)*d_X[1]+t1508)
+				m.StoreF(t1509, r_X_w4)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w4), int64(1))
+				t1510 := i_i1
+				if t1510 < 0 || t1510 >= d_B[0] {
+					return m.OOB(t1510, d_B[0], 0, "B", 22, 23)
+				}
+				t1511 := i_i2
+				if t1511 < 0 || t1511 >= d_B[1] {
+					return m.OOB(t1511, d_B[1], 1, "B", 22, 23)
+				}
+				t1512 := b_B + int((t1510)*d_B[1]+t1511)
+				r_B_r7 := m.LoadF(t1512)
+				t1513 := i_i1
+				if t1513 < 0 || t1513 >= d_A[0] {
+					return m.OOB(t1513, d_A[0], 0, "A", 22, 35)
+				}
+				t1514 := i_i2
+				if t1514 < 0 || t1514 >= d_A[1] {
+					return m.OOB(t1514, d_A[1], 1, "A", 22, 35)
+				}
+				t1515 := b_A + int((t1513)*d_A[1]+t1514)
+				r_A_r6 := m.LoadF(t1515)
+				t1516 := i_i1
+				if t1516 < 0 || t1516 >= d_A[0] {
+					return m.OOB(t1516, d_A[0], 0, "A", 22, 47)
+				}
+				t1517 := i_i2
+				if t1517 < 0 || t1517 >= d_A[1] {
+					return m.OOB(t1517, d_A[1], 1, "A", 22, 47)
+				}
+				t1518 := b_A + int((t1516)*d_A[1]+t1517)
+				r_A_r7 := m.LoadF(t1518)
+				t1519 := i_i1 - int64(1)
+				t1520 := t1519
+				if t1520 < 0 || t1520 >= d_B[0] {
+					return m.OOB(t1520, d_B[0], 0, "B", 22, 59)
+				}
+				t1521 := i_i2
+				if t1521 < 0 || t1521 >= d_B[1] {
+					return m.OOB(t1521, d_B[1], 1, "B", 22, 59)
+				}
+				t1522 := b_B + int((t1520)*d_B[1]+t1521)
+				r_B_r8 := m.LoadF(t1522)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r8), int64(1))
+				t1523 := float64(r_A_r6 * r_A_r7)
+				if r_B_r8 == 0 {
+					return m.DivZero(22, 57)
+				}
+				t1524 := float64(t1523 / r_B_r8)
+				t1525 := float64(r_B_r7 - t1524)
+				r_B_w2 := t1525
+				t1526 := i_i1
+				if t1526 < 0 || t1526 >= d_B[0] {
+					return m.OOB(t1526, d_B[0], 0, "B", 22, 11)
+				}
+				t1527 := i_i2
+				if t1527 < 0 || t1527 >= d_B[1] {
+					return m.OOB(t1527, d_B[1], 1, "B", 22, 11)
+				}
+				t1528 := b_B + int((t1526)*d_B[1]+t1527)
+				m.StoreF(t1528, r_B_w2)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w2), int64(1))
+			}
+		}
+		t1529 := p_n - int64(3)
+		t1530 := codegen.MinI(t1529, int64(0))
+		for i_i2 := int64(0); i_i2 <= t1530; i_i2++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1531 := p_n - int64(1)
+			t1532 := t1531
+			if t1532 < 0 || t1532 >= d_X[0] {
+				return m.OOB(t1532, d_X[0], 0, "X", 26, 24)
+			}
+			t1533 := i_i2
+			if t1533 < 0 || t1533 >= d_X[1] {
+				return m.OOB(t1533, d_X[1], 1, "X", 26, 24)
+			}
+			t1534 := b_X + int((t1532)*d_X[1]+t1533)
+			r_X_r8 := m.LoadF(t1534)
+			t1535 := p_n - int64(1)
+			t1536 := t1535
+			if t1536 < 0 || t1536 >= d_B[0] {
+				return m.OOB(t1536, d_B[0], 0, "B", 26, 39)
+			}
+			t1537 := i_i2
+			if t1537 < 0 || t1537 >= d_B[1] {
+				return m.OOB(t1537, d_B[1], 1, "B", 26, 39)
+			}
+			t1538 := b_B + int((t1536)*d_B[1]+t1537)
+			r_B_r9 := m.LoadF(t1538)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1539 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1539
+			t1540 := p_n - int64(1)
+			t1541 := t1540
+			if t1541 < 0 || t1541 >= d_X[0] {
+				return m.OOB(t1541, d_X[0], 0, "X", 26, 9)
+			}
+			t1542 := i_i2
+			if t1542 < 0 || t1542 >= d_X[1] {
+				return m.OOB(t1542, d_X[1], 1, "X", 26, 9)
+			}
+			t1543 := b_X + int((t1541)*d_X[1]+t1542)
+			m.StoreF(t1543, r_X_w5)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+		}
+		t1544 := p_n - int64(2)
+		t1545 := codegen.MaxI(int64(0), t1544)
+		t1546 := p_n - int64(2)
+		t1547 := codegen.MinI(t1546, int64(0))
+		for i_i2 := t1545; i_i2 <= t1547; i_i2++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1548 := p_n - int64(1)
+			t1549 := t1548
+			if t1549 < 0 || t1549 >= d_X[0] {
+				return m.OOB(t1549, d_X[0], 0, "X", 26, 24)
+			}
+			t1550 := i_i2
+			if t1550 < 0 || t1550 >= d_X[1] {
+				return m.OOB(t1550, d_X[1], 1, "X", 26, 24)
+			}
+			t1551 := b_X + int((t1549)*d_X[1]+t1550)
+			r_X_r8 := m.LoadF(t1551)
+			t1552 := p_n - int64(1)
+			t1553 := t1552
+			if t1553 < 0 || t1553 >= d_B[0] {
+				return m.OOB(t1553, d_B[0], 0, "B", 26, 39)
+			}
+			t1554 := i_i2
+			if t1554 < 0 || t1554 >= d_B[1] {
+				return m.OOB(t1554, d_B[1], 1, "B", 26, 39)
+			}
+			t1555 := b_B + int((t1553)*d_B[1]+t1554)
+			r_B_r9 := m.LoadF(t1555)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1556 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1556
+			t1557 := p_n - int64(1)
+			t1558 := t1557
+			if t1558 < 0 || t1558 >= d_X[0] {
+				return m.OOB(t1558, d_X[0], 0, "X", 26, 9)
+			}
+			t1559 := i_i2
+			if t1559 < 0 || t1559 >= d_X[1] {
+				return m.OOB(t1559, d_X[1], 1, "X", 26, 9)
+			}
+			t1560 := b_X + int((t1558)*d_X[1]+t1559)
+			m.StoreF(t1560, r_X_w5)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+		}
+		t1561 := p_n - int64(1)
+		t1562 := codegen.MaxI(int64(0), t1561)
+		t1563 := p_n - int64(1)
+		t1564 := codegen.MinI(t1563, int64(0))
+		for i_i2 := t1562; i_i2 <= t1564; i_i2++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1565 := p_n - int64(1)
+			t1566 := t1565
+			if t1566 < 0 || t1566 >= d_X[0] {
+				return m.OOB(t1566, d_X[0], 0, "X", 26, 24)
+			}
+			t1567 := i_i2
+			if t1567 < 0 || t1567 >= d_X[1] {
+				return m.OOB(t1567, d_X[1], 1, "X", 26, 24)
+			}
+			t1568 := b_X + int((t1566)*d_X[1]+t1567)
+			r_X_r8 := m.LoadF(t1568)
+			t1569 := p_n - int64(1)
+			t1570 := t1569
+			if t1570 < 0 || t1570 >= d_B[0] {
+				return m.OOB(t1570, d_B[0], 0, "B", 26, 39)
+			}
+			t1571 := i_i2
+			if t1571 < 0 || t1571 >= d_B[1] {
+				return m.OOB(t1571, d_B[1], 1, "B", 26, 39)
+			}
+			t1572 := b_B + int((t1570)*d_B[1]+t1571)
+			r_B_r9 := m.LoadF(t1572)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1573 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1573
+			t1574 := p_n - int64(1)
+			t1575 := t1574
+			if t1575 < 0 || t1575 >= d_X[0] {
+				return m.OOB(t1575, d_X[0], 0, "X", 26, 9)
+			}
+			t1576 := i_i2
+			if t1576 < 0 || t1576 >= d_X[1] {
+				return m.OOB(t1576, d_X[1], 1, "X", 26, 9)
+			}
+			t1577 := b_X + int((t1575)*d_X[1]+t1576)
+			m.StoreF(t1577, r_X_w5)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+		}
+		t1578 := p_n - int64(2)
+		for i_i2 := int64(1); i_i2 <= t1578; i_i2++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1579 := p_n - int64(1)
+			t1580 := t1579
+			if t1580 < 0 || t1580 >= d_X[0] {
+				return m.OOB(t1580, d_X[0], 0, "X", 26, 24)
+			}
+			t1581 := i_i2
+			if t1581 < 0 || t1581 >= d_X[1] {
+				return m.OOB(t1581, d_X[1], 1, "X", 26, 24)
+			}
+			t1582 := b_X + int((t1580)*d_X[1]+t1581)
+			r_X_r8 := m.LoadF(t1582)
+			t1583 := p_n - int64(1)
+			t1584 := t1583
+			if t1584 < 0 || t1584 >= d_B[0] {
+				return m.OOB(t1584, d_B[0], 0, "B", 26, 39)
+			}
+			t1585 := i_i2
+			if t1585 < 0 || t1585 >= d_B[1] {
+				return m.OOB(t1585, d_B[1], 1, "B", 26, 39)
+			}
+			t1586 := b_B + int((t1584)*d_B[1]+t1585)
+			r_B_r9 := m.LoadF(t1586)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1587 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1587
+			t1588 := p_n - int64(1)
+			t1589 := t1588
+			if t1589 < 0 || t1589 >= d_X[0] {
+				return m.OOB(t1589, d_X[0], 0, "X", 26, 9)
+			}
+			t1590 := i_i2
+			if t1590 < 0 || t1590 >= d_X[1] {
+				return m.OOB(t1590, d_X[1], 1, "X", 26, 9)
+			}
+			t1591 := b_X + int((t1589)*d_X[1]+t1590)
+			m.StoreF(t1591, r_X_w5)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+		}
+		t1592 := p_n - int64(1)
+		t1593 := codegen.MaxI(int64(1), t1592)
+		t1594 := p_n - int64(1)
+		for i_i2 := t1593; i_i2 <= t1594; i_i2++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1595 := p_n - int64(1)
+			t1596 := t1595
+			if t1596 < 0 || t1596 >= d_X[0] {
+				return m.OOB(t1596, d_X[0], 0, "X", 26, 24)
+			}
+			t1597 := i_i2
+			if t1597 < 0 || t1597 >= d_X[1] {
+				return m.OOB(t1597, d_X[1], 1, "X", 26, 24)
+			}
+			t1598 := b_X + int((t1596)*d_X[1]+t1597)
+			r_X_r8 := m.LoadF(t1598)
+			t1599 := p_n - int64(1)
+			t1600 := t1599
+			if t1600 < 0 || t1600 >= d_B[0] {
+				return m.OOB(t1600, d_B[0], 0, "B", 26, 39)
+			}
+			t1601 := i_i2
+			if t1601 < 0 || t1601 >= d_B[1] {
+				return m.OOB(t1601, d_B[1], 1, "B", 26, 39)
+			}
+			t1602 := b_B + int((t1600)*d_B[1]+t1601)
+			r_B_r9 := m.LoadF(t1602)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_X_r8), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r9), int64(1))
+			if r_B_r9 == 0 {
+				return m.DivZero(26, 37)
+			}
+			t1603 := float64(r_X_r8 / r_B_r9)
+			r_X_w5 := t1603
+			t1604 := p_n - int64(1)
+			t1605 := t1604
+			if t1605 < 0 || t1605 >= d_X[0] {
+				return m.OOB(t1605, d_X[0], 0, "X", 26, 9)
+			}
+			t1606 := i_i2
+			if t1606 < 0 || t1606 >= d_X[1] {
+				return m.OOB(t1606, d_X[1], 1, "X", 26, 9)
+			}
+			t1607 := b_X + int((t1605)*d_X[1]+t1606)
+			m.StoreF(t1607, r_X_w5)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_X_w5), int64(1))
+		}
+		t1608 := p_n - int64(3)
+		for i_i1 := int64(0); i_i1 <= t1608; i_i1++ {
+			if err := m.Tick(28, 3); err != nil {
+				return err
+			}
+			t1609 := p_n - int64(1)
+			t1610 := codegen.MinI(t1609, int64(0))
+			for i_i2 := int64(0); i_i2 <= t1610; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1611 := p_n - int64(2)
+				t1612 := t1611 - i_i1
+				t1613 := t1612
+				if t1613 < 0 || t1613 >= d_X[0] {
+					return m.OOB(t1613, d_X[0], 0, "X", 30, 32)
+				}
+				t1614 := i_i2
+				if t1614 < 0 || t1614 >= d_X[1] {
+					return m.OOB(t1614, d_X[1], 1, "X", 30, 32)
+				}
+				t1615 := b_X + int((t1613)*d_X[1]+t1614)
+				r_X_r9 := m.LoadF(t1615)
+				t1616 := p_n - i_i1
+				t1617 := t1616 - int64(3)
+				t1618 := t1617
+				if t1618 < 0 || t1618 >= d_X[0] {
+					return m.OOB(t1618, d_X[0], 0, "X", 30, 52)
+				}
+				t1619 := i_i2
+				if t1619 < 0 || t1619 >= d_X[1] {
+					return m.OOB(t1619, d_X[1], 1, "X", 30, 52)
+				}
+				t1620 := b_X + int((t1618)*d_X[1]+t1619)
+				r_X_r10 := m.LoadF(t1620)
+				t1621 := p_n - int64(3)
+				t1622 := t1621 - i_i1
+				t1623 := t1622
+				if t1623 < 0 || t1623 >= d_A[0] {
+					return m.OOB(t1623, d_A[0], 0, "A", 30, 72)
+				}
+				t1624 := i_i2
+				if t1624 < 0 || t1624 >= d_A[1] {
+					return m.OOB(t1624, d_A[1], 1, "A", 30, 72)
+				}
+				t1625 := b_A + int((t1623)*d_A[1]+t1624)
+				r_A_r8 := m.LoadF(t1625)
+				t1626 := p_n - int64(2)
+				t1627 := t1626 - i_i1
+				t1628 := t1627
+				if t1628 < 0 || t1628 >= d_B[0] {
+					return m.OOB(t1628, d_B[0], 0, "B", 30, 93)
+				}
+				t1629 := i_i2
+				if t1629 < 0 || t1629 >= d_B[1] {
+					return m.OOB(t1629, d_B[1], 1, "B", 30, 93)
+				}
+				t1630 := b_B + int((t1628)*d_B[1]+t1629)
+				r_B_r10 := m.LoadF(t1630)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
+				t1631 := float64(r_X_r10 * r_A_r8)
+				t1632 := float64(r_X_r9 - t1631)
+				if r_B_r10 == 0 {
+					return m.DivZero(30, 91)
+				}
+				t1633 := float64(t1632 / r_B_r10)
+				r_X_w6 := t1633
+				t1634 := p_n - int64(2)
+				t1635 := t1634 - i_i1
+				t1636 := t1635
+				if t1636 < 0 || t1636 >= d_X[0] {
+					return m.OOB(t1636, d_X[0], 0, "X", 30, 11)
+				}
+				t1637 := i_i2
+				if t1637 < 0 || t1637 >= d_X[1] {
+					return m.OOB(t1637, d_X[1], 1, "X", 30, 11)
+				}
+				t1638 := b_X + int((t1636)*d_X[1]+t1637)
+				m.StoreF(t1638, r_X_w6)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(3))
+			}
+			t1639 := p_n - int64(2)
+			for i_i2 := int64(1); i_i2 <= t1639; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1640 := p_n - int64(2)
+				t1641 := t1640 - i_i1
+				t1642 := t1641
+				if t1642 < 0 || t1642 >= d_X[0] {
+					return m.OOB(t1642, d_X[0], 0, "X", 30, 32)
+				}
+				t1643 := i_i2
+				if t1643 < 0 || t1643 >= d_X[1] {
+					return m.OOB(t1643, d_X[1], 1, "X", 30, 32)
+				}
+				t1644 := b_X + int((t1642)*d_X[1]+t1643)
+				r_X_r9 := m.LoadF(t1644)
+				t1645 := p_n - i_i1
+				t1646 := t1645 - int64(3)
+				t1647 := t1646
+				if t1647 < 0 || t1647 >= d_X[0] {
+					return m.OOB(t1647, d_X[0], 0, "X", 30, 52)
+				}
+				t1648 := i_i2
+				if t1648 < 0 || t1648 >= d_X[1] {
+					return m.OOB(t1648, d_X[1], 1, "X", 30, 52)
+				}
+				t1649 := b_X + int((t1647)*d_X[1]+t1648)
+				r_X_r10 := m.LoadF(t1649)
+				t1650 := p_n - int64(3)
+				t1651 := t1650 - i_i1
+				t1652 := t1651
+				if t1652 < 0 || t1652 >= d_A[0] {
+					return m.OOB(t1652, d_A[0], 0, "A", 30, 72)
+				}
+				t1653 := i_i2
+				if t1653 < 0 || t1653 >= d_A[1] {
+					return m.OOB(t1653, d_A[1], 1, "A", 30, 72)
+				}
+				t1654 := b_A + int((t1652)*d_A[1]+t1653)
+				r_A_r8 := m.LoadF(t1654)
+				t1655 := p_n - int64(2)
+				t1656 := t1655 - i_i1
+				t1657 := t1656
+				if t1657 < 0 || t1657 >= d_B[0] {
+					return m.OOB(t1657, d_B[0], 0, "B", 30, 93)
+				}
+				t1658 := i_i2
+				if t1658 < 0 || t1658 >= d_B[1] {
+					return m.OOB(t1658, d_B[1], 1, "B", 30, 93)
+				}
+				t1659 := b_B + int((t1657)*d_B[1]+t1658)
+				r_B_r10 := m.LoadF(t1659)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
+				t1660 := float64(r_X_r10 * r_A_r8)
+				t1661 := float64(r_X_r9 - t1660)
+				if r_B_r10 == 0 {
+					return m.DivZero(30, 91)
+				}
+				t1662 := float64(t1661 / r_B_r10)
+				r_X_w6 := t1662
+				t1663 := p_n - int64(2)
+				t1664 := t1663 - i_i1
+				t1665 := t1664
+				if t1665 < 0 || t1665 >= d_X[0] {
+					return m.OOB(t1665, d_X[0], 0, "X", 30, 11)
+				}
+				t1666 := i_i2
+				if t1666 < 0 || t1666 >= d_X[1] {
+					return m.OOB(t1666, d_X[1], 1, "X", 30, 11)
+				}
+				t1667 := b_X + int((t1665)*d_X[1]+t1666)
+				m.StoreF(t1667, r_X_w6)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
+			}
+			t1668 := p_n - int64(1)
+			t1669 := codegen.MaxI(int64(1), t1668)
+			t1670 := p_n - int64(1)
+			for i_i2 := t1669; i_i2 <= t1670; i_i2++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1671 := p_n - int64(2)
+				t1672 := t1671 - i_i1
+				t1673 := t1672
+				if t1673 < 0 || t1673 >= d_X[0] {
+					return m.OOB(t1673, d_X[0], 0, "X", 30, 32)
+				}
+				t1674 := i_i2
+				if t1674 < 0 || t1674 >= d_X[1] {
+					return m.OOB(t1674, d_X[1], 1, "X", 30, 32)
+				}
+				t1675 := b_X + int((t1673)*d_X[1]+t1674)
+				r_X_r9 := m.LoadF(t1675)
+				t1676 := p_n - i_i1
+				t1677 := t1676 - int64(3)
+				t1678 := t1677
+				if t1678 < 0 || t1678 >= d_X[0] {
+					return m.OOB(t1678, d_X[0], 0, "X", 30, 52)
+				}
+				t1679 := i_i2
+				if t1679 < 0 || t1679 >= d_X[1] {
+					return m.OOB(t1679, d_X[1], 1, "X", 30, 52)
+				}
+				t1680 := b_X + int((t1678)*d_X[1]+t1679)
+				r_X_r10 := m.LoadF(t1680)
+				t1681 := p_n - int64(3)
+				t1682 := t1681 - i_i1
+				t1683 := t1682
+				if t1683 < 0 || t1683 >= d_A[0] {
+					return m.OOB(t1683, d_A[0], 0, "A", 30, 72)
+				}
+				t1684 := i_i2
+				if t1684 < 0 || t1684 >= d_A[1] {
+					return m.OOB(t1684, d_A[1], 1, "A", 30, 72)
+				}
+				t1685 := b_A + int((t1683)*d_A[1]+t1684)
+				r_A_r8 := m.LoadF(t1685)
+				t1686 := p_n - int64(2)
+				t1687 := t1686 - i_i1
+				t1688 := t1687
+				if t1688 < 0 || t1688 >= d_B[0] {
+					return m.OOB(t1688, d_B[0], 0, "B", 30, 93)
+				}
+				t1689 := i_i2
+				if t1689 < 0 || t1689 >= d_B[1] {
+					return m.OOB(t1689, d_B[1], 1, "B", 30, 93)
+				}
+				t1690 := b_B + int((t1688)*d_B[1]+t1689)
+				r_B_r10 := m.LoadF(t1690)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r9), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_X_r10), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r10), int64(1))
+				t1691 := float64(r_X_r10 * r_A_r8)
+				t1692 := float64(r_X_r9 - t1691)
+				if r_B_r10 == 0 {
+					return m.DivZero(30, 91)
+				}
+				t1693 := float64(t1692 / r_B_r10)
+				r_X_w6 := t1693
+				t1694 := p_n - int64(2)
+				t1695 := t1694 - i_i1
+				t1696 := t1695
+				if t1696 < 0 || t1696 >= d_X[0] {
+					return m.OOB(t1696, d_X[0], 0, "X", 30, 11)
+				}
+				t1697 := i_i2
+				if t1697 < 0 || t1697 >= d_X[1] {
+					return m.OOB(t1697, d_X[1], 1, "X", 30, 11)
+				}
+				t1698 := b_X + int((t1696)*d_X[1]+t1697)
+				m.StoreF(t1698, r_X_w6)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_X_w6), int64(1))
+			}
+		}
+	}
+	if epoch == epochs-1 {
 		t1699 := p_tsteps - int64(2)
 		t1700 := codegen.MaxI(int64(0), t1699)
 		t1701 := p_tsteps - int64(2)

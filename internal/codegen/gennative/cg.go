@@ -1473,39 +1473,31 @@ func run_cg_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_dy0 := start; i_dy0 <= end; i_dy0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
+		for i_dy0 := int64(0); i_dy0 <= t1; i_dy0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t2 := i_dy0
+			if t2 < 0 || t2 >= d_q_cnt[0] {
+				return m.OOB(t2, d_q_cnt[0], 0, "q_cnt", 0, 0)
+			}
+			t3 := b_q_cnt + int(t2)
+			m.Store(t3, uint64(int64(0)))
+			t4 := i_dy0
+			if t4 < 0 || t4 >= d_q[0] {
+				return m.OOB(t4, d_q[0], 0, "q", 0, 0)
+			}
+			t5 := b_q + int(t4)
+			t6 := m.LoadF(t5)
+			cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
+			t7 := i_dy0
+			if t7 < 0 || t7 >= d_q[0] {
+				return m.OOB(t7, d_q[0], 0, "q", 0, 0)
+			}
+			t8 := b_q + int(t7)
+			t9 := m.LoadF(t8)
+			cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
 		}
-		t2 := i_dy0
-		if t2 < 0 || t2 >= d_q_cnt[0] {
-			return m.OOB(t2, d_q_cnt[0], 0, "q_cnt", 0, 0)
-		}
-		t3 := b_q_cnt + int(t2)
-		m.Store(t3, uint64(int64(0)))
-		t4 := i_dy0
-		if t4 < 0 || t4 >= d_q[0] {
-			return m.OOB(t4, d_q[0], 0, "q", 0, 0)
-		}
-		t5 := b_q + int(t4)
-		t6 := m.LoadF(t5)
-		cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
-		t7 := i_dy0
-		if t7 < 0 || t7 >= d_q[0] {
-			return m.OOB(t7, d_q[0], 0, "q", 0, 0)
-		}
-		t8 := b_q + int(t7)
-		t9 := m.LoadF(t8)
-		cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
-	}
-	if epoch == epochs-1 {
 		t10 := p_n - int64(1)
 		for i_dy02 := int64(0); i_dy02 <= t10; i_dy02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -1680,45 +1672,53 @@ func run_cg_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 			}
 		}
 		t66 := p_n - int64(1)
-		for i_ie03 := int64(0); i_ie03 <= t66; i_ie03++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t67 := i_ie03
-			if t67 < 0 || t67 >= d_p[0] {
-				return m.OOB(t67, d_p[0], 0, "p", 0, 0)
-			}
-			t68 := b_p + int(t67)
-			t69 := m.LoadF(t68)
-			t70 := i_ie03
-			if t70 < 0 || t70 >= d_p_icnt[0] {
-				return m.OOB(t70, d_p_icnt[0], 0, "p_icnt", 0, 0)
-			}
-			t71 := b_p_icnt + int(t70)
-			t72 := int64(m.Load(t71))
-			cs.Fold(checksum.AccDef, math.Float64bits(t69), t72)
-			t73 := i_ie03
-			if t73 < 0 || t73 >= d_p[0] {
-				return m.OOB(t73, d_p[0], 0, "p", 0, 0)
-			}
-			t74 := b_p + int(t73)
-			t75 := m.LoadF(t74)
-			cs.Fold(checksum.AccDef, math.Float64bits(t75), int64(1))
-			t76 := i_ie03
-			if t76 < 0 || t76 >= d_p[0] {
-				return m.OOB(t76, d_p[0], 0, "p", 0, 0)
-			}
-			t77 := b_p + int(t76)
-			t78 := m.LoadF(t77)
-			cs.Fold(checksum.AccDef, math.Float64bits(t78), int64(1))
-			t79 := i_ie03
-			if t79 < 0 || t79 >= d_p[0] {
-				return m.OOB(t79, d_p[0], 0, "p", 0, 0)
-			}
-			t80 := b_p + int(t79)
-			t81 := m.LoadF(t80)
-			cs.Fold(checksum.AccDef, math.Float64bits(t81), int64(1))
+		m.SetBounds(int64(0), t66)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_ie03 := start; i_ie03 <= end; i_ie03++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
 		}
+		t67 := i_ie03
+		if t67 < 0 || t67 >= d_p[0] {
+			return m.OOB(t67, d_p[0], 0, "p", 0, 0)
+		}
+		t68 := b_p + int(t67)
+		t69 := m.LoadF(t68)
+		t70 := i_ie03
+		if t70 < 0 || t70 >= d_p_icnt[0] {
+			return m.OOB(t70, d_p_icnt[0], 0, "p_icnt", 0, 0)
+		}
+		t71 := b_p_icnt + int(t70)
+		t72 := int64(m.Load(t71))
+		cs.Fold(checksum.AccDef, math.Float64bits(t69), t72)
+		t73 := i_ie03
+		if t73 < 0 || t73 >= d_p[0] {
+			return m.OOB(t73, d_p[0], 0, "p", 0, 0)
+		}
+		t74 := b_p + int(t73)
+		t75 := m.LoadF(t74)
+		cs.Fold(checksum.AccDef, math.Float64bits(t75), int64(1))
+		t76 := i_ie03
+		if t76 < 0 || t76 >= d_p[0] {
+			return m.OOB(t76, d_p[0], 0, "p", 0, 0)
+		}
+		t77 := b_p + int(t76)
+		t78 := m.LoadF(t77)
+		cs.Fold(checksum.AccDef, math.Float64bits(t78), int64(1))
+		t79 := i_ie03
+		if t79 < 0 || t79 >= d_p[0] {
+			return m.OOB(t79, d_p[0], 0, "p", 0, 0)
+		}
+		t80 := b_p + int(t79)
+		t81 := m.LoadF(t80)
+		cs.Fold(checksum.AccDef, math.Float64bits(t81), int64(1))
+	}
+	if epoch == epochs-1 {
 		t82 := m.LoadF(b_rnorm)
 		cs.Fold(checksum.AccDef, math.Float64bits(t82), int64(1))
 		t83 := m.LoadF(b_rnorm)

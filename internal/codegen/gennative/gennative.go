@@ -20,9 +20,6 @@ type Kernel struct {
 	Bench string
 	// Variant is the bench.Variant string (e.g. "Resilient").
 	Variant string
-	// Anchored reports whether the program has a top-level for loop to
-	// partition into epochs.
-	Anchored bool
 	// Fn is the generated native entry point.
 	Fn codegen.Fn
 }

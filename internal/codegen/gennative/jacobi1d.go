@@ -106,392 +106,392 @@ func run_jacobi1d_resilient(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
+		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t4 := -i_li0
+			t5 := t4 + p_n
+			t6 := t5 - int64(3)
+			t3 := t6 >= int64(0)
+			if t3 {
+				t7 := -i_li0
+				t3 = t7 >= int64(0)
+			}
+			t2 := t3
+			if t2 {
+				t8 := p_tsteps - int64(1)
+				t2 = t8 >= int64(0)
+			}
+			if t2 {
+				t9 := i_li0
+				if t9 < 0 || t9 >= d_A[0] {
+					return m.OOB(t9, d_A[0], 0, "A", 0, 0)
+				}
+				t10 := b_A + int(t9)
+				t11 := m.LoadF(t10)
+				cs.Fold(checksum.AccDef, math.Float64bits(t11), p_tsteps)
+			}
+			t15 := -i_li0
+			t16 := t15 + p_n
+			t17 := t16 - int64(3)
+			t14 := t17 >= int64(0)
+			if t14 {
+				t18 := i_li0 - int64(1)
+				t14 = t18 >= int64(0)
+			}
+			t13 := t14
+			if t13 {
+				t19 := p_tsteps - int64(1)
+				t13 = t19 >= int64(0)
+			}
+			t12 := t13
+			if t12 {
+				t20 := -p_tsteps
+				t21 := t20 + int64(1)
+				t12 = t21 >= int64(0)
+			}
+			if t12 {
+				t22 := i_li0
+				if t22 < 0 || t22 >= d_A[0] {
+					return m.OOB(t22, d_A[0], 0, "A", 0, 0)
+				}
+				t23 := b_A + int(t22)
+				t24 := m.LoadF(t23)
+				cs.Fold(checksum.AccDef, math.Float64bits(t24), p_tsteps)
+			}
+			t27 := -i_li0
+			t28 := t27 + p_n
+			t29 := t28 - int64(3)
+			t26 := t29 >= int64(0)
+			if t26 {
+				t30 := i_li0 - int64(1)
+				t26 = t30 >= int64(0)
+			}
+			t25 := t26
+			if t25 {
+				t31 := p_tsteps - int64(2)
+				t25 = t31 >= int64(0)
+			}
+			if t25 {
+				t32 := i_li0
+				if t32 < 0 || t32 >= d_A[0] {
+					return m.OOB(t32, d_A[0], 0, "A", 0, 0)
+				}
+				t33 := b_A + int(t32)
+				t34 := m.LoadF(t33)
+				cs.Fold(checksum.AccDef, math.Float64bits(t34), int64(1))
+			}
+			t38 := i_li0 - int64(1)
+			t37 := t38 >= int64(0)
+			if t37 {
+				t39 := -i_li0
+				t40 := t39 + p_n
+				t41 := t40 - int64(2)
+				t37 = t41 >= int64(0)
+			}
+			t36 := t37
+			if t36 {
+				t42 := p_tsteps - int64(1)
+				t36 = t42 >= int64(0)
+			}
+			t35 := t36
+			if t35 {
+				t43 := -p_tsteps
+				t44 := t43 + int64(1)
+				t35 = t44 >= int64(0)
+			}
+			if t35 {
+				t45 := i_li0
+				if t45 < 0 || t45 >= d_A[0] {
+					return m.OOB(t45, d_A[0], 0, "A", 0, 0)
+				}
+				t46 := b_A + int(t45)
+				t47 := m.LoadF(t46)
+				cs.Fold(checksum.AccDef, math.Float64bits(t47), p_tsteps)
+			}
+			t50 := i_li0 - int64(1)
+			t49 := t50 >= int64(0)
+			if t49 {
+				t51 := -i_li0
+				t52 := t51 + p_n
+				t53 := t52 - int64(2)
+				t49 = t53 >= int64(0)
+			}
+			t48 := t49
+			if t48 {
+				t54 := p_tsteps - int64(2)
+				t48 = t54 >= int64(0)
+			}
+			if t48 {
+				t55 := i_li0
+				if t55 < 0 || t55 >= d_A[0] {
+					return m.OOB(t55, d_A[0], 0, "A", 0, 0)
+				}
+				t56 := b_A + int(t55)
+				t57 := m.LoadF(t56)
+				cs.Fold(checksum.AccDef, math.Float64bits(t57), int64(1))
+			}
+			t60 := i_li0 - int64(2)
+			t59 := t60 >= int64(0)
+			if t59 {
+				t61 := i_li0 - p_n
+				t62 := t61 + int64(1)
+				t59 = t62 >= int64(0)
+			}
+			t58 := t59
+			if t58 {
+				t63 := p_tsteps - int64(1)
+				t58 = t63 >= int64(0)
+			}
+			if t58 {
+				t64 := i_li0
+				if t64 < 0 || t64 >= d_A[0] {
+					return m.OOB(t64, d_A[0], 0, "A", 0, 0)
+				}
+				t65 := b_A + int(t64)
+				t66 := m.LoadF(t65)
+				cs.Fold(checksum.AccDef, math.Float64bits(t66), p_tsteps)
+			}
+			t70 := i_li0 - int64(2)
+			t69 := t70 >= int64(0)
+			if t69 {
+				t71 := -i_li0
+				t72 := t71 + p_n
+				t73 := t72 - int64(2)
+				t69 = t73 >= int64(0)
+			}
+			t68 := t69
+			if t68 {
+				t74 := p_tsteps - int64(1)
+				t68 = t74 >= int64(0)
+			}
+			t67 := t68
+			if t67 {
+				t75 := -p_tsteps
+				t76 := t75 + int64(1)
+				t67 = t76 >= int64(0)
+			}
+			if t67 {
+				t77 := i_li0
+				if t77 < 0 || t77 >= d_A[0] {
+					return m.OOB(t77, d_A[0], 0, "A", 0, 0)
+				}
+				t78 := b_A + int(t77)
+				t79 := m.LoadF(t78)
+				cs.Fold(checksum.AccDef, math.Float64bits(t79), p_tsteps)
+			}
+			t82 := i_li0 - int64(2)
+			t81 := t82 >= int64(0)
+			if t81 {
+				t83 := -i_li0
+				t84 := t83 + p_n
+				t85 := t84 - int64(2)
+				t81 = t85 >= int64(0)
+			}
+			t80 := t81
+			if t80 {
+				t86 := p_tsteps - int64(2)
+				t80 = t86 >= int64(0)
+			}
+			if t80 {
+				t87 := i_li0
+				if t87 < 0 || t87 >= d_A[0] {
+					return m.OOB(t87, d_A[0], 0, "A", 0, 0)
+				}
+				t88 := b_A + int(t87)
+				t89 := m.LoadF(t88)
+				cs.Fold(checksum.AccDef, math.Float64bits(t89), int64(1))
+			}
+		}
+		t90 := p_tsteps - int64(1)
+		m.SetBounds(int64(0), t90)
 	}
 	lo, hi, ok := m.Bounds()
 	if !ok {
 		return codegen.ErrNoBounds(epoch)
 	}
 	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(4, 1); err != nil {
 			return err
 		}
-		t4 := -i_li0
-		t5 := t4 + p_n
-		t6 := t5 - int64(3)
-		t3 := t6 >= int64(0)
-		if t3 {
-			t7 := -i_li0
-			t3 = t7 >= int64(0)
-		}
-		t2 := t3
-		if t2 {
-			t8 := p_tsteps - int64(1)
-			t2 = t8 >= int64(0)
-		}
-		if t2 {
-			t9 := i_li0
-			if t9 < 0 || t9 >= d_A[0] {
-				return m.OOB(t9, d_A[0], 0, "A", 0, 0)
+		t91 := p_n - int64(2)
+		for i_i := int64(1); i_i <= t91; i_i++ {
+			if err := m.Tick(5, 3); err != nil {
+				return err
 			}
-			t10 := b_A + int(t9)
-			t11 := m.LoadF(t10)
-			cs.Fold(checksum.AccDef, math.Float64bits(t11), p_tsteps)
-		}
-		t15 := -i_li0
-		t16 := t15 + p_n
-		t17 := t16 - int64(3)
-		t14 := t17 >= int64(0)
-		if t14 {
-			t18 := i_li0 - int64(1)
-			t14 = t18 >= int64(0)
-		}
-		t13 := t14
-		if t13 {
-			t19 := p_tsteps - int64(1)
-			t13 = t19 >= int64(0)
-		}
-		t12 := t13
-		if t12 {
-			t20 := -p_tsteps
-			t21 := t20 + int64(1)
-			t12 = t21 >= int64(0)
-		}
-		if t12 {
-			t22 := i_li0
-			if t22 < 0 || t22 >= d_A[0] {
-				return m.OOB(t22, d_A[0], 0, "A", 0, 0)
+			t92 := i_i - int64(1)
+			t93 := t92
+			if t93 < 0 || t93 >= d_A[0] {
+				return m.OOB(t93, d_A[0], 0, "A", 6, 17)
 			}
-			t23 := b_A + int(t22)
-			t24 := m.LoadF(t23)
-			cs.Fold(checksum.AccDef, math.Float64bits(t24), p_tsteps)
-		}
-		t27 := -i_li0
-		t28 := t27 + p_n
-		t29 := t28 - int64(3)
-		t26 := t29 >= int64(0)
-		if t26 {
-			t30 := i_li0 - int64(1)
-			t26 = t30 >= int64(0)
-		}
-		t25 := t26
-		if t25 {
-			t31 := p_tsteps - int64(2)
-			t25 = t31 >= int64(0)
-		}
-		if t25 {
-			t32 := i_li0
-			if t32 < 0 || t32 >= d_A[0] {
-				return m.OOB(t32, d_A[0], 0, "A", 0, 0)
+			t94 := b_A + int(t93)
+			r_A_r := m.LoadF(t94)
+			t95 := i_i
+			if t95 < 0 || t95 >= d_A[0] {
+				return m.OOB(t95, d_A[0], 0, "A", 6, 28)
 			}
-			t33 := b_A + int(t32)
-			t34 := m.LoadF(t33)
-			cs.Fold(checksum.AccDef, math.Float64bits(t34), int64(1))
-		}
-		t38 := i_li0 - int64(1)
-		t37 := t38 >= int64(0)
-		if t37 {
-			t39 := -i_li0
-			t40 := t39 + p_n
-			t41 := t40 - int64(2)
-			t37 = t41 >= int64(0)
-		}
-		t36 := t37
-		if t36 {
-			t42 := p_tsteps - int64(1)
-			t36 = t42 >= int64(0)
-		}
-		t35 := t36
-		if t35 {
-			t43 := -p_tsteps
-			t44 := t43 + int64(1)
-			t35 = t44 >= int64(0)
-		}
-		if t35 {
-			t45 := i_li0
-			if t45 < 0 || t45 >= d_A[0] {
-				return m.OOB(t45, d_A[0], 0, "A", 0, 0)
+			t96 := b_A + int(t95)
+			r_A_r2 := m.LoadF(t96)
+			t97 := i_i + int64(1)
+			t98 := t97
+			if t98 < 0 || t98 >= d_A[0] {
+				return m.OOB(t98, d_A[0], 0, "A", 6, 35)
 			}
-			t46 := b_A + int(t45)
-			t47 := m.LoadF(t46)
-			cs.Fold(checksum.AccDef, math.Float64bits(t47), p_tsteps)
-		}
-		t50 := i_li0 - int64(1)
-		t49 := t50 >= int64(0)
-		if t49 {
-			t51 := -i_li0
-			t52 := t51 + p_n
-			t53 := t52 - int64(2)
-			t49 = t53 >= int64(0)
-		}
-		t48 := t49
-		if t48 {
-			t54 := p_tsteps - int64(2)
-			t48 = t54 >= int64(0)
-		}
-		if t48 {
-			t55 := i_li0
-			if t55 < 0 || t55 >= d_A[0] {
-				return m.OOB(t55, d_A[0], 0, "A", 0, 0)
+			t99 := b_A + int(t98)
+			r_A_r3 := m.LoadF(t99)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+			t100 := float64(r_A_r + r_A_r2)
+			t101 := float64(t100 + r_A_r3)
+			if float64(3) == 0 {
+				return m.DivZero(6, 45)
 			}
-			t56 := b_A + int(t55)
-			t57 := m.LoadF(t56)
-			cs.Fold(checksum.AccDef, math.Float64bits(t57), int64(1))
-		}
-		t60 := i_li0 - int64(2)
-		t59 := t60 >= int64(0)
-		if t59 {
-			t61 := i_li0 - p_n
-			t62 := t61 + int64(1)
-			t59 = t62 >= int64(0)
-		}
-		t58 := t59
-		if t58 {
-			t63 := p_tsteps - int64(1)
-			t58 = t63 >= int64(0)
-		}
-		if t58 {
-			t64 := i_li0
-			if t64 < 0 || t64 >= d_A[0] {
-				return m.OOB(t64, d_A[0], 0, "A", 0, 0)
+			t102 := float64(t101 / float64(3))
+			r_B_w := t102
+			t103 := i_i
+			if t103 < 0 || t103 >= d_B[0] {
+				return m.OOB(t103, d_B[0], 0, "B", 6, 9)
 			}
-			t65 := b_A + int(t64)
-			t66 := m.LoadF(t65)
-			cs.Fold(checksum.AccDef, math.Float64bits(t66), p_tsteps)
-		}
-		t70 := i_li0 - int64(2)
-		t69 := t70 >= int64(0)
-		if t69 {
-			t71 := -i_li0
-			t72 := t71 + p_n
-			t73 := t72 - int64(2)
-			t69 = t73 >= int64(0)
-		}
-		t68 := t69
-		if t68 {
-			t74 := p_tsteps - int64(1)
-			t68 = t74 >= int64(0)
-		}
-		t67 := t68
-		if t67 {
-			t75 := -p_tsteps
-			t76 := t75 + int64(1)
-			t67 = t76 >= int64(0)
-		}
-		if t67 {
-			t77 := i_li0
-			if t77 < 0 || t77 >= d_A[0] {
-				return m.OOB(t77, d_A[0], 0, "A", 0, 0)
+			t104 := b_B + int(t103)
+			m.StoreF(t104, r_B_w)
+			t105 := -i_t
+			if t105 >= int64(0) {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
 			}
-			t78 := b_A + int(t77)
-			t79 := m.LoadF(t78)
-			cs.Fold(checksum.AccDef, math.Float64bits(t79), p_tsteps)
-		}
-		t82 := i_li0 - int64(2)
-		t81 := t82 >= int64(0)
-		if t81 {
-			t83 := -i_li0
-			t84 := t83 + p_n
-			t85 := t84 - int64(2)
-			t81 = t85 >= int64(0)
-		}
-		t80 := t81
-		if t80 {
-			t86 := p_tsteps - int64(2)
-			t80 = t86 >= int64(0)
-		}
-		if t80 {
-			t87 := i_li0
-			if t87 < 0 || t87 >= d_A[0] {
-				return m.OOB(t87, d_A[0], 0, "A", 0, 0)
+			t107 := i_t - int64(1)
+			t106 := t107 >= int64(0)
+			if t106 {
+				t108 := i_t - p_tsteps
+				t109 := t108 + int64(1)
+				t106 = t109 >= int64(0)
 			}
-			t88 := b_A + int(t87)
-			t89 := m.LoadF(t88)
-			cs.Fold(checksum.AccDef, math.Float64bits(t89), int64(1))
+			if t106 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+			t111 := i_t - int64(1)
+			t110 := t111 >= int64(0)
+			if t110 {
+				t112 := -i_t
+				t113 := t112 + p_tsteps
+				t114 := t113 - int64(2)
+				t110 = t114 >= int64(0)
+			}
+			if t110 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			}
+		}
+		t115 := p_n - int64(2)
+		for i_i := int64(1); i_i <= t115; i_i++ {
+			if err := m.Tick(8, 3); err != nil {
+				return err
+			}
+			t116 := i_i
+			if t116 < 0 || t116 >= d_B[0] {
+				return m.OOB(t116, d_B[0], 0, "B", 9, 16)
+			}
+			t117 := b_B + int(t116)
+			r_B_r := m.LoadF(t117)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+			r_A_w := r_B_r
+			t118 := i_i
+			if t118 < 0 || t118 >= d_A[0] {
+				return m.OOB(t118, d_A[0], 0, "A", 9, 9)
+			}
+			t119 := b_A + int(t118)
+			m.StoreF(t119, r_A_w)
+			t122 := -i_i
+			t123 := t122 + p_n
+			t124 := t123 - int64(3)
+			t121 := t124 >= int64(0)
+			if t121 {
+				t125 := -i_t
+				t126 := t125 + p_tsteps
+				t127 := t126 - int64(2)
+				t121 = t127 >= int64(0)
+			}
+			t120 := t121
+			if t120 {
+				t128 := i_t - p_tsteps
+				t129 := t128 + int64(2)
+				t120 = t129 >= int64(0)
+			}
+			if t120 {
+				t130 := -i_t
+				t131 := t130 + p_tsteps
+				t132 := t131 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t132)
+			}
+			t134 := -i_i
+			t135 := t134 + p_n
+			t136 := t135 - int64(3)
+			t133 := t136 >= int64(0)
+			if t133 {
+				t137 := -i_t
+				t138 := t137 + p_tsteps
+				t139 := t138 - int64(3)
+				t133 = t139 >= int64(0)
+			}
+			if t133 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t141 := -i_t
+			t142 := t141 + p_tsteps
+			t143 := t142 - int64(2)
+			t140 := t143 >= int64(0)
+			if t140 {
+				t144 := i_t - p_tsteps
+				t145 := t144 + int64(2)
+				t140 = t145 >= int64(0)
+			}
+			if t140 {
+				t146 := -i_t
+				t147 := t146 + p_tsteps
+				t148 := t147 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t148)
+			}
+			t149 := -i_t
+			t150 := t149 + p_tsteps
+			t151 := t150 - int64(3)
+			if t151 >= int64(0) {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t154 := i_i - int64(2)
+			t153 := t154 >= int64(0)
+			if t153 {
+				t155 := -i_t
+				t156 := t155 + p_tsteps
+				t157 := t156 - int64(2)
+				t153 = t157 >= int64(0)
+			}
+			t152 := t153
+			if t152 {
+				t158 := i_t - p_tsteps
+				t159 := t158 + int64(2)
+				t152 = t159 >= int64(0)
+			}
+			if t152 {
+				t160 := -i_t
+				t161 := t160 + p_tsteps
+				t162 := t161 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t162)
+			}
+			t164 := i_i - int64(2)
+			t163 := t164 >= int64(0)
+			if t163 {
+				t165 := -i_t
+				t166 := t165 + p_tsteps
+				t167 := t166 - int64(3)
+				t163 = t167 >= int64(0)
+			}
+			if t163 {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
 		}
 	}
 	if epoch == epochs-1 {
-		t90 := p_tsteps - int64(1)
-		for i_t := int64(0); i_t <= t90; i_t++ {
-			if err := m.Tick(4, 1); err != nil {
-				return err
-			}
-			t91 := p_n - int64(2)
-			for i_i := int64(1); i_i <= t91; i_i++ {
-				if err := m.Tick(5, 3); err != nil {
-					return err
-				}
-				t92 := i_i - int64(1)
-				t93 := t92
-				if t93 < 0 || t93 >= d_A[0] {
-					return m.OOB(t93, d_A[0], 0, "A", 6, 17)
-				}
-				t94 := b_A + int(t93)
-				r_A_r := m.LoadF(t94)
-				t95 := i_i
-				if t95 < 0 || t95 >= d_A[0] {
-					return m.OOB(t95, d_A[0], 0, "A", 6, 28)
-				}
-				t96 := b_A + int(t95)
-				r_A_r2 := m.LoadF(t96)
-				t97 := i_i + int64(1)
-				t98 := t97
-				if t98 < 0 || t98 >= d_A[0] {
-					return m.OOB(t98, d_A[0], 0, "A", 6, 35)
-				}
-				t99 := b_A + int(t98)
-				r_A_r3 := m.LoadF(t99)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-				t100 := float64(r_A_r + r_A_r2)
-				t101 := float64(t100 + r_A_r3)
-				if float64(3) == 0 {
-					return m.DivZero(6, 45)
-				}
-				t102 := float64(t101 / float64(3))
-				r_B_w := t102
-				t103 := i_i
-				if t103 < 0 || t103 >= d_B[0] {
-					return m.OOB(t103, d_B[0], 0, "B", 6, 9)
-				}
-				t104 := b_B + int(t103)
-				m.StoreF(t104, r_B_w)
-				t105 := -i_t
-				if t105 >= int64(0) {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-				t107 := i_t - int64(1)
-				t106 := t107 >= int64(0)
-				if t106 {
-					t108 := i_t - p_tsteps
-					t109 := t108 + int64(1)
-					t106 = t109 >= int64(0)
-				}
-				if t106 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-				t111 := i_t - int64(1)
-				t110 := t111 >= int64(0)
-				if t110 {
-					t112 := -i_t
-					t113 := t112 + p_tsteps
-					t114 := t113 - int64(2)
-					t110 = t114 >= int64(0)
-				}
-				if t110 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
-				}
-			}
-			t115 := p_n - int64(2)
-			for i_i := int64(1); i_i <= t115; i_i++ {
-				if err := m.Tick(8, 3); err != nil {
-					return err
-				}
-				t116 := i_i
-				if t116 < 0 || t116 >= d_B[0] {
-					return m.OOB(t116, d_B[0], 0, "B", 9, 16)
-				}
-				t117 := b_B + int(t116)
-				r_B_r := m.LoadF(t117)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-				r_A_w := r_B_r
-				t118 := i_i
-				if t118 < 0 || t118 >= d_A[0] {
-					return m.OOB(t118, d_A[0], 0, "A", 9, 9)
-				}
-				t119 := b_A + int(t118)
-				m.StoreF(t119, r_A_w)
-				t122 := -i_i
-				t123 := t122 + p_n
-				t124 := t123 - int64(3)
-				t121 := t124 >= int64(0)
-				if t121 {
-					t125 := -i_t
-					t126 := t125 + p_tsteps
-					t127 := t126 - int64(2)
-					t121 = t127 >= int64(0)
-				}
-				t120 := t121
-				if t120 {
-					t128 := i_t - p_tsteps
-					t129 := t128 + int64(2)
-					t120 = t129 >= int64(0)
-				}
-				if t120 {
-					t130 := -i_t
-					t131 := t130 + p_tsteps
-					t132 := t131 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t132)
-				}
-				t134 := -i_i
-				t135 := t134 + p_n
-				t136 := t135 - int64(3)
-				t133 := t136 >= int64(0)
-				if t133 {
-					t137 := -i_t
-					t138 := t137 + p_tsteps
-					t139 := t138 - int64(3)
-					t133 = t139 >= int64(0)
-				}
-				if t133 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				}
-				t141 := -i_t
-				t142 := t141 + p_tsteps
-				t143 := t142 - int64(2)
-				t140 := t143 >= int64(0)
-				if t140 {
-					t144 := i_t - p_tsteps
-					t145 := t144 + int64(2)
-					t140 = t145 >= int64(0)
-				}
-				if t140 {
-					t146 := -i_t
-					t147 := t146 + p_tsteps
-					t148 := t147 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t148)
-				}
-				t149 := -i_t
-				t150 := t149 + p_tsteps
-				t151 := t150 - int64(3)
-				if t151 >= int64(0) {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				}
-				t154 := i_i - int64(2)
-				t153 := t154 >= int64(0)
-				if t153 {
-					t155 := -i_t
-					t156 := t155 + p_tsteps
-					t157 := t156 - int64(2)
-					t153 = t157 >= int64(0)
-				}
-				t152 := t153
-				if t152 {
-					t158 := i_t - p_tsteps
-					t159 := t158 + int64(2)
-					t152 = t159 >= int64(0)
-				}
-				if t152 {
-					t160 := -i_t
-					t161 := t160 + p_tsteps
-					t162 := t161 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t162)
-				}
-				t164 := i_i - int64(2)
-				t163 := t164 >= int64(0)
-				if t163 {
-					t165 := -i_t
-					t166 := t165 + p_tsteps
-					t167 := t166 - int64(3)
-					t163 = t167 >= int64(0)
-				}
-				if t163 {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				}
-			}
-		}
 		m.Pair().Flush(&cs)
 		if err := m.Assert(0, 0); err != nil {
 			return err
@@ -514,29 +514,21 @@ func run_jacobi1d_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	if epoch == 0 {
 		t1 := p_n - int64(3)
 		t2 := codegen.MinI(t1, int64(0))
-		m.SetBounds(int64(0), t2)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t3 := p_tsteps - int64(1)
-		if t3 >= int64(0) {
-			t4 := i_li0
-			if t4 < 0 || t4 >= d_A[0] {
-				return m.OOB(t4, d_A[0], 0, "A", 0, 0)
+		for i_li0 := int64(0); i_li0 <= t2; i_li0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
 			}
-			t5 := b_A + int(t4)
-			t6 := m.LoadF(t5)
-			cs.Fold(checksum.AccDef, math.Float64bits(t6), p_tsteps)
+			t3 := p_tsteps - int64(1)
+			if t3 >= int64(0) {
+				t4 := i_li0
+				if t4 < 0 || t4 >= d_A[0] {
+					return m.OOB(t4, d_A[0], 0, "A", 0, 0)
+				}
+				t5 := b_A + int(t4)
+				t6 := m.LoadF(t5)
+				cs.Fold(checksum.AccDef, math.Float64bits(t6), p_tsteps)
+			}
 		}
-	}
-	if epoch == epochs-1 {
 		t7 := p_n - int64(3)
 		t8 := codegen.MinI(t7, int64(1))
 		for i_li0 := int64(1); i_li0 <= t8; i_li0++ {
@@ -795,148 +787,156 @@ func run_jacobi1d_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 		}
 		t112 := p_tsteps - int64(3)
 		t113 := codegen.MinI(t112, int64(0))
-		for i_t := int64(0); i_t <= t113; i_t++ {
+		m.SetBounds(int64(0), t113)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t114 := p_n - int64(2)
+		for i_i := int64(1); i_i <= t114; i_i++ {
+			if err := m.Tick(5, 3); err != nil {
+				return err
+			}
+			t115 := i_i - int64(1)
+			t116 := t115
+			if t116 < 0 || t116 >= d_A[0] {
+				return m.OOB(t116, d_A[0], 0, "A", 6, 17)
+			}
+			t117 := b_A + int(t116)
+			r_A_r := m.LoadF(t117)
+			t118 := i_i
+			if t118 < 0 || t118 >= d_A[0] {
+				return m.OOB(t118, d_A[0], 0, "A", 6, 28)
+			}
+			t119 := b_A + int(t118)
+			r_A_r2 := m.LoadF(t119)
+			t120 := i_i + int64(1)
+			t121 := t120
+			if t121 < 0 || t121 >= d_A[0] {
+				return m.OOB(t121, d_A[0], 0, "A", 6, 35)
+			}
+			t122 := b_A + int(t121)
+			r_A_r3 := m.LoadF(t122)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+			t123 := float64(r_A_r + r_A_r2)
+			t124 := float64(t123 + r_A_r3)
+			if float64(3) == 0 {
+				return m.DivZero(6, 45)
+			}
+			t125 := float64(t124 / float64(3))
+			r_B_w := t125
+			t126 := i_i
+			if t126 < 0 || t126 >= d_B[0] {
+				return m.OOB(t126, d_B[0], 0, "B", 6, 9)
+			}
+			t127 := b_B + int(t126)
+			m.StoreF(t127, r_B_w)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+		}
+		t128 := p_n - int64(3)
+		t129 := codegen.MinI(t128, int64(1))
+		for i_i := int64(1); i_i <= t129; i_i++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t114 := p_n - int64(2)
-			for i_i := int64(1); i_i <= t114; i_i++ {
-				if err := m.Tick(5, 3); err != nil {
-					return err
-				}
-				t115 := i_i - int64(1)
-				t116 := t115
-				if t116 < 0 || t116 >= d_A[0] {
-					return m.OOB(t116, d_A[0], 0, "A", 6, 17)
-				}
-				t117 := b_A + int(t116)
-				r_A_r := m.LoadF(t117)
-				t118 := i_i
-				if t118 < 0 || t118 >= d_A[0] {
-					return m.OOB(t118, d_A[0], 0, "A", 6, 28)
-				}
-				t119 := b_A + int(t118)
-				r_A_r2 := m.LoadF(t119)
-				t120 := i_i + int64(1)
-				t121 := t120
-				if t121 < 0 || t121 >= d_A[0] {
-					return m.OOB(t121, d_A[0], 0, "A", 6, 35)
-				}
-				t122 := b_A + int(t121)
-				r_A_r3 := m.LoadF(t122)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-				t123 := float64(r_A_r + r_A_r2)
-				t124 := float64(t123 + r_A_r3)
-				if float64(3) == 0 {
-					return m.DivZero(6, 45)
-				}
-				t125 := float64(t124 / float64(3))
-				r_B_w := t125
-				t126 := i_i
-				if t126 < 0 || t126 >= d_B[0] {
-					return m.OOB(t126, d_B[0], 0, "B", 6, 9)
-				}
-				t127 := b_B + int(t126)
-				m.StoreF(t127, r_B_w)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_B_w), int64(1))
+			t130 := i_i
+			if t130 < 0 || t130 >= d_B[0] {
+				return m.OOB(t130, d_B[0], 0, "B", 9, 16)
 			}
-			t128 := p_n - int64(3)
-			t129 := codegen.MinI(t128, int64(1))
-			for i_i := int64(1); i_i <= t129; i_i++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t130 := i_i
-				if t130 < 0 || t130 >= d_B[0] {
-					return m.OOB(t130, d_B[0], 0, "B", 9, 16)
-				}
-				t131 := b_B + int(t130)
-				r_B_r := m.LoadF(t131)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-				r_A_w := r_B_r
-				t132 := i_i
-				if t132 < 0 || t132 >= d_A[0] {
-					return m.OOB(t132, d_A[0], 0, "A", 9, 9)
-				}
-				t133 := b_A + int(t132)
-				m.StoreF(t133, r_A_w)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			t131 := b_B + int(t130)
+			r_B_r := m.LoadF(t131)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+			r_A_w := r_B_r
+			t132 := i_i
+			if t132 < 0 || t132 >= d_A[0] {
+				return m.OOB(t132, d_A[0], 0, "A", 9, 9)
 			}
-			t134 := p_n - int64(3)
-			for i_i := int64(2); i_i <= t134; i_i++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t135 := i_i
-				if t135 < 0 || t135 >= d_B[0] {
-					return m.OOB(t135, d_B[0], 0, "B", 9, 16)
-				}
-				t136 := b_B + int(t135)
-				r_B_r := m.LoadF(t136)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-				r_A_w := r_B_r
-				t137 := i_i
-				if t137 < 0 || t137 >= d_A[0] {
-					return m.OOB(t137, d_A[0], 0, "A", 9, 9)
-				}
-				t138 := b_A + int(t137)
-				m.StoreF(t138, r_A_w)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-			}
-			t139 := p_n - int64(2)
-			t140 := codegen.MaxI(int64(1), t139)
-			t141 := p_n - int64(2)
-			t142 := codegen.MinI(t141, int64(1))
-			for i_i := t140; i_i <= t142; i_i++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t143 := i_i
-				if t143 < 0 || t143 >= d_B[0] {
-					return m.OOB(t143, d_B[0], 0, "B", 9, 16)
-				}
-				t144 := b_B + int(t143)
-				r_B_r := m.LoadF(t144)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-				r_A_w := r_B_r
-				t145 := i_i
-				if t145 < 0 || t145 >= d_A[0] {
-					return m.OOB(t145, d_A[0], 0, "A", 9, 9)
-				}
-				t146 := b_A + int(t145)
-				m.StoreF(t146, r_A_w)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-			}
-			t147 := p_n - int64(2)
-			t148 := codegen.MaxI(int64(2), t147)
-			t149 := p_n - int64(2)
-			for i_i := t148; i_i <= t149; i_i++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t150 := i_i
-				if t150 < 0 || t150 >= d_B[0] {
-					return m.OOB(t150, d_B[0], 0, "B", 9, 16)
-				}
-				t151 := b_B + int(t150)
-				r_B_r := m.LoadF(t151)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
-				r_A_w := r_B_r
-				t152 := i_i
-				if t152 < 0 || t152 >= d_A[0] {
-					return m.OOB(t152, d_A[0], 0, "A", 9, 9)
-				}
-				t153 := b_A + int(t152)
-				m.StoreF(t153, r_A_w)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-			}
+			t133 := b_A + int(t132)
+			m.StoreF(t133, r_A_w)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 		}
+		t134 := p_n - int64(3)
+		for i_i := int64(2); i_i <= t134; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t135 := i_i
+			if t135 < 0 || t135 >= d_B[0] {
+				return m.OOB(t135, d_B[0], 0, "B", 9, 16)
+			}
+			t136 := b_B + int(t135)
+			r_B_r := m.LoadF(t136)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+			r_A_w := r_B_r
+			t137 := i_i
+			if t137 < 0 || t137 >= d_A[0] {
+				return m.OOB(t137, d_A[0], 0, "A", 9, 9)
+			}
+			t138 := b_A + int(t137)
+			m.StoreF(t138, r_A_w)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+		}
+		t139 := p_n - int64(2)
+		t140 := codegen.MaxI(int64(1), t139)
+		t141 := p_n - int64(2)
+		t142 := codegen.MinI(t141, int64(1))
+		for i_i := t140; i_i <= t142; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t143 := i_i
+			if t143 < 0 || t143 >= d_B[0] {
+				return m.OOB(t143, d_B[0], 0, "B", 9, 16)
+			}
+			t144 := b_B + int(t143)
+			r_B_r := m.LoadF(t144)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+			r_A_w := r_B_r
+			t145 := i_i
+			if t145 < 0 || t145 >= d_A[0] {
+				return m.OOB(t145, d_A[0], 0, "A", 9, 9)
+			}
+			t146 := b_A + int(t145)
+			m.StoreF(t146, r_A_w)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+		}
+		t147 := p_n - int64(2)
+		t148 := codegen.MaxI(int64(2), t147)
+		t149 := p_n - int64(2)
+		for i_i := t148; i_i <= t149; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t150 := i_i
+			if t150 < 0 || t150 >= d_B[0] {
+				return m.OOB(t150, d_B[0], 0, "B", 9, 16)
+			}
+			t151 := b_B + int(t150)
+			r_B_r := m.LoadF(t151)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_B_r), int64(1))
+			r_A_w := r_B_r
+			t152 := i_i
+			if t152 < 0 || t152 >= d_A[0] {
+				return m.OOB(t152, d_A[0], 0, "A", 9, 9)
+			}
+			t153 := b_A + int(t152)
+			m.StoreF(t153, r_A_w)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+		}
+	}
+	if epoch == epochs-1 {
 		t154 := p_tsteps - int64(2)
 		t155 := codegen.MaxI(int64(0), t154)
 		t156 := p_tsteps - int64(2)

@@ -189,39 +189,31 @@ func run_moldyn_resilient(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_dy0 := start; i_dy0 <= end; i_dy0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
+		for i_dy0 := int64(0); i_dy0 <= t1; i_dy0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t2 := i_dy0
+			if t2 < 0 || t2 >= d_x_cnt[0] {
+				return m.OOB(t2, d_x_cnt[0], 0, "x_cnt", 0, 0)
+			}
+			t3 := b_x_cnt + int(t2)
+			m.Store(t3, uint64(int64(0)))
+			t4 := i_dy0
+			if t4 < 0 || t4 >= d_x[0] {
+				return m.OOB(t4, d_x[0], 0, "x", 0, 0)
+			}
+			t5 := b_x + int(t4)
+			t6 := m.LoadF(t5)
+			cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
+			t7 := i_dy0
+			if t7 < 0 || t7 >= d_x[0] {
+				return m.OOB(t7, d_x[0], 0, "x", 0, 0)
+			}
+			t8 := b_x + int(t7)
+			t9 := m.LoadF(t8)
+			cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
 		}
-		t2 := i_dy0
-		if t2 < 0 || t2 >= d_x_cnt[0] {
-			return m.OOB(t2, d_x_cnt[0], 0, "x_cnt", 0, 0)
-		}
-		t3 := b_x_cnt + int(t2)
-		m.Store(t3, uint64(int64(0)))
-		t4 := i_dy0
-		if t4 < 0 || t4 >= d_x[0] {
-			return m.OOB(t4, d_x[0], 0, "x", 0, 0)
-		}
-		t5 := b_x + int(t4)
-		t6 := m.LoadF(t5)
-		cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
-		t7 := i_dy0
-		if t7 < 0 || t7 >= d_x[0] {
-			return m.OOB(t7, d_x[0], 0, "x", 0, 0)
-		}
-		t8 := b_x + int(t7)
-		t9 := m.LoadF(t8)
-		cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
-	}
-	if epoch == epochs-1 {
 		t10 := p_n - int64(1)
 		for i_dy02 := int64(0); i_dy02 <= t10; i_dy02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -259,49 +251,57 @@ func run_moldyn_resilient(m *codegen.Machine, epoch, epochs int) error {
 		t22 := m.LoadF(b_dt)
 		cs.Fold(checksum.AccEDef, math.Float64bits(t22), int64(1))
 		t23 := p_n - int64(1)
-		for i_dy03 := int64(0); i_dy03 <= t23; i_dy03++ {
+		m.SetBounds(int64(0), t23)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_dy03 := start; i_dy03 <= end; i_dy03++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t24 := p_k - int64(1)
+		for i_dy1 := int64(0); i_dy1 <= t24; i_dy1++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t24 := p_k - int64(1)
-			for i_dy1 := int64(0); i_dy1 <= t24; i_dy1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t25 := i_dy03
-				if t25 < 0 || t25 >= d_neigh_cnt[0] {
-					return m.OOB(t25, d_neigh_cnt[0], 0, "neigh_cnt", 0, 0)
-				}
-				t26 := i_dy1
-				if t26 < 0 || t26 >= d_neigh_cnt[1] {
-					return m.OOB(t26, d_neigh_cnt[1], 1, "neigh_cnt", 0, 0)
-				}
-				t27 := b_neigh_cnt + int((t25)*d_neigh_cnt[1]+t26)
-				m.Store(t27, uint64(int64(0)))
-				t28 := i_dy03
-				if t28 < 0 || t28 >= d_neigh[0] {
-					return m.OOB(t28, d_neigh[0], 0, "neigh", 0, 0)
-				}
-				t29 := i_dy1
-				if t29 < 0 || t29 >= d_neigh[1] {
-					return m.OOB(t29, d_neigh[1], 1, "neigh", 0, 0)
-				}
-				t30 := b_neigh + int((t28)*d_neigh[1]+t29)
-				t31 := int64(m.Load(t30))
-				cs.Fold(checksum.AccDef, uint64(t31), int64(1))
-				t32 := i_dy03
-				if t32 < 0 || t32 >= d_neigh[0] {
-					return m.OOB(t32, d_neigh[0], 0, "neigh", 0, 0)
-				}
-				t33 := i_dy1
-				if t33 < 0 || t33 >= d_neigh[1] {
-					return m.OOB(t33, d_neigh[1], 1, "neigh", 0, 0)
-				}
-				t34 := b_neigh + int((t32)*d_neigh[1]+t33)
-				t35 := int64(m.Load(t34))
-				cs.Fold(checksum.AccEDef, uint64(t35), int64(1))
+			t25 := i_dy03
+			if t25 < 0 || t25 >= d_neigh_cnt[0] {
+				return m.OOB(t25, d_neigh_cnt[0], 0, "neigh_cnt", 0, 0)
 			}
+			t26 := i_dy1
+			if t26 < 0 || t26 >= d_neigh_cnt[1] {
+				return m.OOB(t26, d_neigh_cnt[1], 1, "neigh_cnt", 0, 0)
+			}
+			t27 := b_neigh_cnt + int((t25)*d_neigh_cnt[1]+t26)
+			m.Store(t27, uint64(int64(0)))
+			t28 := i_dy03
+			if t28 < 0 || t28 >= d_neigh[0] {
+				return m.OOB(t28, d_neigh[0], 0, "neigh", 0, 0)
+			}
+			t29 := i_dy1
+			if t29 < 0 || t29 >= d_neigh[1] {
+				return m.OOB(t29, d_neigh[1], 1, "neigh", 0, 0)
+			}
+			t30 := b_neigh + int((t28)*d_neigh[1]+t29)
+			t31 := int64(m.Load(t30))
+			cs.Fold(checksum.AccDef, uint64(t31), int64(1))
+			t32 := i_dy03
+			if t32 < 0 || t32 >= d_neigh[0] {
+				return m.OOB(t32, d_neigh[0], 0, "neigh", 0, 0)
+			}
+			t33 := i_dy1
+			if t33 < 0 || t33 >= d_neigh[1] {
+				return m.OOB(t33, d_neigh[1], 1, "neigh", 0, 0)
+			}
+			t34 := b_neigh + int((t32)*d_neigh[1]+t33)
+			t35 := int64(m.Load(t34))
+			cs.Fold(checksum.AccEDef, uint64(t35), int64(1))
 		}
+	}
+	if epoch == epochs-1 {
 		m.Store(b_stride_cnt, uint64(int64(0)))
 		t36 := int64(m.Load(b_stride))
 		cs.Fold(checksum.AccDef, uint64(t36), int64(1))
@@ -864,39 +864,31 @@ func run_moldyn_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_dy0 := start; i_dy0 <= end; i_dy0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
+		for i_dy0 := int64(0); i_dy0 <= t1; i_dy0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t2 := i_dy0
+			if t2 < 0 || t2 >= d_x_cnt[0] {
+				return m.OOB(t2, d_x_cnt[0], 0, "x_cnt", 0, 0)
+			}
+			t3 := b_x_cnt + int(t2)
+			m.Store(t3, uint64(int64(0)))
+			t4 := i_dy0
+			if t4 < 0 || t4 >= d_x[0] {
+				return m.OOB(t4, d_x[0], 0, "x", 0, 0)
+			}
+			t5 := b_x + int(t4)
+			t6 := m.LoadF(t5)
+			cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
+			t7 := i_dy0
+			if t7 < 0 || t7 >= d_x[0] {
+				return m.OOB(t7, d_x[0], 0, "x", 0, 0)
+			}
+			t8 := b_x + int(t7)
+			t9 := m.LoadF(t8)
+			cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
 		}
-		t2 := i_dy0
-		if t2 < 0 || t2 >= d_x_cnt[0] {
-			return m.OOB(t2, d_x_cnt[0], 0, "x_cnt", 0, 0)
-		}
-		t3 := b_x_cnt + int(t2)
-		m.Store(t3, uint64(int64(0)))
-		t4 := i_dy0
-		if t4 < 0 || t4 >= d_x[0] {
-			return m.OOB(t4, d_x[0], 0, "x", 0, 0)
-		}
-		t5 := b_x + int(t4)
-		t6 := m.LoadF(t5)
-		cs.Fold(checksum.AccDef, math.Float64bits(t6), int64(1))
-		t7 := i_dy0
-		if t7 < 0 || t7 >= d_x[0] {
-			return m.OOB(t7, d_x[0], 0, "x", 0, 0)
-		}
-		t8 := b_x + int(t7)
-		t9 := m.LoadF(t8)
-		cs.Fold(checksum.AccEDef, math.Float64bits(t9), int64(1))
-	}
-	if epoch == epochs-1 {
 		t10 := p_n - int64(1)
 		for i_dy02 := int64(0); i_dy02 <= t10; i_dy02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -924,49 +916,57 @@ func run_moldyn_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 			cs.Fold(checksum.AccEDef, math.Float64bits(t18), int64(1))
 		}
 		t19 := p_n - int64(1)
-		for i_dy03 := int64(0); i_dy03 <= t19; i_dy03++ {
+		m.SetBounds(int64(0), t19)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_dy03 := start; i_dy03 <= end; i_dy03++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t20 := p_k - int64(1)
+		for i_dy1 := int64(0); i_dy1 <= t20; i_dy1++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t20 := p_k - int64(1)
-			for i_dy1 := int64(0); i_dy1 <= t20; i_dy1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t21 := i_dy03
-				if t21 < 0 || t21 >= d_neigh_cnt[0] {
-					return m.OOB(t21, d_neigh_cnt[0], 0, "neigh_cnt", 0, 0)
-				}
-				t22 := i_dy1
-				if t22 < 0 || t22 >= d_neigh_cnt[1] {
-					return m.OOB(t22, d_neigh_cnt[1], 1, "neigh_cnt", 0, 0)
-				}
-				t23 := b_neigh_cnt + int((t21)*d_neigh_cnt[1]+t22)
-				m.Store(t23, uint64(int64(0)))
-				t24 := i_dy03
-				if t24 < 0 || t24 >= d_neigh[0] {
-					return m.OOB(t24, d_neigh[0], 0, "neigh", 0, 0)
-				}
-				t25 := i_dy1
-				if t25 < 0 || t25 >= d_neigh[1] {
-					return m.OOB(t25, d_neigh[1], 1, "neigh", 0, 0)
-				}
-				t26 := b_neigh + int((t24)*d_neigh[1]+t25)
-				t27 := int64(m.Load(t26))
-				cs.Fold(checksum.AccDef, uint64(t27), int64(1))
-				t28 := i_dy03
-				if t28 < 0 || t28 >= d_neigh[0] {
-					return m.OOB(t28, d_neigh[0], 0, "neigh", 0, 0)
-				}
-				t29 := i_dy1
-				if t29 < 0 || t29 >= d_neigh[1] {
-					return m.OOB(t29, d_neigh[1], 1, "neigh", 0, 0)
-				}
-				t30 := b_neigh + int((t28)*d_neigh[1]+t29)
-				t31 := int64(m.Load(t30))
-				cs.Fold(checksum.AccEDef, uint64(t31), int64(1))
+			t21 := i_dy03
+			if t21 < 0 || t21 >= d_neigh_cnt[0] {
+				return m.OOB(t21, d_neigh_cnt[0], 0, "neigh_cnt", 0, 0)
 			}
+			t22 := i_dy1
+			if t22 < 0 || t22 >= d_neigh_cnt[1] {
+				return m.OOB(t22, d_neigh_cnt[1], 1, "neigh_cnt", 0, 0)
+			}
+			t23 := b_neigh_cnt + int((t21)*d_neigh_cnt[1]+t22)
+			m.Store(t23, uint64(int64(0)))
+			t24 := i_dy03
+			if t24 < 0 || t24 >= d_neigh[0] {
+				return m.OOB(t24, d_neigh[0], 0, "neigh", 0, 0)
+			}
+			t25 := i_dy1
+			if t25 < 0 || t25 >= d_neigh[1] {
+				return m.OOB(t25, d_neigh[1], 1, "neigh", 0, 0)
+			}
+			t26 := b_neigh + int((t24)*d_neigh[1]+t25)
+			t27 := int64(m.Load(t26))
+			cs.Fold(checksum.AccDef, uint64(t27), int64(1))
+			t28 := i_dy03
+			if t28 < 0 || t28 >= d_neigh[0] {
+				return m.OOB(t28, d_neigh[0], 0, "neigh", 0, 0)
+			}
+			t29 := i_dy1
+			if t29 < 0 || t29 >= d_neigh[1] {
+				return m.OOB(t29, d_neigh[1], 1, "neigh", 0, 0)
+			}
+			t30 := b_neigh + int((t28)*d_neigh[1]+t29)
+			t31 := int64(m.Load(t30))
+			cs.Fold(checksum.AccEDef, uint64(t31), int64(1))
 		}
+	}
+	if epoch == epochs-1 {
 		m.Store(b_stride_cnt, uint64(int64(0)))
 		t32 := int64(m.Load(b_stride))
 		cs.Fold(checksum.AccDef, uint64(t32), int64(1))

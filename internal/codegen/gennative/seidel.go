@@ -184,1330 +184,1330 @@ func run_seidel_resilient(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
+		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t2 := p_n - int64(1)
+			for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t5 := -i_li1
+				t6 := t5 + p_n
+				t7 := t6 - int64(3)
+				t4 := t7 >= int64(0)
+				if t4 {
+					t8 := -i_li0
+					t4 = t8 >= int64(0)
+				}
+				t3 := t4
+				if t3 {
+					t9 := p_tsteps - int64(1)
+					t3 = t9 >= int64(0)
+				}
+				if t3 {
+					t10 := i_li0
+					if t10 < 0 || t10 >= d_A[0] {
+						return m.OOB(t10, d_A[0], 0, "A", 0, 0)
+					}
+					t11 := i_li1
+					if t11 < 0 || t11 >= d_A[1] {
+						return m.OOB(t11, d_A[1], 1, "A", 0, 0)
+					}
+					t12 := b_A + int((t10)*d_A[1]+t11)
+					t13 := m.LoadF(t12)
+					cs.Fold(checksum.AccDef, math.Float64bits(t13), p_tsteps)
+				}
+				t17 := -i_li0
+				t18 := t17 + p_n
+				t19 := t18 - int64(3)
+				t16 := t19 >= int64(0)
+				if t16 {
+					t20 := i_li0 - int64(1)
+					t16 = t20 >= int64(0)
+				}
+				t15 := t16
+				if t15 {
+					t21 := -i_li1
+					t15 = t21 >= int64(0)
+				}
+				t14 := t15
+				if t14 {
+					t22 := p_tsteps - int64(1)
+					t14 = t22 >= int64(0)
+				}
+				if t14 {
+					t23 := i_li0
+					if t23 < 0 || t23 >= d_A[0] {
+						return m.OOB(t23, d_A[0], 0, "A", 0, 0)
+					}
+					t24 := i_li1
+					if t24 < 0 || t24 >= d_A[1] {
+						return m.OOB(t24, d_A[1], 1, "A", 0, 0)
+					}
+					t25 := b_A + int((t23)*d_A[1]+t24)
+					t26 := m.LoadF(t25)
+					cs.Fold(checksum.AccDef, math.Float64bits(t26), p_tsteps)
+				}
+				t30 := i_li1 - int64(1)
+				t29 := t30 >= int64(0)
+				if t29 {
+					t31 := -i_li1
+					t32 := t31 + p_n
+					t33 := t32 - int64(2)
+					t29 = t33 >= int64(0)
+				}
+				t28 := t29
+				if t28 {
+					t34 := -i_li0
+					t28 = t34 >= int64(0)
+				}
+				t27 := t28
+				if t27 {
+					t35 := p_tsteps - int64(1)
+					t27 = t35 >= int64(0)
+				}
+				if t27 {
+					t36 := i_li0
+					if t36 < 0 || t36 >= d_A[0] {
+						return m.OOB(t36, d_A[0], 0, "A", 0, 0)
+					}
+					t37 := i_li1
+					if t37 < 0 || t37 >= d_A[1] {
+						return m.OOB(t37, d_A[1], 1, "A", 0, 0)
+					}
+					t38 := b_A + int((t36)*d_A[1]+t37)
+					t39 := m.LoadF(t38)
+					cs.Fold(checksum.AccDef, math.Float64bits(t39), p_tsteps)
+				}
+				t42 := i_li1 - int64(2)
+				t41 := t42 >= int64(0)
+				if t41 {
+					t43 := -i_li0
+					t41 = t43 >= int64(0)
+				}
+				t40 := t41
+				if t40 {
+					t44 := p_tsteps - int64(1)
+					t40 = t44 >= int64(0)
+				}
+				if t40 {
+					t45 := i_li0
+					if t45 < 0 || t45 >= d_A[0] {
+						return m.OOB(t45, d_A[0], 0, "A", 0, 0)
+					}
+					t46 := i_li1
+					if t46 < 0 || t46 >= d_A[1] {
+						return m.OOB(t46, d_A[1], 1, "A", 0, 0)
+					}
+					t47 := b_A + int((t45)*d_A[1]+t46)
+					t48 := m.LoadF(t47)
+					cs.Fold(checksum.AccDef, math.Float64bits(t48), p_tsteps)
+				}
+				t52 := -i_li0
+				t53 := t52 + p_n
+				t54 := t53 - int64(3)
+				t51 := t54 >= int64(0)
+				if t51 {
+					t55 := i_li0 - int64(1)
+					t51 = t55 >= int64(0)
+				}
+				t50 := t51
+				if t50 {
+					t56 := i_li1 - p_n
+					t57 := t56 + int64(1)
+					t50 = t57 >= int64(0)
+				}
+				t49 := t50
+				if t49 {
+					t58 := p_tsteps - int64(1)
+					t49 = t58 >= int64(0)
+				}
+				if t49 {
+					t59 := i_li0
+					if t59 < 0 || t59 >= d_A[0] {
+						return m.OOB(t59, d_A[0], 0, "A", 0, 0)
+					}
+					t60 := i_li1
+					if t60 < 0 || t60 >= d_A[1] {
+						return m.OOB(t60, d_A[1], 1, "A", 0, 0)
+					}
+					t61 := b_A + int((t59)*d_A[1]+t60)
+					t62 := m.LoadF(t61)
+					cs.Fold(checksum.AccDef, math.Float64bits(t62), p_tsteps)
+				}
+				t66 := i_li0 - int64(1)
+				t65 := t66 >= int64(0)
+				if t65 {
+					t67 := -i_li0
+					t68 := t67 + p_n
+					t69 := t68 - int64(2)
+					t65 = t69 >= int64(0)
+				}
+				t64 := t65
+				if t64 {
+					t70 := -i_li1
+					t64 = t70 >= int64(0)
+				}
+				t63 := t64
+				if t63 {
+					t71 := p_tsteps - int64(1)
+					t63 = t71 >= int64(0)
+				}
+				if t63 {
+					t72 := i_li0
+					if t72 < 0 || t72 >= d_A[0] {
+						return m.OOB(t72, d_A[0], 0, "A", 0, 0)
+					}
+					t73 := i_li1
+					if t73 < 0 || t73 >= d_A[1] {
+						return m.OOB(t73, d_A[1], 1, "A", 0, 0)
+					}
+					t74 := b_A + int((t72)*d_A[1]+t73)
+					t75 := m.LoadF(t74)
+					cs.Fold(checksum.AccDef, math.Float64bits(t75), p_tsteps)
+				}
+				t81 := i_li0 - int64(1)
+				t80 := t81 >= int64(0)
+				if t80 {
+					t82 := -i_li0
+					t83 := t82 + p_n
+					t84 := t83 - int64(2)
+					t80 = t84 >= int64(0)
+				}
+				t79 := t80
+				if t79 {
+					t85 := i_li1 - int64(1)
+					t79 = t85 >= int64(0)
+				}
+				t78 := t79
+				if t78 {
+					t86 := -i_li1
+					t87 := t86 + p_n
+					t88 := t87 - int64(2)
+					t78 = t88 >= int64(0)
+				}
+				t77 := t78
+				if t77 {
+					t89 := p_tsteps - int64(1)
+					t77 = t89 >= int64(0)
+				}
+				t76 := t77
+				if t76 {
+					t90 := -p_tsteps
+					t91 := t90 + int64(1)
+					t76 = t91 >= int64(0)
+				}
+				if t76 {
+					t92 := i_li0
+					if t92 < 0 || t92 >= d_A[0] {
+						return m.OOB(t92, d_A[0], 0, "A", 0, 0)
+					}
+					t93 := i_li1
+					if t93 < 0 || t93 >= d_A[1] {
+						return m.OOB(t93, d_A[1], 1, "A", 0, 0)
+					}
+					t94 := b_A + int((t92)*d_A[1]+t93)
+					t95 := m.LoadF(t94)
+					cs.Fold(checksum.AccDef, math.Float64bits(t95), p_tsteps)
+				}
+				t100 := i_li0 - int64(1)
+				t99 := t100 >= int64(0)
+				if t99 {
+					t101 := -i_li0
+					t102 := t101 + p_n
+					t103 := t102 - int64(2)
+					t99 = t103 >= int64(0)
+				}
+				t98 := t99
+				if t98 {
+					t104 := i_li1 - int64(1)
+					t98 = t104 >= int64(0)
+				}
+				t97 := t98
+				if t97 {
+					t105 := -i_li1
+					t106 := t105 + p_n
+					t107 := t106 - int64(2)
+					t97 = t107 >= int64(0)
+				}
+				t96 := t97
+				if t96 {
+					t108 := p_tsteps - int64(2)
+					t96 = t108 >= int64(0)
+				}
+				if t96 {
+					t109 := i_li0
+					if t109 < 0 || t109 >= d_A[0] {
+						return m.OOB(t109, d_A[0], 0, "A", 0, 0)
+					}
+					t110 := i_li1
+					if t110 < 0 || t110 >= d_A[1] {
+						return m.OOB(t110, d_A[1], 1, "A", 0, 0)
+					}
+					t111 := b_A + int((t109)*d_A[1]+t110)
+					t112 := m.LoadF(t111)
+					cs.Fold(checksum.AccDef, math.Float64bits(t112), int64(1))
+				}
+				t116 := i_li0 - int64(1)
+				t115 := t116 >= int64(0)
+				if t115 {
+					t117 := -i_li0
+					t118 := t117 + p_n
+					t119 := t118 - int64(2)
+					t115 = t119 >= int64(0)
+				}
+				t114 := t115
+				if t114 {
+					t120 := i_li1 - p_n
+					t121 := t120 + int64(1)
+					t114 = t121 >= int64(0)
+				}
+				t113 := t114
+				if t113 {
+					t122 := p_tsteps - int64(1)
+					t113 = t122 >= int64(0)
+				}
+				if t113 {
+					t123 := i_li0
+					if t123 < 0 || t123 >= d_A[0] {
+						return m.OOB(t123, d_A[0], 0, "A", 0, 0)
+					}
+					t124 := i_li1
+					if t124 < 0 || t124 >= d_A[1] {
+						return m.OOB(t124, d_A[1], 1, "A", 0, 0)
+					}
+					t125 := b_A + int((t123)*d_A[1]+t124)
+					t126 := m.LoadF(t125)
+					cs.Fold(checksum.AccDef, math.Float64bits(t126), p_tsteps)
+				}
+				t132 := i_li0 - int64(1)
+				t131 := t132 >= int64(0)
+				if t131 {
+					t133 := -i_li0
+					t134 := t133 + p_n
+					t135 := t134 - int64(2)
+					t131 = t135 >= int64(0)
+				}
+				t130 := t131
+				if t130 {
+					t136 := i_li1 - int64(2)
+					t130 = t136 >= int64(0)
+				}
+				t129 := t130
+				if t129 {
+					t137 := -i_li1
+					t138 := t137 + p_n
+					t139 := t138 - int64(2)
+					t129 = t139 >= int64(0)
+				}
+				t128 := t129
+				if t128 {
+					t140 := p_tsteps - int64(1)
+					t128 = t140 >= int64(0)
+				}
+				t127 := t128
+				if t127 {
+					t141 := -p_tsteps
+					t142 := t141 + int64(1)
+					t127 = t142 >= int64(0)
+				}
+				if t127 {
+					t143 := i_li0
+					if t143 < 0 || t143 >= d_A[0] {
+						return m.OOB(t143, d_A[0], 0, "A", 0, 0)
+					}
+					t144 := i_li1
+					if t144 < 0 || t144 >= d_A[1] {
+						return m.OOB(t144, d_A[1], 1, "A", 0, 0)
+					}
+					t145 := b_A + int((t143)*d_A[1]+t144)
+					t146 := m.LoadF(t145)
+					cs.Fold(checksum.AccDef, math.Float64bits(t146), p_tsteps)
+				}
+				t151 := i_li0 - int64(1)
+				t150 := t151 >= int64(0)
+				if t150 {
+					t152 := -i_li0
+					t153 := t152 + p_n
+					t154 := t153 - int64(2)
+					t150 = t154 >= int64(0)
+				}
+				t149 := t150
+				if t149 {
+					t155 := i_li1 - int64(2)
+					t149 = t155 >= int64(0)
+				}
+				t148 := t149
+				if t148 {
+					t156 := -i_li1
+					t157 := t156 + p_n
+					t158 := t157 - int64(2)
+					t148 = t158 >= int64(0)
+				}
+				t147 := t148
+				if t147 {
+					t159 := p_tsteps - int64(2)
+					t147 = t159 >= int64(0)
+				}
+				if t147 {
+					t160 := i_li0
+					if t160 < 0 || t160 >= d_A[0] {
+						return m.OOB(t160, d_A[0], 0, "A", 0, 0)
+					}
+					t161 := i_li1
+					if t161 < 0 || t161 >= d_A[1] {
+						return m.OOB(t161, d_A[1], 1, "A", 0, 0)
+					}
+					t162 := b_A + int((t160)*d_A[1]+t161)
+					t163 := m.LoadF(t162)
+					cs.Fold(checksum.AccDef, math.Float64bits(t163), int64(1))
+				}
+				t166 := -i_li1
+				t167 := t166 + p_n
+				t168 := t167 - int64(3)
+				t165 := t168 >= int64(0)
+				if t165 {
+					t169 := i_li0 - p_n
+					t170 := t169 + int64(1)
+					t165 = t170 >= int64(0)
+				}
+				t164 := t165
+				if t164 {
+					t171 := p_tsteps - int64(1)
+					t164 = t171 >= int64(0)
+				}
+				if t164 {
+					t172 := i_li0
+					if t172 < 0 || t172 >= d_A[0] {
+						return m.OOB(t172, d_A[0], 0, "A", 0, 0)
+					}
+					t173 := i_li1
+					if t173 < 0 || t173 >= d_A[1] {
+						return m.OOB(t173, d_A[1], 1, "A", 0, 0)
+					}
+					t174 := b_A + int((t172)*d_A[1]+t173)
+					t175 := m.LoadF(t174)
+					cs.Fold(checksum.AccDef, math.Float64bits(t175), p_tsteps)
+				}
+				t179 := i_li0 - int64(2)
+				t178 := t179 >= int64(0)
+				if t178 {
+					t180 := -i_li0
+					t181 := t180 + p_n
+					t182 := t181 - int64(2)
+					t178 = t182 >= int64(0)
+				}
+				t177 := t178
+				if t177 {
+					t183 := -i_li1
+					t177 = t183 >= int64(0)
+				}
+				t176 := t177
+				if t176 {
+					t184 := p_tsteps - int64(1)
+					t176 = t184 >= int64(0)
+				}
+				if t176 {
+					t185 := i_li0
+					if t185 < 0 || t185 >= d_A[0] {
+						return m.OOB(t185, d_A[0], 0, "A", 0, 0)
+					}
+					t186 := i_li1
+					if t186 < 0 || t186 >= d_A[1] {
+						return m.OOB(t186, d_A[1], 1, "A", 0, 0)
+					}
+					t187 := b_A + int((t185)*d_A[1]+t186)
+					t188 := m.LoadF(t187)
+					cs.Fold(checksum.AccDef, math.Float64bits(t188), p_tsteps)
+				}
+				t194 := i_li0 - int64(2)
+				t193 := t194 >= int64(0)
+				if t193 {
+					t195 := -i_li1
+					t196 := t195 + p_n
+					t197 := t196 - int64(3)
+					t193 = t197 >= int64(0)
+				}
+				t192 := t193
+				if t192 {
+					t198 := -i_li0
+					t199 := t198 + p_n
+					t200 := t199 - int64(2)
+					t192 = t200 >= int64(0)
+				}
+				t191 := t192
+				if t191 {
+					t201 := i_li1 - int64(1)
+					t191 = t201 >= int64(0)
+				}
+				t190 := t191
+				if t190 {
+					t202 := p_tsteps - int64(1)
+					t190 = t202 >= int64(0)
+				}
+				t189 := t190
+				if t189 {
+					t203 := -p_tsteps
+					t204 := t203 + int64(1)
+					t189 = t204 >= int64(0)
+				}
+				if t189 {
+					t205 := i_li0
+					if t205 < 0 || t205 >= d_A[0] {
+						return m.OOB(t205, d_A[0], 0, "A", 0, 0)
+					}
+					t206 := i_li1
+					if t206 < 0 || t206 >= d_A[1] {
+						return m.OOB(t206, d_A[1], 1, "A", 0, 0)
+					}
+					t207 := b_A + int((t205)*d_A[1]+t206)
+					t208 := m.LoadF(t207)
+					cs.Fold(checksum.AccDef, math.Float64bits(t208), p_tsteps)
+				}
+				t213 := i_li0 - int64(2)
+				t212 := t213 >= int64(0)
+				if t212 {
+					t214 := -i_li1
+					t215 := t214 + p_n
+					t216 := t215 - int64(3)
+					t212 = t216 >= int64(0)
+				}
+				t211 := t212
+				if t211 {
+					t217 := -i_li0
+					t218 := t217 + p_n
+					t219 := t218 - int64(2)
+					t211 = t219 >= int64(0)
+				}
+				t210 := t211
+				if t210 {
+					t220 := i_li1 - int64(1)
+					t210 = t220 >= int64(0)
+				}
+				t209 := t210
+				if t209 {
+					t221 := p_tsteps - int64(2)
+					t209 = t221 >= int64(0)
+				}
+				if t209 {
+					t222 := i_li0
+					if t222 < 0 || t222 >= d_A[0] {
+						return m.OOB(t222, d_A[0], 0, "A", 0, 0)
+					}
+					t223 := i_li1
+					if t223 < 0 || t223 >= d_A[1] {
+						return m.OOB(t223, d_A[1], 1, "A", 0, 0)
+					}
+					t224 := b_A + int((t222)*d_A[1]+t223)
+					t225 := m.LoadF(t224)
+					cs.Fold(checksum.AccDef, math.Float64bits(t225), int64(1))
+				}
+				t229 := i_li1 - int64(1)
+				t228 := t229 >= int64(0)
+				if t228 {
+					t230 := -i_li1
+					t231 := t230 + p_n
+					t232 := t231 - int64(2)
+					t228 = t232 >= int64(0)
+				}
+				t227 := t228
+				if t227 {
+					t233 := i_li0 - p_n
+					t234 := t233 + int64(1)
+					t227 = t234 >= int64(0)
+				}
+				t226 := t227
+				if t226 {
+					t235 := p_tsteps - int64(1)
+					t226 = t235 >= int64(0)
+				}
+				if t226 {
+					t236 := i_li0
+					if t236 < 0 || t236 >= d_A[0] {
+						return m.OOB(t236, d_A[0], 0, "A", 0, 0)
+					}
+					t237 := i_li1
+					if t237 < 0 || t237 >= d_A[1] {
+						return m.OOB(t237, d_A[1], 1, "A", 0, 0)
+					}
+					t238 := b_A + int((t236)*d_A[1]+t237)
+					t239 := m.LoadF(t238)
+					cs.Fold(checksum.AccDef, math.Float64bits(t239), p_tsteps)
+				}
+				t245 := i_li0 - int64(2)
+				t244 := t245 >= int64(0)
+				if t244 {
+					t246 := i_li1 - int64(1)
+					t244 = t246 >= int64(0)
+				}
+				t243 := t244
+				if t243 {
+					t247 := -i_li1
+					t248 := t247 + p_n
+					t249 := t248 - int64(2)
+					t243 = t249 >= int64(0)
+				}
+				t242 := t243
+				if t242 {
+					t250 := -i_li0
+					t251 := t250 + p_n
+					t252 := t251 - int64(2)
+					t242 = t252 >= int64(0)
+				}
+				t241 := t242
+				if t241 {
+					t253 := p_tsteps - int64(1)
+					t241 = t253 >= int64(0)
+				}
+				t240 := t241
+				if t240 {
+					t254 := -p_tsteps
+					t255 := t254 + int64(1)
+					t240 = t255 >= int64(0)
+				}
+				if t240 {
+					t256 := i_li0
+					if t256 < 0 || t256 >= d_A[0] {
+						return m.OOB(t256, d_A[0], 0, "A", 0, 0)
+					}
+					t257 := i_li1
+					if t257 < 0 || t257 >= d_A[1] {
+						return m.OOB(t257, d_A[1], 1, "A", 0, 0)
+					}
+					t258 := b_A + int((t256)*d_A[1]+t257)
+					t259 := m.LoadF(t258)
+					cs.Fold(checksum.AccDef, math.Float64bits(t259), p_tsteps)
+				}
+				t264 := i_li0 - int64(2)
+				t263 := t264 >= int64(0)
+				if t263 {
+					t265 := i_li1 - int64(1)
+					t263 = t265 >= int64(0)
+				}
+				t262 := t263
+				if t262 {
+					t266 := -i_li1
+					t267 := t266 + p_n
+					t268 := t267 - int64(2)
+					t262 = t268 >= int64(0)
+				}
+				t261 := t262
+				if t261 {
+					t269 := -i_li0
+					t270 := t269 + p_n
+					t271 := t270 - int64(2)
+					t261 = t271 >= int64(0)
+				}
+				t260 := t261
+				if t260 {
+					t272 := p_tsteps - int64(2)
+					t260 = t272 >= int64(0)
+				}
+				if t260 {
+					t273 := i_li0
+					if t273 < 0 || t273 >= d_A[0] {
+						return m.OOB(t273, d_A[0], 0, "A", 0, 0)
+					}
+					t274 := i_li1
+					if t274 < 0 || t274 >= d_A[1] {
+						return m.OOB(t274, d_A[1], 1, "A", 0, 0)
+					}
+					t275 := b_A + int((t273)*d_A[1]+t274)
+					t276 := m.LoadF(t275)
+					cs.Fold(checksum.AccDef, math.Float64bits(t276), int64(1))
+				}
+				t279 := i_li1 - int64(2)
+				t278 := t279 >= int64(0)
+				if t278 {
+					t280 := i_li0 - p_n
+					t281 := t280 + int64(1)
+					t278 = t281 >= int64(0)
+				}
+				t277 := t278
+				if t277 {
+					t282 := p_tsteps - int64(1)
+					t277 = t282 >= int64(0)
+				}
+				if t277 {
+					t283 := i_li0
+					if t283 < 0 || t283 >= d_A[0] {
+						return m.OOB(t283, d_A[0], 0, "A", 0, 0)
+					}
+					t284 := i_li1
+					if t284 < 0 || t284 >= d_A[1] {
+						return m.OOB(t284, d_A[1], 1, "A", 0, 0)
+					}
+					t285 := b_A + int((t283)*d_A[1]+t284)
+					t286 := m.LoadF(t285)
+					cs.Fold(checksum.AccDef, math.Float64bits(t286), p_tsteps)
+				}
+				t290 := i_li0 - int64(2)
+				t289 := t290 >= int64(0)
+				if t289 {
+					t291 := -i_li0
+					t292 := t291 + p_n
+					t293 := t292 - int64(2)
+					t289 = t293 >= int64(0)
+				}
+				t288 := t289
+				if t288 {
+					t294 := i_li1 - p_n
+					t295 := t294 + int64(1)
+					t288 = t295 >= int64(0)
+				}
+				t287 := t288
+				if t287 {
+					t296 := p_tsteps - int64(1)
+					t287 = t296 >= int64(0)
+				}
+				if t287 {
+					t297 := i_li0
+					if t297 < 0 || t297 >= d_A[0] {
+						return m.OOB(t297, d_A[0], 0, "A", 0, 0)
+					}
+					t298 := i_li1
+					if t298 < 0 || t298 >= d_A[1] {
+						return m.OOB(t298, d_A[1], 1, "A", 0, 0)
+					}
+					t299 := b_A + int((t297)*d_A[1]+t298)
+					t300 := m.LoadF(t299)
+					cs.Fold(checksum.AccDef, math.Float64bits(t300), p_tsteps)
+				}
+				t306 := i_li0 - int64(2)
+				t305 := t306 >= int64(0)
+				if t305 {
+					t307 := i_li1 - int64(2)
+					t305 = t307 >= int64(0)
+				}
+				t304 := t305
+				if t304 {
+					t308 := -i_li0
+					t309 := t308 + p_n
+					t310 := t309 - int64(2)
+					t304 = t310 >= int64(0)
+				}
+				t303 := t304
+				if t303 {
+					t311 := -i_li1
+					t312 := t311 + p_n
+					t313 := t312 - int64(2)
+					t303 = t313 >= int64(0)
+				}
+				t302 := t303
+				if t302 {
+					t314 := p_tsteps - int64(1)
+					t302 = t314 >= int64(0)
+				}
+				t301 := t302
+				if t301 {
+					t315 := -p_tsteps
+					t316 := t315 + int64(1)
+					t301 = t316 >= int64(0)
+				}
+				if t301 {
+					t317 := i_li0
+					if t317 < 0 || t317 >= d_A[0] {
+						return m.OOB(t317, d_A[0], 0, "A", 0, 0)
+					}
+					t318 := i_li1
+					if t318 < 0 || t318 >= d_A[1] {
+						return m.OOB(t318, d_A[1], 1, "A", 0, 0)
+					}
+					t319 := b_A + int((t317)*d_A[1]+t318)
+					t320 := m.LoadF(t319)
+					cs.Fold(checksum.AccDef, math.Float64bits(t320), p_tsteps)
+				}
+				t325 := i_li0 - int64(2)
+				t324 := t325 >= int64(0)
+				if t324 {
+					t326 := i_li1 - int64(2)
+					t324 = t326 >= int64(0)
+				}
+				t323 := t324
+				if t323 {
+					t327 := -i_li0
+					t328 := t327 + p_n
+					t329 := t328 - int64(2)
+					t323 = t329 >= int64(0)
+				}
+				t322 := t323
+				if t322 {
+					t330 := -i_li1
+					t331 := t330 + p_n
+					t332 := t331 - int64(2)
+					t322 = t332 >= int64(0)
+				}
+				t321 := t322
+				if t321 {
+					t333 := p_tsteps - int64(2)
+					t321 = t333 >= int64(0)
+				}
+				if t321 {
+					t334 := i_li0
+					if t334 < 0 || t334 >= d_A[0] {
+						return m.OOB(t334, d_A[0], 0, "A", 0, 0)
+					}
+					t335 := i_li1
+					if t335 < 0 || t335 >= d_A[1] {
+						return m.OOB(t335, d_A[1], 1, "A", 0, 0)
+					}
+					t336 := b_A + int((t334)*d_A[1]+t335)
+					t337 := m.LoadF(t336)
+					cs.Fold(checksum.AccDef, math.Float64bits(t337), int64(1))
+				}
+			}
+		}
+		t338 := p_tsteps - int64(1)
+		m.SetBounds(int64(0), t338)
 	}
 	lo, hi, ok := m.Bounds()
 	if !ok {
 		return codegen.ErrNoBounds(epoch)
 	}
 	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(4, 1); err != nil {
 			return err
 		}
-		t2 := p_n - int64(1)
-		for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
+		t339 := p_n - int64(2)
+		for i_i := int64(1); i_i <= t339; i_i++ {
+			if err := m.Tick(5, 3); err != nil {
 				return err
 			}
-			t5 := -i_li1
-			t6 := t5 + p_n
-			t7 := t6 - int64(3)
-			t4 := t7 >= int64(0)
-			if t4 {
-				t8 := -i_li0
-				t4 = t8 >= int64(0)
-			}
-			t3 := t4
-			if t3 {
-				t9 := p_tsteps - int64(1)
-				t3 = t9 >= int64(0)
-			}
-			if t3 {
-				t10 := i_li0
-				if t10 < 0 || t10 >= d_A[0] {
-					return m.OOB(t10, d_A[0], 0, "A", 0, 0)
+			t340 := p_n - int64(2)
+			for i_j := int64(1); i_j <= t340; i_j++ {
+				if err := m.Tick(6, 5); err != nil {
+					return err
 				}
-				t11 := i_li1
-				if t11 < 0 || t11 >= d_A[1] {
-					return m.OOB(t11, d_A[1], 1, "A", 0, 0)
+				t341 := i_i - int64(1)
+				t342 := t341
+				if t342 < 0 || t342 >= d_A[0] {
+					return m.OOB(t342, d_A[0], 0, "A", 7, 22)
 				}
-				t12 := b_A + int((t10)*d_A[1]+t11)
-				t13 := m.LoadF(t12)
-				cs.Fold(checksum.AccDef, math.Float64bits(t13), p_tsteps)
-			}
-			t17 := -i_li0
-			t18 := t17 + p_n
-			t19 := t18 - int64(3)
-			t16 := t19 >= int64(0)
-			if t16 {
-				t20 := i_li0 - int64(1)
-				t16 = t20 >= int64(0)
-			}
-			t15 := t16
-			if t15 {
-				t21 := -i_li1
-				t15 = t21 >= int64(0)
-			}
-			t14 := t15
-			if t14 {
-				t22 := p_tsteps - int64(1)
-				t14 = t22 >= int64(0)
-			}
-			if t14 {
-				t23 := i_li0
-				if t23 < 0 || t23 >= d_A[0] {
-					return m.OOB(t23, d_A[0], 0, "A", 0, 0)
+				t343 := i_j - int64(1)
+				t344 := t343
+				if t344 < 0 || t344 >= d_A[1] {
+					return m.OOB(t344, d_A[1], 1, "A", 7, 22)
 				}
-				t24 := i_li1
-				if t24 < 0 || t24 >= d_A[1] {
-					return m.OOB(t24, d_A[1], 1, "A", 0, 0)
+				t345 := b_A + int((t342)*d_A[1]+t344)
+				r_A_r := m.LoadF(t345)
+				t346 := i_i - int64(1)
+				t347 := t346
+				if t347 < 0 || t347 >= d_A[0] {
+					return m.OOB(t347, d_A[0], 0, "A", 7, 40)
 				}
-				t25 := b_A + int((t23)*d_A[1]+t24)
-				t26 := m.LoadF(t25)
-				cs.Fold(checksum.AccDef, math.Float64bits(t26), p_tsteps)
-			}
-			t30 := i_li1 - int64(1)
-			t29 := t30 >= int64(0)
-			if t29 {
-				t31 := -i_li1
-				t32 := t31 + p_n
-				t33 := t32 - int64(2)
-				t29 = t33 >= int64(0)
-			}
-			t28 := t29
-			if t28 {
-				t34 := -i_li0
-				t28 = t34 >= int64(0)
-			}
-			t27 := t28
-			if t27 {
-				t35 := p_tsteps - int64(1)
-				t27 = t35 >= int64(0)
-			}
-			if t27 {
-				t36 := i_li0
-				if t36 < 0 || t36 >= d_A[0] {
-					return m.OOB(t36, d_A[0], 0, "A", 0, 0)
+				t348 := i_j
+				if t348 < 0 || t348 >= d_A[1] {
+					return m.OOB(t348, d_A[1], 1, "A", 7, 40)
 				}
-				t37 := i_li1
-				if t37 < 0 || t37 >= d_A[1] {
-					return m.OOB(t37, d_A[1], 1, "A", 0, 0)
+				t349 := b_A + int((t347)*d_A[1]+t348)
+				r_A_r2 := m.LoadF(t349)
+				t350 := i_i - int64(1)
+				t351 := t350
+				if t351 < 0 || t351 >= d_A[0] {
+					return m.OOB(t351, d_A[0], 0, "A", 7, 54)
 				}
-				t38 := b_A + int((t36)*d_A[1]+t37)
-				t39 := m.LoadF(t38)
-				cs.Fold(checksum.AccDef, math.Float64bits(t39), p_tsteps)
-			}
-			t42 := i_li1 - int64(2)
-			t41 := t42 >= int64(0)
-			if t41 {
-				t43 := -i_li0
-				t41 = t43 >= int64(0)
-			}
-			t40 := t41
-			if t40 {
-				t44 := p_tsteps - int64(1)
-				t40 = t44 >= int64(0)
-			}
-			if t40 {
-				t45 := i_li0
-				if t45 < 0 || t45 >= d_A[0] {
-					return m.OOB(t45, d_A[0], 0, "A", 0, 0)
+				t352 := i_j + int64(1)
+				t353 := t352
+				if t353 < 0 || t353 >= d_A[1] {
+					return m.OOB(t353, d_A[1], 1, "A", 7, 54)
 				}
-				t46 := i_li1
-				if t46 < 0 || t46 >= d_A[1] {
-					return m.OOB(t46, d_A[1], 1, "A", 0, 0)
+				t354 := b_A + int((t351)*d_A[1]+t353)
+				r_A_r3 := m.LoadF(t354)
+				t355 := i_i
+				if t355 < 0 || t355 >= d_A[0] {
+					return m.OOB(t355, d_A[0], 0, "A", 7, 72)
 				}
-				t47 := b_A + int((t45)*d_A[1]+t46)
-				t48 := m.LoadF(t47)
-				cs.Fold(checksum.AccDef, math.Float64bits(t48), p_tsteps)
-			}
-			t52 := -i_li0
-			t53 := t52 + p_n
-			t54 := t53 - int64(3)
-			t51 := t54 >= int64(0)
-			if t51 {
-				t55 := i_li0 - int64(1)
-				t51 = t55 >= int64(0)
-			}
-			t50 := t51
-			if t50 {
-				t56 := i_li1 - p_n
-				t57 := t56 + int64(1)
-				t50 = t57 >= int64(0)
-			}
-			t49 := t50
-			if t49 {
-				t58 := p_tsteps - int64(1)
-				t49 = t58 >= int64(0)
-			}
-			if t49 {
-				t59 := i_li0
-				if t59 < 0 || t59 >= d_A[0] {
-					return m.OOB(t59, d_A[0], 0, "A", 0, 0)
+				t356 := i_j - int64(1)
+				t357 := t356
+				if t357 < 0 || t357 >= d_A[1] {
+					return m.OOB(t357, d_A[1], 1, "A", 7, 72)
 				}
-				t60 := i_li1
-				if t60 < 0 || t60 >= d_A[1] {
-					return m.OOB(t60, d_A[1], 1, "A", 0, 0)
+				t358 := b_A + int((t355)*d_A[1]+t357)
+				r_A_r4 := m.LoadF(t358)
+				t359 := i_i
+				if t359 < 0 || t359 >= d_A[0] {
+					return m.OOB(t359, d_A[0], 0, "A", 7, 86)
 				}
-				t61 := b_A + int((t59)*d_A[1]+t60)
-				t62 := m.LoadF(t61)
-				cs.Fold(checksum.AccDef, math.Float64bits(t62), p_tsteps)
-			}
-			t66 := i_li0 - int64(1)
-			t65 := t66 >= int64(0)
-			if t65 {
-				t67 := -i_li0
-				t68 := t67 + p_n
-				t69 := t68 - int64(2)
-				t65 = t69 >= int64(0)
-			}
-			t64 := t65
-			if t64 {
-				t70 := -i_li1
-				t64 = t70 >= int64(0)
-			}
-			t63 := t64
-			if t63 {
-				t71 := p_tsteps - int64(1)
-				t63 = t71 >= int64(0)
-			}
-			if t63 {
-				t72 := i_li0
-				if t72 < 0 || t72 >= d_A[0] {
-					return m.OOB(t72, d_A[0], 0, "A", 0, 0)
+				t360 := i_j
+				if t360 < 0 || t360 >= d_A[1] {
+					return m.OOB(t360, d_A[1], 1, "A", 7, 86)
 				}
-				t73 := i_li1
-				if t73 < 0 || t73 >= d_A[1] {
-					return m.OOB(t73, d_A[1], 1, "A", 0, 0)
+				t361 := b_A + int((t359)*d_A[1]+t360)
+				r_A_r5 := m.LoadF(t361)
+				t362 := i_i
+				if t362 < 0 || t362 >= d_A[0] {
+					return m.OOB(t362, d_A[0], 0, "A", 7, 96)
 				}
-				t74 := b_A + int((t72)*d_A[1]+t73)
-				t75 := m.LoadF(t74)
-				cs.Fold(checksum.AccDef, math.Float64bits(t75), p_tsteps)
-			}
-			t81 := i_li0 - int64(1)
-			t80 := t81 >= int64(0)
-			if t80 {
-				t82 := -i_li0
-				t83 := t82 + p_n
-				t84 := t83 - int64(2)
-				t80 = t84 >= int64(0)
-			}
-			t79 := t80
-			if t79 {
-				t85 := i_li1 - int64(1)
-				t79 = t85 >= int64(0)
-			}
-			t78 := t79
-			if t78 {
-				t86 := -i_li1
-				t87 := t86 + p_n
-				t88 := t87 - int64(2)
-				t78 = t88 >= int64(0)
-			}
-			t77 := t78
-			if t77 {
-				t89 := p_tsteps - int64(1)
-				t77 = t89 >= int64(0)
-			}
-			t76 := t77
-			if t76 {
-				t90 := -p_tsteps
-				t91 := t90 + int64(1)
-				t76 = t91 >= int64(0)
-			}
-			if t76 {
-				t92 := i_li0
-				if t92 < 0 || t92 >= d_A[0] {
-					return m.OOB(t92, d_A[0], 0, "A", 0, 0)
+				t363 := i_j + int64(1)
+				t364 := t363
+				if t364 < 0 || t364 >= d_A[1] {
+					return m.OOB(t364, d_A[1], 1, "A", 7, 96)
 				}
-				t93 := i_li1
-				if t93 < 0 || t93 >= d_A[1] {
-					return m.OOB(t93, d_A[1], 1, "A", 0, 0)
+				t365 := b_A + int((t362)*d_A[1]+t364)
+				r_A_r6 := m.LoadF(t365)
+				t366 := i_i + int64(1)
+				t367 := t366
+				if t367 < 0 || t367 >= d_A[0] {
+					return m.OOB(t367, d_A[0], 0, "A", 7, 110)
 				}
-				t94 := b_A + int((t92)*d_A[1]+t93)
-				t95 := m.LoadF(t94)
-				cs.Fold(checksum.AccDef, math.Float64bits(t95), p_tsteps)
-			}
-			t100 := i_li0 - int64(1)
-			t99 := t100 >= int64(0)
-			if t99 {
-				t101 := -i_li0
-				t102 := t101 + p_n
-				t103 := t102 - int64(2)
-				t99 = t103 >= int64(0)
-			}
-			t98 := t99
-			if t98 {
-				t104 := i_li1 - int64(1)
-				t98 = t104 >= int64(0)
-			}
-			t97 := t98
-			if t97 {
-				t105 := -i_li1
-				t106 := t105 + p_n
-				t107 := t106 - int64(2)
-				t97 = t107 >= int64(0)
-			}
-			t96 := t97
-			if t96 {
-				t108 := p_tsteps - int64(2)
-				t96 = t108 >= int64(0)
-			}
-			if t96 {
-				t109 := i_li0
-				if t109 < 0 || t109 >= d_A[0] {
-					return m.OOB(t109, d_A[0], 0, "A", 0, 0)
+				t368 := i_j - int64(1)
+				t369 := t368
+				if t369 < 0 || t369 >= d_A[1] {
+					return m.OOB(t369, d_A[1], 1, "A", 7, 110)
 				}
-				t110 := i_li1
-				if t110 < 0 || t110 >= d_A[1] {
-					return m.OOB(t110, d_A[1], 1, "A", 0, 0)
+				t370 := b_A + int((t367)*d_A[1]+t369)
+				r_A_r7 := m.LoadF(t370)
+				t371 := i_i + int64(1)
+				t372 := t371
+				if t372 < 0 || t372 >= d_A[0] {
+					return m.OOB(t372, d_A[0], 0, "A", 7, 128)
 				}
-				t111 := b_A + int((t109)*d_A[1]+t110)
-				t112 := m.LoadF(t111)
-				cs.Fold(checksum.AccDef, math.Float64bits(t112), int64(1))
-			}
-			t116 := i_li0 - int64(1)
-			t115 := t116 >= int64(0)
-			if t115 {
-				t117 := -i_li0
-				t118 := t117 + p_n
-				t119 := t118 - int64(2)
-				t115 = t119 >= int64(0)
-			}
-			t114 := t115
-			if t114 {
-				t120 := i_li1 - p_n
-				t121 := t120 + int64(1)
-				t114 = t121 >= int64(0)
-			}
-			t113 := t114
-			if t113 {
-				t122 := p_tsteps - int64(1)
-				t113 = t122 >= int64(0)
-			}
-			if t113 {
-				t123 := i_li0
-				if t123 < 0 || t123 >= d_A[0] {
-					return m.OOB(t123, d_A[0], 0, "A", 0, 0)
+				t373 := i_j
+				if t373 < 0 || t373 >= d_A[1] {
+					return m.OOB(t373, d_A[1], 1, "A", 7, 128)
 				}
-				t124 := i_li1
-				if t124 < 0 || t124 >= d_A[1] {
-					return m.OOB(t124, d_A[1], 1, "A", 0, 0)
+				t374 := b_A + int((t372)*d_A[1]+t373)
+				r_A_r8 := m.LoadF(t374)
+				t375 := i_i + int64(1)
+				t376 := t375
+				if t376 < 0 || t376 >= d_A[0] {
+					return m.OOB(t376, d_A[0], 0, "A", 7, 142)
 				}
-				t125 := b_A + int((t123)*d_A[1]+t124)
-				t126 := m.LoadF(t125)
-				cs.Fold(checksum.AccDef, math.Float64bits(t126), p_tsteps)
-			}
-			t132 := i_li0 - int64(1)
-			t131 := t132 >= int64(0)
-			if t131 {
-				t133 := -i_li0
-				t134 := t133 + p_n
-				t135 := t134 - int64(2)
-				t131 = t135 >= int64(0)
-			}
-			t130 := t131
-			if t130 {
-				t136 := i_li1 - int64(2)
-				t130 = t136 >= int64(0)
-			}
-			t129 := t130
-			if t129 {
-				t137 := -i_li1
-				t138 := t137 + p_n
-				t139 := t138 - int64(2)
-				t129 = t139 >= int64(0)
-			}
-			t128 := t129
-			if t128 {
-				t140 := p_tsteps - int64(1)
-				t128 = t140 >= int64(0)
-			}
-			t127 := t128
-			if t127 {
-				t141 := -p_tsteps
-				t142 := t141 + int64(1)
-				t127 = t142 >= int64(0)
-			}
-			if t127 {
-				t143 := i_li0
-				if t143 < 0 || t143 >= d_A[0] {
-					return m.OOB(t143, d_A[0], 0, "A", 0, 0)
+				t377 := i_j + int64(1)
+				t378 := t377
+				if t378 < 0 || t378 >= d_A[1] {
+					return m.OOB(t378, d_A[1], 1, "A", 7, 142)
 				}
-				t144 := i_li1
-				if t144 < 0 || t144 >= d_A[1] {
-					return m.OOB(t144, d_A[1], 1, "A", 0, 0)
+				t379 := b_A + int((t376)*d_A[1]+t378)
+				r_A_r9 := m.LoadF(t379)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t380 := float64(r_A_r + r_A_r2)
+				t381 := float64(t380 + r_A_r3)
+				t382 := float64(t381 + r_A_r4)
+				t383 := float64(t382 + r_A_r5)
+				t384 := float64(t383 + r_A_r6)
+				t385 := float64(t384 + r_A_r7)
+				t386 := float64(t385 + r_A_r8)
+				t387 := float64(t386 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
 				}
-				t145 := b_A + int((t143)*d_A[1]+t144)
-				t146 := m.LoadF(t145)
-				cs.Fold(checksum.AccDef, math.Float64bits(t146), p_tsteps)
-			}
-			t151 := i_li0 - int64(1)
-			t150 := t151 >= int64(0)
-			if t150 {
-				t152 := -i_li0
-				t153 := t152 + p_n
-				t154 := t153 - int64(2)
-				t150 = t154 >= int64(0)
-			}
-			t149 := t150
-			if t149 {
-				t155 := i_li1 - int64(2)
-				t149 = t155 >= int64(0)
-			}
-			t148 := t149
-			if t148 {
-				t156 := -i_li1
-				t157 := t156 + p_n
-				t158 := t157 - int64(2)
-				t148 = t158 >= int64(0)
-			}
-			t147 := t148
-			if t147 {
-				t159 := p_tsteps - int64(2)
-				t147 = t159 >= int64(0)
-			}
-			if t147 {
-				t160 := i_li0
-				if t160 < 0 || t160 >= d_A[0] {
-					return m.OOB(t160, d_A[0], 0, "A", 0, 0)
+				t388 := float64(t387 / float64(9))
+				r_A_w := t388
+				t389 := i_i
+				if t389 < 0 || t389 >= d_A[0] {
+					return m.OOB(t389, d_A[0], 0, "A", 7, 11)
 				}
-				t161 := i_li1
-				if t161 < 0 || t161 >= d_A[1] {
-					return m.OOB(t161, d_A[1], 1, "A", 0, 0)
+				t390 := i_j
+				if t390 < 0 || t390 >= d_A[1] {
+					return m.OOB(t390, d_A[1], 1, "A", 7, 11)
 				}
-				t162 := b_A + int((t160)*d_A[1]+t161)
-				t163 := m.LoadF(t162)
-				cs.Fold(checksum.AccDef, math.Float64bits(t163), int64(1))
-			}
-			t166 := -i_li1
-			t167 := t166 + p_n
-			t168 := t167 - int64(3)
-			t165 := t168 >= int64(0)
-			if t165 {
-				t169 := i_li0 - p_n
-				t170 := t169 + int64(1)
-				t165 = t170 >= int64(0)
-			}
-			t164 := t165
-			if t164 {
-				t171 := p_tsteps - int64(1)
-				t164 = t171 >= int64(0)
-			}
-			if t164 {
-				t172 := i_li0
-				if t172 < 0 || t172 >= d_A[0] {
-					return m.OOB(t172, d_A[0], 0, "A", 0, 0)
+				t391 := b_A + int((t389)*d_A[1]+t390)
+				m.StoreF(t391, r_A_w)
+				t394 := -i_i
+				t395 := t394 + p_n
+				t396 := t395 - int64(3)
+				t393 := t396 >= int64(0)
+				if t393 {
+					t397 := -i_j
+					t398 := t397 + p_n
+					t399 := t398 - int64(3)
+					t393 = t399 >= int64(0)
 				}
-				t173 := i_li1
-				if t173 < 0 || t173 >= d_A[1] {
-					return m.OOB(t173, d_A[1], 1, "A", 0, 0)
+				t392 := t393
+				if t392 {
+					t400 := -i_t
+					t392 = t400 >= int64(0)
 				}
-				t174 := b_A + int((t172)*d_A[1]+t173)
-				t175 := m.LoadF(t174)
-				cs.Fold(checksum.AccDef, math.Float64bits(t175), p_tsteps)
-			}
-			t179 := i_li0 - int64(2)
-			t178 := t179 >= int64(0)
-			if t178 {
-				t180 := -i_li0
-				t181 := t180 + p_n
-				t182 := t181 - int64(2)
-				t178 = t182 >= int64(0)
-			}
-			t177 := t178
-			if t177 {
-				t183 := -i_li1
-				t177 = t183 >= int64(0)
-			}
-			t176 := t177
-			if t176 {
-				t184 := p_tsteps - int64(1)
-				t176 = t184 >= int64(0)
-			}
-			if t176 {
-				t185 := i_li0
-				if t185 < 0 || t185 >= d_A[0] {
-					return m.OOB(t185, d_A[0], 0, "A", 0, 0)
+				if t392 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t186 := i_li1
-				if t186 < 0 || t186 >= d_A[1] {
-					return m.OOB(t186, d_A[1], 1, "A", 0, 0)
+				t404 := -i_i
+				t405 := t404 + p_n
+				t406 := t405 - int64(3)
+				t403 := t406 >= int64(0)
+				if t403 {
+					t407 := -i_j
+					t408 := t407 + p_n
+					t409 := t408 - int64(3)
+					t403 = t409 >= int64(0)
 				}
-				t187 := b_A + int((t185)*d_A[1]+t186)
-				t188 := m.LoadF(t187)
-				cs.Fold(checksum.AccDef, math.Float64bits(t188), p_tsteps)
-			}
-			t194 := i_li0 - int64(2)
-			t193 := t194 >= int64(0)
-			if t193 {
-				t195 := -i_li1
-				t196 := t195 + p_n
-				t197 := t196 - int64(3)
-				t193 = t197 >= int64(0)
-			}
-			t192 := t193
-			if t192 {
-				t198 := -i_li0
-				t199 := t198 + p_n
-				t200 := t199 - int64(2)
-				t192 = t200 >= int64(0)
-			}
-			t191 := t192
-			if t191 {
-				t201 := i_li1 - int64(1)
-				t191 = t201 >= int64(0)
-			}
-			t190 := t191
-			if t190 {
-				t202 := p_tsteps - int64(1)
-				t190 = t202 >= int64(0)
-			}
-			t189 := t190
-			if t189 {
-				t203 := -p_tsteps
-				t204 := t203 + int64(1)
-				t189 = t204 >= int64(0)
-			}
-			if t189 {
-				t205 := i_li0
-				if t205 < 0 || t205 >= d_A[0] {
-					return m.OOB(t205, d_A[0], 0, "A", 0, 0)
+				t402 := t403
+				if t402 {
+					t410 := i_t - int64(1)
+					t402 = t410 >= int64(0)
 				}
-				t206 := i_li1
-				if t206 < 0 || t206 >= d_A[1] {
-					return m.OOB(t206, d_A[1], 1, "A", 0, 0)
+				t401 := t402
+				if t401 {
+					t411 := i_t - p_tsteps
+					t412 := t411 + int64(1)
+					t401 = t412 >= int64(0)
 				}
-				t207 := b_A + int((t205)*d_A[1]+t206)
-				t208 := m.LoadF(t207)
-				cs.Fold(checksum.AccDef, math.Float64bits(t208), p_tsteps)
-			}
-			t213 := i_li0 - int64(2)
-			t212 := t213 >= int64(0)
-			if t212 {
-				t214 := -i_li1
-				t215 := t214 + p_n
-				t216 := t215 - int64(3)
-				t212 = t216 >= int64(0)
-			}
-			t211 := t212
-			if t211 {
-				t217 := -i_li0
-				t218 := t217 + p_n
-				t219 := t218 - int64(2)
-				t211 = t219 >= int64(0)
-			}
-			t210 := t211
-			if t210 {
-				t220 := i_li1 - int64(1)
-				t210 = t220 >= int64(0)
-			}
-			t209 := t210
-			if t209 {
-				t221 := p_tsteps - int64(2)
-				t209 = t221 >= int64(0)
-			}
-			if t209 {
-				t222 := i_li0
-				if t222 < 0 || t222 >= d_A[0] {
-					return m.OOB(t222, d_A[0], 0, "A", 0, 0)
+				if t401 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t223 := i_li1
-				if t223 < 0 || t223 >= d_A[1] {
-					return m.OOB(t223, d_A[1], 1, "A", 0, 0)
+				t416 := -i_i
+				t417 := t416 + p_n
+				t418 := t417 - int64(3)
+				t415 := t418 >= int64(0)
+				if t415 {
+					t419 := -i_j
+					t420 := t419 + p_n
+					t421 := t420 - int64(3)
+					t415 = t421 >= int64(0)
 				}
-				t224 := b_A + int((t222)*d_A[1]+t223)
-				t225 := m.LoadF(t224)
-				cs.Fold(checksum.AccDef, math.Float64bits(t225), int64(1))
-			}
-			t229 := i_li1 - int64(1)
-			t228 := t229 >= int64(0)
-			if t228 {
-				t230 := -i_li1
-				t231 := t230 + p_n
-				t232 := t231 - int64(2)
-				t228 = t232 >= int64(0)
-			}
-			t227 := t228
-			if t227 {
-				t233 := i_li0 - p_n
-				t234 := t233 + int64(1)
-				t227 = t234 >= int64(0)
-			}
-			t226 := t227
-			if t226 {
-				t235 := p_tsteps - int64(1)
-				t226 = t235 >= int64(0)
-			}
-			if t226 {
-				t236 := i_li0
-				if t236 < 0 || t236 >= d_A[0] {
-					return m.OOB(t236, d_A[0], 0, "A", 0, 0)
+				t414 := t415
+				if t414 {
+					t422 := i_t - int64(1)
+					t414 = t422 >= int64(0)
 				}
-				t237 := i_li1
-				if t237 < 0 || t237 >= d_A[1] {
-					return m.OOB(t237, d_A[1], 1, "A", 0, 0)
+				t413 := t414
+				if t413 {
+					t423 := -i_t
+					t424 := t423 + p_tsteps
+					t425 := t424 - int64(2)
+					t413 = t425 >= int64(0)
 				}
-				t238 := b_A + int((t236)*d_A[1]+t237)
-				t239 := m.LoadF(t238)
-				cs.Fold(checksum.AccDef, math.Float64bits(t239), p_tsteps)
-			}
-			t245 := i_li0 - int64(2)
-			t244 := t245 >= int64(0)
-			if t244 {
-				t246 := i_li1 - int64(1)
-				t244 = t246 >= int64(0)
-			}
-			t243 := t244
-			if t243 {
-				t247 := -i_li1
-				t248 := t247 + p_n
-				t249 := t248 - int64(2)
-				t243 = t249 >= int64(0)
-			}
-			t242 := t243
-			if t242 {
-				t250 := -i_li0
-				t251 := t250 + p_n
-				t252 := t251 - int64(2)
-				t242 = t252 >= int64(0)
-			}
-			t241 := t242
-			if t241 {
-				t253 := p_tsteps - int64(1)
-				t241 = t253 >= int64(0)
-			}
-			t240 := t241
-			if t240 {
-				t254 := -p_tsteps
-				t255 := t254 + int64(1)
-				t240 = t255 >= int64(0)
-			}
-			if t240 {
-				t256 := i_li0
-				if t256 < 0 || t256 >= d_A[0] {
-					return m.OOB(t256, d_A[0], 0, "A", 0, 0)
+				if t413 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t257 := i_li1
-				if t257 < 0 || t257 >= d_A[1] {
-					return m.OOB(t257, d_A[1], 1, "A", 0, 0)
+				t427 := -i_i
+				t428 := t427 + p_n
+				t429 := t428 - int64(3)
+				t426 := t429 >= int64(0)
+				if t426 {
+					t430 := -i_t
+					t426 = t430 >= int64(0)
 				}
-				t258 := b_A + int((t256)*d_A[1]+t257)
-				t259 := m.LoadF(t258)
-				cs.Fold(checksum.AccDef, math.Float64bits(t259), p_tsteps)
-			}
-			t264 := i_li0 - int64(2)
-			t263 := t264 >= int64(0)
-			if t263 {
-				t265 := i_li1 - int64(1)
-				t263 = t265 >= int64(0)
-			}
-			t262 := t263
-			if t262 {
-				t266 := -i_li1
-				t267 := t266 + p_n
-				t268 := t267 - int64(2)
-				t262 = t268 >= int64(0)
-			}
-			t261 := t262
-			if t261 {
-				t269 := -i_li0
-				t270 := t269 + p_n
-				t271 := t270 - int64(2)
-				t261 = t271 >= int64(0)
-			}
-			t260 := t261
-			if t260 {
-				t272 := p_tsteps - int64(2)
-				t260 = t272 >= int64(0)
-			}
-			if t260 {
-				t273 := i_li0
-				if t273 < 0 || t273 >= d_A[0] {
-					return m.OOB(t273, d_A[0], 0, "A", 0, 0)
+				if t426 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t274 := i_li1
-				if t274 < 0 || t274 >= d_A[1] {
-					return m.OOB(t274, d_A[1], 1, "A", 0, 0)
+				t433 := -i_i
+				t434 := t433 + p_n
+				t435 := t434 - int64(3)
+				t432 := t435 >= int64(0)
+				if t432 {
+					t436 := i_t - int64(1)
+					t432 = t436 >= int64(0)
 				}
-				t275 := b_A + int((t273)*d_A[1]+t274)
-				t276 := m.LoadF(t275)
-				cs.Fold(checksum.AccDef, math.Float64bits(t276), int64(1))
-			}
-			t279 := i_li1 - int64(2)
-			t278 := t279 >= int64(0)
-			if t278 {
-				t280 := i_li0 - p_n
-				t281 := t280 + int64(1)
-				t278 = t281 >= int64(0)
-			}
-			t277 := t278
-			if t277 {
-				t282 := p_tsteps - int64(1)
-				t277 = t282 >= int64(0)
-			}
-			if t277 {
-				t283 := i_li0
-				if t283 < 0 || t283 >= d_A[0] {
-					return m.OOB(t283, d_A[0], 0, "A", 0, 0)
+				t431 := t432
+				if t431 {
+					t437 := i_t - p_tsteps
+					t438 := t437 + int64(1)
+					t431 = t438 >= int64(0)
 				}
-				t284 := i_li1
-				if t284 < 0 || t284 >= d_A[1] {
-					return m.OOB(t284, d_A[1], 1, "A", 0, 0)
+				if t431 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t285 := b_A + int((t283)*d_A[1]+t284)
-				t286 := m.LoadF(t285)
-				cs.Fold(checksum.AccDef, math.Float64bits(t286), p_tsteps)
-			}
-			t290 := i_li0 - int64(2)
-			t289 := t290 >= int64(0)
-			if t289 {
-				t291 := -i_li0
-				t292 := t291 + p_n
-				t293 := t292 - int64(2)
-				t289 = t293 >= int64(0)
-			}
-			t288 := t289
-			if t288 {
-				t294 := i_li1 - p_n
-				t295 := t294 + int64(1)
-				t288 = t295 >= int64(0)
-			}
-			t287 := t288
-			if t287 {
-				t296 := p_tsteps - int64(1)
-				t287 = t296 >= int64(0)
-			}
-			if t287 {
-				t297 := i_li0
-				if t297 < 0 || t297 >= d_A[0] {
-					return m.OOB(t297, d_A[0], 0, "A", 0, 0)
+				t441 := -i_i
+				t442 := t441 + p_n
+				t443 := t442 - int64(3)
+				t440 := t443 >= int64(0)
+				if t440 {
+					t444 := i_t - int64(1)
+					t440 = t444 >= int64(0)
 				}
-				t298 := i_li1
-				if t298 < 0 || t298 >= d_A[1] {
-					return m.OOB(t298, d_A[1], 1, "A", 0, 0)
+				t439 := t440
+				if t439 {
+					t445 := -i_t
+					t446 := t445 + p_tsteps
+					t447 := t446 - int64(2)
+					t439 = t447 >= int64(0)
 				}
-				t299 := b_A + int((t297)*d_A[1]+t298)
-				t300 := m.LoadF(t299)
-				cs.Fold(checksum.AccDef, math.Float64bits(t300), p_tsteps)
-			}
-			t306 := i_li0 - int64(2)
-			t305 := t306 >= int64(0)
-			if t305 {
-				t307 := i_li1 - int64(2)
-				t305 = t307 >= int64(0)
-			}
-			t304 := t305
-			if t304 {
-				t308 := -i_li0
-				t309 := t308 + p_n
-				t310 := t309 - int64(2)
-				t304 = t310 >= int64(0)
-			}
-			t303 := t304
-			if t303 {
-				t311 := -i_li1
-				t312 := t311 + p_n
-				t313 := t312 - int64(2)
-				t303 = t313 >= int64(0)
-			}
-			t302 := t303
-			if t302 {
-				t314 := p_tsteps - int64(1)
-				t302 = t314 >= int64(0)
-			}
-			t301 := t302
-			if t301 {
-				t315 := -p_tsteps
-				t316 := t315 + int64(1)
-				t301 = t316 >= int64(0)
-			}
-			if t301 {
-				t317 := i_li0
-				if t317 < 0 || t317 >= d_A[0] {
-					return m.OOB(t317, d_A[0], 0, "A", 0, 0)
+				if t439 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t318 := i_li1
-				if t318 < 0 || t318 >= d_A[1] {
-					return m.OOB(t318, d_A[1], 1, "A", 0, 0)
+				t450 := -i_i
+				t451 := t450 + p_n
+				t452 := t451 - int64(3)
+				t449 := t452 >= int64(0)
+				if t449 {
+					t453 := i_j - int64(2)
+					t449 = t453 >= int64(0)
 				}
-				t319 := b_A + int((t317)*d_A[1]+t318)
-				t320 := m.LoadF(t319)
-				cs.Fold(checksum.AccDef, math.Float64bits(t320), p_tsteps)
-			}
-			t325 := i_li0 - int64(2)
-			t324 := t325 >= int64(0)
-			if t324 {
-				t326 := i_li1 - int64(2)
-				t324 = t326 >= int64(0)
-			}
-			t323 := t324
-			if t323 {
-				t327 := -i_li0
-				t328 := t327 + p_n
-				t329 := t328 - int64(2)
-				t323 = t329 >= int64(0)
-			}
-			t322 := t323
-			if t322 {
-				t330 := -i_li1
-				t331 := t330 + p_n
-				t332 := t331 - int64(2)
-				t322 = t332 >= int64(0)
-			}
-			t321 := t322
-			if t321 {
-				t333 := p_tsteps - int64(2)
-				t321 = t333 >= int64(0)
-			}
-			if t321 {
-				t334 := i_li0
-				if t334 < 0 || t334 >= d_A[0] {
-					return m.OOB(t334, d_A[0], 0, "A", 0, 0)
+				t448 := t449
+				if t448 {
+					t454 := -i_t
+					t448 = t454 >= int64(0)
 				}
-				t335 := i_li1
-				if t335 < 0 || t335 >= d_A[1] {
-					return m.OOB(t335, d_A[1], 1, "A", 0, 0)
+				if t448 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 				}
-				t336 := b_A + int((t334)*d_A[1]+t335)
-				t337 := m.LoadF(t336)
-				cs.Fold(checksum.AccDef, math.Float64bits(t337), int64(1))
+				t458 := -i_i
+				t459 := t458 + p_n
+				t460 := t459 - int64(3)
+				t457 := t460 >= int64(0)
+				if t457 {
+					t461 := i_j - int64(2)
+					t457 = t461 >= int64(0)
+				}
+				t456 := t457
+				if t456 {
+					t462 := i_t - int64(1)
+					t456 = t462 >= int64(0)
+				}
+				t455 := t456
+				if t455 {
+					t463 := i_t - p_tsteps
+					t464 := t463 + int64(1)
+					t455 = t464 >= int64(0)
+				}
+				if t455 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t468 := -i_i
+				t469 := t468 + p_n
+				t470 := t469 - int64(3)
+				t467 := t470 >= int64(0)
+				if t467 {
+					t471 := i_j - int64(2)
+					t467 = t471 >= int64(0)
+				}
+				t466 := t467
+				if t466 {
+					t472 := i_t - int64(1)
+					t466 = t472 >= int64(0)
+				}
+				t465 := t466
+				if t465 {
+					t473 := -i_t
+					t474 := t473 + p_tsteps
+					t475 := t474 - int64(2)
+					t465 = t475 >= int64(0)
+				}
+				if t465 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t477 := -i_j
+				t478 := t477 + p_n
+				t479 := t478 - int64(3)
+				t476 := t479 >= int64(0)
+				if t476 {
+					t480 := -i_t
+					t476 = t480 >= int64(0)
+				}
+				if t476 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t483 := -i_j
+				t484 := t483 + p_n
+				t485 := t484 - int64(3)
+				t482 := t485 >= int64(0)
+				if t482 {
+					t486 := i_t - int64(1)
+					t482 = t486 >= int64(0)
+				}
+				t481 := t482
+				if t481 {
+					t487 := i_t - p_tsteps
+					t488 := t487 + int64(1)
+					t481 = t488 >= int64(0)
+				}
+				if t481 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t491 := -i_j
+				t492 := t491 + p_n
+				t493 := t492 - int64(3)
+				t490 := t493 >= int64(0)
+				if t490 {
+					t494 := i_t - int64(1)
+					t490 = t494 >= int64(0)
+				}
+				t489 := t490
+				if t489 {
+					t495 := -i_t
+					t496 := t495 + p_tsteps
+					t497 := t496 - int64(2)
+					t489 = t497 >= int64(0)
+				}
+				if t489 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t499 := -i_t
+				t500 := t499 + p_tsteps
+				t501 := t500 - int64(2)
+				t498 := t501 >= int64(0)
+				if t498 {
+					t502 := i_t - p_tsteps
+					t503 := t502 + int64(2)
+					t498 = t503 >= int64(0)
+				}
+				if t498 {
+					t504 := -i_t
+					t505 := t504 + p_tsteps
+					t506 := t505 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t506)
+				}
+				t507 := -i_t
+				t508 := t507 + p_tsteps
+				t509 := t508 - int64(3)
+				if t509 >= int64(0) {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t512 := i_j - int64(2)
+				t511 := t512 >= int64(0)
+				if t511 {
+					t513 := -i_t
+					t514 := t513 + p_tsteps
+					t515 := t514 - int64(2)
+					t511 = t515 >= int64(0)
+				}
+				t510 := t511
+				if t510 {
+					t516 := i_t - p_tsteps
+					t517 := t516 + int64(2)
+					t510 = t517 >= int64(0)
+				}
+				if t510 {
+					t518 := -i_t
+					t519 := t518 + p_tsteps
+					t520 := t519 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t520)
+				}
+				t522 := i_j - int64(2)
+				t521 := t522 >= int64(0)
+				if t521 {
+					t523 := -i_t
+					t524 := t523 + p_tsteps
+					t525 := t524 - int64(3)
+					t521 = t525 >= int64(0)
+				}
+				if t521 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t529 := i_i - int64(2)
+				t528 := t529 >= int64(0)
+				if t528 {
+					t530 := -i_j
+					t531 := t530 + p_n
+					t532 := t531 - int64(3)
+					t528 = t532 >= int64(0)
+				}
+				t527 := t528
+				if t527 {
+					t533 := -i_t
+					t534 := t533 + p_tsteps
+					t535 := t534 - int64(2)
+					t527 = t535 >= int64(0)
+				}
+				t526 := t527
+				if t526 {
+					t536 := i_t - p_tsteps
+					t537 := t536 + int64(2)
+					t526 = t537 >= int64(0)
+				}
+				if t526 {
+					t538 := -i_t
+					t539 := t538 + p_tsteps
+					t540 := t539 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t540)
+				}
+				t543 := i_i - int64(2)
+				t542 := t543 >= int64(0)
+				if t542 {
+					t544 := -i_j
+					t545 := t544 + p_n
+					t546 := t545 - int64(3)
+					t542 = t546 >= int64(0)
+				}
+				t541 := t542
+				if t541 {
+					t547 := -i_t
+					t548 := t547 + p_tsteps
+					t549 := t548 - int64(3)
+					t541 = t549 >= int64(0)
+				}
+				if t541 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t552 := i_i - int64(2)
+				t551 := t552 >= int64(0)
+				if t551 {
+					t553 := -i_t
+					t554 := t553 + p_tsteps
+					t555 := t554 - int64(2)
+					t551 = t555 >= int64(0)
+				}
+				t550 := t551
+				if t550 {
+					t556 := i_t - p_tsteps
+					t557 := t556 + int64(2)
+					t550 = t557 >= int64(0)
+				}
+				if t550 {
+					t558 := -i_t
+					t559 := t558 + p_tsteps
+					t560 := t559 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t560)
+				}
+				t562 := i_i - int64(2)
+				t561 := t562 >= int64(0)
+				if t561 {
+					t563 := -i_t
+					t564 := t563 + p_tsteps
+					t565 := t564 - int64(3)
+					t561 = t565 >= int64(0)
+				}
+				if t561 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
+				t569 := i_i - int64(2)
+				t568 := t569 >= int64(0)
+				if t568 {
+					t570 := i_j - int64(2)
+					t568 = t570 >= int64(0)
+				}
+				t567 := t568
+				if t567 {
+					t571 := -i_t
+					t572 := t571 + p_tsteps
+					t573 := t572 - int64(2)
+					t567 = t573 >= int64(0)
+				}
+				t566 := t567
+				if t566 {
+					t574 := i_t - p_tsteps
+					t575 := t574 + int64(2)
+					t566 = t575 >= int64(0)
+				}
+				if t566 {
+					t576 := -i_t
+					t577 := t576 + p_tsteps
+					t578 := t577 - int64(1)
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t578)
+				}
+				t581 := i_i - int64(2)
+				t580 := t581 >= int64(0)
+				if t580 {
+					t582 := i_j - int64(2)
+					t580 = t582 >= int64(0)
+				}
+				t579 := t580
+				if t579 {
+					t583 := -i_t
+					t584 := t583 + p_tsteps
+					t585 := t584 - int64(3)
+					t579 = t585 >= int64(0)
+				}
+				if t579 {
+					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				}
 			}
 		}
 	}
 	if epoch == epochs-1 {
-		t338 := p_tsteps - int64(1)
-		for i_t := int64(0); i_t <= t338; i_t++ {
-			if err := m.Tick(4, 1); err != nil {
-				return err
-			}
-			t339 := p_n - int64(2)
-			for i_i := int64(1); i_i <= t339; i_i++ {
-				if err := m.Tick(5, 3); err != nil {
-					return err
-				}
-				t340 := p_n - int64(2)
-				for i_j := int64(1); i_j <= t340; i_j++ {
-					if err := m.Tick(6, 5); err != nil {
-						return err
-					}
-					t341 := i_i - int64(1)
-					t342 := t341
-					if t342 < 0 || t342 >= d_A[0] {
-						return m.OOB(t342, d_A[0], 0, "A", 7, 22)
-					}
-					t343 := i_j - int64(1)
-					t344 := t343
-					if t344 < 0 || t344 >= d_A[1] {
-						return m.OOB(t344, d_A[1], 1, "A", 7, 22)
-					}
-					t345 := b_A + int((t342)*d_A[1]+t344)
-					r_A_r := m.LoadF(t345)
-					t346 := i_i - int64(1)
-					t347 := t346
-					if t347 < 0 || t347 >= d_A[0] {
-						return m.OOB(t347, d_A[0], 0, "A", 7, 40)
-					}
-					t348 := i_j
-					if t348 < 0 || t348 >= d_A[1] {
-						return m.OOB(t348, d_A[1], 1, "A", 7, 40)
-					}
-					t349 := b_A + int((t347)*d_A[1]+t348)
-					r_A_r2 := m.LoadF(t349)
-					t350 := i_i - int64(1)
-					t351 := t350
-					if t351 < 0 || t351 >= d_A[0] {
-						return m.OOB(t351, d_A[0], 0, "A", 7, 54)
-					}
-					t352 := i_j + int64(1)
-					t353 := t352
-					if t353 < 0 || t353 >= d_A[1] {
-						return m.OOB(t353, d_A[1], 1, "A", 7, 54)
-					}
-					t354 := b_A + int((t351)*d_A[1]+t353)
-					r_A_r3 := m.LoadF(t354)
-					t355 := i_i
-					if t355 < 0 || t355 >= d_A[0] {
-						return m.OOB(t355, d_A[0], 0, "A", 7, 72)
-					}
-					t356 := i_j - int64(1)
-					t357 := t356
-					if t357 < 0 || t357 >= d_A[1] {
-						return m.OOB(t357, d_A[1], 1, "A", 7, 72)
-					}
-					t358 := b_A + int((t355)*d_A[1]+t357)
-					r_A_r4 := m.LoadF(t358)
-					t359 := i_i
-					if t359 < 0 || t359 >= d_A[0] {
-						return m.OOB(t359, d_A[0], 0, "A", 7, 86)
-					}
-					t360 := i_j
-					if t360 < 0 || t360 >= d_A[1] {
-						return m.OOB(t360, d_A[1], 1, "A", 7, 86)
-					}
-					t361 := b_A + int((t359)*d_A[1]+t360)
-					r_A_r5 := m.LoadF(t361)
-					t362 := i_i
-					if t362 < 0 || t362 >= d_A[0] {
-						return m.OOB(t362, d_A[0], 0, "A", 7, 96)
-					}
-					t363 := i_j + int64(1)
-					t364 := t363
-					if t364 < 0 || t364 >= d_A[1] {
-						return m.OOB(t364, d_A[1], 1, "A", 7, 96)
-					}
-					t365 := b_A + int((t362)*d_A[1]+t364)
-					r_A_r6 := m.LoadF(t365)
-					t366 := i_i + int64(1)
-					t367 := t366
-					if t367 < 0 || t367 >= d_A[0] {
-						return m.OOB(t367, d_A[0], 0, "A", 7, 110)
-					}
-					t368 := i_j - int64(1)
-					t369 := t368
-					if t369 < 0 || t369 >= d_A[1] {
-						return m.OOB(t369, d_A[1], 1, "A", 7, 110)
-					}
-					t370 := b_A + int((t367)*d_A[1]+t369)
-					r_A_r7 := m.LoadF(t370)
-					t371 := i_i + int64(1)
-					t372 := t371
-					if t372 < 0 || t372 >= d_A[0] {
-						return m.OOB(t372, d_A[0], 0, "A", 7, 128)
-					}
-					t373 := i_j
-					if t373 < 0 || t373 >= d_A[1] {
-						return m.OOB(t373, d_A[1], 1, "A", 7, 128)
-					}
-					t374 := b_A + int((t372)*d_A[1]+t373)
-					r_A_r8 := m.LoadF(t374)
-					t375 := i_i + int64(1)
-					t376 := t375
-					if t376 < 0 || t376 >= d_A[0] {
-						return m.OOB(t376, d_A[0], 0, "A", 7, 142)
-					}
-					t377 := i_j + int64(1)
-					t378 := t377
-					if t378 < 0 || t378 >= d_A[1] {
-						return m.OOB(t378, d_A[1], 1, "A", 7, 142)
-					}
-					t379 := b_A + int((t376)*d_A[1]+t378)
-					r_A_r9 := m.LoadF(t379)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t380 := float64(r_A_r + r_A_r2)
-					t381 := float64(t380 + r_A_r3)
-					t382 := float64(t381 + r_A_r4)
-					t383 := float64(t382 + r_A_r5)
-					t384 := float64(t383 + r_A_r6)
-					t385 := float64(t384 + r_A_r7)
-					t386 := float64(t385 + r_A_r8)
-					t387 := float64(t386 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t388 := float64(t387 / float64(9))
-					r_A_w := t388
-					t389 := i_i
-					if t389 < 0 || t389 >= d_A[0] {
-						return m.OOB(t389, d_A[0], 0, "A", 7, 11)
-					}
-					t390 := i_j
-					if t390 < 0 || t390 >= d_A[1] {
-						return m.OOB(t390, d_A[1], 1, "A", 7, 11)
-					}
-					t391 := b_A + int((t389)*d_A[1]+t390)
-					m.StoreF(t391, r_A_w)
-					t394 := -i_i
-					t395 := t394 + p_n
-					t396 := t395 - int64(3)
-					t393 := t396 >= int64(0)
-					if t393 {
-						t397 := -i_j
-						t398 := t397 + p_n
-						t399 := t398 - int64(3)
-						t393 = t399 >= int64(0)
-					}
-					t392 := t393
-					if t392 {
-						t400 := -i_t
-						t392 = t400 >= int64(0)
-					}
-					if t392 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t404 := -i_i
-					t405 := t404 + p_n
-					t406 := t405 - int64(3)
-					t403 := t406 >= int64(0)
-					if t403 {
-						t407 := -i_j
-						t408 := t407 + p_n
-						t409 := t408 - int64(3)
-						t403 = t409 >= int64(0)
-					}
-					t402 := t403
-					if t402 {
-						t410 := i_t - int64(1)
-						t402 = t410 >= int64(0)
-					}
-					t401 := t402
-					if t401 {
-						t411 := i_t - p_tsteps
-						t412 := t411 + int64(1)
-						t401 = t412 >= int64(0)
-					}
-					if t401 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t416 := -i_i
-					t417 := t416 + p_n
-					t418 := t417 - int64(3)
-					t415 := t418 >= int64(0)
-					if t415 {
-						t419 := -i_j
-						t420 := t419 + p_n
-						t421 := t420 - int64(3)
-						t415 = t421 >= int64(0)
-					}
-					t414 := t415
-					if t414 {
-						t422 := i_t - int64(1)
-						t414 = t422 >= int64(0)
-					}
-					t413 := t414
-					if t413 {
-						t423 := -i_t
-						t424 := t423 + p_tsteps
-						t425 := t424 - int64(2)
-						t413 = t425 >= int64(0)
-					}
-					if t413 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t427 := -i_i
-					t428 := t427 + p_n
-					t429 := t428 - int64(3)
-					t426 := t429 >= int64(0)
-					if t426 {
-						t430 := -i_t
-						t426 = t430 >= int64(0)
-					}
-					if t426 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t433 := -i_i
-					t434 := t433 + p_n
-					t435 := t434 - int64(3)
-					t432 := t435 >= int64(0)
-					if t432 {
-						t436 := i_t - int64(1)
-						t432 = t436 >= int64(0)
-					}
-					t431 := t432
-					if t431 {
-						t437 := i_t - p_tsteps
-						t438 := t437 + int64(1)
-						t431 = t438 >= int64(0)
-					}
-					if t431 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t441 := -i_i
-					t442 := t441 + p_n
-					t443 := t442 - int64(3)
-					t440 := t443 >= int64(0)
-					if t440 {
-						t444 := i_t - int64(1)
-						t440 = t444 >= int64(0)
-					}
-					t439 := t440
-					if t439 {
-						t445 := -i_t
-						t446 := t445 + p_tsteps
-						t447 := t446 - int64(2)
-						t439 = t447 >= int64(0)
-					}
-					if t439 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t450 := -i_i
-					t451 := t450 + p_n
-					t452 := t451 - int64(3)
-					t449 := t452 >= int64(0)
-					if t449 {
-						t453 := i_j - int64(2)
-						t449 = t453 >= int64(0)
-					}
-					t448 := t449
-					if t448 {
-						t454 := -i_t
-						t448 = t454 >= int64(0)
-					}
-					if t448 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t458 := -i_i
-					t459 := t458 + p_n
-					t460 := t459 - int64(3)
-					t457 := t460 >= int64(0)
-					if t457 {
-						t461 := i_j - int64(2)
-						t457 = t461 >= int64(0)
-					}
-					t456 := t457
-					if t456 {
-						t462 := i_t - int64(1)
-						t456 = t462 >= int64(0)
-					}
-					t455 := t456
-					if t455 {
-						t463 := i_t - p_tsteps
-						t464 := t463 + int64(1)
-						t455 = t464 >= int64(0)
-					}
-					if t455 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t468 := -i_i
-					t469 := t468 + p_n
-					t470 := t469 - int64(3)
-					t467 := t470 >= int64(0)
-					if t467 {
-						t471 := i_j - int64(2)
-						t467 = t471 >= int64(0)
-					}
-					t466 := t467
-					if t466 {
-						t472 := i_t - int64(1)
-						t466 = t472 >= int64(0)
-					}
-					t465 := t466
-					if t465 {
-						t473 := -i_t
-						t474 := t473 + p_tsteps
-						t475 := t474 - int64(2)
-						t465 = t475 >= int64(0)
-					}
-					if t465 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t477 := -i_j
-					t478 := t477 + p_n
-					t479 := t478 - int64(3)
-					t476 := t479 >= int64(0)
-					if t476 {
-						t480 := -i_t
-						t476 = t480 >= int64(0)
-					}
-					if t476 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t483 := -i_j
-					t484 := t483 + p_n
-					t485 := t484 - int64(3)
-					t482 := t485 >= int64(0)
-					if t482 {
-						t486 := i_t - int64(1)
-						t482 = t486 >= int64(0)
-					}
-					t481 := t482
-					if t481 {
-						t487 := i_t - p_tsteps
-						t488 := t487 + int64(1)
-						t481 = t488 >= int64(0)
-					}
-					if t481 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t491 := -i_j
-					t492 := t491 + p_n
-					t493 := t492 - int64(3)
-					t490 := t493 >= int64(0)
-					if t490 {
-						t494 := i_t - int64(1)
-						t490 = t494 >= int64(0)
-					}
-					t489 := t490
-					if t489 {
-						t495 := -i_t
-						t496 := t495 + p_tsteps
-						t497 := t496 - int64(2)
-						t489 = t497 >= int64(0)
-					}
-					if t489 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t499 := -i_t
-					t500 := t499 + p_tsteps
-					t501 := t500 - int64(2)
-					t498 := t501 >= int64(0)
-					if t498 {
-						t502 := i_t - p_tsteps
-						t503 := t502 + int64(2)
-						t498 = t503 >= int64(0)
-					}
-					if t498 {
-						t504 := -i_t
-						t505 := t504 + p_tsteps
-						t506 := t505 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t506)
-					}
-					t507 := -i_t
-					t508 := t507 + p_tsteps
-					t509 := t508 - int64(3)
-					if t509 >= int64(0) {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t512 := i_j - int64(2)
-					t511 := t512 >= int64(0)
-					if t511 {
-						t513 := -i_t
-						t514 := t513 + p_tsteps
-						t515 := t514 - int64(2)
-						t511 = t515 >= int64(0)
-					}
-					t510 := t511
-					if t510 {
-						t516 := i_t - p_tsteps
-						t517 := t516 + int64(2)
-						t510 = t517 >= int64(0)
-					}
-					if t510 {
-						t518 := -i_t
-						t519 := t518 + p_tsteps
-						t520 := t519 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t520)
-					}
-					t522 := i_j - int64(2)
-					t521 := t522 >= int64(0)
-					if t521 {
-						t523 := -i_t
-						t524 := t523 + p_tsteps
-						t525 := t524 - int64(3)
-						t521 = t525 >= int64(0)
-					}
-					if t521 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t529 := i_i - int64(2)
-					t528 := t529 >= int64(0)
-					if t528 {
-						t530 := -i_j
-						t531 := t530 + p_n
-						t532 := t531 - int64(3)
-						t528 = t532 >= int64(0)
-					}
-					t527 := t528
-					if t527 {
-						t533 := -i_t
-						t534 := t533 + p_tsteps
-						t535 := t534 - int64(2)
-						t527 = t535 >= int64(0)
-					}
-					t526 := t527
-					if t526 {
-						t536 := i_t - p_tsteps
-						t537 := t536 + int64(2)
-						t526 = t537 >= int64(0)
-					}
-					if t526 {
-						t538 := -i_t
-						t539 := t538 + p_tsteps
-						t540 := t539 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t540)
-					}
-					t543 := i_i - int64(2)
-					t542 := t543 >= int64(0)
-					if t542 {
-						t544 := -i_j
-						t545 := t544 + p_n
-						t546 := t545 - int64(3)
-						t542 = t546 >= int64(0)
-					}
-					t541 := t542
-					if t541 {
-						t547 := -i_t
-						t548 := t547 + p_tsteps
-						t549 := t548 - int64(3)
-						t541 = t549 >= int64(0)
-					}
-					if t541 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t552 := i_i - int64(2)
-					t551 := t552 >= int64(0)
-					if t551 {
-						t553 := -i_t
-						t554 := t553 + p_tsteps
-						t555 := t554 - int64(2)
-						t551 = t555 >= int64(0)
-					}
-					t550 := t551
-					if t550 {
-						t556 := i_t - p_tsteps
-						t557 := t556 + int64(2)
-						t550 = t557 >= int64(0)
-					}
-					if t550 {
-						t558 := -i_t
-						t559 := t558 + p_tsteps
-						t560 := t559 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t560)
-					}
-					t562 := i_i - int64(2)
-					t561 := t562 >= int64(0)
-					if t561 {
-						t563 := -i_t
-						t564 := t563 + p_tsteps
-						t565 := t564 - int64(3)
-						t561 = t565 >= int64(0)
-					}
-					if t561 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-					t569 := i_i - int64(2)
-					t568 := t569 >= int64(0)
-					if t568 {
-						t570 := i_j - int64(2)
-						t568 = t570 >= int64(0)
-					}
-					t567 := t568
-					if t567 {
-						t571 := -i_t
-						t572 := t571 + p_tsteps
-						t573 := t572 - int64(2)
-						t567 = t573 >= int64(0)
-					}
-					t566 := t567
-					if t566 {
-						t574 := i_t - p_tsteps
-						t575 := t574 + int64(2)
-						t566 = t575 >= int64(0)
-					}
-					if t566 {
-						t576 := -i_t
-						t577 := t576 + p_tsteps
-						t578 := t577 - int64(1)
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t578)
-					}
-					t581 := i_i - int64(2)
-					t580 := t581 >= int64(0)
-					if t580 {
-						t582 := i_j - int64(2)
-						t580 = t582 >= int64(0)
-					}
-					t579 := t580
-					if t579 {
-						t583 := -i_t
-						t584 := t583 + p_tsteps
-						t585 := t584 - int64(3)
-						t579 = t585 >= int64(0)
-					}
-					if t579 {
-						cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					}
-				}
-			}
-		}
 		m.Pair().Flush(&cs)
 		if err := m.Assert(0, 0); err != nil {
 			return err
@@ -1529,204 +1529,196 @@ func run_seidel_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	if epoch == 0 {
 		t1 := p_n - int64(1)
 		t2 := codegen.MinI(t1, int64(0))
-		m.SetBounds(int64(0), t2)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t3 := p_n - int64(3)
-		t4 := codegen.MinI(t3, int64(0))
-		for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+		for i_li0 := int64(0); i_li0 <= t2; i_li0++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t5 := p_tsteps - int64(1)
-			if t5 >= int64(0) {
-				t6 := i_li0
-				if t6 < 0 || t6 >= d_A[0] {
-					return m.OOB(t6, d_A[0], 0, "A", 0, 0)
+			t3 := p_n - int64(3)
+			t4 := codegen.MinI(t3, int64(0))
+			for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t7 := i_li1
-				if t7 < 0 || t7 >= d_A[1] {
-					return m.OOB(t7, d_A[1], 1, "A", 0, 0)
+				t5 := p_tsteps - int64(1)
+				if t5 >= int64(0) {
+					t6 := i_li0
+					if t6 < 0 || t6 >= d_A[0] {
+						return m.OOB(t6, d_A[0], 0, "A", 0, 0)
+					}
+					t7 := i_li1
+					if t7 < 0 || t7 >= d_A[1] {
+						return m.OOB(t7, d_A[1], 1, "A", 0, 0)
+					}
+					t8 := b_A + int((t6)*d_A[1]+t7)
+					t9 := m.LoadF(t8)
+					cs.Fold(checksum.AccDef, math.Float64bits(t9), p_tsteps)
 				}
-				t8 := b_A + int((t6)*d_A[1]+t7)
-				t9 := m.LoadF(t8)
-				cs.Fold(checksum.AccDef, math.Float64bits(t9), p_tsteps)
+			}
+			t10 := p_n - int64(3)
+			t11 := codegen.MinI(t10, int64(1))
+			for i_li1 := int64(1); i_li1 <= t11; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t12 := p_tsteps - int64(1)
+				if t12 >= int64(0) {
+					t13 := i_li0
+					if t13 < 0 || t13 >= d_A[0] {
+						return m.OOB(t13, d_A[0], 0, "A", 0, 0)
+					}
+					t14 := i_li1
+					if t14 < 0 || t14 >= d_A[1] {
+						return m.OOB(t14, d_A[1], 1, "A", 0, 0)
+					}
+					t15 := b_A + int((t13)*d_A[1]+t14)
+					t16 := m.LoadF(t15)
+					cs.Fold(checksum.AccDef, math.Float64bits(t16), p_tsteps)
+				}
+				t17 := p_tsteps - int64(1)
+				if t17 >= int64(0) {
+					t18 := i_li0
+					if t18 < 0 || t18 >= d_A[0] {
+						return m.OOB(t18, d_A[0], 0, "A", 0, 0)
+					}
+					t19 := i_li1
+					if t19 < 0 || t19 >= d_A[1] {
+						return m.OOB(t19, d_A[1], 1, "A", 0, 0)
+					}
+					t20 := b_A + int((t18)*d_A[1]+t19)
+					t21 := m.LoadF(t20)
+					cs.Fold(checksum.AccDef, math.Float64bits(t21), p_tsteps)
+				}
+			}
+			t22 := p_n - int64(3)
+			for i_li1 := int64(2); i_li1 <= t22; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t23 := p_tsteps - int64(1)
+				if t23 >= int64(0) {
+					t24 := i_li0
+					if t24 < 0 || t24 >= d_A[0] {
+						return m.OOB(t24, d_A[0], 0, "A", 0, 0)
+					}
+					t25 := i_li1
+					if t25 < 0 || t25 >= d_A[1] {
+						return m.OOB(t25, d_A[1], 1, "A", 0, 0)
+					}
+					t26 := b_A + int((t24)*d_A[1]+t25)
+					t27 := m.LoadF(t26)
+					cs.Fold(checksum.AccDef, math.Float64bits(t27), p_tsteps)
+				}
+				t28 := p_tsteps - int64(1)
+				if t28 >= int64(0) {
+					t29 := i_li0
+					if t29 < 0 || t29 >= d_A[0] {
+						return m.OOB(t29, d_A[0], 0, "A", 0, 0)
+					}
+					t30 := i_li1
+					if t30 < 0 || t30 >= d_A[1] {
+						return m.OOB(t30, d_A[1], 1, "A", 0, 0)
+					}
+					t31 := b_A + int((t29)*d_A[1]+t30)
+					t32 := m.LoadF(t31)
+					cs.Fold(checksum.AccDef, math.Float64bits(t32), p_tsteps)
+				}
+				t33 := p_tsteps - int64(1)
+				if t33 >= int64(0) {
+					t34 := i_li0
+					if t34 < 0 || t34 >= d_A[0] {
+						return m.OOB(t34, d_A[0], 0, "A", 0, 0)
+					}
+					t35 := i_li1
+					if t35 < 0 || t35 >= d_A[1] {
+						return m.OOB(t35, d_A[1], 1, "A", 0, 0)
+					}
+					t36 := b_A + int((t34)*d_A[1]+t35)
+					t37 := m.LoadF(t36)
+					cs.Fold(checksum.AccDef, math.Float64bits(t37), p_tsteps)
+				}
+			}
+			t38 := p_n - int64(2)
+			t39 := codegen.MaxI(int64(1), t38)
+			t40 := p_n - int64(2)
+			t41 := codegen.MinI(t40, int64(1))
+			for i_li1 := t39; i_li1 <= t41; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t42 := p_tsteps - int64(1)
+				if t42 >= int64(0) {
+					t43 := i_li0
+					if t43 < 0 || t43 >= d_A[0] {
+						return m.OOB(t43, d_A[0], 0, "A", 0, 0)
+					}
+					t44 := i_li1
+					if t44 < 0 || t44 >= d_A[1] {
+						return m.OOB(t44, d_A[1], 1, "A", 0, 0)
+					}
+					t45 := b_A + int((t43)*d_A[1]+t44)
+					t46 := m.LoadF(t45)
+					cs.Fold(checksum.AccDef, math.Float64bits(t46), p_tsteps)
+				}
+			}
+			t47 := p_n - int64(2)
+			t48 := codegen.MaxI(int64(2), t47)
+			t49 := p_n - int64(2)
+			for i_li1 := t48; i_li1 <= t49; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t50 := p_tsteps - int64(1)
+				if t50 >= int64(0) {
+					t51 := i_li0
+					if t51 < 0 || t51 >= d_A[0] {
+						return m.OOB(t51, d_A[0], 0, "A", 0, 0)
+					}
+					t52 := i_li1
+					if t52 < 0 || t52 >= d_A[1] {
+						return m.OOB(t52, d_A[1], 1, "A", 0, 0)
+					}
+					t53 := b_A + int((t51)*d_A[1]+t52)
+					t54 := m.LoadF(t53)
+					cs.Fold(checksum.AccDef, math.Float64bits(t54), p_tsteps)
+				}
+				t55 := p_tsteps - int64(1)
+				if t55 >= int64(0) {
+					t56 := i_li0
+					if t56 < 0 || t56 >= d_A[0] {
+						return m.OOB(t56, d_A[0], 0, "A", 0, 0)
+					}
+					t57 := i_li1
+					if t57 < 0 || t57 >= d_A[1] {
+						return m.OOB(t57, d_A[1], 1, "A", 0, 0)
+					}
+					t58 := b_A + int((t56)*d_A[1]+t57)
+					t59 := m.LoadF(t58)
+					cs.Fold(checksum.AccDef, math.Float64bits(t59), p_tsteps)
+				}
+			}
+			t60 := p_n - int64(1)
+			t61 := codegen.MaxI(int64(2), t60)
+			t62 := p_n - int64(1)
+			for i_li1 := t61; i_li1 <= t62; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t63 := p_tsteps - int64(1)
+				if t63 >= int64(0) {
+					t64 := i_li0
+					if t64 < 0 || t64 >= d_A[0] {
+						return m.OOB(t64, d_A[0], 0, "A", 0, 0)
+					}
+					t65 := i_li1
+					if t65 < 0 || t65 >= d_A[1] {
+						return m.OOB(t65, d_A[1], 1, "A", 0, 0)
+					}
+					t66 := b_A + int((t64)*d_A[1]+t65)
+					t67 := m.LoadF(t66)
+					cs.Fold(checksum.AccDef, math.Float64bits(t67), p_tsteps)
+				}
 			}
 		}
-		t10 := p_n - int64(3)
-		t11 := codegen.MinI(t10, int64(1))
-		for i_li1 := int64(1); i_li1 <= t11; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t12 := p_tsteps - int64(1)
-			if t12 >= int64(0) {
-				t13 := i_li0
-				if t13 < 0 || t13 >= d_A[0] {
-					return m.OOB(t13, d_A[0], 0, "A", 0, 0)
-				}
-				t14 := i_li1
-				if t14 < 0 || t14 >= d_A[1] {
-					return m.OOB(t14, d_A[1], 1, "A", 0, 0)
-				}
-				t15 := b_A + int((t13)*d_A[1]+t14)
-				t16 := m.LoadF(t15)
-				cs.Fold(checksum.AccDef, math.Float64bits(t16), p_tsteps)
-			}
-			t17 := p_tsteps - int64(1)
-			if t17 >= int64(0) {
-				t18 := i_li0
-				if t18 < 0 || t18 >= d_A[0] {
-					return m.OOB(t18, d_A[0], 0, "A", 0, 0)
-				}
-				t19 := i_li1
-				if t19 < 0 || t19 >= d_A[1] {
-					return m.OOB(t19, d_A[1], 1, "A", 0, 0)
-				}
-				t20 := b_A + int((t18)*d_A[1]+t19)
-				t21 := m.LoadF(t20)
-				cs.Fold(checksum.AccDef, math.Float64bits(t21), p_tsteps)
-			}
-		}
-		t22 := p_n - int64(3)
-		for i_li1 := int64(2); i_li1 <= t22; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t23 := p_tsteps - int64(1)
-			if t23 >= int64(0) {
-				t24 := i_li0
-				if t24 < 0 || t24 >= d_A[0] {
-					return m.OOB(t24, d_A[0], 0, "A", 0, 0)
-				}
-				t25 := i_li1
-				if t25 < 0 || t25 >= d_A[1] {
-					return m.OOB(t25, d_A[1], 1, "A", 0, 0)
-				}
-				t26 := b_A + int((t24)*d_A[1]+t25)
-				t27 := m.LoadF(t26)
-				cs.Fold(checksum.AccDef, math.Float64bits(t27), p_tsteps)
-			}
-			t28 := p_tsteps - int64(1)
-			if t28 >= int64(0) {
-				t29 := i_li0
-				if t29 < 0 || t29 >= d_A[0] {
-					return m.OOB(t29, d_A[0], 0, "A", 0, 0)
-				}
-				t30 := i_li1
-				if t30 < 0 || t30 >= d_A[1] {
-					return m.OOB(t30, d_A[1], 1, "A", 0, 0)
-				}
-				t31 := b_A + int((t29)*d_A[1]+t30)
-				t32 := m.LoadF(t31)
-				cs.Fold(checksum.AccDef, math.Float64bits(t32), p_tsteps)
-			}
-			t33 := p_tsteps - int64(1)
-			if t33 >= int64(0) {
-				t34 := i_li0
-				if t34 < 0 || t34 >= d_A[0] {
-					return m.OOB(t34, d_A[0], 0, "A", 0, 0)
-				}
-				t35 := i_li1
-				if t35 < 0 || t35 >= d_A[1] {
-					return m.OOB(t35, d_A[1], 1, "A", 0, 0)
-				}
-				t36 := b_A + int((t34)*d_A[1]+t35)
-				t37 := m.LoadF(t36)
-				cs.Fold(checksum.AccDef, math.Float64bits(t37), p_tsteps)
-			}
-		}
-		t38 := p_n - int64(2)
-		t39 := codegen.MaxI(int64(1), t38)
-		t40 := p_n - int64(2)
-		t41 := codegen.MinI(t40, int64(1))
-		for i_li1 := t39; i_li1 <= t41; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t42 := p_tsteps - int64(1)
-			if t42 >= int64(0) {
-				t43 := i_li0
-				if t43 < 0 || t43 >= d_A[0] {
-					return m.OOB(t43, d_A[0], 0, "A", 0, 0)
-				}
-				t44 := i_li1
-				if t44 < 0 || t44 >= d_A[1] {
-					return m.OOB(t44, d_A[1], 1, "A", 0, 0)
-				}
-				t45 := b_A + int((t43)*d_A[1]+t44)
-				t46 := m.LoadF(t45)
-				cs.Fold(checksum.AccDef, math.Float64bits(t46), p_tsteps)
-			}
-		}
-		t47 := p_n - int64(2)
-		t48 := codegen.MaxI(int64(2), t47)
-		t49 := p_n - int64(2)
-		for i_li1 := t48; i_li1 <= t49; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t50 := p_tsteps - int64(1)
-			if t50 >= int64(0) {
-				t51 := i_li0
-				if t51 < 0 || t51 >= d_A[0] {
-					return m.OOB(t51, d_A[0], 0, "A", 0, 0)
-				}
-				t52 := i_li1
-				if t52 < 0 || t52 >= d_A[1] {
-					return m.OOB(t52, d_A[1], 1, "A", 0, 0)
-				}
-				t53 := b_A + int((t51)*d_A[1]+t52)
-				t54 := m.LoadF(t53)
-				cs.Fold(checksum.AccDef, math.Float64bits(t54), p_tsteps)
-			}
-			t55 := p_tsteps - int64(1)
-			if t55 >= int64(0) {
-				t56 := i_li0
-				if t56 < 0 || t56 >= d_A[0] {
-					return m.OOB(t56, d_A[0], 0, "A", 0, 0)
-				}
-				t57 := i_li1
-				if t57 < 0 || t57 >= d_A[1] {
-					return m.OOB(t57, d_A[1], 1, "A", 0, 0)
-				}
-				t58 := b_A + int((t56)*d_A[1]+t57)
-				t59 := m.LoadF(t58)
-				cs.Fold(checksum.AccDef, math.Float64bits(t59), p_tsteps)
-			}
-		}
-		t60 := p_n - int64(1)
-		t61 := codegen.MaxI(int64(2), t60)
-		t62 := p_n - int64(1)
-		for i_li1 := t61; i_li1 <= t62; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t63 := p_tsteps - int64(1)
-			if t63 >= int64(0) {
-				t64 := i_li0
-				if t64 < 0 || t64 >= d_A[0] {
-					return m.OOB(t64, d_A[0], 0, "A", 0, 0)
-				}
-				t65 := i_li1
-				if t65 < 0 || t65 >= d_A[1] {
-					return m.OOB(t65, d_A[1], 1, "A", 0, 0)
-				}
-				t66 := b_A + int((t64)*d_A[1]+t65)
-				t67 := m.LoadF(t66)
-				cs.Fold(checksum.AccDef, math.Float64bits(t67), p_tsteps)
-			}
-		}
-	}
-	if epoch == epochs-1 {
 		t68 := p_n - int64(3)
 		t69 := codegen.MinI(t68, int64(1))
 		for i_li0 := int64(1); i_li0 <= t69; i_li0++ {
@@ -3249,1500 +3241,1508 @@ func run_seidel_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 		}
 		t626 := p_tsteps - int64(3)
 		t627 := codegen.MinI(t626, int64(0))
-		for i_t := int64(0); i_t <= t627; i_t++ {
+		m.SetBounds(int64(0), t627)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_t := start; i_t <= end; i_t++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t628 := p_n - int64(3)
+		t629 := codegen.MinI(t628, int64(1))
+		for i_i := int64(1); i_i <= t629; i_i++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t628 := p_n - int64(3)
-			t629 := codegen.MinI(t628, int64(1))
-			for i_i := int64(1); i_i <= t629; i_i++ {
+			t630 := p_n - int64(3)
+			t631 := codegen.MinI(t630, int64(1))
+			for i_j := int64(1); i_j <= t631; i_j++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t630 := p_n - int64(3)
-				t631 := codegen.MinI(t630, int64(1))
-				for i_j := int64(1); i_j <= t631; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t632 := i_i - int64(1)
-					t633 := t632
-					if t633 < 0 || t633 >= d_A[0] {
-						return m.OOB(t633, d_A[0], 0, "A", 7, 22)
-					}
-					t634 := i_j - int64(1)
-					t635 := t634
-					if t635 < 0 || t635 >= d_A[1] {
-						return m.OOB(t635, d_A[1], 1, "A", 7, 22)
-					}
-					t636 := b_A + int((t633)*d_A[1]+t635)
-					r_A_r := m.LoadF(t636)
-					t637 := i_i - int64(1)
-					t638 := t637
-					if t638 < 0 || t638 >= d_A[0] {
-						return m.OOB(t638, d_A[0], 0, "A", 7, 40)
-					}
-					t639 := i_j
-					if t639 < 0 || t639 >= d_A[1] {
-						return m.OOB(t639, d_A[1], 1, "A", 7, 40)
-					}
-					t640 := b_A + int((t638)*d_A[1]+t639)
-					r_A_r2 := m.LoadF(t640)
-					t641 := i_i - int64(1)
-					t642 := t641
-					if t642 < 0 || t642 >= d_A[0] {
-						return m.OOB(t642, d_A[0], 0, "A", 7, 54)
-					}
-					t643 := i_j + int64(1)
-					t644 := t643
-					if t644 < 0 || t644 >= d_A[1] {
-						return m.OOB(t644, d_A[1], 1, "A", 7, 54)
-					}
-					t645 := b_A + int((t642)*d_A[1]+t644)
-					r_A_r3 := m.LoadF(t645)
-					t646 := i_i
-					if t646 < 0 || t646 >= d_A[0] {
-						return m.OOB(t646, d_A[0], 0, "A", 7, 72)
-					}
-					t647 := i_j - int64(1)
-					t648 := t647
-					if t648 < 0 || t648 >= d_A[1] {
-						return m.OOB(t648, d_A[1], 1, "A", 7, 72)
-					}
-					t649 := b_A + int((t646)*d_A[1]+t648)
-					r_A_r4 := m.LoadF(t649)
-					t650 := i_i
-					if t650 < 0 || t650 >= d_A[0] {
-						return m.OOB(t650, d_A[0], 0, "A", 7, 86)
-					}
-					t651 := i_j
-					if t651 < 0 || t651 >= d_A[1] {
-						return m.OOB(t651, d_A[1], 1, "A", 7, 86)
-					}
-					t652 := b_A + int((t650)*d_A[1]+t651)
-					r_A_r5 := m.LoadF(t652)
-					t653 := i_i
-					if t653 < 0 || t653 >= d_A[0] {
-						return m.OOB(t653, d_A[0], 0, "A", 7, 96)
-					}
-					t654 := i_j + int64(1)
-					t655 := t654
-					if t655 < 0 || t655 >= d_A[1] {
-						return m.OOB(t655, d_A[1], 1, "A", 7, 96)
-					}
-					t656 := b_A + int((t653)*d_A[1]+t655)
-					r_A_r6 := m.LoadF(t656)
-					t657 := i_i + int64(1)
-					t658 := t657
-					if t658 < 0 || t658 >= d_A[0] {
-						return m.OOB(t658, d_A[0], 0, "A", 7, 110)
-					}
-					t659 := i_j - int64(1)
-					t660 := t659
-					if t660 < 0 || t660 >= d_A[1] {
-						return m.OOB(t660, d_A[1], 1, "A", 7, 110)
-					}
-					t661 := b_A + int((t658)*d_A[1]+t660)
-					r_A_r7 := m.LoadF(t661)
-					t662 := i_i + int64(1)
-					t663 := t662
-					if t663 < 0 || t663 >= d_A[0] {
-						return m.OOB(t663, d_A[0], 0, "A", 7, 128)
-					}
-					t664 := i_j
-					if t664 < 0 || t664 >= d_A[1] {
-						return m.OOB(t664, d_A[1], 1, "A", 7, 128)
-					}
-					t665 := b_A + int((t663)*d_A[1]+t664)
-					r_A_r8 := m.LoadF(t665)
-					t666 := i_i + int64(1)
-					t667 := t666
-					if t667 < 0 || t667 >= d_A[0] {
-						return m.OOB(t667, d_A[0], 0, "A", 7, 142)
-					}
-					t668 := i_j + int64(1)
-					t669 := t668
-					if t669 < 0 || t669 >= d_A[1] {
-						return m.OOB(t669, d_A[1], 1, "A", 7, 142)
-					}
-					t670 := b_A + int((t667)*d_A[1]+t669)
-					r_A_r9 := m.LoadF(t670)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t671 := float64(r_A_r + r_A_r2)
-					t672 := float64(t671 + r_A_r3)
-					t673 := float64(t672 + r_A_r4)
-					t674 := float64(t673 + r_A_r5)
-					t675 := float64(t674 + r_A_r6)
-					t676 := float64(t675 + r_A_r7)
-					t677 := float64(t676 + r_A_r8)
-					t678 := float64(t677 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t679 := float64(t678 / float64(9))
-					r_A_w := t679
-					t680 := i_i
-					if t680 < 0 || t680 >= d_A[0] {
-						return m.OOB(t680, d_A[0], 0, "A", 7, 11)
-					}
-					t681 := i_j
-					if t681 < 0 || t681 >= d_A[1] {
-						return m.OOB(t681, d_A[1], 1, "A", 7, 11)
-					}
-					t682 := b_A + int((t680)*d_A[1]+t681)
-					m.StoreF(t682, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t632 := i_i - int64(1)
+				t633 := t632
+				if t633 < 0 || t633 >= d_A[0] {
+					return m.OOB(t633, d_A[0], 0, "A", 7, 22)
 				}
-				t683 := p_n - int64(3)
-				for i_j := int64(2); i_j <= t683; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t684 := i_i - int64(1)
-					t685 := t684
-					if t685 < 0 || t685 >= d_A[0] {
-						return m.OOB(t685, d_A[0], 0, "A", 7, 22)
-					}
-					t686 := i_j - int64(1)
-					t687 := t686
-					if t687 < 0 || t687 >= d_A[1] {
-						return m.OOB(t687, d_A[1], 1, "A", 7, 22)
-					}
-					t688 := b_A + int((t685)*d_A[1]+t687)
-					r_A_r := m.LoadF(t688)
-					t689 := i_i - int64(1)
-					t690 := t689
-					if t690 < 0 || t690 >= d_A[0] {
-						return m.OOB(t690, d_A[0], 0, "A", 7, 40)
-					}
-					t691 := i_j
-					if t691 < 0 || t691 >= d_A[1] {
-						return m.OOB(t691, d_A[1], 1, "A", 7, 40)
-					}
-					t692 := b_A + int((t690)*d_A[1]+t691)
-					r_A_r2 := m.LoadF(t692)
-					t693 := i_i - int64(1)
-					t694 := t693
-					if t694 < 0 || t694 >= d_A[0] {
-						return m.OOB(t694, d_A[0], 0, "A", 7, 54)
-					}
-					t695 := i_j + int64(1)
-					t696 := t695
-					if t696 < 0 || t696 >= d_A[1] {
-						return m.OOB(t696, d_A[1], 1, "A", 7, 54)
-					}
-					t697 := b_A + int((t694)*d_A[1]+t696)
-					r_A_r3 := m.LoadF(t697)
-					t698 := i_i
-					if t698 < 0 || t698 >= d_A[0] {
-						return m.OOB(t698, d_A[0], 0, "A", 7, 72)
-					}
-					t699 := i_j - int64(1)
-					t700 := t699
-					if t700 < 0 || t700 >= d_A[1] {
-						return m.OOB(t700, d_A[1], 1, "A", 7, 72)
-					}
-					t701 := b_A + int((t698)*d_A[1]+t700)
-					r_A_r4 := m.LoadF(t701)
-					t702 := i_i
-					if t702 < 0 || t702 >= d_A[0] {
-						return m.OOB(t702, d_A[0], 0, "A", 7, 86)
-					}
-					t703 := i_j
-					if t703 < 0 || t703 >= d_A[1] {
-						return m.OOB(t703, d_A[1], 1, "A", 7, 86)
-					}
-					t704 := b_A + int((t702)*d_A[1]+t703)
-					r_A_r5 := m.LoadF(t704)
-					t705 := i_i
-					if t705 < 0 || t705 >= d_A[0] {
-						return m.OOB(t705, d_A[0], 0, "A", 7, 96)
-					}
-					t706 := i_j + int64(1)
-					t707 := t706
-					if t707 < 0 || t707 >= d_A[1] {
-						return m.OOB(t707, d_A[1], 1, "A", 7, 96)
-					}
-					t708 := b_A + int((t705)*d_A[1]+t707)
-					r_A_r6 := m.LoadF(t708)
-					t709 := i_i + int64(1)
-					t710 := t709
-					if t710 < 0 || t710 >= d_A[0] {
-						return m.OOB(t710, d_A[0], 0, "A", 7, 110)
-					}
-					t711 := i_j - int64(1)
-					t712 := t711
-					if t712 < 0 || t712 >= d_A[1] {
-						return m.OOB(t712, d_A[1], 1, "A", 7, 110)
-					}
-					t713 := b_A + int((t710)*d_A[1]+t712)
-					r_A_r7 := m.LoadF(t713)
-					t714 := i_i + int64(1)
-					t715 := t714
-					if t715 < 0 || t715 >= d_A[0] {
-						return m.OOB(t715, d_A[0], 0, "A", 7, 128)
-					}
-					t716 := i_j
-					if t716 < 0 || t716 >= d_A[1] {
-						return m.OOB(t716, d_A[1], 1, "A", 7, 128)
-					}
-					t717 := b_A + int((t715)*d_A[1]+t716)
-					r_A_r8 := m.LoadF(t717)
-					t718 := i_i + int64(1)
-					t719 := t718
-					if t719 < 0 || t719 >= d_A[0] {
-						return m.OOB(t719, d_A[0], 0, "A", 7, 142)
-					}
-					t720 := i_j + int64(1)
-					t721 := t720
-					if t721 < 0 || t721 >= d_A[1] {
-						return m.OOB(t721, d_A[1], 1, "A", 7, 142)
-					}
-					t722 := b_A + int((t719)*d_A[1]+t721)
-					r_A_r9 := m.LoadF(t722)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t723 := float64(r_A_r + r_A_r2)
-					t724 := float64(t723 + r_A_r3)
-					t725 := float64(t724 + r_A_r4)
-					t726 := float64(t725 + r_A_r5)
-					t727 := float64(t726 + r_A_r6)
-					t728 := float64(t727 + r_A_r7)
-					t729 := float64(t728 + r_A_r8)
-					t730 := float64(t729 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t731 := float64(t730 / float64(9))
-					r_A_w := t731
-					t732 := i_i
-					if t732 < 0 || t732 >= d_A[0] {
-						return m.OOB(t732, d_A[0], 0, "A", 7, 11)
-					}
-					t733 := i_j
-					if t733 < 0 || t733 >= d_A[1] {
-						return m.OOB(t733, d_A[1], 1, "A", 7, 11)
-					}
-					t734 := b_A + int((t732)*d_A[1]+t733)
-					m.StoreF(t734, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t634 := i_j - int64(1)
+				t635 := t634
+				if t635 < 0 || t635 >= d_A[1] {
+					return m.OOB(t635, d_A[1], 1, "A", 7, 22)
 				}
-				t735 := p_n - int64(2)
-				t736 := codegen.MaxI(int64(1), t735)
-				t737 := p_n - int64(2)
-				for i_j := t736; i_j <= t737; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t738 := i_i - int64(1)
-					t739 := t738
-					if t739 < 0 || t739 >= d_A[0] {
-						return m.OOB(t739, d_A[0], 0, "A", 7, 22)
-					}
-					t740 := i_j - int64(1)
-					t741 := t740
-					if t741 < 0 || t741 >= d_A[1] {
-						return m.OOB(t741, d_A[1], 1, "A", 7, 22)
-					}
-					t742 := b_A + int((t739)*d_A[1]+t741)
-					r_A_r := m.LoadF(t742)
-					t743 := i_i - int64(1)
-					t744 := t743
-					if t744 < 0 || t744 >= d_A[0] {
-						return m.OOB(t744, d_A[0], 0, "A", 7, 40)
-					}
-					t745 := i_j
-					if t745 < 0 || t745 >= d_A[1] {
-						return m.OOB(t745, d_A[1], 1, "A", 7, 40)
-					}
-					t746 := b_A + int((t744)*d_A[1]+t745)
-					r_A_r2 := m.LoadF(t746)
-					t747 := i_i - int64(1)
-					t748 := t747
-					if t748 < 0 || t748 >= d_A[0] {
-						return m.OOB(t748, d_A[0], 0, "A", 7, 54)
-					}
-					t749 := i_j + int64(1)
-					t750 := t749
-					if t750 < 0 || t750 >= d_A[1] {
-						return m.OOB(t750, d_A[1], 1, "A", 7, 54)
-					}
-					t751 := b_A + int((t748)*d_A[1]+t750)
-					r_A_r3 := m.LoadF(t751)
-					t752 := i_i
-					if t752 < 0 || t752 >= d_A[0] {
-						return m.OOB(t752, d_A[0], 0, "A", 7, 72)
-					}
-					t753 := i_j - int64(1)
-					t754 := t753
-					if t754 < 0 || t754 >= d_A[1] {
-						return m.OOB(t754, d_A[1], 1, "A", 7, 72)
-					}
-					t755 := b_A + int((t752)*d_A[1]+t754)
-					r_A_r4 := m.LoadF(t755)
-					t756 := i_i
-					if t756 < 0 || t756 >= d_A[0] {
-						return m.OOB(t756, d_A[0], 0, "A", 7, 86)
-					}
-					t757 := i_j
-					if t757 < 0 || t757 >= d_A[1] {
-						return m.OOB(t757, d_A[1], 1, "A", 7, 86)
-					}
-					t758 := b_A + int((t756)*d_A[1]+t757)
-					r_A_r5 := m.LoadF(t758)
-					t759 := i_i
-					if t759 < 0 || t759 >= d_A[0] {
-						return m.OOB(t759, d_A[0], 0, "A", 7, 96)
-					}
-					t760 := i_j + int64(1)
-					t761 := t760
-					if t761 < 0 || t761 >= d_A[1] {
-						return m.OOB(t761, d_A[1], 1, "A", 7, 96)
-					}
-					t762 := b_A + int((t759)*d_A[1]+t761)
-					r_A_r6 := m.LoadF(t762)
-					t763 := i_i + int64(1)
-					t764 := t763
-					if t764 < 0 || t764 >= d_A[0] {
-						return m.OOB(t764, d_A[0], 0, "A", 7, 110)
-					}
-					t765 := i_j - int64(1)
-					t766 := t765
-					if t766 < 0 || t766 >= d_A[1] {
-						return m.OOB(t766, d_A[1], 1, "A", 7, 110)
-					}
-					t767 := b_A + int((t764)*d_A[1]+t766)
-					r_A_r7 := m.LoadF(t767)
-					t768 := i_i + int64(1)
-					t769 := t768
-					if t769 < 0 || t769 >= d_A[0] {
-						return m.OOB(t769, d_A[0], 0, "A", 7, 128)
-					}
-					t770 := i_j
-					if t770 < 0 || t770 >= d_A[1] {
-						return m.OOB(t770, d_A[1], 1, "A", 7, 128)
-					}
-					t771 := b_A + int((t769)*d_A[1]+t770)
-					r_A_r8 := m.LoadF(t771)
-					t772 := i_i + int64(1)
-					t773 := t772
-					if t773 < 0 || t773 >= d_A[0] {
-						return m.OOB(t773, d_A[0], 0, "A", 7, 142)
-					}
-					t774 := i_j + int64(1)
-					t775 := t774
-					if t775 < 0 || t775 >= d_A[1] {
-						return m.OOB(t775, d_A[1], 1, "A", 7, 142)
-					}
-					t776 := b_A + int((t773)*d_A[1]+t775)
-					r_A_r9 := m.LoadF(t776)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t777 := float64(r_A_r + r_A_r2)
-					t778 := float64(t777 + r_A_r3)
-					t779 := float64(t778 + r_A_r4)
-					t780 := float64(t779 + r_A_r5)
-					t781 := float64(t780 + r_A_r6)
-					t782 := float64(t781 + r_A_r7)
-					t783 := float64(t782 + r_A_r8)
-					t784 := float64(t783 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t785 := float64(t784 / float64(9))
-					r_A_w := t785
-					t786 := i_i
-					if t786 < 0 || t786 >= d_A[0] {
-						return m.OOB(t786, d_A[0], 0, "A", 7, 11)
-					}
-					t787 := i_j
-					if t787 < 0 || t787 >= d_A[1] {
-						return m.OOB(t787, d_A[1], 1, "A", 7, 11)
-					}
-					t788 := b_A + int((t786)*d_A[1]+t787)
-					m.StoreF(t788, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t636 := b_A + int((t633)*d_A[1]+t635)
+				r_A_r := m.LoadF(t636)
+				t637 := i_i - int64(1)
+				t638 := t637
+				if t638 < 0 || t638 >= d_A[0] {
+					return m.OOB(t638, d_A[0], 0, "A", 7, 40)
 				}
+				t639 := i_j
+				if t639 < 0 || t639 >= d_A[1] {
+					return m.OOB(t639, d_A[1], 1, "A", 7, 40)
+				}
+				t640 := b_A + int((t638)*d_A[1]+t639)
+				r_A_r2 := m.LoadF(t640)
+				t641 := i_i - int64(1)
+				t642 := t641
+				if t642 < 0 || t642 >= d_A[0] {
+					return m.OOB(t642, d_A[0], 0, "A", 7, 54)
+				}
+				t643 := i_j + int64(1)
+				t644 := t643
+				if t644 < 0 || t644 >= d_A[1] {
+					return m.OOB(t644, d_A[1], 1, "A", 7, 54)
+				}
+				t645 := b_A + int((t642)*d_A[1]+t644)
+				r_A_r3 := m.LoadF(t645)
+				t646 := i_i
+				if t646 < 0 || t646 >= d_A[0] {
+					return m.OOB(t646, d_A[0], 0, "A", 7, 72)
+				}
+				t647 := i_j - int64(1)
+				t648 := t647
+				if t648 < 0 || t648 >= d_A[1] {
+					return m.OOB(t648, d_A[1], 1, "A", 7, 72)
+				}
+				t649 := b_A + int((t646)*d_A[1]+t648)
+				r_A_r4 := m.LoadF(t649)
+				t650 := i_i
+				if t650 < 0 || t650 >= d_A[0] {
+					return m.OOB(t650, d_A[0], 0, "A", 7, 86)
+				}
+				t651 := i_j
+				if t651 < 0 || t651 >= d_A[1] {
+					return m.OOB(t651, d_A[1], 1, "A", 7, 86)
+				}
+				t652 := b_A + int((t650)*d_A[1]+t651)
+				r_A_r5 := m.LoadF(t652)
+				t653 := i_i
+				if t653 < 0 || t653 >= d_A[0] {
+					return m.OOB(t653, d_A[0], 0, "A", 7, 96)
+				}
+				t654 := i_j + int64(1)
+				t655 := t654
+				if t655 < 0 || t655 >= d_A[1] {
+					return m.OOB(t655, d_A[1], 1, "A", 7, 96)
+				}
+				t656 := b_A + int((t653)*d_A[1]+t655)
+				r_A_r6 := m.LoadF(t656)
+				t657 := i_i + int64(1)
+				t658 := t657
+				if t658 < 0 || t658 >= d_A[0] {
+					return m.OOB(t658, d_A[0], 0, "A", 7, 110)
+				}
+				t659 := i_j - int64(1)
+				t660 := t659
+				if t660 < 0 || t660 >= d_A[1] {
+					return m.OOB(t660, d_A[1], 1, "A", 7, 110)
+				}
+				t661 := b_A + int((t658)*d_A[1]+t660)
+				r_A_r7 := m.LoadF(t661)
+				t662 := i_i + int64(1)
+				t663 := t662
+				if t663 < 0 || t663 >= d_A[0] {
+					return m.OOB(t663, d_A[0], 0, "A", 7, 128)
+				}
+				t664 := i_j
+				if t664 < 0 || t664 >= d_A[1] {
+					return m.OOB(t664, d_A[1], 1, "A", 7, 128)
+				}
+				t665 := b_A + int((t663)*d_A[1]+t664)
+				r_A_r8 := m.LoadF(t665)
+				t666 := i_i + int64(1)
+				t667 := t666
+				if t667 < 0 || t667 >= d_A[0] {
+					return m.OOB(t667, d_A[0], 0, "A", 7, 142)
+				}
+				t668 := i_j + int64(1)
+				t669 := t668
+				if t669 < 0 || t669 >= d_A[1] {
+					return m.OOB(t669, d_A[1], 1, "A", 7, 142)
+				}
+				t670 := b_A + int((t667)*d_A[1]+t669)
+				r_A_r9 := m.LoadF(t670)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t671 := float64(r_A_r + r_A_r2)
+				t672 := float64(t671 + r_A_r3)
+				t673 := float64(t672 + r_A_r4)
+				t674 := float64(t673 + r_A_r5)
+				t675 := float64(t674 + r_A_r6)
+				t676 := float64(t675 + r_A_r7)
+				t677 := float64(t676 + r_A_r8)
+				t678 := float64(t677 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t679 := float64(t678 / float64(9))
+				r_A_w := t679
+				t680 := i_i
+				if t680 < 0 || t680 >= d_A[0] {
+					return m.OOB(t680, d_A[0], 0, "A", 7, 11)
+				}
+				t681 := i_j
+				if t681 < 0 || t681 >= d_A[1] {
+					return m.OOB(t681, d_A[1], 1, "A", 7, 11)
+				}
+				t682 := b_A + int((t680)*d_A[1]+t681)
+				m.StoreF(t682, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 			}
-			t789 := p_n - int64(3)
-			for i_i := int64(2); i_i <= t789; i_i++ {
+			t683 := p_n - int64(3)
+			for i_j := int64(2); i_j <= t683; i_j++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t790 := p_n - int64(3)
-				t791 := codegen.MinI(t790, int64(1))
-				for i_j := int64(1); i_j <= t791; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t792 := i_i - int64(1)
-					t793 := t792
-					if t793 < 0 || t793 >= d_A[0] {
-						return m.OOB(t793, d_A[0], 0, "A", 7, 22)
-					}
-					t794 := i_j - int64(1)
-					t795 := t794
-					if t795 < 0 || t795 >= d_A[1] {
-						return m.OOB(t795, d_A[1], 1, "A", 7, 22)
-					}
-					t796 := b_A + int((t793)*d_A[1]+t795)
-					r_A_r := m.LoadF(t796)
-					t797 := i_i - int64(1)
-					t798 := t797
-					if t798 < 0 || t798 >= d_A[0] {
-						return m.OOB(t798, d_A[0], 0, "A", 7, 40)
-					}
-					t799 := i_j
-					if t799 < 0 || t799 >= d_A[1] {
-						return m.OOB(t799, d_A[1], 1, "A", 7, 40)
-					}
-					t800 := b_A + int((t798)*d_A[1]+t799)
-					r_A_r2 := m.LoadF(t800)
-					t801 := i_i - int64(1)
-					t802 := t801
-					if t802 < 0 || t802 >= d_A[0] {
-						return m.OOB(t802, d_A[0], 0, "A", 7, 54)
-					}
-					t803 := i_j + int64(1)
-					t804 := t803
-					if t804 < 0 || t804 >= d_A[1] {
-						return m.OOB(t804, d_A[1], 1, "A", 7, 54)
-					}
-					t805 := b_A + int((t802)*d_A[1]+t804)
-					r_A_r3 := m.LoadF(t805)
-					t806 := i_i
-					if t806 < 0 || t806 >= d_A[0] {
-						return m.OOB(t806, d_A[0], 0, "A", 7, 72)
-					}
-					t807 := i_j - int64(1)
-					t808 := t807
-					if t808 < 0 || t808 >= d_A[1] {
-						return m.OOB(t808, d_A[1], 1, "A", 7, 72)
-					}
-					t809 := b_A + int((t806)*d_A[1]+t808)
-					r_A_r4 := m.LoadF(t809)
-					t810 := i_i
-					if t810 < 0 || t810 >= d_A[0] {
-						return m.OOB(t810, d_A[0], 0, "A", 7, 86)
-					}
-					t811 := i_j
-					if t811 < 0 || t811 >= d_A[1] {
-						return m.OOB(t811, d_A[1], 1, "A", 7, 86)
-					}
-					t812 := b_A + int((t810)*d_A[1]+t811)
-					r_A_r5 := m.LoadF(t812)
-					t813 := i_i
-					if t813 < 0 || t813 >= d_A[0] {
-						return m.OOB(t813, d_A[0], 0, "A", 7, 96)
-					}
-					t814 := i_j + int64(1)
-					t815 := t814
-					if t815 < 0 || t815 >= d_A[1] {
-						return m.OOB(t815, d_A[1], 1, "A", 7, 96)
-					}
-					t816 := b_A + int((t813)*d_A[1]+t815)
-					r_A_r6 := m.LoadF(t816)
-					t817 := i_i + int64(1)
-					t818 := t817
-					if t818 < 0 || t818 >= d_A[0] {
-						return m.OOB(t818, d_A[0], 0, "A", 7, 110)
-					}
-					t819 := i_j - int64(1)
-					t820 := t819
-					if t820 < 0 || t820 >= d_A[1] {
-						return m.OOB(t820, d_A[1], 1, "A", 7, 110)
-					}
-					t821 := b_A + int((t818)*d_A[1]+t820)
-					r_A_r7 := m.LoadF(t821)
-					t822 := i_i + int64(1)
-					t823 := t822
-					if t823 < 0 || t823 >= d_A[0] {
-						return m.OOB(t823, d_A[0], 0, "A", 7, 128)
-					}
-					t824 := i_j
-					if t824 < 0 || t824 >= d_A[1] {
-						return m.OOB(t824, d_A[1], 1, "A", 7, 128)
-					}
-					t825 := b_A + int((t823)*d_A[1]+t824)
-					r_A_r8 := m.LoadF(t825)
-					t826 := i_i + int64(1)
-					t827 := t826
-					if t827 < 0 || t827 >= d_A[0] {
-						return m.OOB(t827, d_A[0], 0, "A", 7, 142)
-					}
-					t828 := i_j + int64(1)
-					t829 := t828
-					if t829 < 0 || t829 >= d_A[1] {
-						return m.OOB(t829, d_A[1], 1, "A", 7, 142)
-					}
-					t830 := b_A + int((t827)*d_A[1]+t829)
-					r_A_r9 := m.LoadF(t830)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t831 := float64(r_A_r + r_A_r2)
-					t832 := float64(t831 + r_A_r3)
-					t833 := float64(t832 + r_A_r4)
-					t834 := float64(t833 + r_A_r5)
-					t835 := float64(t834 + r_A_r6)
-					t836 := float64(t835 + r_A_r7)
-					t837 := float64(t836 + r_A_r8)
-					t838 := float64(t837 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t839 := float64(t838 / float64(9))
-					r_A_w := t839
-					t840 := i_i
-					if t840 < 0 || t840 >= d_A[0] {
-						return m.OOB(t840, d_A[0], 0, "A", 7, 11)
-					}
-					t841 := i_j
-					if t841 < 0 || t841 >= d_A[1] {
-						return m.OOB(t841, d_A[1], 1, "A", 7, 11)
-					}
-					t842 := b_A + int((t840)*d_A[1]+t841)
-					m.StoreF(t842, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t684 := i_i - int64(1)
+				t685 := t684
+				if t685 < 0 || t685 >= d_A[0] {
+					return m.OOB(t685, d_A[0], 0, "A", 7, 22)
 				}
-				t843 := p_n - int64(3)
-				for i_j := int64(2); i_j <= t843; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t844 := i_i - int64(1)
-					t845 := t844
-					if t845 < 0 || t845 >= d_A[0] {
-						return m.OOB(t845, d_A[0], 0, "A", 7, 22)
-					}
-					t846 := i_j - int64(1)
-					t847 := t846
-					if t847 < 0 || t847 >= d_A[1] {
-						return m.OOB(t847, d_A[1], 1, "A", 7, 22)
-					}
-					t848 := b_A + int((t845)*d_A[1]+t847)
-					r_A_r := m.LoadF(t848)
-					t849 := i_i - int64(1)
-					t850 := t849
-					if t850 < 0 || t850 >= d_A[0] {
-						return m.OOB(t850, d_A[0], 0, "A", 7, 40)
-					}
-					t851 := i_j
-					if t851 < 0 || t851 >= d_A[1] {
-						return m.OOB(t851, d_A[1], 1, "A", 7, 40)
-					}
-					t852 := b_A + int((t850)*d_A[1]+t851)
-					r_A_r2 := m.LoadF(t852)
-					t853 := i_i - int64(1)
-					t854 := t853
-					if t854 < 0 || t854 >= d_A[0] {
-						return m.OOB(t854, d_A[0], 0, "A", 7, 54)
-					}
-					t855 := i_j + int64(1)
-					t856 := t855
-					if t856 < 0 || t856 >= d_A[1] {
-						return m.OOB(t856, d_A[1], 1, "A", 7, 54)
-					}
-					t857 := b_A + int((t854)*d_A[1]+t856)
-					r_A_r3 := m.LoadF(t857)
-					t858 := i_i
-					if t858 < 0 || t858 >= d_A[0] {
-						return m.OOB(t858, d_A[0], 0, "A", 7, 72)
-					}
-					t859 := i_j - int64(1)
-					t860 := t859
-					if t860 < 0 || t860 >= d_A[1] {
-						return m.OOB(t860, d_A[1], 1, "A", 7, 72)
-					}
-					t861 := b_A + int((t858)*d_A[1]+t860)
-					r_A_r4 := m.LoadF(t861)
-					t862 := i_i
-					if t862 < 0 || t862 >= d_A[0] {
-						return m.OOB(t862, d_A[0], 0, "A", 7, 86)
-					}
-					t863 := i_j
-					if t863 < 0 || t863 >= d_A[1] {
-						return m.OOB(t863, d_A[1], 1, "A", 7, 86)
-					}
-					t864 := b_A + int((t862)*d_A[1]+t863)
-					r_A_r5 := m.LoadF(t864)
-					t865 := i_i
-					if t865 < 0 || t865 >= d_A[0] {
-						return m.OOB(t865, d_A[0], 0, "A", 7, 96)
-					}
-					t866 := i_j + int64(1)
-					t867 := t866
-					if t867 < 0 || t867 >= d_A[1] {
-						return m.OOB(t867, d_A[1], 1, "A", 7, 96)
-					}
-					t868 := b_A + int((t865)*d_A[1]+t867)
-					r_A_r6 := m.LoadF(t868)
-					t869 := i_i + int64(1)
-					t870 := t869
-					if t870 < 0 || t870 >= d_A[0] {
-						return m.OOB(t870, d_A[0], 0, "A", 7, 110)
-					}
-					t871 := i_j - int64(1)
-					t872 := t871
-					if t872 < 0 || t872 >= d_A[1] {
-						return m.OOB(t872, d_A[1], 1, "A", 7, 110)
-					}
-					t873 := b_A + int((t870)*d_A[1]+t872)
-					r_A_r7 := m.LoadF(t873)
-					t874 := i_i + int64(1)
-					t875 := t874
-					if t875 < 0 || t875 >= d_A[0] {
-						return m.OOB(t875, d_A[0], 0, "A", 7, 128)
-					}
-					t876 := i_j
-					if t876 < 0 || t876 >= d_A[1] {
-						return m.OOB(t876, d_A[1], 1, "A", 7, 128)
-					}
-					t877 := b_A + int((t875)*d_A[1]+t876)
-					r_A_r8 := m.LoadF(t877)
-					t878 := i_i + int64(1)
-					t879 := t878
-					if t879 < 0 || t879 >= d_A[0] {
-						return m.OOB(t879, d_A[0], 0, "A", 7, 142)
-					}
-					t880 := i_j + int64(1)
-					t881 := t880
-					if t881 < 0 || t881 >= d_A[1] {
-						return m.OOB(t881, d_A[1], 1, "A", 7, 142)
-					}
-					t882 := b_A + int((t879)*d_A[1]+t881)
-					r_A_r9 := m.LoadF(t882)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t883 := float64(r_A_r + r_A_r2)
-					t884 := float64(t883 + r_A_r3)
-					t885 := float64(t884 + r_A_r4)
-					t886 := float64(t885 + r_A_r5)
-					t887 := float64(t886 + r_A_r6)
-					t888 := float64(t887 + r_A_r7)
-					t889 := float64(t888 + r_A_r8)
-					t890 := float64(t889 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t891 := float64(t890 / float64(9))
-					r_A_w := t891
-					t892 := i_i
-					if t892 < 0 || t892 >= d_A[0] {
-						return m.OOB(t892, d_A[0], 0, "A", 7, 11)
-					}
-					t893 := i_j
-					if t893 < 0 || t893 >= d_A[1] {
-						return m.OOB(t893, d_A[1], 1, "A", 7, 11)
-					}
-					t894 := b_A + int((t892)*d_A[1]+t893)
-					m.StoreF(t894, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t686 := i_j - int64(1)
+				t687 := t686
+				if t687 < 0 || t687 >= d_A[1] {
+					return m.OOB(t687, d_A[1], 1, "A", 7, 22)
 				}
-				t895 := p_n - int64(2)
-				t896 := codegen.MaxI(int64(1), t895)
-				t897 := p_n - int64(2)
-				for i_j := t896; i_j <= t897; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t898 := i_i - int64(1)
-					t899 := t898
-					if t899 < 0 || t899 >= d_A[0] {
-						return m.OOB(t899, d_A[0], 0, "A", 7, 22)
-					}
-					t900 := i_j - int64(1)
-					t901 := t900
-					if t901 < 0 || t901 >= d_A[1] {
-						return m.OOB(t901, d_A[1], 1, "A", 7, 22)
-					}
-					t902 := b_A + int((t899)*d_A[1]+t901)
-					r_A_r := m.LoadF(t902)
-					t903 := i_i - int64(1)
-					t904 := t903
-					if t904 < 0 || t904 >= d_A[0] {
-						return m.OOB(t904, d_A[0], 0, "A", 7, 40)
-					}
-					t905 := i_j
-					if t905 < 0 || t905 >= d_A[1] {
-						return m.OOB(t905, d_A[1], 1, "A", 7, 40)
-					}
-					t906 := b_A + int((t904)*d_A[1]+t905)
-					r_A_r2 := m.LoadF(t906)
-					t907 := i_i - int64(1)
-					t908 := t907
-					if t908 < 0 || t908 >= d_A[0] {
-						return m.OOB(t908, d_A[0], 0, "A", 7, 54)
-					}
-					t909 := i_j + int64(1)
-					t910 := t909
-					if t910 < 0 || t910 >= d_A[1] {
-						return m.OOB(t910, d_A[1], 1, "A", 7, 54)
-					}
-					t911 := b_A + int((t908)*d_A[1]+t910)
-					r_A_r3 := m.LoadF(t911)
-					t912 := i_i
-					if t912 < 0 || t912 >= d_A[0] {
-						return m.OOB(t912, d_A[0], 0, "A", 7, 72)
-					}
-					t913 := i_j - int64(1)
-					t914 := t913
-					if t914 < 0 || t914 >= d_A[1] {
-						return m.OOB(t914, d_A[1], 1, "A", 7, 72)
-					}
-					t915 := b_A + int((t912)*d_A[1]+t914)
-					r_A_r4 := m.LoadF(t915)
-					t916 := i_i
-					if t916 < 0 || t916 >= d_A[0] {
-						return m.OOB(t916, d_A[0], 0, "A", 7, 86)
-					}
-					t917 := i_j
-					if t917 < 0 || t917 >= d_A[1] {
-						return m.OOB(t917, d_A[1], 1, "A", 7, 86)
-					}
-					t918 := b_A + int((t916)*d_A[1]+t917)
-					r_A_r5 := m.LoadF(t918)
-					t919 := i_i
-					if t919 < 0 || t919 >= d_A[0] {
-						return m.OOB(t919, d_A[0], 0, "A", 7, 96)
-					}
-					t920 := i_j + int64(1)
-					t921 := t920
-					if t921 < 0 || t921 >= d_A[1] {
-						return m.OOB(t921, d_A[1], 1, "A", 7, 96)
-					}
-					t922 := b_A + int((t919)*d_A[1]+t921)
-					r_A_r6 := m.LoadF(t922)
-					t923 := i_i + int64(1)
-					t924 := t923
-					if t924 < 0 || t924 >= d_A[0] {
-						return m.OOB(t924, d_A[0], 0, "A", 7, 110)
-					}
-					t925 := i_j - int64(1)
-					t926 := t925
-					if t926 < 0 || t926 >= d_A[1] {
-						return m.OOB(t926, d_A[1], 1, "A", 7, 110)
-					}
-					t927 := b_A + int((t924)*d_A[1]+t926)
-					r_A_r7 := m.LoadF(t927)
-					t928 := i_i + int64(1)
-					t929 := t928
-					if t929 < 0 || t929 >= d_A[0] {
-						return m.OOB(t929, d_A[0], 0, "A", 7, 128)
-					}
-					t930 := i_j
-					if t930 < 0 || t930 >= d_A[1] {
-						return m.OOB(t930, d_A[1], 1, "A", 7, 128)
-					}
-					t931 := b_A + int((t929)*d_A[1]+t930)
-					r_A_r8 := m.LoadF(t931)
-					t932 := i_i + int64(1)
-					t933 := t932
-					if t933 < 0 || t933 >= d_A[0] {
-						return m.OOB(t933, d_A[0], 0, "A", 7, 142)
-					}
-					t934 := i_j + int64(1)
-					t935 := t934
-					if t935 < 0 || t935 >= d_A[1] {
-						return m.OOB(t935, d_A[1], 1, "A", 7, 142)
-					}
-					t936 := b_A + int((t933)*d_A[1]+t935)
-					r_A_r9 := m.LoadF(t936)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t937 := float64(r_A_r + r_A_r2)
-					t938 := float64(t937 + r_A_r3)
-					t939 := float64(t938 + r_A_r4)
-					t940 := float64(t939 + r_A_r5)
-					t941 := float64(t940 + r_A_r6)
-					t942 := float64(t941 + r_A_r7)
-					t943 := float64(t942 + r_A_r8)
-					t944 := float64(t943 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t945 := float64(t944 / float64(9))
-					r_A_w := t945
-					t946 := i_i
-					if t946 < 0 || t946 >= d_A[0] {
-						return m.OOB(t946, d_A[0], 0, "A", 7, 11)
-					}
-					t947 := i_j
-					if t947 < 0 || t947 >= d_A[1] {
-						return m.OOB(t947, d_A[1], 1, "A", 7, 11)
-					}
-					t948 := b_A + int((t946)*d_A[1]+t947)
-					m.StoreF(t948, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t688 := b_A + int((t685)*d_A[1]+t687)
+				r_A_r := m.LoadF(t688)
+				t689 := i_i - int64(1)
+				t690 := t689
+				if t690 < 0 || t690 >= d_A[0] {
+					return m.OOB(t690, d_A[0], 0, "A", 7, 40)
 				}
+				t691 := i_j
+				if t691 < 0 || t691 >= d_A[1] {
+					return m.OOB(t691, d_A[1], 1, "A", 7, 40)
+				}
+				t692 := b_A + int((t690)*d_A[1]+t691)
+				r_A_r2 := m.LoadF(t692)
+				t693 := i_i - int64(1)
+				t694 := t693
+				if t694 < 0 || t694 >= d_A[0] {
+					return m.OOB(t694, d_A[0], 0, "A", 7, 54)
+				}
+				t695 := i_j + int64(1)
+				t696 := t695
+				if t696 < 0 || t696 >= d_A[1] {
+					return m.OOB(t696, d_A[1], 1, "A", 7, 54)
+				}
+				t697 := b_A + int((t694)*d_A[1]+t696)
+				r_A_r3 := m.LoadF(t697)
+				t698 := i_i
+				if t698 < 0 || t698 >= d_A[0] {
+					return m.OOB(t698, d_A[0], 0, "A", 7, 72)
+				}
+				t699 := i_j - int64(1)
+				t700 := t699
+				if t700 < 0 || t700 >= d_A[1] {
+					return m.OOB(t700, d_A[1], 1, "A", 7, 72)
+				}
+				t701 := b_A + int((t698)*d_A[1]+t700)
+				r_A_r4 := m.LoadF(t701)
+				t702 := i_i
+				if t702 < 0 || t702 >= d_A[0] {
+					return m.OOB(t702, d_A[0], 0, "A", 7, 86)
+				}
+				t703 := i_j
+				if t703 < 0 || t703 >= d_A[1] {
+					return m.OOB(t703, d_A[1], 1, "A", 7, 86)
+				}
+				t704 := b_A + int((t702)*d_A[1]+t703)
+				r_A_r5 := m.LoadF(t704)
+				t705 := i_i
+				if t705 < 0 || t705 >= d_A[0] {
+					return m.OOB(t705, d_A[0], 0, "A", 7, 96)
+				}
+				t706 := i_j + int64(1)
+				t707 := t706
+				if t707 < 0 || t707 >= d_A[1] {
+					return m.OOB(t707, d_A[1], 1, "A", 7, 96)
+				}
+				t708 := b_A + int((t705)*d_A[1]+t707)
+				r_A_r6 := m.LoadF(t708)
+				t709 := i_i + int64(1)
+				t710 := t709
+				if t710 < 0 || t710 >= d_A[0] {
+					return m.OOB(t710, d_A[0], 0, "A", 7, 110)
+				}
+				t711 := i_j - int64(1)
+				t712 := t711
+				if t712 < 0 || t712 >= d_A[1] {
+					return m.OOB(t712, d_A[1], 1, "A", 7, 110)
+				}
+				t713 := b_A + int((t710)*d_A[1]+t712)
+				r_A_r7 := m.LoadF(t713)
+				t714 := i_i + int64(1)
+				t715 := t714
+				if t715 < 0 || t715 >= d_A[0] {
+					return m.OOB(t715, d_A[0], 0, "A", 7, 128)
+				}
+				t716 := i_j
+				if t716 < 0 || t716 >= d_A[1] {
+					return m.OOB(t716, d_A[1], 1, "A", 7, 128)
+				}
+				t717 := b_A + int((t715)*d_A[1]+t716)
+				r_A_r8 := m.LoadF(t717)
+				t718 := i_i + int64(1)
+				t719 := t718
+				if t719 < 0 || t719 >= d_A[0] {
+					return m.OOB(t719, d_A[0], 0, "A", 7, 142)
+				}
+				t720 := i_j + int64(1)
+				t721 := t720
+				if t721 < 0 || t721 >= d_A[1] {
+					return m.OOB(t721, d_A[1], 1, "A", 7, 142)
+				}
+				t722 := b_A + int((t719)*d_A[1]+t721)
+				r_A_r9 := m.LoadF(t722)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t723 := float64(r_A_r + r_A_r2)
+				t724 := float64(t723 + r_A_r3)
+				t725 := float64(t724 + r_A_r4)
+				t726 := float64(t725 + r_A_r5)
+				t727 := float64(t726 + r_A_r6)
+				t728 := float64(t727 + r_A_r7)
+				t729 := float64(t728 + r_A_r8)
+				t730 := float64(t729 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t731 := float64(t730 / float64(9))
+				r_A_w := t731
+				t732 := i_i
+				if t732 < 0 || t732 >= d_A[0] {
+					return m.OOB(t732, d_A[0], 0, "A", 7, 11)
+				}
+				t733 := i_j
+				if t733 < 0 || t733 >= d_A[1] {
+					return m.OOB(t733, d_A[1], 1, "A", 7, 11)
+				}
+				t734 := b_A + int((t732)*d_A[1]+t733)
+				m.StoreF(t734, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 			}
-			t949 := p_n - int64(2)
-			t950 := codegen.MaxI(int64(1), t949)
-			t951 := p_n - int64(2)
-			t952 := codegen.MinI(t951, int64(1))
-			for i_i := t950; i_i <= t952; i_i++ {
+			t735 := p_n - int64(2)
+			t736 := codegen.MaxI(int64(1), t735)
+			t737 := p_n - int64(2)
+			for i_j := t736; i_j <= t737; i_j++ {
 				if err := m.Tick(0, 0); err != nil {
 					return err
 				}
-				t953 := p_n - int64(2)
-				for i_j := int64(1); i_j <= t953; i_j++ {
-					if err := m.Tick(6, 5); err != nil {
-						return err
-					}
-					t954 := i_i - int64(1)
-					t955 := t954
-					if t955 < 0 || t955 >= d_A[0] {
-						return m.OOB(t955, d_A[0], 0, "A", 7, 22)
-					}
-					t956 := i_j - int64(1)
-					t957 := t956
-					if t957 < 0 || t957 >= d_A[1] {
-						return m.OOB(t957, d_A[1], 1, "A", 7, 22)
-					}
-					t958 := b_A + int((t955)*d_A[1]+t957)
-					r_A_r := m.LoadF(t958)
-					t959 := i_i - int64(1)
-					t960 := t959
-					if t960 < 0 || t960 >= d_A[0] {
-						return m.OOB(t960, d_A[0], 0, "A", 7, 40)
-					}
-					t961 := i_j
-					if t961 < 0 || t961 >= d_A[1] {
-						return m.OOB(t961, d_A[1], 1, "A", 7, 40)
-					}
-					t962 := b_A + int((t960)*d_A[1]+t961)
-					r_A_r2 := m.LoadF(t962)
-					t963 := i_i - int64(1)
-					t964 := t963
-					if t964 < 0 || t964 >= d_A[0] {
-						return m.OOB(t964, d_A[0], 0, "A", 7, 54)
-					}
-					t965 := i_j + int64(1)
-					t966 := t965
-					if t966 < 0 || t966 >= d_A[1] {
-						return m.OOB(t966, d_A[1], 1, "A", 7, 54)
-					}
-					t967 := b_A + int((t964)*d_A[1]+t966)
-					r_A_r3 := m.LoadF(t967)
-					t968 := i_i
-					if t968 < 0 || t968 >= d_A[0] {
-						return m.OOB(t968, d_A[0], 0, "A", 7, 72)
-					}
-					t969 := i_j - int64(1)
-					t970 := t969
-					if t970 < 0 || t970 >= d_A[1] {
-						return m.OOB(t970, d_A[1], 1, "A", 7, 72)
-					}
-					t971 := b_A + int((t968)*d_A[1]+t970)
-					r_A_r4 := m.LoadF(t971)
-					t972 := i_i
-					if t972 < 0 || t972 >= d_A[0] {
-						return m.OOB(t972, d_A[0], 0, "A", 7, 86)
-					}
-					t973 := i_j
-					if t973 < 0 || t973 >= d_A[1] {
-						return m.OOB(t973, d_A[1], 1, "A", 7, 86)
-					}
-					t974 := b_A + int((t972)*d_A[1]+t973)
-					r_A_r5 := m.LoadF(t974)
-					t975 := i_i
-					if t975 < 0 || t975 >= d_A[0] {
-						return m.OOB(t975, d_A[0], 0, "A", 7, 96)
-					}
-					t976 := i_j + int64(1)
-					t977 := t976
-					if t977 < 0 || t977 >= d_A[1] {
-						return m.OOB(t977, d_A[1], 1, "A", 7, 96)
-					}
-					t978 := b_A + int((t975)*d_A[1]+t977)
-					r_A_r6 := m.LoadF(t978)
-					t979 := i_i + int64(1)
-					t980 := t979
-					if t980 < 0 || t980 >= d_A[0] {
-						return m.OOB(t980, d_A[0], 0, "A", 7, 110)
-					}
-					t981 := i_j - int64(1)
-					t982 := t981
-					if t982 < 0 || t982 >= d_A[1] {
-						return m.OOB(t982, d_A[1], 1, "A", 7, 110)
-					}
-					t983 := b_A + int((t980)*d_A[1]+t982)
-					r_A_r7 := m.LoadF(t983)
-					t984 := i_i + int64(1)
-					t985 := t984
-					if t985 < 0 || t985 >= d_A[0] {
-						return m.OOB(t985, d_A[0], 0, "A", 7, 128)
-					}
-					t986 := i_j
-					if t986 < 0 || t986 >= d_A[1] {
-						return m.OOB(t986, d_A[1], 1, "A", 7, 128)
-					}
-					t987 := b_A + int((t985)*d_A[1]+t986)
-					r_A_r8 := m.LoadF(t987)
-					t988 := i_i + int64(1)
-					t989 := t988
-					if t989 < 0 || t989 >= d_A[0] {
-						return m.OOB(t989, d_A[0], 0, "A", 7, 142)
-					}
-					t990 := i_j + int64(1)
-					t991 := t990
-					if t991 < 0 || t991 >= d_A[1] {
-						return m.OOB(t991, d_A[1], 1, "A", 7, 142)
-					}
-					t992 := b_A + int((t989)*d_A[1]+t991)
-					r_A_r9 := m.LoadF(t992)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t993 := float64(r_A_r + r_A_r2)
-					t994 := float64(t993 + r_A_r3)
-					t995 := float64(t994 + r_A_r4)
-					t996 := float64(t995 + r_A_r5)
-					t997 := float64(t996 + r_A_r6)
-					t998 := float64(t997 + r_A_r7)
-					t999 := float64(t998 + r_A_r8)
-					t1000 := float64(t999 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t1001 := float64(t1000 / float64(9))
-					r_A_w := t1001
-					t1002 := i_i
-					if t1002 < 0 || t1002 >= d_A[0] {
-						return m.OOB(t1002, d_A[0], 0, "A", 7, 11)
-					}
-					t1003 := i_j
-					if t1003 < 0 || t1003 >= d_A[1] {
-						return m.OOB(t1003, d_A[1], 1, "A", 7, 11)
-					}
-					t1004 := b_A + int((t1002)*d_A[1]+t1003)
-					m.StoreF(t1004, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t738 := i_i - int64(1)
+				t739 := t738
+				if t739 < 0 || t739 >= d_A[0] {
+					return m.OOB(t739, d_A[0], 0, "A", 7, 22)
 				}
-			}
-			t1005 := p_n - int64(2)
-			t1006 := codegen.MaxI(int64(2), t1005)
-			t1007 := p_n - int64(2)
-			for i_i := t1006; i_i <= t1007; i_i++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
+				t740 := i_j - int64(1)
+				t741 := t740
+				if t741 < 0 || t741 >= d_A[1] {
+					return m.OOB(t741, d_A[1], 1, "A", 7, 22)
 				}
-				t1008 := p_n - int64(3)
-				t1009 := codegen.MinI(t1008, int64(1))
-				for i_j := int64(1); i_j <= t1009; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1010 := i_i - int64(1)
-					t1011 := t1010
-					if t1011 < 0 || t1011 >= d_A[0] {
-						return m.OOB(t1011, d_A[0], 0, "A", 7, 22)
-					}
-					t1012 := i_j - int64(1)
-					t1013 := t1012
-					if t1013 < 0 || t1013 >= d_A[1] {
-						return m.OOB(t1013, d_A[1], 1, "A", 7, 22)
-					}
-					t1014 := b_A + int((t1011)*d_A[1]+t1013)
-					r_A_r := m.LoadF(t1014)
-					t1015 := i_i - int64(1)
-					t1016 := t1015
-					if t1016 < 0 || t1016 >= d_A[0] {
-						return m.OOB(t1016, d_A[0], 0, "A", 7, 40)
-					}
-					t1017 := i_j
-					if t1017 < 0 || t1017 >= d_A[1] {
-						return m.OOB(t1017, d_A[1], 1, "A", 7, 40)
-					}
-					t1018 := b_A + int((t1016)*d_A[1]+t1017)
-					r_A_r2 := m.LoadF(t1018)
-					t1019 := i_i - int64(1)
-					t1020 := t1019
-					if t1020 < 0 || t1020 >= d_A[0] {
-						return m.OOB(t1020, d_A[0], 0, "A", 7, 54)
-					}
-					t1021 := i_j + int64(1)
-					t1022 := t1021
-					if t1022 < 0 || t1022 >= d_A[1] {
-						return m.OOB(t1022, d_A[1], 1, "A", 7, 54)
-					}
-					t1023 := b_A + int((t1020)*d_A[1]+t1022)
-					r_A_r3 := m.LoadF(t1023)
-					t1024 := i_i
-					if t1024 < 0 || t1024 >= d_A[0] {
-						return m.OOB(t1024, d_A[0], 0, "A", 7, 72)
-					}
-					t1025 := i_j - int64(1)
-					t1026 := t1025
-					if t1026 < 0 || t1026 >= d_A[1] {
-						return m.OOB(t1026, d_A[1], 1, "A", 7, 72)
-					}
-					t1027 := b_A + int((t1024)*d_A[1]+t1026)
-					r_A_r4 := m.LoadF(t1027)
-					t1028 := i_i
-					if t1028 < 0 || t1028 >= d_A[0] {
-						return m.OOB(t1028, d_A[0], 0, "A", 7, 86)
-					}
-					t1029 := i_j
-					if t1029 < 0 || t1029 >= d_A[1] {
-						return m.OOB(t1029, d_A[1], 1, "A", 7, 86)
-					}
-					t1030 := b_A + int((t1028)*d_A[1]+t1029)
-					r_A_r5 := m.LoadF(t1030)
-					t1031 := i_i
-					if t1031 < 0 || t1031 >= d_A[0] {
-						return m.OOB(t1031, d_A[0], 0, "A", 7, 96)
-					}
-					t1032 := i_j + int64(1)
-					t1033 := t1032
-					if t1033 < 0 || t1033 >= d_A[1] {
-						return m.OOB(t1033, d_A[1], 1, "A", 7, 96)
-					}
-					t1034 := b_A + int((t1031)*d_A[1]+t1033)
-					r_A_r6 := m.LoadF(t1034)
-					t1035 := i_i + int64(1)
-					t1036 := t1035
-					if t1036 < 0 || t1036 >= d_A[0] {
-						return m.OOB(t1036, d_A[0], 0, "A", 7, 110)
-					}
-					t1037 := i_j - int64(1)
-					t1038 := t1037
-					if t1038 < 0 || t1038 >= d_A[1] {
-						return m.OOB(t1038, d_A[1], 1, "A", 7, 110)
-					}
-					t1039 := b_A + int((t1036)*d_A[1]+t1038)
-					r_A_r7 := m.LoadF(t1039)
-					t1040 := i_i + int64(1)
-					t1041 := t1040
-					if t1041 < 0 || t1041 >= d_A[0] {
-						return m.OOB(t1041, d_A[0], 0, "A", 7, 128)
-					}
-					t1042 := i_j
-					if t1042 < 0 || t1042 >= d_A[1] {
-						return m.OOB(t1042, d_A[1], 1, "A", 7, 128)
-					}
-					t1043 := b_A + int((t1041)*d_A[1]+t1042)
-					r_A_r8 := m.LoadF(t1043)
-					t1044 := i_i + int64(1)
-					t1045 := t1044
-					if t1045 < 0 || t1045 >= d_A[0] {
-						return m.OOB(t1045, d_A[0], 0, "A", 7, 142)
-					}
-					t1046 := i_j + int64(1)
-					t1047 := t1046
-					if t1047 < 0 || t1047 >= d_A[1] {
-						return m.OOB(t1047, d_A[1], 1, "A", 7, 142)
-					}
-					t1048 := b_A + int((t1045)*d_A[1]+t1047)
-					r_A_r9 := m.LoadF(t1048)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t1049 := float64(r_A_r + r_A_r2)
-					t1050 := float64(t1049 + r_A_r3)
-					t1051 := float64(t1050 + r_A_r4)
-					t1052 := float64(t1051 + r_A_r5)
-					t1053 := float64(t1052 + r_A_r6)
-					t1054 := float64(t1053 + r_A_r7)
-					t1055 := float64(t1054 + r_A_r8)
-					t1056 := float64(t1055 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t1057 := float64(t1056 / float64(9))
-					r_A_w := t1057
-					t1058 := i_i
-					if t1058 < 0 || t1058 >= d_A[0] {
-						return m.OOB(t1058, d_A[0], 0, "A", 7, 11)
-					}
-					t1059 := i_j
-					if t1059 < 0 || t1059 >= d_A[1] {
-						return m.OOB(t1059, d_A[1], 1, "A", 7, 11)
-					}
-					t1060 := b_A + int((t1058)*d_A[1]+t1059)
-					m.StoreF(t1060, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t742 := b_A + int((t739)*d_A[1]+t741)
+				r_A_r := m.LoadF(t742)
+				t743 := i_i - int64(1)
+				t744 := t743
+				if t744 < 0 || t744 >= d_A[0] {
+					return m.OOB(t744, d_A[0], 0, "A", 7, 40)
 				}
-				t1061 := p_n - int64(3)
-				for i_j := int64(2); i_j <= t1061; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1062 := i_i - int64(1)
-					t1063 := t1062
-					if t1063 < 0 || t1063 >= d_A[0] {
-						return m.OOB(t1063, d_A[0], 0, "A", 7, 22)
-					}
-					t1064 := i_j - int64(1)
-					t1065 := t1064
-					if t1065 < 0 || t1065 >= d_A[1] {
-						return m.OOB(t1065, d_A[1], 1, "A", 7, 22)
-					}
-					t1066 := b_A + int((t1063)*d_A[1]+t1065)
-					r_A_r := m.LoadF(t1066)
-					t1067 := i_i - int64(1)
-					t1068 := t1067
-					if t1068 < 0 || t1068 >= d_A[0] {
-						return m.OOB(t1068, d_A[0], 0, "A", 7, 40)
-					}
-					t1069 := i_j
-					if t1069 < 0 || t1069 >= d_A[1] {
-						return m.OOB(t1069, d_A[1], 1, "A", 7, 40)
-					}
-					t1070 := b_A + int((t1068)*d_A[1]+t1069)
-					r_A_r2 := m.LoadF(t1070)
-					t1071 := i_i - int64(1)
-					t1072 := t1071
-					if t1072 < 0 || t1072 >= d_A[0] {
-						return m.OOB(t1072, d_A[0], 0, "A", 7, 54)
-					}
-					t1073 := i_j + int64(1)
-					t1074 := t1073
-					if t1074 < 0 || t1074 >= d_A[1] {
-						return m.OOB(t1074, d_A[1], 1, "A", 7, 54)
-					}
-					t1075 := b_A + int((t1072)*d_A[1]+t1074)
-					r_A_r3 := m.LoadF(t1075)
-					t1076 := i_i
-					if t1076 < 0 || t1076 >= d_A[0] {
-						return m.OOB(t1076, d_A[0], 0, "A", 7, 72)
-					}
-					t1077 := i_j - int64(1)
-					t1078 := t1077
-					if t1078 < 0 || t1078 >= d_A[1] {
-						return m.OOB(t1078, d_A[1], 1, "A", 7, 72)
-					}
-					t1079 := b_A + int((t1076)*d_A[1]+t1078)
-					r_A_r4 := m.LoadF(t1079)
-					t1080 := i_i
-					if t1080 < 0 || t1080 >= d_A[0] {
-						return m.OOB(t1080, d_A[0], 0, "A", 7, 86)
-					}
-					t1081 := i_j
-					if t1081 < 0 || t1081 >= d_A[1] {
-						return m.OOB(t1081, d_A[1], 1, "A", 7, 86)
-					}
-					t1082 := b_A + int((t1080)*d_A[1]+t1081)
-					r_A_r5 := m.LoadF(t1082)
-					t1083 := i_i
-					if t1083 < 0 || t1083 >= d_A[0] {
-						return m.OOB(t1083, d_A[0], 0, "A", 7, 96)
-					}
-					t1084 := i_j + int64(1)
-					t1085 := t1084
-					if t1085 < 0 || t1085 >= d_A[1] {
-						return m.OOB(t1085, d_A[1], 1, "A", 7, 96)
-					}
-					t1086 := b_A + int((t1083)*d_A[1]+t1085)
-					r_A_r6 := m.LoadF(t1086)
-					t1087 := i_i + int64(1)
-					t1088 := t1087
-					if t1088 < 0 || t1088 >= d_A[0] {
-						return m.OOB(t1088, d_A[0], 0, "A", 7, 110)
-					}
-					t1089 := i_j - int64(1)
-					t1090 := t1089
-					if t1090 < 0 || t1090 >= d_A[1] {
-						return m.OOB(t1090, d_A[1], 1, "A", 7, 110)
-					}
-					t1091 := b_A + int((t1088)*d_A[1]+t1090)
-					r_A_r7 := m.LoadF(t1091)
-					t1092 := i_i + int64(1)
-					t1093 := t1092
-					if t1093 < 0 || t1093 >= d_A[0] {
-						return m.OOB(t1093, d_A[0], 0, "A", 7, 128)
-					}
-					t1094 := i_j
-					if t1094 < 0 || t1094 >= d_A[1] {
-						return m.OOB(t1094, d_A[1], 1, "A", 7, 128)
-					}
-					t1095 := b_A + int((t1093)*d_A[1]+t1094)
-					r_A_r8 := m.LoadF(t1095)
-					t1096 := i_i + int64(1)
-					t1097 := t1096
-					if t1097 < 0 || t1097 >= d_A[0] {
-						return m.OOB(t1097, d_A[0], 0, "A", 7, 142)
-					}
-					t1098 := i_j + int64(1)
-					t1099 := t1098
-					if t1099 < 0 || t1099 >= d_A[1] {
-						return m.OOB(t1099, d_A[1], 1, "A", 7, 142)
-					}
-					t1100 := b_A + int((t1097)*d_A[1]+t1099)
-					r_A_r9 := m.LoadF(t1100)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t1101 := float64(r_A_r + r_A_r2)
-					t1102 := float64(t1101 + r_A_r3)
-					t1103 := float64(t1102 + r_A_r4)
-					t1104 := float64(t1103 + r_A_r5)
-					t1105 := float64(t1104 + r_A_r6)
-					t1106 := float64(t1105 + r_A_r7)
-					t1107 := float64(t1106 + r_A_r8)
-					t1108 := float64(t1107 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t1109 := float64(t1108 / float64(9))
-					r_A_w := t1109
-					t1110 := i_i
-					if t1110 < 0 || t1110 >= d_A[0] {
-						return m.OOB(t1110, d_A[0], 0, "A", 7, 11)
-					}
-					t1111 := i_j
-					if t1111 < 0 || t1111 >= d_A[1] {
-						return m.OOB(t1111, d_A[1], 1, "A", 7, 11)
-					}
-					t1112 := b_A + int((t1110)*d_A[1]+t1111)
-					m.StoreF(t1112, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t745 := i_j
+				if t745 < 0 || t745 >= d_A[1] {
+					return m.OOB(t745, d_A[1], 1, "A", 7, 40)
 				}
-				t1113 := p_n - int64(2)
-				t1114 := codegen.MaxI(int64(1), t1113)
-				t1115 := p_n - int64(2)
-				for i_j := t1114; i_j <= t1115; i_j++ {
-					if err := m.Tick(0, 0); err != nil {
-						return err
-					}
-					t1116 := i_i - int64(1)
-					t1117 := t1116
-					if t1117 < 0 || t1117 >= d_A[0] {
-						return m.OOB(t1117, d_A[0], 0, "A", 7, 22)
-					}
-					t1118 := i_j - int64(1)
-					t1119 := t1118
-					if t1119 < 0 || t1119 >= d_A[1] {
-						return m.OOB(t1119, d_A[1], 1, "A", 7, 22)
-					}
-					t1120 := b_A + int((t1117)*d_A[1]+t1119)
-					r_A_r := m.LoadF(t1120)
-					t1121 := i_i - int64(1)
-					t1122 := t1121
-					if t1122 < 0 || t1122 >= d_A[0] {
-						return m.OOB(t1122, d_A[0], 0, "A", 7, 40)
-					}
-					t1123 := i_j
-					if t1123 < 0 || t1123 >= d_A[1] {
-						return m.OOB(t1123, d_A[1], 1, "A", 7, 40)
-					}
-					t1124 := b_A + int((t1122)*d_A[1]+t1123)
-					r_A_r2 := m.LoadF(t1124)
-					t1125 := i_i - int64(1)
-					t1126 := t1125
-					if t1126 < 0 || t1126 >= d_A[0] {
-						return m.OOB(t1126, d_A[0], 0, "A", 7, 54)
-					}
-					t1127 := i_j + int64(1)
-					t1128 := t1127
-					if t1128 < 0 || t1128 >= d_A[1] {
-						return m.OOB(t1128, d_A[1], 1, "A", 7, 54)
-					}
-					t1129 := b_A + int((t1126)*d_A[1]+t1128)
-					r_A_r3 := m.LoadF(t1129)
-					t1130 := i_i
-					if t1130 < 0 || t1130 >= d_A[0] {
-						return m.OOB(t1130, d_A[0], 0, "A", 7, 72)
-					}
-					t1131 := i_j - int64(1)
-					t1132 := t1131
-					if t1132 < 0 || t1132 >= d_A[1] {
-						return m.OOB(t1132, d_A[1], 1, "A", 7, 72)
-					}
-					t1133 := b_A + int((t1130)*d_A[1]+t1132)
-					r_A_r4 := m.LoadF(t1133)
-					t1134 := i_i
-					if t1134 < 0 || t1134 >= d_A[0] {
-						return m.OOB(t1134, d_A[0], 0, "A", 7, 86)
-					}
-					t1135 := i_j
-					if t1135 < 0 || t1135 >= d_A[1] {
-						return m.OOB(t1135, d_A[1], 1, "A", 7, 86)
-					}
-					t1136 := b_A + int((t1134)*d_A[1]+t1135)
-					r_A_r5 := m.LoadF(t1136)
-					t1137 := i_i
-					if t1137 < 0 || t1137 >= d_A[0] {
-						return m.OOB(t1137, d_A[0], 0, "A", 7, 96)
-					}
-					t1138 := i_j + int64(1)
-					t1139 := t1138
-					if t1139 < 0 || t1139 >= d_A[1] {
-						return m.OOB(t1139, d_A[1], 1, "A", 7, 96)
-					}
-					t1140 := b_A + int((t1137)*d_A[1]+t1139)
-					r_A_r6 := m.LoadF(t1140)
-					t1141 := i_i + int64(1)
-					t1142 := t1141
-					if t1142 < 0 || t1142 >= d_A[0] {
-						return m.OOB(t1142, d_A[0], 0, "A", 7, 110)
-					}
-					t1143 := i_j - int64(1)
-					t1144 := t1143
-					if t1144 < 0 || t1144 >= d_A[1] {
-						return m.OOB(t1144, d_A[1], 1, "A", 7, 110)
-					}
-					t1145 := b_A + int((t1142)*d_A[1]+t1144)
-					r_A_r7 := m.LoadF(t1145)
-					t1146 := i_i + int64(1)
-					t1147 := t1146
-					if t1147 < 0 || t1147 >= d_A[0] {
-						return m.OOB(t1147, d_A[0], 0, "A", 7, 128)
-					}
-					t1148 := i_j
-					if t1148 < 0 || t1148 >= d_A[1] {
-						return m.OOB(t1148, d_A[1], 1, "A", 7, 128)
-					}
-					t1149 := b_A + int((t1147)*d_A[1]+t1148)
-					r_A_r8 := m.LoadF(t1149)
-					t1150 := i_i + int64(1)
-					t1151 := t1150
-					if t1151 < 0 || t1151 >= d_A[0] {
-						return m.OOB(t1151, d_A[0], 0, "A", 7, 142)
-					}
-					t1152 := i_j + int64(1)
-					t1153 := t1152
-					if t1153 < 0 || t1153 >= d_A[1] {
-						return m.OOB(t1153, d_A[1], 1, "A", 7, 142)
-					}
-					t1154 := b_A + int((t1151)*d_A[1]+t1153)
-					r_A_r9 := m.LoadF(t1154)
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
-					cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
-					t1155 := float64(r_A_r + r_A_r2)
-					t1156 := float64(t1155 + r_A_r3)
-					t1157 := float64(t1156 + r_A_r4)
-					t1158 := float64(t1157 + r_A_r5)
-					t1159 := float64(t1158 + r_A_r6)
-					t1160 := float64(t1159 + r_A_r7)
-					t1161 := float64(t1160 + r_A_r8)
-					t1162 := float64(t1161 + r_A_r9)
-					if float64(9) == 0 {
-						return m.DivZero(7, 159)
-					}
-					t1163 := float64(t1162 / float64(9))
-					r_A_w := t1163
-					t1164 := i_i
-					if t1164 < 0 || t1164 >= d_A[0] {
-						return m.OOB(t1164, d_A[0], 0, "A", 7, 11)
-					}
-					t1165 := i_j
-					if t1165 < 0 || t1165 >= d_A[1] {
-						return m.OOB(t1165, d_A[1], 1, "A", 7, 11)
-					}
-					t1166 := b_A + int((t1164)*d_A[1]+t1165)
-					m.StoreF(t1166, r_A_w)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
-					cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				t746 := b_A + int((t744)*d_A[1]+t745)
+				r_A_r2 := m.LoadF(t746)
+				t747 := i_i - int64(1)
+				t748 := t747
+				if t748 < 0 || t748 >= d_A[0] {
+					return m.OOB(t748, d_A[0], 0, "A", 7, 54)
 				}
+				t749 := i_j + int64(1)
+				t750 := t749
+				if t750 < 0 || t750 >= d_A[1] {
+					return m.OOB(t750, d_A[1], 1, "A", 7, 54)
+				}
+				t751 := b_A + int((t748)*d_A[1]+t750)
+				r_A_r3 := m.LoadF(t751)
+				t752 := i_i
+				if t752 < 0 || t752 >= d_A[0] {
+					return m.OOB(t752, d_A[0], 0, "A", 7, 72)
+				}
+				t753 := i_j - int64(1)
+				t754 := t753
+				if t754 < 0 || t754 >= d_A[1] {
+					return m.OOB(t754, d_A[1], 1, "A", 7, 72)
+				}
+				t755 := b_A + int((t752)*d_A[1]+t754)
+				r_A_r4 := m.LoadF(t755)
+				t756 := i_i
+				if t756 < 0 || t756 >= d_A[0] {
+					return m.OOB(t756, d_A[0], 0, "A", 7, 86)
+				}
+				t757 := i_j
+				if t757 < 0 || t757 >= d_A[1] {
+					return m.OOB(t757, d_A[1], 1, "A", 7, 86)
+				}
+				t758 := b_A + int((t756)*d_A[1]+t757)
+				r_A_r5 := m.LoadF(t758)
+				t759 := i_i
+				if t759 < 0 || t759 >= d_A[0] {
+					return m.OOB(t759, d_A[0], 0, "A", 7, 96)
+				}
+				t760 := i_j + int64(1)
+				t761 := t760
+				if t761 < 0 || t761 >= d_A[1] {
+					return m.OOB(t761, d_A[1], 1, "A", 7, 96)
+				}
+				t762 := b_A + int((t759)*d_A[1]+t761)
+				r_A_r6 := m.LoadF(t762)
+				t763 := i_i + int64(1)
+				t764 := t763
+				if t764 < 0 || t764 >= d_A[0] {
+					return m.OOB(t764, d_A[0], 0, "A", 7, 110)
+				}
+				t765 := i_j - int64(1)
+				t766 := t765
+				if t766 < 0 || t766 >= d_A[1] {
+					return m.OOB(t766, d_A[1], 1, "A", 7, 110)
+				}
+				t767 := b_A + int((t764)*d_A[1]+t766)
+				r_A_r7 := m.LoadF(t767)
+				t768 := i_i + int64(1)
+				t769 := t768
+				if t769 < 0 || t769 >= d_A[0] {
+					return m.OOB(t769, d_A[0], 0, "A", 7, 128)
+				}
+				t770 := i_j
+				if t770 < 0 || t770 >= d_A[1] {
+					return m.OOB(t770, d_A[1], 1, "A", 7, 128)
+				}
+				t771 := b_A + int((t769)*d_A[1]+t770)
+				r_A_r8 := m.LoadF(t771)
+				t772 := i_i + int64(1)
+				t773 := t772
+				if t773 < 0 || t773 >= d_A[0] {
+					return m.OOB(t773, d_A[0], 0, "A", 7, 142)
+				}
+				t774 := i_j + int64(1)
+				t775 := t774
+				if t775 < 0 || t775 >= d_A[1] {
+					return m.OOB(t775, d_A[1], 1, "A", 7, 142)
+				}
+				t776 := b_A + int((t773)*d_A[1]+t775)
+				r_A_r9 := m.LoadF(t776)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t777 := float64(r_A_r + r_A_r2)
+				t778 := float64(t777 + r_A_r3)
+				t779 := float64(t778 + r_A_r4)
+				t780 := float64(t779 + r_A_r5)
+				t781 := float64(t780 + r_A_r6)
+				t782 := float64(t781 + r_A_r7)
+				t783 := float64(t782 + r_A_r8)
+				t784 := float64(t783 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t785 := float64(t784 / float64(9))
+				r_A_w := t785
+				t786 := i_i
+				if t786 < 0 || t786 >= d_A[0] {
+					return m.OOB(t786, d_A[0], 0, "A", 7, 11)
+				}
+				t787 := i_j
+				if t787 < 0 || t787 >= d_A[1] {
+					return m.OOB(t787, d_A[1], 1, "A", 7, 11)
+				}
+				t788 := b_A + int((t786)*d_A[1]+t787)
+				m.StoreF(t788, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
 			}
 		}
+		t789 := p_n - int64(3)
+		for i_i := int64(2); i_i <= t789; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t790 := p_n - int64(3)
+			t791 := codegen.MinI(t790, int64(1))
+			for i_j := int64(1); i_j <= t791; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t792 := i_i - int64(1)
+				t793 := t792
+				if t793 < 0 || t793 >= d_A[0] {
+					return m.OOB(t793, d_A[0], 0, "A", 7, 22)
+				}
+				t794 := i_j - int64(1)
+				t795 := t794
+				if t795 < 0 || t795 >= d_A[1] {
+					return m.OOB(t795, d_A[1], 1, "A", 7, 22)
+				}
+				t796 := b_A + int((t793)*d_A[1]+t795)
+				r_A_r := m.LoadF(t796)
+				t797 := i_i - int64(1)
+				t798 := t797
+				if t798 < 0 || t798 >= d_A[0] {
+					return m.OOB(t798, d_A[0], 0, "A", 7, 40)
+				}
+				t799 := i_j
+				if t799 < 0 || t799 >= d_A[1] {
+					return m.OOB(t799, d_A[1], 1, "A", 7, 40)
+				}
+				t800 := b_A + int((t798)*d_A[1]+t799)
+				r_A_r2 := m.LoadF(t800)
+				t801 := i_i - int64(1)
+				t802 := t801
+				if t802 < 0 || t802 >= d_A[0] {
+					return m.OOB(t802, d_A[0], 0, "A", 7, 54)
+				}
+				t803 := i_j + int64(1)
+				t804 := t803
+				if t804 < 0 || t804 >= d_A[1] {
+					return m.OOB(t804, d_A[1], 1, "A", 7, 54)
+				}
+				t805 := b_A + int((t802)*d_A[1]+t804)
+				r_A_r3 := m.LoadF(t805)
+				t806 := i_i
+				if t806 < 0 || t806 >= d_A[0] {
+					return m.OOB(t806, d_A[0], 0, "A", 7, 72)
+				}
+				t807 := i_j - int64(1)
+				t808 := t807
+				if t808 < 0 || t808 >= d_A[1] {
+					return m.OOB(t808, d_A[1], 1, "A", 7, 72)
+				}
+				t809 := b_A + int((t806)*d_A[1]+t808)
+				r_A_r4 := m.LoadF(t809)
+				t810 := i_i
+				if t810 < 0 || t810 >= d_A[0] {
+					return m.OOB(t810, d_A[0], 0, "A", 7, 86)
+				}
+				t811 := i_j
+				if t811 < 0 || t811 >= d_A[1] {
+					return m.OOB(t811, d_A[1], 1, "A", 7, 86)
+				}
+				t812 := b_A + int((t810)*d_A[1]+t811)
+				r_A_r5 := m.LoadF(t812)
+				t813 := i_i
+				if t813 < 0 || t813 >= d_A[0] {
+					return m.OOB(t813, d_A[0], 0, "A", 7, 96)
+				}
+				t814 := i_j + int64(1)
+				t815 := t814
+				if t815 < 0 || t815 >= d_A[1] {
+					return m.OOB(t815, d_A[1], 1, "A", 7, 96)
+				}
+				t816 := b_A + int((t813)*d_A[1]+t815)
+				r_A_r6 := m.LoadF(t816)
+				t817 := i_i + int64(1)
+				t818 := t817
+				if t818 < 0 || t818 >= d_A[0] {
+					return m.OOB(t818, d_A[0], 0, "A", 7, 110)
+				}
+				t819 := i_j - int64(1)
+				t820 := t819
+				if t820 < 0 || t820 >= d_A[1] {
+					return m.OOB(t820, d_A[1], 1, "A", 7, 110)
+				}
+				t821 := b_A + int((t818)*d_A[1]+t820)
+				r_A_r7 := m.LoadF(t821)
+				t822 := i_i + int64(1)
+				t823 := t822
+				if t823 < 0 || t823 >= d_A[0] {
+					return m.OOB(t823, d_A[0], 0, "A", 7, 128)
+				}
+				t824 := i_j
+				if t824 < 0 || t824 >= d_A[1] {
+					return m.OOB(t824, d_A[1], 1, "A", 7, 128)
+				}
+				t825 := b_A + int((t823)*d_A[1]+t824)
+				r_A_r8 := m.LoadF(t825)
+				t826 := i_i + int64(1)
+				t827 := t826
+				if t827 < 0 || t827 >= d_A[0] {
+					return m.OOB(t827, d_A[0], 0, "A", 7, 142)
+				}
+				t828 := i_j + int64(1)
+				t829 := t828
+				if t829 < 0 || t829 >= d_A[1] {
+					return m.OOB(t829, d_A[1], 1, "A", 7, 142)
+				}
+				t830 := b_A + int((t827)*d_A[1]+t829)
+				r_A_r9 := m.LoadF(t830)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t831 := float64(r_A_r + r_A_r2)
+				t832 := float64(t831 + r_A_r3)
+				t833 := float64(t832 + r_A_r4)
+				t834 := float64(t833 + r_A_r5)
+				t835 := float64(t834 + r_A_r6)
+				t836 := float64(t835 + r_A_r7)
+				t837 := float64(t836 + r_A_r8)
+				t838 := float64(t837 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t839 := float64(t838 / float64(9))
+				r_A_w := t839
+				t840 := i_i
+				if t840 < 0 || t840 >= d_A[0] {
+					return m.OOB(t840, d_A[0], 0, "A", 7, 11)
+				}
+				t841 := i_j
+				if t841 < 0 || t841 >= d_A[1] {
+					return m.OOB(t841, d_A[1], 1, "A", 7, 11)
+				}
+				t842 := b_A + int((t840)*d_A[1]+t841)
+				m.StoreF(t842, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t843 := p_n - int64(3)
+			for i_j := int64(2); i_j <= t843; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t844 := i_i - int64(1)
+				t845 := t844
+				if t845 < 0 || t845 >= d_A[0] {
+					return m.OOB(t845, d_A[0], 0, "A", 7, 22)
+				}
+				t846 := i_j - int64(1)
+				t847 := t846
+				if t847 < 0 || t847 >= d_A[1] {
+					return m.OOB(t847, d_A[1], 1, "A", 7, 22)
+				}
+				t848 := b_A + int((t845)*d_A[1]+t847)
+				r_A_r := m.LoadF(t848)
+				t849 := i_i - int64(1)
+				t850 := t849
+				if t850 < 0 || t850 >= d_A[0] {
+					return m.OOB(t850, d_A[0], 0, "A", 7, 40)
+				}
+				t851 := i_j
+				if t851 < 0 || t851 >= d_A[1] {
+					return m.OOB(t851, d_A[1], 1, "A", 7, 40)
+				}
+				t852 := b_A + int((t850)*d_A[1]+t851)
+				r_A_r2 := m.LoadF(t852)
+				t853 := i_i - int64(1)
+				t854 := t853
+				if t854 < 0 || t854 >= d_A[0] {
+					return m.OOB(t854, d_A[0], 0, "A", 7, 54)
+				}
+				t855 := i_j + int64(1)
+				t856 := t855
+				if t856 < 0 || t856 >= d_A[1] {
+					return m.OOB(t856, d_A[1], 1, "A", 7, 54)
+				}
+				t857 := b_A + int((t854)*d_A[1]+t856)
+				r_A_r3 := m.LoadF(t857)
+				t858 := i_i
+				if t858 < 0 || t858 >= d_A[0] {
+					return m.OOB(t858, d_A[0], 0, "A", 7, 72)
+				}
+				t859 := i_j - int64(1)
+				t860 := t859
+				if t860 < 0 || t860 >= d_A[1] {
+					return m.OOB(t860, d_A[1], 1, "A", 7, 72)
+				}
+				t861 := b_A + int((t858)*d_A[1]+t860)
+				r_A_r4 := m.LoadF(t861)
+				t862 := i_i
+				if t862 < 0 || t862 >= d_A[0] {
+					return m.OOB(t862, d_A[0], 0, "A", 7, 86)
+				}
+				t863 := i_j
+				if t863 < 0 || t863 >= d_A[1] {
+					return m.OOB(t863, d_A[1], 1, "A", 7, 86)
+				}
+				t864 := b_A + int((t862)*d_A[1]+t863)
+				r_A_r5 := m.LoadF(t864)
+				t865 := i_i
+				if t865 < 0 || t865 >= d_A[0] {
+					return m.OOB(t865, d_A[0], 0, "A", 7, 96)
+				}
+				t866 := i_j + int64(1)
+				t867 := t866
+				if t867 < 0 || t867 >= d_A[1] {
+					return m.OOB(t867, d_A[1], 1, "A", 7, 96)
+				}
+				t868 := b_A + int((t865)*d_A[1]+t867)
+				r_A_r6 := m.LoadF(t868)
+				t869 := i_i + int64(1)
+				t870 := t869
+				if t870 < 0 || t870 >= d_A[0] {
+					return m.OOB(t870, d_A[0], 0, "A", 7, 110)
+				}
+				t871 := i_j - int64(1)
+				t872 := t871
+				if t872 < 0 || t872 >= d_A[1] {
+					return m.OOB(t872, d_A[1], 1, "A", 7, 110)
+				}
+				t873 := b_A + int((t870)*d_A[1]+t872)
+				r_A_r7 := m.LoadF(t873)
+				t874 := i_i + int64(1)
+				t875 := t874
+				if t875 < 0 || t875 >= d_A[0] {
+					return m.OOB(t875, d_A[0], 0, "A", 7, 128)
+				}
+				t876 := i_j
+				if t876 < 0 || t876 >= d_A[1] {
+					return m.OOB(t876, d_A[1], 1, "A", 7, 128)
+				}
+				t877 := b_A + int((t875)*d_A[1]+t876)
+				r_A_r8 := m.LoadF(t877)
+				t878 := i_i + int64(1)
+				t879 := t878
+				if t879 < 0 || t879 >= d_A[0] {
+					return m.OOB(t879, d_A[0], 0, "A", 7, 142)
+				}
+				t880 := i_j + int64(1)
+				t881 := t880
+				if t881 < 0 || t881 >= d_A[1] {
+					return m.OOB(t881, d_A[1], 1, "A", 7, 142)
+				}
+				t882 := b_A + int((t879)*d_A[1]+t881)
+				r_A_r9 := m.LoadF(t882)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t883 := float64(r_A_r + r_A_r2)
+				t884 := float64(t883 + r_A_r3)
+				t885 := float64(t884 + r_A_r4)
+				t886 := float64(t885 + r_A_r5)
+				t887 := float64(t886 + r_A_r6)
+				t888 := float64(t887 + r_A_r7)
+				t889 := float64(t888 + r_A_r8)
+				t890 := float64(t889 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t891 := float64(t890 / float64(9))
+				r_A_w := t891
+				t892 := i_i
+				if t892 < 0 || t892 >= d_A[0] {
+					return m.OOB(t892, d_A[0], 0, "A", 7, 11)
+				}
+				t893 := i_j
+				if t893 < 0 || t893 >= d_A[1] {
+					return m.OOB(t893, d_A[1], 1, "A", 7, 11)
+				}
+				t894 := b_A + int((t892)*d_A[1]+t893)
+				m.StoreF(t894, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t895 := p_n - int64(2)
+			t896 := codegen.MaxI(int64(1), t895)
+			t897 := p_n - int64(2)
+			for i_j := t896; i_j <= t897; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t898 := i_i - int64(1)
+				t899 := t898
+				if t899 < 0 || t899 >= d_A[0] {
+					return m.OOB(t899, d_A[0], 0, "A", 7, 22)
+				}
+				t900 := i_j - int64(1)
+				t901 := t900
+				if t901 < 0 || t901 >= d_A[1] {
+					return m.OOB(t901, d_A[1], 1, "A", 7, 22)
+				}
+				t902 := b_A + int((t899)*d_A[1]+t901)
+				r_A_r := m.LoadF(t902)
+				t903 := i_i - int64(1)
+				t904 := t903
+				if t904 < 0 || t904 >= d_A[0] {
+					return m.OOB(t904, d_A[0], 0, "A", 7, 40)
+				}
+				t905 := i_j
+				if t905 < 0 || t905 >= d_A[1] {
+					return m.OOB(t905, d_A[1], 1, "A", 7, 40)
+				}
+				t906 := b_A + int((t904)*d_A[1]+t905)
+				r_A_r2 := m.LoadF(t906)
+				t907 := i_i - int64(1)
+				t908 := t907
+				if t908 < 0 || t908 >= d_A[0] {
+					return m.OOB(t908, d_A[0], 0, "A", 7, 54)
+				}
+				t909 := i_j + int64(1)
+				t910 := t909
+				if t910 < 0 || t910 >= d_A[1] {
+					return m.OOB(t910, d_A[1], 1, "A", 7, 54)
+				}
+				t911 := b_A + int((t908)*d_A[1]+t910)
+				r_A_r3 := m.LoadF(t911)
+				t912 := i_i
+				if t912 < 0 || t912 >= d_A[0] {
+					return m.OOB(t912, d_A[0], 0, "A", 7, 72)
+				}
+				t913 := i_j - int64(1)
+				t914 := t913
+				if t914 < 0 || t914 >= d_A[1] {
+					return m.OOB(t914, d_A[1], 1, "A", 7, 72)
+				}
+				t915 := b_A + int((t912)*d_A[1]+t914)
+				r_A_r4 := m.LoadF(t915)
+				t916 := i_i
+				if t916 < 0 || t916 >= d_A[0] {
+					return m.OOB(t916, d_A[0], 0, "A", 7, 86)
+				}
+				t917 := i_j
+				if t917 < 0 || t917 >= d_A[1] {
+					return m.OOB(t917, d_A[1], 1, "A", 7, 86)
+				}
+				t918 := b_A + int((t916)*d_A[1]+t917)
+				r_A_r5 := m.LoadF(t918)
+				t919 := i_i
+				if t919 < 0 || t919 >= d_A[0] {
+					return m.OOB(t919, d_A[0], 0, "A", 7, 96)
+				}
+				t920 := i_j + int64(1)
+				t921 := t920
+				if t921 < 0 || t921 >= d_A[1] {
+					return m.OOB(t921, d_A[1], 1, "A", 7, 96)
+				}
+				t922 := b_A + int((t919)*d_A[1]+t921)
+				r_A_r6 := m.LoadF(t922)
+				t923 := i_i + int64(1)
+				t924 := t923
+				if t924 < 0 || t924 >= d_A[0] {
+					return m.OOB(t924, d_A[0], 0, "A", 7, 110)
+				}
+				t925 := i_j - int64(1)
+				t926 := t925
+				if t926 < 0 || t926 >= d_A[1] {
+					return m.OOB(t926, d_A[1], 1, "A", 7, 110)
+				}
+				t927 := b_A + int((t924)*d_A[1]+t926)
+				r_A_r7 := m.LoadF(t927)
+				t928 := i_i + int64(1)
+				t929 := t928
+				if t929 < 0 || t929 >= d_A[0] {
+					return m.OOB(t929, d_A[0], 0, "A", 7, 128)
+				}
+				t930 := i_j
+				if t930 < 0 || t930 >= d_A[1] {
+					return m.OOB(t930, d_A[1], 1, "A", 7, 128)
+				}
+				t931 := b_A + int((t929)*d_A[1]+t930)
+				r_A_r8 := m.LoadF(t931)
+				t932 := i_i + int64(1)
+				t933 := t932
+				if t933 < 0 || t933 >= d_A[0] {
+					return m.OOB(t933, d_A[0], 0, "A", 7, 142)
+				}
+				t934 := i_j + int64(1)
+				t935 := t934
+				if t935 < 0 || t935 >= d_A[1] {
+					return m.OOB(t935, d_A[1], 1, "A", 7, 142)
+				}
+				t936 := b_A + int((t933)*d_A[1]+t935)
+				r_A_r9 := m.LoadF(t936)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t937 := float64(r_A_r + r_A_r2)
+				t938 := float64(t937 + r_A_r3)
+				t939 := float64(t938 + r_A_r4)
+				t940 := float64(t939 + r_A_r5)
+				t941 := float64(t940 + r_A_r6)
+				t942 := float64(t941 + r_A_r7)
+				t943 := float64(t942 + r_A_r8)
+				t944 := float64(t943 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t945 := float64(t944 / float64(9))
+				r_A_w := t945
+				t946 := i_i
+				if t946 < 0 || t946 >= d_A[0] {
+					return m.OOB(t946, d_A[0], 0, "A", 7, 11)
+				}
+				t947 := i_j
+				if t947 < 0 || t947 >= d_A[1] {
+					return m.OOB(t947, d_A[1], 1, "A", 7, 11)
+				}
+				t948 := b_A + int((t946)*d_A[1]+t947)
+				m.StoreF(t948, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+		}
+		t949 := p_n - int64(2)
+		t950 := codegen.MaxI(int64(1), t949)
+		t951 := p_n - int64(2)
+		t952 := codegen.MinI(t951, int64(1))
+		for i_i := t950; i_i <= t952; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t953 := p_n - int64(2)
+			for i_j := int64(1); i_j <= t953; i_j++ {
+				if err := m.Tick(6, 5); err != nil {
+					return err
+				}
+				t954 := i_i - int64(1)
+				t955 := t954
+				if t955 < 0 || t955 >= d_A[0] {
+					return m.OOB(t955, d_A[0], 0, "A", 7, 22)
+				}
+				t956 := i_j - int64(1)
+				t957 := t956
+				if t957 < 0 || t957 >= d_A[1] {
+					return m.OOB(t957, d_A[1], 1, "A", 7, 22)
+				}
+				t958 := b_A + int((t955)*d_A[1]+t957)
+				r_A_r := m.LoadF(t958)
+				t959 := i_i - int64(1)
+				t960 := t959
+				if t960 < 0 || t960 >= d_A[0] {
+					return m.OOB(t960, d_A[0], 0, "A", 7, 40)
+				}
+				t961 := i_j
+				if t961 < 0 || t961 >= d_A[1] {
+					return m.OOB(t961, d_A[1], 1, "A", 7, 40)
+				}
+				t962 := b_A + int((t960)*d_A[1]+t961)
+				r_A_r2 := m.LoadF(t962)
+				t963 := i_i - int64(1)
+				t964 := t963
+				if t964 < 0 || t964 >= d_A[0] {
+					return m.OOB(t964, d_A[0], 0, "A", 7, 54)
+				}
+				t965 := i_j + int64(1)
+				t966 := t965
+				if t966 < 0 || t966 >= d_A[1] {
+					return m.OOB(t966, d_A[1], 1, "A", 7, 54)
+				}
+				t967 := b_A + int((t964)*d_A[1]+t966)
+				r_A_r3 := m.LoadF(t967)
+				t968 := i_i
+				if t968 < 0 || t968 >= d_A[0] {
+					return m.OOB(t968, d_A[0], 0, "A", 7, 72)
+				}
+				t969 := i_j - int64(1)
+				t970 := t969
+				if t970 < 0 || t970 >= d_A[1] {
+					return m.OOB(t970, d_A[1], 1, "A", 7, 72)
+				}
+				t971 := b_A + int((t968)*d_A[1]+t970)
+				r_A_r4 := m.LoadF(t971)
+				t972 := i_i
+				if t972 < 0 || t972 >= d_A[0] {
+					return m.OOB(t972, d_A[0], 0, "A", 7, 86)
+				}
+				t973 := i_j
+				if t973 < 0 || t973 >= d_A[1] {
+					return m.OOB(t973, d_A[1], 1, "A", 7, 86)
+				}
+				t974 := b_A + int((t972)*d_A[1]+t973)
+				r_A_r5 := m.LoadF(t974)
+				t975 := i_i
+				if t975 < 0 || t975 >= d_A[0] {
+					return m.OOB(t975, d_A[0], 0, "A", 7, 96)
+				}
+				t976 := i_j + int64(1)
+				t977 := t976
+				if t977 < 0 || t977 >= d_A[1] {
+					return m.OOB(t977, d_A[1], 1, "A", 7, 96)
+				}
+				t978 := b_A + int((t975)*d_A[1]+t977)
+				r_A_r6 := m.LoadF(t978)
+				t979 := i_i + int64(1)
+				t980 := t979
+				if t980 < 0 || t980 >= d_A[0] {
+					return m.OOB(t980, d_A[0], 0, "A", 7, 110)
+				}
+				t981 := i_j - int64(1)
+				t982 := t981
+				if t982 < 0 || t982 >= d_A[1] {
+					return m.OOB(t982, d_A[1], 1, "A", 7, 110)
+				}
+				t983 := b_A + int((t980)*d_A[1]+t982)
+				r_A_r7 := m.LoadF(t983)
+				t984 := i_i + int64(1)
+				t985 := t984
+				if t985 < 0 || t985 >= d_A[0] {
+					return m.OOB(t985, d_A[0], 0, "A", 7, 128)
+				}
+				t986 := i_j
+				if t986 < 0 || t986 >= d_A[1] {
+					return m.OOB(t986, d_A[1], 1, "A", 7, 128)
+				}
+				t987 := b_A + int((t985)*d_A[1]+t986)
+				r_A_r8 := m.LoadF(t987)
+				t988 := i_i + int64(1)
+				t989 := t988
+				if t989 < 0 || t989 >= d_A[0] {
+					return m.OOB(t989, d_A[0], 0, "A", 7, 142)
+				}
+				t990 := i_j + int64(1)
+				t991 := t990
+				if t991 < 0 || t991 >= d_A[1] {
+					return m.OOB(t991, d_A[1], 1, "A", 7, 142)
+				}
+				t992 := b_A + int((t989)*d_A[1]+t991)
+				r_A_r9 := m.LoadF(t992)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t993 := float64(r_A_r + r_A_r2)
+				t994 := float64(t993 + r_A_r3)
+				t995 := float64(t994 + r_A_r4)
+				t996 := float64(t995 + r_A_r5)
+				t997 := float64(t996 + r_A_r6)
+				t998 := float64(t997 + r_A_r7)
+				t999 := float64(t998 + r_A_r8)
+				t1000 := float64(t999 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t1001 := float64(t1000 / float64(9))
+				r_A_w := t1001
+				t1002 := i_i
+				if t1002 < 0 || t1002 >= d_A[0] {
+					return m.OOB(t1002, d_A[0], 0, "A", 7, 11)
+				}
+				t1003 := i_j
+				if t1003 < 0 || t1003 >= d_A[1] {
+					return m.OOB(t1003, d_A[1], 1, "A", 7, 11)
+				}
+				t1004 := b_A + int((t1002)*d_A[1]+t1003)
+				m.StoreF(t1004, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+		}
+		t1005 := p_n - int64(2)
+		t1006 := codegen.MaxI(int64(2), t1005)
+		t1007 := p_n - int64(2)
+		for i_i := t1006; i_i <= t1007; i_i++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t1008 := p_n - int64(3)
+			t1009 := codegen.MinI(t1008, int64(1))
+			for i_j := int64(1); i_j <= t1009; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1010 := i_i - int64(1)
+				t1011 := t1010
+				if t1011 < 0 || t1011 >= d_A[0] {
+					return m.OOB(t1011, d_A[0], 0, "A", 7, 22)
+				}
+				t1012 := i_j - int64(1)
+				t1013 := t1012
+				if t1013 < 0 || t1013 >= d_A[1] {
+					return m.OOB(t1013, d_A[1], 1, "A", 7, 22)
+				}
+				t1014 := b_A + int((t1011)*d_A[1]+t1013)
+				r_A_r := m.LoadF(t1014)
+				t1015 := i_i - int64(1)
+				t1016 := t1015
+				if t1016 < 0 || t1016 >= d_A[0] {
+					return m.OOB(t1016, d_A[0], 0, "A", 7, 40)
+				}
+				t1017 := i_j
+				if t1017 < 0 || t1017 >= d_A[1] {
+					return m.OOB(t1017, d_A[1], 1, "A", 7, 40)
+				}
+				t1018 := b_A + int((t1016)*d_A[1]+t1017)
+				r_A_r2 := m.LoadF(t1018)
+				t1019 := i_i - int64(1)
+				t1020 := t1019
+				if t1020 < 0 || t1020 >= d_A[0] {
+					return m.OOB(t1020, d_A[0], 0, "A", 7, 54)
+				}
+				t1021 := i_j + int64(1)
+				t1022 := t1021
+				if t1022 < 0 || t1022 >= d_A[1] {
+					return m.OOB(t1022, d_A[1], 1, "A", 7, 54)
+				}
+				t1023 := b_A + int((t1020)*d_A[1]+t1022)
+				r_A_r3 := m.LoadF(t1023)
+				t1024 := i_i
+				if t1024 < 0 || t1024 >= d_A[0] {
+					return m.OOB(t1024, d_A[0], 0, "A", 7, 72)
+				}
+				t1025 := i_j - int64(1)
+				t1026 := t1025
+				if t1026 < 0 || t1026 >= d_A[1] {
+					return m.OOB(t1026, d_A[1], 1, "A", 7, 72)
+				}
+				t1027 := b_A + int((t1024)*d_A[1]+t1026)
+				r_A_r4 := m.LoadF(t1027)
+				t1028 := i_i
+				if t1028 < 0 || t1028 >= d_A[0] {
+					return m.OOB(t1028, d_A[0], 0, "A", 7, 86)
+				}
+				t1029 := i_j
+				if t1029 < 0 || t1029 >= d_A[1] {
+					return m.OOB(t1029, d_A[1], 1, "A", 7, 86)
+				}
+				t1030 := b_A + int((t1028)*d_A[1]+t1029)
+				r_A_r5 := m.LoadF(t1030)
+				t1031 := i_i
+				if t1031 < 0 || t1031 >= d_A[0] {
+					return m.OOB(t1031, d_A[0], 0, "A", 7, 96)
+				}
+				t1032 := i_j + int64(1)
+				t1033 := t1032
+				if t1033 < 0 || t1033 >= d_A[1] {
+					return m.OOB(t1033, d_A[1], 1, "A", 7, 96)
+				}
+				t1034 := b_A + int((t1031)*d_A[1]+t1033)
+				r_A_r6 := m.LoadF(t1034)
+				t1035 := i_i + int64(1)
+				t1036 := t1035
+				if t1036 < 0 || t1036 >= d_A[0] {
+					return m.OOB(t1036, d_A[0], 0, "A", 7, 110)
+				}
+				t1037 := i_j - int64(1)
+				t1038 := t1037
+				if t1038 < 0 || t1038 >= d_A[1] {
+					return m.OOB(t1038, d_A[1], 1, "A", 7, 110)
+				}
+				t1039 := b_A + int((t1036)*d_A[1]+t1038)
+				r_A_r7 := m.LoadF(t1039)
+				t1040 := i_i + int64(1)
+				t1041 := t1040
+				if t1041 < 0 || t1041 >= d_A[0] {
+					return m.OOB(t1041, d_A[0], 0, "A", 7, 128)
+				}
+				t1042 := i_j
+				if t1042 < 0 || t1042 >= d_A[1] {
+					return m.OOB(t1042, d_A[1], 1, "A", 7, 128)
+				}
+				t1043 := b_A + int((t1041)*d_A[1]+t1042)
+				r_A_r8 := m.LoadF(t1043)
+				t1044 := i_i + int64(1)
+				t1045 := t1044
+				if t1045 < 0 || t1045 >= d_A[0] {
+					return m.OOB(t1045, d_A[0], 0, "A", 7, 142)
+				}
+				t1046 := i_j + int64(1)
+				t1047 := t1046
+				if t1047 < 0 || t1047 >= d_A[1] {
+					return m.OOB(t1047, d_A[1], 1, "A", 7, 142)
+				}
+				t1048 := b_A + int((t1045)*d_A[1]+t1047)
+				r_A_r9 := m.LoadF(t1048)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t1049 := float64(r_A_r + r_A_r2)
+				t1050 := float64(t1049 + r_A_r3)
+				t1051 := float64(t1050 + r_A_r4)
+				t1052 := float64(t1051 + r_A_r5)
+				t1053 := float64(t1052 + r_A_r6)
+				t1054 := float64(t1053 + r_A_r7)
+				t1055 := float64(t1054 + r_A_r8)
+				t1056 := float64(t1055 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t1057 := float64(t1056 / float64(9))
+				r_A_w := t1057
+				t1058 := i_i
+				if t1058 < 0 || t1058 >= d_A[0] {
+					return m.OOB(t1058, d_A[0], 0, "A", 7, 11)
+				}
+				t1059 := i_j
+				if t1059 < 0 || t1059 >= d_A[1] {
+					return m.OOB(t1059, d_A[1], 1, "A", 7, 11)
+				}
+				t1060 := b_A + int((t1058)*d_A[1]+t1059)
+				m.StoreF(t1060, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t1061 := p_n - int64(3)
+			for i_j := int64(2); i_j <= t1061; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1062 := i_i - int64(1)
+				t1063 := t1062
+				if t1063 < 0 || t1063 >= d_A[0] {
+					return m.OOB(t1063, d_A[0], 0, "A", 7, 22)
+				}
+				t1064 := i_j - int64(1)
+				t1065 := t1064
+				if t1065 < 0 || t1065 >= d_A[1] {
+					return m.OOB(t1065, d_A[1], 1, "A", 7, 22)
+				}
+				t1066 := b_A + int((t1063)*d_A[1]+t1065)
+				r_A_r := m.LoadF(t1066)
+				t1067 := i_i - int64(1)
+				t1068 := t1067
+				if t1068 < 0 || t1068 >= d_A[0] {
+					return m.OOB(t1068, d_A[0], 0, "A", 7, 40)
+				}
+				t1069 := i_j
+				if t1069 < 0 || t1069 >= d_A[1] {
+					return m.OOB(t1069, d_A[1], 1, "A", 7, 40)
+				}
+				t1070 := b_A + int((t1068)*d_A[1]+t1069)
+				r_A_r2 := m.LoadF(t1070)
+				t1071 := i_i - int64(1)
+				t1072 := t1071
+				if t1072 < 0 || t1072 >= d_A[0] {
+					return m.OOB(t1072, d_A[0], 0, "A", 7, 54)
+				}
+				t1073 := i_j + int64(1)
+				t1074 := t1073
+				if t1074 < 0 || t1074 >= d_A[1] {
+					return m.OOB(t1074, d_A[1], 1, "A", 7, 54)
+				}
+				t1075 := b_A + int((t1072)*d_A[1]+t1074)
+				r_A_r3 := m.LoadF(t1075)
+				t1076 := i_i
+				if t1076 < 0 || t1076 >= d_A[0] {
+					return m.OOB(t1076, d_A[0], 0, "A", 7, 72)
+				}
+				t1077 := i_j - int64(1)
+				t1078 := t1077
+				if t1078 < 0 || t1078 >= d_A[1] {
+					return m.OOB(t1078, d_A[1], 1, "A", 7, 72)
+				}
+				t1079 := b_A + int((t1076)*d_A[1]+t1078)
+				r_A_r4 := m.LoadF(t1079)
+				t1080 := i_i
+				if t1080 < 0 || t1080 >= d_A[0] {
+					return m.OOB(t1080, d_A[0], 0, "A", 7, 86)
+				}
+				t1081 := i_j
+				if t1081 < 0 || t1081 >= d_A[1] {
+					return m.OOB(t1081, d_A[1], 1, "A", 7, 86)
+				}
+				t1082 := b_A + int((t1080)*d_A[1]+t1081)
+				r_A_r5 := m.LoadF(t1082)
+				t1083 := i_i
+				if t1083 < 0 || t1083 >= d_A[0] {
+					return m.OOB(t1083, d_A[0], 0, "A", 7, 96)
+				}
+				t1084 := i_j + int64(1)
+				t1085 := t1084
+				if t1085 < 0 || t1085 >= d_A[1] {
+					return m.OOB(t1085, d_A[1], 1, "A", 7, 96)
+				}
+				t1086 := b_A + int((t1083)*d_A[1]+t1085)
+				r_A_r6 := m.LoadF(t1086)
+				t1087 := i_i + int64(1)
+				t1088 := t1087
+				if t1088 < 0 || t1088 >= d_A[0] {
+					return m.OOB(t1088, d_A[0], 0, "A", 7, 110)
+				}
+				t1089 := i_j - int64(1)
+				t1090 := t1089
+				if t1090 < 0 || t1090 >= d_A[1] {
+					return m.OOB(t1090, d_A[1], 1, "A", 7, 110)
+				}
+				t1091 := b_A + int((t1088)*d_A[1]+t1090)
+				r_A_r7 := m.LoadF(t1091)
+				t1092 := i_i + int64(1)
+				t1093 := t1092
+				if t1093 < 0 || t1093 >= d_A[0] {
+					return m.OOB(t1093, d_A[0], 0, "A", 7, 128)
+				}
+				t1094 := i_j
+				if t1094 < 0 || t1094 >= d_A[1] {
+					return m.OOB(t1094, d_A[1], 1, "A", 7, 128)
+				}
+				t1095 := b_A + int((t1093)*d_A[1]+t1094)
+				r_A_r8 := m.LoadF(t1095)
+				t1096 := i_i + int64(1)
+				t1097 := t1096
+				if t1097 < 0 || t1097 >= d_A[0] {
+					return m.OOB(t1097, d_A[0], 0, "A", 7, 142)
+				}
+				t1098 := i_j + int64(1)
+				t1099 := t1098
+				if t1099 < 0 || t1099 >= d_A[1] {
+					return m.OOB(t1099, d_A[1], 1, "A", 7, 142)
+				}
+				t1100 := b_A + int((t1097)*d_A[1]+t1099)
+				r_A_r9 := m.LoadF(t1100)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t1101 := float64(r_A_r + r_A_r2)
+				t1102 := float64(t1101 + r_A_r3)
+				t1103 := float64(t1102 + r_A_r4)
+				t1104 := float64(t1103 + r_A_r5)
+				t1105 := float64(t1104 + r_A_r6)
+				t1106 := float64(t1105 + r_A_r7)
+				t1107 := float64(t1106 + r_A_r8)
+				t1108 := float64(t1107 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t1109 := float64(t1108 / float64(9))
+				r_A_w := t1109
+				t1110 := i_i
+				if t1110 < 0 || t1110 >= d_A[0] {
+					return m.OOB(t1110, d_A[0], 0, "A", 7, 11)
+				}
+				t1111 := i_j
+				if t1111 < 0 || t1111 >= d_A[1] {
+					return m.OOB(t1111, d_A[1], 1, "A", 7, 11)
+				}
+				t1112 := b_A + int((t1110)*d_A[1]+t1111)
+				m.StoreF(t1112, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+			t1113 := p_n - int64(2)
+			t1114 := codegen.MaxI(int64(1), t1113)
+			t1115 := p_n - int64(2)
+			for i_j := t1114; i_j <= t1115; i_j++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t1116 := i_i - int64(1)
+				t1117 := t1116
+				if t1117 < 0 || t1117 >= d_A[0] {
+					return m.OOB(t1117, d_A[0], 0, "A", 7, 22)
+				}
+				t1118 := i_j - int64(1)
+				t1119 := t1118
+				if t1119 < 0 || t1119 >= d_A[1] {
+					return m.OOB(t1119, d_A[1], 1, "A", 7, 22)
+				}
+				t1120 := b_A + int((t1117)*d_A[1]+t1119)
+				r_A_r := m.LoadF(t1120)
+				t1121 := i_i - int64(1)
+				t1122 := t1121
+				if t1122 < 0 || t1122 >= d_A[0] {
+					return m.OOB(t1122, d_A[0], 0, "A", 7, 40)
+				}
+				t1123 := i_j
+				if t1123 < 0 || t1123 >= d_A[1] {
+					return m.OOB(t1123, d_A[1], 1, "A", 7, 40)
+				}
+				t1124 := b_A + int((t1122)*d_A[1]+t1123)
+				r_A_r2 := m.LoadF(t1124)
+				t1125 := i_i - int64(1)
+				t1126 := t1125
+				if t1126 < 0 || t1126 >= d_A[0] {
+					return m.OOB(t1126, d_A[0], 0, "A", 7, 54)
+				}
+				t1127 := i_j + int64(1)
+				t1128 := t1127
+				if t1128 < 0 || t1128 >= d_A[1] {
+					return m.OOB(t1128, d_A[1], 1, "A", 7, 54)
+				}
+				t1129 := b_A + int((t1126)*d_A[1]+t1128)
+				r_A_r3 := m.LoadF(t1129)
+				t1130 := i_i
+				if t1130 < 0 || t1130 >= d_A[0] {
+					return m.OOB(t1130, d_A[0], 0, "A", 7, 72)
+				}
+				t1131 := i_j - int64(1)
+				t1132 := t1131
+				if t1132 < 0 || t1132 >= d_A[1] {
+					return m.OOB(t1132, d_A[1], 1, "A", 7, 72)
+				}
+				t1133 := b_A + int((t1130)*d_A[1]+t1132)
+				r_A_r4 := m.LoadF(t1133)
+				t1134 := i_i
+				if t1134 < 0 || t1134 >= d_A[0] {
+					return m.OOB(t1134, d_A[0], 0, "A", 7, 86)
+				}
+				t1135 := i_j
+				if t1135 < 0 || t1135 >= d_A[1] {
+					return m.OOB(t1135, d_A[1], 1, "A", 7, 86)
+				}
+				t1136 := b_A + int((t1134)*d_A[1]+t1135)
+				r_A_r5 := m.LoadF(t1136)
+				t1137 := i_i
+				if t1137 < 0 || t1137 >= d_A[0] {
+					return m.OOB(t1137, d_A[0], 0, "A", 7, 96)
+				}
+				t1138 := i_j + int64(1)
+				t1139 := t1138
+				if t1139 < 0 || t1139 >= d_A[1] {
+					return m.OOB(t1139, d_A[1], 1, "A", 7, 96)
+				}
+				t1140 := b_A + int((t1137)*d_A[1]+t1139)
+				r_A_r6 := m.LoadF(t1140)
+				t1141 := i_i + int64(1)
+				t1142 := t1141
+				if t1142 < 0 || t1142 >= d_A[0] {
+					return m.OOB(t1142, d_A[0], 0, "A", 7, 110)
+				}
+				t1143 := i_j - int64(1)
+				t1144 := t1143
+				if t1144 < 0 || t1144 >= d_A[1] {
+					return m.OOB(t1144, d_A[1], 1, "A", 7, 110)
+				}
+				t1145 := b_A + int((t1142)*d_A[1]+t1144)
+				r_A_r7 := m.LoadF(t1145)
+				t1146 := i_i + int64(1)
+				t1147 := t1146
+				if t1147 < 0 || t1147 >= d_A[0] {
+					return m.OOB(t1147, d_A[0], 0, "A", 7, 128)
+				}
+				t1148 := i_j
+				if t1148 < 0 || t1148 >= d_A[1] {
+					return m.OOB(t1148, d_A[1], 1, "A", 7, 128)
+				}
+				t1149 := b_A + int((t1147)*d_A[1]+t1148)
+				r_A_r8 := m.LoadF(t1149)
+				t1150 := i_i + int64(1)
+				t1151 := t1150
+				if t1151 < 0 || t1151 >= d_A[0] {
+					return m.OOB(t1151, d_A[0], 0, "A", 7, 142)
+				}
+				t1152 := i_j + int64(1)
+				t1153 := t1152
+				if t1153 < 0 || t1153 >= d_A[1] {
+					return m.OOB(t1153, d_A[1], 1, "A", 7, 142)
+				}
+				t1154 := b_A + int((t1151)*d_A[1]+t1153)
+				r_A_r9 := m.LoadF(t1154)
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r4), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r5), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r6), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r7), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r8), int64(1))
+				cs.Fold(checksum.AccUse, math.Float64bits(r_A_r9), int64(1))
+				t1155 := float64(r_A_r + r_A_r2)
+				t1156 := float64(t1155 + r_A_r3)
+				t1157 := float64(t1156 + r_A_r4)
+				t1158 := float64(t1157 + r_A_r5)
+				t1159 := float64(t1158 + r_A_r6)
+				t1160 := float64(t1159 + r_A_r7)
+				t1161 := float64(t1160 + r_A_r8)
+				t1162 := float64(t1161 + r_A_r9)
+				if float64(9) == 0 {
+					return m.DivZero(7, 159)
+				}
+				t1163 := float64(t1162 / float64(9))
+				r_A_w := t1163
+				t1164 := i_i
+				if t1164 < 0 || t1164 >= d_A[0] {
+					return m.OOB(t1164, d_A[0], 0, "A", 7, 11)
+				}
+				t1165 := i_j
+				if t1165 < 0 || t1165 >= d_A[1] {
+					return m.OOB(t1165, d_A[1], 1, "A", 7, 11)
+				}
+				t1166 := b_A + int((t1164)*d_A[1]+t1165)
+				m.StoreF(t1166, r_A_w)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+				cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), int64(1))
+			}
+		}
+	}
+	if epoch == epochs-1 {
 		t1167 := p_tsteps - int64(2)
 		t1168 := codegen.MaxI(int64(0), t1167)
 		t1169 := p_tsteps - int64(2)

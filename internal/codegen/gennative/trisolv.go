@@ -124,54 +124,46 @@ func run_trisolv_resilient(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t2 := p_n - int64(1)
-		for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t3 := i_li0 - i_li1
-			t4 := t3 - int64(1)
-			if t4 >= int64(0) {
-				t5 := i_li0
-				if t5 < 0 || t5 >= d_L[0] {
-					return m.OOB(t5, d_L[0], 0, "L", 0, 0)
+			t2 := p_n - int64(1)
+			for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t6 := i_li1
-				if t6 < 0 || t6 >= d_L[1] {
-					return m.OOB(t6, d_L[1], 1, "L", 0, 0)
+				t3 := i_li0 - i_li1
+				t4 := t3 - int64(1)
+				if t4 >= int64(0) {
+					t5 := i_li0
+					if t5 < 0 || t5 >= d_L[0] {
+						return m.OOB(t5, d_L[0], 0, "L", 0, 0)
+					}
+					t6 := i_li1
+					if t6 < 0 || t6 >= d_L[1] {
+						return m.OOB(t6, d_L[1], 1, "L", 0, 0)
+					}
+					t7 := b_L + int((t5)*d_L[1]+t6)
+					t8 := m.LoadF(t7)
+					cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
 				}
-				t7 := b_L + int((t5)*d_L[1]+t6)
-				t8 := m.LoadF(t7)
-				cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
-			}
-			t9 := i_li0 - i_li1
-			if t9 == int64(0) {
-				t10 := i_li0
-				if t10 < 0 || t10 >= d_L[0] {
-					return m.OOB(t10, d_L[0], 0, "L", 0, 0)
+				t9 := i_li0 - i_li1
+				if t9 == int64(0) {
+					t10 := i_li0
+					if t10 < 0 || t10 >= d_L[0] {
+						return m.OOB(t10, d_L[0], 0, "L", 0, 0)
+					}
+					t11 := i_li1
+					if t11 < 0 || t11 >= d_L[1] {
+						return m.OOB(t11, d_L[1], 1, "L", 0, 0)
+					}
+					t12 := b_L + int((t10)*d_L[1]+t11)
+					t13 := m.LoadF(t12)
+					cs.Fold(checksum.AccDef, math.Float64bits(t13), int64(1))
 				}
-				t11 := i_li1
-				if t11 < 0 || t11 >= d_L[1] {
-					return m.OOB(t11, d_L[1], 1, "L", 0, 0)
-				}
-				t12 := b_L + int((t10)*d_L[1]+t11)
-				t13 := m.LoadF(t12)
-				cs.Fold(checksum.AccDef, math.Float64bits(t13), int64(1))
 			}
 		}
-	}
-	if epoch == epochs-1 {
 		t14 := p_n - int64(1)
 		for i_li02 := int64(0); i_li02 <= t14; i_li02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -186,146 +178,154 @@ func run_trisolv_resilient(m *codegen.Machine, epoch, epochs int) error {
 			cs.Fold(checksum.AccDef, math.Float64bits(t17), int64(1))
 		}
 		t18 := p_n - int64(1)
-		for i_i := int64(0); i_i <= t18; i_i++ {
-			if err := m.Tick(4, 1); err != nil {
+		m.SetBounds(int64(0), t18)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_i := start; i_i <= end; i_i++ {
+		if err := m.Tick(4, 1); err != nil {
+			return err
+		}
+		t19 := i_i
+		if t19 < 0 || t19 >= d_b[0] {
+			return m.OOB(t19, d_b[0], 0, "b", 5, 14)
+		}
+		t20 := b_b + int(t19)
+		r_b_r := m.LoadF(t20)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_b_r), int64(1))
+		r_x_w := r_b_r
+		t21 := i_i
+		if t21 < 0 || t21 >= d_x[0] {
+			return m.OOB(t21, d_x[0], 0, "x", 5, 7)
+		}
+		t22 := b_x + int(t21)
+		m.StoreF(t22, r_x_w)
+		t24 := i_i - int64(1)
+		t23 := t24 >= int64(0)
+		if t23 {
+			t25 := -i_i
+			t26 := t25 + int64(1)
+			t23 = t26 >= int64(0)
+		}
+		if t23 {
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), i_i)
+		}
+		t27 := i_i - int64(2)
+		if t27 >= int64(0) {
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
+		}
+		t28 := -i_i
+		if t28 >= int64(0) {
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
+		}
+		t29 := i_i - int64(1)
+		for i_j := int64(0); i_j <= t29; i_j++ {
+			if err := m.Tick(6, 3); err != nil {
 				return err
 			}
-			t19 := i_i
-			if t19 < 0 || t19 >= d_b[0] {
-				return m.OOB(t19, d_b[0], 0, "b", 5, 14)
+			t30 := i_i
+			if t30 < 0 || t30 >= d_x[0] {
+				return m.OOB(t30, d_x[0], 0, "x", 7, 16)
 			}
-			t20 := b_b + int(t19)
-			r_b_r := m.LoadF(t20)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_b_r), int64(1))
-			r_x_w := r_b_r
-			t21 := i_i
-			if t21 < 0 || t21 >= d_x[0] {
-				return m.OOB(t21, d_x[0], 0, "x", 5, 7)
+			t31 := b_x + int(t30)
+			r_x_r := m.LoadF(t31)
+			t32 := i_i
+			if t32 < 0 || t32 >= d_L[0] {
+				return m.OOB(t32, d_L[0], 0, "L", 7, 23)
 			}
-			t22 := b_x + int(t21)
-			m.StoreF(t22, r_x_w)
-			t24 := i_i - int64(1)
-			t23 := t24 >= int64(0)
-			if t23 {
-				t25 := -i_i
-				t26 := t25 + int64(1)
-				t23 = t26 >= int64(0)
+			t33 := i_j
+			if t33 < 0 || t33 >= d_L[1] {
+				return m.OOB(t33, d_L[1], 1, "L", 7, 23)
 			}
-			if t23 {
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), i_i)
+			t34 := b_L + int((t32)*d_L[1]+t33)
+			r_L_r := m.LoadF(t34)
+			t35 := i_j
+			if t35 < 0 || t35 >= d_x[0] {
+				return m.OOB(t35, d_x[0], 0, "x", 7, 33)
 			}
-			t27 := i_i - int64(2)
-			if t27 >= int64(0) {
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
+			t36 := b_x + int(t35)
+			r_x_r2 := m.LoadF(t36)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
+			t37 := float64(r_L_r * r_x_r2)
+			t38 := float64(r_x_r - t37)
+			r_x_w2 := t38
+			t39 := i_i
+			if t39 < 0 || t39 >= d_x[0] {
+				return m.OOB(t39, d_x[0], 0, "x", 7, 9)
 			}
-			t28 := -i_i
-			if t28 >= int64(0) {
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
+			t40 := b_x + int(t39)
+			m.StoreF(t40, r_x_w2)
+			t42 := i_i - i_j
+			t43 := t42 - int64(2)
+			t41 := t43 >= int64(0)
+			if t41 {
+				t44 := -i_i
+				t45 := t44 + i_j
+				t46 := t45 + int64(2)
+				t41 = t46 >= int64(0)
 			}
-			t29 := i_i - int64(1)
-			for i_j := int64(0); i_j <= t29; i_j++ {
-				if err := m.Tick(6, 3); err != nil {
-					return err
-				}
-				t30 := i_i
-				if t30 < 0 || t30 >= d_x[0] {
-					return m.OOB(t30, d_x[0], 0, "x", 7, 16)
-				}
-				t31 := b_x + int(t30)
-				r_x_r := m.LoadF(t31)
-				t32 := i_i
-				if t32 < 0 || t32 >= d_L[0] {
-					return m.OOB(t32, d_L[0], 0, "L", 7, 23)
-				}
-				t33 := i_j
-				if t33 < 0 || t33 >= d_L[1] {
-					return m.OOB(t33, d_L[1], 1, "L", 7, 23)
-				}
-				t34 := b_L + int((t32)*d_L[1]+t33)
-				r_L_r := m.LoadF(t34)
-				t35 := i_j
-				if t35 < 0 || t35 >= d_x[0] {
-					return m.OOB(t35, d_x[0], 0, "x", 7, 33)
-				}
-				t36 := b_x + int(t35)
-				r_x_r2 := m.LoadF(t36)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
-				t37 := float64(r_L_r * r_x_r2)
-				t38 := float64(r_x_r - t37)
-				r_x_w2 := t38
-				t39 := i_i
-				if t39 < 0 || t39 >= d_x[0] {
-					return m.OOB(t39, d_x[0], 0, "x", 7, 9)
-				}
-				t40 := b_x + int(t39)
-				m.StoreF(t40, r_x_w2)
-				t42 := i_i - i_j
-				t43 := t42 - int64(2)
-				t41 := t43 >= int64(0)
-				if t41 {
-					t44 := -i_i
-					t45 := t44 + i_j
-					t46 := t45 + int64(2)
-					t41 = t46 >= int64(0)
-				}
-				if t41 {
-					t47 := i_i - i_j
-					t48 := t47 - int64(1)
-					cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), t48)
-				}
-				t49 := i_i - i_j
-				t50 := t49 - int64(3)
-				if t50 >= int64(0) {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
-				}
-				t51 := -i_i
-				t52 := t51 + i_j
-				t53 := t52 + int64(1)
-				if t53 >= int64(0) {
-					cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
-				}
+			if t41 {
+				t47 := i_i - i_j
+				t48 := t47 - int64(1)
+				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), t48)
 			}
-			t54 := i_i
-			if t54 < 0 || t54 >= d_x[0] {
-				return m.OOB(t54, d_x[0], 0, "x", 9, 14)
+			t49 := i_i - i_j
+			t50 := t49 - int64(3)
+			if t50 >= int64(0) {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
 			}
-			t55 := b_x + int(t54)
-			r_x_r3 := m.LoadF(t55)
-			t56 := i_i
-			if t56 < 0 || t56 >= d_L[0] {
-				return m.OOB(t56, d_L[0], 0, "L", 9, 21)
-			}
-			t57 := i_i
-			if t57 < 0 || t57 >= d_L[1] {
-				return m.OOB(t57, d_L[1], 1, "L", 9, 21)
-			}
-			t58 := b_L + int((t56)*d_L[1]+t57)
-			r_L_r2 := m.LoadF(t58)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r3), int64(1))
-			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r2), int64(1))
-			if r_L_r2 == 0 {
-				return m.DivZero(9, 19)
-			}
-			t59 := float64(r_x_r3 / r_L_r2)
-			r_x_w3 := t59
-			t60 := i_i
-			if t60 < 0 || t60 >= d_x[0] {
-				return m.OOB(t60, d_x[0], 0, "x", 9, 7)
-			}
-			t61 := b_x + int(t60)
-			m.StoreF(t61, r_x_w3)
-			t62 := -i_i
-			t63 := t62 + p_n
-			t64 := t63 - int64(2)
-			if t64 >= int64(0) {
-				t65 := -i_i
-				t66 := t65 + p_n
-				t67 := t66 - int64(1)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w3), t67)
+			t51 := -i_i
+			t52 := t51 + i_j
+			t53 := t52 + int64(1)
+			if t53 >= int64(0) {
+				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
 			}
 		}
+		t54 := i_i
+		if t54 < 0 || t54 >= d_x[0] {
+			return m.OOB(t54, d_x[0], 0, "x", 9, 14)
+		}
+		t55 := b_x + int(t54)
+		r_x_r3 := m.LoadF(t55)
+		t56 := i_i
+		if t56 < 0 || t56 >= d_L[0] {
+			return m.OOB(t56, d_L[0], 0, "L", 9, 21)
+		}
+		t57 := i_i
+		if t57 < 0 || t57 >= d_L[1] {
+			return m.OOB(t57, d_L[1], 1, "L", 9, 21)
+		}
+		t58 := b_L + int((t56)*d_L[1]+t57)
+		r_L_r2 := m.LoadF(t58)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_x_r3), int64(1))
+		cs.Fold(checksum.AccUse, math.Float64bits(r_L_r2), int64(1))
+		if r_L_r2 == 0 {
+			return m.DivZero(9, 19)
+		}
+		t59 := float64(r_x_r3 / r_L_r2)
+		r_x_w3 := t59
+		t60 := i_i
+		if t60 < 0 || t60 >= d_x[0] {
+			return m.OOB(t60, d_x[0], 0, "x", 9, 7)
+		}
+		t61 := b_x + int(t60)
+		m.StoreF(t61, r_x_w3)
+		t62 := -i_i
+		t63 := t62 + p_n
+		t64 := t63 - int64(2)
+		if t64 >= int64(0) {
+			t65 := -i_i
+			t66 := t65 + p_n
+			t67 := t66 - int64(1)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w3), t67)
+		}
+	}
+	if epoch == epochs-1 {
 		m.Pair().Flush(&cs)
 		if err := m.Assert(0, 0); err != nil {
 			return err
@@ -347,59 +347,51 @@ func run_trisolv_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
 		t1 := p_n - int64(1)
-		m.SetBounds(int64(0), t1)
-	}
-	lo, hi, ok := m.Bounds()
-	if !ok {
-		return codegen.ErrNoBounds(epoch)
-	}
-	start, end := codegen.Slice(lo, hi, epoch, epochs)
-	for i_li0 := start; i_li0 <= end; i_li0++ {
-		if err := m.Tick(0, 0); err != nil {
-			return err
-		}
-		t2 := p_n - int64(1)
-		t3 := i_li0 - int64(1)
-		t4 := codegen.MinI(t2, t3)
-		for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t5 := i_li0
-			if t5 < 0 || t5 >= d_L[0] {
-				return m.OOB(t5, d_L[0], 0, "L", 0, 0)
-			}
-			t6 := i_li1
-			if t6 < 0 || t6 >= d_L[1] {
-				return m.OOB(t6, d_L[1], 1, "L", 0, 0)
-			}
-			t7 := b_L + int((t5)*d_L[1]+t6)
-			t8 := m.LoadF(t7)
-			cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
-		}
-		t9 := codegen.MaxI(int64(0), i_li0)
-		t10 := p_n - int64(1)
-		for i_li1 := t9; i_li1 <= t10; i_li1++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t11 := i_li0 - i_li1
-			if t11 == int64(0) {
-				t12 := i_li0
-				if t12 < 0 || t12 >= d_L[0] {
-					return m.OOB(t12, d_L[0], 0, "L", 0, 0)
+			t2 := p_n - int64(1)
+			t3 := i_li0 - int64(1)
+			t4 := codegen.MinI(t2, t3)
+			for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
 				}
-				t13 := i_li1
-				if t13 < 0 || t13 >= d_L[1] {
-					return m.OOB(t13, d_L[1], 1, "L", 0, 0)
+				t5 := i_li0
+				if t5 < 0 || t5 >= d_L[0] {
+					return m.OOB(t5, d_L[0], 0, "L", 0, 0)
 				}
-				t14 := b_L + int((t12)*d_L[1]+t13)
-				t15 := m.LoadF(t14)
-				cs.Fold(checksum.AccDef, math.Float64bits(t15), int64(1))
+				t6 := i_li1
+				if t6 < 0 || t6 >= d_L[1] {
+					return m.OOB(t6, d_L[1], 1, "L", 0, 0)
+				}
+				t7 := b_L + int((t5)*d_L[1]+t6)
+				t8 := m.LoadF(t7)
+				cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
+			}
+			t9 := codegen.MaxI(int64(0), i_li0)
+			t10 := p_n - int64(1)
+			for i_li1 := t9; i_li1 <= t10; i_li1++ {
+				if err := m.Tick(0, 0); err != nil {
+					return err
+				}
+				t11 := i_li0 - i_li1
+				if t11 == int64(0) {
+					t12 := i_li0
+					if t12 < 0 || t12 >= d_L[0] {
+						return m.OOB(t12, d_L[0], 0, "L", 0, 0)
+					}
+					t13 := i_li1
+					if t13 < 0 || t13 >= d_L[1] {
+						return m.OOB(t13, d_L[1], 1, "L", 0, 0)
+					}
+					t14 := b_L + int((t12)*d_L[1]+t13)
+					t15 := m.LoadF(t14)
+					cs.Fold(checksum.AccDef, math.Float64bits(t15), int64(1))
+				}
 			}
 		}
-	}
-	if epoch == epochs-1 {
 		t16 := p_n - int64(1)
 		for i_li02 := int64(0); i_li02 <= t16; i_li02++ {
 			if err := m.Tick(0, 0); err != nil {
@@ -712,188 +704,196 @@ func run_trisolv_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 			m.StoreF(t109, r_x_w3)
 		}
 		t110 := p_n - int64(2)
-		for i_i := int64(2); i_i <= t110; i_i++ {
+		m.SetBounds(int64(2), t110)
+	}
+	lo, hi, ok := m.Bounds()
+	if !ok {
+		return codegen.ErrNoBounds(epoch)
+	}
+	start, end := codegen.Slice(lo, hi, epoch, epochs)
+	for i_i := start; i_i <= end; i_i++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t111 := i_i
+		if t111 < 0 || t111 >= d_b[0] {
+			return m.OOB(t111, d_b[0], 0, "b", 5, 14)
+		}
+		t112 := b_b + int(t111)
+		r_b_r := m.LoadF(t112)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_b_r), int64(1))
+		r_x_w := r_b_r
+		t113 := i_i
+		if t113 < 0 || t113 >= d_x[0] {
+			return m.OOB(t113, d_x[0], 0, "x", 5, 7)
+		}
+		t114 := b_x + int(t113)
+		m.StoreF(t114, r_x_w)
+		cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
+		t115 := i_i - int64(3)
+		for i_j := int64(0); i_j <= t115; i_j++ {
 			if err := m.Tick(0, 0); err != nil {
 				return err
 			}
-			t111 := i_i
-			if t111 < 0 || t111 >= d_b[0] {
-				return m.OOB(t111, d_b[0], 0, "b", 5, 14)
+			t116 := i_i
+			if t116 < 0 || t116 >= d_x[0] {
+				return m.OOB(t116, d_x[0], 0, "x", 7, 16)
 			}
-			t112 := b_b + int(t111)
-			r_b_r := m.LoadF(t112)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_b_r), int64(1))
-			r_x_w := r_b_r
-			t113 := i_i
-			if t113 < 0 || t113 >= d_x[0] {
-				return m.OOB(t113, d_x[0], 0, "x", 5, 7)
+			t117 := b_x + int(t116)
+			r_x_r := m.LoadF(t117)
+			t118 := i_i
+			if t118 < 0 || t118 >= d_L[0] {
+				return m.OOB(t118, d_L[0], 0, "L", 7, 23)
 			}
-			t114 := b_x + int(t113)
-			m.StoreF(t114, r_x_w)
-			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w), int64(1))
-			t115 := i_i - int64(3)
-			for i_j := int64(0); i_j <= t115; i_j++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t116 := i_i
-				if t116 < 0 || t116 >= d_x[0] {
-					return m.OOB(t116, d_x[0], 0, "x", 7, 16)
-				}
-				t117 := b_x + int(t116)
-				r_x_r := m.LoadF(t117)
-				t118 := i_i
-				if t118 < 0 || t118 >= d_L[0] {
-					return m.OOB(t118, d_L[0], 0, "L", 7, 23)
-				}
-				t119 := i_j
-				if t119 < 0 || t119 >= d_L[1] {
-					return m.OOB(t119, d_L[1], 1, "L", 7, 23)
-				}
-				t120 := b_L + int((t118)*d_L[1]+t119)
-				r_L_r := m.LoadF(t120)
-				t121 := i_j
-				if t121 < 0 || t121 >= d_x[0] {
-					return m.OOB(t121, d_x[0], 0, "x", 7, 33)
-				}
-				t122 := b_x + int(t121)
-				r_x_r2 := m.LoadF(t122)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
-				t123 := float64(r_L_r * r_x_r2)
-				t124 := float64(r_x_r - t123)
-				r_x_w2 := t124
-				t125 := i_i
-				if t125 < 0 || t125 >= d_x[0] {
-					return m.OOB(t125, d_x[0], 0, "x", 7, 9)
-				}
-				t126 := b_x + int(t125)
-				m.StoreF(t126, r_x_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
+			t119 := i_j
+			if t119 < 0 || t119 >= d_L[1] {
+				return m.OOB(t119, d_L[1], 1, "L", 7, 23)
 			}
-			t127 := i_i - int64(2)
-			t128 := codegen.MaxI(int64(0), t127)
-			t129 := i_i - int64(2)
-			for i_j := t128; i_j <= t129; i_j++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t130 := i_i
-				if t130 < 0 || t130 >= d_x[0] {
-					return m.OOB(t130, d_x[0], 0, "x", 7, 16)
-				}
-				t131 := b_x + int(t130)
-				r_x_r := m.LoadF(t131)
-				t132 := i_i
-				if t132 < 0 || t132 >= d_L[0] {
-					return m.OOB(t132, d_L[0], 0, "L", 7, 23)
-				}
-				t133 := i_j
-				if t133 < 0 || t133 >= d_L[1] {
-					return m.OOB(t133, d_L[1], 1, "L", 7, 23)
-				}
-				t134 := b_L + int((t132)*d_L[1]+t133)
-				r_L_r := m.LoadF(t134)
-				t135 := i_j
-				if t135 < 0 || t135 >= d_x[0] {
-					return m.OOB(t135, d_x[0], 0, "x", 7, 33)
-				}
-				t136 := b_x + int(t135)
-				r_x_r2 := m.LoadF(t136)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
-				t137 := float64(r_L_r * r_x_r2)
-				t138 := float64(r_x_r - t137)
-				r_x_w2 := t138
-				t139 := i_i
-				if t139 < 0 || t139 >= d_x[0] {
-					return m.OOB(t139, d_x[0], 0, "x", 7, 9)
-				}
-				t140 := b_x + int(t139)
-				m.StoreF(t140, r_x_w2)
-				t141 := i_i - i_j
-				t142 := t141 - int64(1)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), t142)
+			t120 := b_L + int((t118)*d_L[1]+t119)
+			r_L_r := m.LoadF(t120)
+			t121 := i_j
+			if t121 < 0 || t121 >= d_x[0] {
+				return m.OOB(t121, d_x[0], 0, "x", 7, 33)
 			}
-			t143 := i_i - int64(1)
-			t144 := codegen.MaxI(int64(0), t143)
-			t145 := i_i - int64(1)
-			for i_j := t144; i_j <= t145; i_j++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t146 := i_i
-				if t146 < 0 || t146 >= d_x[0] {
-					return m.OOB(t146, d_x[0], 0, "x", 7, 16)
-				}
-				t147 := b_x + int(t146)
-				r_x_r := m.LoadF(t147)
-				t148 := i_i
-				if t148 < 0 || t148 >= d_L[0] {
-					return m.OOB(t148, d_L[0], 0, "L", 7, 23)
-				}
-				t149 := i_j
-				if t149 < 0 || t149 >= d_L[1] {
-					return m.OOB(t149, d_L[1], 1, "L", 7, 23)
-				}
-				t150 := b_L + int((t148)*d_L[1]+t149)
-				r_L_r := m.LoadF(t150)
-				t151 := i_j
-				if t151 < 0 || t151 >= d_x[0] {
-					return m.OOB(t151, d_x[0], 0, "x", 7, 33)
-				}
-				t152 := b_x + int(t151)
-				r_x_r2 := m.LoadF(t152)
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
-				cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
-				t153 := float64(r_L_r * r_x_r2)
-				t154 := float64(r_x_r - t153)
-				r_x_w2 := t154
-				t155 := i_i
-				if t155 < 0 || t155 >= d_x[0] {
-					return m.OOB(t155, d_x[0], 0, "x", 7, 9)
-				}
-				t156 := b_x + int(t155)
-				m.StoreF(t156, r_x_w2)
-				cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
+			t122 := b_x + int(t121)
+			r_x_r2 := m.LoadF(t122)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
+			t123 := float64(r_L_r * r_x_r2)
+			t124 := float64(r_x_r - t123)
+			r_x_w2 := t124
+			t125 := i_i
+			if t125 < 0 || t125 >= d_x[0] {
+				return m.OOB(t125, d_x[0], 0, "x", 7, 9)
 			}
-			t157 := i_i
-			if t157 < 0 || t157 >= d_x[0] {
-				return m.OOB(t157, d_x[0], 0, "x", 9, 14)
-			}
-			t158 := b_x + int(t157)
-			r_x_r3 := m.LoadF(t158)
-			t159 := i_i
-			if t159 < 0 || t159 >= d_L[0] {
-				return m.OOB(t159, d_L[0], 0, "L", 9, 21)
-			}
-			t160 := i_i
-			if t160 < 0 || t160 >= d_L[1] {
-				return m.OOB(t160, d_L[1], 1, "L", 9, 21)
-			}
-			t161 := b_L + int((t159)*d_L[1]+t160)
-			r_L_r2 := m.LoadF(t161)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r3), int64(1))
-			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r2), int64(1))
-			if r_L_r2 == 0 {
-				return m.DivZero(9, 19)
-			}
-			t162 := float64(r_x_r3 / r_L_r2)
-			r_x_w3 := t162
-			t163 := i_i
-			if t163 < 0 || t163 >= d_x[0] {
-				return m.OOB(t163, d_x[0], 0, "x", 9, 7)
-			}
-			t164 := b_x + int(t163)
-			m.StoreF(t164, r_x_w3)
-			t165 := -i_i
-			t166 := t165 + p_n
-			t167 := t166 - int64(1)
-			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w3), t167)
+			t126 := b_x + int(t125)
+			m.StoreF(t126, r_x_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
 		}
+		t127 := i_i - int64(2)
+		t128 := codegen.MaxI(int64(0), t127)
+		t129 := i_i - int64(2)
+		for i_j := t128; i_j <= t129; i_j++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t130 := i_i
+			if t130 < 0 || t130 >= d_x[0] {
+				return m.OOB(t130, d_x[0], 0, "x", 7, 16)
+			}
+			t131 := b_x + int(t130)
+			r_x_r := m.LoadF(t131)
+			t132 := i_i
+			if t132 < 0 || t132 >= d_L[0] {
+				return m.OOB(t132, d_L[0], 0, "L", 7, 23)
+			}
+			t133 := i_j
+			if t133 < 0 || t133 >= d_L[1] {
+				return m.OOB(t133, d_L[1], 1, "L", 7, 23)
+			}
+			t134 := b_L + int((t132)*d_L[1]+t133)
+			r_L_r := m.LoadF(t134)
+			t135 := i_j
+			if t135 < 0 || t135 >= d_x[0] {
+				return m.OOB(t135, d_x[0], 0, "x", 7, 33)
+			}
+			t136 := b_x + int(t135)
+			r_x_r2 := m.LoadF(t136)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
+			t137 := float64(r_L_r * r_x_r2)
+			t138 := float64(r_x_r - t137)
+			r_x_w2 := t138
+			t139 := i_i
+			if t139 < 0 || t139 >= d_x[0] {
+				return m.OOB(t139, d_x[0], 0, "x", 7, 9)
+			}
+			t140 := b_x + int(t139)
+			m.StoreF(t140, r_x_w2)
+			t141 := i_i - i_j
+			t142 := t141 - int64(1)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), t142)
+		}
+		t143 := i_i - int64(1)
+		t144 := codegen.MaxI(int64(0), t143)
+		t145 := i_i - int64(1)
+		for i_j := t144; i_j <= t145; i_j++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t146 := i_i
+			if t146 < 0 || t146 >= d_x[0] {
+				return m.OOB(t146, d_x[0], 0, "x", 7, 16)
+			}
+			t147 := b_x + int(t146)
+			r_x_r := m.LoadF(t147)
+			t148 := i_i
+			if t148 < 0 || t148 >= d_L[0] {
+				return m.OOB(t148, d_L[0], 0, "L", 7, 23)
+			}
+			t149 := i_j
+			if t149 < 0 || t149 >= d_L[1] {
+				return m.OOB(t149, d_L[1], 1, "L", 7, 23)
+			}
+			t150 := b_L + int((t148)*d_L[1]+t149)
+			r_L_r := m.LoadF(t150)
+			t151 := i_j
+			if t151 < 0 || t151 >= d_x[0] {
+				return m.OOB(t151, d_x[0], 0, "x", 7, 33)
+			}
+			t152 := b_x + int(t151)
+			r_x_r2 := m.LoadF(t152)
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_L_r), int64(1))
+			cs.Fold(checksum.AccUse, math.Float64bits(r_x_r2), int64(1))
+			t153 := float64(r_L_r * r_x_r2)
+			t154 := float64(r_x_r - t153)
+			r_x_w2 := t154
+			t155 := i_i
+			if t155 < 0 || t155 >= d_x[0] {
+				return m.OOB(t155, d_x[0], 0, "x", 7, 9)
+			}
+			t156 := b_x + int(t155)
+			m.StoreF(t156, r_x_w2)
+			cs.Fold(checksum.AccDef, math.Float64bits(r_x_w2), int64(1))
+		}
+		t157 := i_i
+		if t157 < 0 || t157 >= d_x[0] {
+			return m.OOB(t157, d_x[0], 0, "x", 9, 14)
+		}
+		t158 := b_x + int(t157)
+		r_x_r3 := m.LoadF(t158)
+		t159 := i_i
+		if t159 < 0 || t159 >= d_L[0] {
+			return m.OOB(t159, d_L[0], 0, "L", 9, 21)
+		}
+		t160 := i_i
+		if t160 < 0 || t160 >= d_L[1] {
+			return m.OOB(t160, d_L[1], 1, "L", 9, 21)
+		}
+		t161 := b_L + int((t159)*d_L[1]+t160)
+		r_L_r2 := m.LoadF(t161)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_x_r3), int64(1))
+		cs.Fold(checksum.AccUse, math.Float64bits(r_L_r2), int64(1))
+		if r_L_r2 == 0 {
+			return m.DivZero(9, 19)
+		}
+		t162 := float64(r_x_r3 / r_L_r2)
+		r_x_w3 := t162
+		t163 := i_i
+		if t163 < 0 || t163 >= d_x[0] {
+			return m.OOB(t163, d_x[0], 0, "x", 9, 7)
+		}
+		t164 := b_x + int(t163)
+		m.StoreF(t164, r_x_w3)
+		t165 := -i_i
+		t166 := t165 + p_n
+		t167 := t166 - int64(1)
+		cs.Fold(checksum.AccDef, math.Float64bits(r_x_w3), t167)
+	}
+	if epoch == epochs-1 {
 		t168 := p_n - int64(1)
 		t169 := codegen.MaxI(int64(2), t168)
 		t170 := p_n - int64(1)

@@ -25,35 +25,26 @@ type Machine struct {
 	ticks uint64
 }
 
-// options collects what MachineFor's options configure.
-type options struct {
-	machine.Config
-	maxTicks uint64
-}
-
 // Option configures a Machine.
-type Option func(*options)
+type Option func(*machine.Config)
 
 // WithChecksumKind selects the checksum operator (default ModAdd).
-func WithChecksumKind(k checksum.Kind) Option { return func(o *options) { o.Kind = k } }
-
-// WithMaxTicks bounds loop-iteration execution.
-func WithMaxTicks(n uint64) Option { return func(o *options) { o.maxTicks = n } }
+func WithChecksumKind(k checksum.Kind) Option { return func(o *machine.Config) { o.Kind = k } }
 
 // WithTrace streams execution events (fault.injected, verify.ok/mismatch,
 // detection) to s, as interp.WithTrace does.
-func WithTrace(s telemetry.Sink) Option { return func(o *options) { o.Trace = s } }
+func WithTrace(s telemetry.Sink) Option { return func(o *machine.Config) { o.Trace = s } }
 
 // WithMetrics publishes verification outcomes into r.
-func WithMetrics(r *telemetry.Registry) Option { return func(o *options) { o.Metrics = r } }
+func WithMetrics(r *telemetry.Registry) Option { return func(o *machine.Config) { o.Metrics = r } }
 
 // WithTracer records causally linked spans for supervised execution.
-func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.Tracer = t } }
+func WithTracer(t *telemetry.Tracer) Option { return func(o *machine.Config) { o.Tracer = t } }
 
 // WithBaseOffset shifts every declared variable's base address by pad unused
 // words, as interp.WithBaseOffset does, so decorrelated layouts carry across
 // backends.
-func WithBaseOffset(pad int) Option { return func(o *options) { o.BaseOffset = pad } }
+func WithBaseOffset(pad int) Option { return func(o *machine.Config) { o.BaseOffset = pad } }
 
 // MachineFor builds a machine for a checked program, evaluating the
 // declaration dimensions from the parameters and allocating the variables
@@ -63,15 +54,15 @@ func MachineFor(prog *lang.Program, params map[string]int64, opts ...Option) (*M
 	if err := lang.Check(prog); err != nil {
 		return nil, err
 	}
-	var o options
+	var cfg machine.Config
 	for _, opt := range opts {
-		opt(&o)
+		opt(&cfg)
 	}
-	st, err := machine.New("codegen", o.Config, prog, params)
+	st, err := machine.New("codegen", cfg, prog, params)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{State: st, MaxTicks: o.maxTicks}
+	m := &Machine{State: st}
 	if err := m.Alloc(prog, m.evalConstInt); err != nil {
 		return nil, err
 	}

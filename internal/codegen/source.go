@@ -150,21 +150,7 @@ func (g *srcGen) usedNames() (params, vars map[string]bool) {
 
 // function emits the Fn-shaped definition for the program.
 func (g *srcGen) function(name, comment string) {
-	// Split at the epoch anchor exactly as Compile does.
-	var pre, post []lang.Stmt
-	var loop *lang.For
-	for i, s := range g.prog.Body {
-		if f, ok := s.(*lang.For); ok {
-			pre = g.prog.Body[:i]
-			loop = f
-			post = g.prog.Body[i+1:]
-			break
-		}
-	}
-	if loop == nil {
-		pre = g.prog.Body
-	}
-
+	pre, loop, post := lang.KernelLoop(g.prog.Body)
 	if comment != "" {
 		g.emitf("// %s", comment)
 	}

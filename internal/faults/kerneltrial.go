@@ -21,7 +21,7 @@ import (
 //
 // Instrumented kernels are NOT epoch-balanced — the instrumenter proves its
 // def/use identity at the program's post-dominator, not at arbitrary
-// interior cuts of the outermost loop — so interior boundaries scrub the
+// interior cuts of the kernel loop — so interior boundaries scrub the
 // detector (self-check) but only the final boundary runs the full def/use
 // verification. Detection latency for kernels is therefore measured to the
 // final boundary, the placement the paper's Figure 4 verification uses.

@@ -19,24 +19,17 @@ type epochBody struct {
 	loop      *lang.For
 }
 
-// PlanEpochs builds an n-epoch plan over the machine's program. The epoch
-// anchor is the first top-level for loop — the instrumenter's outermost
-// loop, whose iteration blocks post-dominate the defs and uses of the values
-// produced within them. A program with no top-level loop collapses to a
-// single epoch.
+// PlanEpochs builds an n-epoch plan over the machine's program, cutting
+// its kernel loop (lang.KernelLoop). A program with no top-level loop
+// collapses to a single epoch.
 func (m *Machine) PlanEpochs(n int) (*EpochPlan, error) {
-	b := &epochBody{m: m, pre: m.prog.Body}
-	for i, s := range m.prog.Body {
-		if f, ok := s.(*lang.For); ok {
-			b.pre, b.loop, b.post = m.prog.Body[:i], f, m.prog.Body[i+1:]
-			break
-		}
-	}
-	return machine.NewPlan(&m.State, m.prog, n, b.loop != nil, b.run)
+	b := &epochBody{m: m}
+	b.pre, b.loop, b.post = lang.KernelLoop(m.prog.Body)
+	return machine.NewPlan(&m.State, m.prog, n, b.run)
 }
 
 // run executes epoch k of n: the prologue (k == 0), the k-th block of
-// outermost-loop iterations, and the epilogue (k == n-1), then publishes the
+// kernel-loop iterations, and the epilogue (k == n-1), then publishes the
 // operation counts.
 func (b *epochBody) run(k, n int) error {
 	m := b.m

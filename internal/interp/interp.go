@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"defuse/internal/addrsum"
 	"defuse/internal/checksum"
 	"defuse/internal/lang"
 	"defuse/internal/machine"
@@ -88,18 +87,12 @@ type Machine struct {
 	MaxSteps uint64
 
 	inChecksum bool
-
-	// addr, when non-nil, receives the (intent, effective) index pair of
-	// every memory access the program performs — the instrumenter's data
-	// checksums and the address-stream checksums are emitted side by side.
-	addr *addrsum.Tracker
 }
 
 // options collects what New's options configure.
 type options struct {
 	machine.Config
 	maxSteps uint64
-	addr     *addrsum.Tracker
 }
 
 // Option configures a Machine.
@@ -124,12 +117,6 @@ func WithMetrics(r *telemetry.Registry) Option { return func(o *options) { o.Met
 // recovery, and WAL children. A nil tracer costs nothing.
 func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.Tracer = t } }
 
-// WithAddrStream folds every memory access's (intended, effective) address
-// pair into at, emitting the PRESAGE-style address-stream checksums
-// alongside the program's data checksums. The caller verifies at at its
-// chosen boundaries (at.Verify / at.EndEpoch).
-func WithAddrStream(at *addrsum.Tracker) Option { return func(o *options) { o.addr = at } }
-
 // WithBaseOffset shifts every declared array's base address by pad unused
 // words; internal/dme runs two machines with different offsets so a fault at
 // one physical address corrupts different logical elements in each.
@@ -150,24 +137,12 @@ func New(prog *lang.Program, params map[string]int64, opts ...Option) (*Machine,
 		return nil, err
 	}
 	m := &Machine{State: st, prog: prog, iters: map[string]int64{}, regs: map[string]value{},
-		MaxSteps: o.maxSteps, addr: o.addr}
+		MaxSteps: o.maxSteps}
 	if err := m.Alloc(prog, m.evalInt); err != nil {
 		return nil, err
 	}
-	if at := m.addr; at != nil {
-		m.Mem().SetAccessHook(func(store bool, intent, effective int) {
-			if store {
-				at.Store(intent, effective)
-			} else {
-				at.Load(intent, effective)
-			}
-		})
-	}
 	return m, nil
 }
-
-// Addr exposes the address-stream tracker armed via WithAddrStream, or nil.
-func (m *Machine) Addr() *addrsum.Tracker { return m.addr }
 
 // Reset returns a pooled machine to its post-New state so it can be reused
 // for a fresh request: memory zeroed, checksum accumulators re-derived,
@@ -176,9 +151,6 @@ func (m *Machine) Addr() *addrsum.Tracker { return m.addr }
 // preserved — Reset does not re-run initialization, the next user does.
 func (m *Machine) Reset() {
 	m.State.Reset()
-	if m.addr != nil {
-		m.addr.Reset()
-	}
 	clear(m.iters)
 	clear(m.regs)
 	m.Counts = OpCounts{}

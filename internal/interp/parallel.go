@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the interpreter's parallel executor. The def/use checksums are
-// commutative folds, so row-blocks of an affine kernel's outermost loop can
-// run on a worker pool — each worker folding into a private checksum.Pair
-// shard and a private view of the shared memory — and the shards merged into
-// the root pair before the epilogue's assert_checksums runs. The verdict is
+// commutative folds, so row-blocks of an affine kernel loop can run on a
+// worker pool — each worker folding into a private checksum.Pair shard and a
+// private view of the shared memory — and the shards merged into the root
+// pair before the epilogue's assert_checksums runs. The verdict is
 // identical to the sequential run (see rt/shard.go for the argument); only
 // kernels whose outermost iterations touch disjoint stored words (dsyrk,
 // strsm row/column blocks) may be run this way, which is the caller's
@@ -21,11 +21,9 @@ import (
 // control flow and scheduling are protected by other means.
 
 // ParallelPlan partitions a program's parallel loop into contiguous
-// iteration blocks, one per worker. The anchor is the top-level for loop
-// with the largest statement tree — the kernel nest — not the first one,
-// because instrumented programs open with flat checksum-registration loops
-// that must stay serial (they fold every input word, in any order, but
-// belong to the prologue).
+// iteration blocks, one per worker. The parallel loop is the kernel loop
+// (lang.KernelLoop), the loop epoch plans cut too; the flat
+// checksum-registration loops before it stay serial in the prologue.
 type ParallelPlan struct {
 	m         *Machine
 	pre, post []lang.Stmt
@@ -48,48 +46,18 @@ type ParallelResult struct {
 
 // PlanParallel builds a parallel plan with the given worker count over the
 // machine's program. The caller asserts that distinct iterations of the
-// program's deepest top-level loop write disjoint memory words; a program
-// with no top-level loop degenerates to a serial run.
+// program's kernel loop write disjoint memory words; a program with no
+// top-level loop degenerates to a serial run.
 func (m *Machine) PlanParallel(workers int) (*ParallelPlan, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("interp: PlanParallel needs workers >= 1, got %d", workers)
 	}
 	p := &ParallelPlan{m: m, workers: workers}
-	best, bestSize := -1, 0
-	for i, s := range m.prog.Body {
-		if f, ok := s.(*lang.For); ok {
-			if size := deepStmtCount(f.Body); best < 0 || size > bestSize {
-				best, bestSize = i, size
-			}
-		}
-	}
-	if best < 0 {
-		p.pre = m.prog.Body
+	p.pre, p.loop, p.post = lang.KernelLoop(m.prog.Body)
+	if p.loop == nil {
 		p.workers = 1
-		return p, nil
 	}
-	p.pre = m.prog.Body[:best]
-	p.loop = m.prog.Body[best].(*lang.For)
-	p.post = m.prog.Body[best+1:]
 	return p, nil
-}
-
-// deepStmtCount sizes a statement tree, recursing into loop and branch
-// bodies, so the plan can tell the kernel nest from flat registration loops.
-func deepStmtCount(ss []lang.Stmt) int {
-	n := 0
-	for _, s := range ss {
-		n++
-		switch x := s.(type) {
-		case *lang.For:
-			n += deepStmtCount(x.Body)
-		case *lang.While:
-			n += deepStmtCount(x.Body)
-		case *lang.If:
-			n += deepStmtCount(x.Then) + deepStmtCount(x.Else)
-		}
-	}
-	return n
 }
 
 // Workers returns the planned worker count.

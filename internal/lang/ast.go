@@ -391,6 +391,31 @@ func WalkStmts(ss []Stmt, visit func(Stmt) bool) {
 	}
 }
 
+// KernelLoop splits a program body at its kernel loop: the top-level for
+// loop with the largest statement tree, the first on ties. Instrumented
+// programs open with flat checksum-registration loops (live-in folds,
+// counter loops) that belong to the prologue, so the kernel is the largest
+// nest, not the first loop. With no top-level for loop, pre is the whole
+// body and loop is nil.
+func KernelLoop(body []Stmt) (pre []Stmt, loop *For, post []Stmt) {
+	best, bestSize := -1, 0
+	for i, s := range body {
+		f, ok := s.(*For)
+		if !ok {
+			continue
+		}
+		size := 0
+		WalkStmts(f.Body, func(Stmt) bool { size++; return true })
+		if best < 0 || size > bestSize {
+			best, bestSize = i, size
+		}
+	}
+	if best < 0 {
+		return body, nil, nil
+	}
+	return body[:best], body[best].(*For), body[best+1:]
+}
+
 // WalkExpr visits e and its children, pre-order.
 func WalkExpr(e Expr, visit func(Expr) bool) {
 	if e == nil || !visit(e) {

@@ -432,3 +432,33 @@ func TestMustParsePanics(t *testing.T) {
 	}()
 	MustParse("not a program")
 }
+
+func TestKernelLoop(t *testing.T) {
+	p := MustParse(`
+program k(n)
+float A[n], s;
+s = 0.0;
+for i = 0 to n - 1 {
+  A[i] = 0.0;
+}
+for i = 0 to n - 1 {
+  for j = 0 to n - 1 {
+    A[i] = A[i] + 1.0;
+  }
+}
+for j = 0 to n - 1 {
+  for i = 0 to n - 1 {
+    A[i] = A[i] + 2.0;
+  }
+}
+s = A[0];
+`)
+	pre, loop, post := KernelLoop(p.Body)
+	if len(pre) != 2 || loop != p.Body[2] || len(post) != 2 {
+		t.Fatalf("split %d | %v | %d, want the first of the two tied nests at statement 2", len(pre), loop, len(post))
+	}
+	flat := MustParse("program f(n)\nfloat s;\ns = 1.0;\nwhile (s < 0.5) {\n  s = s + 1.0;\n}\n")
+	if pre, loop, post := KernelLoop(flat.Body); len(pre) != 2 || loop != nil || post != nil {
+		t.Fatalf("no top-level for: split %d | %v | %d, want the whole body as prologue", len(pre), loop, len(post))
+	}
+}

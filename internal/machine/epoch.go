@@ -16,7 +16,7 @@ import (
 
 // The epoch layer. The instrumenter places the paper's verification at a
 // post-dominator of all defs and uses; an epoch plan refines that placement
-// to iteration blocks of the program's first top-level for loop, so a
+// to iteration blocks of the program's kernel loop (lang.KernelLoop), so a
 // supervisor can verify, checkpoint, and — on a detected corruption — roll
 // back and re-execute one block instead of discarding the whole run. Durable
 // supervision seals the checkpointed state into a write-ahead log at every
@@ -41,27 +41,31 @@ func Slice(lo, hi int64, k, n int) (start, end int64) {
 	return start, end
 }
 
-// Plan partitions a program's first top-level for loop into n contiguous
-// iteration blocks (epochs). Statements before the loop belong to epoch 0
-// and statements after it to the last epoch, so running epochs 0..n-1 in
-// order is one full run. The backend supplies the epoch body.
+// Plan partitions a program's kernel loop (lang.KernelLoop) into n
+// contiguous iteration blocks (epochs). Statements before the loop belong to
+// epoch 0 and statements after it to the last epoch, so running epochs
+// 0..n-1 in order is one full run. The backend supplies the epoch body,
+// which must split the program with lang.KernelLoop too.
 type Plan struct {
-	m    *State
-	prog *lang.Program
-	n    int
-	body func(k, n int) error
+	m      *State
+	prog   *lang.Program
+	n      int
+	anchor int // the kernel loop's index in prog.Body, or -1
+	body   func(k, n int) error
 }
 
 // NewPlan builds an n-epoch plan over m. body runs epoch k of n; a program
-// with no top-level loop (anchored false) collapses to a single epoch.
-func NewPlan(m *State, prog *lang.Program, n int, anchored bool, body func(k, n int) error) (*Plan, error) {
+// with no top-level for loop collapses to a single epoch.
+func NewPlan(m *State, prog *lang.Program, n int, body func(k, n int) error) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%s: PlanEpochs needs n >= 1, got %d", m.backend, n)
 	}
-	if !anchored {
-		n = 1
+	pre, loop, _ := lang.KernelLoop(prog.Body)
+	anchor := len(pre)
+	if loop == nil {
+		n, anchor = 1, -1
 	}
-	return &Plan{m: m, prog: prog, n: n, body: body}, nil
+	return &Plan{m: m, prog: prog, n: n, anchor: anchor, body: body}, nil
 }
 
 // Epochs returns the number of epochs in the plan.
@@ -239,14 +243,15 @@ func (p *Plan) decodeState(b []byte) error {
 
 // Fingerprint identifies the run configuration: the program text, the
 // concrete parameters (in sorted order), the checksum operator, the epoch
-// count and the base offset. Two runs with equal fingerprints execute the
-// same work over the same layout, so a durable checkpoint from one is a
-// valid resume point for the other, whichever backend wrote it; anything
-// else must not be resumed.
+// count, the base offset and the kernel loop's statement index (a record
+// sealed under another anchor caches another loop's bounds). Two runs with
+// equal fingerprints execute the same work over the same layout, so a
+// durable checkpoint from one is a valid resume point for the other,
+// whichever backend wrote it; anything else must not be resumed.
 func (p *Plan) Fingerprint() uint64 {
 	m := p.m
 	h := fnv.New64a()
-	fmt.Fprintf(h, "epochs=%d kind=%d base=%d\n", p.n, m.pair.Kind(), m.cfg.BaseOffset)
+	fmt.Fprintf(h, "epochs=%d kind=%d base=%d anchor=%d\n", p.n, m.pair.Kind(), m.cfg.BaseOffset, p.anchor)
 	h.Write([]byte(lang.Print(p.prog)))
 	names := make([]string, 0, len(m.params))
 	for name := range m.params {

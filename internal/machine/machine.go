@@ -234,12 +234,12 @@ func (m *State) Reset() {
 	m.ClearBounds()
 }
 
-// SetBounds caches the outermost loop's bounds, evaluated by epoch 0.
+// SetBounds caches the kernel loop's bounds, evaluated by epoch 0.
 func (m *State) SetBounds(lo, hi int64) {
 	m.lo, m.hi, m.haveBounds = lo, hi, true
 }
 
-// Bounds returns the cached outermost-loop bounds; ok is false before epoch
+// Bounds returns the cached kernel-loop bounds; ok is false before epoch
 // 0 has evaluated them.
 func (m *State) Bounds() (lo, hi int64, ok bool) { return m.lo, m.hi, m.haveBounds }
 

@@ -32,7 +32,7 @@ func newTestPlan(t *testing.T, cfg Config) *Plan {
 	if err := m.FillFloat("A", func(k int64) float64 { return float64(k) + 0.5 }); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPlan(&m, prog, 4, true, func(int, int) error { return nil })
+	p, err := NewPlan(&m, prog, 4, func(int, int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +77,43 @@ func TestEpochStateRoundTripAndForeignLayout(t *testing.T) {
 	xor := newTestPlan(t, Config{Kind: checksum.XOR})
 	if err := xor.decodeState(b); !errors.Is(err, memsim.ErrCheckpointCorrupt) {
 		t.Fatalf("decode into another checksum kind: %v, want ErrCheckpointCorrupt", err)
+	}
+}
+
+// TestFingerprintCoversAnchor plans a program whose flat prologue loop
+// comes before its kernel nest. The plan anchors on the nest, and a plan
+// that differs only in its anchor — a log sealed under the first-loop rule,
+// whose cached bounds are the prologue loop's — fingerprints differently.
+func TestFingerprintCoversAnchor(t *testing.T) {
+	prog := lang.MustParse(`
+program t(n)
+float A[n], B[n];
+for i = 0 to n - 1 {
+  B[i] = 1.0;
+}
+for i = 0 to n - 1 {
+  for j = 0 to n - 1 {
+    A[i] = A[i] + B[j];
+  }
+}
+`)
+	m, err := New("test", Config{}, prog, map[string]int64{"n": 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Alloc(prog, func(lang.Expr) (int64, error) { return 4, nil }); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlan(&m, prog, 4, func(int, int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.anchor != 1 {
+		t.Fatalf("anchor = statement %d, want the kernel nest at 1", p.anchor)
+	}
+	first := *p
+	first.anchor = 0
+	if p.Fingerprint() == first.Fingerprint() {
+		t.Error("plans anchored on different loops share a fingerprint")
 	}
 }
