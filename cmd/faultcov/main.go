@@ -286,17 +286,8 @@ func runCompare(ctx context.Context, o options, kind checksum.Kind, words int) e
 		return err
 	}
 	if o.jsonOut != "" {
-		raw, jerr := json.MarshalIndent(res, "", "  ")
-		if jerr != nil {
-			return jerr
-		}
-		raw = append(raw, '\n')
-		if o.jsonOut == "-" {
-			if _, werr := os.Stdout.Write(raw); werr != nil {
-				return werr
-			}
-		} else if werr := os.WriteFile(o.jsonOut, raw, 0o644); werr != nil {
-			return werr
+		if err := writeJSON(o.jsonOut, res); err != nil {
+			return err
 		}
 	} else {
 		fmt.Printf("backend comparison: %d words, %d epochs, %d trials per cell\n\n", words, epochs, o.trials)
@@ -368,17 +359,8 @@ func runCrash(ctx context.Context, o options, kind checksum.Kind, words int, sin
 		return err
 	}
 	if o.jsonOut != "" {
-		raw, jerr := json.MarshalIndent(res, "", "  ")
-		if jerr != nil {
-			return jerr
-		}
-		raw = append(raw, '\n')
-		if o.jsonOut == "-" {
-			if _, werr := os.Stdout.Write(raw); werr != nil {
-				return werr
-			}
-		} else if werr := os.WriteFile(o.jsonOut, raw, 0o644); werr != nil {
-			return werr
+		if err := writeJSON(o.jsonOut, res); err != nil {
+			return err
 		}
 	} else {
 		fmt.Printf("crash campaign: %d words, %d epochs, %d trials per cell\n\n", words, epochs, o.crash)
@@ -394,19 +376,25 @@ func runCrash(ctx context.Context, o options, kind checksum.Kind, words int, sin
 	return nil
 }
 
+// writeJSON writes v as indented JSON to path, or to stdout when path is
+// "-".
+func writeJSON(path string, v any) error {
+	raw, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	raw = append(raw, '\n')
+	if path == "-" {
+		_, err = os.Stdout.Write(raw)
+		return err
+	}
+	return os.WriteFile(path, raw, 0o644)
+}
+
 func render(o options, res *faults.CampaignResult, sizes, flips []int,
 	patterns []faults.Pattern, duals []bool) error {
 	if o.jsonOut != "" {
-		raw, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		raw = append(raw, '\n')
-		if o.jsonOut == "-" {
-			_, err = os.Stdout.Write(raw)
-			return err
-		}
-		return os.WriteFile(o.jsonOut, raw, 0o644)
+		return writeJSON(o.jsonOut, res)
 	}
 	if o.epochs > 0 {
 		fmt.Printf("epoch-scoped fault coverage: %d epochs, %d trials per cell\n\n", o.epochs, o.trials)

@@ -23,8 +23,7 @@
 // The accumulators mirror checksum.Pair's self-verification discipline:
 // each stream keeps a shadow-encoded redundant copy (inverted and rotated,
 // with rotations distinct from the data pair's so a single stuck-at fault
-// cannot strike both detectors identically), merges commutatively for
-// sharded execution, and seals per-epoch state under a chained digest for
+// cannot strike both detectors identically), and seals per-epoch state under a chained digest for
 // checkpoint/rollback exactly like rt.EpochState.
 package addrsum
 
@@ -144,20 +143,6 @@ func (t *Tracker) Shadows() [4]uint64 { return t.shadow }
 
 // OpCounts returns the number of folded loads and stores.
 func (t *Tracker) OpCounts() (loads, stores uint64) { return t.loads, t.stores }
-
-// Merge folds other into t. Addition is commutative and associative, so
-// per-shard trackers can merge in any order and any partition of the access
-// stream yields the same totals — the property rt.ShardedTracker relies on.
-// Shadows are decoded, combined, and re-encoded so corruption evidence in
-// either operand survives the merge.
-func (t *Tracker) Merge(other *Tracker) {
-	for s := Stream(0); s < numStreams; s++ {
-		t.acc[s] += other.acc[s]
-		t.shadow[s] = encShadow(decShadow(t.shadow[s], s)+decShadow(other.shadow[s], s), s)
-	}
-	t.loads += other.loads
-	t.stores += other.stores
-}
 
 // ScrubError reports a primary accumulator disagreeing with its shadow —
 // evidence of a fault in the detector itself, not in the protected data.

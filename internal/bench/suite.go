@@ -218,14 +218,10 @@ func sameOutput(a, b *RunResult) error {
 	return nil
 }
 
-// Figure10 runs the whole suite and returns the per-benchmark rows plus the
-// geometric-mean normalized runtimes (the paper reports 1.788 resilient and
-// 1.402 resilient-optimized on its testbed).
-func Figure10(scale float64) ([]Figure10Row, []Figure11Row, error) {
-	return Figure10With(scale, Telemetry{})
-}
-
-// Figure10With is Figure10 with telemetry attached to every run.
+// Figure10With runs the whole suite, with telemetry attached to every run,
+// and returns the per-benchmark rows plus the geometric-mean normalized
+// runtimes (the paper reports 1.788 resilient and 1.402
+// resilient-optimized on its testbed).
 func Figure10With(scale float64, tel Telemetry) ([]Figure10Row, []Figure11Row, error) {
 	var rows10 []Figure10Row
 	var rows11 []Figure11Row

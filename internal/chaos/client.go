@@ -9,7 +9,6 @@ package chaos
 // payloads, bursts — live here too: they are requests, just hostile ones.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -100,36 +99,9 @@ func (ld *loader) fail(format string, args ...any) {
 	}
 }
 
-// post sends one raw /run request and returns status, decoded response (on
-// 200), body text (otherwise), and the Retry-After delay.
-func (ld *loader) post(ctx context.Context, req server.Request) (int, server.Response, string, time.Duration, error) {
-	raw, _ := json.Marshal(req)
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ld.url("/run"), bytes.NewReader(raw))
-	if err != nil {
-		return 0, server.Response{}, "", 0, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := ld.client.Do(hreq)
-	if err != nil {
-		return 0, server.Response{}, "", 0, err
-	}
-	defer hresp.Body.Close()
-	var retryAfter time.Duration
-	if ra := hresp.Header.Get("Retry-After"); ra != "" {
-		var secs int
-		if _, err := fmt.Sscanf(ra, "%d", &secs); err == nil && secs >= 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	if hresp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
-		return hresp.StatusCode, server.Response{}, string(body), retryAfter, nil
-	}
-	var resp server.Response
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return hresp.StatusCode, server.Response{}, "", retryAfter, err
-	}
-	return hresp.StatusCode, resp, "", retryAfter, nil
+// post sends one /run request to the current child.
+func (ld *loader) post(ctx context.Context, req server.Request) (server.PostResult, error) {
+	return server.PostRun(ctx, ld.client, ld.url(""), req)
 }
 
 // claimID dispenses the next request ID. IDs are never reused across
@@ -144,13 +116,7 @@ func (ld *loader) claimID() uint64 {
 // audit grades one 200 response against the locally recomputed truth and
 // folds it into the ledger.
 func (ld *loader) audit(req server.Request, resp server.Response) {
-	expectInjected := req.Kind == server.KindVerify && ld.sampler.Sample(req.ID)
-	var ref uint64
-	if req.Kind == server.KindVerify {
-		ref = server.ReferenceDigest(req.Words, req.Epochs, ld.seed, req.ID)
-	} else {
-		ref = resp.RefDigest
-	}
+	v := server.Audit(ld.sampler, ld.seed, req, resp)
 	ld.mu.Lock()
 	defer ld.mu.Unlock()
 	ld.acked++
@@ -159,7 +125,7 @@ func (ld *loader) audit(req server.Request, resp server.Response) {
 	if req.Kind == server.KindKernel {
 		ld.kernelN++
 	}
-	if expectInjected {
+	if v.Injected {
 		ld.injected++
 		if resp.Detected {
 			ld.detected++
@@ -167,26 +133,19 @@ func (ld *loader) audit(req server.Request, resp server.Response) {
 		if resp.Recovered {
 			ld.recovered++
 		}
-		if !resp.Detected || !resp.Recovered {
-			ld.undetected++
-			if len(ld.failures) < 20 {
-				ld.failures = append(ld.failures,
-					fmt.Sprintf("request %d: injected fault detected=%v recovered=%v", req.ID, resp.Detected, resp.Recovered))
-			}
-		}
-	} else if resp.Injected {
-		ld.undetected++
+	}
+	note := func(msg string) {
 		if len(ld.failures) < 20 {
-			ld.failures = append(ld.failures,
-				fmt.Sprintf("request %d: server claims injection the schedule did not place", req.ID))
+			ld.failures = append(ld.failures, msg)
 		}
 	}
-	if resp.Digest != ref || resp.Tainted {
+	if v.Undetected != "" {
+		ld.undetected++
+		note(v.Undetected)
+	}
+	if v.Wrong != "" {
 		ld.silent++
-		if len(ld.failures) < 20 {
-			ld.failures = append(ld.failures,
-				fmt.Sprintf("request %d: digest %x want %x (tainted=%v)", req.ID, resp.Digest, ref, resp.Tainted))
-		}
+		note(v.Wrong)
 	}
 }
 
@@ -201,7 +160,8 @@ func (ld *loader) request(ctx context.Context, maxRetries int) {
 	}
 	attempt := 0
 	for {
-		status, resp, body, retryAfter, err := ld.post(ctx, req)
+		res, err := ld.post(ctx, req)
+		status, retryAfter := res.Status, res.RetryAfter
 		switch {
 		case err != nil:
 			if ctx.Err() == nil {
@@ -209,7 +169,7 @@ func (ld *loader) request(ctx context.Context, maxRetries int) {
 			}
 			return
 		case status == http.StatusOK:
-			ld.audit(req, resp)
+			ld.audit(req, res.Response)
 			if attempt > 0 {
 				ld.mu.Lock()
 				ld.retriedOK++
@@ -243,24 +203,24 @@ func (ld *loader) request(ctx context.Context, maxRetries int) {
 				return
 			case <-time.After(delay):
 			}
-		case status == http.StatusInternalServerError && strings.Contains(body, "injected"):
+		case status == http.StatusInternalServerError && strings.Contains(res.Body, "injected"):
 			// The armed WAL fault fired under this request: the append was
 			// rolled back, the failure declared, and the ID conservatively
 			// reserved — a retry of the same ID must be refused with 409.
 			ld.mu.Lock()
 			ld.writeFaults++
 			ld.mu.Unlock()
-			st2, _, _, _, err2 := ld.post(ctx, req)
-			if err2 == nil && st2 != http.StatusConflict {
-				ld.fail("request %d: retry after injected journal fault got %d, want 409 (reservation lost)", id, st2)
+			res2, err2 := ld.post(ctx, req)
+			if err2 == nil && res2.Status != http.StatusConflict {
+				ld.fail("request %d: retry after injected journal fault got %d, want 409 (reservation lost)", id, res2.Status)
 			}
 			return
 		case status == http.StatusConflict:
-			ld.fail("request %d: unexpected 409 (ID never reused): %s", id, body)
+			ld.fail("request %d: unexpected 409 (ID never reused): %s", id, res.Body)
 			return
 		default:
 			if ctx.Err() == nil {
-				ld.fail("request %d: status %d: %s", id, status, body)
+				ld.fail("request %d: status %d: %s", id, status, res.Body)
 			}
 			return
 		}
@@ -421,13 +381,13 @@ func (ld *loader) adversaries(ctx context.Context) {
 	ld.mu.Unlock()
 	if dup != 0 {
 		req = server.Request{ID: dup, Kind: server.KindVerify, Words: ld.words, Epochs: ld.epochs}
-		if status, _, _, _, err := ld.post(ctx, req); err == nil && status != http.StatusConflict {
-			if status == http.StatusOK {
+		if res, err := ld.post(ctx, req); err == nil && res.Status != http.StatusConflict {
+			if res.Status == http.StatusOK {
 				ld.mu.Lock()
 				ld.silent++
 				ld.mu.Unlock()
 			}
-			ld.fail("duplicate request %d: status %d, want 409", dup, status)
+			ld.fail("duplicate request %d: status %d, want 409", dup, res.Status)
 		}
 	}
 
@@ -449,7 +409,7 @@ func (ld *loader) adversaries(ctx context.Context) {
 	// Oversized dimensions: past the 4x size cap. Must be refused with 400
 	// before consuming a slot.
 	req = server.Request{ID: ld.claimID(), Kind: server.KindVerify, Words: 100 * ld.words, Epochs: ld.epochs}
-	if status, _, _, _, err := ld.post(ctx, req); err == nil && status != http.StatusBadRequest {
-		ld.fail("oversized request: status %d, want 400", status)
+	if res, err := ld.post(ctx, req); err == nil && res.Status != http.StatusBadRequest {
+		ld.fail("oversized request: status %d, want 400", res.Status)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"defuse/internal/codegen"
 	"defuse/internal/interp"
 	"defuse/internal/lang"
+	"defuse/internal/memsim"
 	"defuse/internal/recovery"
 	"defuse/internal/wal"
 )
@@ -37,6 +39,8 @@ type durableRun struct {
 	words     func() []uint64
 	pair      func() *checksum.Pair
 	float     func(name string, idx ...int64) (float64, error)
+	mem       *memsim.Memory
+	region    func(name string) (base, size int, err error)
 }
 
 // newDurableRun builds an initialized machine on backend ("interp" or
@@ -58,6 +62,7 @@ func newDurableRun(t *testing.T, backend string, prog *lang.Program, params map[
 		return &durableRun{
 			epochs: p.Epochs(), runEpoch: p.RunEpoch, supervise: p.SuperviseDurable,
 			stepHook: m.SetStepHook, words: m.Mem().Words, pair: m.Pair, float: m.Float,
+			mem: m.Mem(), region: m.Region,
 		}
 	case "codegen":
 		m, err := codegen.MachineFor(prog, params, codegen.WithBaseOffset(pad))
@@ -76,6 +81,7 @@ func newDurableRun(t *testing.T, backend string, prog *lang.Program, params map[
 		return &durableRun{
 			epochs: p.Epochs(), runEpoch: p.RunEpoch, supervise: p.SuperviseDurable,
 			stepHook: m.SetStepHook, words: m.Mem().Words, pair: m.Pair, float: m.Float,
+			mem: m.Mem(), region: m.Region,
 		}
 	}
 	t.Fatalf("unknown backend %q", backend)
@@ -235,8 +241,10 @@ func TestDurableStateDigest(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s/%s epochs=%d: %v", c.name, backend, epochs, err)
 					}
+					// A run that never verifies a boundary seals nothing:
+					// its log holds no record.
 					scan, err := wal.Recover(path)
-					if err != nil {
+					if err != nil && !errors.Is(err, wal.ErrNoCheckpoint) {
 						t.Fatal(err)
 					}
 					h := sha256.New()
@@ -291,6 +299,105 @@ func TestDurableCrossBackendResume(t *testing.T) {
 			}
 			sameState(t, label, r, ref)
 		}
+	}
+}
+
+// armUseLoadFlips arms r to flip bit sweepBit of A[c], for each c in cells,
+// as balancedProgram's second statement loads it: memory keeps the flip and
+// the load returns it, so the def fold saw the stored value and the use
+// folds see the flipped one. Interp's folds re-read A[c] from memory around
+// that load, compiled folds take the registers, so a clean run on the same
+// backend tells which load of A[c] it is: the last one before B[c] is
+// stored.
+func armUseLoadFlips(t *testing.T, clean, r *durableRun, cells ...int) {
+	t.Helper()
+	a, _, err := clean.region("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := clean.region("B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads := map[int]int{} // address of A[c] -> loads of it so far
+	nth := map[int]int{}   // address of A[c] -> which load to flip
+	clean.mem.SetAccessHook(func(store bool, _, eff int) {
+		for _, c := range cells {
+			switch {
+			case store && eff == b+c && nth[a+c] == 0:
+				nth[a+c] = loads[a+c]
+			case !store && eff == a+c:
+				loads[a+c]++
+			}
+		}
+	})
+	clean.runAllEpochs(t)
+	for _, c := range cells {
+		if nth[a+c] == 0 {
+			t.Fatalf("clean run never loaded A[%d] before storing B[%d]", c, c)
+		}
+	}
+	seen := map[int]int{}
+	r.mem.SetLoadHook(func(eff int, raw uint64) uint64 {
+		if want, ok := nth[eff]; ok {
+			if seen[eff]++; seen[eff] == want {
+				r.mem.FlipBit(eff, sweepBit)
+				raw ^= 1 << sweepBit
+			}
+		}
+		return raw
+	})
+}
+
+// TestTaintedRunResumesFromLastCleanSeal strikes balancedProgram with two
+// transients under the zero Policy: one in epoch 2 of 4, which the boundary
+// detects and the supervisor cannot repair, so the run degrades; and one in
+// epoch 3 on a cell whose struck bit holds the opposite value, so the two
+// flips move the use sums by +2^b and -2^b and boundary 3 verifies though
+// the state is wrong. The degraded run must seal nothing after its
+// unverified epoch, so a second supervisor on the same log resumes before
+// the fault and ends at the clean reference state instead of reporting the
+// tainted state as a clean run.
+func TestTaintedRunResumesFromLastCleanSeal(t *testing.T) {
+	const epochs, n = 4, 64 // epoch k defines A[16k .. 16k+15]
+	c := balancedCase(t, n)
+	ref := c.build(t, "interp", 0, epochs)()
+	ref.runAllEpochs(t)
+	bit := func(i int64) uint64 {
+		v, err := ref.float("A", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64bits(v) >> sweepBit & 1
+	}
+	first, second := int64(40), int64(48)
+	for second < n && bit(second) == bit(first) {
+		second++
+	}
+	if second == n {
+		t.Fatalf("no cell in epoch 3 has bit %d opposite to A[%d]'s", sweepBit, first)
+	}
+	for _, backend := range []string{"interp", "codegen"} {
+		build := c.build(t, backend, 0, epochs)
+		path := filepath.Join(t.TempDir(), "tainted.wal")
+		r := build()
+		armUseLoadFlips(t, build(), r, int(first), int(second))
+		out, err := r.supervise(context.Background(), recovery.Policy{}, path)
+		if err != nil {
+			t.Fatalf("%s: faulty run: %v", backend, err)
+		}
+		if !out.Tainted || out.FirstDetection != 2 || out.DataFaults != 1 || out.Recovered || out.Seals != 2 {
+			t.Fatalf("%s: faulty run %+v, want tainted at epoch 2 with only epochs 0-1 sealed", backend, out)
+		}
+		r = build()
+		out, err = r.supervise(context.Background(), recovery.Policy{}, path)
+		if err != nil {
+			t.Fatalf("%s: resumed run: %v", backend, err)
+		}
+		if !out.Resumed || out.ResumeEpoch != 2 || out.Detected || out.Tainted || out.Recovered {
+			t.Fatalf("%s: resumed run %+v, want a clean resume at epoch 2", backend, out)
+		}
+		sameState(t, backend, r, ref)
 	}
 }
 

@@ -14,16 +14,17 @@ import (
 // without the tree-walking interpreter on top. Compiled closures and
 // generated code run against it through the Fn ABI; its Load/Store hot path
 // is the embedded State's, and compiled folds reach its Pair through
-// checksum.Folds flushes.
+// checksum.Folds flushes. A run may take at most maxTicks loop iterations,
+// which stops a non-converging while loop.
 type Machine struct {
 	machine.State
 
-	// MaxTicks bounds the number of loop-iteration ticks (guards against
-	// non-converging while loops). Zero means the default of 500M.
-	MaxTicks uint64
-
 	ticks uint64
 }
+
+// maxTicks bounds the loop-iteration ticks one run may take, as interp's
+// default step limit bounds its steps.
+const maxTicks = 500_000_000
 
 // Option configures a Machine.
 type Option func(*machine.Config)
@@ -104,26 +105,18 @@ func ErrNoBounds(epoch int) error {
 	return fmt.Errorf("codegen: epoch %d run before epoch 0 evaluated loop bounds", epoch)
 }
 
-// Tick advances the loop-iteration budget: it enforces MaxTicks, polls the
+// Tick advances the loop-iteration budget: it enforces maxTicks, polls the
 // armed context, and feeds the step hook. Compiled code calls it once per
 // loop iteration.
 func (m *Machine) Tick(line, col int) error {
 	m.ticks++
-	max := m.tickBudget()
-	if m.ticks > max {
-		return &RuntimeError{Pos: lang.Pos{Line: line, Col: col}, Msg: fmt.Sprintf("step limit %d exceeded", max)}
+	if m.ticks > maxTicks {
+		return &RuntimeError{Pos: lang.Pos{Line: line, Col: col}, Msg: fmt.Sprintf("step limit %d exceeded", maxTicks)}
 	}
 	if err := m.Poll(m.ticks); err != nil {
 		return &CancelError{Pos: lang.Pos{Line: line, Col: col}, Err: err}
 	}
 	return nil
-}
-
-func (m *Machine) tickBudget() uint64 {
-	if m.MaxTicks == 0 {
-		return 500_000_000
-	}
-	return m.MaxTicks
 }
 
 // Assert is assert_checksums(): verify the pair, stream the verification

@@ -130,11 +130,6 @@ var addrFaultNames = map[AddrFault]string{
 // String returns the lower-case name of the address-fault shape.
 func (a AddrFault) String() string { return enumName(addrFaultNames, a, "AddrFault") }
 
-// ParseAddrFault resolves an address-fault name.
-func ParseAddrFault(s string) (AddrFault, error) {
-	return parseEnum(addrFaultNames, s, "address fault")
-}
-
 // CoverageConfig describes one cell of Table 1, optionally extended with
 // epoch-scoped verification and recovery.
 type CoverageConfig struct {

@@ -125,25 +125,6 @@ func (in *Injector) FlipBits(data []uint64, k int) []BitFlip {
 	return flips
 }
 
-// FlipBitsInWord flips k distinct bits within a single word value and returns
-// the corrupted value. Used to corrupt an individual in-flight load.
-func (in *Injector) FlipBitsInWord(v uint64, k int) uint64 {
-	if k > 64 {
-		panic("faults: cannot flip more than 64 bits in one word")
-	}
-	seen := 0
-	for flipped := 0; flipped < k; {
-		b := in.rng.Intn(64)
-		if seen&(1<<uint(b)) != 0 {
-			continue
-		}
-		seen |= 1 << uint(b)
-		v ^= 1 << uint(b)
-		flipped++
-	}
-	return v
-}
-
 // ErrRegionTooSmall reports that an address fault cannot be modeled because
 // the region has no second location to redirect to. Campaign cells over
 // 1-word regions tally the skip instead of crashing a worker.

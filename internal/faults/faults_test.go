@@ -93,17 +93,6 @@ func TestFlipBitsPanicsWhenTooMany(t *testing.T) {
 	in.FlipBits(make([]uint64, 1), 65)
 }
 
-func TestFlipBitsInWord(t *testing.T) {
-	in := NewInjector(5)
-	for k := 1; k <= 6; k++ {
-		v := in.Uint64()
-		c := in.FlipBitsInWord(v, k)
-		if d := bits.OnesCount64(v ^ c); d != k {
-			t.Errorf("k=%d: hamming distance %d", k, d)
-		}
-	}
-}
-
 func TestWrongAddressNeverReturnsSameIndex(t *testing.T) {
 	in := NewInjector(6)
 	for i := 0; i < 1000; i++ {

@@ -28,27 +28,15 @@ type Options struct {
 	// Funcs restricts instrumentation to the named functions; empty means
 	// every function in the file.
 	Funcs []string
-	// TrackerVar is the identifier used for the rt.Tracker; default
-	// "__defuseT".
-	TrackerVar string
-	// RTImport is the import path of the runtime package; default
-	// "defuse/rt".
-	RTImport string
 }
 
-func (o *Options) tracker() string {
-	if o.TrackerVar == "" {
-		return "__defuseT"
-	}
-	return o.TrackerVar
-}
-
-func (o *Options) rtImport() string {
-	if o.RTImport == "" {
-		return "defuse/rt"
-	}
-	return o.RTImport
-}
+const (
+	// trackerVar is the identifier the instrumented code binds its
+	// rt.Tracker to.
+	trackerVar = "__defuseT"
+	// rtImport is the import path of the runtime package.
+	rtImport = "defuse/rt"
+)
 
 // Report describes what was instrumented.
 type Report struct {
@@ -80,13 +68,13 @@ func Instrument(filename, src string, opt Options) (string, *Report, error) {
 		if len(want) > 0 && !want[fn.Name.Name] {
 			continue
 		}
-		ins := &funcInstr{opt: &opt, rep: rep, fn: fn}
+		ins := &funcInstr{rep: rep, fn: fn}
 		if ins.run() {
 			touched = true
 		}
 	}
 	if touched {
-		addImport(file, "rt", opt.rtImport())
+		addImport(file, "rt", rtImport)
 	}
 	var buf bytes.Buffer
 	cfg := printer.Config{Mode: printer.UseSpaces | printer.TabIndent, Tabwidth: 8}
@@ -105,7 +93,6 @@ type trackedVar struct {
 }
 
 type funcInstr struct {
-	opt  *Options
 	rep  *Report
 	fn   *ast.FuncDecl
 	vars map[*ast.Object]*trackedVar
@@ -144,7 +131,7 @@ func (fi *funcInstr) run() bool {
 	// (parameters carry live-in values; hoisted variables start at zero),
 	// and the deferred epilogue.
 	var prelude []ast.Stmt
-	prelude = append(prelude, assign1(ident(fi.opt.tracker()), token.DEFINE, call(sel("rt", "NewTracker"))))
+	prelude = append(prelude, assign1(ident(trackerVar), token.DEFINE, call(sel("rt", "NewTracker"))))
 	for _, tv := range fi.sorted() {
 		prelude = append(prelude, &ast.DeclStmt{Decl: &ast.GenDecl{
 			Tok: token.VAR,
@@ -168,16 +155,16 @@ func (fi *funcInstr) run() bool {
 	}
 	for _, tv := range fi.sorted() {
 		prelude = append(prelude, assign1(ident(tv.name), token.ASSIGN,
-			call(sel("rt", "DefDyn"), ident(fi.opt.tracker()), amp(tv.counter), zeroOf(tv.typ), ident(tv.name))))
+			call(sel("rt", "DefDyn"), ident(trackerVar), amp(tv.counter), zeroOf(tv.typ), ident(tv.name))))
 	}
 	// Deferred epilogue: Final every tracked var, then verify.
 	var epi []ast.Stmt
 	for _, tv := range fi.sorted() {
 		epi = append(epi, exprStmt(call(sel("rt", "Final"),
-			ident(fi.opt.tracker()), amp(tv.counter), ident(tv.name))))
+			ident(trackerVar), amp(tv.counter), ident(tv.name))))
 	}
 	epi = append(epi, exprStmt(&ast.CallExpr{
-		Fun: &ast.SelectorExpr{X: ident(fi.opt.tracker()), Sel: ident("MustVerify")},
+		Fun: &ast.SelectorExpr{X: ident(trackerVar), Sel: ident("MustVerify")},
 	}))
 	prelude = append(prelude, &ast.DeferStmt{Call: &ast.CallExpr{
 		Fun: &ast.FuncLit{
@@ -564,7 +551,7 @@ func (fi *funcInstr) rewriteAssign(x *ast.AssignStmt) ast.Stmt {
 				// hoistDecls converts tracked defines to assignments; a
 				// remaining define cannot reference its own previous value.
 				return assign1(ident(tv.name), x.Tok,
-					call(sel("rt", "DefDyn"), ident(fi.opt.tracker()), amp(tv.counter), zeroOf(tv.typ), paren(rhs)))
+					call(sel("rt", "DefDyn"), ident(trackerVar), amp(tv.counter), zeroOf(tv.typ), paren(rhs)))
 			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 				op := map[token.Token]token.Token{
 					token.ADD_ASSIGN: token.ADD, token.SUB_ASSIGN: token.SUB,
@@ -632,11 +619,11 @@ func (fi *funcInstr) trackedIdent(e ast.Expr) *trackedVar {
 }
 
 func (fi *funcInstr) useOf(tv *trackedVar) ast.Expr {
-	return call(sel("rt", "Use"), ident(fi.opt.tracker()), amp(tv.counter), ident(tv.name))
+	return call(sel("rt", "Use"), ident(trackerVar), amp(tv.counter), ident(tv.name))
 }
 
 func (fi *funcInstr) defDynOf(tv *trackedVar, rhs ast.Expr) ast.Expr {
-	return call(sel("rt", "DefDyn"), ident(fi.opt.tracker()), amp(tv.counter), ident(tv.name), paren(rhs))
+	return call(sel("rt", "DefDyn"), ident(trackerVar), amp(tv.counter), ident(tv.name), paren(rhs))
 }
 
 // AST construction helpers.

@@ -219,9 +219,6 @@ type Ref struct {
 	Indices []Expr // nil for scalars/iterators/parameters
 }
 
-// IsScalar reports whether the reference has no subscripts.
-func (r *Ref) IsScalar() bool { return len(r.Indices) == 0 }
-
 // BinOp is a binary operator.
 type BinOp int
 

@@ -22,13 +22,6 @@ func Print(p *Program) string {
 	return b.String()
 }
 
-// PrintStmts renders a statement list at the given indent level.
-func PrintStmts(ss []Stmt) string {
-	var b strings.Builder
-	printStmts(&b, ss, 0)
-	return b.String()
-}
-
 func printStmts(b *strings.Builder, ss []Stmt, depth int) {
 	ind := strings.Repeat("  ", depth)
 	for _, s := range ss {

@@ -139,7 +139,7 @@ func TestDetectorRetriesSkipBackoff(t *testing.T) {
 	})
 	rebuilds := 0
 	restore := cfg.Restore
-	cfg.RebuildDetector = func(snap any) error { rebuilds++; return restore(snap) }
+	cfg.Restore = func(snap any) error { rebuilds++; return restore(snap) }
 	cfg.Policy = Policy{
 		MaxRetries: 3,
 		Backoff:    time.Second,
@@ -150,7 +150,7 @@ func TestDetectorRetriesSkipBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.Rebuilds != 2 || rebuilds != 2 {
-		t.Errorf("Rebuilds = %d (hook %d), want 2", o.Rebuilds, rebuilds)
+		t.Errorf("Rebuilds = %d (Restore calls %d), want 2", o.Rebuilds, rebuilds)
 	}
 	if o.DetectorFaults != 2 || !o.Recovered {
 		t.Errorf("DetectorFaults=%d Recovered=%v", o.DetectorFaults, o.Recovered)

@@ -40,9 +40,6 @@ type DurableSupervisor struct {
 	// be trusted. Called at most once per candidate record during resume.
 	// Required.
 	DecodeState func([]byte) error
-	// MaxBytes bounds the log file; past it the log is compacted to its
-	// newest record via an atomic rewrite. Zero keeps every record.
-	MaxBytes int64
 }
 
 // DurableOutcome extends Outcome with the durability story of the run.
@@ -131,7 +128,7 @@ func (d *DurableSupervisor) Run(ctx context.Context) (DurableOutcome, error) {
 // fingerprint) are reported in out and via telemetry, then discarded — the
 // log is truncated (or recreated) so the refused bytes cannot resurface.
 func (d *DurableSupervisor) resume(out *DurableOutcome) (*wal.Log, error) {
-	opts := wal.Options{MaxBytes: d.MaxBytes}
+	var opts wal.Options
 	scan, err := wal.Recover(d.Path)
 	out.TornTail = scan.TornTail
 	if out.TornTail {

@@ -161,21 +161,6 @@ type Config struct {
 	// error) when the snapshot cannot be trusted. Both are required.
 	Checkpoint func() any
 	Restore    func(snap any) error
-	// RebuildDetector, when non-nil, reinstates the detector's state from a
-	// snapshot after a detector fault. Leave it nil unless the system can
-	// rebuild detector state consistently with the current data (epochs are
-	// re-executed afterwards, so data and detector must agree at the epoch's
-	// entry); nil falls back to the full Restore.
-	RebuildDetector func(snap any) error
-	// IsDetection classifies an error as a detected memory corruption
-	// (retryable data fault) rather than a terminal execution failure. It
-	// predates Classify and is honored for compatibility: when set and
-	// Classify is nil, a true result means ClassData and a false result
-	// ClassNone. Nil defers to Classify.
-	IsDetection func(error) bool
-	// Classify maps a failed attempt's error to a failure mode. Nil (with
-	// nil IsDetection) uses DefaultClassify.
-	Classify func(error) FaultClass
 	// StartEpoch is the first epoch to execute (default 0). A durable
 	// supervisor that resumed state sealed at an epoch boundary sets it to
 	// the next epoch; the initial checkpoint is then the resumed state, so a
@@ -184,8 +169,10 @@ type Config struct {
 	// process sealed the final epoch and died before reporting).
 	StartEpoch int
 	// Commit, when non-nil, is called after each epoch's verification
-	// succeeds, with the just-closed epoch index. It is the durability hook:
-	// a failure to persist is a terminal error (the run's recovery guarantee
+	// succeeds, with the just-closed epoch index, until the run degrades: a
+	// state that follows an unverified epoch is never sealed, so a restart
+	// re-executes from the last clean seal. It is the durability hook: a
+	// failure to persist is a terminal error (the run's recovery guarantee
 	// can no longer be honored), surfaced from Supervise.
 	Commit func(k int) error
 
@@ -245,23 +232,6 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 	if cfg.StartEpoch < 0 || cfg.StartEpoch > cfg.Epochs {
 		return o, fmt.Errorf("recovery: StartEpoch %d out of range [0,%d]", cfg.StartEpoch, cfg.Epochs)
 	}
-	classify := cfg.Classify
-	if classify == nil {
-		if is := cfg.IsDetection; is != nil {
-			classify = func(err error) FaultClass {
-				if is(err) {
-					return ClassData
-				}
-				return ClassNone
-			}
-		} else {
-			classify = DefaultClassify
-		}
-	}
-	rebuild := cfg.RebuildDetector
-	if rebuild == nil {
-		rebuild = cfg.Restore
-	}
 	sleep := cfg.Policy.Sleep
 	if sleep == nil {
 		sleep = time.Sleep
@@ -316,7 +286,7 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 				rerr := cfg.Restore(initial)
 				rspan.EndErr(rerr)
 				if rerr != nil {
-					noteDetection(k, classify(rerr), rerr)
+					noteDetection(k, DefaultClassify(rerr), rerr)
 				} else {
 					restart = true
 					return
@@ -359,7 +329,7 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 					break
 				}
 				verifications("mismatch").Inc()
-				class := classify(err)
+				class := DefaultClassify(err)
 				if class == ClassNone {
 					return o, err
 				}
@@ -381,21 +351,19 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 				if retries < cfg.Policy.MaxRetries {
 					retries++
 					o.Retries++
-					var rerr error
+					span := "recovery.rollback"
 					if class == ClassDetector {
-						// The detector was struck, not the data: rebuild its
-						// state from the epoch checkpoint and re-run
-						// immediately — no backoff, since nothing suggests
-						// the data path is under sustained disturbance.
+						// The detector was struck, not the data: restore the
+						// epoch checkpoint (detector state included) and
+						// re-run immediately — no backoff, since nothing
+						// suggests the data path is under sustained
+						// disturbance.
 						o.Rebuilds++
 						telemetry.Emit(cfg.Trace, telemetry.EvRecoveryRebuild, map[string]any{
 							"epoch": k, "attempt": retries,
 						})
 						cfg.Metrics.Counter("defuse_recovery_rebuilds_total").Inc()
-						bspan := cfg.Tracer.Start(cfg.Span, "recovery.rebuild",
-							telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
-						rerr = rebuild(snap)
-						bspan.EndErr(rerr)
+						span = "recovery.rebuild"
 					} else {
 						backoff := cfg.Policy.Delay(dataRetries)
 						dataRetries++
@@ -407,15 +375,15 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 						if backoff > 0 {
 							sleep(backoff)
 						}
-						rspan := cfg.Tracer.Start(cfg.Span, "recovery.rollback",
-							telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
-						rerr = cfg.Restore(snap)
-						rspan.EndErr(rerr)
 					}
+					rspan := cfg.Tracer.Start(cfg.Span, span,
+						telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
+					rerr := cfg.Restore(snap)
+					rspan.EndErr(rerr)
 					if rerr != nil {
 						// The epoch checkpoint cannot be reinstated —
 						// typically because it was itself corrupted.
-						noteDetection(k, classify(rerr), rerr)
+						noteDetection(k, DefaultClassify(rerr), rerr)
 						escalateRestart(k)
 						break
 					}
@@ -424,7 +392,7 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 				escalateRestart(k)
 				break
 			}
-			if verified && cfg.Commit != nil {
+			if verified && !o.Tainted && cfg.Commit != nil {
 				if cerr := cfg.Commit(k); cerr != nil {
 					return o, fmt.Errorf("recovery: commit of epoch %d: %w", k, cerr)
 				}

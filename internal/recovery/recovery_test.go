@@ -391,38 +391,6 @@ func TestSuperviseDetectorFaultRebuildsWithoutBackoff(t *testing.T) {
 	}
 }
 
-func TestSuperviseUsesRebuildDetectorHook(t *testing.T) {
-	// When RebuildDetector is configured it must be used for detector faults
-	// instead of the full Restore.
-	s := &simState{}
-	struck := false
-	cfg := harness(s, 2, func(k int) error {
-		if k == 0 && !struck {
-			struck = true
-			return &checksum.ScrubError{Acc: checksum.AccEDef, Primary: 7, Shadow: 9}
-		}
-		return nil
-	})
-	cfg.Policy = Policy{MaxRetries: 1}
-	rebuilds, restores := 0, 0
-	restore := cfg.Restore
-	cfg.Restore = func(snap any) error { restores++; return restore(snap) }
-	cfg.RebuildDetector = func(snap any) error { rebuilds++; return restore(snap) }
-	o, err := Supervise(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilds != 1 {
-		t.Errorf("RebuildDetector called %d times, want 1", rebuilds)
-	}
-	if restores != 0 {
-		t.Errorf("Restore called %d times for a detector fault, want 0", restores)
-	}
-	if !o.Recovered || o.Rebuilds != 1 {
-		t.Errorf("outcome = %+v", o)
-	}
-}
-
 func TestSuperviseCorruptCheckpointRestartsImmediately(t *testing.T) {
 	// A corrupt-checkpoint verdict means the rollback path cannot be trusted:
 	// the supervisor must skip retries entirely and go straight to a full

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -134,25 +130,12 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 		mismatches []string
 	)
 	audit := func(req Request, resp Response) {
-		expectInjected := req.Kind == KindVerify && sampler.Sample(req.ID)
-		var fail string
-		switch {
-		case resp.Injected != expectInjected:
-			fail = fmt.Sprintf("request %d: server injected=%v, client expected %v", req.ID, resp.Injected, expectInjected)
-		case expectInjected && (!resp.Detected || !resp.Recovered):
-			fail = fmt.Sprintf("request %d: injected fault detected=%v recovered=%v", req.ID, resp.Detected, resp.Recovered)
-		case resp.Tainted:
-			fail = fmt.Sprintf("request %d: degraded to tainted", req.ID)
-		case req.Kind == KindVerify && resp.Digest != ReferenceDigest(req.Words, req.Epochs, cfg.Seed, req.ID):
-			fail = fmt.Sprintf("request %d: digest %x, local reference %x", req.ID, resp.Digest,
-				ReferenceDigest(req.Words, req.Epochs, cfg.Seed, req.ID))
-		case req.Kind == KindKernel && resp.Digest != resp.RefDigest:
-			fail = fmt.Sprintf("kernel request %d: digest %x, warmup reference %x", req.ID, resp.Digest, resp.RefDigest)
-		}
+		v := Audit(sampler, cfg.Seed, req, resp)
+		fail := v.Failure()
 		mu.Lock()
 		defer mu.Unlock()
 		row.Requests++
-		if expectInjected {
+		if v.Injected {
 			row.Injected++
 			// Recompute the full plan the server must have derived — the
 			// sampler contract covers the fault shape, not just the hit set.
@@ -200,26 +183,24 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 				// final attempt is recorded as Shed/Rejected, so the gate's
 				// arithmetic stays meaningful under deliberate overload.
 				var (
-					resp       Response
-					status     int
-					err        error
-					elapsed    float64
-					retryAfter time.Duration
+					res     PostResult
+					err     error
+					elapsed float64
 				)
 				attempt := 0
 				for {
 					t0 := time.Now()
-					resp, status, retryAfter, err = postRun(ctx, client, cfg.Target, req)
+					res, err = PostRun(ctx, client, cfg.Target, req)
 					elapsed = time.Since(t0).Seconds()
 					refused := err == nil &&
-						(status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable)
+						(res.Status == http.StatusTooManyRequests || res.Status == http.StatusServiceUnavailable)
 					if !refused || attempt >= cfg.MaxRetries || ctx.Err() != nil {
 						break
 					}
 					mu.Lock()
 					row.Retries++
 					mu.Unlock()
-					delay := retryAfter
+					delay := res.RetryAfter
 					if delay <= 0 {
 						delay = cfg.RetryBackoff.Delay(attempt)
 					}
@@ -233,19 +214,19 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 				switch {
 				case err != nil:
 					row.Errors++
-				case status == http.StatusTooManyRequests:
+				case res.Status == http.StatusTooManyRequests:
 					row.Shed++
-				case status == http.StatusServiceUnavailable:
+				case res.Status == http.StatusServiceUnavailable:
 					row.Rejected++
-				case status != http.StatusOK:
+				case res.Status != http.StatusOK:
 					row.Errors++
 				case attempt > 0:
 					row.RetriedOK++
 				}
 				mu.Unlock()
-				if err == nil && status == http.StatusOK {
+				if err == nil && res.Status == http.StatusOK {
 					hist.Observe(elapsed)
-					audit(req, resp)
+					audit(req, res.Response)
 				}
 			}
 		}()
@@ -261,36 +242,4 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 		row.P999Seconds = q.P999
 	}
 	return LoadResult{Row: row, Mismatches: mismatches}, nil
-}
-
-// postRun issues one /run request and decodes the response when it is 200.
-// On refusal it also reports the server's Retry-After delay (0 when absent).
-func postRun(ctx context.Context, client *http.Client, target string, req Request) (Response, int, time.Duration, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return Response{}, 0, 0, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/run", bytes.NewReader(body))
-	if err != nil {
-		return Response{}, 0, 0, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := client.Do(hreq)
-	if err != nil {
-		return Response{}, 0, 0, err
-	}
-	defer hresp.Body.Close()
-	var retryAfter time.Duration
-	if secs, err := strconv.Atoi(hresp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		retryAfter = time.Duration(secs) * time.Second
-	}
-	if hresp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, io.LimitReader(hresp.Body, 4096))
-		return Response{}, hresp.StatusCode, retryAfter, nil
-	}
-	var resp Response
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return Response{}, hresp.StatusCode, retryAfter, err
-	}
-	return resp, hresp.StatusCode, retryAfter, nil
 }

@@ -451,11 +451,5 @@ func (l *SegmentedLog) DiskBytes() int64 {
 // Segments counts on-disk files: sealed segments plus the active file.
 func (l *SegmentedLog) Segments() int { return len(l.sealed) + 1 }
 
-// SummaryPayloads returns the current summary payloads (nil when empty).
-func (l *SegmentedLog) SummaryPayloads() [][]byte { return l.sum }
-
-// ActiveRecords reports the live record count in the active segment.
-func (l *SegmentedLog) ActiveRecords() int { return l.active.records }
-
 // Close syncs and closes the active segment.
 func (l *SegmentedLog) Close() error { return l.active.Close() }

@@ -15,10 +15,8 @@
 //     ErrCheckpointCorrupt — it is never returned as data, and nothing after
 //     it is trusted for framing.
 //
-// Rotation bounds the file: when the log grows past MaxBytes, the newest
-// record is rewritten alone into a temp file which is fsynced and renamed
-// over the log (the same atomic temp-write + rename discipline the campaign
-// resume checkpoint uses, shared here as WriteFileAtomic).
+// A Log grows by one frame per sealed record and never compacts itself. A
+// long-lived journal bounds its disk with SegmentedLog (segment.go) instead.
 package wal
 
 import (
@@ -175,10 +173,6 @@ func Recover(path string) (*Scan, error) {
 
 // Options configures an append handle.
 type Options struct {
-	// MaxBytes triggers rotation: when an Append pushes the file past this
-	// size and more than one record is live, the log is compacted to its
-	// newest record via an atomic temp-write + rename. Zero disables.
-	MaxBytes int64
 	// FS is the file layer writes go through; nil means the real filesystem.
 	// Tests and the chaos soak substitute a FaultFS to fail seeded writes
 	// and fsyncs.
@@ -196,20 +190,14 @@ func (o Options) fs() FS {
 // concurrent use; the durable supervisor appends from one goroutine.
 type Log struct {
 	f       File
-	path    string
-	opts    Options
 	size    int64
 	records int
 	nextSeq uint32
-	// last is the newest record's frame bytes, kept so rotation can rewrite
-	// the compacted log without re-reading the file.
-	last []byte
 	// poisoned is set when a failed append could not be rolled back.
 	poisoned bool
 
 	// tracer/span, when armed via SetTracer, record one "wal.append" span
-	// per sealed record (with a "wal.rotate" child when the append
-	// compacted the log). A nil tracer costs one nil check.
+	// per sealed record. A nil tracer costs one nil check.
 	tracer *telemetry.Tracer
 	span   telemetry.SpanContext
 }
@@ -236,7 +224,7 @@ func Create(path string, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	return &Log{f: f, path: path, opts: opts, size: int64(len(magic))}, nil
+	return &Log{f: f, size: int64(len(magic))}, nil
 }
 
 // Open continues the log described by a prior Recover scan: the file is
@@ -256,14 +244,7 @@ func Open(s *Scan, opts Options) (*Log, error) {
 		f.Close()
 		return nil, err
 	}
-	l := &Log{
-		f: f, path: s.Path, opts: opts,
-		size: s.ValidSize, records: len(s.Records), nextSeq: s.NextSeq,
-	}
-	if r := s.Newest(); r != nil {
-		l.last = frame(r.Seq, r.Payload)
-	}
-	return l, nil
+	return &Log{f: f, size: s.ValidSize, records: len(s.Records), nextSeq: s.NextSeq}, nil
 }
 
 // frame renders one record's on-disk bytes: header, payload, CRC trailer.
@@ -285,8 +266,7 @@ var ErrLogPoisoned = errors.New("wal: log poisoned by unrepaired append failure"
 
 // Append seals one checkpoint record: the frame is written in a single
 // write call and fsynced before Append returns, so a record the caller has
-// been told about survives any subsequent crash. When the log exceeds
-// MaxBytes it is then rotated down to this newest record.
+// been told about survives any subsequent crash.
 //
 // A failed write or fsync is rolled back before Append returns: the file is
 // truncated to its pre-append size, so the half-written frame cannot later be
@@ -312,14 +292,6 @@ func (l *Log) Append(payload []byte) error {
 	l.size += int64(len(b))
 	l.records++
 	l.nextSeq++
-	l.last = b
-	if l.opts.MaxBytes > 0 && l.size > l.opts.MaxBytes && l.records > 1 {
-		rsp := l.tracer.Start(sp.Context(), "wal.rotate", telemetry.Int("records", l.records))
-		err := l.rotate()
-		rsp.EndErr(err)
-		sp.EndErr(err)
-		return err
-	}
 	sp.EndErr(nil)
 	return nil
 }
@@ -343,35 +315,8 @@ func (l *Log) repair(cause error) error {
 // Size returns the current log size in bytes.
 func (l *Log) Size() int64 { return l.size }
 
-// Records returns the number of live records (after any rotation).
+// Records returns the number of live records.
 func (l *Log) Records() int { return l.records }
-
-// rotate compacts the log to its newest record: magic plus the last frame
-// are written to a temp file, fsynced, and renamed over the log, then the
-// append handle is moved to the new file. A crash at any point leaves either
-// the old log or the complete new one — never a partial state.
-func (l *Log) rotate() error {
-	buf := make([]byte, 0, len(magic)+len(l.last))
-	buf = append(buf, magic[:]...)
-	buf = append(buf, l.last...)
-	if err := WriteFileAtomic(l.path, buf, 0o644); err != nil {
-		return fmt.Errorf("wal: rotate: %w", err)
-	}
-	f, err := l.opts.fs().OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: rotate reopen: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: rotate seek: %w", err)
-	}
-	old := l.f
-	l.f = f
-	l.size = int64(len(buf))
-	l.records = 1
-	old.Close()
-	return nil
-}
 
 // Rewrite atomically replaces the log at path with exactly the given records,
 // preserving their sequence numbers. Recovery uses it to drop refused records

@@ -243,47 +243,6 @@ func TestOpenTruncatesTornTailAndContinues(t *testing.T) {
 	}
 }
 
-func TestRotationCompactsToNewestRecord(t *testing.T) {
-	path := logPath(t)
-	l := mustCreate(t, path, Options{MaxBytes: 256})
-	// 19 appends end exactly on a rotation (every third append past the
-	// first rotation trips MaxBytes), so the log finishes compacted.
-	var last []byte
-	for i := 0; i < 19; i++ {
-		last = bytes.Repeat([]byte{byte('a' + i%26)}, 48)
-		if err := l.Append(last); err != nil {
-			t.Fatalf("Append %d: %v", i, err)
-		}
-		if l.Size() > 256+int64(len(magic)+frameHeaderSize+48+frameTrailerSize) {
-			t.Fatalf("append %d: size %d never compacted", i, l.Size())
-		}
-	}
-	if l.Records() != 1 {
-		t.Fatalf("records after rotation = %d, want 1", l.Records())
-	}
-	l.Close()
-	s, err := Recover(path)
-	if err != nil {
-		t.Fatalf("Recover after rotation: %v", err)
-	}
-	if len(s.Records) != 1 || !bytes.Equal(s.Newest().Payload, last) {
-		t.Fatalf("rotated log: %d records, newest mismatch", len(s.Records))
-	}
-	// Appending after rotation still round-trips.
-	l2, err := Open(s, Options{MaxBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Append([]byte("post-rotate")); err != nil {
-		t.Fatal(err)
-	}
-	l2.Close()
-	s2, err := Recover(path)
-	if err != nil || string(s2.Newest().Payload) != "post-rotate" {
-		t.Fatalf("post-rotate recover: err=%v newest=%q", err, s2.Newest().Payload)
-	}
-}
-
 func TestWriteFileAtomicReplacesAndCleansTmp(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")

@@ -2,16 +2,15 @@ package rt
 
 import "defuse/internal/addrsum"
 
-// This file wires internal/addrsum's address-stream checksums through the
-// tracker hierarchy. The address accumulators ride alongside the data
-// checksums with the same lifecycle: per-shard lock-free folds, commutative
-// merge into the root, reset on rollback, scrub at the detector boundary
+// This file wires internal/addrsum's address-stream checksums into a
+// Tracker. The address accumulators ride alongside the data checksums with
+// the same lifecycle: reset with the tracker, scrub at the detector boundary
 // (Tracker.ScrubDetector reports an addrsum shadow divergence as a
-// *DetectorFaultError with Part "addrsum").
+// *DetectorFaultError with Part "addrsum"). A sharded run attaches one
+// addrsum tracker per shard's Tracker and verifies each on its own.
 //
 // rt.EpochState's binary encoding is WAL-pinned and cannot grow, so the
-// address streams seal their own addrsum.EpochState; the Addr* epoch
-// methods below manage it next to the data epoch under the same lock.
+// address streams seal their own addrsum.EpochState.
 
 // AttachAddr arms address-stream protection on a standalone tracker: the
 // instrumented code folds each access's (intended, effective) index pair
@@ -21,75 +20,3 @@ func (t *Tracker) AttachAddr(at *addrsum.Tracker) { t.addr = at }
 
 // Addr returns the attached address-stream tracker, or nil.
 func (t *Tracker) Addr() *addrsum.Tracker { return t.addr }
-
-// EnableAddr arms address-stream protection on the sharded tracker: the
-// root gains an addrsum tracker holding the merged view, and every shard
-// handed out afterwards (plus any currently live shard) gets a private one
-// whose folds take no locks. Shard merges fold the address streams into the
-// root exactly like the data checksums. Returns the root address tracker.
-func (s *ShardedTracker) EnableAddr() *addrsum.Tracker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addrOn = true
-	if s.root.addr == nil {
-		s.root.addr = addrsum.NewTracker()
-	}
-	for _, sh := range s.shards {
-		if !sh.closed && sh.t.addr == nil {
-			sh.t.addr = addrsum.NewTracker()
-		}
-	}
-	return s.root.addr
-}
-
-// Addr returns the root's merged address-stream tracker, or nil if
-// EnableAddr was never called. The same quiescence rules as Root apply.
-func (s *ShardedTracker) Addr() *addrsum.Tracker { return s.root.addr }
-
-// AddrBeginEpoch drains every live shard and seals the merged address
-// streams at the entry of the current epoch. Returns the zero state when
-// address protection is not enabled, so call sites can stay unconditional.
-func (s *ShardedTracker) AddrBeginEpoch() addrsum.EpochState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.root.addr == nil {
-		return addrsum.EpochState{}
-	}
-	s.drainLocked()
-	return s.root.addr.BeginEpoch()
-}
-
-// AddrEndEpoch drains every live shard and verifies the merged address
-// streams at the epoch boundary: a *addrsum.MismatchError means some access
-// this epoch touched a location other than the one the program computed —
-// including the valid-word-aliasing case the data checksums are blind to.
-// A disabled tracker verifies trivially.
-func (s *ShardedTracker) AddrEndEpoch() (addrsum.EpochState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.root.addr == nil {
-		return addrsum.EpochState{}, nil
-	}
-	s.drainLocked()
-	return s.root.addr.EndEpoch()
-}
-
-// AddrRollback restores the merged address streams to a sealed snapshot and
-// discards every live shard's unmerged address folds, mirroring Rollback.
-// No-op when address protection is not enabled.
-func (s *ShardedTracker) AddrRollback(st addrsum.EpochState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.root.addr == nil {
-		return nil
-	}
-	if err := s.root.addr.Rollback(st); err != nil {
-		return err
-	}
-	for _, sh := range s.shards {
-		if !sh.closed && sh.t.addr != nil {
-			sh.t.addr.Reset()
-		}
-	}
-	return nil
-}

@@ -2,212 +2,28 @@ package rt
 
 import (
 	"errors"
-	"math/rand"
-	"sync"
 	"testing"
 
 	"defuse/internal/addrsum"
 )
 
-// addrAccess is one instrumented access for the address-stream tests.
-type addrAccess struct {
-	store             bool
-	intent, effective int
-}
-
-func (a addrAccess) apply(at *addrsum.Tracker) {
-	if a.store {
-		at.Store(a.intent, a.effective)
-	} else {
-		at.Load(a.intent, a.effective)
-	}
-}
-
-func genAddrTrace(rng *rand.Rand, n, words int) []addrAccess {
-	ops := make([]addrAccess, n)
-	for i := range ops {
-		idx := rng.Intn(words)
-		ops[i] = addrAccess{store: rng.Intn(2) == 0, intent: idx, effective: idx}
-	}
-	return ops
-}
-
-// requireSameAddrState asserts byte-identical address-stream state between
-// the merged root and a sequential tracker, mirroring requireSameState.
-func requireSameAddrState(t *testing.T, ctx string, root, seq *addrsum.Tracker) {
-	t.Helper()
-	if root.Accumulators() != seq.Accumulators() {
-		t.Fatalf("%s: accumulators %#x != sequential %#x", ctx, root.Accumulators(), seq.Accumulators())
-	}
-	if root.Shadows() != seq.Shadows() {
-		t.Fatalf("%s: shadows diverged from sequential", ctx)
-	}
-	rl, rs := root.OpCounts()
-	sl, ss := seq.OpCounts()
-	if rl != sl || rs != ss {
-		t.Fatalf("%s: op counts (%d,%d) != sequential (%d,%d)", ctx, rl, rs, sl, ss)
-	}
-}
-
-// TestAddrShardedMergeEquivalentToSequential: random partitions of an
-// address trace across shards merge to exactly the sequential fold — the
-// same property shard_test.go pins for the data checksums.
-func TestAddrShardedMergeEquivalentToSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(6600))
-	for round := 0; round < 15; round++ {
-		ops := genAddrTrace(rng, 20+rng.Intn(200), 64)
-		// A minority of faulty rounds: the failing verdict must be
-		// partition-invariant too.
-		if round%3 == 0 {
-			i := rng.Intn(len(ops))
-			ops[i].effective = (ops[i].intent + 1 + rng.Intn(62)) % 64
-		}
-		seq := addrsum.NewTracker()
-		for _, op := range ops {
-			op.apply(seq)
-		}
-		for nShards := 1; nShards <= 8; nShards++ {
-			st := NewSharded()
-			st.EnableAddr()
-			shards := make([]*Shard, nShards)
-			for i := range shards {
-				shards[i] = st.Shard()
-			}
-			for _, op := range ops {
-				op.apply(shards[rng.Intn(nShards)].Tracker().Addr())
-			}
-			st.Drain()
-			requireSameAddrState(t, "sharded", st.Addr(), seq)
-			if _, err := st.AddrEndEpoch(); (err == nil) != (seq.Verify() == nil) {
-				t.Fatalf("%d shards: boundary verdict %v, sequential %v", nShards, err, seq.Verify())
-			}
-		}
-	}
-}
-
-// TestAddrWorkerCountInvariance: the same access stream folded concurrently
-// by W goroutines (each owning one shard, stream split round-robin) yields
-// identical merged accumulators for every W — the address streams inherit
-// the pair's commutativity, so parallelism degree is unobservable.
-func TestAddrWorkerCountInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7700))
-	ops := genAddrTrace(rng, 4096, 128)
-	var want [4]uint64
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		st := NewSharded()
-		st.EnableAddr()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sh := st.Shard()
-				defer sh.Close()
-				at := sh.Tracker().Addr()
-				for i := w; i < len(ops); i += workers {
-					ops[i].apply(at)
-				}
-			}(w)
-		}
-		wg.Wait()
-		st.Drain()
-		got := st.Addr().Accumulators()
-		if workers == 1 {
-			want = got
-		} else if got != want {
-			t.Fatalf("%d workers: accumulators %#x != 1-worker %#x", workers, got, want)
-		}
-		if _, err := st.AddrEndEpoch(); err != nil {
-			t.Fatalf("%d workers: clean stream failed boundary verify: %v", workers, err)
-		}
-	}
-}
-
-// TestEnableAddrArmsLiveShards: shards handed out before EnableAddr gain an
-// address tracker retroactively, so a pool can arm protection mid-flight.
-func TestEnableAddrArmsLiveShards(t *testing.T) {
-	st := NewSharded()
-	early := st.Shard()
-	if early.Tracker().Addr() != nil {
-		t.Fatal("shard carried an address tracker before EnableAddr")
-	}
-	st.EnableAddr()
-	if early.Tracker().Addr() == nil {
-		t.Fatal("EnableAddr did not arm the live shard")
-	}
-	late := st.Shard()
-	if late.Tracker().Addr() == nil {
-		t.Fatal("EnableAddr did not arm a subsequent shard")
-	}
-	early.Close()
-	late.Close()
-}
-
-// TestAddrScrubThroughShardedTracker: a fault in a shard's address
-// accumulator surfaces from the root's ScrubDetector after the merge, with
-// the addrsum part named.
-func TestAddrScrubThroughShardedTracker(t *testing.T) {
-	st := NewSharded()
-	st.EnableAddr()
-	sh := st.Shard()
-	at := sh.Tracker().Addr()
+// TestAddrScrubThroughTracker: a fault in an attached address accumulator
+// surfaces from the tracker's ScrubDetector with the addrsum part named.
+func TestAddrScrubThroughTracker(t *testing.T) {
+	tr := NewTracker()
+	at := addrsum.NewTracker()
+	tr.AttachAddr(at)
 	at.Load(1, 1)
+	if err := tr.ScrubDetector(); err != nil {
+		t.Fatalf("clean address streams failed scrub: %v", err)
+	}
 	at.CorruptAccumulator(addrsum.LoadIntent, 9)
-	st.Drain()
-	err := st.ScrubDetector()
+	err := tr.ScrubDetector()
 	var df *DetectorFaultError
 	if !errors.As(err, &df) {
 		t.Fatalf("ScrubDetector returned %v, want *DetectorFaultError", err)
 	}
 	if df.Part != "addrsum" {
 		t.Fatalf("detector fault blamed part %q, want addrsum", df.Part)
-	}
-}
-
-// TestAddrEpochRollback: a redirected epoch fails AddrEndEpoch, AddrRollback
-// restores the sealed entry state and clears unmerged shard folds, and the
-// re-executed epoch verifies.
-func TestAddrEpochRollback(t *testing.T) {
-	st := NewSharded()
-	st.EnableAddr()
-	sh := st.Shard()
-
-	sh.Tracker().Addr().Load(0, 0)
-	start := st.AddrBeginEpoch()
-
-	sh.Tracker().Addr().Load(3, 11) // the wrong-location load
-	if _, err := st.AddrEndEpoch(); err == nil {
-		t.Fatal("AddrEndEpoch verified a redirected epoch")
-	}
-	var mm *addrsum.MismatchError
-	if _, err := st.AddrEndEpoch(); !errors.As(err, &mm) {
-		t.Fatalf("boundary error is %T, want *addrsum.MismatchError", err)
-	}
-	if err := st.AddrRollback(start); err != nil {
-		t.Fatalf("AddrRollback failed: %v", err)
-	}
-	// The unmerged shard residue must be gone, or re-execution double-counts.
-	if acc := sh.Tracker().Addr().Accumulators(); acc != ([4]uint64{}) {
-		t.Fatalf("shard kept unmerged address folds across rollback: %#x", acc)
-	}
-	sh.Tracker().Addr().Load(3, 3)
-	if _, err := st.AddrEndEpoch(); err != nil {
-		t.Fatalf("re-executed epoch failed boundary verify: %v", err)
-	}
-}
-
-// TestAddrDisabledNoops: the Addr* epoch methods are safe unconditional
-// calls on a tracker that never enabled address protection.
-func TestAddrDisabledNoops(t *testing.T) {
-	st := NewSharded()
-	start := st.AddrBeginEpoch()
-	if _, err := st.AddrEndEpoch(); err != nil {
-		t.Fatalf("disabled AddrEndEpoch errored: %v", err)
-	}
-	if err := st.AddrRollback(start); err != nil {
-		t.Fatalf("disabled AddrRollback errored: %v", err)
-	}
-	if st.Addr() != nil {
-		t.Fatal("Addr non-nil without EnableAddr")
 	}
 }

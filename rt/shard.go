@@ -3,7 +3,6 @@ package rt
 import (
 	"sync"
 
-	"defuse/internal/addrsum"
 	"defuse/internal/checksum"
 	"defuse/telemetry"
 )
@@ -30,9 +29,6 @@ type ShardedTracker struct {
 	kind   checksum.Kind
 	shards []*Shard
 	live   int
-	// addrOn arms address-stream protection (see addr.go): shards handed
-	// out while set carry a private addrsum tracker merged like the pair.
-	addrOn bool
 
 	// obs is installed into every shard handed out after SetObserver; it
 	// must be safe for concurrent use, since all shards dispatch to it.
@@ -127,9 +123,6 @@ func (s *ShardedTracker) Shard() *Shard {
 	defer s.mu.Unlock()
 	sh := &Shard{parent: s, t: NewTrackerWith(s.kind)}
 	sh.t.obs = s.obs
-	if s.addrOn {
-		sh.t.addr = addrsum.NewTracker()
-	}
 	s.shards = append(s.shards, sh)
 	s.live++
 	if s.liveGauge != nil {
@@ -215,9 +208,6 @@ func (sh *Shard) mergeLocked(p *ShardedTracker) {
 	p.root.uses += uses
 	if p.root.latched == nil && sh.t.latched != nil {
 		p.root.latched = sh.t.latched
-	}
-	if p.root.addr != nil && sh.t.addr != nil {
-		p.root.addr.Merge(sh.t.addr)
 	}
 	sh.t.Reset()
 	if p.mergeCount != nil {

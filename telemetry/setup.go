@@ -22,10 +22,6 @@ type ObsConfig struct {
 	ChromePath string
 	// ServeAddr starts the live HTTP endpoint (host:port; port 0 picks one).
 	ServeAddr string
-	// FlightSize overrides the ring capacity (default DefaultFlightSize).
-	FlightSize int
-	// SpanCap overrides the span buffer capacity (default DefaultSpanCap).
-	SpanCap int
 	// Health supplies the liveness/readiness state served at /healthz and
 	// /readyz. Nil with ServeAddr set creates a default (immediately ready)
 	// Health — right for batch CLIs; a resident service passes its own,
@@ -67,13 +63,13 @@ func SetupObs(cfg ObsConfig) (*Obs, error) {
 		o.Metrics = NewRegistry()
 	}
 	if cfg.FlightPath != "" || cfg.ServeAddr != "" {
-		o.Flight = NewFlightRecorder(cfg.FlightSize)
+		o.Flight = NewFlightRecorder(DefaultFlightSize)
 		if cfg.FlightPath != "" {
 			o.Flight.SetDump(cfg.FlightPath)
 		}
 	}
 	if cfg.ChromePath != "" || cfg.ServeAddr != "" {
-		o.Spans = NewSpanBuffer(cfg.SpanCap)
+		o.Spans = NewSpanBuffer(DefaultSpanCap)
 	}
 	// Interface conversions must be guarded: a typed-nil *JSONLSink inside a
 	// Sink interface would defeat Multi's nil filtering.

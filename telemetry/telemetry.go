@@ -285,37 +285,6 @@ func (m *multiSink) Close() error {
 	return first
 }
 
-// Setup opens the optional CLI observability outputs selected by -trace and
-// -metrics flags: a JSON-lines event sink at tracePath and a registry whose
-// snapshot is written to metricsPath by finish. An empty path yields a nil
-// component (which every telemetry entry point tolerates). finish flushes
-// and closes whatever was opened; call it on every exit path.
-func Setup(tracePath, metricsPath string) (sink Sink, reg *Registry, finish func() error, err error) {
-	if tracePath != "" {
-		s, err := OpenJSONLFile(tracePath)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		sink = s
-	}
-	if metricsPath != "" {
-		reg = NewRegistry()
-	}
-	finish = func() error {
-		var first error
-		if reg != nil {
-			first = reg.WriteMetricsFile(metricsPath)
-		}
-		if sink != nil {
-			if cerr := sink.Close(); first == nil {
-				first = cerr
-			}
-		}
-		return first
-	}
-	return sink, reg, finish, nil
-}
-
 // TimePhase runs f, records its wall time as a compile.phase event on s and
 // an observation in r's phase histogram, and returns the duration.
 func TimePhase(s Sink, r *Registry, component, phase string, f func()) time.Duration {
