@@ -155,7 +155,8 @@ func (p *Pair) ScaleFold(a Acc, v uint64, n int64) {
 // operator. Because the def/use checksums are order-independent folds, a
 // sequence of values partitioned across several Pairs and merged yields the
 // same accumulators as folding the whole sequence into one Pair — this is the
-// operation that makes per-goroutine checksum shards sound (see rt.Shard).
+// operation that makes per-goroutine checksum shards sound (see the
+// interpreter's parallel executor, internal/interp/parallel.go).
 //
 // The shadow copies are merged by decode-combine-re-encode, never by
 // re-sealing from the merged primaries: each side's decoded shadow value is

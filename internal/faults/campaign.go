@@ -55,72 +55,42 @@ type Campaign struct {
 	CheckpointPath string
 	// ChunkSize overrides DefaultChunkSize (the checkpoint granularity).
 	ChunkSize int
-	// Trace, when non-nil, receives campaign lifecycle events in addition
-	// to whatever the per-cell sinks stream.
-	Trace telemetry.Sink
-
-	// pools hands each worker a reusable per-operator checksum shard, so
-	// epoch trials recycle one tracker and counter table per (worker, kind)
-	// instead of allocating fresh ones per trial. Shard state never leaks
-	// between trials: every trial Resets its shard tracker on entry.
-	poolMu sync.Mutex
-	pools  map[checksum.Kind]*rt.ShardedTracker
-}
-
-// shardPool returns (building on first use) the campaign's sharded tracker
-// for one checksum operator.
-func (c *Campaign) shardPool(k checksum.Kind) *rt.ShardedTracker {
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	if c.pools == nil {
-		c.pools = map[checksum.Kind]*rt.ShardedTracker{}
-	}
-	p := c.pools[k]
-	if p == nil {
-		p = rt.NewShardedWith(k).SetTelemetry(c.Trace, nil)
-		c.pools[k] = p
-	}
-	return p
-}
-
-// drainPools merges whatever the workers left in their shards (normally
-// nothing — Close already merged) and emits the shard.drain boundary event
-// per pool, marking the campaign's trackers quiescent.
-func (c *Campaign) drainPools() {
-	c.poolMu.Lock()
-	defer c.poolMu.Unlock()
-	for _, p := range c.pools {
-		p.Drain()
-	}
 }
 
 // workerState is one pool worker's reusable per-chunk scratch: the classic
-// mode's data buffer and the epoch mode's checksum shards, one per operator.
+// mode's data buffer, and the epoch mode's fold trackers (one per operator)
+// with the counter table they share. Nothing leaks between trials: every
+// trial Resets its tracker and zeroes the counters on entry, so a campaign
+// allocates one tracker per (worker, operator), not per trial.
 type workerState struct {
-	c      *Campaign
-	buf    []uint64
-	shards map[checksum.Kind]*rt.Shard
+	buf      []uint64
+	trackers map[checksum.Kind]*rt.Tracker
+	counters []rt.Counter
 }
 
-// shard returns the worker's shard for an operator, taking one from the
-// campaign pool on first use.
-func (ws *workerState) shard(k checksum.Kind) *rt.Shard {
-	if ws.shards == nil {
-		ws.shards = map[checksum.Kind]*rt.Shard{}
+// tracker returns the worker's fold tracker for an operator, building it on
+// first use.
+func (ws *workerState) tracker(k checksum.Kind) *rt.Tracker {
+	tr := ws.trackers[k]
+	if tr == nil {
+		if ws.trackers == nil {
+			ws.trackers = map[checksum.Kind]*rt.Tracker{}
+		}
+		tr = rt.NewTrackerWith(k)
+		ws.trackers[k] = tr
 	}
-	sh := ws.shards[k]
-	if sh == nil {
-		sh = ws.c.shardPool(k).Shard()
-		ws.shards[k] = sh
-	}
-	return sh
+	return tr
 }
 
-// close retires the worker's shards back into their pools.
-func (ws *workerState) close() {
-	for _, sh := range ws.shards {
-		sh.Close()
+// zeroCounters returns the worker's counter table resized to n zeroed
+// counters, growing the backing array only when n does.
+func (ws *workerState) zeroCounters(n int) []rt.Counter {
+	if cap(ws.counters) < n {
+		ws.counters = make([]rt.Counter, n)
 	}
+	ws.counters = ws.counters[:n]
+	clear(ws.counters)
+	return ws.counters
 }
 
 // CampaignResult aggregates the campaign's cells.
@@ -373,11 +343,11 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 	}
 
 	err := runPool(ctx, c.Workers, jobs,
-		func() (func(context.Context, chunkJob) (chunkTally, error), func()) {
-			ws := &workerState{c: c}
+		func() func(context.Context, chunkJob) (chunkTally, error) {
+			ws := &workerState{}
 			return func(ctx context.Context, job chunkJob) (chunkTally, error) {
 				return c.runChunk(ctx, job, ws)
-			}, ws.close
+			}
 		},
 		func(job chunkJob, t chunkTally) error {
 			done[[2]int{job.cell, job.start}] = t
@@ -386,7 +356,6 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			}
 			return c.writeCheckpoint(key, done)
 		})
-	c.drainPools()
 
 	// runPool returns nil only once every job has run and been collected.
 	res := &CampaignResult{Schema: CampaignSchema, Completed: err == nil, ResumedChunks: resumed}
@@ -404,13 +373,13 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 }
 
 // runPool runs jobs on a pool of workers goroutines (0 means GOMAXPROCS).
-// Each worker calls newWorker once for its job runner and release hook. collect
-// receives every successful job's result on the caller's goroutine, so it
-// needs no lock. The first error — a job's or collect's — cancels the jobs
+// Each worker calls newWorker once for its job runner. collect receives
+// every successful job's result on the caller's goroutine, so it needs no
+// lock. The first error — a job's or collect's — cancels the jobs
 // not yet run and is returned; job errors after that are consequences of the
 // cancellation and are dropped. A cancelled ctx returns ctx.Err().
 func runPool[J, R any](ctx context.Context, workers int, jobs []J,
-	newWorker func() (run func(context.Context, J) (R, error), release func()),
+	newWorker func() func(context.Context, J) (R, error),
 	collect func(J, R) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -429,8 +398,7 @@ func runPool[J, R any](ctx context.Context, workers int, jobs []J,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run, release := newWorker()
-			defer release()
+			run := newWorker()
 			for job := range jobCh {
 				out, err := run(runCtx, job)
 				resCh <- result{job, out, err}
@@ -474,7 +442,7 @@ func runPool[J, R any](ctx context.Context, workers int, jobs []J,
 // runChunk executes one chunk's trials sequentially on a worker. Cell
 // instruments are resolved once per chunk — the registry lookup takes a
 // mutex and renders labels, which a per-trial call would pay thousands of
-// times over — and epoch trials fold through the worker's reusable shard.
+// times over — and epoch trials fold through the worker's reusable tracker.
 func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) (chunkTally, error) {
 	cfg := c.Cells[job.cell]
 	tally := chunkTally{Start: job.start, Count: job.count}
@@ -497,21 +465,17 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 	chunk := cfg.Tracer.Start(telemetry.SpanContext{}, "chunk",
 		append([]telemetry.Attr{telemetry.Int("start", job.start), telemetry.Int("count", job.count)}, cellAttrs...)...)
 	defer chunk.End()
-	// Epoch trials fold through the worker's reusable shard (the DME backend
-	// runs its own variants and takes none); classic trials reuse its buffer.
+	// Epoch trials fold through the worker's reusable tracker; classic
+	// trials reuse its buffer.
 	var runTrial func(trial int, span telemetry.SpanContext) (Tally, error)
 	if cfg.Epochs > 0 {
-		var sh *rt.Shard
-		if cfg.Backend != BackendDME {
-			sh = ws.shard(cfg.Kind)
-		}
 		runTrial = func(trial int, span telemetry.SpanContext) (Tally, error) {
 			tctx, cancel := ctx, context.CancelFunc(func() {})
 			if c.TrialTimeout > 0 {
 				tctx, cancel = context.WithTimeout(ctx, c.TrialTimeout)
 			}
 			defer cancel()
-			out, err := runEpochTrial(tctx, cfg, trial, sh, inst, span)
+			out, err := runEpochTrial(tctx, cfg, trial, ws, inst, span)
 			if err != nil {
 				err = fmt.Errorf("faults: epoch trial %d: %w", trial, err)
 			}

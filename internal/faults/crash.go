@@ -122,7 +122,7 @@ func newCrashWorkload(spec CrashSpec) *crashWorkload {
 	NewInjector(spec.Seed).Fill(init, Random)
 	tr := rt.NewTrackerWith(spec.Kind)
 	return &crashWorkload{
-		WordWorkload: NewWordWorkload(init, tr, make([]rt.Counter, spec.Words), tr),
+		WordWorkload: NewWordWorkload(init, tr, make([]rt.Counter, spec.Words)),
 		epochs:       spec.Epochs,
 		crashAt:      spec.CrashStep,
 	}
@@ -455,7 +455,7 @@ func (c *CrashCampaign) Run(ctx context.Context) (*CrashCampaignResult, error) {
 		return out, err
 	}
 	err := runPool(ctx, c.Workers, jobs,
-		func() (func(context.Context, job) (crashTrialOutcome, error), func()) { return runTrial, func() {} },
+		func() func(context.Context, job) (crashTrialOutcome, error) { return runTrial },
 		func(j job, out crashTrialOutcome) error {
 			tallyCrash(&results[j.cell], out)
 			return nil

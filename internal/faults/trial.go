@@ -148,25 +148,24 @@ type epochTrial struct {
 }
 
 // arm builds cfg's backend over the trial's initial words. The checksum
-// and addrsum backends fold through the worker's reusable shard, Reset on
-// entry, so a campaign allocates one tracker per (worker, operator), not per
-// trial.
-func (t *epochTrial) arm(sh *rt.Shard) {
+// and addrsum backends fold through the worker's reusable tracker for the
+// cell's operator, Reset on entry; the DME backend runs its own variants.
+func (t *epochTrial) arm(ws *workerState) {
 	init := t.d.init
 	if t.cfg.Backend == BackendDME {
 		t.det = newDMEDetector(init)
 		return
 	}
-	tr := sh.Tracker()
+	tr := ws.tracker(t.cfg.Kind)
 	t.scrub = tr.ScrubDetector
 	if t.cfg.Backend == BackendChecksum {
 		tr.Reset()
-		t.w = NewWordWorkload(init, tr, sh.Counters(len(init)), tr)
+		t.w = NewWordWorkload(init, tr, ws.zeroCounters(len(init)))
 		t.det = t.w
 		return
 	}
 	// The address streams fold through an addrsum.Tracker attached to the
-	// shard tracker, never touching the data accumulators, so every verdict
+	// fold tracker, never touching the data accumulators, so every verdict
 	// is the address detector's alone.
 	at := tr.Addr()
 	if at == nil {
@@ -184,10 +183,10 @@ func (t *epochTrial) arm(sh *rt.Shard) {
 // runEpochTrial executes one supervised epoch trial and tallies its outcome.
 // inst carries the cell's pre-resolved telemetry instruments; span is the
 // parent the supervisor's spans attach to (the campaign's per-trial span),
-// the zero context when untraced. sh may be nil for the DME backend.
-func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, sh *rt.Shard, inst cellInstruments, span telemetry.SpanContext) (Tally, error) {
+// the zero context when untraced. ws is the running worker's scratch.
+func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, ws *workerState, inst cellInstruments, span telemetry.SpanContext) (Tally, error) {
 	t := &epochTrial{cfg: cfg, trial: trial, d: drawTrial(cfg, trial), inst: inst}
-	t.arm(sh)
+	t.arm(ws)
 	out, err := recovery.Supervise(ctx, recovery.Config{
 		Epochs:     cfg.Epochs,
 		Run:        t.run,

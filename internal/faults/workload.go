@@ -15,8 +15,8 @@ import (
 // next epoch — the paper's post-dominator verification placement applied per
 // iteration block — so a fault injected inside epoch k either aliases
 // (escapes, as in Table 1) or is detected at epoch k's own boundary. The
-// callers differ only in the one-shot fault they arm (RunEpoch's strike) and
-// in the tracker that owns the epoch operations.
+// callers differ only in the one-shot fault they arm (RunEpoch's strike); the
+// fold tracker always owns the epoch operations.
 
 // update advances one word per epoch. It is a bijective (odd-multiplier) LCG
 // step, so any corruption of a word propagates to a wrong final state rather
@@ -36,27 +36,18 @@ func FaultFree(init []uint64, epochs int) []uint64 {
 	return out
 }
 
-// EpochOwner opens, closes, and rolls back a workload's epochs: the fold
-// tracker itself, or the *rt.ShardedTracker it is a shard of.
-type EpochOwner interface {
-	BeginEpoch() rt.EpochState
-	EndEpoch() (rt.EpochState, error)
-	Rollback(rt.EpochState) error
-}
-
 // WordWorkload is the def/use word workload over one simulated memory.
 type WordWorkload struct {
 	mem      *memsim.Memory
-	tr       *rt.Tracker // folds every def and use
+	tr       *rt.Tracker // folds every def and use, and owns the epochs
 	counters []rt.Counter
-	owner    EpochOwner
 }
 
 // NewWordWorkload loads init into a fresh memory and registers every word's
 // first definition on tr. counters must be zeroed and hold at least
 // len(init) entries.
-func NewWordWorkload(init []uint64, tr *rt.Tracker, counters []rt.Counter, owner EpochOwner) *WordWorkload {
-	w := &WordWorkload{mem: memsim.New(len(init)), tr: tr, counters: counters[:len(init)], owner: owner}
+func NewWordWorkload(init []uint64, tr *rt.Tracker, counters []rt.Counter) *WordWorkload {
+	w := &WordWorkload{mem: memsim.New(len(init)), tr: tr, counters: counters[:len(init)]}
 	for i, v := range init {
 		w.mem.Poke(i, v)
 		rt.DefDyn(tr, &w.counters[i], uint64(0), v)
@@ -123,7 +114,7 @@ func (w *WordWorkload) Boundary(last bool, check func() error) error {
 			return err
 		}
 	}
-	_, err := w.owner.EndEpoch()
+	_, err := w.tr.EndEpoch()
 	if err == nil && !last {
 		for i := range w.counters {
 			rt.DefDyn(w.tr, &w.counters[i], uint64(0), w.mem.Peek(i))
@@ -132,7 +123,7 @@ func (w *WordWorkload) Boundary(last bool, check func() error) error {
 	return err
 }
 
-// wordCheckpoint is everything an epoch mutates: the memory, the owner's
+// wordCheckpoint is everything an epoch mutates: the memory, the tracker's
 // sealed epoch state, and the shadow use counters. A fault plan stays
 // outside it — a transient fault does not recur when the epoch re-executes.
 type wordCheckpoint struct {
@@ -145,17 +136,17 @@ type wordCheckpoint struct {
 func (w *WordWorkload) Checkpoint() any {
 	return &wordCheckpoint{
 		mem:      w.mem.Snapshot(),
-		state:    w.owner.BeginEpoch(),
+		state:    w.tr.BeginEpoch(),
 		counters: append([]rt.Counter(nil), w.counters...),
 	}
 }
 
 // Restore reinstates a checkpoint. Checked restores verify the memory and
 // epoch-state digests and refuse a corrupt checkpoint; unchecked ones are
-// the unhardened baseline and need the fold tracker to own its epochs.
+// the unhardened baseline.
 func (w *WordWorkload) Restore(snap any, checked bool) error {
 	cp := snap.(*wordCheckpoint)
-	restore, rollback := w.mem.Restore, w.owner.Rollback
+	restore, rollback := w.mem.Restore, w.tr.Rollback
 	if !checked {
 		restore, rollback = w.mem.RestoreUnchecked, w.tr.RollbackUnchecked
 	}

@@ -333,12 +333,14 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 				if class == ClassNone {
 					return o, err
 				}
-				noteDetection(k, class, err)
 				if o.Tainted {
 					// Already degraded: report-and-continue, no more
-					// recovery effort.
+					// recovery effort. The fault that degraded the run was
+					// tallied then; later boundaries still see its
+					// unrepaired imbalance, so they must not count it again.
 					break
 				}
+				noteDetection(k, class, err)
 				if cerr := ctx.Err(); cerr != nil {
 					return o, cerr
 				}

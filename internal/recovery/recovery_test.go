@@ -198,6 +198,34 @@ func TestSuperviseZeroPolicyDegradesImmediately(t *testing.T) {
 	}
 }
 
+func TestSuperviseTaintedRunCountsItsFaultOnce(t *testing.T) {
+	// An imbalance from epoch 1 on fails every later boundary too, as a
+	// cumulative checksum that was never repaired does. The zero policy
+	// degrades at epoch 1; the later failures are that same fault and must
+	// not be tallied again — but Verify must still run at every boundary,
+	// since callers do per-epoch bookkeeping in it.
+	s := &simState{}
+	var verified []int
+	cfg := harness(s, 4, func(k int) error {
+		verified = append(verified, k)
+		if k >= 1 {
+			return mismatch()
+		}
+		return nil
+	})
+	o, err := Supervise(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.DataFaults != 1 || !o.Detected || o.FirstDetection != 1 || !o.Tainted {
+		t.Errorf("DataFaults=%d Detected=%v FirstDetection=%d Tainted=%v, want 1/true/1/true",
+			o.DataFaults, o.Detected, o.FirstDetection, o.Tainted)
+	}
+	if len(verified) != 4 {
+		t.Errorf("Verify ran at epochs %v, want every one of 0..3", verified)
+	}
+}
+
 func TestSuperviseBackoffSequence(t *testing.T) {
 	var pauses []time.Duration
 	s := &simState{}

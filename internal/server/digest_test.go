@@ -30,7 +30,7 @@ const verifyDigestFile = "testdata/verify.digest"
 // outcome is meant to change.
 func TestVerifyJobDigest(t *testing.T) {
 	sampler := faults.NewLiveSampler(0.5, 9).WithAddrFraction(0.4)
-	st := rt.NewSharded()
+	tr := rt.NewTracker()
 	var got []string
 	for id := uint64(1); id <= 32; id++ {
 		job := verifyJob{id: id, words: 24, epochs: 5, seed: 3}
@@ -39,11 +39,11 @@ func TestVerifyJobDigest(t *testing.T) {
 			p := sampler.Plan(id, job.words, job.epochs)
 			plan = &p
 		}
-		res, err := runVerify(context.Background(), st, job, plan, recovery.DefaultPolicy(), bench.Telemetry{}, telemetry.SpanContext{})
+		res, err := runVerify(context.Background(), tr, job, plan, recovery.DefaultPolicy(), bench.Telemetry{}, telemetry.SpanContext{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Recycle()
+		tr.Reset()
 		out, err := json.Marshal(res.outcome)
 		if err != nil {
 			t.Fatal(err)

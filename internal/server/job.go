@@ -105,14 +105,12 @@ type jobResult struct {
 }
 
 // runVerify executes one verify job — the faults package's word workload,
-// folding through a shard of a pooled sharded tracker that owns the epochs —
-// under the recovery supervisor. plan, when non-nil, arms a single transient
-// fault at the planned (epoch, word): injected once, mid-epoch, exactly as a
-// live memory fault would land. The tracker must arrive recycled.
-func runVerify(ctx context.Context, st *rt.ShardedTracker, job verifyJob, plan *faults.LivePlan, pol recovery.Policy, tel bench.Telemetry, span telemetry.SpanContext) (jobResult, error) {
-	sh := st.Shard()
-	defer sh.Close()
-	w := faults.NewWordWorkload(initWords(job.words, job.seed, job.id), sh.Tracker(), sh.Counters(job.words), st)
+// folding through a pooled tracker that owns the epochs — under the recovery
+// supervisor. plan, when non-nil, arms a single transient fault at the
+// planned (epoch, word): injected once, mid-epoch, exactly as a live memory
+// fault would land. The tracker must arrive Reset.
+func runVerify(ctx context.Context, tr *rt.Tracker, job verifyJob, plan *faults.LivePlan, pol recovery.Policy, tel bench.Telemetry, span telemetry.SpanContext) (jobResult, error) {
+	w := faults.NewWordWorkload(initWords(job.words, job.seed, job.id), tr, make([]rt.Counter, job.words))
 	injected := false
 	strike := func(i int) (load, store int) {
 		injected = true
@@ -146,7 +144,7 @@ func runVerify(ctx context.Context, st *rt.ShardedTracker, job verifyJob, plan *
 	out, err := recovery.Supervise(ctx, recovery.Config{
 		Epochs:     job.epochs,
 		Run:        run,
-		Verify:     func(k int) error { return w.Boundary(k == job.epochs-1, st.ScrubDetector) },
+		Verify:     func(k int) error { return w.Boundary(k == job.epochs-1, tr.ScrubDetector) },
 		Checkpoint: w.Checkpoint,
 		Restore:    func(snap any) error { return w.Restore(snap, true) },
 		Policy:     pol,

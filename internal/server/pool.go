@@ -6,26 +6,24 @@ import (
 
 	"defuse/internal/bench"
 	"defuse/rt"
-	"defuse/telemetry"
 )
 
 // Pools hand out exclusive detector state per request. Concurrent requests
-// must never share a tracker: EndEpoch drains every live shard into the
-// root, so two interleaved requests on one tracker would fold each other's
-// words into a common checksum and produce spurious mismatches. "Pooled"
-// therefore means reused across requests, never shared within one — a
-// request checks a tracker out, runs its epochs, and the pool recycles it
-// (Recycle discards residue; nothing leaks between requests).
+// must never share a tracker: two interleaved requests on one tracker would
+// fold each other's words into a common checksum and produce spurious
+// mismatches. "Pooled" therefore means reused across requests, never shared
+// within one — a request checks a tracker out, runs its epochs, and the pool
+// Resets it (nothing leaks between requests).
 
-// trackerPool is a fixed-size free list of sharded trackers.
+// trackerPool is a fixed-size free list of trackers.
 type trackerPool struct {
-	ch chan *rt.ShardedTracker
+	ch chan *rt.Tracker
 }
 
-func newTrackerPool(n int, sink telemetry.Sink, reg *telemetry.Registry) *trackerPool {
-	p := &trackerPool{ch: make(chan *rt.ShardedTracker, n)}
+func newTrackerPool(n int) *trackerPool {
+	p := &trackerPool{ch: make(chan *rt.Tracker, n)}
 	for i := 0; i < n; i++ {
-		p.ch <- rt.NewSharded().SetTelemetry(sink, reg)
+		p.ch <- rt.NewTracker()
 	}
 	return p
 }
@@ -33,7 +31,7 @@ func newTrackerPool(n int, sink telemetry.Sink, reg *telemetry.Registry) *tracke
 // get blocks until a tracker is free or ctx is done. Admission control caps
 // in-flight requests at the pool size, so under normal operation get returns
 // immediately.
-func (p *trackerPool) get(ctx context.Context) (*rt.ShardedTracker, error) {
+func (p *trackerPool) get(ctx context.Context) (*rt.Tracker, error) {
 	select {
 	case t := <-p.ch:
 		return t, nil
@@ -42,9 +40,9 @@ func (p *trackerPool) get(ctx context.Context) (*rt.ShardedTracker, error) {
 	}
 }
 
-// put recycles the tracker and returns it to the free list.
-func (p *trackerPool) put(t *rt.ShardedTracker) {
-	t.Recycle()
+// put resets the tracker and returns it to the free list.
+func (p *trackerPool) put(t *rt.Tracker) {
+	t.Reset()
 	p.ch <- t
 }
 

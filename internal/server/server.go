@@ -203,7 +203,7 @@ func New(cfg Config) (*Server, error) {
 		s.sampler = faults.NewLiveSampler(cfg.FaultRate, cfg.FaultSeed).
 			WithAddrFraction(cfg.FaultAddrFraction)
 	}
-	s.trackers = newTrackerPool(cfg.MaxInFlight, obs.Sink, obs.Metrics)
+	s.trackers = newTrackerPool(cfg.MaxInFlight)
 	if cfg.Kernel != "" {
 		scale := cfg.Scale
 		if scale <= 0 {

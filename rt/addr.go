@@ -6,8 +6,8 @@ import "defuse/internal/addrsum"
 // Tracker. The address accumulators ride alongside the data checksums with
 // the same lifecycle: reset with the tracker, scrub at the detector boundary
 // (Tracker.ScrubDetector reports an addrsum shadow divergence as a
-// *DetectorFaultError with Part "addrsum"). A sharded run attaches one
-// addrsum tracker per shard's Tracker and verifies each on its own.
+// *DetectorFaultError with Part "addrsum"). A fault campaign attaches one
+// addrsum tracker to each worker's fold tracker and reuses it across trials.
 //
 // rt.EpochState's binary encoding is WAL-pinned and cannot grow, so the
 // address streams seal their own addrsum.EpochState.

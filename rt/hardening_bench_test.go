@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"defuse/internal/checksum"
 )
@@ -64,6 +66,35 @@ func BenchmarkPairPrimaryOnly(b *testing.B) {
 	tr := NewTracker()
 	b.ReportAllocs()
 	primaryOnlyLoop(tr, b.N)
+}
+
+// pairRatios times pairs short runs of base and other back to back,
+// alternating which side runs first, and returns the per-pair ratios
+// other/base, sorted. Timing guards gate on the median: a neighbour
+// process's burst lands on one short run at a time and shifts only the
+// pairs it touches, which the median discards, and the alternation cancels
+// any first-or-second bias — so the guard holds under a parallel
+// `go test ./...`.
+func pairRatios(pairs int, base, other func()) []float64 {
+	timed := func(f func()) float64 {
+		start := time.Now()
+		f()
+		return float64(time.Since(start))
+	}
+	timed(base) // warm both paths before measuring
+	timed(other)
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		var b, o float64
+		if i%2 == 0 {
+			b, o = timed(base), timed(other)
+		} else {
+			o, b = timed(other), timed(base)
+		}
+		ratios[i] = o / b
+	}
+	sort.Float64s(ratios)
+	return ratios
 }
 
 // TestShadowedAccumulatorOverheadBudget guards the hardening's hot-path cost.

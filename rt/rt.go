@@ -329,8 +329,8 @@ func (t *Tracker) Checksums() (def, use, edef, euse uint64) {
 func (t *Tracker) Kind() checksum.Kind { return t.pair.Kind() }
 
 // ShadowCopies exposes the raw (encoded) shadow copies of the four
-// accumulators, indexed by checksum.Acc. Tests use it to assert that sharded
-// and sequential folds produce byte-identical detector state.
+// accumulators, indexed by checksum.Acc. Tests use it to assert that a
+// resumed tracker carries byte-identical detector state.
 func (t *Tracker) ShadowCopies() [4]uint64 { return t.pair.Shadows() }
 
 // CorruptBits is a test helper that flips the given bit of a float64's

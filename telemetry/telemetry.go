@@ -74,13 +74,13 @@ const (
 	// EvScrubFail reports a detector scrub that found diverged copies
 	// (fields: error).
 	EvScrubFail = "scrub.fail"
-	// EvShardMerge reports one checksum shard folded into its root tracker
-	// (fields: defs, uses — the dynamic op counts the shard contributed —
-	// and live, the shard count at merge time).
+	// EvShardMerge reports one parallel-loop worker's checksum pair merged
+	// into the machine's (fields: worker, ops — the operations the worker
+	// executed — and live, the workers still to merge).
 	EvShardMerge = "shard.merge"
-	// EvShardDrain reports an epoch-boundary drain: every live shard merged
-	// into the root so the sealed view covers all concurrent work
-	// (fields: shards — how many were merged).
+	// EvShardDrain reports a parallel loop's workers all merged, so the
+	// machine's pair covers all concurrent work (fields: shards — how many
+	// were merged).
 	EvShardDrain = "shard.drain"
 	// EvWALSeal reports one durable checkpoint record fsynced to the
 	// write-ahead log (fields: epoch, bytes, seconds, seq).
