@@ -2,7 +2,11 @@
 // native source backend and commits the result as the internal/codegen/
 // gennative package. The registry records each function's benchmark and
 // variant only: an epoch plan finds the kernel loop it cuts in the program
-// itself (lang.KernelLoop), as the function's own epoch split does.
+// itself (lang.KernelLoop), as the function's own epoch split does. An
+// instrumented variant renders as an entry function plus one helper
+// function per loop nest, small enough for Go to inline the fold, load and
+// store calls in it (codegen.SourceFile); only the entry function is
+// registered.
 //
 // Default mode rewrites the generated files in place. With -check it
 // regenerates everything in memory and exits non-zero if any committed file

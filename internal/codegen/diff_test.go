@@ -224,71 +224,78 @@ func diffTrials(t *testing.T, ri, rc faults.KernelTrialResult) {
 // rollback recovery through the interpreter backend, the compiled-closure
 // backend, and the generated-source backend — each trio must agree on
 // verdicts, detection latencies, retries, per-boundary state stamps, final
-// memory, and final checksum state.
+// memory, and final checksum state. Both instrumented variants run, so the
+// injected, rolled-back and retried trials cross the generated kernels'
+// outlined loop nests in each (subtests of Resilient-Optimized end in -opt).
 func TestDiffSupervisedFaults(t *testing.T) {
 	const epochs = 4
 	pol := recovery.Policy{MaxRetries: 2, MaxRestarts: 1}
 	ctx := context.Background()
 	for _, b := range bench.Suite() {
-		prog, err := b.BuildVariant(bench.Resilient)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unit, err := codegen.Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, ok := gennative.Lookup(b.Name, string(bench.Resilient))
-		if !ok {
-			t.Fatalf("%s: no generated kernel", b.Name)
-		}
-		genUnit := codegen.FnUnit(prog, gen.Fn)
-		targets := floatTargets(b)
-		for _, seed := range kernelSeeds(t) {
-			for _, inject := range []bool{false, true} {
-				name := b.Name
-				t.Run(name, func(t *testing.T) {
-					cfg := faults.KernelTrialConfig{
-						Inject: inject, Seed: seed, Targets: targets, Policy: pol,
-					}
-					im, cm := buildPair(t, b, prog, seed)
-					pi, err := im.PlanEpochs(epochs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if inject {
-						// Nothing to inject into is a config error, not a panic.
-						noTargets := cfg
-						noTargets.Targets = nil
-						if _, err := faults.RunKernelTrial(ctx, pi, noTargets); err == nil {
-							t.Fatal("injecting trial with no targets: no error")
+		for _, v := range []bench.Variant{bench.Resilient, bench.ResilientOpt} {
+			prog, err := b.BuildVariant(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unit, err := codegen.Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, ok := gennative.Lookup(b.Name, string(v))
+			if !ok {
+				t.Fatalf("%s %s: no generated kernel", b.Name, v)
+			}
+			genUnit := codegen.FnUnit(prog, gen.Fn)
+			targets := floatTargets(b)
+			name := b.Name
+			if v == bench.ResilientOpt {
+				name += "-opt"
+			}
+			for _, seed := range kernelSeeds(t) {
+				for _, inject := range []bool{false, true} {
+					t.Run(name, func(t *testing.T) {
+						cfg := faults.KernelTrialConfig{
+							Inject: inject, Seed: seed, Targets: targets, Policy: pol,
 						}
-					}
-					ri, err := faults.RunKernelTrial(ctx, pi, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pc, err := codegen.PlanEpochs(cm, unit, epochs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rc, err := faults.RunKernelTrial(ctx, pc, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffTrials(t, ri, rc)
+						im, cm := buildPair(t, b, prog, seed)
+						pi, err := im.PlanEpochs(epochs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if inject {
+							// Nothing to inject into is a config error, not a panic.
+							noTargets := cfg
+							noTargets.Targets = nil
+							if _, err := faults.RunKernelTrial(ctx, pi, noTargets); err == nil {
+								t.Fatal("injecting trial with no targets: no error")
+							}
+						}
+						ri, err := faults.RunKernelTrial(ctx, pi, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pc, err := codegen.PlanEpochs(cm, unit, epochs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rc, err := faults.RunKernelTrial(ctx, pc, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						diffTrials(t, ri, rc)
 
-					_, gm := buildPair(t, b, prog, seed)
-					pg, err := codegen.PlanEpochs(gm, genUnit, epochs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					rg, err := faults.RunKernelTrial(ctx, pg, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					diffTrials(t, ri, rg)
-				})
+						_, gm := buildPair(t, b, prog, seed)
+						pg, err := codegen.PlanEpochs(gm, genUnit, epochs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						rg, err := faults.RunKernelTrial(ctx, pg, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						diffTrials(t, ri, rg)
+					})
+				}
 			}
 		}
 	}

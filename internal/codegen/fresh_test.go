@@ -23,27 +23,7 @@ func TestGennativeFresh(t *testing.T) {
 	for _, b := range bench.Suite() {
 		base := strings.ToLower(b.Name)
 		t.Run(base, func(t *testing.T) {
-			var funcs []codegen.SourceFunc
-			for _, vo := range []struct {
-				v      bench.Variant
-				suffix string
-			}{
-				{bench.Original, "original"},
-				{bench.Resilient, "resilient"},
-				{bench.ResilientOpt, "resilientopt"},
-			} {
-				prog, err := b.BuildVariant(vo.v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("run_%s_%s", base, vo.suffix)
-				funcs = append(funcs, codegen.SourceFunc{
-					FuncName: name,
-					Comment: fmt.Sprintf("%s executes the %s variant of the %s benchmark natively.",
-						name, vo.v, b.Name),
-					Prog: prog,
-				})
-			}
+			funcs := kernelFuncs(t, b)
 			got, err := codegen.SourceFile("gennative", funcs)
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +39,35 @@ func TestGennativeFresh(t *testing.T) {
 			}
 		})
 	}
+}
+
+// kernelFuncs lists a benchmark's three variants as cmd/genkernels renders
+// them into one gennative file.
+func kernelFuncs(t *testing.T, b *bench.Benchmark) []codegen.SourceFunc {
+	t.Helper()
+	base := strings.ToLower(b.Name)
+	var funcs []codegen.SourceFunc
+	for _, vo := range []struct {
+		v      bench.Variant
+		suffix string
+	}{
+		{bench.Original, "original"},
+		{bench.Resilient, "resilient"},
+		{bench.ResilientOpt, "resilientopt"},
+	} {
+		prog, err := b.BuildVariant(vo.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("run_%s_%s", base, vo.suffix)
+		funcs = append(funcs, codegen.SourceFunc{
+			FuncName: name,
+			Comment: fmt.Sprintf("%s executes the %s variant of the %s benchmark natively.",
+				name, vo.v, b.Name),
+			Prog: prog,
+		})
+	}
+	return funcs
 }
 
 // firstDiff renders the first diverging line pair of two texts.

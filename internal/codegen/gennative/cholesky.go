@@ -107,46 +107,8 @@ func run_cholesky_resilient(m *codegen.Machine, epoch, epochs int) error {
 	cs := checksum.NewFolds(m.Pair().Kind())
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
-		t1 := p_n - int64(1)
-		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t2 := p_n - int64(1)
-			for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t3 := i_li0 - i_li1
-				if t3 == int64(0) {
-					t4 := i_li0
-					if t4 < 0 || t4 >= d_A[0] {
-						return m.OOB(t4, d_A[0], 0, "A", 0, 0)
-					}
-					t5 := i_li1
-					if t5 < 0 || t5 >= d_A[1] {
-						return m.OOB(t5, d_A[1], 1, "A", 0, 0)
-					}
-					t6 := b_A + int((t4)*d_A[1]+t5)
-					t7 := m.LoadF(t6)
-					cs.Fold(checksum.AccDef, math.Float64bits(t7), int64(1))
-				}
-				t8 := i_li0 - i_li1
-				t9 := t8 - int64(1)
-				if t9 >= int64(0) {
-					t10 := i_li0
-					if t10 < 0 || t10 >= d_A[0] {
-						return m.OOB(t10, d_A[0], 0, "A", 0, 0)
-					}
-					t11 := i_li1
-					if t11 < 0 || t11 >= d_A[1] {
-						return m.OOB(t11, d_A[1], 1, "A", 0, 0)
-					}
-					t12 := b_A + int((t10)*d_A[1]+t11)
-					t13 := m.LoadF(t12)
-					cs.Fold(checksum.AccDef, math.Float64bits(t13), int64(1))
-				}
-			}
+		if err := run_cholesky_resilient_n1(m, &cs, p_n, b_A, d_A); err != nil {
+			return err
 		}
 		t14 := p_n - int64(1)
 		m.SetBounds(int64(0), t14)
@@ -192,48 +154,8 @@ func run_cholesky_resilient(m *codegen.Machine, epoch, epochs int) error {
 			t27 := t26 - int64(1)
 			cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t27)
 		}
-		t28 := i_j + int64(1)
-		t29 := p_n - int64(1)
-		for i_i := t28; i_i <= t29; i_i++ {
-			if err := m.Tick(6, 3); err != nil {
-				return err
-			}
-			t30 := i_i
-			if t30 < 0 || t30 >= d_A[0] {
-				return m.OOB(t30, d_A[0], 0, "A", 7, 19)
-			}
-			t31 := i_j
-			if t31 < 0 || t31 >= d_A[1] {
-				return m.OOB(t31, d_A[1], 1, "A", 7, 19)
-			}
-			t32 := b_A + int((t30)*d_A[1]+t31)
-			r_A_r2 := m.LoadF(t32)
-			t33 := i_j
-			if t33 < 0 || t33 >= d_A[0] {
-				return m.OOB(t33, d_A[0], 0, "A", 7, 29)
-			}
-			t34 := i_j
-			if t34 < 0 || t34 >= d_A[1] {
-				return m.OOB(t34, d_A[1], 1, "A", 7, 29)
-			}
-			t35 := b_A + int((t33)*d_A[1]+t34)
-			r_A_r3 := m.LoadF(t35)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-			if r_A_r3 == 0 {
-				return m.DivZero(7, 27)
-			}
-			t36 := float64(r_A_r2 / r_A_r3)
-			t37 := i_i
-			if t37 < 0 || t37 >= d_A[0] {
-				return m.OOB(t37, d_A[0], 0, "A", 7, 9)
-			}
-			t38 := i_j
-			if t38 < 0 || t38 >= d_A[1] {
-				return m.OOB(t38, d_A[1], 1, "A", 7, 9)
-			}
-			t39 := b_A + int((t37)*d_A[1]+t38)
-			m.StoreF(t39, t36)
+		if err := run_cholesky_resilient_n2(m, &cs, p_n, b_A, d_A, i_j); err != nil {
+			return err
 		}
 	}
 	if epoch == epochs-1 {
@@ -241,6 +163,98 @@ func run_cholesky_resilient(m *codegen.Machine, epoch, epochs int) error {
 		if err := m.Assert(0, 0); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+func run_cholesky_resilient_n1(m *codegen.Machine, cs *checksum.Folds, p_n int64, b_A int, d_A []int64) error {
+	t1 := p_n - int64(1)
+	for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t2 := p_n - int64(1)
+		for i_li1 := int64(0); i_li1 <= t2; i_li1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t3 := i_li0 - i_li1
+			if t3 == int64(0) {
+				t4 := i_li0
+				if t4 < 0 || t4 >= d_A[0] {
+					return m.OOB(t4, d_A[0], 0, "A", 0, 0)
+				}
+				t5 := i_li1
+				if t5 < 0 || t5 >= d_A[1] {
+					return m.OOB(t5, d_A[1], 1, "A", 0, 0)
+				}
+				t6 := b_A + int((t4)*d_A[1]+t5)
+				t7 := m.LoadF(t6)
+				cs.Fold(checksum.AccDef, math.Float64bits(t7), int64(1))
+			}
+			t8 := i_li0 - i_li1
+			t9 := t8 - int64(1)
+			if t9 >= int64(0) {
+				t10 := i_li0
+				if t10 < 0 || t10 >= d_A[0] {
+					return m.OOB(t10, d_A[0], 0, "A", 0, 0)
+				}
+				t11 := i_li1
+				if t11 < 0 || t11 >= d_A[1] {
+					return m.OOB(t11, d_A[1], 1, "A", 0, 0)
+				}
+				t12 := b_A + int((t10)*d_A[1]+t11)
+				t13 := m.LoadF(t12)
+				cs.Fold(checksum.AccDef, math.Float64bits(t13), int64(1))
+			}
+		}
+	}
+	return nil
+}
+
+func run_cholesky_resilient_n2(m *codegen.Machine, cs *checksum.Folds, p_n int64, b_A int, d_A []int64, i_j int64) error {
+	t28 := i_j + int64(1)
+	t29 := p_n - int64(1)
+	for i_i := t28; i_i <= t29; i_i++ {
+		if err := m.Tick(6, 3); err != nil {
+			return err
+		}
+		t30 := i_i
+		if t30 < 0 || t30 >= d_A[0] {
+			return m.OOB(t30, d_A[0], 0, "A", 7, 19)
+		}
+		t31 := i_j
+		if t31 < 0 || t31 >= d_A[1] {
+			return m.OOB(t31, d_A[1], 1, "A", 7, 19)
+		}
+		t32 := b_A + int((t30)*d_A[1]+t31)
+		r_A_r2 := m.LoadF(t32)
+		t33 := i_j
+		if t33 < 0 || t33 >= d_A[0] {
+			return m.OOB(t33, d_A[0], 0, "A", 7, 29)
+		}
+		t34 := i_j
+		if t34 < 0 || t34 >= d_A[1] {
+			return m.OOB(t34, d_A[1], 1, "A", 7, 29)
+		}
+		t35 := b_A + int((t33)*d_A[1]+t34)
+		r_A_r3 := m.LoadF(t35)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+		cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+		if r_A_r3 == 0 {
+			return m.DivZero(7, 27)
+		}
+		t36 := float64(r_A_r2 / r_A_r3)
+		t37 := i_i
+		if t37 < 0 || t37 >= d_A[0] {
+			return m.OOB(t37, d_A[0], 0, "A", 7, 9)
+		}
+		t38 := i_j
+		if t38 < 0 || t38 >= d_A[1] {
+			return m.OOB(t38, d_A[1], 1, "A", 7, 9)
+		}
+		t39 := b_A + int((t37)*d_A[1]+t38)
+		m.StoreF(t39, t36)
 	}
 	return nil
 }
@@ -255,51 +269,8 @@ func run_cholesky_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 	cs := checksum.NewFolds(m.Pair().Kind())
 	defer m.Pair().Flush(&cs)
 	if epoch == 0 {
-		t1 := p_n - int64(1)
-		for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t2 := p_n - int64(1)
-			t3 := i_li0 - int64(1)
-			t4 := codegen.MinI(t2, t3)
-			for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t5 := i_li0
-				if t5 < 0 || t5 >= d_A[0] {
-					return m.OOB(t5, d_A[0], 0, "A", 0, 0)
-				}
-				t6 := i_li1
-				if t6 < 0 || t6 >= d_A[1] {
-					return m.OOB(t6, d_A[1], 1, "A", 0, 0)
-				}
-				t7 := b_A + int((t5)*d_A[1]+t6)
-				t8 := m.LoadF(t7)
-				cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
-			}
-			t9 := codegen.MaxI(int64(0), i_li0)
-			t10 := p_n - int64(1)
-			for i_li1 := t9; i_li1 <= t10; i_li1++ {
-				if err := m.Tick(0, 0); err != nil {
-					return err
-				}
-				t11 := i_li0 - i_li1
-				if t11 == int64(0) {
-					t12 := i_li0
-					if t12 < 0 || t12 >= d_A[0] {
-						return m.OOB(t12, d_A[0], 0, "A", 0, 0)
-					}
-					t13 := i_li1
-					if t13 < 0 || t13 >= d_A[1] {
-						return m.OOB(t13, d_A[1], 1, "A", 0, 0)
-					}
-					t14 := b_A + int((t12)*d_A[1]+t13)
-					t15 := m.LoadF(t14)
-					cs.Fold(checksum.AccDef, math.Float64bits(t15), int64(1))
-				}
-			}
+		if err := run_cholesky_resilientopt_n1(m, &cs, p_n, b_A, d_A); err != nil {
+			return err
 		}
 		t16 := p_n - int64(2)
 		m.SetBounds(int64(0), t16)
@@ -340,86 +311,150 @@ func run_cholesky_resilientopt(m *codegen.Machine, epoch, epochs int) error {
 		t25 := t24 + p_n
 		t26 := t25 - int64(1)
 		cs.Fold(checksum.AccDef, math.Float64bits(r_A_w), t26)
-		t27 := i_j + int64(1)
-		t28 := p_n - int64(1)
-		for i_i := t27; i_i <= t28; i_i++ {
-			if err := m.Tick(6, 3); err != nil {
-				return err
-			}
-			t29 := i_i
-			if t29 < 0 || t29 >= d_A[0] {
-				return m.OOB(t29, d_A[0], 0, "A", 7, 19)
-			}
-			t30 := i_j
-			if t30 < 0 || t30 >= d_A[1] {
-				return m.OOB(t30, d_A[1], 1, "A", 7, 19)
-			}
-			t31 := b_A + int((t29)*d_A[1]+t30)
-			r_A_r2 := m.LoadF(t31)
-			t32 := i_j
-			if t32 < 0 || t32 >= d_A[0] {
-				return m.OOB(t32, d_A[0], 0, "A", 7, 29)
-			}
-			t33 := i_j
-			if t33 < 0 || t33 >= d_A[1] {
-				return m.OOB(t33, d_A[1], 1, "A", 7, 29)
-			}
-			t34 := b_A + int((t32)*d_A[1]+t33)
-			r_A_r3 := m.LoadF(t34)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
-			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
-			if r_A_r3 == 0 {
-				return m.DivZero(7, 27)
-			}
-			t35 := float64(r_A_r2 / r_A_r3)
-			t36 := i_i
-			if t36 < 0 || t36 >= d_A[0] {
-				return m.OOB(t36, d_A[0], 0, "A", 7, 9)
-			}
-			t37 := i_j
-			if t37 < 0 || t37 >= d_A[1] {
-				return m.OOB(t37, d_A[1], 1, "A", 7, 9)
-			}
-			t38 := b_A + int((t36)*d_A[1]+t37)
-			m.StoreF(t38, t35)
+		if err := run_cholesky_resilientopt_n2(m, &cs, p_n, b_A, d_A, i_j); err != nil {
+			return err
 		}
 	}
 	if epoch == epochs-1 {
-		t39 := p_n - int64(1)
-		t40 := codegen.MaxI(int64(0), t39)
-		t41 := p_n - int64(1)
-		for i_j := t40; i_j <= t41; i_j++ {
-			if err := m.Tick(0, 0); err != nil {
-				return err
-			}
-			t42 := i_j
-			if t42 < 0 || t42 >= d_A[0] {
-				return m.OOB(t42, d_A[0], 0, "A", 5, 22)
-			}
-			t43 := i_j
-			if t43 < 0 || t43 >= d_A[1] {
-				return m.OOB(t43, d_A[1], 1, "A", 5, 22)
-			}
-			t44 := b_A + int((t42)*d_A[1]+t43)
-			r_A_r := m.LoadF(t44)
-			cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
-			t45 := float64(math.Sqrt(r_A_r))
-			r_A_w := t45
-			t46 := i_j
-			if t46 < 0 || t46 >= d_A[0] {
-				return m.OOB(t46, d_A[0], 0, "A", 5, 7)
-			}
-			t47 := i_j
-			if t47 < 0 || t47 >= d_A[1] {
-				return m.OOB(t47, d_A[1], 1, "A", 5, 7)
-			}
-			t48 := b_A + int((t46)*d_A[1]+t47)
-			m.StoreF(t48, r_A_w)
+		if err := run_cholesky_resilientopt_n3(m, &cs, p_n, b_A, d_A); err != nil {
+			return err
 		}
 		m.Pair().Flush(&cs)
 		if err := m.Assert(0, 0); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+func run_cholesky_resilientopt_n1(m *codegen.Machine, cs *checksum.Folds, p_n int64, b_A int, d_A []int64) error {
+	t1 := p_n - int64(1)
+	for i_li0 := int64(0); i_li0 <= t1; i_li0++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t2 := p_n - int64(1)
+		t3 := i_li0 - int64(1)
+		t4 := codegen.MinI(t2, t3)
+		for i_li1 := int64(0); i_li1 <= t4; i_li1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t5 := i_li0
+			if t5 < 0 || t5 >= d_A[0] {
+				return m.OOB(t5, d_A[0], 0, "A", 0, 0)
+			}
+			t6 := i_li1
+			if t6 < 0 || t6 >= d_A[1] {
+				return m.OOB(t6, d_A[1], 1, "A", 0, 0)
+			}
+			t7 := b_A + int((t5)*d_A[1]+t6)
+			t8 := m.LoadF(t7)
+			cs.Fold(checksum.AccDef, math.Float64bits(t8), int64(1))
+		}
+		t9 := codegen.MaxI(int64(0), i_li0)
+		t10 := p_n - int64(1)
+		for i_li1 := t9; i_li1 <= t10; i_li1++ {
+			if err := m.Tick(0, 0); err != nil {
+				return err
+			}
+			t11 := i_li0 - i_li1
+			if t11 == int64(0) {
+				t12 := i_li0
+				if t12 < 0 || t12 >= d_A[0] {
+					return m.OOB(t12, d_A[0], 0, "A", 0, 0)
+				}
+				t13 := i_li1
+				if t13 < 0 || t13 >= d_A[1] {
+					return m.OOB(t13, d_A[1], 1, "A", 0, 0)
+				}
+				t14 := b_A + int((t12)*d_A[1]+t13)
+				t15 := m.LoadF(t14)
+				cs.Fold(checksum.AccDef, math.Float64bits(t15), int64(1))
+			}
+		}
+	}
+	return nil
+}
+
+func run_cholesky_resilientopt_n2(m *codegen.Machine, cs *checksum.Folds, p_n int64, b_A int, d_A []int64, i_j int64) error {
+	t27 := i_j + int64(1)
+	t28 := p_n - int64(1)
+	for i_i := t27; i_i <= t28; i_i++ {
+		if err := m.Tick(6, 3); err != nil {
+			return err
+		}
+		t29 := i_i
+		if t29 < 0 || t29 >= d_A[0] {
+			return m.OOB(t29, d_A[0], 0, "A", 7, 19)
+		}
+		t30 := i_j
+		if t30 < 0 || t30 >= d_A[1] {
+			return m.OOB(t30, d_A[1], 1, "A", 7, 19)
+		}
+		t31 := b_A + int((t29)*d_A[1]+t30)
+		r_A_r2 := m.LoadF(t31)
+		t32 := i_j
+		if t32 < 0 || t32 >= d_A[0] {
+			return m.OOB(t32, d_A[0], 0, "A", 7, 29)
+		}
+		t33 := i_j
+		if t33 < 0 || t33 >= d_A[1] {
+			return m.OOB(t33, d_A[1], 1, "A", 7, 29)
+		}
+		t34 := b_A + int((t32)*d_A[1]+t33)
+		r_A_r3 := m.LoadF(t34)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_A_r2), int64(1))
+		cs.Fold(checksum.AccUse, math.Float64bits(r_A_r3), int64(1))
+		if r_A_r3 == 0 {
+			return m.DivZero(7, 27)
+		}
+		t35 := float64(r_A_r2 / r_A_r3)
+		t36 := i_i
+		if t36 < 0 || t36 >= d_A[0] {
+			return m.OOB(t36, d_A[0], 0, "A", 7, 9)
+		}
+		t37 := i_j
+		if t37 < 0 || t37 >= d_A[1] {
+			return m.OOB(t37, d_A[1], 1, "A", 7, 9)
+		}
+		t38 := b_A + int((t36)*d_A[1]+t37)
+		m.StoreF(t38, t35)
+	}
+	return nil
+}
+
+func run_cholesky_resilientopt_n3(m *codegen.Machine, cs *checksum.Folds, p_n int64, b_A int, d_A []int64) error {
+	t39 := p_n - int64(1)
+	t40 := codegen.MaxI(int64(0), t39)
+	t41 := p_n - int64(1)
+	for i_j := t40; i_j <= t41; i_j++ {
+		if err := m.Tick(0, 0); err != nil {
+			return err
+		}
+		t42 := i_j
+		if t42 < 0 || t42 >= d_A[0] {
+			return m.OOB(t42, d_A[0], 0, "A", 5, 22)
+		}
+		t43 := i_j
+		if t43 < 0 || t43 >= d_A[1] {
+			return m.OOB(t43, d_A[1], 1, "A", 5, 22)
+		}
+		t44 := b_A + int((t42)*d_A[1]+t43)
+		r_A_r := m.LoadF(t44)
+		cs.Fold(checksum.AccUse, math.Float64bits(r_A_r), int64(1))
+		t45 := float64(math.Sqrt(r_A_r))
+		r_A_w := t45
+		t46 := i_j
+		if t46 < 0 || t46 >= d_A[0] {
+			return m.OOB(t46, d_A[0], 0, "A", 5, 7)
+		}
+		t47 := i_j
+		if t47 < 0 || t47 >= d_A[1] {
+			return m.OOB(t47, d_A[1], 1, "A", 5, 7)
+		}
+		t48 := b_A + int((t46)*d_A[1]+t47)
+		m.StoreF(t48, r_A_w)
 	}
 	return nil
 }

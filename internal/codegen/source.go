@@ -2,8 +2,12 @@ package codegen
 
 import (
 	"fmt"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -22,6 +26,18 @@ import (
 // assert_checksums and, by a defer, on every return, so the Pair holds the
 // interpreter's bits whenever anything reads it. cmd/genkernels commits the
 // rendered kernels under internal/codegen/gennative.
+//
+// Loop nests are functions (DESIGN.md §10). In a program with folds, every
+// loop directly under the kernel loop and every top-level loop before or
+// after it is emitted as a helper function of its own, and a helper whose
+// body is still over maxFuncNodes outlines its largest nested loops in turn,
+// then its largest runs of fold-only statements, until every function fits.
+// Go inlines Folds.Fold and State.LoadF/StoreF only into functions under its
+// big-function limit. A helper takes the machine, a *checksum.Folds that
+// points at the entry function's cs, and the parameters, variables,
+// iterators and registers its statements read, and returns the first error
+// unchanged; it flushes through its pointer before each assert_checksums.
+// Programs without folds (the Originals) are emitted as one function.
 
 // SourceFunc names one program to render into a source file.
 type SourceFunc struct {
@@ -41,9 +57,15 @@ func SourceFile(pkg string, funcs []SourceFunc) ([]byte, error) {
 		if err := lang.Check(f.Prog); err != nil {
 			return nil, err
 		}
-		g := &srcGen{env: newTypeEnv(f.Prog), prog: f.Prog, folds: hasFolds(f.Prog)}
+		g := newSrcGen(f.Prog)
+		if g.folds {
+			if err := g.plan(f.FuncName); err != nil {
+				return nil, err
+			}
+		}
 		g.function(f.FuncName, f.Comment)
 		bodies = append(bodies, g.b.String())
+		bodies = append(bodies, g.helpers...)
 		needsMath = needsMath || g.needsMath
 		needsChecksum = needsChecksum || g.needsChecksum
 	}
@@ -72,9 +94,22 @@ func Source(prog *lang.Program, funcName string) ([]byte, error) {
 	return SourceFile("gennative", []SourceFunc{{FuncName: funcName, Prog: prog}})
 }
 
-// srcGen emits one function.
+// maxFuncNodes caps the go/ast nodes in the body of a generated function.
+// Go's inliner calls a function of inlineBigFunctionNodes (5,000) IR nodes
+// or more "big" (cmd/compile/internal/inline/inl.go) and inlines into it only
+// callees of cost 20 or less, which shuts out Folds.Fold (77) and
+// State.LoadF/StoreF (67). The go/ast count runs close to the IR count: on
+// the single-function kernels a body of 5,136 go/ast nodes was big and one
+// of 4,263 was not. The cap keeps a margin below both.
+const maxFuncNodes = 4000
+
+// helperNodes is what a helper's body adds to the statements it holds: the
+// block and "return nil".
+const helperNodes = 3
+
+// srcGen emits one program's entry function and its helpers.
 type srcGen struct {
-	b      strings.Builder
+	b      *strings.Builder
 	indent int
 	tmp    int
 	env    *typeEnv
@@ -82,7 +117,18 @@ type srcGen struct {
 
 	needsMath     bool
 	needsChecksum bool
-	folds         bool // the program has an add_to_chksm: declare and flush cs
+	folds         bool   // the program has an add_to_chksm: declare and flush cs
+	csRef         string // the *checksum.Folds in the function being emitted
+
+	name    string               // the entry function, prefix of its helpers' names
+	cut     map[lang.Stmt]int    // first statement of a run emitted as a helper → run length
+	helpers []string             // rendered helpers; the k-th is <name>_n<k>
+	nodes   map[lang.Stmt]int    // go/ast nodes each statement renders to inline
+	spans   map[lang.Stmt][2]int // measuring pass: each statement's text in b
+}
+
+func newSrcGen(prog *lang.Program) *srcGen {
+	return &srcGen{b: new(strings.Builder), env: newTypeEnv(prog), prog: prog, folds: hasFolds(prog), csRef: "&cs"}
 }
 
 // hasFolds reports whether prog has an add_to_chksm statement, and so
@@ -99,7 +145,7 @@ func hasFolds(prog *lang.Program) bool {
 
 func (g *srcGen) emitf(f string, args ...any) {
 	g.b.WriteString(strings.Repeat("\t", g.indent))
-	fmt.Fprintf(&g.b, f, args...)
+	fmt.Fprintf(g.b, f, args...)
 	g.b.WriteString("\n")
 }
 
@@ -108,24 +154,22 @@ func (g *srcGen) newTmp() string {
 	return fmt.Sprintf("t%d", g.tmp)
 }
 
-// usedNames walks the whole program and reports which parameters and
-// variables the generated body will reference, so the prologue binds only
-// those (Go rejects unused variables).
-func (g *srcGen) usedNames() (params, vars map[string]bool) {
-	params, vars = map[string]bool{}, map[string]bool{}
+// refs reports every name the statements ss reference. The prologue binds
+// only the parameters and variables the program references (Go rejects
+// unused variables), and a helper takes only the names its statements do.
+// Check rules out shadowing, so a name means one thing wherever it is in
+// scope.
+func refs(ss []lang.Stmt) map[string]bool {
+	names := map[string]bool{}
 	seen := func(e lang.Expr) {
 		lang.WalkExpr(e, func(x lang.Expr) bool {
 			if r, ok := x.(*lang.Ref); ok {
-				if g.prog.Decl(r.Name) != nil {
-					vars[r.Name] = true
-				} else if g.prog.IsParam(r.Name) {
-					params[r.Name] = true
-				}
+				names[r.Name] = true
 			}
 			return true
 		})
 	}
-	lang.WalkStmts(g.prog.Body, func(s lang.Stmt) bool {
+	lang.WalkStmts(ss, func(s lang.Stmt) bool {
 		switch x := s.(type) {
 		case *lang.Assign:
 			seen(x.LHS)
@@ -145,7 +189,7 @@ func (g *srcGen) usedNames() (params, vars map[string]bool) {
 		}
 		return true
 	})
-	return params, vars
+	return names
 }
 
 // function emits the Fn-shaped definition for the program.
@@ -154,6 +198,7 @@ func (g *srcGen) function(name, comment string) {
 	if comment != "" {
 		g.emitf("// %s", comment)
 	}
+	g.name = name
 	g.emitf("func %s(m *codegen.Machine, epoch, epochs int) error {", name)
 	g.indent++
 	g.emitf("if err := codegen.CheckEpoch(epoch, epochs); err != nil {")
@@ -164,14 +209,14 @@ func (g *srcGen) function(name, comment string) {
 		g.emitf("\treturn nil")
 		g.emitf("}")
 	}
-	params, vars := g.usedNames()
+	used := refs(g.prog.Body)
 	for _, p := range g.prog.Params {
-		if params[p] {
+		if used[p] {
 			g.emitf("p_%s := m.Param(%q)", p, p)
 		}
 	}
 	for _, d := range g.prog.Decls {
-		if !vars[d.Name] {
+		if !used[d.Name] {
 			continue
 		}
 		if d.IsArray() {
@@ -225,6 +270,257 @@ func (g *srcGen) function(name, comment string) {
 	g.emitf("}")
 }
 
+// plan decides which statements the entry function cuts out into helpers.
+// A measuring pass renders the function with nothing cut and counts the
+// go/ast nodes each statement renders to. The counts add up: cutting a run
+// of statements out of a function removes their nodes and adds a call's.
+// Every loop directly under the kernel loop, and every top-level loop before
+// or after it, becomes a helper; then fit shrinks each function in turn.
+func (g *srcGen) plan(name string) error {
+	mg := newSrcGen(g.prog)
+	mg.spans = map[lang.Stmt][2]int{}
+	mg.function(name, "")
+	nodes, size, err := spanNodes(mg.b.String(), mg.spans)
+	if err != nil {
+		return err
+	}
+	g.nodes, g.cut = nodes, map[lang.Stmt]int{}
+	pre, loop, post := lang.KernelLoop(g.prog.Body)
+	lists := [][]lang.Stmt{pre, post}
+	if loop != nil {
+		lists = append(lists, loop.Body)
+	}
+	for _, ss := range lists {
+		for i, s := range ss {
+			if _, ok := loopBody(s); ok {
+				size -= g.cutOut(ss[i : i+1])
+			}
+		}
+	}
+	g.fit(lists, size)
+	return nil
+}
+
+// fit cuts statements out of a function of size nodes, whose own statement
+// lists are lists and the lists under them, until it fits maxFuncNodes:
+// first its largest loops, then its largest runs of fold-only statements.
+func (g *srcGen) fit(lists [][]lang.Stmt, size int) {
+	for size > maxFuncNodes {
+		var loop []lang.Stmt
+		g.eachList(lists, func(ss []lang.Stmt) {
+			for i, s := range ss {
+				if _, ok := loopBody(s); ok && g.cut[s] == 0 && (loop == nil || g.nodes[s] > g.nodes[loop[0]]) {
+					loop = ss[i : i+1]
+				}
+			}
+		})
+		if loop == nil {
+			break
+		}
+		size -= g.cutOut(loop)
+	}
+	for size > maxFuncNodes {
+		var run []lang.Stmt
+		best := 0
+		g.eachList(lists, func(ss []lang.Stmt) {
+			for i := 0; i < len(ss); i++ {
+				if n := g.cut[ss[i]]; n > 0 {
+					i += n - 1 // already a helper
+					continue
+				}
+				if !foldOnly(ss[i]) {
+					continue
+				}
+				j, n := i, 0
+				for ; j < len(ss) && foldOnly(ss[j]) && g.cut[ss[j]] == 0; j++ {
+					n += g.nodes[ss[j]]
+				}
+				if n > best {
+					run, best = ss[i:j], n
+				}
+				i = j - 1
+			}
+		})
+		if run == nil || best <= callNodes(run) {
+			break
+		}
+		// Cut the run into consecutive helpers that each fit.
+		for len(run) > 0 {
+			j, n := 1, g.nodes[run[0]]
+			for ; j < len(run) && n+g.nodes[run[j]]+helperNodes <= maxFuncNodes; j++ {
+				n += g.nodes[run[j]]
+			}
+			size -= g.cutOut(run[:j])
+			run = run[j:]
+		}
+	}
+}
+
+// cutOut marks ss, one loop or a run of fold-only statements, to be emitted
+// as a helper, fits a loop's helper in turn, and returns the nodes the cut
+// takes out of the calling function.
+func (g *srcGen) cutOut(ss []lang.Stmt) int {
+	g.cut[ss[0]] = len(ss)
+	n := 0
+	for _, s := range ss {
+		n += g.nodes[s]
+	}
+	if body, ok := loopBody(ss[0]); ok {
+		g.fit([][]lang.Stmt{body}, n+helperNodes)
+	}
+	return n - callNodes(ss)
+}
+
+// eachList calls visit with lists and every statement list under them that
+// stays in the same function: loop bodies and if branches, but nothing cut
+// out and nothing inside a fold-only statement.
+func (g *srcGen) eachList(lists [][]lang.Stmt, visit func([]lang.Stmt)) {
+	for _, ss := range lists {
+		visit(ss)
+		for _, s := range ss {
+			if g.cut[s] > 0 || foldOnly(s) {
+				continue
+			}
+			if body, ok := loopBody(s); ok {
+				g.eachList([][]lang.Stmt{body}, visit)
+			} else if x, ok := s.(*lang.If); ok {
+				g.eachList([][]lang.Stmt{x.Then, x.Else}, visit)
+			}
+		}
+	}
+}
+
+// loopBody returns the body of a for or while loop, and whether s is one.
+func loopBody(s lang.Stmt) ([]lang.Stmt, bool) {
+	switch x := s.(type) {
+	case *lang.For:
+		return x.Body, true
+	case *lang.While:
+		return x.Body, true
+	}
+	return nil, false
+}
+
+// foldOnly reports whether s only folds: an add_to_chksm, or an if whose
+// branches hold nothing else. Such a statement binds no register, ticks no
+// loop and asserts nothing, so a run of them can move into a helper as it is.
+func foldOnly(s lang.Stmt) bool {
+	switch x := s.(type) {
+	case *lang.AddToChecksum:
+		return true
+	case *lang.If:
+		for _, ss := range [][]lang.Stmt{x.Then, x.Else} {
+			for _, t := range ss {
+				if !foldOnly(t) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// callNodes bounds the go/ast nodes of the call that replaces ss:
+// "if err := f(m, &cs); err != nil { return err }" is 14, and each name ss
+// references adds at most two arguments (b_ and d_ for an array).
+func callNodes(ss []lang.Stmt) int { return 14 + 2*len(refs(ss)) }
+
+// spanNodes parses a rendered function and counts the go/ast nodes of its
+// body and of each statement's span of the text.
+func spanNodes(src string, spans map[lang.Stmt][2]int) (map[lang.Stmt]int, int, error) {
+	const pkg = "package p\n"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "", pkg+src, 0)
+	if err != nil {
+		return nil, 0, fmt.Errorf("codegen: measuring generated source: %w", err)
+	}
+	body := f.Decls[0].(*ast.FuncDecl).Body
+	base := fset.File(body.Pos()).Base() + len(pkg)
+	var at []int
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n != nil {
+			at = append(at, int(n.Pos())-base)
+		}
+		return true
+	})
+	sort.Ints(at)
+	nodes := make(map[lang.Stmt]int, len(spans))
+	for s, sp := range spans {
+		nodes[s] = sort.SearchInts(at, sp[1]) - sort.SearchInts(at, sp[0])
+	}
+	return nodes, len(at), nil
+}
+
+// helper emits ss as the function <entry>_n<k>, called in their place. The
+// helper takes the machine, the folds through a pointer, and the parameters,
+// variables, in-scope iterators and in-scope registers ss reference, and
+// returns the first error unchanged.
+func (g *srcGen) helper(ss []lang.Stmt) {
+	used := refs(ss)
+	args := []string{"m", g.csRef}
+	params := []string{"m *codegen.Machine", "cs *checksum.Folds"}
+	arg := func(name, typ string) {
+		args = append(args, name)
+		params = append(params, name+" "+typ)
+	}
+	for _, p := range g.prog.Params {
+		if used[p] {
+			arg("p_"+p, "int64")
+		}
+	}
+	for _, d := range g.prog.Decls {
+		if used[d.Name] {
+			arg("b_"+d.Name, "int")
+			if d.IsArray() {
+				arg("d_"+d.Name, "[]int64")
+			}
+		}
+	}
+	for _, it := range sortedNames(g.env.iters) {
+		if used[it] {
+			arg("i_"+it, "int64")
+		}
+	}
+	for _, r := range sortedNames(g.env.regs) {
+		if used[r] {
+			typ := "float64"
+			if g.env.regs[r] {
+				typ = "int64"
+			}
+			arg("r_"+r, typ)
+		}
+	}
+	g.helpers = append(g.helpers, "")
+	k := len(g.helpers)
+	name := fmt.Sprintf("%s_n%d", g.name, k)
+	g.emitf("if err := %s(%s); err != nil {", name, strings.Join(args, ", "))
+	g.emitf("\treturn err")
+	g.emitf("}")
+
+	b, indent, csRef := g.b, g.indent, g.csRef
+	g.b, g.indent, g.csRef = new(strings.Builder), 0, "cs"
+	g.emitf("func %s(%s) error {", name, strings.Join(params, ", "))
+	g.indent++
+	for _, s := range ss {
+		g.stmt(s)
+	}
+	g.emitf("return nil")
+	g.indent--
+	g.emitf("}")
+	g.helpers[k-1] = g.b.String()
+	g.b, g.indent, g.csRef = b, indent, csRef
+}
+
+func sortedNames(set map[string]bool) []string {
+	names := make([]string, 0, len(set))
+	for n := range set {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func (g *srcGen) emitTick(pos lang.Pos) {
 	g.emitf("if err := m.Tick(%d, %d); err != nil {", pos.Line, pos.Col)
 	g.emitf("\treturn err")
@@ -234,8 +530,13 @@ func (g *srcGen) emitTick(pos lang.Pos) {
 // stmts emits a statement list. A register a Let in the list binds goes out
 // of scope at the list's end, as the Go local it becomes does.
 func (g *srcGen) stmts(ss []lang.Stmt) {
-	for _, s := range ss {
-		g.stmt(s)
+	for i := 0; i < len(ss); i++ {
+		if n := g.cut[ss[i]]; n > 0 {
+			g.helper(ss[i : i+n])
+			i += n - 1
+			continue
+		}
+		g.stmt(ss[i])
 	}
 	for _, s := range ss {
 		if l, ok := s.(*lang.Let); ok {
@@ -244,7 +545,17 @@ func (g *srcGen) stmts(ss []lang.Stmt) {
 	}
 }
 
+// stmt emits one statement in place; the measuring pass records the text it
+// takes.
 func (g *srcGen) stmt(s lang.Stmt) {
+	start := g.b.Len()
+	g.lower(s)
+	if g.spans != nil {
+		g.spans[s] = [2]int{start, g.b.Len()}
+	}
+}
+
+func (g *srcGen) lower(s lang.Stmt) {
 	switch x := s.(type) {
 	case *lang.Assign:
 		g.assign(x)
@@ -321,7 +632,7 @@ func (g *srcGen) stmt(s lang.Stmt) {
 		g.env.regs[x.Name] = isInt
 	case *lang.AssertChecksums:
 		if g.folds {
-			g.emitf("m.Pair().Flush(&cs)")
+			g.emitf("m.Pair().Flush(%s)", g.csRef)
 		}
 		g.emitf("if err := m.Assert(%d, %d); err != nil {", x.Pos.Line, x.Pos.Col)
 		g.emitf("\treturn err")
