@@ -75,8 +75,9 @@ func BenchmarkTable1Checksum(b *testing.B) {
 	})
 }
 
-// BenchmarkFig10 runs every Table 2 kernel in each Figure 10 variant; the
-// per-variant ns/op ratios reproduce the figure's normalized runtimes.
+// BenchmarkFig10 runs every Table 2 kernel in each Figure 10 variant on the
+// interpreter. Its ns/op time the tree-walker; Figure 10's wall clock comes
+// from the generated kernels (cmd/overhead -backend native).
 func BenchmarkFig10(b *testing.B) {
 	for _, bm := range bench.Suite() {
 		for _, v := range []bench.Variant{bench.Original, bench.Resilient, bench.ResilientOpt} {

@@ -23,18 +23,20 @@
 // plain epoch supervision and once with crash-consistent WAL checkpoints
 // sealed (encoded, CRC-framed, fsynced) at every verified epoch boundary,
 // reporting the runtime ratio and the checkpoint log size. Outputs of the
-// two runs are verified equal.
+// two runs are verified equal. With -json the rows are merged into the
+// report as its durable block.
 //
 // Scale multiplies the paper's problem sizes; the kernels execute on the
-// package's instruction-counting interpreter, so the op-count columns are
-// deterministic and machine-independent. -json additionally writes the
-// machine-readable overhead report (schema defuse/overhead/v5) for
-// regression tracking across commits, including histogram-derived
-// p50/p99/p999 quantiles for epoch-verification cost and detection latency
-// (measured by a small supervised fault-injection probe). -parallel N runs
-// the parallel-safe kernels through the sharded executor at worker counts
-// 1,2,4,...,N and appends the scaling curve (wall-clock and deterministic
-// critical-path speedups) to the report.
+// package's instruction-counting interpreter, so the Figure 10/11 rows carry
+// only deterministic, machine-independent op counts. -json additionally merges
+// the results into the machine-readable overhead report (schema
+// defuse/overhead/v5, created if missing; the blocks other commands merged
+// in are kept) for regression tracking across commits, including
+// histogram-derived p50/p99/p999 quantiles for epoch-verification cost and
+// detection latency (measured by a small supervised fault-injection probe).
+// -parallel N runs the parallel-safe kernels through the sharded executor at
+// worker counts 1,2,4,...,N and appends the scaling curve (wall-clock and
+// deterministic critical-path speedups) to the report.
 //
 // -serve starts the live telemetry endpoint (/metrics, /events, /flight,
 // /trace, /debug/pprof); -linger keeps it up after the measurements finish
@@ -44,9 +46,11 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 
@@ -63,7 +67,7 @@ func main() {
 	one := flag.String("bench", "", "run a single benchmark by Table 2 name")
 	list := flag.Bool("list", false, "print Table 2 (benchmarks and problem sizes) and exit")
 	parallel := flag.Int("parallel", 0, "measure the sharded executor's scaling curve up to N workers (0 disables)")
-	jsonOut := flag.Bool("json", false, "also write the machine-readable overhead report")
+	jsonOut := flag.Bool("json", false, "also merge the results into the machine-readable overhead report (created if missing)")
 	jsonPath := flag.String("json-out", "BENCH_overhead.json", "path of the -json report")
 	wal := flag.String("wal", "", "measure durable-checkpoint overhead, writing per-benchmark WALs into this directory")
 	walEpochs := flag.Int("wal-epochs", 8, "with -wal: epochs (checkpoint seals) per benchmark run")
@@ -219,21 +223,29 @@ func run(fig string, scale float64, one string, parallel int, jsonOut bool, json
 			return err
 		}
 		rep.AttachQuantiles(snap)
-		f, err := os.Create(jsonPath)
+		// The interpreter run owns the cost-model blocks; the native,
+		// service, backends, soak and durable blocks merged in by the other
+		// commands survive. Only a missing report is written from scratch.
+		err = bench.MergeReport(jsonPath, func(r *bench.OverheadReport) {
+			r.GeneratedAt, r.Scale, r.Rows, r.Geomean = rep.GeneratedAt, rep.Scale, rep.Rows, rep.Geomean
+			r.Quantiles, r.Scaling = rep.Quantiles, rep.Scaling
+		}, writeReport)
+		if errors.Is(err, fs.ErrNotExist) {
+			var buf bytes.Buffer
+			if err = rep.WriteJSON(&buf); err == nil {
+				err = writeReport(jsonPath, buf.Bytes())
+			}
+		}
 		if err != nil {
-			return err
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "overhead: wrote %s\n", jsonPath)
 	}
 	return nil
 }
+
+// writeReport is the file writer every -json path hands bench.MergeReport.
+func writeReport(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
 
 // runQuantileProbe fills the epoch-verify and detection-latency histograms
 // behind the v2 report's quantiles block by running a small supervised
@@ -299,20 +311,10 @@ func runDurable(scale float64, one, walDir string, epochs int, jsonOut bool, jso
 	fmt.Println()
 	fmt.Print(bench.FormatDurable(rows))
 	if jsonOut {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
+		if err := bench.MergeReport(jsonPath, func(r *bench.OverheadReport) { r.Durable = rows }, writeReport); err != nil {
+			return fmt.Errorf("%w (run -backend interp -json first to create the report)", err)
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "overhead: wrote %s\n", jsonPath)
+		fmt.Fprintf(os.Stderr, "overhead: merged durable rows into %s\n", jsonPath)
 	}
 	return nil
 }

@@ -64,8 +64,7 @@ func runNative(scale float64, one string, jsonOut bool, jsonPath string) error {
 	fmt.Println()
 	fmt.Print(bench.FormatNative(rows))
 	if jsonOut {
-		write := func(p string, data []byte) error { return os.WriteFile(p, data, 0o644) }
-		if err := bench.MergeReport(jsonPath, func(r *bench.OverheadReport) { r.Native = rows }, write); err != nil {
+		if err := bench.MergeReport(jsonPath, func(r *bench.OverheadReport) { r.Native = rows }, writeReport); err != nil {
 			return fmt.Errorf("%w (run -backend interp -json first to create the report)", err)
 		}
 		fmt.Fprintf(os.Stderr, "overhead: merged native rows into %s\n", jsonPath)

@@ -196,7 +196,7 @@ func TestMoldynPlansMatchPaper(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	rows := []Figure10Row{{Bench: "x", OriginalSeconds: 1, ResilientTime: 1.5, OptimizedTime: 1.2, ResilientOps: 1.6, OptimizedOps: 1.3}}
+	rows := []Figure10Row{{Bench: "x", ResilientOps: 1.6, OptimizedOps: 1.3}}
 	if s := FormatFigure10(rows); s == "" || len(s) < 20 {
 		t.Error("empty figure 10 format")
 	}

@@ -26,15 +26,15 @@ import (
 // defused -soak) and the service row's retry tallies. Only v5 is read.
 const OverheadSchema = "defuse/overhead/v5"
 
-// OverheadRow is one benchmark's measurements across the three variants.
+// OverheadRow is one benchmark's cost-model result across the three
+// variants: the interpreter's op-count ratios (Figure 10) and the
+// hardware-unit estimate (Figure 11), all deterministic. Wall clock lives in
+// the native block.
 type OverheadRow struct {
-	Bench           string  `json:"bench"`
-	OriginalSeconds float64 `json:"original_seconds"`
-	ResilientTime   float64 `json:"resilient_time"`
-	OptimizedTime   float64 `json:"optimized_time"`
-	ResilientOps    float64 `json:"resilient_ops"`
-	OptimizedOps    float64 `json:"optimized_ops"`
-	HWEstimate      float64 `json:"hw_estimate"`
+	Bench        string  `json:"bench"`
+	ResilientOps float64 `json:"resilient_ops"`
+	OptimizedOps float64 `json:"optimized_ops"`
+	HWEstimate   float64 `json:"hw_estimate"`
 }
 
 // OverheadGeomean summarizes the suite the way the paper does.
@@ -268,6 +268,9 @@ type OverheadReport struct {
 	// Soak is the chaos-soak survival result (defused -soak -json-out merges
 	// it).
 	Soak *SoakRow `json:"soak,omitempty"`
+	// Durable holds the WAL-seal overhead rows (cmd/overhead -wal DIR -json
+	// merges them). An optional addition to v5.
+	Durable []DurableRow `json:"durable,omitempty"`
 }
 
 // AttachQuantiles pulls the epoch-verify and detection-latency families out
@@ -304,13 +307,10 @@ func BuildOverheadReport(rows10 []Figure10Row, rows11 []Figure11Row, scale float
 			return OverheadReport{}, fmt.Errorf("bench: row %d mismatch: %s vs %s", i, r.Bench, rows11[i].Bench)
 		}
 		rep.Rows = append(rep.Rows, OverheadRow{
-			Bench:           r.Bench,
-			OriginalSeconds: r.OriginalSeconds,
-			ResilientTime:   r.ResilientTime,
-			OptimizedTime:   r.OptimizedTime,
-			ResilientOps:    r.ResilientOps,
-			OptimizedOps:    r.OptimizedOps,
-			HWEstimate:      rows11[i].HWEstimate,
+			Bench:        r.Bench,
+			ResilientOps: r.ResilientOps,
+			OptimizedOps: r.OptimizedOps,
+			HWEstimate:   rows11[i].HWEstimate,
 		})
 		hwSum += math.Log(rows11[i].HWEstimate)
 		hwN++
@@ -351,8 +351,8 @@ func ParseOverheadReport(r io.Reader) (OverheadReport, error) {
 // func(r *OverheadReport) { r.Service = &row }), and the file is rewritten
 // via writeFile (pass wal.WriteFileAtomic or os.WriteFile). Every other
 // block survives, so the committed BENCH_overhead.json accumulates the
-// service, backend, native and soak rows without re-running the whole
-// overhead suite.
+// service, backend, native, soak and durable rows without re-running the
+// whole overhead suite. A missing file is an error wrapping fs.ErrNotExist.
 func MergeReport(path string, install func(*OverheadReport), writeFile func(string, []byte) error) error {
 	f, err := os.Open(path)
 	if err != nil {

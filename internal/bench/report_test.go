@@ -10,8 +10,8 @@ import (
 
 func sampleRows() ([]Figure10Row, []Figure11Row) {
 	rows10 := []Figure10Row{
-		{Bench: "jacobi", OriginalSeconds: 0.01, ResilientTime: 1.9, OptimizedTime: 1.4, ResilientOps: 1.8, OptimizedOps: 1.4},
-		{Bench: "cg", OriginalSeconds: 0.02, ResilientTime: 2.1, OptimizedTime: 1.5, ResilientOps: 2.0, OptimizedOps: 1.5},
+		{Bench: "jacobi", ResilientOps: 1.8, OptimizedOps: 1.4},
+		{Bench: "cg", ResilientOps: 2.0, OptimizedOps: 1.5},
 	}
 	rows11 := []Figure11Row{
 		{Bench: "jacobi", HWEstimate: 1.05},

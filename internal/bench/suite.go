@@ -125,16 +125,12 @@ func (b *Benchmark) RunWith(v Variant, scale float64, tel Telemetry) (*RunResult
 	return &RunResult{Bench: b.Name, Variant: v, Duration: dur, Counts: m.Counts, Output: out}, nil
 }
 
-// Figure10Row is one benchmark's entry in the Figure 10 reproduction.
+// Figure10Row is one benchmark's entry in the Figure 10 reproduction on the
+// interpreter: deterministic operation-count normalized runtimes under the
+// software cost model (Original = 1.0). Wall clock on compiled code is the
+// native backend's NativeRow.
 type Figure10Row struct {
-	Bench           string
-	OriginalSeconds float64
-	// Wall-clock normalized runtimes (Original = 1.0).
-	ResilientTime float64
-	OptimizedTime float64
-	// Deterministic operation-count normalized runtimes under the software
-	// cost model (the primary shape evidence; wall clock of an interpreter
-	// tracks these closely).
+	Bench        string
 	ResilientOps float64
 	OptimizedOps float64
 }
@@ -181,12 +177,9 @@ func RunBenchmarkWith(b *Benchmark, scale float64, tel Telemetry) (Figure10Row, 
 	}
 	baseCost := hwsim.SoftwareCost(orig.Counts)
 	row10 := Figure10Row{
-		Bench:           b.Name,
-		OriginalSeconds: orig.Duration.Seconds(),
-		ResilientTime:   ratio(res.Duration.Seconds(), orig.Duration.Seconds()),
-		OptimizedTime:   ratio(opt.Duration.Seconds(), orig.Duration.Seconds()),
-		ResilientOps:    hwsim.SoftwareCost(res.Counts) / baseCost,
-		OptimizedOps:    hwsim.SoftwareCost(opt.Counts) / baseCost,
+		Bench:        b.Name,
+		ResilientOps: hwsim.SoftwareCost(res.Counts) / baseCost,
+		OptimizedOps: hwsim.SoftwareCost(opt.Counts) / baseCost,
 	}
 	row11 := Figure11Row{
 		Bench:      b.Name,
@@ -256,14 +249,12 @@ func geomean(rows []Figure10Row, f func(Figure10Row) float64) float64 {
 // FormatFigure10 renders the rows as the text analogue of Figure 10.
 func FormatFigure10(rows []Figure10Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %12s %12s\n",
-		"Benchmark", "Orig(s)", "Resil(time)", "Opt(time)", "Resil(ops)", "Opt(ops)")
+	fmt.Fprintf(&b, "%-10s %12s %12s\n", "Benchmark", "Resil(ops)", "Opt(ops)")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %12.4f %12.3f %12.3f %12.3f %12.3f\n",
-			r.Bench, r.OriginalSeconds, r.ResilientTime, r.OptimizedTime, r.ResilientOps, r.OptimizedOps)
+		fmt.Fprintf(&b, "%-10s %12.3f %12.3f\n", r.Bench, r.ResilientOps, r.OptimizedOps)
 	}
 	rg, og := GeoMeans(rows)
-	fmt.Fprintf(&b, "%-10s %12s %12s %12s %12.3f %12.3f\n", "geomean", "", "", "", rg, og)
+	fmt.Fprintf(&b, "%-10s %12.3f %12.3f\n", "geomean", rg, og)
 	return b.String()
 }
 

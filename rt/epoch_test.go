@@ -102,12 +102,10 @@ func TestRollbackRejectsUnsealedState(t *testing.T) {
 	}
 }
 
-func TestResetClearsEpochStateUnderObserver(t *testing.T) {
-	// Satellite: Reset and Checksums must behave identically with an
-	// observer attached — the observer must not see phantom events from
-	// either, and Reset must clear epochs and op counters too.
-	obs := &CountingObserver{}
-	tr := NewTracker().SetObserver(obs)
+func TestResetClearsEpochState(t *testing.T) {
+	// Reset must clear the checksums, the epoch index and the op counters,
+	// and leave a tracker that verifies clean and keeps counting.
+	tr := NewTracker()
 	var c Counter
 	DefDyn(tr, &c, 0.0, 4.0)
 	Use(tr, &c, 4.0)
@@ -115,7 +113,6 @@ func TestResetClearsEpochStateUnderObserver(t *testing.T) {
 	if _, err := tr.EndEpoch(); err != nil {
 		t.Fatal(err)
 	}
-	defsBefore, usesBefore := obs.Defs.Load(), obs.Uses.Load()
 
 	tr.Reset()
 	if def, use, edef, euse := tr.Checksums(); def|use|edef|euse != 0 {
@@ -127,16 +124,12 @@ func TestResetClearsEpochStateUnderObserver(t *testing.T) {
 	if defs, uses := tr.OpCounts(); defs != 0 || uses != 0 {
 		t.Errorf("Reset left OpCounts = %d/%d", defs, uses)
 	}
-	if obs.Defs.Load() != defsBefore || obs.Uses.Load() != usesBefore {
-		t.Error("Reset/Checksums emitted observer events")
-	}
 	if err := tr.Verify(); err != nil {
 		t.Errorf("reset tracker must verify clean: %v", err)
 	}
-	// The observer stays attached and keeps observing after Reset.
 	Def(tr, 5.0, 1)
-	if obs.Defs.Load() != defsBefore+1 {
-		t.Error("observer detached by Reset")
+	if defs, _ := tr.OpCounts(); defs != 1 {
+		t.Errorf("OpCounts after Reset and one Def = %d defs, want 1", defs)
 	}
 }
 

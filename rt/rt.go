@@ -130,11 +130,6 @@ func (e *DetectorFaultError) Unwrap() error { return e.Err }
 // activation.
 type Tracker struct {
 	pair *checksum.Pair
-	// obs, when non-nil, observes every def/use/verify. The hot path is a
-	// single nil check, so the uninstrumented case stays allocation-free
-	// and within noise of the unobserved tracker (see the benchmark guard
-	// in observer_test.go).
-	obs Observer
 	// defs/uses count dynamic def and use operations; epoch is the current
 	// epoch index (see epoch.go). Plain increments, kept on the hot path
 	// because epoch snapshots need them and they stay within the benchmark
@@ -165,12 +160,8 @@ func NewTrackerWith(k checksum.Kind) *Tracker {
 // value is folded into the def-checksum n times (Algorithm 3, known path).
 // It returns v so the call can wrap an assignment's right-hand side.
 func Def[T Word](t *Tracker, v T, n int64) T {
-	bits := Bits(v)
-	t.pair.AddDef(bits, n)
+	t.pair.AddDef(Bits(v), n)
 	t.defs++
-	if t.obs != nil {
-		t.obs.ObserveDef(bits, n)
-	}
 	return v
 }
 
@@ -189,9 +180,6 @@ func DefDyn[T Word](t *Tracker, c *Counter, prev, v T) T {
 	c.n = 0
 	c.defined = true
 	c.enc = encCounter(1)
-	if t.obs != nil {
-		t.obs.ObserveDef(Bits(v), -1)
-	}
 	return v
 }
 
@@ -214,28 +202,20 @@ func (t *Tracker) checkCounter(c *Counter) {
 // folded into the use-checksum and the counter incremented. It returns v so
 // reads can be wrapped in place.
 func Use[T Word](t *Tracker, c *Counter, v T) T {
-	bits := Bits(v)
-	t.pair.AddUse(bits)
+	t.pair.AddUse(Bits(v))
 	t.uses++
 	c.n++
 	// Increment the redundant copy in its decoded domain (packed n sits one
 	// bit left of the defined flag, so +1 to n is +2 packed). Recomputing the
 	// encoding from c.n instead would mask a corrupted primary.
 	c.enc = encCounter(rotr(c.enc, ctrRot) + 2)
-	if t.obs != nil {
-		t.obs.ObserveUse(bits)
-	}
 	return v
 }
 
 // UseKnown records a use of a statically counted value (no counter needed).
 func UseKnown[T Word](t *Tracker, v T) T {
-	bits := Bits(v)
-	t.pair.AddUse(bits)
+	t.pair.AddUse(Bits(v))
 	t.uses++
-	if t.obs != nil {
-		t.obs.ObserveUse(bits)
-	}
 	return v
 }
 
@@ -256,11 +236,7 @@ func Final[T Word](t *Tracker, c *Counter, v T) {
 // Verify compares the def/use and e_def/e_use checksums; a non-nil error is
 // a detected memory corruption (*checksum.MismatchError).
 func (t *Tracker) Verify() error {
-	err := t.pair.Verify()
-	if t.obs != nil {
-		t.obs.ObserveVerify(err)
-	}
-	return err
+	return t.pair.Verify()
 }
 
 // MustVerify panics with the mismatch if a memory error was detected. The

@@ -46,6 +46,18 @@ func TestStaticPathDetectsFlip(t *testing.T) {
 	}
 }
 
+func TestMustVerifyPanicsOnMismatch(t *testing.T) {
+	tr := NewTracker()
+	v := Def(tr, 1.5, 1)
+	_ = UseKnown(tr, CorruptBits(v, 7))
+	defer func() {
+		if recover() == nil {
+			t.Error("MustVerify did not panic on mismatch")
+		}
+	}()
+	tr.MustVerify()
+}
+
 func TestDynamicPathFigure7(t *testing.T) {
 	// The Figure 7 shape: def temp, two conditional uses, epilogue.
 	tr := NewTracker()

@@ -5,10 +5,9 @@
 //
 // Every layer of the pipeline reports through it: the instrumenter emits
 // per-phase timings and plan decisions, the interpreter and simulated memory
-// emit fault-injection and detection events with bit/word coordinates, the
-// rt runtime exposes an Observer hook, and the experiment drivers
-// (cmd/defusec, cmd/overhead, cmd/faultcov) expose it via -trace and
-// -metrics flags.
+// emit fault-injection and detection events with bit/word coordinates, and
+// the experiment drivers (cmd/defusec, cmd/overhead, cmd/faultcov) expose it
+// via -trace and -metrics flags.
 //
 // All entry points are nil-tolerant: a nil Sink discards events and a nil
 // *Registry hands out unregistered (but functional) instruments, so
