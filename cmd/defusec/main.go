@@ -7,17 +7,18 @@
 // Usage:
 //
 //	defusec [-split] [-inspector] [-analyze] [-run] [-param n=100,...] \
-//	        [-inject step:array:index:bit] [-trace events.jsonl] [-metrics out] \
+//	        [-inject step:array:index:bit] [-trace spans.jsonl] [-metrics out] \
 //	        [-serve addr] [-flight dump.json] [-chrome trace.json] file.dl
 //
-// With no file the program is read from standard input. -trace streams
-// structured events (compile.phase, plan.chosen, fault.injected, detection,
-// verify.*) as JSON lines; -metrics writes a final metrics snapshot (JSON if
-// the path ends in .json, Prometheus text otherwise). -serve exposes the
-// live telemetry endpoint (/metrics, /events, /flight, /trace, pprof),
-// -flight arms the crash flight recorder (the recent span/event ring dumps
-// there on detection or exit), and -chrome writes the recorded spans as
-// Chrome trace-event JSON loadable in Perfetto.
+// With no file the program is read from standard input. -trace writes every
+// span as one JSON line: the parse and instrument spans with their phase
+// children and plan.chosen marks, and the run span with its fault.injected
+// and verify.ok/mismatch marks. -metrics writes a final metrics snapshot
+// (JSON if the path ends in .json, Prometheus text otherwise). -serve
+// exposes the live telemetry endpoint (/metrics, /flight, /trace, pprof),
+// -flight arms the crash flight recorder (the recent span ring dumps there
+// on a verify.mismatch or at exit), and -chrome writes the recorded spans
+// as Chrome trace-event JSON loadable in Perfetto.
 package main
 
 import (
@@ -79,12 +80,14 @@ func main() {
 }
 
 func compile(ctx context.Context, o options, obs *telemetry.Obs) error {
-	sink, reg := obs.Sink, obs.Metrics
+	tr, reg := obs.Tracer, obs.Metrics
 	src, err := readInput(o.file)
 	if err != nil {
 		return err
 	}
-	prog, err := lang.Parse(src)
+	var prog *lang.Program
+	telemetry.TimePhase(tr, telemetry.SpanContext{}, reg, "compile", "parse",
+		func() { prog, err = lang.Parse(src) })
 	if err != nil {
 		return err
 	}
@@ -94,7 +97,7 @@ func compile(ctx context.Context, o options, obs *telemetry.Obs) error {
 	}
 
 	res, err := instrument.Instrument(prog, instrument.Options{
-		Split: o.split, Inspector: o.inspector, Trace: sink, Metrics: reg,
+		Split: o.split, Inspector: o.inspector, Tracer: tr, Metrics: reg,
 	})
 	if err != nil {
 		return err
@@ -109,8 +112,7 @@ func compile(ctx context.Context, o options, obs *telemetry.Obs) error {
 	if err != nil {
 		return err
 	}
-	m, err := interp.New(res.Prog, pv,
-		interp.WithTrace(sink), interp.WithMetrics(reg), interp.WithTracer(obs.Tracer))
+	m, err := interp.New(res.Prog, pv, interp.WithMetrics(reg), interp.WithTracer(tr))
 	if err != nil {
 		return err
 	}
@@ -120,9 +122,10 @@ func compile(ctx context.Context, o options, obs *telemetry.Obs) error {
 		}
 	}
 	m.SetContext(ctx)
-	span := obs.Tracer.Start(telemetry.SpanContext{}, "run",
+	span := tr.Start(telemetry.SpanContext{}, "run",
 		telemetry.String("program", prog.Name),
 		telemetry.Bool("injected", o.inject != ""))
+	m.SetSpan(span.Context())
 	err = m.Run()
 	span.EndErr(err)
 	var de *interp.DetectionError

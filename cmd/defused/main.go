@@ -13,17 +13,21 @@
 //	        [-kernel name -scale 0.002] [-max-inflight 4] [-queue 8] \
 //	        [-timeout 30s] [-fault-rate 0] [-fault-seed 1] [-wal serve.wal] \
 //	        [-drain-timeout 30s] \
-//	        [-trace events.jsonl] [-metrics out] [-flight dump.json] [-chrome t.json]
+//	        [-trace spans.jsonl] [-metrics out] [-flight dump.json] [-chrome t.json]
 //
 // The service and its telemetry share one port: /run and /stats alongside
 // /metrics, /healthz (liveness), /readyz (readiness; flips unready the
-// moment a drain starts), /events, /flight, and pprof. Admission control
-// sheds load with 429 once the bounded queue is full and refuses with 503
-// while draining. The first SIGINT/SIGTERM starts a graceful drain:
-// in-flight epochs complete and verify, the WAL is sealed, and the process
-// exits cleanly; a second signal forces immediate exit with telemetry
-// flushed. A SIGKILLed server restarts over its WAL, re-verifying the newest
-// record from first principles before resuming.
+// moment a drain starts), /flight, /trace, and pprof. -trace writes every
+// span as one JSON line: one "request" trace per verify job (its epochs,
+// recovery actions and injected fault.injected mark) and root point spans
+// for server.state transitions and journal.* rotation, compaction and
+// append faults. Admission control sheds load with 429 once the bounded
+// queue is full and refuses with 503 while draining. The first
+// SIGINT/SIGTERM starts a graceful drain: in-flight epochs complete and
+// verify, the WAL is sealed, and the process exits cleanly; a second signal
+// forces immediate exit with telemetry flushed. A SIGKILLed server restarts
+// over its WAL, re-verifying the newest record from first principles before
+// resuming.
 //
 // -fault-rate R injects a transient single-bit fault into a deterministic
 // R-fraction of live verify requests (sampled purely from the request ID, so

@@ -10,7 +10,7 @@
 //	         [-epochs 0] [-endonly] [-recover] [-workers 0] [-timeout 0] \
 //	         [-target data] [-detector unhardened] [-gate] \
 //	         [-resume checkpoint.json] [-json out.json] \
-//	         [-trace events.jsonl] [-metrics out] \
+//	         [-trace spans.jsonl] [-metrics out] \
 //	         [-serve addr] [-flight dump.json] [-chrome trace.json]
 //
 // The paper uses 100,000 trials; -trials 10000 gives the same shape in
@@ -54,18 +54,21 @@
 // -bench-out merges the per-backend overhead/latency rows into an existing
 // BENCH_overhead.json.
 //
-// -trace streams one fault.injected event per trial per cell (with the
-// flipped word/bit coordinates) plus verification outcomes; select a single
-// cell (one size, one flip count, one pattern, one scheme) to get exactly
-// -trials injection events.
+// -trace writes every span as one JSON line: per cell, chunk spans holding
+// one trial span per trial (ending with its detected/recovered outcome), each
+// with one fault.injected point span (the flipped word/bit coordinates) and,
+// in epoch mode, the supervisor's epoch, verify and recovery spans; select a
+// single cell (one size, one flip count, one pattern, one scheme) to get
+// exactly -trials fault.injected lines. Crash campaigns mark one crash.trial
+// span per trial.
 //
-// -serve starts the live telemetry endpoint (/metrics, /events, /flight,
-// /trace, /debug/pprof) for watching a long campaign. -flight arms the crash
-// flight recorder: the most recent spans and events are kept in a fixed ring
-// and dumped to the named file automatically when a trial detects a fault in
-// the detector itself, sees checkpoint or WAL corruption, or the process is
-// signalled. -chrome writes the per-trial and supervisor spans as Chrome
-// trace-event JSON loadable in Perfetto.
+// -serve starts the live telemetry endpoint (/metrics, /flight, /trace,
+// /debug/pprof) for watching a long campaign. -flight arms the crash flight
+// recorder: the most recent spans are kept in a fixed ring and dumped to the
+// named file automatically when a trial's verification fails, a fault hits
+// the detector itself (detector.fault), a checkpoint or WAL record is
+// refused, or the process is signalled. -chrome writes the per-trial and
+// supervisor spans as Chrome trace-event JSON loadable in Perfetto.
 //
 // -crash N switches to the process-level crash campaign: each trial runs the
 // durable (WAL-checkpointing) epoch workload in a child process — faultcov
@@ -176,7 +179,7 @@ func main() {
 }
 
 func run(ctx context.Context, o options, obs *telemetry.Obs) error {
-	sink, reg := obs.Sink, obs.Metrics
+	tr, reg := obs.Tracer, obs.Metrics
 	kind, err := parseKind(o.op)
 	if err != nil {
 		return err
@@ -206,7 +209,7 @@ func run(ctx context.Context, o options, obs *telemetry.Obs) error {
 		return err
 	}
 	if o.crash > 0 {
-		return runCrash(ctx, o, kind, sizeList[0], sink, reg)
+		return runCrash(ctx, o, kind, sizeList[0], tr, reg)
 	}
 	if o.backend != "" {
 		return runCompare(ctx, o, kind, sizeList[0])
@@ -230,7 +233,7 @@ func run(ctx context.Context, o options, obs *telemetry.Obs) error {
 								Epochs: o.epochs, EndOnlyVerify: o.endOnly,
 								Recover: o.epochs > 0 && o.recover,
 								Target:  tgt, Hardened: hardened,
-								Trace: sink, Metrics: reg, Tracer: obs.Tracer,
+								Metrics: reg, Tracer: tr,
 							})
 						}
 					}
@@ -336,7 +339,7 @@ func runCompare(ctx context.Context, o options, kind checksum.Kind, words int) e
 // runCrash executes the process-level crash campaign: faultcov re-executes
 // itself as the child (the CrashChildEnv hook at the top of main routes the
 // child into the workload).
-func runCrash(ctx context.Context, o options, kind checksum.Kind, words int, sink telemetry.Sink, reg *telemetry.Registry) error {
+func runCrash(ctx context.Context, o options, kind checksum.Kind, words int, tr *telemetry.Tracer, reg *telemetry.Registry) error {
 	epochs := o.epochs
 	if epochs <= 0 {
 		epochs = 6
@@ -350,7 +353,7 @@ func runCrash(ctx context.Context, o options, kind checksum.Kind, words int, sin
 		cells = append(cells, faults.CrashConfig{
 			Kind: kind, Words: words, Epochs: epochs,
 			Trials: o.crash, Seed: o.seed, Cell: cell,
-			Trace: sink, Metrics: reg,
+			Tracer: tr, Metrics: reg,
 		})
 	}
 	camp := &faults.CrashCampaign{Cells: cells, Dir: o.walDir, Workers: o.workers}

@@ -9,7 +9,7 @@
 //	         [-bench name] [-list] \
 //	         [-parallel N] [-json] [-json-out BENCH_overhead.json] \
 //	         [-wal dir] [-wal-epochs 8] \
-//	         [-trace events.jsonl] [-metrics out] \
+//	         [-trace spans.jsonl] [-metrics out] \
 //	         [-serve addr] [-flight dump.json] [-chrome trace.json] [-linger]
 //
 // -backend native switches from the instruction-counting interpreter to the
@@ -38,11 +38,14 @@
 // worker counts 1,2,4,...,N and appends the scaling curve (wall-clock and
 // deterministic critical-path speedups) to the report.
 //
-// -serve starts the live telemetry endpoint (/metrics, /events, /flight,
-// /trace, /debug/pprof); -linger keeps it up after the measurements finish
-// until SIGINT/SIGTERM. -flight arms the crash flight recorder (the span and
-// event ring dumps there on fault detection or exit) and -chrome writes the
-// recorded spans as Chrome trace-event JSON loadable in Perfetto.
+// -trace writes every span as one JSON line (instrument and bench.run spans,
+// the probe's trial trees, their fault and verification marks). -serve
+// starts the live telemetry endpoint (/metrics, /flight, /trace,
+// /debug/pprof); -linger keeps it up after the measurements finish until
+// SIGINT/SIGTERM. -flight arms the crash flight recorder (the span ring
+// dumps there on a failed verification, a detector fault, or exit) and
+// -chrome writes the recorded spans as Chrome trace-event JSON loadable in
+// Perfetto.
 package main
 
 import (
@@ -114,7 +117,7 @@ func main() {
 	// flushed. A partial run still leaves complete, parseable files behind.
 	ctx, stop := telemetry.GracefulSignals(obs)
 	err = run(*fig, *scale, *one, *parallel, *jsonOut, *jsonPath, *wal, *walEpochs,
-		bench.Telemetry{Trace: obs.Sink, Metrics: obs.Metrics, Tracer: obs.Tracer})
+		bench.Telemetry{Metrics: obs.Metrics, Tracer: obs.Tracer})
 	if err == nil && *linger && obs.Server != nil {
 		fmt.Fprintln(os.Stderr, "overhead: lingering; interrupt to exit")
 		<-ctx.Done()
@@ -269,7 +272,6 @@ func runQuantileProbe(tel bench.Telemetry) (telemetry.Snapshot, error) {
 		Seed:     1,
 		Epochs:   6,
 		Recover:  true,
-		Trace:    tel.Trace,
 		Metrics:  reg,
 		Tracer:   tel.Tracer,
 	})

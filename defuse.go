@@ -57,12 +57,12 @@ type CompileResult struct {
 
 // Compile parses a program in the defuse loop language and instruments it
 // with error-detection checksums. When opt carries telemetry hooks
-// (Options.Trace / Options.Metrics), every pipeline phase — parse included —
-// is timed and streamed through them.
+// (Options.Tracer / Options.Metrics), every pipeline phase — parse included —
+// is timed and recorded as a span through them.
 func Compile(src string, opt Options) (*CompileResult, error) {
 	var prog *lang.Program
 	var err error
-	parseDur := telemetry.TimePhase(opt.Trace, opt.Metrics, "compile", "parse",
+	parseDur := telemetry.TimePhase(opt.Tracer, telemetry.SpanContext{}, opt.Metrics, "compile", "parse",
 		func() { prog, err = lang.Parse(src) })
 	if err != nil {
 		return nil, err

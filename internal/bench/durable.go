@@ -24,8 +24,10 @@ import (
 
 // DurableRow is one benchmark's durable-checkpoint overhead measurement.
 type DurableRow struct {
-	Bench  string `json:"bench"`
-	Epochs int    `json:"epochs"`
+	Bench string `json:"bench"`
+	// Epochs is the plan's epoch count: the requested count, or 1 for a
+	// program with no top-level for loop (CG, moldyn).
+	Epochs int `json:"epochs"`
 	// Seals counts checkpoint records fsynced during the durable run.
 	Seals int `json:"seals"`
 	// WALBytes is the checkpoint log's size after the run.
@@ -50,8 +52,7 @@ func RunDurable(b *Benchmark, scale float64, epochs int, walDir string, tel Tele
 		prog := b.Program()
 		params := b.Params(scale)
 		m, err := interp.New(prog, params,
-			interp.WithTrace(tel.Trace), interp.WithMetrics(tel.Metrics),
-			interp.WithTracer(tel.Tracer))
+			interp.WithMetrics(tel.Metrics), interp.WithTracer(tel.Tracer))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -115,7 +116,7 @@ func RunDurable(b *Benchmark, scale float64, epochs int, walDir string, tel Tele
 	}
 	return DurableRow{
 		Bench:           b.Name,
-		Epochs:          epochs,
+		Epochs:          pDur.Epochs(),
 		Seals:           outDur.Seals,
 		WALBytes:        walBytes,
 		BaselineSeconds: baseline.Seconds(),

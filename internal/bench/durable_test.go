@@ -34,6 +34,23 @@ func TestRunDurable(t *testing.T) {
 	}
 }
 
+// TestRunDurableRecordsPlanEpochs: CG's kernel is a top-level while loop, so
+// its plan collapses to one epoch whatever was requested, and the row must
+// say so next to its single seal.
+func TestRunDurableRecordsPlanEpochs(t *testing.T) {
+	b, err := ByName("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := RunDurable(b, 0.002, 8, t.TempDir(), Telemetry{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Epochs != 1 || row.Seals != 1 {
+		t.Errorf("row = %+v, want Epochs 1 and Seals 1", row)
+	}
+}
+
 func TestFormatDurable(t *testing.T) {
 	out := FormatDurable([]DurableRow{
 		{Bench: "jacobi1d", Epochs: 4, Seals: 4, WALBytes: 1024,

@@ -94,7 +94,7 @@ type scalingRun struct {
 func runScalingOnce(b *Benchmark, prog *lang.Program, scale float64, workers int, tel Telemetry) (*scalingRun, error) {
 	params := b.Params(scale)
 	m, err := interp.New(prog, params,
-		interp.WithTrace(tel.Trace), interp.WithMetrics(tel.Metrics))
+		interp.WithMetrics(tel.Metrics), interp.WithTracer(tel.Tracer))
 	if err != nil {
 		return nil, err
 	}

@@ -17,10 +17,10 @@ import (
 // runs: compile phases, plan decisions, run durations, verification
 // outcomes, and cost-model gauges all report through it.
 type Telemetry struct {
-	Trace   telemetry.Sink
 	Metrics *telemetry.Registry
-	// Tracer records causally linked spans (bench.run roots with supervised
-	// epoch/recovery/WAL children). Nil is free.
+	// Tracer records causally linked spans (instrument and bench.run roots,
+	// supervised epoch/recovery/WAL children, and the machine's point
+	// spans). Nil is free.
 	Tracer *telemetry.Tracer
 }
 
@@ -58,7 +58,7 @@ func (b *Benchmark) BuildVariantWith(v Variant, tel Telemetry) (*lang.Program, e
 		return prog, nil
 	}
 	opt := variantOptions(v)
-	opt.Trace, opt.Metrics = tel.Trace, tel.Metrics
+	opt.Tracer, opt.Metrics = tel.Tracer, tel.Metrics
 	res, err := instrument.Instrument(prog, opt)
 	if err != nil {
 		return nil, fmt.Errorf("bench: instrumenting %s as %s: %w", b.Name, v, err)
@@ -84,8 +84,9 @@ func (b *Benchmark) Run(v Variant, scale float64) (*RunResult, error) {
 	return b.RunWith(v, scale, Telemetry{})
 }
 
-// RunWith is Run with telemetry attached: instrumentation events stream to
-// tel.Trace and the run duration lands in a per-bench/variant histogram.
+// RunWith is Run with telemetry attached: instrumentation and the run are
+// traced through tel.Tracer and the run duration lands in a per-bench/variant
+// histogram.
 func (b *Benchmark) RunWith(v Variant, scale float64, tel Telemetry) (*RunResult, error) {
 	prog, err := b.BuildVariantWith(v, tel)
 	if err != nil {
@@ -93,14 +94,14 @@ func (b *Benchmark) RunWith(v Variant, scale float64, tel Telemetry) (*RunResult
 	}
 	params := b.Params(scale)
 	m, err := interp.New(prog, params,
-		interp.WithTrace(tel.Trace), interp.WithMetrics(tel.Metrics),
-		interp.WithTracer(tel.Tracer))
+		interp.WithMetrics(tel.Metrics), interp.WithTracer(tel.Tracer))
 	if err != nil {
 		return nil, err
 	}
 	b.InitDefault(m, params)
 	span := tel.Tracer.Start(telemetry.SpanContext{}, "bench.run",
 		telemetry.String("bench", b.Name), telemetry.String("variant", string(v)))
+	m.SetSpan(span.Context())
 	start := time.Now()
 	if err := m.Run(); err != nil {
 		span.EndErr(err)

@@ -6,7 +6,6 @@ import (
 	"defuse/internal/checksum"
 	"defuse/internal/lang"
 	"defuse/internal/machine"
-	"defuse/telemetry"
 )
 
 // Machine is the native backend's execution state: the shared simulated
@@ -31,16 +30,6 @@ type Option func(*machine.Config)
 
 // WithChecksumKind selects the checksum operator (default ModAdd).
 func WithChecksumKind(k checksum.Kind) Option { return func(o *machine.Config) { o.Kind = k } }
-
-// WithTrace streams execution events (fault.injected, verify.ok/mismatch,
-// detection) to s, as interp.WithTrace does.
-func WithTrace(s telemetry.Sink) Option { return func(o *machine.Config) { o.Trace = s } }
-
-// WithMetrics publishes verification outcomes into r.
-func WithMetrics(r *telemetry.Registry) Option { return func(o *machine.Config) { o.Metrics = r } }
-
-// WithTracer records causally linked spans for supervised execution.
-func WithTracer(t *telemetry.Tracer) Option { return func(o *machine.Config) { o.Tracer = t } }
 
 // WithBaseOffset shifts every declared variable's base address by pad unused
 // words, as interp.WithBaseOffset does, so decorrelated layouts carry across

@@ -288,15 +288,18 @@ type checkpointFile struct {
 }
 
 // fingerprint hashes the semantic campaign configuration so a checkpoint
-// written by a different campaign cannot be resumed by accident.
+// written by a different campaign cannot be resumed by accident. The 0
+// between Recover and Target fills the slot of the retired per-cell retry
+// bound, which no checkpoint ever held non-zero, so keys written before its
+// removal still match.
 func (c *Campaign) fingerprint(chunkSize int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "chunk=%d;", chunkSize)
 	for _, cfg := range c.Cells {
-		fmt.Fprintf(h, "%d|%d|%d|%d|%v|%d|%d|%d|%v|%v|%d|%d|%v|%d|%d;",
+		fmt.Fprintf(h, "%d|%d|%d|%d|%v|%d|%d|%d|%v|%v|0|%d|%v|%d|%d;",
 			cfg.Kind, cfg.Words, cfg.BitFlips, cfg.Pattern, cfg.Dual,
 			cfg.Trials, cfg.Seed, cfg.Epochs, cfg.EndOnlyVerify, cfg.Recover,
-			cfg.MaxRetries, cfg.Target, cfg.Hardened, cfg.Backend, cfg.AddrFault)
+			cfg.Target, cfg.Hardened, cfg.Backend, cfg.AddrFault)
 	}
 	return h.Sum64()
 }
@@ -449,9 +452,12 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 	inst := newCellInstruments(cfg)
 	// One chunk span roots the trace for this work unit; per-trial spans are
 	// its children, labeled by the cell so a Perfetto view groups campaign
-	// work by (cell, chunk) lanes. Attributes are built once per chunk.
+	// work by (cell, chunk) lanes. Attributes are built once per chunk, and
+	// only when tracing: an untraced trial allocates none.
+	tracing := cfg.Tracer.Enabled()
 	var cellAttrs []telemetry.Attr
-	if cfg.Tracer.Enabled() {
+	var chunk telemetry.Span
+	if tracing {
 		cellAttrs = []telemetry.Attr{
 			telemetry.Int("cell", job.cell),
 			telemetry.String("scheme", cfg.scheme()),
@@ -461,10 +467,10 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 		if cfg.Target != TargetData {
 			cellAttrs = append(cellAttrs, telemetry.String("target", cfg.Target.String()))
 		}
+		chunk = cfg.Tracer.Start(telemetry.SpanContext{}, "chunk",
+			append([]telemetry.Attr{telemetry.Int("start", job.start), telemetry.Int("count", job.count)}, cellAttrs...)...)
+		defer chunk.End()
 	}
-	chunk := cfg.Tracer.Start(telemetry.SpanContext{}, "chunk",
-		append([]telemetry.Attr{telemetry.Int("start", job.start), telemetry.Int("count", job.count)}, cellAttrs...)...)
-	defer chunk.End()
 	// Epoch trials fold through the worker's reusable tracker; classic
 	// trials reuse its buffer.
 	var runTrial func(trial int, span telemetry.SpanContext) (Tally, error)
@@ -486,21 +492,26 @@ func (c *Campaign) runChunk(ctx context.Context, job chunkJob, ws *workerState) 
 			ws.buf = make([]uint64, cfg.Words)
 		}
 		r := &classicRunner{cfg: cfg, data: ws.buf[:cfg.Words], inst: inst}
-		runTrial = func(trial int, _ telemetry.SpanContext) (Tally, error) { return r.trial(trial), nil }
+		runTrial = func(trial int, span telemetry.SpanContext) (Tally, error) { return r.trial(trial, span), nil }
 	}
 	for i := 0; i < job.count; i++ {
 		if err := ctx.Err(); err != nil {
 			return tally, err
 		}
 		trial := job.start + i
-		tspan := cfg.Tracer.Start(chunk.Context(), "trial",
-			append([]telemetry.Attr{telemetry.Int("trial", trial)}, cellAttrs...)...)
+		var tspan telemetry.Span
+		if tracing {
+			tspan = cfg.Tracer.Start(chunk.Context(), "trial",
+				append([]telemetry.Attr{telemetry.Int("trial", trial)}, cellAttrs...)...)
+		}
 		out, err := runTrial(trial, tspan.Context())
 		if err != nil {
 			tspan.EndErr(err)
 			return tally, err
 		}
-		tspan.End(telemetry.Bool("detected", out.Detected > 0), telemetry.Bool("recovered", out.Recovered > 0))
+		if tracing {
+			tspan.End(telemetry.Bool("detected", out.Detected > 0), telemetry.Bool("recovered", out.Recovered > 0))
+		}
 		tally.add(out)
 	}
 	return tally, nil
@@ -516,7 +527,9 @@ type classicRunner struct {
 	base1, base2 uint64
 }
 
-func (r *classicRunner) trial(trial int) Tally {
+// trial runs one classic trial, marking its fault.injected under span (the
+// campaign's trial span, whose detected attribute carries the outcome).
+func (r *classicRunner) trial(trial int, span telemetry.SpanContext) Tally {
 	cfg := r.cfg
 	in := NewInjector(trialSeed(cfg.Seed, trial))
 	if cfg.Pattern == Random {
@@ -538,26 +551,10 @@ func (r *classicRunner) trial(trial int) Tally {
 	}
 	undetected := s1 == r.base1 && (!cfg.Dual || s2 == r.base2)
 	r.inst.record(undetected)
-	if cfg.Trace != nil {
-		coords := make([]map[string]any, len(flips))
-		for i, f := range flips {
-			coords[i] = map[string]any{"word": f.Word, "bit": f.Bit}
-		}
-		telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, map[string]any{
-			"trial": trial, "flips": coords, "scheme": cfg.scheme(),
-			"words": cfg.Words, "pattern": cfg.Pattern.String(),
-		})
-		if undetected {
-			// The checksums matched despite the error: the injected
-			// fault escaped (verify passed, wrongly).
-			telemetry.Emit(cfg.Trace, telemetry.EvVerifyOK, map[string]any{
-				"trial": trial, "escaped": true,
-			})
-		} else {
-			telemetry.Emit(cfg.Trace, telemetry.EvDetection, map[string]any{
-				"trial": trial,
-			})
-		}
+	if cfg.Tracer.Enabled() {
+		cfg.Tracer.Mark(span, telemetry.EvFaultInjected,
+			telemetry.Attr{Key: "flips", Value: flipCoords(flips)},
+			telemetry.String("pattern", cfg.Pattern.String()))
 	}
 	// Undo the flips so constant-pattern trials can reuse the base sums.
 	for _, f := range flips {

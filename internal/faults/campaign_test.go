@@ -224,7 +224,7 @@ func TestCampaignResumeMatchesUninterrupted(t *testing.T) {
 }
 
 func TestCampaignCancelCheckpointsAndResumes(t *testing.T) {
-	// Cancel mid-run via the trace sink, then re-run to completion: the final
+	// Cancel mid-run via the span sink, then re-run to completion: the final
 	// result must match an uninterrupted campaign exactly.
 	cfg := CoverageConfig{
 		Kind: checksum.ModAdd, Words: 100, BitFlips: 2, Pattern: Random,
@@ -239,7 +239,7 @@ func TestCampaignCancelCheckpointsAndResumes(t *testing.T) {
 	defer cancel()
 	var seen atomic.Int64
 	traced := cfg
-	traced.Trace = cancelSink{n: &seen, at: 500, cancel: cancel}
+	traced.Tracer = telemetry.NewTracer(cancelSink{n: &seen, at: 500, cancel: cancel})
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	camp := &Campaign{Cells: []CoverageConfig{traced}, CheckpointPath: path, ChunkSize: 100, Workers: 2}
 	res, err := camp.Run(ctx)
@@ -261,20 +261,18 @@ func TestCampaignCancelCheckpointsAndResumes(t *testing.T) {
 	}
 }
 
-// cancelSink cancels a context once it has seen `at` events.
+// cancelSink cancels a context once it has seen `at` spans.
 type cancelSink struct {
 	n      *atomic.Int64
 	at     int64
 	cancel context.CancelFunc
 }
 
-func (s cancelSink) Emit(telemetry.Event) {
+func (s cancelSink) RecordSpan(telemetry.SpanData) {
 	if s.n.Add(1) == s.at {
 		s.cancel()
 	}
 }
-
-func (s cancelSink) Close() error { return nil }
 
 func TestCampaignRejectsForeignCheckpoint(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")

@@ -154,8 +154,6 @@ type CoverageConfig struct {
 	// is rolled back and re-executed with bounded retries before escalating
 	// to restart and finally degradation.
 	Recover bool
-	// MaxRetries bounds rollback re-executions per epoch (default 2).
-	MaxRetries int
 	// Target aims the injected fault (epoch mode only): at the protected
 	// data (default) or at the detector itself. See the Target constants.
 	Target Target
@@ -178,17 +176,16 @@ type CoverageConfig struct {
 	// crashing.
 	AddrFault AddrFault
 
-	// Trace, when non-nil, receives one fault.injected event per trial
-	// (with the flipped word/bit coordinates) and a detection or verify.ok
-	// event for its outcome; epoch trials add epoch.verify and recovery.*.
-	Trace telemetry.Sink `json:"-"`
 	// Metrics, when non-nil, receives per-cell trial and undetected
 	// counters labeled by flips/words/pattern/scheme, and in epoch mode a
 	// detection-latency histogram and recovery counters.
 	Metrics *telemetry.Registry `json:"-"`
 	// Tracer, when non-nil, records one span per trial (labeled by the
-	// cell's scheme/words/flips/target) with the supervisor's epoch,
-	// verification, and recovery spans as children. A nil tracer is free.
+	// cell's scheme/words/flips/target, ending with its detected/recovered
+	// outcome) with a fault.injected point span carrying the flipped
+	// coordinates and, in epoch mode, the supervisor's epoch, verification
+	// and recovery spans and hardened scrub marks as children. A nil tracer
+	// is free.
 	Tracer *telemetry.Tracer `json:"-"`
 }
 

@@ -298,7 +298,8 @@ type CrashConfig struct {
 	// CellName is Cell's name in reports.
 	CellName string `json:"cell"`
 
-	Trace   telemetry.Sink      `json:"-"`
+	// Tracer, when non-nil, marks one crash.trial root span per trial.
+	Tracer  *telemetry.Tracer   `json:"-"`
 	Metrics *telemetry.Registry `json:"-"`
 }
 
@@ -392,8 +393,6 @@ type CrashCampaign struct {
 	// must route CrashChildEnv to CrashChildMain before doing anything else
 	// (cmd/faultcov does; so does the faults test binary via its TestMain).
 	Exe string
-	// Args are extra arguments passed to every child invocation.
-	Args []string
 	// Dir is the scratch directory for WALs and reports; empty means a fresh
 	// temporary directory, removed when the campaign finishes.
 	Dir string
@@ -587,12 +586,13 @@ func (c *CrashCampaign) runTrial(ctx context.Context, exe, dir string, cell, tri
 			cfg.Metrics.Counter("defuse_crash_failures_total", labels...).Inc()
 		}
 	}
-	telemetry.Emit(cfg.Trace, telemetry.EvCrashTrial, map[string]any{
-		"cell": cfg.Cell.String(), "trial": trial, "crash_step": crashStep,
-		"resumed": rep.Resumed, "resume_epoch": rep.ResumeEpoch,
-		"torn_tail": rep.TornTail, "corrupt_records": rep.CorruptRecords,
-		"identical": out.identical,
-	})
+	if cfg.Tracer.Enabled() {
+		cfg.Tracer.Mark(telemetry.SpanContext{}, telemetry.EvCrashTrial,
+			telemetry.String("cell", cfg.Cell.String()), telemetry.Int("trial", trial),
+			telemetry.Int64("crash_step", crashStep), telemetry.Bool("resumed", rep.Resumed),
+			telemetry.Int("resume_epoch", rep.ResumeEpoch), telemetry.Bool("torn_tail", rep.TornTail),
+			telemetry.Int("corrupt_records", rep.CorruptRecords), telemetry.Bool("identical", out.identical))
+	}
 	return out, nil
 }
 
@@ -603,7 +603,7 @@ func (c *CrashCampaign) spawn(ctx context.Context, exe string, spec CrashSpec) e
 	if err != nil {
 		return err
 	}
-	cmd := exec.CommandContext(ctx, exe, c.Args...)
+	cmd := exec.CommandContext(ctx, exe)
 	cmd.Env = append(os.Environ(), CrashChildEnv+"="+string(raw))
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr

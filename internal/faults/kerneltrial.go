@@ -115,10 +115,8 @@ func RunKernelTrial(ctx context.Context, p *machine.Plan, cfg KernelTrialConfig)
 		if cfg.Inject && !injected && k == injEpoch {
 			injected = true
 			m.Mem().FlipBit(injWord, injBit)
-			telemetry.Emit(m.Trace(), telemetry.EvFaultInjected, map[string]any{
-				"scheme": "kernel", "backend": m.Backend(),
-				"epoch": k, "word": injWord, "bit": injBit,
-			})
+			m.Mark(telemetry.EvFaultInjected, telemetry.String("backend", m.Backend()),
+				telemetry.Int("epoch", k), telemetry.Int("word", injWord), telemetry.Int("bit", injBit))
 		}
 		return p.RunEpoch(k)
 	}

@@ -39,7 +39,6 @@ func TestCampaignFlightDumpAndChromeTrace(t *testing.T) {
 		Recover:  true,
 		Target:   TargetAccumulator,
 		Hardened: true,
-		Trace:    obs.Sink,
 		Metrics:  obs.Metrics,
 		Tracer:   obs.Tracer,
 	})
@@ -57,7 +56,7 @@ func TestCampaignFlightDumpAndChromeTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The postmortem must be a valid FlightDump carrying the trigger event.
+	// The postmortem must be a valid FlightDump carrying the trigger span.
 	raw, err := os.ReadFile(flightPath)
 	if err != nil {
 		t.Fatal(err)
@@ -74,16 +73,17 @@ func TestCampaignFlightDumpAndChromeTrace(t *testing.T) {
 	}
 	sawTrigger := false
 	for _, e := range dump.Entries {
-		if e.Kind == "event" && e.Event != nil && e.Event.Name == telemetry.EvDetectorFault {
+		if e.Span.Name == telemetry.EvDetectorFault && e.Span.Parent != 0 {
 			sawTrigger = true
 		}
 	}
 	if !sawTrigger {
-		t.Error("flight dump does not contain the triggering detector.fault event")
+		t.Error("flight dump does not contain the triggering detector.fault span under its epoch")
 	}
 
 	// The Chrome trace must parse, carry the campaign's span hierarchy
-	// (chunk → trial → epoch), and every parent_id must resolve.
+	// (chunk → trial → epoch → verify, with the fault and detector-fault
+	// marks), and every parent_id must resolve.
 	raw, err = os.ReadFile(chromePath)
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestCampaignFlightDumpAndChromeTrace(t *testing.T) {
 			ids[id] = true
 		}
 	}
-	for _, want := range []string{"chunk", "trial", "epoch", "verify"} {
+	for _, want := range []string{"chunk", "trial", "epoch", "verify", telemetry.EvFaultInjected, telemetry.EvDetectorFault} {
 		if names[want] == 0 {
 			t.Errorf("chrome trace has no %q spans (got %v)", want, names)
 		}

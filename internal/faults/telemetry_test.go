@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"context"
 	"testing"
 
 	"defuse/internal/checksum"
@@ -8,8 +9,9 @@ import (
 )
 
 // The acceptance contract for cmd/faultcov -trace: exactly one fault.injected
-// event per configured trial, each carrying the flipped word/bit coordinates,
-// with every trial resolved as either detection or (escaped) verify.ok.
+// point span per configured trial, each a child of its trial span and
+// carrying the flipped word/bit coordinates, with every trial span resolved
+// as detected or escaped.
 
 func TestCoverageTraceEventCounts(t *testing.T) {
 	cases := []struct {
@@ -24,7 +26,7 @@ func TestCoverageTraceEventCounts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &telemetry.Collector{}
+			sink := telemetry.NewSpanBuffer(0)
 			reg := telemetry.NewRegistry()
 			res, err := RunCoverage(CoverageConfig{
 				Kind:     checksum.ModAdd,
@@ -34,27 +36,31 @@ func TestCoverageTraceEventCounts(t *testing.T) {
 				Dual:     tc.dual,
 				Trials:   tc.trials,
 				Seed:     42,
-				Trace:    sink,
+				Tracer:   telemetry.NewTracer(sink),
 				Metrics:  reg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sink.Count(telemetry.EvFaultInjected); got != tc.trials {
-				t.Fatalf("fault.injected events = %d, want %d (one per trial)", got, tc.trials)
+			injected := faultsUnderTrials(t, sink, tc.trials)
+			det, esc := 0, 0
+			for _, d := range sink.Named("trial") {
+				if d.Attr("detected") == true {
+					det++
+				} else {
+					esc++
+				}
 			}
-			det := sink.Count(telemetry.EvDetection)
-			esc := sink.Count(telemetry.EvVerifyOK)
 			if det+esc != tc.trials {
-				t.Errorf("detection(%d) + escaped(%d) != trials(%d)", det, esc, tc.trials)
+				t.Errorf("detected(%d) + escaped(%d) != trials(%d)", det, esc, tc.trials)
 			}
 			if esc != res.Undetected {
-				t.Errorf("escaped events = %d, want Undetected = %d", esc, res.Undetected)
+				t.Errorf("escaped trial spans = %d, want Undetected = %d", esc, res.Undetected)
 			}
-			for _, ev := range sink.Named(telemetry.EvFaultInjected) {
-				coords, ok := ev.Fields["flips"].([]map[string]any)
+			for _, d := range injected {
+				coords, ok := d.Attr("flips").([]map[string]any)
 				if !ok || len(coords) != tc.flips {
-					t.Fatalf("fault.injected flips = %v, want %d coordinate pairs", ev.Fields["flips"], tc.flips)
+					t.Fatalf("fault.injected flips = %v, want %d coordinate pairs", d.Attr("flips"), tc.flips)
 				}
 				for _, c := range coords {
 					w, wok := c["word"].(int)
@@ -84,25 +90,23 @@ func TestCoverageTraceEventCounts(t *testing.T) {
 	}
 	// A hardened epoch cell scrubs the detector at every verifying
 	// boundary, whatever the backend, and every scrub leaves a scrub.pass or
-	// scrub.fail event matching the defuse_scrub_total counters, so a trace
+	// scrub.fail mark matching the defuse_scrub_total counters, so a trace
 	// can explain an addrsum scrub failure as well as a checksum one.
 	for _, b := range []Backend{BackendChecksum, BackendAddrsum} {
 		t.Run("hardened "+b.String()+" epoch", func(t *testing.T) {
 			const trials, epochs = 40, 4
-			sink := &telemetry.Collector{}
+			sink := telemetry.NewSpanBuffer(0)
 			reg := telemetry.NewRegistry()
 			_, err := RunCoverage(CoverageConfig{
 				Kind: checksum.ModAdd, Words: 32, BitFlips: 1, Pattern: Random,
 				Trials: trials, Seed: 3, Epochs: epochs, Recover: true, Hardened: true,
-				Backend: b, AddrFault: AddrWrong, Trace: sink, Metrics: reg,
+				Backend: b, AddrFault: AddrWrong, Tracer: telemetry.NewTracer(sink), Metrics: reg,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sink.Count(telemetry.EvFaultInjected); got != trials {
-				t.Errorf("fault.injected events = %d, want %d", got, trials)
-			}
-			pass, fail := sink.Count(telemetry.EvScrubPass), sink.Count(telemetry.EvScrubFail)
+			faultsUnderTrials(t, sink, trials)
+			pass, fail := len(sink.Named(telemetry.EvScrubPass)), len(sink.Named(telemetry.EvScrubFail))
 			if pass+fail < trials*epochs {
 				t.Errorf("scrub events = %d pass + %d fail, want at least one per boundary (%d)",
 					pass, fail, trials*epochs)
@@ -114,8 +118,53 @@ func TestCoverageTraceEventCounts(t *testing.T) {
 				}
 			}
 			if counters["pass"] != pass || counters["fail"] != fail {
-				t.Errorf("scrub counters %v, events pass=%d fail=%d", counters, pass, fail)
+				t.Errorf("scrub counters %v, marks pass=%d fail=%d", counters, pass, fail)
 			}
 		})
 	}
+}
+
+// faultsUnderTrials checks that a traced one-cell campaign recorded exactly
+// trials fault.injected point spans, one under each trial span, and returns
+// them.
+func faultsUnderTrials(t *testing.T, sink *telemetry.SpanBuffer, trials int) []telemetry.SpanData {
+	t.Helper()
+	parents := map[telemetry.SpanID]int{}
+	for _, d := range sink.Named("trial") {
+		parents[d.ID] = 0
+	}
+	if len(parents) != trials {
+		t.Fatalf("trial spans = %d, want %d", len(parents), trials)
+	}
+	injected := sink.Named(telemetry.EvFaultInjected)
+	if len(injected) != trials {
+		t.Fatalf("fault.injected spans = %d, want %d (one per trial)", len(injected), trials)
+	}
+	for _, d := range injected {
+		n, ok := parents[d.Parent]
+		if !ok || n > 0 || d.Duration != 0 {
+			t.Fatalf("fault.injected %+v is not a point span alone under a trial span", d)
+		}
+		parents[d.Parent] = n + 1
+	}
+	return injected
+}
+
+// TestCampaignFaultSpansUnderTrials runs the check through Campaign itself,
+// epoch mode, on two workers.
+func TestCampaignFaultSpansUnderTrials(t *testing.T) {
+	const trials = 60
+	sink := telemetry.NewSpanBuffer(0)
+	cfg := CoverageConfig{
+		Kind: checksum.ModAdd, Words: 32, BitFlips: 2, Pattern: Random,
+		Trials: trials, Seed: 5, Epochs: 4, Recover: true, Tracer: telemetry.NewTracer(sink),
+	}
+	res, err := (&Campaign{Cells: []CoverageConfig{cfg}, ChunkSize: 16, Workers: 2}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("campaign incomplete")
+	}
+	faultsUnderTrials(t, sink, trials)
 }

@@ -116,6 +116,9 @@ func indexBitFlip(idx, words, draw int) (int, bool) {
 	return idx, true
 }
 
+// trialRetries bounds rollback re-executions per epoch in a recovering cell.
+const trialRetries = 2
+
 // trialPolicy is the recovery policy of a cell: none, or bounded retries and
 // one restart. No backoff pause inside the simulation: a retry re-executes
 // immediately so campaigns stay fast and deterministic in wall time.
@@ -123,19 +126,14 @@ func trialPolicy(cfg CoverageConfig) recovery.Policy {
 	if !cfg.Recover {
 		return recovery.Policy{}
 	}
-	retries := cfg.MaxRetries
-	if retries <= 0 {
-		retries = 2
-	}
-	return recovery.Policy{MaxRetries: retries, MaxRestarts: 1}
+	return recovery.Policy{MaxRetries: trialRetries, MaxRestarts: 1}
 }
 
 // epochTrial is one running trial.
 type epochTrial struct {
-	cfg   CoverageConfig
-	trial int
-	d     trialDraws
-	det   trialDetector
+	cfg CoverageConfig
+	d   trialDraws
+	det trialDetector
 	// w is the checksum backend's workload, which the detector targets
 	// strike; nil for the other backends.
 	w *WordWorkload
@@ -143,6 +141,8 @@ type epochTrial struct {
 	// none.
 	scrub func() error
 	inst  cellInstruments
+	// span is the trial's span: the parent of its fault and scrub marks.
+	span telemetry.SpanContext
 
 	injected, maskTried, sawInitial, ckDone bool
 }
@@ -185,7 +185,7 @@ func (t *epochTrial) arm(ws *workerState) {
 // parent the supervisor's spans attach to (the campaign's per-trial span),
 // the zero context when untraced. ws is the running worker's scratch.
 func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, ws *workerState, inst cellInstruments, span telemetry.SpanContext) (Tally, error) {
-	t := &epochTrial{cfg: cfg, trial: trial, d: drawTrial(cfg, trial), inst: inst}
+	t := &epochTrial{cfg: cfg, d: drawTrial(cfg, trial), inst: inst, span: span}
 	t.arm(ws)
 	out, err := recovery.Supervise(ctx, recovery.Config{
 		Epochs:     cfg.Epochs,
@@ -194,7 +194,6 @@ func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, ws *worke
 		Checkpoint: t.checkpoint,
 		Restore:    func(snap any) error { return t.det.Restore(snap, cfg.Hardened) },
 		Policy:     trialPolicy(cfg),
-		Trace:      cfg.Trace,
 		Metrics:    cfg.Metrics,
 		Tracer:     cfg.Tracer,
 		Span:       span,
@@ -243,37 +242,40 @@ func (t *epochTrial) strike(i int) (load, store int) {
 			t.det.FlipBit(f.Word, f.Bit)
 		}
 	}
-	if cfg.Trace != nil {
-		telemetry.Emit(cfg.Trace, telemetry.EvFaultInjected, t.faultFields(i, load))
+	if cfg.Tracer.Enabled() {
+		cfg.Tracer.Mark(t.span, telemetry.EvFaultInjected, t.faultAttrs(i, load)...)
 	}
 	return load, store
 }
 
-// faultFields describes the injected fault for its trace event.
-func (t *epochTrial) faultFields(i, load int) map[string]any {
+// faultAttrs describes the injected fault for its fault.injected mark; the
+// cell's coordinates are on the trial span it hangs from.
+func (t *epochTrial) faultAttrs(i, load int) []telemetry.Attr {
 	cfg, d := t.cfg, t.d
-	f := map[string]any{
-		"trial": t.trial, "epoch": d.epoch, "scheme": "epoch",
-		"words": cfg.Words, "target": cfg.Target.String(),
-	}
+	attrs := []telemetry.Attr{telemetry.Int("epoch", d.epoch)}
 	if cfg.Backend != BackendChecksum {
-		f["backend"] = cfg.Backend.String()
+		attrs = append(attrs, telemetry.String("backend", cfg.Backend.String()))
 	}
 	switch {
 	case cfg.AddrFault != AddrNone:
-		f["fault"], f["intent"], f["effective"] = cfg.AddrFault.String(), i, load
+		return append(attrs, telemetry.String("fault", cfg.AddrFault.String()),
+			telemetry.Int("intent", i), telemetry.Int("effective", load))
 	case cfg.Target == TargetAccumulator:
-		f["acc"], f["bit"] = d.acc.String(), d.accBit
+		return append(attrs, telemetry.String("acc", d.acc.String()), telemetry.Int("bit", int(d.accBit)))
 	case cfg.Target == TargetCounter:
-		f["word"], f["bit"] = d.word, d.ctrBit
-	default:
-		coords := make([]map[string]any, len(d.flips))
-		for fi, fl := range d.flips {
-			coords[fi] = map[string]any{"word": fl.Word, "bit": fl.Bit}
-		}
-		f["flips"] = coords
+		return append(attrs, telemetry.Int("word", d.word), telemetry.Int("bit", int(d.ctrBit)))
 	}
-	return f
+	return append(attrs, telemetry.Attr{Key: "flips", Value: flipCoords(d.flips)})
+}
+
+// flipCoords renders flipped bits as the "flips" attribute of a
+// fault.injected mark.
+func flipCoords(flips []BitFlip) []map[string]any {
+	coords := make([]map[string]any, len(flips))
+	for i, f := range flips {
+		coords[i] = map[string]any{"word": f.Word, "bit": f.Bit}
+	}
+	return coords
 }
 
 // verify closes epoch k at a verifying boundary.
@@ -300,16 +302,18 @@ func (t *epochTrial) check(k int) error {
 	if !t.cfg.Hardened || t.scrub == nil {
 		return nil
 	}
+	tracing := t.cfg.Tracer.Enabled()
 	if err := t.scrub(); err != nil {
-		telemetry.Emit(t.cfg.Trace, telemetry.EvScrubFail, map[string]any{
-			"trial": t.trial, "epoch": k, "error": err.Error(),
-		})
+		if tracing {
+			t.cfg.Tracer.Mark(t.span, telemetry.EvScrubFail,
+				telemetry.Int("epoch", k), telemetry.String("error", err.Error()))
+		}
 		t.inst.scrubFail.Inc()
 		return err
 	}
-	telemetry.Emit(t.cfg.Trace, telemetry.EvScrubPass, map[string]any{
-		"trial": t.trial, "epoch": k,
-	})
+	if tracing {
+		t.cfg.Tracer.Mark(t.span, telemetry.EvScrubPass, telemetry.Int("epoch", k))
+	}
 	t.inst.scrubPass.Inc()
 	return nil
 }

@@ -21,9 +21,10 @@ type Options struct {
 	// Inspector hoists inspectors for iterative (while) loops whose
 	// irregular index structures are loop-invariant (Section 4.2).
 	Inspector bool
-	// Trace, when non-nil, receives structured instrumentation events
-	// (compile.phase, plan.chosen, split.applied, inspector.hoisted).
-	Trace telemetry.Sink
+	// Tracer, when non-nil, records one "instrument" span per call with a
+	// child span per pipeline phase and plan.chosen, split.applied and
+	// inspector.hoisted point spans.
+	Tracer *telemetry.Tracer
 	// Metrics, when non-nil, receives phase-timing histograms and
 	// plan-decision counters.
 	Metrics *telemetry.Registry
@@ -96,8 +97,10 @@ func CloneProgram(p *lang.Program) *lang.Program {
 func Instrument(src *lang.Program, opt Options) (*Result, error) {
 	prog := CloneProgram(src)
 	rep := Report{}
+	span := opt.Tracer.Start(telemetry.SpanContext{}, "instrument", telemetry.String("program", src.Name))
+	defer span.End()
 	phase := func(name string, f func()) {
-		d := telemetry.TimePhase(opt.Trace, opt.Metrics, "instrument", name, f)
+		d := telemetry.TimePhase(opt.Tracer, span.Context(), opt.Metrics, "instrument", name, f)
 		rep.Phases = append(rep.Phases, PhaseTiming{Phase: name, Duration: d})
 	}
 
@@ -159,7 +162,7 @@ func Instrument(src *lang.Program, opt Options) (*Result, error) {
 		return nil, err
 	}
 	rep.ChecksumStmts = countChecksumStmts(prog.Body)
-	rep.emitDecisions(opt)
+	rep.emitDecisions(opt, span.Context())
 	return &Result{Prog: prog, Report: rep}, nil
 }
 
@@ -187,27 +190,24 @@ func countChecksumStmts(ss []lang.Stmt) int {
 	return n
 }
 
-// emitDecisions streams the final instrumentation decisions as events and
-// counters (a no-op when telemetry is disabled).
-func (r Report) emitDecisions(opt Options) {
+// emitDecisions records the final instrumentation decisions as point spans
+// under parent and as counters (a no-op when telemetry is disabled).
+func (r Report) emitDecisions(opt Options, parent telemetry.SpanContext) {
+	tr := opt.Tracer
 	for _, name := range r.sortedPlanNames() {
 		plan := r.Plans[name]
-		telemetry.Emit(opt.Trace, telemetry.EvPlanChosen, map[string]any{
-			"variable": name,
-			"plan":     string(plan),
-		})
+		if tr.Enabled() {
+			tr.Mark(parent, telemetry.EvPlanChosen,
+				telemetry.String("variable", name), telemetry.String("plan", string(plan)))
+		}
 		opt.Metrics.Counter("defuse_plans_total",
 			telemetry.Label{Key: "plan", Value: string(plan)}).Inc()
 	}
 	if r.SplitApplied {
-		telemetry.Emit(opt.Trace, telemetry.EvSplitApplied, map[string]any{
-			"segments": r.SplitSegments,
-		})
+		tr.Mark(parent, telemetry.EvSplitApplied, telemetry.Int("segments", r.SplitSegments))
 	}
 	if r.InspectorsHoisted > 0 {
-		telemetry.Emit(opt.Trace, telemetry.EvInspectorHoisted, map[string]any{
-			"loops": r.InspectorsHoisted,
-		})
+		tr.Mark(parent, telemetry.EvInspectorHoisted, telemetry.Int("loops", r.InspectorsHoisted))
 		opt.Metrics.Counter("defuse_inspectors_hoisted_total").Add(uint64(r.InspectorsHoisted))
 	}
 	opt.Metrics.Counter("defuse_checksum_stmts_total").Add(uint64(r.ChecksumStmts))

@@ -8,8 +8,9 @@ import (
 )
 
 // Compile-path telemetry: instrumentation must report per-phase wall time in
-// the Report, emit one plan.chosen event per protected variable, and record
-// applied optimizations (split.applied, inspector.hoisted) with counts.
+// the Report, record a span per phase and one plan.chosen point span per
+// protected variable, and record applied optimizations (split.applied,
+// inspector.hoisted) with counts — all under one "instrument" span.
 
 func TestInstrumentPhaseTimings(t *testing.T) {
 	prog, err := lang.Parse(choleskySrc)
@@ -48,39 +49,52 @@ func TestInstrumentEventsAndMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &telemetry.Collector{}
+	sink := telemetry.NewSpanBuffer(0)
 	reg := telemetry.NewRegistry()
-	res, err := Instrument(prog, Options{Split: true, Inspector: true, Trace: sink, Metrics: reg})
+	res, err := Instrument(prog, Options{Split: true, Inspector: true,
+		Tracer: telemetry.NewTracer(sink), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	root := sink.Named("instrument")
+	if len(root) != 1 || root[0].Attr("program") != prog.Name {
+		t.Fatalf("instrument spans = %+v, want one for %s", root, prog.Name)
+	}
+	for _, d := range sink.Spans() {
+		if d.Name != "instrument" && (d.Parent != root[0].ID || d.Trace != root[0].Trace) {
+			t.Errorf("span %s is not a child of the instrument span", d.Name)
+		}
+	}
+
 	plans := sink.Named(telemetry.EvPlanChosen)
 	if want := len(res.Report.Plans); len(plans) != want {
-		t.Errorf("plan.chosen events = %d, want %d (one per variable)", len(plans), want)
+		t.Errorf("plan.chosen spans = %d, want %d (one per variable)", len(plans), want)
 	}
-	for _, ev := range plans {
-		v, _ := ev.Fields["variable"].(string)
-		plan, _ := ev.Fields["plan"].(string)
+	for _, d := range plans {
+		v, _ := d.Attr("variable").(string)
+		plan, _ := d.Attr("plan").(string)
 		if got, ok := res.Report.Plans[v]; !ok || string(got) != plan {
 			t.Errorf("plan.chosen{%s=%s} does not match report plan %v", v, plan, res.Report.Plans[v])
 		}
 	}
 
 	if res.Report.SplitSegments > 0 {
-		ev := sink.Named(telemetry.EvSplitApplied)
-		if len(ev) != 1 || ev[0].Fields["segments"] != res.Report.SplitSegments {
-			t.Errorf("split.applied events %v do not carry segments=%d", ev, res.Report.SplitSegments)
+		d := sink.Named(telemetry.EvSplitApplied)
+		if len(d) != 1 || d[0].Attr("segments") != int64(res.Report.SplitSegments) {
+			t.Errorf("split.applied spans %v do not carry segments=%d", d, res.Report.SplitSegments)
 		}
 	}
 	if res.Report.InspectorsHoisted > 0 {
-		ev := sink.Named(telemetry.EvInspectorHoisted)
-		if len(ev) != 1 || ev[0].Fields["loops"] != res.Report.InspectorsHoisted {
-			t.Errorf("inspector.hoisted events %v do not carry loops=%d", ev, res.Report.InspectorsHoisted)
+		d := sink.Named(telemetry.EvInspectorHoisted)
+		if len(d) != 1 || d[0].Attr("loops") != int64(res.Report.InspectorsHoisted) {
+			t.Errorf("inspector.hoisted spans %v do not carry loops=%d", d, res.Report.InspectorsHoisted)
 		}
 	}
-	if sink.Count(telemetry.EvCompilePhase) == 0 {
-		t.Error("no compile.phase events emitted")
+	for _, ph := range res.Report.Phases {
+		if d := sink.Named(ph.Phase); len(d) != 1 || d[0].Attr("component") != "instrument" {
+			t.Errorf("phase %s: spans %+v, want one with component=instrument", ph.Phase, d)
+		}
 	}
 	if res.Report.ChecksumStmts <= 0 {
 		t.Errorf("ChecksumStmts = %d, want > 0", res.Report.ChecksumStmts)

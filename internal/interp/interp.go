@@ -104,17 +104,15 @@ func WithChecksumKind(k checksum.Kind) Option { return func(o *options) { o.Kind
 // WithMaxSteps bounds statement execution.
 func WithMaxSteps(n uint64) Option { return func(o *options) { o.maxSteps = n } }
 
-// WithTrace streams execution events (fault.injected with bit/word
-// coordinates, detection, verify.ok/mismatch) to s.
-func WithTrace(s telemetry.Sink) Option { return func(o *options) { o.Trace = s } }
-
 // WithMetrics publishes dynamic operation counts and verification outcomes
 // into r after each Run or epoch.
 func WithMetrics(r *telemetry.Registry) Option { return func(o *options) { o.Metrics = r } }
 
-// WithTracer records causally linked spans for supervised execution: a root
-// "run" span per Supervise call with per-epoch-attempt, verification,
-// recovery, and WAL children. A nil tracer costs nothing.
+// WithTracer records causally linked spans: a root "run" span per Supervise
+// call with per-epoch-attempt, verification, recovery, and WAL children, and
+// point spans for injected faults (with bit/word coordinates), verification
+// outcomes (verify.ok/mismatch) and parallel shard merges under the
+// machine's current span (SetSpan). A nil tracer costs nothing.
 func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.Tracer = t } }
 
 // WithBaseOffset shifts every declared array's base address by pad unused

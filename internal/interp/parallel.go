@@ -149,14 +149,13 @@ func (p *ParallelPlan) Run() (*ParallelResult, error) {
 			m.Counts.add(wm.Counts)
 			m.Mem().AbsorbCounters(wm.Mem())
 			res.WorkerCounts[w] = wm.Counts
-			if m.Trace() != nil {
-				telemetry.Emit(m.Trace(), telemetry.EvShardMerge, map[string]any{
-					"worker": w, "ops": wm.Counts.Total(), "live": len(forks) - w - 1,
-				})
+			if m.Tracer().Enabled() {
+				m.Mark(telemetry.EvShardMerge, telemetry.Int("worker", w),
+					telemetry.Attr{Key: "ops", Value: wm.Counts.Total()}, telemetry.Int("live", len(forks)-w-1))
 			}
 		}
-		if m.Trace() != nil {
-			telemetry.Emit(m.Trace(), telemetry.EvShardDrain, map[string]any{"shards": len(forks)})
+		if m.Tracer().Enabled() {
+			m.Mark(telemetry.EvShardDrain, telemetry.Int("shards", len(forks)))
 		}
 		for _, err := range errs {
 			if err != nil {

@@ -8,9 +8,10 @@ import (
 	"defuse/telemetry"
 )
 
-// Detection-path telemetry: a single-bit flip on a tracked word must produce
-// a fault.injected event carrying the exact array/index/bit coordinates and
-// a detection event when the checksum assertion fires.
+// Detection-path telemetry: a single-bit flip on a tracked word must mark a
+// fault.injected point span carrying the exact array/index/bit coordinates
+// and a verify.mismatch span when the checksum assertion fires, both under
+// the span the machine runs in.
 
 // detectionSrc builds a program defining cell 2 of a 4-element array with
 // two uses, checksum-instrumented by hand so the statement schedule is
@@ -46,9 +47,12 @@ func TestDetectionEventCoordinates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := &telemetry.Collector{}
+			sink := telemetry.NewSpanBuffer(0)
+			tr := telemetry.NewTracer(sink)
 			reg := telemetry.NewRegistry()
-			m := mustMachine(t, tc.src, nil, WithTrace(sink), WithMetrics(reg))
+			m := mustMachine(t, tc.src, nil, WithTracer(tr), WithMetrics(reg))
+			run := tr.Start(telemetry.SpanContext{}, "run")
+			m.SetSpan(run.Context())
 			base, _, err := m.Region("a")
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +63,7 @@ func TestDetectionEventCoordinates(t *testing.T) {
 				}
 			})
 			err = m.Run()
+			run.End()
 			var de *DetectionError
 			if !errors.As(err, &de) {
 				t.Fatalf("injected fault not detected: %v", err)
@@ -66,23 +71,28 @@ func TestDetectionEventCoordinates(t *testing.T) {
 
 			inj := sink.Named(telemetry.EvFaultInjected)
 			if len(inj) != 1 {
-				t.Fatalf("fault.injected events = %d, want 1", len(inj))
+				t.Fatalf("fault.injected spans = %d, want 1", len(inj))
 			}
-			f := inj[0].Fields
-			if f["array"] != "a" || f["index"] != 2 || f["bit"] != tc.bit || f["addr"] != base+2 {
+			f := inj[0]
+			if f.Attr("array") != "a" || f.Attr("index") != int64(2) ||
+				f.Attr("bit") != int64(tc.bit) || f.Attr("addr") != int64(base+2) {
 				t.Errorf("fault coordinates = %v, want array=a index=2 bit=%d addr=%d",
-					f, tc.bit, base+2)
+					f.Attrs, tc.bit, base+2)
 			}
-			det := sink.Named(telemetry.EvDetection)
+			det := sink.Named(telemetry.EvVerifyMismatch)
 			if len(det) != 1 {
-				t.Fatalf("detection events = %d, want 1", len(det))
+				t.Fatalf("verify.mismatch spans = %d, want 1", len(det))
 			}
-			if det[0].Fields["which"] != "def/use" {
-				t.Errorf("detection which = %v, want def/use", det[0].Fields["which"])
+			if det[0].Attr("which") != "def/use" {
+				t.Errorf("verify.mismatch which = %v, want def/use", det[0].Attr("which"))
 			}
-			if sink.Count(telemetry.EvVerifyMismatch) != 1 || sink.Count(telemetry.EvVerifyOK) != 0 {
-				t.Errorf("verify events: mismatch=%d ok=%d, want 1/0",
-					sink.Count(telemetry.EvVerifyMismatch), sink.Count(telemetry.EvVerifyOK))
+			if n := len(sink.Named(telemetry.EvVerifyOK)); n != 0 {
+				t.Errorf("verify.ok spans = %d on a detected run", n)
+			}
+			for _, d := range []telemetry.SpanData{f, det[0]} {
+				if d.Parent != run.Context().Span || d.Duration != 0 {
+					t.Errorf("%s is not a point span under run: %+v", d.Name, d)
+				}
 			}
 			if got := reg.Counter("defuse_detections_total").Value(); got != 1 {
 				t.Errorf("defuse_detections_total = %d, want 1", got)
@@ -92,22 +102,22 @@ func TestDetectionEventCoordinates(t *testing.T) {
 }
 
 func TestVerifyOKEventOnCleanRun(t *testing.T) {
-	sink := &telemetry.Collector{}
+	sink := telemetry.NewSpanBuffer(0)
 	reg := telemetry.NewRegistry()
 	m := mustMachine(t, detectionSrc("float", "10.0 + 20.0", "30.0", "40.0"), nil,
-		WithTrace(sink), WithMetrics(reg))
+		WithTracer(telemetry.NewTracer(sink)), WithMetrics(reg))
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	ok := sink.Named(telemetry.EvVerifyOK)
 	if len(ok) != 1 {
-		t.Fatalf("verify.ok events = %d, want 1", len(ok))
+		t.Fatalf("verify.ok spans = %d, want 1", len(ok))
 	}
-	if ok[0].Fields["def"] != ok[0].Fields["use"] {
-		t.Errorf("verify.ok checksums differ: %v", ok[0].Fields)
+	if ok[0].Attr("def") == nil || ok[0].Attr("def") != ok[0].Attr("use") {
+		t.Errorf("verify.ok checksums differ: %v", ok[0].Attrs)
 	}
-	if sink.Count(telemetry.EvDetection) != 0 {
-		t.Error("clean run emitted a detection event")
+	if len(sink.Named(telemetry.EvVerifyMismatch)) != 0 {
+		t.Error("clean run marked a verify.mismatch")
 	}
 	// Run metrics must be published.
 	snap := reg.Snapshot()

@@ -125,8 +125,8 @@ func (p *Plan) verify(int) error {
 
 // Config is the supervisor configuration Supervise runs under span: the
 // plan's epochs, checkpoint, restore, and boundary verification, with the
-// machine's trace sink, metrics registry and tracer. A caller that runs the
-// plan under its own supervisor overrides only what it changes.
+// machine's metrics registry and tracer. A caller that runs the plan under
+// its own supervisor overrides only what it changes.
 func (p *Plan) Config(pol recovery.Policy, span telemetry.SpanContext) recovery.Config {
 	return recovery.Config{
 		Epochs:     p.n,
@@ -135,7 +135,6 @@ func (p *Plan) Config(pol recovery.Policy, span telemetry.SpanContext) recovery.
 		Checkpoint: p.Checkpoint,
 		Restore:    p.Restore,
 		Policy:     pol,
-		Trace:      p.m.cfg.Trace,
 		Metrics:    p.m.cfg.Metrics,
 		Tracer:     p.m.cfg.Tracer,
 		Span:       span,
@@ -147,13 +146,23 @@ func (p *Plan) Config(pol recovery.Policy, span telemetry.SpanContext) recovery.
 // is sound when the instrumentation is epoch-balanced — every value defined
 // in an iteration block has its checksum contributions completed by the
 // block's end, which is exactly the paper's post-dominator condition applied
-// per block. The configured trace sink, metrics registry and tracer receive
-// the supervisor's epoch.verify / recovery.* telemetry.
+// per block. The configured metrics registry and tracer receive the
+// supervisor's telemetry: one "run" span holding the epoch, recovery and
+// verification spans and the machine's own marks.
 func (p *Plan) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Outcome, error) {
 	run := p.m.cfg.Tracer.Start(telemetry.SpanContext{}, "run", telemetry.Int("epochs", p.n))
+	defer p.m.underSpan(run.Context())()
 	out, err := recovery.Supervise(ctx, p.Config(pol, run.Context()))
 	run.End(telemetry.Bool("detected", out.Detected), telemetry.Bool("tainted", out.Tainted))
 	return out, err
+}
+
+// underSpan makes sc the parent of the machine's marks and returns the
+// function that restores the previous parent.
+func (m *State) underSpan(sc telemetry.SpanContext) func() {
+	prev := m.span
+	m.span = sc
+	return func() { m.span = prev }
 }
 
 // SuperviseDurable is Supervise with durable checkpoints: every verified
@@ -166,6 +175,7 @@ func (p *Plan) Supervise(ctx context.Context, pol recovery.Policy) (recovery.Out
 func (p *Plan) SuperviseDurable(ctx context.Context, pol recovery.Policy, walPath string) (recovery.DurableOutcome, error) {
 	run := p.m.cfg.Tracer.Start(telemetry.SpanContext{}, "run",
 		telemetry.Int("epochs", p.n), telemetry.Bool("durable", true))
+	defer p.m.underSpan(run.Context())()
 	d := &recovery.DurableSupervisor{
 		Config:      p.Config(pol, run.Context()),
 		Path:        walPath,

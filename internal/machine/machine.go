@@ -31,12 +31,11 @@ const pollInterval = 256
 type Config struct {
 	// Kind selects the checksum operator (zero value: ModAdd).
 	Kind checksum.Kind
-	// Trace receives fault.injected, verify.ok/mismatch and detection
-	// events, plus the supervisor's epoch and recovery events.
-	Trace telemetry.Sink
 	// Metrics receives verification outcomes and supervisor metrics.
 	Metrics *telemetry.Registry
-	// Tracer records causally linked spans for supervised runs.
+	// Tracer records causally linked spans for supervised runs, and marks
+	// fault.injected and verify.ok/mismatch point spans under the machine's
+	// current span (SetSpan).
 	Tracer *telemetry.Tracer
 	// BaseOffset shifts every variable's base address by that many unused
 	// words. Two machines running the same program with different offsets
@@ -69,7 +68,8 @@ type State struct {
 	haveBounds bool
 
 	cfg     Config
-	backend string // error prefix and trial label: "interp" or "codegen"
+	span    telemetry.SpanContext // parent of the machine's point spans
+	backend string                // error prefix and trial label: "interp" or "codegen"
 }
 
 // New returns a State for backend with prog's parameters bound from params
@@ -96,9 +96,8 @@ func New(backend string, cfg Config, prog *lang.Program, params map[string]int64
 // Alloc allocates prog's variables in declaration order after
 // cfg.BaseOffset guard words, so a word address names the same logical
 // element under every backend. dim is the backend's evaluator for the
-// integer dimension expressions. With a trace sink configured, every
-// injected bit flip is streamed with its word address and owning array
-// coordinates.
+// integer dimension expressions. With tracing on, every injected bit flip is
+// marked with its word address and owning array coordinates.
 func (m *State) Alloc(prog *lang.Program, dim func(lang.Expr) (int64, error)) error {
 	alloc := memsim.NewAllocator(m.mem)
 	if m.cfg.BaseOffset > 0 {
@@ -121,14 +120,13 @@ func (m *State) Alloc(prog *lang.Program, dim func(lang.Expr) (int64, error)) er
 		v.Region = alloc.Alloc(int(size))
 		m.vars[d.Name] = v
 	}
-	if m.cfg.Trace != nil {
+	if m.cfg.Tracer.Enabled() {
 		m.mem.SetFaultHook(func(addr, bit int) {
-			fields := map[string]any{"addr": addr, "bit": bit}
+			attrs := []telemetry.Attr{telemetry.Int("addr", addr), telemetry.Int("bit", bit)}
 			if name, idx, ok := m.varAt(addr); ok {
-				fields["array"] = name
-				fields["index"] = idx
+				attrs = append(attrs, telemetry.String("array", name), telemetry.Int("index", idx))
 			}
-			telemetry.Emit(m.cfg.Trace, telemetry.EvFaultInjected, fields)
+			m.Mark(telemetry.EvFaultInjected, attrs...)
 		})
 	}
 	return nil
@@ -168,8 +166,19 @@ func (m *State) Mem() *memsim.Memory { return m.mem }
 // Pair exposes the checksum accumulators.
 func (m *State) Pair() *checksum.Pair { return m.pair }
 
-// Trace returns the configured trace sink, or nil.
-func (m *State) Trace() telemetry.Sink { return m.cfg.Trace }
+// Tracer returns the configured tracer, or nil.
+func (m *State) Tracer() *telemetry.Tracer { return m.cfg.Tracer }
+
+// SetSpan sets the span the machine's point spans attach to — the run or
+// request executing on it; the zero context makes each a root of its own.
+func (m *State) SetSpan(sc telemetry.SpanContext) { m.span = sc }
+
+// Mark records a point span under the machine's current span. Its
+// attributes are built even when tracing is off: hot paths guard with
+// Tracer().Enabled().
+func (m *State) Mark(name string, attrs ...telemetry.Attr) {
+	m.cfg.Tracer.Mark(m.span, name, attrs...)
+}
 
 // Metrics returns the configured metrics registry, or nil.
 func (m *State) Metrics() *telemetry.Registry { return m.cfg.Metrics }
@@ -265,7 +274,7 @@ func (m *State) StoreF(addr int, v float64) { m.mem.Store(addr, math.Float64bits
 // flushes it into the Pair instead.
 func (m *State) Fold(a checksum.Acc, v uint64, n int64) { m.pair.ScaleFold(a, v, n) }
 
-// VerifyChecksums is assert_checksums(): it verifies the pair and streams
+// VerifyChecksums is assert_checksums(): it verifies the pair and reports
 // the outcome. The backend wraps a mismatch with its statement position.
 func (m *State) VerifyChecksums() error {
 	err := m.pair.Verify()
@@ -273,32 +282,33 @@ func (m *State) VerifyChecksums() error {
 	return err
 }
 
-// emitVerify streams the outcome of a checksum verification: verify.ok on a
-// match, verify.mismatch plus a detection event (with the mismatching pair
-// and both values) on a caught memory error.
+// emitVerify reports the outcome of a checksum verification: a verify.ok
+// mark on a match, a verify.mismatch mark (with the mismatching pair and
+// both values) on a caught memory error, and the verification counters.
 func (m *State) emitVerify(err error) {
-	tr, reg := m.cfg.Trace, m.cfg.Metrics
-	if tr == nil && reg == nil {
+	tracing, reg := m.cfg.Tracer.Enabled(), m.cfg.Metrics
+	if !tracing && reg == nil {
 		return
 	}
 	if err == nil {
-		telemetry.Emit(tr, telemetry.EvVerifyOK, map[string]any{
-			"def": m.pair.Def, "use": m.pair.Use,
-			"e_def": m.pair.EDef, "e_use": m.pair.EUse,
-		})
+		if tracing {
+			m.Mark(telemetry.EvVerifyOK,
+				telemetry.Attr{Key: "def", Value: m.pair.Def}, telemetry.Attr{Key: "use", Value: m.pair.Use},
+				telemetry.Attr{Key: "e_def", Value: m.pair.EDef}, telemetry.Attr{Key: "e_use", Value: m.pair.EUse})
+		}
 		reg.Counter("defuse_verifications_total",
 			telemetry.Label{Key: "result", Value: "ok"}).Inc()
 		return
 	}
-	fields := map[string]any{"error": err.Error()}
-	var mm *checksum.MismatchError
-	if errors.As(err, &mm) {
-		fields["which"] = mm.Which
-		fields["expected"] = mm.Expected
-		fields["observed"] = mm.Observed
+	if tracing {
+		attrs := []telemetry.Attr{telemetry.String("error", err.Error())}
+		var mm *checksum.MismatchError
+		if errors.As(err, &mm) {
+			attrs = append(attrs, telemetry.String("which", mm.Which),
+				telemetry.Attr{Key: "expected", Value: mm.Expected}, telemetry.Attr{Key: "observed", Value: mm.Observed})
+		}
+		m.Mark(telemetry.EvVerifyMismatch, attrs...)
 	}
-	telemetry.Emit(tr, telemetry.EvVerifyMismatch, fields)
-	telemetry.Emit(tr, telemetry.EvDetection, fields)
 	reg.Counter("defuse_verifications_total",
 		telemetry.Label{Key: "result", Value: "mismatch"}).Inc()
 	reg.Counter("defuse_detections_total").Inc()

@@ -77,7 +77,7 @@ func (d *DurableSupervisor) Run(ctx context.Context) (DurableOutcome, error) {
 	}
 
 	rspan := d.Config.Tracer.Start(d.Config.Span, "wal.recover")
-	log, err := d.resume(&out)
+	log, err := d.resume(&out, &rspan)
 	rspan.EndErr(err)
 	if err != nil {
 		return out, err
@@ -109,9 +109,6 @@ func (d *DurableSupervisor) Run(ctx context.Context) (DurableOutcome, error) {
 		sspan.End(telemetry.Int("bytes", len(payload)))
 		out.Seals++
 		d := time.Since(start)
-		telemetry.Emit(cfg.Trace, telemetry.EvWALSeal, map[string]any{
-			"epoch": k, "bytes": len(payload), "seconds": d.Seconds(),
-		})
 		cfg.Metrics.Counter("defuse_wal_seals_total").Inc()
 		sealBytes.Set(float64(len(payload)))
 		sealLatency.Observe(d.Seconds())
@@ -125,23 +122,20 @@ func (d *DurableSupervisor) Run(ctx context.Context) (DurableOutcome, error) {
 // resume scans the checkpoint log, installs the newest usable record's state,
 // and returns an open append handle positioned after the last frame that
 // survives. Unusable records (torn, CRC-failed, digest-failed, foreign
-// fingerprint) are reported in out and via telemetry, then discarded — the
-// log is truncated (or recreated) so the refused bytes cannot resurface.
-func (d *DurableSupervisor) resume(out *DurableOutcome) (*wal.Log, error) {
+// fingerprint) are reported in out and marked under span, then discarded —
+// the log is truncated (or recreated) so the refused bytes cannot resurface.
+// A resumed record's epoch, position and size become span's attributes.
+func (d *DurableSupervisor) resume(out *DurableOutcome, span *telemetry.Span) (*wal.Log, error) {
 	var opts wal.Options
 	scan, err := wal.Recover(d.Path)
 	out.TornTail = scan.TornTail
 	if out.TornTail {
-		telemetry.Emit(d.Trace, telemetry.EvWALTornTail, map[string]any{
-			"bytes": scan.TornBytes,
-		})
+		d.Tracer.Mark(span.Context(), telemetry.EvWALTornTail, telemetry.Int("bytes", scan.TornBytes))
 		d.Metrics.Counter("defuse_wal_torn_tails_total").Inc()
 	}
 	noteCorrupt := func(cause error) {
 		out.CorruptRecords++
-		telemetry.Emit(d.Trace, telemetry.EvWALCorrupt, map[string]any{
-			"error": cause.Error(),
-		})
+		d.Tracer.Mark(span.Context(), telemetry.EvWALCorrupt, telemetry.String("error", cause.Error()))
 		d.Metrics.Counter("defuse_wal_corrupt_total").Inc()
 	}
 	if err != nil {
@@ -193,9 +187,8 @@ func (d *DurableSupervisor) resume(out *DurableOutcome) (*wal.Log, error) {
 		// No record survived its checks: start from scratch on a fresh log.
 		return wal.Create(d.Path, opts)
 	}
-	telemetry.Emit(d.Trace, telemetry.EvWALRecover, map[string]any{
-		"epoch": out.ResumeEpoch, "records": usable + 1, "bytes": len(scan.Records[usable].Payload),
-	})
+	*span = span.SetAttr(telemetry.Int("epoch", out.ResumeEpoch),
+		telemetry.Int("records", usable+1), telemetry.Int("bytes", len(scan.Records[usable].Payload)))
 	d.Metrics.Counter("defuse_wal_recoveries_total").Inc()
 	// Drop any newer-but-refused records before appending: Open truncates
 	// only the torn/poisoned remainder past ValidSize, so records the decoder

@@ -82,9 +82,9 @@ func finalValue(epochs int) uint64 { return uint64(epochs * (epochs + 1) / 2) }
 func TestDurableFreshRunSealsEveryEpoch(t *testing.T) {
 	path := walPath(t)
 	s := &durState{}
-	trace := &telemetry.Collector{}
+	trace := telemetry.NewSpanBuffer(0)
 	d := durable(s, path, 5, -1)
-	d.Trace = trace
+	d.Tracer = telemetry.NewTracer(trace)
 	d.Metrics = telemetry.NewRegistry()
 	out, err := d.Run(context.Background())
 	if err != nil {
@@ -99,11 +99,12 @@ func TestDurableFreshRunSealsEveryEpoch(t *testing.T) {
 	if s.value != finalValue(5) {
 		t.Errorf("value = %d, want %d", s.value, finalValue(5))
 	}
-	if n := trace.Count(telemetry.EvWALSeal); n != 5 {
-		t.Errorf("wal.seal events = %d, want 5", n)
+	if n := len(trace.Named("wal.seal")); n != 5 {
+		t.Errorf("wal.seal spans = %d, want 5", n)
 	}
-	if n := trace.Count(telemetry.EvWALRecover); n != 0 {
-		t.Errorf("wal.recover events = %d on a fresh run", n)
+	// The recovery scan runs on a fresh log too, but resumes nothing.
+	if rec := trace.Named("wal.recover"); len(rec) != 1 || rec[0].Attr("epoch") != nil {
+		t.Errorf("wal.recover spans = %+v, want one without a resume epoch", rec)
 	}
 	// The log itself holds 5 sealed, scannable records.
 	scan, err := wal.Recover(path)
@@ -125,9 +126,9 @@ func TestDurableResumeAfterMidRunDeath(t *testing.T) {
 	// must finish with the exact uninterrupted result without re-running
 	// epochs 0-2.
 	s2 := &durState{}
-	trace := &telemetry.Collector{}
+	trace := telemetry.NewSpanBuffer(0)
 	d := durable(s2, path, 6, -1)
-	d.Trace = trace
+	d.Tracer = telemetry.NewTracer(trace)
 	out, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -141,8 +142,9 @@ func TestDurableResumeAfterMidRunDeath(t *testing.T) {
 	if want := []int{3, 4, 5}; len(s2.runs) != len(want) {
 		t.Errorf("resumed incarnation ran epochs %v, want %v", s2.runs, want)
 	}
-	if n := trace.Count(telemetry.EvWALRecover); n != 1 {
-		t.Errorf("wal.recover events = %d, want 1", n)
+	if rec := trace.Named("wal.recover"); len(rec) != 1 ||
+		rec[0].Attr("epoch") != int64(3) || rec[0].Attr("records") != int64(3) {
+		t.Errorf("wal.recover spans = %+v, want one resuming epoch 3 from record 3", rec)
 	}
 	if out.Seals != 3 {
 		t.Errorf("Seals = %d, want 3 (only the completed epochs)", out.Seals)
@@ -188,9 +190,9 @@ func TestDurableCorruptNewestRecordFallsBackOneEpoch(t *testing.T) {
 	}
 
 	s2 := &durState{}
-	trace := &telemetry.Collector{}
+	trace := telemetry.NewSpanBuffer(0)
 	d := durable(s2, path, 5, -1)
-	d.Trace = trace
+	d.Tracer = telemetry.NewTracer(trace)
 	out, err := d.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +203,9 @@ func TestDurableCorruptNewestRecordFallsBackOneEpoch(t *testing.T) {
 	if out.CorruptRecords == 0 {
 		t.Error("corrupt record not counted")
 	}
-	if n := trace.Count(telemetry.EvWALCorrupt); n == 0 {
-		t.Error("no wal.corrupt event")
+	corrupt, rec := trace.Named(telemetry.EvWALCorrupt), trace.Named("wal.recover")
+	if len(corrupt) == 0 || len(rec) != 1 || corrupt[0].Parent != rec[0].ID {
+		t.Errorf("wal.corrupt spans %+v, want at least one under wal.recover %+v", corrupt, rec)
 	}
 	if s2.value != finalValue(5) {
 		t.Errorf("value = %d, want %d (epoch 4 re-run from the older record)", s2.value, finalValue(5))

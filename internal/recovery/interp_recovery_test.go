@@ -77,8 +77,8 @@ func TestEpochFaultDetectedAtInjectionEpochAndRecovered(t *testing.T) {
 	)
 	for _, injIter := range []int64{0, 6, 11, 15} {
 		injEpoch := int(injIter) / (n / epochs)
-		sink := &telemetry.Collector{}
-		m, plan := newPlan(t, n, epochs, interp.WithTrace(sink))
+		sink := telemetry.NewSpanBuffer(0)
+		m, plan := newPlan(t, n, epochs, interp.WithTracer(telemetry.NewTracer(sink)))
 		base, _, err := m.Region("A")
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +114,8 @@ func TestEpochFaultDetectedAtInjectionEpochAndRecovered(t *testing.T) {
 				injIter, out.Retries, out.Restarts)
 		}
 		checkFinalState(t, m, n)
-		if sink.Count(telemetry.EvRecoveryRetry) != 1 {
-			t.Errorf("injIter=%d: expected one recovery.retry event", injIter)
+		if rb := sink.Named("recovery.rollback"); len(rb) != 1 || rb[0].Attr("epoch") != int64(injEpoch) {
+			t.Errorf("injIter=%d: recovery.rollback spans = %+v, want one for epoch %d", injIter, rb, injEpoch)
 		}
 	}
 }

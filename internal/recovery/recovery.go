@@ -177,12 +177,13 @@ type Config struct {
 	Commit func(k int) error
 
 	Policy  Policy
-	Trace   telemetry.Sink
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per epoch attempt (named
-	// "epoch", attributes epoch/attempt/ok) plus spans for each recovery
-	// action (rollback, rebuild, restart), all children of Span. A nil
-	// tracer is free.
+	// "epoch", attributes epoch/attempt/ok, with a "verify" child) plus
+	// spans for each recovery action (recovery.rollback with its
+	// backoff_seconds, recovery.rebuild, recovery.restart), all children of
+	// Span. A failed attempt's detector.fault or checkpoint.corrupt and a
+	// recovery.degraded are marked as point spans. A nil tracer is free.
 	Tracer *telemetry.Tracer
 	// Span is the parent context the supervisor's spans attach to (the
 	// caller's "run" span); the zero value roots a fresh trace.
@@ -244,27 +245,28 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 	verifyHist := cfg.Metrics.Histogram("defuse_epoch_verify_seconds", telemetry.DefBuckets())
 
 	// noteDetection records the first failed verification and per-class
-	// tallies for one failed attempt.
-	noteDetection := func(k int, class FaultClass, err error) {
+	// tallies for one failed attempt, marking detector and checkpoint faults
+	// under span (the failed attempt, or the recovery action that failed).
+	noteDetection := func(k int, class FaultClass, err error, span telemetry.SpanContext) {
 		if !o.Detected {
 			o.Detected = true
 			o.FirstDetection = k
 		}
+		mark := ""
 		switch class {
 		case ClassData:
 			o.DataFaults++
 		case ClassDetector:
 			o.DetectorFaults++
-			telemetry.Emit(cfg.Trace, telemetry.EvDetectorFault, map[string]any{
-				"epoch": k, "error": err.Error(),
-			})
+			mark = telemetry.EvDetectorFault
 			cfg.Metrics.Counter("defuse_detector_faults_total").Inc()
 		case ClassCheckpoint:
 			o.CheckpointFaults++
-			telemetry.Emit(cfg.Trace, telemetry.EvCheckpointCorrupt, map[string]any{
-				"epoch": k, "error": err.Error(),
-			})
+			mark = telemetry.EvCheckpointCorrupt
 			cfg.Metrics.Counter("defuse_checkpoint_corrupt_total").Inc()
+		}
+		if mark != "" && cfg.Tracer.Enabled() {
+			cfg.Tracer.Mark(span, mark, telemetry.Int("epoch", k), telemetry.String("error", err.Error()))
 		}
 	}
 
@@ -277,25 +279,20 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 		escalateRestart := func(k int) {
 			if o.Restarts < cfg.Policy.MaxRestarts {
 				o.Restarts++
-				telemetry.Emit(cfg.Trace, telemetry.EvRecoveryRestart, map[string]any{
-					"epoch": k, "restart": o.Restarts,
-				})
 				cfg.Metrics.Counter("defuse_recovery_restarts_total").Inc()
 				rspan := cfg.Tracer.Start(cfg.Span, "recovery.restart",
 					telemetry.Int("epoch", k), telemetry.Int("restart", o.Restarts))
 				rerr := cfg.Restore(initial)
 				rspan.EndErr(rerr)
 				if rerr != nil {
-					noteDetection(k, DefaultClassify(rerr), rerr)
+					noteDetection(k, DefaultClassify(rerr), rerr, rspan.Context())
 				} else {
 					restart = true
 					return
 				}
 			}
 			o.Tainted = true
-			telemetry.Emit(cfg.Trace, telemetry.EvRecoveryDegraded, map[string]any{
-				"epoch": k,
-			})
+			cfg.Tracer.Mark(cfg.Span, telemetry.EvRecoveryDegraded, telemetry.Int("epoch", k))
 			cfg.Metrics.Counter("defuse_recovery_degraded_total").Inc()
 		}
 		for k := cfg.StartEpoch; k < cfg.Epochs && !restart; k++ {
@@ -320,9 +317,6 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 					vspan.EndErr(err)
 				}
 				attempt.EndErr(err)
-				telemetry.Emit(cfg.Trace, telemetry.EvEpochVerify, map[string]any{
-					"epoch": k, "attempt": retries, "ok": err == nil,
-				})
 				if err == nil {
 					verifications("ok").Inc()
 					verified = true
@@ -340,7 +334,7 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 					// unrepaired imbalance, so they must not count it again.
 					break
 				}
-				noteDetection(k, class, err)
+				noteDetection(k, class, err, attempt.Context())
 				if cerr := ctx.Err(); cerr != nil {
 					return o, cerr
 				}
@@ -354,6 +348,7 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 					retries++
 					o.Retries++
 					span := "recovery.rollback"
+					var backoff time.Duration
 					if class == ClassDetector {
 						// The detector was struck, not the data: restore the
 						// epoch checkpoint (detector state included) and
@@ -361,17 +356,11 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 						// suggests the data path is under sustained
 						// disturbance.
 						o.Rebuilds++
-						telemetry.Emit(cfg.Trace, telemetry.EvRecoveryRebuild, map[string]any{
-							"epoch": k, "attempt": retries,
-						})
 						cfg.Metrics.Counter("defuse_recovery_rebuilds_total").Inc()
 						span = "recovery.rebuild"
 					} else {
-						backoff := cfg.Policy.Delay(dataRetries)
+						backoff = cfg.Policy.Delay(dataRetries)
 						dataRetries++
-						telemetry.Emit(cfg.Trace, telemetry.EvRecoveryRetry, map[string]any{
-							"epoch": k, "attempt": retries, "backoff_seconds": backoff.Seconds(),
-						})
 						cfg.Metrics.Counter("defuse_recovery_retries_total").Inc()
 						backoffHist.Observe(backoff.Seconds())
 						if backoff > 0 {
@@ -379,13 +368,14 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 						}
 					}
 					rspan := cfg.Tracer.Start(cfg.Span, span,
-						telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
+						telemetry.Int("epoch", k), telemetry.Int("attempt", retries),
+						telemetry.Float("backoff_seconds", backoff.Seconds()))
 					rerr := cfg.Restore(snap)
 					rspan.EndErr(rerr)
 					if rerr != nil {
 						// The epoch checkpoint cannot be reinstated —
 						// typically because it was itself corrupted.
-						noteDetection(k, DefaultClassify(rerr), rerr)
+						noteDetection(k, DefaultClassify(rerr), rerr, rspan.Context())
 						escalateRestart(k)
 						break
 					}

@@ -262,7 +262,8 @@ func TestSuperviseBackoffSequence(t *testing.T) {
 }
 
 func TestSuperviseTelemetry(t *testing.T) {
-	sink := &telemetry.Collector{}
+	buf := telemetry.NewSpanBuffer(0)
+	tr := telemetry.NewTracer(buf)
 	reg := telemetry.NewRegistry()
 	s := &simState{}
 	faulted := false
@@ -273,32 +274,53 @@ func TestSuperviseTelemetry(t *testing.T) {
 		}
 		return nil
 	})
-	cfg.Policy = Policy{MaxRetries: 1}
-	cfg.Trace = sink
+	cfg.Policy = Policy{MaxRetries: 1, Backoff: 3 * time.Millisecond, Sleep: func(time.Duration) {}}
 	cfg.Metrics = reg
+	cfg.Tracer = tr
+	run := tr.Start(telemetry.SpanContext{}, "run")
+	cfg.Span = run.Context()
 	if _, err := Supervise(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	// 3 epochs + 1 re-execution = 4 boundary verifications, 1 retry.
-	if got := sink.Count(telemetry.EvEpochVerify); got != 4 {
-		t.Errorf("epoch.verify events = %d, want 4", got)
+	run.End()
+	// 3 epochs + 1 re-execution = 4 attempts, each with its verify child,
+	// and 1 rollback carrying the backoff it waited — all in the run's tree.
+	epochs, verifies := buf.Named("epoch"), buf.Named("verify")
+	if len(epochs) != 4 || len(verifies) != 4 {
+		t.Fatalf("epoch/verify spans = %d/%d, want 4/4", len(epochs), len(verifies))
 	}
-	if got := sink.Count(telemetry.EvRecoveryRetry); got != 1 {
-		t.Errorf("recovery.retry events = %d, want 1", got)
+	ok := 0
+	for _, e := range epochs {
+		if e.Parent != run.Context().Span {
+			t.Errorf("epoch span %+v not a child of run", e)
+		}
+		if e.Attr("ok") == true {
+			ok++
+		}
 	}
-	var ok, bad, retries float64
+	if ok != 3 {
+		t.Errorf("epoch spans with ok=true = %d, want 3", ok)
+	}
+	rb := buf.Named("recovery.rollback")
+	if len(rb) != 1 || rb[0].Parent != run.Context().Span || rb[0].Attr("epoch") != int64(1) {
+		t.Fatalf("recovery.rollback spans = %+v, want one under run for epoch 1", rb)
+	}
+	if got := rb[0].Attr("backoff_seconds"); got != 0.003 {
+		t.Errorf("rollback backoff_seconds = %v, want 0.003", got)
+	}
+	var okN, bad, retries float64
 	for _, ms := range reg.Snapshot().Metrics {
 		switch {
 		case ms.Name == "defuse_epoch_verifications_total" && ms.Labels["result"] == "ok":
-			ok = ms.Value
+			okN = ms.Value
 		case ms.Name == "defuse_epoch_verifications_total" && ms.Labels["result"] == "mismatch":
 			bad = ms.Value
 		case ms.Name == "defuse_recovery_retries_total":
 			retries = ms.Value
 		}
 	}
-	if ok != 3 || bad != 1 || retries != 1 {
-		t.Errorf("metrics ok=%v mismatch=%v retries=%v, want 3/1/1", ok, bad, retries)
+	if okN != 3 || bad != 1 || retries != 1 {
+		t.Errorf("metrics ok=%v mismatch=%v retries=%v, want 3/1/1", okN, bad, retries)
 	}
 }
 
@@ -361,7 +383,7 @@ func TestSuperviseDetectorFaultRebuildsWithoutBackoff(t *testing.T) {
 	// A transient strike on the detector's own state (epoch 1, first attempt)
 	// must be recovered by a rebuild: no backoff pause, no restart, and the
 	// per-class tallies must say "detector", not "data".
-	sink := &telemetry.Collector{}
+	buf := telemetry.NewSpanBuffer(0)
 	reg := telemetry.NewRegistry()
 	s := &simState{}
 	struck := false
@@ -379,7 +401,7 @@ func TestSuperviseDetectorFaultRebuildsWithoutBackoff(t *testing.T) {
 		Backoff:     5 * time.Millisecond,
 		Sleep:       func(time.Duration) { pauses++ },
 	}
-	cfg.Trace = sink
+	cfg.Tracer = telemetry.NewTracer(buf)
 	cfg.Metrics = reg
 	o, err := Supervise(context.Background(), cfg)
 	if err != nil {
@@ -403,11 +425,13 @@ func TestSuperviseDetectorFaultRebuildsWithoutBackoff(t *testing.T) {
 	if s.value != 3 {
 		t.Errorf("final value = %d, want 3", s.value)
 	}
-	if got := sink.Count(telemetry.EvDetectorFault); got != 1 {
-		t.Errorf("detector.fault events = %d, want 1", got)
+	// The detector.fault mark hangs off the failed attempt it was caught in.
+	df, epochs := buf.Named(telemetry.EvDetectorFault), buf.Named("epoch")
+	if len(df) != 1 || df[0].Parent != epochs[1].ID || df[0].Attr("epoch") != int64(1) {
+		t.Errorf("detector.fault spans = %+v, want one under the failed epoch-1 attempt", df)
 	}
-	if got := sink.Count(telemetry.EvRecoveryRebuild); got != 1 {
-		t.Errorf("recovery.rebuild events = %d, want 1", got)
+	if got := len(buf.Named("recovery.rebuild")); got != 1 {
+		t.Errorf("recovery.rebuild spans = %d, want 1", got)
 	}
 	for _, ms := range reg.Snapshot().Metrics {
 		switch ms.Name {
@@ -423,7 +447,7 @@ func TestSuperviseCorruptCheckpointRestartsImmediately(t *testing.T) {
 	// A corrupt-checkpoint verdict means the rollback path cannot be trusted:
 	// the supervisor must skip retries entirely and go straight to a full
 	// restart from the initial checkpoint.
-	sink := &telemetry.Collector{}
+	buf := telemetry.NewSpanBuffer(0)
 	s := &simState{}
 	struck := false
 	cfg := harness(s, 3, func(k int) error {
@@ -434,7 +458,7 @@ func TestSuperviseCorruptCheckpointRestartsImmediately(t *testing.T) {
 		return nil
 	})
 	cfg.Policy = Policy{MaxRetries: 3, MaxRestarts: 1}
-	cfg.Trace = sink
+	cfg.Tracer = telemetry.NewTracer(buf)
 	o, err := Supervise(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -451,8 +475,8 @@ func TestSuperviseCorruptCheckpointRestartsImmediately(t *testing.T) {
 	if s.value != 3 {
 		t.Errorf("final value = %d, want 3 (restart re-runs everything)", s.value)
 	}
-	if got := sink.Count(telemetry.EvCheckpointCorrupt); got != 1 {
-		t.Errorf("checkpoint.corrupt events = %d, want 1", got)
+	if got := len(buf.Named(telemetry.EvCheckpointCorrupt)); got != 1 {
+		t.Errorf("checkpoint.corrupt spans = %d, want 1", got)
 	}
 }
 

@@ -124,10 +124,12 @@ func runVerify(ctx context.Context, tr *rt.Tracker, job verifyJob, plan *faults.
 		} else {
 			w.FlipBit(plan.Word, plan.Bit)
 		}
-		telemetry.Emit(tel.Trace, telemetry.EvFaultInjected, map[string]any{
-			"request": job.id, "epoch": plan.Epoch, "word": plan.Word, "bit": plan.Bit,
-			"kind": plan.Kind.String(), "partner": plan.Partner, "mode": "live",
-		})
+		if tel.Tracer.Enabled() {
+			tel.Tracer.Mark(span, telemetry.EvFaultInjected,
+				telemetry.Int("epoch", plan.Epoch), telemetry.Int("word", plan.Word),
+				telemetry.Int("bit", plan.Bit), telemetry.String("kind", plan.Kind.String()),
+				telemetry.Int("partner", plan.Partner), telemetry.String("mode", "live"))
+		}
 		return load, i
 	}
 	run := func(k int) error {
@@ -148,7 +150,6 @@ func runVerify(ctx context.Context, tr *rt.Tracker, job verifyJob, plan *faults.
 		Checkpoint: w.Checkpoint,
 		Restore:    func(snap any) error { return w.Restore(snap, true) },
 		Policy:     pol,
-		Trace:      tel.Trace,
 		Metrics:    tel.Metrics,
 		Tracer:     tel.Tracer,
 		Span:       span,
@@ -182,8 +183,7 @@ func newKernelRunner(b *bench.Benchmark, scale float64, tel bench.Telemetry) (*k
 		return nil, err
 	}
 	params := b.Params(scale)
-	m, err := interp.New(prog, params,
-		interp.WithTrace(tel.Trace), interp.WithMetrics(tel.Metrics), interp.WithTracer(tel.Tracer))
+	m, err := interp.New(prog, params, interp.WithMetrics(tel.Metrics), interp.WithTracer(tel.Tracer))
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ type ladder struct {
 	// entered counts transitions into degraded over the process lifetime.
 	entered int64
 
-	// announce publishes transitions (health state, gauge, event). Called
+	// announce publishes transitions (health state, gauge, span). Called
 	// outside the mutex? No — under it, transitions must serialize; the
 	// sinks are atomic/lock-free.
 	announce func(from, to, reason string)
@@ -148,8 +148,8 @@ func (l *ladder) noteDrain() {
 }
 
 // announceState builds the standard transition publisher: health state for
-// /readyz, the defuse_server_state gauge, a server.state event, and a
-// per-transition counter.
+// /readyz, the defuse_server_state gauge, a server.state root point span,
+// and a per-transition counter.
 func announceState(obs *telemetry.Obs) func(from, to, reason string) {
 	return func(from, to, reason string) {
 		if obs == nil {
@@ -161,8 +161,7 @@ func announceState(obs *telemetry.Obs) func(from, to, reason string) {
 			reg.Counter("defuse_server_state_changes_total",
 				telemetry.Label{Key: "to", Value: to}).Inc()
 		}
-		telemetry.Emit(obs.Sink, telemetry.EvServerState, map[string]any{
-			"from": from, "to": to, "reason": reason,
-		})
+		obs.Tracer.Mark(telemetry.SpanContext{}, telemetry.EvServerState,
+			telemetry.String("from", from), telemetry.String("to", to), telemetry.String("reason", reason))
 	}
 }

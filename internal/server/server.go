@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		tel:     bench.Telemetry{Trace: obs.Sink, Metrics: obs.Metrics, Tracer: obs.Tracer},
+		tel:     bench.Telemetry{Metrics: obs.Metrics, Tracer: obs.Tracer},
 		health:  obs.Health,
 		slots:   make(chan struct{}, cfg.MaxInFlight),
 		drainCh: make(chan struct{}),
@@ -221,19 +221,17 @@ func New(cfg Config) (*Server, error) {
 			MaxSegments:  cfg.WALMaxSegments,
 			FS:           cfg.WALFS,
 		}
-		if sink := obs.Sink; sink != nil || obs.Metrics != nil {
+		if tr := obs.Tracer; tr.Enabled() || obs.Metrics != nil {
 			jcfg.OnRotate = func(path string, bytes int64, records int) {
-				telemetry.Emit(sink, telemetry.EvJournalRotate, map[string]any{
-					"segment": path, "bytes": bytes, "records": records,
-				})
+				tr.Mark(telemetry.SpanContext{}, telemetry.EvJournalRotate, telemetry.String("segment", path),
+					telemetry.Int64("bytes", bytes), telemetry.Int("records", records))
 				if reg := obs.Metrics; reg != nil {
 					reg.Counter("defuse_journal_rotations_total").Inc()
 				}
 			}
 			jcfg.OnCompact = func(path string, folded int, diskBytes int64) {
-				telemetry.Emit(sink, telemetry.EvJournalCompact, map[string]any{
-					"segment": path, "folded": folded, "disk_bytes": diskBytes,
-				})
+				tr.Mark(telemetry.SpanContext{}, telemetry.EvJournalCompact, telemetry.String("segment", path),
+					telemetry.Int("folded", folded), telemetry.Int64("disk_bytes", diskBytes))
 				if reg := obs.Metrics; reg != nil {
 					reg.Counter("defuse_journal_compactions_total").Inc()
 					reg.Gauge("defuse_journal_disk_bytes").Set(float64(diskBytes))
@@ -506,9 +504,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		if s.tel.Metrics != nil {
 			s.tel.Metrics.Counter("defuse_journal_append_faults_total").Inc()
 		}
-		telemetry.Emit(s.tel.Trace, telemetry.EvJournalFault, map[string]any{
-			"id": resp.ID, "injected": errors.Is(jerr, wal.ErrInjected), "error": jerr.Error(),
-		})
+		s.tel.Tracer.Mark(telemetry.SpanContext{}, telemetry.EvJournalFault,
+			telemetry.Attr{Key: "id", Value: resp.ID}, telemetry.Bool("injected", errors.Is(jerr, wal.ErrInjected)),
+			telemetry.String("error", jerr.Error()))
 		http.Error(w, "journal: "+jerr.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -562,7 +560,15 @@ func (s *Server) execute(ctx context.Context, req *Request) (*Response, error) {
 			return nil, err
 		}
 		defer s.trackers.put(st)
-		res, err := runVerify(ctx, st, job, plan, s.cfg.Policy, s.tel, telemetry.SpanContext{})
+		// One trace per request: the supervisor's epoch and recovery spans
+		// and the injected fault's mark hang from the request span.
+		var span telemetry.Span
+		if s.tel.Tracer.Enabled() {
+			span = s.tel.Tracer.Start(telemetry.SpanContext{}, "request",
+				telemetry.Attr{Key: "id", Value: req.ID}, telemetry.Bool("injected", plan != nil))
+		}
+		res, err := runVerify(ctx, st, job, plan, s.cfg.Policy, s.tel, span.Context())
+		span.EndErr(err)
 		if err != nil {
 			return nil, err
 		}

@@ -9,12 +9,12 @@ import (
 )
 
 // FlightRecorder is a fixed-size lock-free ring holding the most recent
-// telemetry events and finished spans. It rides alongside the ordinary sinks
-// (via Multi / MultiSpan) and costs two atomic operations per record; when a
-// campaign escapes — a fault is detected, the detector latches a fault of its
-// own, a checkpoint fails its digest, or a fatal signal arrives — the ring is
-// dumped to disk, so every escape leaves a postmortem artifact with the last
-// N things the process did, in order.
+// finished spans. It rides alongside the other span sinks (via MultiSpan)
+// and costs two atomic operations per record; when a campaign escapes — a
+// verification fails, the detector latches a fault of its own, a checkpoint
+// fails its digest, or a fatal signal arrives — the ring is dumped to disk,
+// so every escape leaves a postmortem artifact with the last N things the
+// process did, in order.
 //
 // The ring is append-only and concurrent: writers claim a slot with one
 // atomic increment and publish the entry with one atomic pointer store. A
@@ -31,12 +31,10 @@ type FlightRecorder struct {
 	lastDump atomic.Pointer[string]
 }
 
-// FlightEntry is one recorded event or span.
+// FlightEntry is one recorded span with its ring sequence number.
 type FlightEntry struct {
-	Seq   uint64    `json:"seq"`
-	Kind  string    `json:"kind"` // "event" or "span"
-	Event *Event    `json:"event,omitempty"`
-	Span  *SpanData `json:"span,omitempty"`
+	Seq  uint64   `json:"seq"`
+	Span SpanData `json:"span"`
 }
 
 // FlightDump is the JSON artifact written when a trigger fires.
@@ -54,11 +52,11 @@ const FlightDumpSchema = "defuse/flight/v1"
 // given a non-positive size.
 const DefaultFlightSize = 4096
 
-// DefaultTriggers returns the event names that dump the ring automatically:
-// fault detection, the detector latching a fault in its own state, checkpoint
-// corruption, and WAL corruption found at recovery.
+// DefaultTriggers returns the span names that dump the ring automatically:
+// a failed verification, the detector latching a fault in its own state,
+// checkpoint corruption, and WAL corruption found at recovery.
 func DefaultTriggers() []string {
-	return []string{EvDetection, EvVerifyMismatch, EvDetectorFault, EvCheckpointCorrupt, EvWALCorrupt}
+	return []string{EvVerifyMismatch, EvDetectorFault, EvCheckpointCorrupt, EvWALCorrupt}
 }
 
 // NewFlightRecorder returns a recorder holding the most recent size entries.
@@ -72,7 +70,7 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	}
 }
 
-// SetDump arms automatic dumping: when an event named in triggers is
+// SetDump arms automatic dumping: when a span named in triggers is
 // recorded, the ring is written to path (once — later triggers are counted
 // but do not overwrite the first postmortem). Passing no triggers arms
 // DefaultTriggers.
@@ -93,22 +91,13 @@ func (f *FlightRecorder) record(e *FlightEntry) {
 	f.slots[e.Seq%uint64(len(f.slots))].Store(e)
 }
 
-// Emit implements Sink: the event enters the ring, and if its name is an
-// armed trigger the ring is dumped.
-func (f *FlightRecorder) Emit(e Event) {
-	ev := e
-	f.record(&FlightEntry{Kind: "event", Event: &ev})
-	if _, hot := f.triggers[e.Name]; hot {
-		f.triggerDump(e.Name)
-	}
-}
-
-// Close implements Sink; the ring needs no teardown.
-func (f *FlightRecorder) Close() error { return nil }
-
-// RecordSpan implements SpanSink.
+// RecordSpan implements SpanSink: the span enters the ring, and if its name
+// is an armed trigger the ring is dumped.
 func (f *FlightRecorder) RecordSpan(d SpanData) {
-	f.record(&FlightEntry{Kind: "span", Span: &d})
+	f.record(&FlightEntry{Span: d})
+	if _, hot := f.triggers[d.Name]; hot {
+		f.triggerDump(d.Name)
+	}
 }
 
 // Len returns how many entries have ever been recorded (not the ring size).

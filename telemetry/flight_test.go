@@ -7,13 +7,12 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestFlightRecorderWraparound(t *testing.T) {
 	f := NewFlightRecorder(8)
 	for i := 0; i < 20; i++ {
-		f.Emit(Event{Name: "e", Time: time.Now(), Fields: map[string]any{"i": i}})
+		f.RecordSpan(SpanData{Name: "e", ID: SpanID(i + 1)})
 	}
 	if f.Len() != 20 {
 		t.Fatalf("Len = %d, want 20", f.Len())
@@ -27,8 +26,8 @@ func TestFlightRecorderWraparound(t *testing.T) {
 		if want := uint64(12 + i); e.Seq != want {
 			t.Errorf("entry %d: seq %d, want %d", i, e.Seq, want)
 		}
-		if e.Kind != "event" || e.Event == nil {
-			t.Errorf("entry %d: kind %q event %v", i, e.Kind, e.Event)
+		if want := SpanID(13 + i); e.Span.ID != want {
+			t.Errorf("entry %d: span %d, want %d", i, e.Span.ID, want)
 		}
 	}
 }
@@ -59,11 +58,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		go func(w int) {
 			defer writersDone.Done()
 			for i := 0; i < per; i++ {
-				if i%2 == 0 {
-					f.Emit(Event{Name: "tick", Fields: map[string]any{"w": w, "i": i}})
-				} else {
-					f.RecordSpan(SpanData{Name: "span", ID: SpanID(w*per + i)})
-				}
+				f.RecordSpan(SpanData{Name: "span", ID: SpanID(w*per + i)})
 			}
 		}(w)
 	}
@@ -91,14 +86,14 @@ func TestFlightRecorderAutoDump(t *testing.T) {
 	f := NewFlightRecorder(32)
 	f.SetDump(path)
 
-	f.Emit(Event{Name: EvVerifyOK})
+	f.RecordSpan(SpanData{Name: EvVerifyOK})
 	if _, dumped := f.Dumped(); dumped {
-		t.Fatal("dump fired on a non-trigger event")
+		t.Fatal("dump fired on a non-trigger span")
 	}
-	f.Emit(Event{Name: EvDetection, Fields: map[string]any{"epoch": 3}})
+	f.RecordSpan(SpanData{Name: EvVerifyMismatch, Attrs: []Attr{Int("epoch", 3)}})
 	trigger, dumped := f.Dumped()
-	if !dumped || trigger != EvDetection {
-		t.Fatalf("Dumped() = %q,%v after detection", trigger, dumped)
+	if !dumped || trigger != EvVerifyMismatch {
+		t.Fatalf("Dumped() = %q,%v after a mismatch", trigger, dumped)
 	}
 
 	raw, err := os.ReadFile(path)
@@ -109,23 +104,24 @@ func TestFlightRecorderAutoDump(t *testing.T) {
 	if err := json.Unmarshal(raw, &dump); err != nil {
 		t.Fatalf("dump is not valid JSON: %v", err)
 	}
-	if dump.Schema != FlightDumpSchema || dump.Trigger != EvDetection {
+	if dump.Schema != FlightDumpSchema || dump.Trigger != EvVerifyMismatch {
 		t.Errorf("dump header = %q/%q", dump.Schema, dump.Trigger)
 	}
-	if len(dump.Entries) != 2 {
-		t.Errorf("dump holds %d entries, want 2", len(dump.Entries))
+	if len(dump.Entries) != 2 || dump.Entries[1].Span.Name != EvVerifyMismatch ||
+		dump.Entries[1].Span.Attr("epoch") != float64(3) {
+		t.Errorf("dump entries = %+v, want the two spans, trigger last", dump.Entries)
 	}
 
 	// The first postmortem wins: later triggers must not overwrite it.
 	if err := os.WriteFile(path, []byte("sentinel"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f.Emit(Event{Name: EvDetectorFault})
+	f.RecordSpan(SpanData{Name: EvDetectorFault})
 	got, _ := os.ReadFile(path)
 	if string(got) != "sentinel" {
 		t.Error("second trigger overwrote the first postmortem")
 	}
-	if trigger, _ := f.Dumped(); trigger != EvDetection {
+	if trigger, _ := f.Dumped(); trigger != EvVerifyMismatch {
 		t.Errorf("Dumped() trigger rewritten to %q", trigger)
 	}
 }
@@ -135,11 +131,11 @@ func TestFlightRecorderCustomTriggers(t *testing.T) {
 	path := filepath.Join(dir, "flight.json")
 	f := NewFlightRecorder(4)
 	f.SetDump(path, "custom.alarm")
-	f.Emit(Event{Name: EvDetection}) // default trigger no longer armed
+	f.RecordSpan(SpanData{Name: EvVerifyMismatch}) // default trigger no longer armed
 	if _, dumped := f.Dumped(); dumped {
 		t.Fatal("default trigger fired despite custom trigger set")
 	}
-	f.Emit(Event{Name: "custom.alarm"})
+	f.RecordSpan(SpanData{Name: "custom.alarm"})
 	if trigger, dumped := f.Dumped(); !dumped || trigger != "custom.alarm" {
 		t.Fatalf("Dumped() = %q,%v", trigger, dumped)
 	}
@@ -149,7 +145,7 @@ func TestFlightDumpToKeepsRing(t *testing.T) {
 	dir := t.TempDir()
 	f := NewFlightRecorder(8)
 	for i := 0; i < 3; i++ {
-		f.Emit(Event{Name: fmt.Sprintf("e%d", i)})
+		f.RecordSpan(SpanData{Name: fmt.Sprintf("e%d", i)})
 	}
 	for _, name := range []string{"a.json", "b.json"} {
 		p := filepath.Join(dir, name)

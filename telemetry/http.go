@@ -11,7 +11,7 @@ import (
 
 // Server is the live telemetry endpoint behind the -serve flag: a plain
 // net/http server exposing the registry as Prometheus text (/metrics), the
-// flight-recorder ring (/flight and /events), the span buffer as Chrome
+// flight-recorder ring (/flight), the span buffer as Chrome
 // trace-event JSON (/trace), liveness/readiness probes (/healthz, /readyz),
 // and net/http/pprof (/debug/pprof/). Any component may be nil; its endpoint
 // then reports 404.
@@ -38,7 +38,6 @@ func Serve(addr string, reg *Registry, flight *FlightRecorder, spans *SpanBuffer
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "defuse telemetry endpoints:")
 		fmt.Fprintln(w, "  /metrics      Prometheus text exposition")
-		fmt.Fprintln(w, "  /events       flight-recorder events (JSON)")
 		fmt.Fprintln(w, "  /flight       flight-recorder ring dump (JSON)")
 		fmt.Fprintln(w, "  /trace        span buffer as Chrome trace-event JSON")
 		fmt.Fprintln(w, "  /healthz      liveness probe")
@@ -91,19 +90,6 @@ func Serve(addr string, reg *Registry, flight *FlightRecorder, spans *SpanBuffer
 			Entries: flight.Snapshot(),
 		}
 		writeJSON(w, dump)
-	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		if flight == nil {
-			http.NotFound(w, r)
-			return
-		}
-		events := []Event{}
-		for _, e := range flight.Snapshot() {
-			if e.Kind == "event" && e.Event != nil {
-				events = append(events, *e.Event)
-			}
-		}
-		writeJSON(w, events)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		if spans == nil {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func osStat(path string) (int64, error) {
@@ -48,7 +47,7 @@ func TestServeEndpoints(t *testing.T) {
 	flight := NewFlightRecorder(16)
 	spans := NewSpanBuffer(0)
 	tr := NewTracer(MultiSpan(spans, flight))
-	flight.Emit(Event{Name: EvVerifyOK, Time: time.Now()})
+	tr.Mark(SpanContext{}, EvVerifyOK)
 	s := tr.Start(SpanContext{}, "run")
 	tr.Start(s.Context(), "epoch").End()
 	s.End()
@@ -85,18 +84,6 @@ func TestServeEndpoints(t *testing.T) {
 		t.Errorf("/flight dump = %q/%q with %d entries", dump.Schema, dump.Trigger, len(dump.Entries))
 	}
 
-	code, body, _ = get(t, base+"/events")
-	if code != 200 {
-		t.Fatalf("/events: %d", code)
-	}
-	var events []Event
-	if err := json.Unmarshal([]byte(body), &events); err != nil {
-		t.Fatalf("/events not JSON: %v", err)
-	}
-	if len(events) != 1 || events[0].Name != EvVerifyOK {
-		t.Errorf("/events = %+v", events)
-	}
-
 	code, body, _ = get(t, base+"/trace")
 	if code != 200 {
 		t.Fatalf("/trace: %d", code)
@@ -105,7 +92,7 @@ func TestServeEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &doc); err != nil {
 		t.Fatalf("/trace not JSON: %v", err)
 	}
-	if evs, ok := doc["traceEvents"].([]any); !ok || len(evs) != 2 {
+	if evs, ok := doc["traceEvents"].([]any); !ok || len(evs) != 3 {
 		t.Errorf("/trace traceEvents = %v", doc["traceEvents"])
 	}
 
@@ -124,7 +111,7 @@ func TestServeNilComponents(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
-	for _, path := range []string{"/metrics", "/flight", "/events", "/trace", "/healthz", "/readyz"} {
+	for _, path := range []string{"/metrics", "/flight", "/trace", "/healthz", "/readyz"} {
 		if code, _, _ := get(t, base+path); code != 404 {
 			t.Errorf("%s with nil component: %d, want 404", path, code)
 		}
@@ -211,11 +198,11 @@ func TestServerHandleMountsRoutes(t *testing.T) {
 
 func TestObsFinishIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	obs, err := SetupObs(ObsConfig{TracePath: filepath.Join(dir, "events.jsonl")})
+	obs, err := SetupObs(ObsConfig{TracePath: filepath.Join(dir, "spans.jsonl")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	Emit(obs.Sink, EvVerifyOK, nil)
+	obs.Tracer.Mark(SpanContext{}, EvVerifyOK)
 	if err := obs.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +216,7 @@ func TestObsFinishIdempotent(t *testing.T) {
 func TestSetupObsWiring(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ObsConfig{
-		TracePath:  filepath.Join(dir, "events.jsonl"),
+		TracePath:  filepath.Join(dir, "spans.jsonl"),
 		FlightPath: filepath.Join(dir, "flight.json"),
 		ChromePath: filepath.Join(dir, "trace.json"),
 		ServeAddr:  "127.0.0.1:0",
@@ -238,20 +225,20 @@ func TestSetupObsWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Sink == nil || obs.Metrics == nil || obs.Tracer == nil || obs.Flight == nil || obs.Spans == nil || obs.Server == nil {
+	if obs.Metrics == nil || obs.Tracer == nil || obs.Flight == nil || obs.Spans == nil || obs.Server == nil {
 		t.Fatalf("components missing: %+v", obs)
 	}
 	obs.Metrics.Counter("defuse_trials_total").Add(1)
-	Emit(obs.Sink, EvFaultInjected, map[string]any{"word": 3})
 	span := obs.Tracer.Start(SpanContext{}, "run")
 	obs.Tracer.Start(span.Context(), "epoch").End()
+	obs.Tracer.Mark(span.Context(), EvFaultInjected, Int("word", 3))
 	span.End()
 	if err := obs.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Every artifact must exist and parse.
-	for _, f := range []string{"events.jsonl", "flight.json", "trace.json"} {
+	for _, f := range []string{"spans.jsonl", "flight.json", "trace.json"} {
 		p := filepath.Join(dir, f)
 		if fi, err := osStat(p); err != nil || fi == 0 {
 			t.Errorf("%s: missing or empty (%v)", f, err)
@@ -264,7 +251,7 @@ func TestSetupObsWiring(t *testing.T) {
 	if dump.Trigger != "exit" {
 		t.Errorf("flight trigger = %q, want exit", dump.Trigger)
 	}
-	// 1 event + 2 spans in the ring.
+	// 2 spans + 1 mark in the ring.
 	if len(dump.Entries) != 3 {
 		t.Errorf("flight holds %d entries, want 3", len(dump.Entries))
 	}
@@ -275,11 +262,11 @@ func TestSetupObsZeroConfigIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.Sink != nil || obs.Metrics != nil || obs.Tracer != nil || obs.Server != nil {
+	if obs.Metrics != nil || obs.Tracer != nil || obs.Server != nil {
 		t.Fatalf("zero config built components: %+v", obs)
 	}
 	// The inert Obs must be safe end to end.
-	Emit(obs.Sink, EvDetection, nil)
+	obs.Tracer.Mark(SpanContext{}, EvVerifyMismatch)
 	obs.Tracer.Start(SpanContext{}, "x").End()
 	if err := obs.Flush(); err != nil {
 		t.Fatal(err)
@@ -296,7 +283,7 @@ func TestSetupObsFlightTriggerDumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Emit(obs.Sink, EvDetectorFault, map[string]any{"epoch": 2})
+	obs.Tracer.Mark(SpanContext{}, EvDetectorFault, Int("epoch", 2))
 	if trigger, ok := obs.Flight.Dumped(); !ok || trigger != EvDetectorFault {
 		t.Fatalf("detector fault did not dump the ring: %q %v", trigger, ok)
 	}
@@ -307,7 +294,7 @@ func TestSetupObsFlightTriggerDumps(t *testing.T) {
 	if err := readJSONFile(path, &dump); err != nil {
 		t.Fatal(err)
 	}
-	// The automatic postmortem (trigger = the event name) must survive
+	// The automatic postmortem (trigger = the span name) must survive
 	// Finish un-overwritten.
 	if dump.Trigger != EvDetectorFault {
 		t.Errorf("flight trigger = %q, want %q", dump.Trigger, EvDetectorFault)

@@ -9,13 +9,14 @@ import (
 // field is optional; the zero config yields a fully inert Obs whose
 // components are all nil, which every telemetry entry point tolerates.
 type ObsConfig struct {
-	// TracePath writes JSONL events (spans included, as EvSpan events).
+	// TracePath writes every finished span as one JSON line.
 	TracePath string
 	// MetricsPath writes the registry at Finish (.json or Prometheus text).
 	MetricsPath string
 	// FlightPath arms the flight recorder: the ring dumps there
-	// automatically on the default triggers (fault detection, detector-fault
-	// latch, checkpoint corruption, WAL corruption) and on Finish/Flush.
+	// automatically on the default trigger spans (verification mismatch,
+	// detector-fault latch, checkpoint corruption, WAL corruption) and on
+	// Finish/Flush.
 	FlightPath string
 	// ChromePath writes the span buffer as Chrome trace-event JSON
 	// (Perfetto-loadable) at Finish.
@@ -29,12 +30,11 @@ type ObsConfig struct {
 	Health *Health
 }
 
-// Obs bundles the observability components behind a CLI's flags: the event
-// sink (JSONL and/or flight ring), the metrics registry, the span tracer,
-// and the live HTTP server. Components not asked for are nil; instrumented
-// code threads them without guards.
+// Obs bundles the observability components behind a CLI's flags: the span
+// tracer (feeding the JSONL file, the span buffer and the flight ring), the
+// metrics registry, and the live HTTP server. Components not asked for are
+// nil; instrumented code threads them without guards.
 type Obs struct {
-	Sink    Sink
 	Metrics *Registry
 	Tracer  *Tracer
 	Flight  *FlightRecorder
@@ -71,20 +71,11 @@ func SetupObs(cfg ObsConfig) (*Obs, error) {
 	if cfg.ChromePath != "" || cfg.ServeAddr != "" {
 		o.Spans = NewSpanBuffer(DefaultSpanCap)
 	}
-	// Interface conversions must be guarded: a typed-nil *JSONLSink inside a
-	// Sink interface would defeat Multi's nil filtering.
-	var evJSONL Sink
-	if o.jsonl != nil {
-		evJSONL = o.jsonl
-	}
-	var evFlight Sink
-	if o.Flight != nil {
-		evFlight = o.Flight
-	}
-	o.Sink = Multi(evJSONL, evFlight)
+	// Interface conversions must be guarded: a typed-nil pointer inside a
+	// SpanSink interface would defeat MultiSpan's nil filtering.
 	var spanJSONL, spanBuf, spanFlight SpanSink
 	if o.jsonl != nil {
-		spanJSONL = SpanEvents(o.jsonl)
+		spanJSONL = o.jsonl
 	}
 	if o.Spans != nil {
 		spanBuf = o.Spans
@@ -147,7 +138,7 @@ func (o *Obs) Flush() error {
 
 // Finish drains and closes everything: the flight ring is dumped (trigger
 // "exit") unless an automatic trigger already wrote the postmortem, the
-// Chrome trace and metrics files are written, the event sink is closed, and
+// Chrome trace and metrics files are written, the JSONL file is closed, and
 // the HTTP server is shut down. It is idempotent — the first call does the
 // work and later calls return its result — so the normal exit path and a
 // racing signal handler can both call it without double-closing sinks.
@@ -180,8 +171,8 @@ func (o *Obs) finish() error {
 			keep(fmt.Errorf("telemetry: span buffer overflowed, %d spans dropped from %s", d, o.cfg.ChromePath))
 		}
 	}
-	if o.Sink != nil {
-		keep(o.Sink.Close())
+	if o.jsonl != nil {
+		keep(o.jsonl.Close())
 	}
 	if o.Server != nil {
 		keep(o.Server.Close())

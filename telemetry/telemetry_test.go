@@ -9,64 +9,68 @@ import (
 	"testing"
 )
 
-func TestEmitNilSinkIsSafe(t *testing.T) {
-	Emit(nil, EvDetection, map[string]any{"x": 1}) // must not panic
-}
-
-func TestCollectorCounts(t *testing.T) {
-	c := &Collector{}
-	Emit(c, EvFaultInjected, map[string]any{"word": 3, "bit": 7})
-	Emit(c, EvFaultInjected, nil)
-	Emit(c, EvDetection, nil)
-	if got := c.Count(EvFaultInjected); got != 2 {
+func TestSpanBufferNamed(t *testing.T) {
+	buf := NewSpanBuffer(0)
+	tr := NewTracer(buf)
+	tr.Mark(SpanContext{}, EvFaultInjected, Int("word", 3), Int("bit", 7))
+	tr.Mark(SpanContext{}, EvFaultInjected)
+	tr.Mark(SpanContext{}, EvVerifyMismatch)
+	if got := len(buf.Named(EvFaultInjected)); got != 2 {
 		t.Errorf("fault.injected count = %d, want 2", got)
 	}
-	if got := c.Count(EvDetection); got != 1 {
-		t.Errorf("detection count = %d, want 1", got)
+	if got := len(buf.Named(EvVerifyMismatch)); got != 1 {
+		t.Errorf("verify.mismatch count = %d, want 1", got)
 	}
-	ev := c.Named(EvFaultInjected)[0]
-	if ev.Fields["word"] != 3 || ev.Fields["bit"] != 7 {
-		t.Errorf("fields = %v", ev.Fields)
+	d := buf.Named(EvFaultInjected)[0]
+	if d.Attr("word") != int64(3) || d.Attr("bit") != int64(7) || d.Attr("absent") != nil {
+		t.Errorf("attrs = %v", d.Attrs)
 	}
-	if ev.Time.IsZero() {
-		t.Error("event not timestamped")
+	if d.Start.IsZero() {
+		t.Error("span not timestamped")
 	}
 }
 
 func TestJSONLSinkWritesParseableLines(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONL(&buf)
-	Emit(s, EvVerifyOK, map[string]any{"def": "0x1"})
-	Emit(s, EvVerifyMismatch, nil)
+	tr := NewTracer(s)
+	root := tr.Start(SpanContext{}, "run")
+	tr.Mark(root.Context(), EvVerifyOK, String("def", "0x1"))
+	root.End()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(&buf)
-	var names []string
+	var spans []SpanData
 	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+		var d SpanData
+		if err := json.Unmarshal(sc.Bytes(), &d); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}
-		names = append(names, e.Name)
+		spans = append(spans, d)
 	}
-	if len(names) != 2 || names[0] != EvVerifyOK || names[1] != EvVerifyMismatch {
-		t.Errorf("events = %v", names)
+	if len(spans) != 2 || spans[0].Name != EvVerifyOK || spans[1].Name != "run" {
+		t.Fatalf("spans = %+v", spans)
+	}
+	if spans[0].Parent != spans[1].ID || spans[0].Trace != spans[1].Trace {
+		t.Errorf("mark not linked to its parent: %+v", spans)
+	}
+	if spans[0].Attr("def") != "0x1" {
+		t.Errorf("attrs = %v", spans[0].Attrs)
 	}
 }
 
 func TestMultiSink(t *testing.T) {
-	a, b := &Collector{}, &Collector{}
-	m := Multi(nil, a, nil, b)
-	Emit(m, EvDetection, nil)
-	if a.Count(EvDetection) != 1 || b.Count(EvDetection) != 1 {
+	a, b := NewSpanBuffer(0), NewSpanBuffer(0)
+	NewTracer(MultiSpan(nil, a, nil, b)).Mark(SpanContext{}, EvVerifyMismatch)
+	if len(a.Named(EvVerifyMismatch)) != 1 || len(b.Named(EvVerifyMismatch)) != 1 {
 		t.Error("multi sink did not fan out")
 	}
-	if Multi(nil, nil) != nil {
-		t.Error("Multi of nils should be nil")
+	if MultiSpan(nil, nil) != nil {
+		t.Error("MultiSpan of nils should be nil")
 	}
-	if Multi(a) != Sink(a) {
-		t.Error("Multi of one sink should return it directly")
+	if MultiSpan(a) != SpanSink(a) {
+		t.Error("MultiSpan of one sink should return it directly")
 	}
 }
 
@@ -182,24 +186,24 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 func TestTimePhase(t *testing.T) {
-	c := &Collector{}
+	buf := NewSpanBuffer(0)
 	r := NewRegistry()
 	ran := false
-	d := TimePhase(c, r, "compile", "parse", func() { ran = true })
+	d := TimePhase(NewTracer(buf), SpanContext{}, r, "compile", "parse", func() { ran = true })
 	if !ran || d < 0 {
 		t.Error("TimePhase did not run f")
 	}
-	evs := c.Named(EvCompilePhase)
-	if len(evs) != 1 || evs[0].Fields["phase"] != "parse" || evs[0].Fields["component"] != "compile" {
-		t.Errorf("events = %v", evs)
+	spans := buf.Named("parse")
+	if len(spans) != 1 || spans[0].Attr("component") != "compile" {
+		t.Errorf("spans = %+v", spans)
 	}
-	var buf strings.Builder
-	if err := r.WritePrometheus(&buf); err != nil {
+	var out strings.Builder
+	if err := r.WritePrometheus(&out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `defuse_phase_seconds_count{component="compile",phase="parse"} 1`) {
-		t.Errorf("prometheus output missing phase count:\n%s", buf.String())
+	if !strings.Contains(out.String(), `defuse_phase_seconds_count{component="compile",phase="parse"} 1`) {
+		t.Errorf("prometheus output missing phase count:\n%s", out.String())
 	}
-	// Nil sink and registry must also work.
-	TimePhase(nil, nil, "compile", "parse", func() {})
+	// Nil tracer and registry must also work.
+	TimePhase(nil, SpanContext{}, nil, "compile", "parse", func() {})
 }

@@ -15,11 +15,11 @@ import (
 // This file is the span layer of the telemetry substrate: a Tracer hands out
 // causally linked spans (TraceID / SpanID / parent) with monotonic start and
 // end times and typed attributes, so a run can be reconstructed as a tree —
-// run → epoch → recovery attempt → verify/merge → WAL seal — instead of a
-// flat event stream. Spans are exported two ways: as JSONL "span" events
-// through the ordinary event Sink, and as Chrome trace-event JSON
-// (SpanBuffer.WriteChromeTrace) loadable directly in Perfetto or
-// chrome://tracing.
+// run → epoch → recovery attempt → verify/merge → WAL seal, with the faults
+// and detections marked inside them — instead of a flat event stream.
+// Finished spans go to a SpanSink: one JSON line each (JSONLSink), the
+// in-memory buffer exported as Chrome trace-event JSON (SpanBuffer, loadable
+// in Perfetto or chrome://tracing), and the flight recorder's ring.
 //
 // The disabled path is a single nil check: a nil *Tracer hands out inert
 // spans whose methods do nothing, so instrumented code threads the tracer
@@ -42,8 +42,8 @@ type SpanContext struct {
 
 // Attr is one typed span attribute.
 type Attr struct {
-	Key   string
-	Value any
+	Key   string `json:"key"`
+	Value any    `json:"value"`
 }
 
 // String, Int, Float, and Bool build typed attributes without the caller
@@ -54,7 +54,8 @@ func Int64(k string, v int64) Attr   { return Attr{Key: k, Value: v} }
 func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 func Bool(k string, v bool) Attr     { return Attr{Key: k, Value: v} }
 
-// SpanData is one finished span as delivered to a SpanSink.
+// SpanData is one finished span as delivered to a SpanSink. A point span
+// (Tracer.Mark) has zero Duration.
 type SpanData struct {
 	Trace  TraceID `json:"trace"`
 	ID     SpanID  `json:"span"`
@@ -69,6 +70,16 @@ type SpanData struct {
 	StartOff time.Duration `json:"start_off_ns"`
 	Duration time.Duration `json:"duration_ns"`
 	Attrs    []Attr        `json:"attrs,omitempty"`
+}
+
+// Attr returns the value of the span's attribute key, or nil.
+func (d SpanData) Attr(key string) any {
+	for _, a := range d.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
 }
 
 // SpanSink consumes finished spans. Implementations must be safe for
@@ -130,6 +141,19 @@ func (t *Tracer) Start(parent SpanContext, name string, attrs ...Attr) Span {
 	}
 }
 
+// Mark records a point in time — a fault injected, a detection, a state
+// change — as a zero-length span named name under parent (the operation it
+// happened in; a zero parent roots it in a trace of its own). On a disabled
+// tracer it does nothing, but its attributes are still built: call sites on
+// hot paths guard with Enabled.
+func (t *Tracer) Mark(parent SpanContext, name string, attrs ...Attr) {
+	if !t.Enabled() {
+		return
+	}
+	s := t.Start(parent, name, attrs...)
+	s.finish(s.start)
+}
+
 // Context returns the span's position for child spans to attach to.
 func (s Span) Context() SpanContext { return s.ctx }
 
@@ -151,8 +175,12 @@ func (s Span) End(attrs ...Attr) {
 	if s.tracer == nil || s.tracer.sink == nil {
 		return
 	}
-	end := time.Now()
-	data := SpanData{
+	s.SetAttr(attrs...).finish(time.Now())
+}
+
+// finish delivers the span, ended at end, to the tracer's sink.
+func (s Span) finish(end time.Time) {
+	s.tracer.sink.RecordSpan(SpanData{
 		Trace:    s.ctx.Trace,
 		ID:       s.ctx.Span,
 		Parent:   s.parent,
@@ -160,9 +188,8 @@ func (s Span) End(attrs ...Attr) {
 		Start:    s.start,
 		StartOff: s.start.Sub(s.tracer.epoch),
 		Duration: end.Sub(s.start),
-		Attrs:    append(s.attrs, attrs...),
-	}
-	s.tracer.sink.RecordSpan(data)
+		Attrs:    s.attrs,
+	})
 }
 
 // EndErr finishes the span with an ok/error outcome attribute.
@@ -204,41 +231,6 @@ func (m *multiSpanSink) RecordSpan(d SpanData) {
 	}
 }
 
-// EvSpan is the event name under which finished spans appear in a JSONL
-// event stream (see SpanEvents).
-const EvSpan = "span"
-
-// spanEventSink adapts an event Sink into a SpanSink: each finished span
-// becomes one EvSpan event, so the ordinary -trace JSONL file carries the
-// span stream interleaved with the other events.
-type spanEventSink struct{ sink Sink }
-
-// SpanEvents returns a SpanSink emitting spans as EvSpan events on sink, or
-// nil for a nil sink.
-func SpanEvents(sink Sink) SpanSink {
-	if sink == nil {
-		return nil
-	}
-	return &spanEventSink{sink: sink}
-}
-
-func (s *spanEventSink) RecordSpan(d SpanData) {
-	fields := map[string]any{
-		"trace":       fmt.Sprintf("%016x", uint64(d.Trace)),
-		"span":        fmt.Sprintf("%016x", uint64(d.ID)),
-		"name":        d.Name,
-		"start_us":    d.StartOff.Microseconds(),
-		"duration_us": d.Duration.Microseconds(),
-	}
-	if d.Parent != 0 {
-		fields["parent"] = fmt.Sprintf("%016x", uint64(d.Parent))
-	}
-	for _, a := range d.Attrs {
-		fields["attr_"+a.Key] = a.Value
-	}
-	s.sink.Emit(Event{Name: EvSpan, Time: d.Start.UTC(), Fields: fields})
-}
-
 // SpanBuffer collects finished spans in memory for export as Chrome
 // trace-event JSON. It is bounded: past Cap spans, new spans are dropped and
 // counted (Dropped), so a long campaign cannot grow the buffer without
@@ -278,6 +270,17 @@ func (b *SpanBuffer) Spans() []SpanData {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return append([]SpanData(nil), b.spans...)
+}
+
+// Named returns the collected spans called name, in completion order.
+func (b *SpanBuffer) Named(name string) []SpanData {
+	var out []SpanData
+	for _, d := range b.Spans() {
+		if d.Name == name {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // Dropped returns how many spans were discarded after the buffer filled.

@@ -3,21 +3,13 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
 
-// spanCollector is an in-memory SpanSink for tests.
-type spanCollector struct {
-	spans []SpanData
-}
-
-func (c *spanCollector) RecordSpan(d SpanData) { c.spans = append(c.spans, d) }
-
 func TestTracerParentLinks(t *testing.T) {
-	var c spanCollector
-	tr := NewTracer(&c)
+	c := NewSpanBuffer(0)
+	tr := NewTracer(c)
 	root := tr.Start(SpanContext{}, "run", Int("epochs", 3))
 	child := tr.Start(root.Context(), "epoch", Int("epoch", 0))
 	grand := tr.Start(child.Context(), "verify")
@@ -25,10 +17,10 @@ func TestTracerParentLinks(t *testing.T) {
 	child.End()
 	root.End(Bool("detected", false))
 
-	if len(c.spans) != 3 {
-		t.Fatalf("recorded %d spans, want 3", len(c.spans))
+	if len(c.Spans()) != 3 {
+		t.Fatalf("recorded %d spans, want 3", len(c.Spans()))
 	}
-	verify, epoch, run := c.spans[0], c.spans[1], c.spans[2]
+	verify, epoch, run := c.Spans()[0], c.Spans()[1], c.Spans()[2]
 	if run.Parent != 0 {
 		t.Errorf("root has parent %d", run.Parent)
 	}
@@ -67,11 +59,38 @@ func TestNilTracerIsInert(t *testing.T) {
 	s.EndErr(nil) // must not panic
 	child := tr.Start(s.Context(), "y")
 	child.End()
+	tr.Mark(s.Context(), EvFaultInjected, Int("word", 1))
+}
+
+// TestMarkIsZeroLengthChild checks the point-span form every event takes: a
+// zero-length span in its parent's trace, or the root of its own trace when
+// no span is open.
+func TestMarkIsZeroLengthChild(t *testing.T) {
+	c := NewSpanBuffer(0)
+	tr := NewTracer(c)
+	run := tr.Start(SpanContext{}, "run")
+	tr.Mark(run.Context(), EvFaultInjected, Int("word", 4))
+	run.End()
+	tr.Mark(SpanContext{}, EvServerState)
+
+	mark, parent, root := c.Spans()[0], c.Spans()[1], c.Spans()[2]
+	if mark.Duration != 0 || mark.Name != EvFaultInjected || mark.Attr("word") != int64(4) {
+		t.Errorf("mark = %+v", mark)
+	}
+	if mark.Parent != parent.ID || mark.Trace != parent.Trace || mark.ID == parent.ID {
+		t.Errorf("mark not a child of run: %+v under %+v", mark, parent)
+	}
+	if root.Parent != 0 || root.Trace != TraceID(root.ID) {
+		t.Errorf("parentless mark is not a root: %+v", root)
+	}
+	if mark.StartOff < parent.StartOff {
+		t.Errorf("mark (off %v) precedes its parent (off %v)", mark.StartOff, parent.StartOff)
+	}
 }
 
 func TestSpanMonotonicTimes(t *testing.T) {
-	var c spanCollector
-	tr := NewTracer(&c)
+	c := NewSpanBuffer(0)
+	tr := NewTracer(c)
 	parent := tr.Start(SpanContext{}, "outer")
 	time.Sleep(time.Millisecond)
 	inner := tr.Start(parent.Context(), "inner")
@@ -79,7 +98,7 @@ func TestSpanMonotonicTimes(t *testing.T) {
 	inner.End()
 	parent.End()
 
-	in, out := c.spans[0], c.spans[1]
+	in, out := c.Spans()[0], c.Spans()[1]
 	if in.StartOff < out.StartOff {
 		t.Errorf("child started (off %v) before parent (off %v)", in.StartOff, out.StartOff)
 	}
@@ -184,33 +203,5 @@ func TestSpanBufferBounded(t *testing.T) {
 	}
 	if d := buf.Dropped(); d != 3 {
 		t.Errorf("dropped = %d, want 3", d)
-	}
-}
-
-func TestSpanEventsAdapter(t *testing.T) {
-	var c Collector
-	tr := NewTracer(SpanEvents(&c))
-	root := tr.Start(SpanContext{}, "run")
-	child := tr.Start(root.Context(), "epoch", Int("epoch", 7))
-	child.End()
-	root.End()
-
-	evs := c.Events()
-	if len(evs) != 2 {
-		t.Fatalf("emitted %d events, want 2", len(evs))
-	}
-	e := evs[0]
-	if e.Name != EvSpan || e.Fields["name"] != "epoch" {
-		t.Fatalf("first event = %+v", e)
-	}
-	if e.Fields["attr_epoch"] != int64(7) {
-		t.Errorf("attr_epoch = %v", e.Fields["attr_epoch"])
-	}
-	parent, ok := e.Fields["parent"].(string)
-	if !ok || len(parent) != 16 || strings.Trim(parent, "0123456789abcdef") != "" {
-		t.Errorf("parent field = %v", e.Fields["parent"])
-	}
-	if _, ok := evs[1].Fields["parent"]; ok {
-		t.Error("root span event has a parent field")
 	}
 }
