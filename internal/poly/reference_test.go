@@ -405,3 +405,41 @@ func TestOverflowIsInexact(t *testing.T) {
 		t.Errorf("non-overflowing empty system = (%v, %v), want (true, true)", empty, exact)
 	}
 }
+
+// subtractReference is the piece difference as Subtract computed it before
+// the disjointness test: it always splits a into a ∧ c_1 ∧ … ∧ c_{i-1} ∧ ¬c_i
+// pieces, even when b misses a and the answer is a itself. The tests hold
+// subtractBasic to the same point sets.
+func subtractReference(a, b BasicSet) []BasicSet {
+	if len(a.Dims) != len(b.Dims) {
+		panic("poly: subtract dimension mismatch")
+	}
+	m := map[string]string{}
+	for i, d := range b.Dims {
+		m[d] = a.Dims[i]
+	}
+	rb := b.Rename(m)
+	var out []BasicSet
+	prefix := a.Copy()
+	for _, c := range rb.Cons {
+		for _, neg := range c.Negate() {
+			p := prefix.With(neg)
+			if e, _ := p.IsEmpty(); !e {
+				out = append(out, p.Simplified())
+			}
+		}
+		prefix = prefix.With(c)
+	}
+	return out
+}
+
+// WithReferenceSubtract runs f with Set.Subtract (and so SubsetOf and
+// EqualSet) computing every piece difference by subtractReference. It lets
+// the tests outside the package rerun a whole analysis with the reference.
+// Not safe beside parallel tests that subtract.
+func WithReferenceSubtract(f func()) {
+	saved := subtractPiece
+	subtractPiece = subtractReference
+	defer func() { subtractPiece = saved }()
+	f()
+}

@@ -216,8 +216,9 @@ func (s Set) Intersect(o Set) Set {
 	return Set{Pieces: out}
 }
 
-// subtractBasic computes a \ b as a union: for each constraint of b, the part
-// of a violating it.
+// subtractBasic computes a \ b as a union: a itself when the two are
+// provably disjoint, else for each constraint of b, the part of a violating
+// it.
 func subtractBasic(a, b BasicSet) []BasicSet {
 	if len(a.Dims) != len(b.Dims) {
 		panic("poly: subtract dimension mismatch")
@@ -227,6 +228,11 @@ func subtractBasic(a, b BasicSet) []BasicSet {
 		m[d] = a.Dims[i]
 	}
 	rb := b.Rename(m)
+	// a ∩ b = ∅ gives a \ b = a: keep the piece whole rather than split it
+	// into pieces that all repeat it. Only an exact emptiness answer counts.
+	if empty, exact := a.With(rb.Cons...).IsEmpty(); empty && exact {
+		return []BasicSet{a}
+	}
 	var out []BasicSet
 	// Build pieces incrementally: piece_i = a ∧ c_1 ∧ ... ∧ c_{i-1} ∧ ¬c_i,
 	// which makes the result pieces pairwise disjoint.
@@ -243,13 +249,19 @@ func subtractBasic(a, b BasicSet) []BasicSet {
 	return out
 }
 
-// Subtract returns s \ o.
+// subtractPiece is the piece difference Subtract applies. It is a variable
+// only so the package tests can rerun whole analyses with the reference
+// always-split algorithm in its place.
+var subtractPiece = subtractBasic
+
+// Subtract returns s \ o. Every output piece lies inside exactly one piece
+// of s, so pairwise disjoint pieces in s stay pairwise disjoint.
 func (s Set) Subtract(o Set) Set {
 	cur := append([]BasicSet(nil), s.Pieces...)
 	for _, b := range o.Pieces {
 		var next []BasicSet
 		for _, a := range cur {
-			next = append(next, subtractBasic(a, b)...)
+			next = append(next, subtractPiece(a, b)...)
 		}
 		cur = next
 	}
@@ -287,62 +299,71 @@ func (s Set) String() string {
 // enumeration of the dimensions within [-bound, bound] given parameter
 // values. It is a testing aid, not part of the analysis pipeline.
 func (b BasicSet) Sample(params map[string]int64, bound int64) (map[string]int64, bool) {
-	env := map[string]int64{}
-	for k, v := range params {
-		env[k] = v
-	}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(b.Dims) {
-			return b.Contains(env)
-		}
-		for v := -bound; v <= bound; v++ {
-			env[b.Dims[i]] = v
-			if rec(i + 1) {
-				return true
-			}
-		}
-		delete(env, b.Dims[i])
+	var out map[string]int64
+	b.walk(params, bound, func(pt map[string]int64) bool {
+		out = pt
 		return false
-	}
-	if rec(0) {
-		out := map[string]int64{}
-		for _, d := range b.Dims {
-			out[d] = env[d]
-		}
-		return out, true
-	}
-	return nil, false
+	})
+	return out, out != nil
 }
 
 // EnumeratePoints lists all integer points of the basic set with dimensions
 // restricted to [-bound, bound], given parameter values. Testing aid.
 func (b BasicSet) EnumeratePoints(params map[string]int64, bound int64) []map[string]int64 {
+	var out []map[string]int64
+	b.walk(params, bound, func(pt map[string]int64) bool {
+		out = append(out, pt)
+		return true
+	})
+	return out
+}
+
+// walk calls visit with each integer point of b (its dimensions only) whose
+// dimensions lie in [-bound, bound], in lexicographic order, until visit
+// returns false. A constraint is checked as soon as its last dimension is
+// bound, so a violated one prunes the whole subtree below it rather than
+// being tested at every point of the box.
+func (b BasicSet) walk(params map[string]int64, bound int64, visit func(map[string]int64) bool) {
 	env := map[string]int64{}
 	for k, v := range params {
 		env[k] = v
 	}
-	var out []map[string]int64
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(b.Dims) {
-			if b.Contains(env) {
-				pt := map[string]int64{}
-				for _, d := range b.Dims {
-					pt[d] = env[d]
-				}
-				out = append(out, pt)
+	// stage[i] holds the constraints whose last dimension is b.Dims[i-1];
+	// stage[0] those on parameters alone.
+	stage := make([][]Constraint, len(b.Dims)+1)
+	for _, c := range b.Cons {
+		last := 0
+		for i, d := range b.Dims {
+			if c.E.Uses(d) {
+				last = i + 1
 			}
-			return
 		}
+		stage[last] = append(stage[last], c)
+	}
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		for _, c := range stage[i] {
+			if ok, complete := c.Holds(env); !ok || !complete {
+				return true
+			}
+		}
+		if i == len(b.Dims) {
+			pt := map[string]int64{}
+			for _, d := range b.Dims {
+				pt[d] = env[d]
+			}
+			return visit(pt)
+		}
+		defer delete(env, b.Dims[i])
 		for v := -bound; v <= bound; v++ {
 			env[b.Dims[i]] = v
-			rec(i + 1)
+			if !rec(i + 1) {
+				return false
+			}
 		}
-		delete(env, b.Dims[i])
+		return true
 	}
 	rec(0)
-	return out
 }
 
 // sortedVars is a helper exposing deterministic variable order for callers.

@@ -1,6 +1,8 @@
 package poly
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 )
@@ -119,6 +121,109 @@ func TestSubtract(t *testing.T) {
 			t.Errorf("x=%d: Contains = %v, want %v", v, got, want)
 		}
 	}
+
+	// Random disjoint, nested and overlapping cases: the points of s \ o,
+	// enumerated piece by piece, must be exactly the points of s outside o,
+	// and the reference always-split algorithm must give the same points.
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 300; trial++ {
+		kind := trial % 3
+		s, o := randomSubtraction(rng, kind)
+		d := s.Subtract(o)
+		var ref Set
+		WithReferenceSubtract(func() { ref = s.Subtract(o) })
+		for _, params := range subtractParams {
+			want := pointSet(params, s, func(env map[string]int64) bool { return !o.Contains(env) })
+			for name, got := range map[string]Set{"Subtract": d, "reference": ref} {
+				if have := pointSet(params, got, nil); !maps.Equal(have, want) {
+					t.Fatalf("trial %d (kind %d) n=%d: %s gives %d points, want %d\ns = %v\no = %v\ngot %v",
+						trial, kind, params["n"], name, len(have), len(want), s, o, got)
+				}
+			}
+		}
+	}
+}
+
+// subtractParams are the parameter values the random Subtract cases are
+// enumerated at.
+var subtractParams = []map[string]int64{{"n": 1}, {"n": 4}}
+
+// box returns the piece x0 <= x <= x1, y0 <= y <= y1.
+func box(x0, x1, y0, y1 int64) BasicSet {
+	x, y := V("x"), V("y")
+	return NewBasicSet("S", "x", "y").With(Ge(x, L(x0)), Le(x, L(x1)), Ge(y, L(y0)), Le(y, L(y1)))
+}
+
+// cut adds a random half-plane to b half the time: unit or non-unit
+// coefficients (the latter may make emptiness inexact), sometimes bounded by
+// the parameter n.
+func cut(rng *rand.Rand, b BasicSet) BasicSet {
+	if rng.Intn(2) == 0 {
+		return b
+	}
+	e := Term(int64(rng.Intn(5)-2), "x").Add(Term(int64(rng.Intn(5)-2), "y")).AddConst(int64(rng.Intn(9) - 2))
+	if rng.Intn(3) == 0 {
+		e = e.Add(V("n"))
+	}
+	return b.With(GeZero(e))
+}
+
+// randomSubtraction draws s, one or two pieces stacked apart in y over the
+// same x range, and o, one to three pieces placed by kind: 0 disjoint from
+// every piece of s (to the left or right of its x range), 1 nested inside a
+// piece of s, 2 anywhere (usually overlapping).
+func randomSubtraction(rng *rand.Rand, kind int) (s, o Set) {
+	r := func(lo, hi int64) int64 { return lo + rng.Int63n(hi-lo+1) }
+	x0, x1 := r(-6, 0), r(0, 5)
+	ys := [][2]int64{{r(-6, -2), 0}}
+	ys[0][1] = ys[0][0] + r(0, 3)
+	if rng.Intn(2) == 0 {
+		lo := ys[0][1] + r(1, 2)
+		ys = append(ys, [2]int64{lo, lo + r(0, 3)})
+	}
+	for _, y := range ys {
+		s.Pieces = append(s.Pieces, cut(rng, box(x0, x1, y[0], y[1])))
+	}
+	for k := r(1, 3); k > 0; k-- {
+		var b BasicSet
+		switch kind {
+		case 0:
+			if rng.Intn(2) == 0 {
+				lo := x1 + r(1, 3)
+				b = box(lo, lo+r(0, 4), r(-6, 0), r(0, 6))
+			} else {
+				hi := x0 - r(1, 3)
+				b = box(hi-r(0, 4), hi, r(-6, 0), r(0, 6))
+			}
+		case 1:
+			i := rng.Intn(len(ys))
+			bx0, by0 := r(x0, x1), r(ys[i][0], ys[i][1])
+			b = box(bx0, r(bx0, x1), by0, r(by0, ys[i][1])).With(s.Pieces[i].Cons...)
+		default:
+			bx0, by0 := r(-7, 5), r(-7, 5)
+			b = box(bx0, bx0+r(0, 6), by0, by0+r(0, 6))
+		}
+		o.Pieces = append(o.Pieces, cut(rng, b))
+	}
+	return s, o
+}
+
+// pointSet enumerates the points of s at params (dimensions in [-8, 8]) that
+// keep passes (all of them when keep is nil), keyed "x,y".
+func pointSet(params map[string]int64, s Set, keep func(env map[string]int64) bool) map[string]bool {
+	pts := map[string]bool{}
+	for _, p := range s.Pieces {
+		for _, pt := range p.EnumeratePoints(params, 8) {
+			env := map[string]int64{"x": pt["x"], "y": pt["y"]}
+			for k, v := range params {
+				env[k] = v
+			}
+			if keep == nil || keep(env) {
+				pts[fmt.Sprint(pt["x"], ",", pt["y"])] = true
+			}
+		}
+	}
+	return pts
 }
 
 func TestSubtractPiecesDisjoint(t *testing.T) {
@@ -136,6 +241,29 @@ func TestSubtractPiecesDisjoint(t *testing.T) {
 		}
 		if hits > 1 {
 			t.Errorf("x=%d contained in %d pieces; want disjoint", v, hits)
+		}
+	}
+
+	// Random cases: s's pieces are disjoint, so the difference's must be
+	// too, and an o that misses s entirely must leave s's pieces unsplit.
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 300; trial++ {
+		kind := trial % 3
+		s, o := randomSubtraction(rng, kind)
+		d := s.Subtract(o)
+		if kind == 0 && len(d.Pieces) != len(s.Pieces) {
+			t.Fatalf("trial %d: o misses s, yet %d pieces became %d\ns = %v\no = %v\ngot %v",
+				trial, len(s.Pieces), len(d.Pieces), s, o, d)
+		}
+		for _, params := range subtractParams {
+			hits := map[string]int{}
+			for _, p := range d.Pieces {
+				for pt := range pointSet(params, UnionSet(p), nil) {
+					if hits[pt]++; hits[pt] > 1 {
+						t.Fatalf("trial %d n=%d: point %s lies in two pieces of %v", trial, params["n"], pt, d)
+					}
+				}
+			}
 		}
 	}
 }

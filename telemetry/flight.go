@@ -45,8 +45,9 @@ type FlightDump struct {
 	Entries []FlightEntry `json:"entries"`
 }
 
-// FlightDumpSchema identifies the dump artifact format.
-const FlightDumpSchema = "defuse/flight/v1"
+// FlightDumpSchema identifies the dump artifact format. v2 entries are
+// {seq, span}; v1 entries also had a kind and could carry an event.
+const FlightDumpSchema = "defuse/flight/v2"
 
 // DefaultFlightSize is the ring capacity used when NewFlightRecorder is
 // given a non-positive size.
