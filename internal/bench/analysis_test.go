@@ -13,6 +13,7 @@ import (
 
 	"defuse/internal/deps"
 	"defuse/internal/instrument"
+	"defuse/internal/lang"
 	"defuse/internal/pdg"
 	"defuse/internal/usecount"
 )
@@ -23,8 +24,11 @@ const digestFile = "testdata/analysis.digest"
 
 // analysisText renders everything the compile-time analysis decides for one
 // kernel variant: the flow dependences with their exactness, the use-count
-// results, and the instrumentation report's plans and counts.
-func analysisText(t *testing.T, b *Benchmark, v Variant) string {
+// results, and the instrumentation report's plans and counts. shape is the
+// readable summary of what the instrumenter emitted: its checksum
+// statements, the guards left in the code and the extra loops index-set
+// splitting added.
+func analysisText(t *testing.T, b *Benchmark, v Variant) (text, shape string) {
 	t.Helper()
 	var sb strings.Builder
 
@@ -81,21 +85,32 @@ func analysisText(t *testing.T, b *Benchmark, v Variant) string {
 	fmt.Fprintf(&sb, "plans %s\n", strings.Join(plans, " "))
 	fmt.Fprintf(&sb, "checksum_stmts=%d split_segments=%d inspectors_hoisted=%d\n",
 		rep.ChecksumStmts, rep.SplitSegments, rep.InspectorsHoisted)
-	return sb.String()
+	guards := 0
+	lang.WalkStmts(res.Prog.Body, func(s lang.Stmt) bool {
+		if _, ok := s.(*lang.If); ok {
+			guards++
+		}
+		return true
+	})
+	shape = fmt.Sprintf("checksum_stmts=%d guards=%d split_segments=%d", rep.ChecksumStmts, guards, rep.SplitSegments)
+	return sb.String(), shape
 }
 
 // TestAnalysisDigest pins the compile-time analysis of every Table 2 kernel
 // for both instrumented variants. The genkernels drift gate pins generated
 // text; this pins what produced it, including exactness flags and plans, so a
-// change to the polyhedral core that alters any decision fails here.
+// change to the polyhedral core that alters any decision fails here. Each
+// line also spells out the emitted checksum statements, residual guards and
+// split segments, so a re-pin shows how they moved per kernel.
 // Regenerate with `go test ./internal/bench -run TestAnalysisDigest -update`
 // only when a decision is meant to change.
 func TestAnalysisDigest(t *testing.T) {
 	var got []string
 	for _, b := range Suite() {
 		for _, v := range []Variant{Resilient, ResilientOpt} {
-			sum := sha256.Sum256([]byte(analysisText(t, b, v)))
-			got = append(got, fmt.Sprintf("%s %s %x", b.Name, v, sum))
+			text, shape := analysisText(t, b, v)
+			sum := sha256.Sum256([]byte(text))
+			got = append(got, fmt.Sprintf("%s %s %s %x", b.Name, v, shape, sum))
 		}
 	}
 	if *updateDigest {
