@@ -61,22 +61,28 @@ func newSweepCase(t *testing.T, name string, src *lang.Program, opt instrument.O
 	return c
 }
 
-// sweepCases returns trisolv at n = 4 and three generated programs (one with
-// indirect subscripts), each as Resilient and Resilient-Optimized.
+// sweepCases returns trisolv at n = 4, moldyn (dynamic counters, indirect
+// subscripts) at n = 4, k = 2 over two iterations, and three generated
+// programs (one with indirect subscripts), each as Resilient and
+// Resilient-Optimized.
 func sweepCases(t *testing.T) []sweepCase {
 	variants := []struct {
 		name string
 		opt  instrument.Options
 	}{{"Resilient", instrument.Options{}}, {"Resilient-Optimized", instrument.Options{Split: true, Inspector: true}}}
+	kernels := map[string]map[string]int64{
+		"trisolv": {"n": 4},
+		"moldyn":  {"n": 4, "k": 2, "maxiter": 2},
+	}
 	var cases []sweepCase
 	for _, b := range bench.Suite() {
-		if b.Name != "trisolv" {
+		params := kernels[b.Name]
+		if params == nil {
 			continue
 		}
-		params := map[string]int64{"n": 4}
 		init := func(h host) { b.Init(h, params, rand.New(rand.NewSource(1))) }
 		for _, v := range variants {
-			cases = append(cases, newSweepCase(t, "trisolv/"+v.name, b.Program(), v.opt, params, init))
+			cases = append(cases, newSweepCase(t, b.Name+"/"+v.name, b.Program(), v.opt, params, init))
 		}
 	}
 	for _, g := range []struct {
@@ -108,12 +114,15 @@ type sweepRun struct {
 	csLoads  func() uint64 // checksum loads so far (interp only)
 }
 
-// sweepBackends builds a case's machine on interp or on the closure
-// compiler.
-var sweepBackends = []struct {
+// sweepBackend builds a case's machine on one backend.
+type sweepBackend struct {
 	name  string
 	build func(t *testing.T, c sweepCase) sweepRun
-}{
+}
+
+// sweepBackends builds a case's machine on interp or on the closure
+// compiler.
+var sweepBackends = []sweepBackend{
 	{"interp", func(t *testing.T, c sweepCase) sweepRun {
 		m, err := interp.New(c.prog, c.params)
 		if err != nil {
@@ -254,63 +263,132 @@ func TestReloadWindowSweep(t *testing.T) {
 	for _, c := range sweepCases(t) {
 		tr := cleanTrace(t, c)
 		for _, be := range sweepBackends {
+			t.Run(c.name+"/"+be.name, func(t *testing.T) { sweep(t, c, tr, be) })
+		}
+	}
+}
+
+// sweep runs case c on backend be clean, checking that it makes interp's
+// accesses tr, then flips the cell of every def→use window in turn. It fails
+// on a flip that goes undetected and changes the output, and returns the
+// windows swept and the flips detected.
+func sweep(t *testing.T, c sweepCase, tr []access, be sweepBackend) (swept, detected int) {
+	t.Helper()
+	clean := be.build(t, c)
+	var seq []access
+	clean.mem.SetAccessHook(func(store bool, _, eff int) {
+		seq = append(seq, access{addr: eff, store: store})
+	})
+	if err := clean.run(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	if len(seq) != len(tr) {
+		t.Fatalf("clean run made %d accesses, interp %d", len(seq), len(tr))
+	}
+	for k := range seq {
+		if seq[k].addr != tr[k].addr || seq[k].store != tr[k].store {
+			t.Fatalf("access %d differs from interp's", k)
+		}
+	}
+	want := map[string][]float64{}
+	for _, name := range c.outputs {
+		want[name], _ = clean.snapshot(name)
+	}
+
+	ws := contractWindows(t, c, clean, tr)
+	if len(ws) == 0 {
+		t.Fatal("no def→use window to sweep")
+	}
+	var escapes []string
+	steps := 0
+	for _, w := range ws {
+		r := be.build(t, c)
+		flipBefore(r, w.at, w.cell)
+		err := r.run()
+		var mm *checksum.MismatchError
+		if errors.As(err, &mm) {
+			detected++
+			continue
+		}
+		if err != nil {
+			t.Fatalf("flip of %s before access %d: %v", w.label, w.at, err)
+		}
+		if !changed(r, c.outputs, want) {
+			continue
+		}
+		steps += w.at - w.prev
+		escapes = append(escapes, fmt.Sprintf("%s: after the %s at access %d, before the %s at %d",
+			w.label, kind(tr[w.prev]), w.prev, kind(tr[w.at]), w.at))
+	}
+	t.Logf("%d def→use windows swept, %d escaped", len(ws), len(escapes))
+	if len(escapes) > 0 {
+		t.Errorf("%d of %d def→use windows (%d flip steps) let a flip change the output undetected:",
+			len(escapes), len(ws), steps)
+		for i, e := range escapes {
+			if i == 5 {
+				t.Errorf("  ... and %d more", len(escapes)-i)
+				break
+			}
+			t.Errorf("  %s", e)
+		}
+	}
+	return len(ws), detected
+}
+
+// aliasSrc reads the cell it writes twice, once through a subscript array.
+// With j[i] == i both reads hit x[i], so the statement's kill fold must count
+// the increment the x[j[i]] read stores into the counter of x[i].
+const aliasSrc = `
+program alias(n)
+float x[n];
+int j[n];
+for i = 0 to n - 1 {
+  S1: x[i] = x[i] + x[j[i]];
+}
+`
+
+// TestAliasedCounterSameCell runs x[i] = x[i] + x[j[i]] with j[i] == i, as
+// Resilient and Resilient-Optimized, on interp and the closures: the clean
+// run must verify and double every cell, and flips in its def→use windows
+// must be detected.
+func TestAliasedCounterSameCell(t *testing.T) {
+	prog, err := lang.Parse(aliasSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	params := map[string]int64{"n": n}
+	init := func(h host) {
+		if err := h.FillFloat("x", func(i int64) float64 { return float64(i) + 0.5 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.FillInt("j", func(i int64) int64 { return i }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []instrument.Options{{}, {Split: true, Inspector: true}} {
+		c := newSweepCase(t, fmt.Sprintf("alias split=%v", opt.Split), prog, opt, params, init)
+		if len(c.tracked) != 1 {
+			t.Fatalf("%s: tracked arrays %v, want [x]", c.name, c.tracked)
+		}
+		tr := cleanTrace(t, c)
+		for _, be := range sweepBackends {
 			t.Run(c.name+"/"+be.name, func(t *testing.T) {
-				clean := be.build(t, c)
-				var seq []access
-				clean.mem.SetAccessHook(func(store bool, _, eff int) {
-					seq = append(seq, access{addr: eff, store: store})
-				})
-				if err := clean.run(); err != nil {
+				r := be.build(t, c)
+				if err := r.run(); err != nil {
 					t.Fatalf("clean run: %v", err)
 				}
-				if len(seq) != len(tr) {
-					t.Fatalf("clean run made %d accesses, interp %d", len(seq), len(tr))
+				got, err := r.snapshot("x")
+				if err != nil {
+					t.Fatal(err)
 				}
-				for k := range seq {
-					if seq[k].addr != tr[k].addr || seq[k].store != tr[k].store {
-						t.Fatalf("access %d differs from interp's", k)
+				for i, v := range got {
+					if want := 2 * (float64(i) + 0.5); v != want {
+						t.Fatalf("x[%d] = %v, want %v", i, v, want)
 					}
 				}
-				want := map[string][]float64{}
-				for _, name := range c.outputs {
-					want[name], _ = clean.snapshot(name)
-				}
-
-				ws := contractWindows(t, c, clean, tr)
-				if len(ws) == 0 {
-					t.Fatal("no def→use window to sweep")
-				}
-				var escapes []string
-				steps := 0
-				for _, w := range ws {
-					r := be.build(t, c)
-					flipBefore(r, w.at, w.cell)
-					err := r.run()
-					var mm *checksum.MismatchError
-					if errors.As(err, &mm) {
-						continue
-					}
-					if err != nil {
-						t.Fatalf("flip of %s before access %d: %v", w.label, w.at, err)
-					}
-					if !changed(r, c.outputs, want) {
-						continue
-					}
-					steps += w.at - w.prev
-					escapes = append(escapes, fmt.Sprintf("%s: after the %s at access %d, before the %s at %d",
-						w.label, kind(tr[w.prev]), w.prev, kind(tr[w.at]), w.at))
-				}
-				t.Logf("%d def→use windows swept, %d escaped", len(ws), len(escapes))
-				if len(escapes) > 0 {
-					t.Errorf("%d of %d def→use windows (%d flip steps) let a flip change the output undetected:",
-						len(escapes), len(ws), steps)
-					for i, e := range escapes {
-						if i == 5 {
-							t.Errorf("  ... and %d more", len(escapes)-i)
-							break
-						}
-						t.Errorf("  %s", e)
-					}
+				if _, detected := sweep(t, c, tr, be); detected == 0 {
+					t.Error("no flip detected")
 				}
 			})
 		}

@@ -338,8 +338,9 @@ func TestCGInspectorPlans(t *testing.T) {
 		t.Errorf("inspectors hoisted = %d, want 1", res.Report.InspectorsHoisted)
 	}
 	src := lang.Print(res.Prog)
-	// The hoisted inspector counts indirect accesses before the while loop.
-	if !strings.Contains(src, "p_new_icnt[cols[j1]]") {
+	// The hoisted inspector counts indirect accesses before the while loop,
+	// loading each subscript once.
+	if !strings.Contains(src, "int cols_r = cols[j1];") || !strings.Contains(src, "p_new_icnt[cols_r] = p_new_icnt[cols_r] + 1;") {
 		t.Errorf("missing hoisted inspector:\n%s", src)
 	}
 }

@@ -25,7 +25,7 @@ type OpCounts struct {
 	Arith    uint64 // arithmetic/intrinsic operations
 	Compare  uint64 // comparisons and logical operations
 	CsOps    uint64 // add_to_chksm executions (each a scale+combine)
-	CsLoads  uint64 // loads performed to feed checksum operations
+	CsLoads  uint64 // loads performed to feed checksum operations (see checksumRegs)
 	CsArith  uint64 // arithmetic inside checksum count expressions
 	Branches uint64 // if/while condition evaluations
 	Stmts    uint64 // statements executed
@@ -87,6 +87,7 @@ type Machine struct {
 	MaxSteps uint64
 
 	inChecksum bool
+	csRegs     map[string]bool // registers only add_to_chksm statements read
 }
 
 // options collects what New's options configure.
@@ -135,7 +136,7 @@ func New(prog *lang.Program, params map[string]int64, opts ...Option) (*Machine,
 		return nil, err
 	}
 	m := &Machine{State: st, prog: prog, iters: map[string]int64{}, regs: map[string]value{},
-		MaxSteps: o.maxSteps}
+		MaxSteps: o.maxSteps, csRegs: checksumRegs(prog)}
 	if err := m.Alloc(prog, m.evalInt); err != nil {
 		return nil, err
 	}
@@ -153,6 +154,45 @@ func (m *Machine) Reset() {
 	clear(m.regs)
 	m.Counts = OpCounts{}
 	m.inChecksum = false
+}
+
+// checksumRegs names the registers that only add_to_chksm statements read.
+// A load into one of them is checksum work, as a load inside an add_to_chksm
+// is: the instrumenter binds such a register when several folds of one cell
+// share a single load.
+func checksumRegs(prog *lang.Program) map[string]bool {
+	regs := map[string]bool{}
+	read := map[string]bool{} // names some other statement reads
+	note := func(es ...lang.Expr) {
+		for _, e := range es {
+			lang.WalkExpr(e, func(x lang.Expr) bool {
+				if r, ok := x.(*lang.Ref); ok {
+					read[r.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	lang.WalkStmts(prog.Body, func(s lang.Stmt) bool {
+		switch x := s.(type) {
+		case *lang.Let:
+			regs[x.Name] = true
+			note(x.Value)
+		case *lang.Assign:
+			note(x.LHS, x.RHS)
+		case *lang.If:
+			note(x.Cond)
+		case *lang.While:
+			note(x.Cond)
+		case *lang.For:
+			note(x.Lo, x.Hi)
+		}
+		return true
+	})
+	for name := range read {
+		delete(regs, name)
+	}
+	return regs
 }
 
 // addrOf resolves a variable reference to a memory address.
@@ -322,7 +362,9 @@ func (m *Machine) execStmt(s lang.Stmt, max uint64) error {
 	case *lang.AddToChecksum:
 		return m.execChecksum(x)
 	case *lang.Let:
+		m.inChecksum = m.csRegs[x.Name]
 		v, err := m.eval(x.Value)
+		m.inChecksum = false
 		if err != nil {
 			return err
 		}
