@@ -76,6 +76,7 @@ func (m *Machine) fork() *Machine {
 		iters:    map[string]int64{},
 		regs:     map[string]value{},
 		MaxSteps: m.MaxSteps,
+		csRegs:   m.csRegs,
 	}
 }
 
