@@ -26,8 +26,8 @@ const digestFile = "testdata/analysis.digest"
 // kernel variant: the flow dependences with their exactness, the use-count
 // results, and the instrumentation report's plans and counts. shape is the
 // readable summary of what the instrumenter emitted: its checksum
-// statements, the guards left in the code and the extra loops index-set
-// splitting added.
+// statements, the guards left in the code, the extra loops index-set
+// splitting added and the use-counter cells kept in registers (full/delta).
 func analysisText(t *testing.T, b *Benchmark, v Variant) (text, shape string) {
 	t.Helper()
 	var sb strings.Builder
@@ -92,7 +92,8 @@ func analysisText(t *testing.T, b *Benchmark, v Variant) (text, shape string) {
 		}
 		return true
 	})
-	shape = fmt.Sprintf("checksum_stmts=%d guards=%d split_segments=%d", rep.ChecksumStmts, guards, rep.SplitSegments)
+	shape = fmt.Sprintf("checksum_stmts=%d guards=%d split_segments=%d promoted=%d/%d",
+		rep.ChecksumStmts, guards, rep.SplitSegments, rep.PromotedFull, rep.PromotedDelta)
 	return sb.String(), shape
 }
 
@@ -100,8 +101,9 @@ func analysisText(t *testing.T, b *Benchmark, v Variant) (text, shape string) {
 // for both instrumented variants. The genkernels drift gate pins generated
 // text; this pins what produced it, including exactness flags and plans, so a
 // change to the polyhedral core that alters any decision fails here. Each
-// line also spells out the emitted checksum statements, residual guards and
-// split segments, so a re-pin shows how they moved per kernel.
+// line also spells out the emitted checksum statements, residual guards,
+// split segments and promoted counter cells, so a re-pin shows how they moved
+// per kernel.
 // Regenerate with `go test ./internal/bench -run TestAnalysisDigest -update`
 // only when a decision is meant to change.
 func TestAnalysisDigest(t *testing.T) {
