@@ -854,6 +854,24 @@ func (c *compiler) let(x *lang.Let) sop {
 // conversion.
 func (c *compiler) assign(x *lang.Assign) sop {
 	rhs := c.expr(x.RHS)
+	if slot, ok := c.regSlot[x.LHS.Name]; ok && len(x.LHS.Indices) == 0 {
+		// An int register, assigned by "=" (lang.Check), converting as a
+		// Let does.
+		if rhs.isInt {
+			ri := rhs.i
+			return func(fr *frame) error {
+				v, err := ri(fr)
+				fr.regs[slot] = uint64(v)
+				return err
+			}
+		}
+		rf := rhs.f
+		return func(fr *frame) error {
+			v, err := rf(fr)
+			fr.regs[slot] = uint64(int64(v))
+			return err
+		}
+	}
 	ap := c.addr(x.LHS)
 	varInt := c.env.vars[x.LHS.Name]
 	line, col := x.Pos.Line, x.Pos.Col

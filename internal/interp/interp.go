@@ -384,6 +384,11 @@ func (m *Machine) execAssign(x *lang.Assign) error {
 	if err != nil {
 		return err
 	}
+	if _, ok := m.regs[x.LHS.Name]; ok && len(x.LHS.Indices) == 0 {
+		// An int register, assigned by "=" (lang.Check): no memory access.
+		m.regs[x.LHS.Name] = rhs.as(true)
+		return nil
+	}
 	addr, err := m.addrOf(x.LHS)
 	if err != nil {
 		return err

@@ -440,3 +440,32 @@ func TestFillAndSnapshot(t *testing.T) {
 		t.Errorf("B[2] = %d", b2)
 	}
 }
+
+// TestRegisterAssignment runs an int register kept across a loop: it is
+// assigned without touching memory, converts a float value as a store to an
+// int variable does, and its final value reaches memory only when stored.
+func TestRegisterAssignment(t *testing.T) {
+	m := mustMachine(t, `
+program t(n)
+int c[n];
+for i = 0 to n - 1 {
+  int r = c[i];
+  for j = 0 to i {
+    r = r + 2;
+  }
+  r = r + 0.75;
+  c[i] = r;
+}
+`, map[string]int64{"n": 4})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 4; i++ {
+		if v, _ := m.Int("c", i); v != 2*(i+1) {
+			t.Errorf("c[%d] = %d, want %d", i, v, 2*(i+1))
+		}
+	}
+	if m.Counts.Loads != 4 || m.Counts.Stores != 4 {
+		t.Errorf("loads %d stores %d, want 4 and 4", m.Counts.Loads, m.Counts.Stores)
+	}
+}

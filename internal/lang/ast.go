@@ -113,7 +113,8 @@ var assignOpNames = [...]string{"=", "+=", "-=", "*=", "/="}
 // String returns the operator's source text.
 func (op AssignOp) String() string { return assignOpNames[op] }
 
-// Assign is "lhs op rhs;", optionally labeled ("S1: ...").
+// Assign is "lhs op rhs;", optionally labeled ("S1: ..."). Its target is a
+// declared variable, or an in-scope int register with op "=" (see Let).
 type Assign struct {
 	Pos   Pos
 	Label string
@@ -158,7 +159,9 @@ type AddToChecksum struct {
 
 // Let is "float r = value;" (or "int r = value;") in a statement list: it
 // binds the register r for the rest of the list. The value converts to the
-// register's type exactly as a store to a variable of that type would. A
+// register's type exactly as a store to a variable of that type would. An
+// int register can be reassigned by "r = value;" (an Assign whose LHS names
+// it), converting the same way; a float register cannot. A
 // register is never allocated in simulated memory, so, like a loop iterator,
 // it is outside the fault model (Section 2.2). The instrumenter loads a
 // statement's operands into registers so that the statement and its checksum

@@ -15,8 +15,8 @@ func (e *SemanticError) Error() string {
 // Check performs semantic analysis: every reference resolves to a parameter,
 // declaration, in-scope loop iterator or in-scope register; no iterator or
 // register shadows another name; subscript arity matches the declaration;
-// iterators, registers and parameters are not assigned; subscripts and loop
-// bounds are integer-typed.
+// iterators, parameters and float registers are not assigned, and an int
+// register only by "="; subscripts and loop bounds are integer-typed.
 func Check(p *Program) error {
 	c := &checker{prog: p, scopes: []map[string]bool{{}}}
 	seen := map[string]bool{}
@@ -86,7 +86,7 @@ func (c *checker) checkStmts(ss []Stmt) error {
 func (c *checker) checkStmt(s Stmt) error {
 	switch x := s.(type) {
 	case *Assign:
-		if err := c.checkRefTarget(x.LHS); err != nil {
+		if err := c.checkTarget(x); err != nil {
 			return err
 		}
 		return c.checkExpr(x.RHS, false)
@@ -137,15 +137,27 @@ func (c *checker) checkStmt(s Stmt) error {
 	return &SemanticError{Msg: fmt.Sprintf("unknown statement %T", s)}
 }
 
-func (c *checker) checkRefTarget(r *Ref) error {
+// checkTarget validates an assignment's target: a declared variable, or an
+// in-scope int register assigned by "=" (the value converts as a Let's
+// does).
+func (c *checker) checkTarget(x *Assign) error {
+	r := x.LHS
 	if c.prog.IsParam(r.Name) {
 		return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to parameter %q", r.Name)}
 	}
 	if c.iterInScope(r.Name) {
 		return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to loop iterator %q", r.Name)}
 	}
-	if _, ok := c.reg(r.Name); ok {
-		return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to register %q", r.Name)}
+	if t, ok := c.reg(r.Name); ok {
+		switch {
+		case t != TypeInt:
+			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("cannot assign to float register %q", r.Name)}
+		case len(r.Indices) != 0:
+			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("%q is not an array", r.Name)}
+		case x.Op != OpSet:
+			return &SemanticError{Pos: r.Pos, Msg: fmt.Sprintf("register %q is assigned only by \"=\"", r.Name)}
+		}
+		return nil
 	}
 	d := c.prog.Decl(r.Name)
 	if d == nil {

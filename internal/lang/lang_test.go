@@ -287,7 +287,10 @@ func TestCheckErrors(t *testing.T) {
 		{"program x(n) float A[n]; A[1 < 2] = 1.0;", "integer context"},
 		{"program x(n) float y; float r = y; float r = y;", "shadows"},
 		{"program x(n) float y; for j = 0 to 5 { int j = 1; }", "shadows"},
-		{"program x(n) float y; float r = y; r = 1.0;", "register"},
+		{"program x(n) float y; float r = y; r = 1.0;", "float register"},
+		{"program x(n) int y; int r = y; r += 1;", "only by"},
+		{"program x(n) int y; int r = y; r[0] = 1;", "not an array"},
+		{"program x(n) int y; for j = 0 to 5 { int r = y; } r = 1;", "undeclared"},
 		{"program x(n) float y; float r = y; y = r[0];", "not an array"},
 		{"program x(n) float A[n]; float r = 1.0; A[r] = 1.0;", "integer context"},
 		{"program x(n) float y; for j = 0 to 5 { float r = y; } y = r;", "undeclared"},
@@ -306,6 +309,46 @@ func TestCheckErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("Check(%q) error %q does not mention %q", c.src, err, c.wantSub)
 		}
+	}
+}
+
+// TestRegisterAssignment checks that an int register bound by an enclosing
+// Let takes "r = e;", from inside nested statements too, and that the
+// assignment prints and parses back unchanged.
+func TestRegisterAssignment(t *testing.T) {
+	const src = `program x(n)
+int c[n];
+float y;
+for i = 0 to n - 1 {
+  int r = c[i];
+  for j = 0 to n - 1 {
+    r = r + 1;
+    if (j > 2) {
+      r = y * 2.0;
+    }
+  }
+  c[i] = r;
+}
+`
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(p); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	if got := Print(p); got != src {
+		t.Errorf("print differs from the source:\n%s", got)
+	}
+	var assigned []string
+	WalkStmts(p.Body, func(s Stmt) bool {
+		if a, ok := s.(*Assign); ok && p.Decl(a.LHS.Name) == nil {
+			assigned = append(assigned, a.LHS.Name)
+		}
+		return true
+	})
+	if len(assigned) != 2 || assigned[0] != "r" || assigned[1] != "r" {
+		t.Errorf("register assignments %v, want [r r]", assigned)
 	}
 }
 
