@@ -27,6 +27,12 @@ const maxSplitsPerLoop = 6
 // iterators and int scalars no statement assigns. A float scalar is never
 // fixed, since integer reasoning (x > 0 implies x >= 1) does not hold for it.
 func SplitLoops(prog *lang.Program) []lang.Stmt {
+	sp := newSplitter(prog)
+	return sp.mergeFolds(sp.resolve(prog.Body, nil, true))
+}
+
+// newSplitter returns a splitter over prog's body as it stands.
+func newSplitter(prog *lang.Program) splitter {
 	assigned := map[string]bool{}
 	lang.WalkStmts(prog.Body, func(s lang.Stmt) bool {
 		switch x := s.(type) {
@@ -37,16 +43,15 @@ func SplitLoops(prog *lang.Program) []lang.Stmt {
 		}
 		return true
 	})
-	sp := splitter{prog: prog, names: newNames(prog), fixed: func(name string) bool {
+	return splitter{prog: prog, names: newNames(prog), fixed: func(name string) bool {
 		d := prog.Decl(name)
 		return !assigned[name] && (d == nil || d.Type == lang.TypeInt)
 	}}
-	return sp.mergeFolds(sp.resolve(prog.Body, nil, true))
 }
 
 // splitter carries which names are fixed through a run: a bound or guard over
 // any other name is not affine and is left as it is. names hands out the
-// registers mergeFolds binds.
+// registers mergeFolds and the counter promotion bind.
 type splitter struct {
 	prog  *lang.Program
 	names *names
