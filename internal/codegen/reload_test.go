@@ -62,8 +62,9 @@ func newSweepCase(t *testing.T, name string, src *lang.Program, opt instrument.O
 }
 
 // sweepCases returns trisolv at n = 4, moldyn (dynamic counters, indirect
-// subscripts) at n = 4, k = 2 over two iterations, and three generated
-// programs (one with indirect subscripts), each as Resilient and
+// subscripts) at n = 4, k = 2 and CG (counters kept in registers across its
+// inner loops) at n = 4, k = 2, each over two iterations, and three
+// generated programs (one with indirect subscripts), each as Resilient and
 // Resilient-Optimized.
 func sweepCases(t *testing.T) []sweepCase {
 	variants := []struct {
@@ -73,6 +74,7 @@ func sweepCases(t *testing.T) []sweepCase {
 	kernels := map[string]map[string]int64{
 		"trisolv": {"n": 4},
 		"moldyn":  {"n": 4, "k": 2, "maxiter": 2},
+		"CG":      {"n": 4, "k": 2, "maxiter": 2},
 	}
 	var cases []sweepCase
 	for _, b := range bench.Suite() {
@@ -391,6 +393,156 @@ func TestAliasedCounterSameCell(t *testing.T) {
 					t.Error("no flip detected")
 				}
 			})
+		}
+	}
+}
+
+// deltaAliasSrc increments two counter cells of x in its inner loop: x[i],
+// whose subscript the loop does not change, and x[j[i][kk]]. With
+// j[i][kk] == i both are the same cell, so the increments the instrumenter
+// sums in a register for x[i] (delta promotion) and the ones it stores
+// through x[j_r] must add up in the cell that S2's kill fold reads.
+const deltaAliasSrc = `
+program deltaalias(n, k)
+float x[n], y[n];
+int j[n][k];
+for i = 0 to n - 1 {
+  for kk = 0 to k - 1 {
+    S1: y[i] = y[i] + x[i] * x[j[i][kk]];
+  }
+}
+for i2 = 0 to n - 1 {
+  S2: x[i2] = x[i2] + y[i2];
+}
+`
+
+// runOriginal runs src uninstrumented on interp and returns its float
+// variables.
+func runOriginal(t *testing.T, src *lang.Program, params map[string]int64, init func(host), outputs []string) map[string][]float64 {
+	t.Helper()
+	m, err := interp.New(src, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init(m)
+	if err := m.Run(); err != nil {
+		t.Fatalf("original: %v", err)
+	}
+	want := map[string][]float64{}
+	for _, name := range outputs {
+		want[name], _ = m.SnapshotFloats(name)
+	}
+	return want
+}
+
+// TestPromotedCounterDeltaAlias runs deltaAliasSrc with j[i][kk] == i as
+// Resilient and Resilient-Optimized, on interp and the closures: the inner
+// loop's x[i] counter must be delta-promoted, the clean run must verify and
+// match the original program, and flips in its def→use windows must be
+// detected.
+func TestPromotedCounterDeltaAlias(t *testing.T) {
+	prog, err := lang.Parse(deltaAliasSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, k = 5, 3
+	params := map[string]int64{"n": n, "k": k}
+	init := func(h host) {
+		if err := h.FillFloat("x", func(i int64) float64 { return float64(i) + 0.5 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.FillInt("j", func(flat int64) int64 { return flat / k }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []instrument.Options{{}, {Split: true, Inspector: true}} {
+		res, err := instrument.Instrument(prog, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.PromotedDelta == 0 {
+			t.Fatalf("split=%v: no counter cell delta-promoted:\n%s", opt.Split, lang.Print(res.Prog))
+		}
+		c := newSweepCase(t, fmt.Sprintf("deltaalias split=%v", opt.Split), prog, opt, params, init)
+		want := runOriginal(t, prog, params, init, c.outputs)
+		tr := cleanTrace(t, c)
+		for _, be := range sweepBackends {
+			t.Run(c.name+"/"+be.name, func(t *testing.T) {
+				r := be.build(t, c)
+				if err := r.run(); err != nil {
+					t.Fatalf("clean run: %v", err)
+				}
+				if changed(r, c.outputs, want) {
+					t.Fatal("clean run differs from the original program")
+				}
+				if _, detected := sweep(t, c, tr, be); detected == 0 {
+					t.Error("no flip detected")
+				}
+			})
+		}
+	}
+}
+
+// zeroTripSrc reads x[i + 1] and writes w[i + 1] in an inner loop that is
+// empty exactly when i + 1 == n, the one iteration where both subscripts are
+// out of range. The indirect reads give x and w dynamic plans, so the inner
+// loop keeps x's counter cell in a register as a delta and w's in full.
+const zeroTripSrc = `
+program zerotrip(n)
+float x[n], w[n], y[n];
+int j[n];
+for i = 0 to n - 1 {
+  for kk = i + 1 to n - 1 {
+    S1: w[i + 1] = w[i + 1] + x[i + 1] * x[j[kk]];
+  }
+}
+for m = 0 to n - 1 {
+  S2: y[m] = w[j[m]];
+}
+`
+
+// TestPromotedCounterZeroTrip runs zeroTripSrc as Resilient and
+// Resilient-Optimized on interp and the closures: both promotion forms must
+// apply, and the promoted counter cells, out of range when the inner loop is
+// empty, must not be touched then, so every run verifies and matches the
+// original program.
+func TestPromotedCounterZeroTrip(t *testing.T) {
+	prog, err := lang.Parse(zeroTripSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6
+	params := map[string]int64{"n": n}
+	init := func(h host) {
+		if err := h.FillFloat("x", func(i int64) float64 { return float64(i) + 0.25 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.FillFloat("w", func(i int64) float64 { return 1 - float64(i)/8 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.FillInt("j", func(i int64) int64 { return (i * 5) % n }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []instrument.Options{{}, {Split: true, Inspector: true}} {
+		res, err := instrument.Instrument(prog, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Report.PromotedFull == 0 || res.Report.PromotedDelta == 0 {
+			t.Fatalf("split=%v: promoted %d full, %d delta, want both:\n%s",
+				opt.Split, res.Report.PromotedFull, res.Report.PromotedDelta, lang.Print(res.Prog))
+		}
+		c := newSweepCase(t, fmt.Sprintf("zerotrip split=%v", opt.Split), prog, opt, params, init)
+		want := runOriginal(t, prog, params, init, c.outputs)
+		for _, be := range sweepBackends {
+			r := be.build(t, c)
+			if err := r.run(); err != nil {
+				t.Fatalf("%s/%s: %v", c.name, be.name, err)
+			}
+			if changed(r, c.outputs, want) {
+				t.Fatalf("%s/%s: output differs from the original program", c.name, be.name)
+			}
 		}
 	}
 }
