@@ -6,8 +6,7 @@
 // Usage:
 //
 //	overhead [-backend interp|native] [-fig 10|11|all] [-scale 0.01] \
-//	         [-bench name] [-list] \
-//	         [-parallel N] [-json] [-json-out BENCH_overhead.json] \
+//	         [-bench name] [-list] [-json] [-json-out BENCH_overhead.json] \
 //	         [-wal dir] [-wal-epochs 8] \
 //	         [-trace spans.jsonl] [-metrics out] \
 //	         [-serve addr] [-flight dump.json] [-chrome trace.json] [-linger]
@@ -15,9 +14,7 @@
 // -backend native switches from the instruction-counting interpreter to the
 // committed compiled kernels (internal/codegen/gennative): real wall-clock
 // overheads of the defuse compiler's output under the Go compiler, merged
-// into the -json report as the native block. -parallel requires N within the
-// host's CPU count — oversubscribed workers would report wall parity that
-// measures the scheduler, not the executor.
+// into the -json report as the native block.
 //
 // -wal switches to the durability measurement: each kernel runs once under
 // plain epoch supervision and once with crash-consistent WAL checkpoints
@@ -34,9 +31,6 @@
 // in are kept) for regression tracking across commits, including
 // histogram-derived p50/p99/p999 quantiles for epoch-verification cost and
 // detection latency (measured by a small supervised fault-injection probe).
-// -parallel N runs the parallel-safe kernels through the sharded executor at
-// worker counts 1,2,4,...,N and appends the scaling curve (wall-clock and
-// deterministic critical-path speedups) to the report.
 //
 // -trace writes every span as one JSON line (instrument and bench.run spans,
 // the probe's trial trees, their fault and verification marks). -serve
@@ -55,7 +49,6 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
-	"runtime"
 
 	"defuse/internal/bench"
 	"defuse/internal/checksum"
@@ -69,7 +62,6 @@ func main() {
 	scale := flag.Float64("scale", 0.004, "problem-size scale relative to the paper's sizes")
 	one := flag.String("bench", "", "run a single benchmark by Table 2 name")
 	list := flag.Bool("list", false, "print Table 2 (benchmarks and problem sizes) and exit")
-	parallel := flag.Int("parallel", 0, "measure the sharded executor's scaling curve up to N workers (0 disables)")
 	jsonOut := flag.Bool("json", false, "also merge the results into the machine-readable overhead report (created if missing)")
 	jsonPath := flag.String("json-out", "BENCH_overhead.json", "path of the -json report")
 	wal := flag.String("wal", "", "measure durable-checkpoint overhead, writing per-benchmark WALs into this directory")
@@ -86,14 +78,11 @@ func main() {
 		return
 	}
 
-	if err := validateParallel(*parallel, runtime.NumCPU()); err != nil {
-		fatal(err)
-	}
 	if *backend == "native" {
-		// The native path times compiled code: the interpreter-only modes
-		// (sharded executor, WAL measurement) do not apply to it.
-		if *parallel > 0 || *wal != "" {
-			fatal(fmt.Errorf("-backend native does not support -parallel or -wal"))
+		// The native path times compiled code: the interpreter-only WAL
+		// measurement does not apply to it.
+		if *wal != "" {
+			fatal(fmt.Errorf("-backend native does not support -wal"))
 		}
 		if err := runNative(*scale, *one, *jsonOut, *jsonPath); err != nil {
 			fatal(err)
@@ -116,7 +105,7 @@ func main() {
 	// and cancels the linger; a second forces immediate exit with everything
 	// flushed. A partial run still leaves complete, parseable files behind.
 	ctx, stop := telemetry.GracefulSignals(obs)
-	err = run(*fig, *scale, *one, *parallel, *jsonOut, *jsonPath, *wal, *walEpochs,
+	err = run(*fig, *scale, *one, *jsonOut, *jsonPath, *wal, *walEpochs,
 		bench.Telemetry{Metrics: obs.Metrics, Tracer: obs.Tracer})
 	if err == nil && *linger && obs.Server != nil {
 		fmt.Fprintln(os.Stderr, "overhead: lingering; interrupt to exit")
@@ -131,30 +120,7 @@ func main() {
 	}
 }
 
-// validateParallel rejects worker counts beyond the host's CPUs. The sharded
-// executor's wall-clock column is the point of -parallel; oversubscribed
-// workers time-slice on the same cores and silently report wall parity, a
-// measurement that looks valid and isn't — so asking for it is an error, not
-// a degraded run.
-func validateParallel(n, cpus int) error {
-	if n > cpus {
-		return fmt.Errorf("-parallel %d exceeds the %d available CPUs; "+
-			"oversubscribed workers produce meaningless wall-clock parity rows", n, cpus)
-	}
-	return nil
-}
-
-// workerLadder returns the doubling ladder 1, 2, 4, ... capped at n, always
-// ending at n itself so the requested count is measured.
-func workerLadder(n int) []int {
-	var ladder []int
-	for w := 1; w < n; w *= 2 {
-		ladder = append(ladder, w)
-	}
-	return append(ladder, n)
-}
-
-func run(fig string, scale float64, one string, parallel int, jsonOut bool, jsonPath, wal string, walEpochs int, tel bench.Telemetry) error {
+func run(fig string, scale float64, one string, jsonOut bool, jsonPath, wal string, walEpochs int, tel bench.Telemetry) error {
 	if wal != "" {
 		return runDurable(scale, one, wal, walEpochs, jsonOut, jsonPath, tel)
 	}
@@ -192,35 +158,11 @@ func run(fig string, scale float64, one string, parallel int, jsonOut bool, json
 		fmt.Print(bench.FormatFigure11(rows11))
 	}
 
-	var scaling []bench.ScalingRow
-	if parallel > 0 {
-		ladder := workerLadder(parallel)
-		for _, b := range bench.Suite() {
-			if !b.ParallelSafe || (one != "" && b.Name != one) {
-				continue
-			}
-			rows, err := bench.RunScaling(b, scale, ladder, tel)
-			if err != nil {
-				return err
-			}
-			scaling = append(scaling, rows...)
-		}
-		if len(scaling) == 0 {
-			return fmt.Errorf("overhead: -parallel: no parallel-safe benchmark selected")
-		}
-		fmt.Println("Scaling: sharded parallel executor (Resilient variant, merge-verify)")
-		fmt.Println("(ops speedup is the deterministic critical-path ratio; wall clock depends on host cores)")
-		fmt.Println()
-		fmt.Print(bench.FormatScaling(scaling))
-		fmt.Println()
-	}
-
 	if jsonOut {
 		rep, err := bench.BuildOverheadReport(rows10, rows11, scale)
 		if err != nil {
 			return err
 		}
-		rep.Scaling = scaling
 		snap, err := runQuantileProbe(tel)
 		if err != nil {
 			return err
@@ -231,7 +173,7 @@ func run(fig string, scale float64, one string, parallel int, jsonOut bool, json
 		// commands survive. Only a missing report is written from scratch.
 		err = bench.MergeReport(jsonPath, func(r *bench.OverheadReport) {
 			r.GeneratedAt, r.Scale, r.Rows, r.Geomean = rep.GeneratedAt, rep.Scale, rep.Rows, rep.Geomean
-			r.Quantiles, r.Scaling = rep.Quantiles, rep.Scaling
+			r.Quantiles = rep.Quantiles
 		}, writeReport)
 		if errors.Is(err, fs.ErrNotExist) {
 			var buf bytes.Buffer

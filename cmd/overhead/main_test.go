@@ -5,67 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"defuse/internal/bench"
 )
-
-// -parallel beyond the host's CPUs must be an error before any measurement
-// runs: oversubscribed workers time-slice on the same cores and emit
-// wall-parity scaling rows that look like valid measurements.
-func TestValidateParallel(t *testing.T) {
-	cases := []struct {
-		name    string
-		n, cpus int
-		wantErr bool
-	}{
-		{"disabled", 0, 8, false},
-		{"one", 1, 8, false},
-		{"at-limit", 8, 8, false},
-		{"over-by-one", 9, 8, true},
-		{"way-over", 64, 4, true},
-		{"single-cpu-host", 2, 1, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			err := validateParallel(c.n, c.cpus)
-			if (err != nil) != c.wantErr {
-				t.Fatalf("validateParallel(%d, %d) = %v, want error=%v", c.n, c.cpus, err, c.wantErr)
-			}
-			if err != nil && !strings.Contains(err.Error(), "-parallel") {
-				t.Fatalf("error does not name the flag: %v", err)
-			}
-		})
-	}
-}
-
-// The ladder must double up to and always end exactly at the requested
-// count, so the requested worker count is itself measured.
-func TestWorkerLadder(t *testing.T) {
-	cases := []struct {
-		n    int
-		want []int
-	}{
-		{1, []int{1}},
-		{2, []int{1, 2}},
-		{4, []int{1, 2, 4}},
-		{6, []int{1, 2, 4, 6}},
-		{7, []int{1, 2, 4, 7}},
-		{8, []int{1, 2, 4, 8}},
-	}
-	for _, c := range cases {
-		got := workerLadder(c.n)
-		if len(got) != len(c.want) {
-			t.Fatalf("workerLadder(%d) = %v, want %v", c.n, got, c.want)
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("workerLadder(%d) = %v, want %v", c.n, got, c.want)
-			}
-		}
-	}
-}
 
 // A quick native measurement of one benchmark exercises the whole compiled
 // path: gennative lookup, machine construction, timing loop, output
@@ -137,18 +80,18 @@ func TestJSONWritersMerge(t *testing.T) {
 	}
 
 	const scale = 0.001
-	if err := run("10", scale, "jacobi1d", 0, true, path, "", 0, bench.Telemetry{}); err != nil {
+	if err := run("10", scale, "jacobi1d", true, path, "", 0, bench.Telemetry{}); err != nil {
 		t.Fatal(err)
 	}
 	afterInterp := readBlocks(t, path)
 	sameBlocks(t, "-json", before, afterInterp,
-		"generated_at", "scale", "rows", "geomean", "quantiles", "scaling")
+		"generated_at", "scale", "rows", "geomean", "quantiles")
 	var rows []bench.OverheadRow
 	if err := json.Unmarshal(afterInterp["rows"], &rows); err != nil || len(rows) != 1 || rows[0].Bench != "jacobi1d" {
 		t.Errorf("-json rows = %s (%v), want one jacobi1d row", afterInterp["rows"], err)
 	}
 
-	if err := run("10", scale, "jacobi1d", 0, true, path, filepath.Join(dir, "wal"), 2, bench.Telemetry{}); err != nil {
+	if err := run("10", scale, "jacobi1d", true, path, filepath.Join(dir, "wal"), 2, bench.Telemetry{}); err != nil {
 		t.Fatal(err)
 	}
 	afterWAL := readBlocks(t, path)

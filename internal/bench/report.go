@@ -249,9 +249,6 @@ type OverheadReport struct {
 	Scale       float64         `json:"scale"`
 	Rows        []OverheadRow   `json:"rows"`
 	Geomean     OverheadGeomean `json:"geomean"`
-	// Scaling holds the parallel executor's scaling curve (one row per
-	// benchmark × worker count), present when -parallel was requested.
-	Scaling []ScalingRow `json:"scaling,omitempty"`
 	// Quantiles is present when the run recorded the relevant histograms
 	// (cmd/overhead -json runs a small supervised fault probe to fill it).
 	Quantiles *OverheadQuantiles `json:"quantiles,omitempty"`

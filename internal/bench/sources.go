@@ -32,11 +32,6 @@ type Benchmark struct {
 	// Irregular marks the benchmarks with data-dependent accesses (CG,
 	// moldyn in the paper).
 	Irregular bool
-	// ParallelSafe marks kernels whose outermost-loop iterations write
-	// disjoint memory words (dsyrk writes row C[i][*], strsm column B[*][j],
-	// with the other operand read-only), so row-blocks can run on the
-	// interpreter's parallel executor without data races.
-	ParallelSafe bool
 	// Params returns the parameter assignment for a scale factor in (0, 1];
 	// scale 1 approximates the paper's problem sizes, the default harness
 	// scale keeps interpreter runs fast.
@@ -305,7 +300,7 @@ func Suite() []*Benchmark {
 		},
 		{
 			Name: "dsyrk", Description: "Symmetric rank-k update",
-			Source: dsyrkSrc, PaperSize: "N = 3000", ParallelSafe: true,
+			Source: dsyrkSrc, PaperSize: "N = 3000",
 			Params: func(s float64) map[string]int64 {
 				n := scaleInt(3000, s, 8)
 				return map[string]int64{"n": n, "m": n}
@@ -368,7 +363,7 @@ func Suite() []*Benchmark {
 		},
 		{
 			Name: "strsm", Description: "Triangular matrix equations solver",
-			Source: strsmSrc, PaperSize: "N = 3000", ParallelSafe: true,
+			Source: strsmSrc, PaperSize: "N = 3000",
 			Params: func(s float64) map[string]int64 {
 				n := scaleInt(3000, s, 8)
 				return map[string]int64{"n": n, "m": n}

@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// Merge is the concurrency primitive underneath the interpreter's parallel
-// executor: combining two Pairs must be exactly the fold that would have
-// happened had every update landed on one Pair, shadows included, and any
-// pre-merge divergence between a primary and its shadow must survive the
-// merge (a detector fault may not be laundered away).
+// Merge combines checksum state folded into separate Pairs; its only
+// non-test caller is the perfbench checksum.merge_ns probe. Combining two
+// Pairs must be exactly the fold that would have happened had every update
+// landed on one Pair, shadows included, and any pre-merge divergence between
+// a primary and its shadow must survive the merge (a detector fault may not
+// be laundered away).
 
 func TestMergeEquivalentToSingleFold(t *testing.T) {
 	for _, k := range []Kind{ModAdd, XOR, OnesComp} {

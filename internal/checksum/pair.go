@@ -154,9 +154,9 @@ func (p *Pair) ScaleFold(a Acc, v uint64, n int64) {
 // Merge folds every accumulator of other into p under the pair's commutative
 // operator. Because the def/use checksums are order-independent folds, a
 // sequence of values partitioned across several Pairs and merged yields the
-// same accumulators as folding the whole sequence into one Pair — this is the
-// operation that makes per-goroutine checksum shards sound (see the
-// interpreter's parallel executor, internal/interp/parallel.go).
+// same accumulators as folding the whole sequence into one Pair. Every
+// backend folds into a single Pair, so Merge's only non-test caller is the
+// perfbench checksum.merge_ns probe, which times it.
 //
 // The shadow copies are merged by decode-combine-re-encode, never by
 // re-sealing from the merged primaries: each side's decoded shadow value is

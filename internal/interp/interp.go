@@ -82,9 +82,9 @@ type Machine struct {
 	// Counts accumulates dynamic operation counts across Run calls.
 	Counts OpCounts
 
-	// MaxSteps bounds the number of executed statements (guards against
+	// maxSteps bounds the number of executed statements (guards against
 	// non-converging while loops). Zero means the default of 500M.
-	MaxSteps uint64
+	maxSteps uint64
 
 	inChecksum bool
 	csRegs     map[string]bool // registers only add_to_chksm statements read
@@ -112,8 +112,8 @@ func WithMetrics(r *telemetry.Registry) Option { return func(o *options) { o.Met
 // WithTracer records causally linked spans: a root "run" span per Supervise
 // call with per-epoch-attempt, verification, recovery, and WAL children, and
 // point spans for injected faults (with bit/word coordinates), verification
-// outcomes (verify.ok/mismatch) and parallel shard merges under the
-// machine's current span (SetSpan). A nil tracer costs nothing.
+// outcomes (verify.ok/mismatch) under the machine's current span (SetSpan).
+// A nil tracer costs nothing.
 func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.Tracer = t } }
 
 // WithBaseOffset shifts every declared array's base address by pad unused
@@ -136,7 +136,7 @@ func New(prog *lang.Program, params map[string]int64, opts ...Option) (*Machine,
 		return nil, err
 	}
 	m := &Machine{State: st, prog: prog, iters: map[string]int64{}, regs: map[string]value{},
-		MaxSteps: o.maxSteps, csRegs: checksumRegs(prog)}
+		maxSteps: o.maxSteps, csRegs: checksumRegs(prog)}
 	if err := m.Alloc(prog, m.evalInt); err != nil {
 		return nil, err
 	}
@@ -270,10 +270,10 @@ func (m *Machine) Run() error {
 
 // stepBudget returns the effective statement limit.
 func (m *Machine) stepBudget() uint64 {
-	if m.MaxSteps == 0 {
+	if m.maxSteps == 0 {
 		return 500_000_000
 	}
-	return m.MaxSteps
+	return m.maxSteps
 }
 
 // publishMetrics exports the cumulative dynamic operation counts as gauges

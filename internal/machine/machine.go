@@ -132,21 +132,6 @@ func (m *State) Alloc(prog *lang.Program, dim func(lang.Expr) (int64, error)) er
 	return nil
 }
 
-// Fork returns a worker's view of m: parameters and layout shared
-// (read-only during execution), a SharedView of the memory with private
-// access counters, and a private checksum shard. The fork inherits no
-// telemetry, hooks or context.
-func (m *State) Fork() State {
-	return State{
-		mem:     m.mem.SharedView(),
-		pair:    checksum.NewPair(m.pair.Kind()),
-		params:  m.params,
-		vars:    m.vars,
-		cfg:     Config{Kind: m.cfg.Kind, BaseOffset: m.cfg.BaseOffset},
-		backend: m.backend,
-	}
-}
-
 // varAt reverse-maps a word address to the owning variable and flat index.
 func (m *State) varAt(addr int) (name string, index int, ok bool) {
 	for n, v := range m.vars {

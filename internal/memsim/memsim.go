@@ -255,24 +255,6 @@ func (m *Memory) RestoreUnchecked(snap Snapshot) error {
 	return nil
 }
 
-// SharedView returns a Memory that aliases m's word storage but carries its
-// own access counters and no hooks. Parallel workers each take a view: loads
-// and stores of disjoint addresses race only on the counters, which the view
-// keeps private (fold them back with AbsorbCounters). The view is valid only
-// while the underlying memory is not grown — an Alloc that reallocates the
-// word slice would leave the view aliasing the old storage.
-func (m *Memory) SharedView() *Memory {
-	return &Memory{words: m.words}
-}
-
-// AbsorbCounters folds a view's access counters back into m and zeroes them
-// on the view, so per-worker memory traffic is accounted exactly once.
-func (m *Memory) AbsorbCounters(v *Memory) {
-	m.loads += v.loads
-	m.stores += v.stores
-	v.loads, v.stores = 0, 0
-}
-
 // SetLoadHook installs (or clears, with nil) the load observation hook.
 func (m *Memory) SetLoadHook(h func(addr int, raw uint64) uint64) { m.loadHook = h }
 

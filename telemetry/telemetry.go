@@ -60,13 +60,6 @@ const (
 	// EvScrubFail marks a detector scrub that found diverged copies (epoch,
 	// error).
 	EvScrubFail = "scrub.fail"
-	// EvShardMerge marks one parallel-loop worker's checksum pair merged
-	// into the machine's (worker, ops — the operations the worker executed —
-	// and live, the workers still to merge).
-	EvShardMerge = "shard.merge"
-	// EvShardDrain marks a parallel loop's workers all merged, so the
-	// machine's pair covers all concurrent work (shards).
-	EvShardDrain = "shard.drain"
 	// EvWALTornTail marks a truncated final WAL frame discarded at recovery
 	// — the previous process died mid-seal (bytes).
 	EvWALTornTail = "wal.torn_tail"
