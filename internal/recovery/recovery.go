@@ -280,8 +280,11 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 			if o.Restarts < cfg.Policy.MaxRestarts {
 				o.Restarts++
 				cfg.Metrics.Counter("defuse_recovery_restarts_total").Inc()
-				rspan := cfg.Tracer.Start(cfg.Span, "recovery.restart",
-					telemetry.Int("epoch", k), telemetry.Int("restart", o.Restarts))
+				var rspan telemetry.Span
+				if cfg.Tracer.Enabled() {
+					rspan = cfg.Tracer.Start(cfg.Span, "recovery.restart",
+						telemetry.Int("epoch", k), telemetry.Int("restart", o.Restarts))
+				}
 				rerr := cfg.Restore(initial)
 				rspan.EndErr(rerr)
 				if rerr != nil {
@@ -292,7 +295,9 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 				}
 			}
 			o.Tainted = true
-			cfg.Tracer.Mark(cfg.Span, telemetry.EvRecoveryDegraded, telemetry.Int("epoch", k))
+			if cfg.Tracer.Enabled() {
+				cfg.Tracer.Mark(cfg.Span, telemetry.EvRecoveryDegraded, telemetry.Int("epoch", k))
+			}
 			cfg.Metrics.Counter("defuse_recovery_degraded_total").Inc()
 		}
 		for k := cfg.StartEpoch; k < cfg.Epochs && !restart; k++ {
@@ -306,8 +311,13 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 			dataRetries := 0
 			verified := false
 			for {
-				attempt := cfg.Tracer.Start(cfg.Span, "epoch",
-					telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
+				// Attributes are built only when tracing: an untraced
+				// attempt allocates none.
+				var attempt telemetry.Span
+				if cfg.Tracer.Enabled() {
+					attempt = cfg.Tracer.Start(cfg.Span, "epoch",
+						telemetry.Int("epoch", k), telemetry.Int("attempt", retries))
+				}
 				err := cfg.Run(k)
 				if err == nil && cfg.Verify != nil {
 					vspan := cfg.Tracer.Start(attempt.Context(), "verify")
@@ -367,9 +377,12 @@ func Supervise(ctx context.Context, cfg Config) (Outcome, error) {
 							sleep(backoff)
 						}
 					}
-					rspan := cfg.Tracer.Start(cfg.Span, span,
-						telemetry.Int("epoch", k), telemetry.Int("attempt", retries),
-						telemetry.Float("backoff_seconds", backoff.Seconds()))
+					var rspan telemetry.Span
+					if cfg.Tracer.Enabled() {
+						rspan = cfg.Tracer.Start(cfg.Span, span,
+							telemetry.Int("epoch", k), telemetry.Int("attempt", retries),
+							telemetry.Float("backoff_seconds", backoff.Seconds()))
+					}
 					rerr := cfg.Restore(snap)
 					rspan.EndErr(rerr)
 					if rerr != nil {

@@ -66,6 +66,29 @@ func TestSuperviseCleanRun(t *testing.T) {
 	}
 }
 
+// An untraced Supervise builds no span attributes, so a clean run makes the
+// same number of allocations however many epochs it supervises.
+func TestSuperviseUntracedAllocsFlat(t *testing.T) {
+	allocs := func(epochs int) float64 {
+		value := 0
+		cfg := Config{
+			Epochs:     epochs,
+			Run:        func(int) error { value++; return nil },
+			Checkpoint: func() any { return value },
+			Restore:    func(snap any) error { value = snap.(int); return nil },
+		}
+		return testing.AllocsPerRun(100, func() {
+			value = 0
+			if _, err := Supervise(context.Background(), cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if one, eight := allocs(1), allocs(8); one != eight {
+		t.Errorf("untraced clean Supervise: %v allocs at 1 epoch, %v at 8", one, eight)
+	}
+}
+
 func TestSuperviseTransientFaultRollsBackAndRecovers(t *testing.T) {
 	// The fault corrupts epoch 2's first execution only: the retry re-executes
 	// from the epoch-entry checkpoint and succeeds, so the run recovers with
