@@ -51,6 +51,24 @@ func TestOverheadReportRoundTrip(t *testing.T) {
 	if len(back.Rows) != 2 || back.Rows[1].Bench != "cg" || back.Scale != 0.5 {
 		t.Errorf("round-trip mismatch: %+v", back)
 	}
+
+	// A v5 report from before the parallel executor was removed may still
+	// carry a scaling block: it parses, and rewriting it drops the block.
+	old := `{"schema":"` + OverheadSchema + `","scale":0.004,` +
+		`"rows":[{"bench":"dsyrk","resilient_ops":1.5}],` +
+		`"scaling":[{"bench":"dsyrk","workers":2,"seconds":0.1,"speedup":1.9,` +
+		`"critical_path_ops":100,"ops_speedup":1.95,"verified":true}]}`
+	oldRep, err := ParseOverheadReport(strings.NewReader(old))
+	if err != nil {
+		t.Fatalf("report with a scaling block: %v", err)
+	}
+	buf.Reset()
+	if err := oldRep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(oldRep.Rows) != 1 || strings.Contains(buf.String(), "scaling") {
+		t.Errorf("old report rewritten as %s, want one row and no scaling block", buf.String())
+	}
 }
 
 func TestBuildOverheadReportValidation(t *testing.T) {
