@@ -52,8 +52,8 @@ func TestOverheadReportRoundTrip(t *testing.T) {
 		t.Errorf("round-trip mismatch: %+v", back)
 	}
 
-	// A v5 report from before the parallel executor was removed may still
-	// carry a scaling block: it parses, and rewriting it drops the block.
+	// Older v5 reports may carry a scaling block, which no field holds any
+	// more: the report still parses, and rewriting it drops the block.
 	old := `{"schema":"` + OverheadSchema + `","scale":0.004,` +
 		`"rows":[{"bench":"dsyrk","resilient_ops":1.5}],` +
 		`"scaling":[{"bench":"dsyrk","workers":2,"seconds":0.1,"speedup":1.9,` +
