@@ -321,7 +321,7 @@ func armUseLoadFlips(t *testing.T, clean, r *durableRun, cells ...int) {
 	}
 	loads := map[int]int{} // address of A[c] -> loads of it so far
 	nth := map[int]int{}   // address of A[c] -> which load to flip
-	clean.mem.SetAccessHook(func(store bool, _, eff int) {
+	clean.mem.SetAccessHook(func(store bool, eff int) {
 		for _, c := range cells {
 			switch {
 			case store && eff == b+c && nth[a+c] == 0:

@@ -163,7 +163,7 @@ func cleanTrace(t *testing.T, c sweepCase) []access {
 	r := sweepBackends[0].build(t, c)
 	var tr []access
 	var cs []uint64
-	r.mem.SetAccessHook(func(store bool, _, eff int) {
+	r.mem.SetAccessHook(func(store bool, eff int) {
 		tr = append(tr, access{addr: eff, store: store})
 		cs = append(cs, r.csLoads())
 	})
@@ -247,7 +247,7 @@ func contractWindows(t *testing.T, c sweepCase, r sweepRun, tr []access) []windo
 // load of that cell: the load returns the flipped value and memory keeps it.
 func flipBefore(r sweepRun, k, cell int) {
 	n := 0
-	r.mem.SetAccessHook(func(bool, int, int) { n++ })
+	r.mem.SetAccessHook(func(bool, int) { n++ })
 	r.mem.SetLoadHook(func(eff int, raw uint64) uint64 {
 		if n-1 == k && eff == cell {
 			r.mem.FlipBit(cell, sweepBit)
@@ -278,7 +278,7 @@ func sweep(t *testing.T, c sweepCase, tr []access, be sweepBackend) (swept, dete
 	t.Helper()
 	clean := be.build(t, c)
 	var seq []access
-	clean.mem.SetAccessHook(func(store bool, _, eff int) {
+	clean.mem.SetAccessHook(func(store bool, eff int) {
 		seq = append(seq, access{addr: eff, store: store})
 	})
 	if err := clean.run(); err != nil {

@@ -14,19 +14,14 @@
 // duplicated execution with diversified data placement, verified at
 // synchronization points.
 //
-// The package offers two levels: Variant is the campaign-facing simulated
-// memory with a rotated layout and a fold-on-store output accumulator, used
-// by internal/faults' DME backend; Pair runs one lang program on two forked
-// interp machines whose allocations are shifted apart (interp.WithBaseOffset)
-// and cross-checks named results — the same idea at the interpreter level.
+// Variant is one replica: a simulated memory with a rotated layout and a
+// fold-on-store output accumulator. internal/faults' DME backend runs its
+// workload on two of them and calls CrossCheck at every verified boundary.
 package dme
 
 import (
 	"fmt"
-	"math"
 
-	"defuse/internal/interp"
-	"defuse/internal/lang"
 	"defuse/internal/memsim"
 	"defuse/internal/recovery"
 )
@@ -52,12 +47,12 @@ func foldKey(index int, value uint64) uint64 {
 
 // DivergenceError reports the two variants disagreeing at a cross-check.
 type DivergenceError struct {
-	// Site is "output" for the store-stream accumulators, "word" for the
-	// full-sweep comparison, or a variable name for Pair cross-checks.
+	// Site is "output" for the store-stream accumulators or "word" for the
+	// full-sweep comparison.
 	Site string
-	// Word is the logical index that diverged (full sweep and Pair only).
+	// Word is the logical index that diverged (full sweep only).
 	Word int
-	// A and B are the disagreeing values (raw bits for Pair floats).
+	// A and B are the disagreeing values.
 	A, B uint64
 }
 
@@ -188,66 +183,6 @@ func CrossCheck(a, b *Variant) error {
 	for i := 0; i < a.words; i++ {
 		if va, vb := a.Peek(i), b.Peek(i); va != vb {
 			return &DivergenceError{Site: "word", Word: i, A: va, B: vb}
-		}
-	}
-	return nil
-}
-
-// Pair runs one program on two interp machines whose allocations are offset
-// from each other, so every variable lands at different simulated addresses
-// in A and B — interpreter-level divergent dual execution.
-type Pair struct {
-	A, B *interp.Machine
-}
-
-// NewPair builds the two machines. pad is the allocation offset separating
-// B's layout from A's; it must be positive so the layouts actually differ.
-func NewPair(prog *lang.Program, params map[string]int64, pad int, opts ...interp.Option) (*Pair, error) {
-	if pad <= 0 {
-		return nil, fmt.Errorf("dme: pair needs a positive layout offset, got %d", pad)
-	}
-	a, err := interp.New(prog, params, opts...)
-	if err != nil {
-		return nil, err
-	}
-	b, err := interp.New(prog, params, append(append([]interp.Option(nil), opts...), interp.WithBaseOffset(pad))...)
-	if err != nil {
-		return nil, err
-	}
-	return &Pair{A: a, B: b}, nil
-}
-
-// Run executes both machines to completion.
-func (p *Pair) Run() error {
-	if err := p.A.Run(); err != nil {
-		return fmt.Errorf("dme: variant A: %w", err)
-	}
-	if err := p.B.Run(); err != nil {
-		return fmt.Errorf("dme: variant B: %w", err)
-	}
-	return nil
-}
-
-// CrossCheckFloats compares the named float arrays element-wise across the
-// two machines, returning a *DivergenceError naming the variable and index
-// on the first disagreement.
-func (p *Pair) CrossCheckFloats(names ...string) error {
-	for _, name := range names {
-		av, err := p.A.SnapshotFloats(name)
-		if err != nil {
-			return err
-		}
-		bv, err := p.B.SnapshotFloats(name)
-		if err != nil {
-			return err
-		}
-		if len(av) != len(bv) {
-			return fmt.Errorf("dme: %s has %d elements in A, %d in B", name, len(av), len(bv))
-		}
-		for i := range av {
-			if ab, bb := math.Float64bits(av[i]), math.Float64bits(bv[i]); ab != bb {
-				return &DivergenceError{Site: name, Word: i, A: ab, B: bb}
-			}
 		}
 	}
 	return nil

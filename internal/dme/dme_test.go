@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"defuse/internal/lang"
 	"defuse/internal/recovery"
 )
 
@@ -163,63 +162,5 @@ func TestNewVariantValidation(t *testing.T) {
 func TestCrossCheckSizeMismatch(t *testing.T) {
 	if err := CrossCheck(NewVariant(4, 0), NewVariant(8, 1)); err == nil {
 		t.Fatal("cross-check over mismatched regions did not error")
-	}
-}
-
-const pairSrc = `
-program t(n)
-float A[n];
-float sum;
-for i = 0 to n - 1 {
-  A[i] = i * 2 + 1;
-}
-sum = 0.0;
-for i = 0 to n - 1 {
-  sum += A[i];
-  A[i] = A[i] * 0.5;
-}
-`
-
-// TestPairCleanAgreement: the same program on two offset layouts produces
-// bit-identical results.
-func TestPairCleanAgreement(t *testing.T) {
-	p, err := NewPair(lang.MustParse(pairSrc), map[string]int64{"n": 32}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CrossCheckFloats("A", "sum"); err != nil {
-		t.Fatalf("clean pair diverged: %v", err)
-	}
-}
-
-// TestPairCatchesCorruption: corrupting one element in one machine's array
-// after the run is flagged with the variable and index named.
-func TestPairCatchesCorruption(t *testing.T) {
-	p, err := NewPair(lang.MustParse(pairSrc), map[string]int64{"n": 16}, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.A.SetFloat("A", -1234.5, 5); err != nil {
-		t.Fatal(err)
-	}
-	err = p.CrossCheckFloats("A")
-	var de *DivergenceError
-	if !errors.As(err, &de) {
-		t.Fatalf("cross-check returned %v, want *DivergenceError", err)
-	}
-	if de.Site != "A" || de.Word != 5 {
-		t.Fatalf("divergence pinned to %s[%d], want A[5]", de.Site, de.Word)
-	}
-}
-
-func TestPairRequiresOffset(t *testing.T) {
-	if _, err := NewPair(lang.MustParse(pairSrc), map[string]int64{"n": 4}, 0); err == nil {
-		t.Fatal("NewPair accepted a zero layout offset")
 	}
 }

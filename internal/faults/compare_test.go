@@ -2,11 +2,16 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"defuse/internal/checksum"
+	"defuse/internal/memsim"
+	"defuse/internal/recovery"
+	"defuse/rt"
 )
 
 func smallCompare() CompareConfig {
@@ -159,5 +164,22 @@ func TestDMEBackendHardenedMatchesBaseline(t *testing.T) {
 	}
 	if plain.Undetected != 0 {
 		t.Fatalf("dme let %d aliased trials escape", plain.Undetected)
+	}
+}
+
+// TestAddrBoundaryMismatchIsDataFault: the address backend's boundary
+// names the address streams in its error, yet the error still unwraps to the
+// ledger's *checksum.MismatchError, so recovery rolls back a data fault.
+func TestAddrBoundaryMismatchIsDataFault(t *testing.T) {
+	d := &addrDetector{mem: memsim.New(4), tr: rt.NewTracker()}
+	d.Span(0, 4)
+	d.Step(1, 2, 1)
+	err := d.Boundary(false, func() error { return nil })
+	var mm *checksum.MismatchError
+	if !errors.As(err, &mm) || !strings.Contains(err.Error(), "addrsum") {
+		t.Fatalf("redirected boundary returned %v, want an addrsum *checksum.MismatchError", err)
+	}
+	if c := recovery.DefaultClassify(err); c != recovery.ClassData {
+		t.Fatalf("classified as %v, want data", c)
 	}
 }

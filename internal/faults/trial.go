@@ -2,6 +2,7 @@ package faults
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 
 	"defuse/internal/addrsum"
@@ -148,36 +149,31 @@ type epochTrial struct {
 }
 
 // arm builds cfg's backend over the trial's initial words. The checksum
-// and addrsum backends fold through the worker's reusable tracker for the
-// cell's operator, Reset on entry; the DME backend runs its own variants.
+// backend folds through the worker's reusable tracker for the cell's
+// operator and the addrsum backend through its ModAdd tracker, Reset on
+// entry; the DME backend runs its own variants.
 func (t *epochTrial) arm(ws *workerState) {
 	init := t.d.init
-	if t.cfg.Backend == BackendDME {
+	switch t.cfg.Backend {
+	case BackendDME:
 		t.det = newDMEDetector(init)
+		return
+	case BackendAddrsum:
+		tr := ws.tracker(checksum.ModAdd)
+		tr.Reset()
+		t.scrub = tr.ScrubDetector
+		d := &addrDetector{mem: memsim.New(len(init)), tr: tr}
+		for i, v := range init {
+			d.mem.Poke(i, v)
+		}
+		t.det = d
 		return
 	}
 	tr := ws.tracker(t.cfg.Kind)
-	t.scrub = tr.ScrubDetector
-	if t.cfg.Backend == BackendChecksum {
-		tr.Reset()
-		t.w = NewWordWorkload(init, tr, ws.zeroCounters(len(init)))
-		t.det = t.w
-		return
-	}
-	// The address streams fold through an addrsum.Tracker attached to the
-	// fold tracker, never touching the data accumulators, so every verdict
-	// is the address detector's alone.
-	at := tr.Addr()
-	if at == nil {
-		at = addrsum.NewTracker()
-		tr.AttachAddr(at)
-	}
 	tr.Reset()
-	d := &addrDetector{mem: memsim.New(len(init)), at: at}
-	for i, v := range init {
-		d.mem.Poke(i, v)
-	}
-	t.det = d
+	t.scrub = tr.ScrubDetector
+	t.w = NewWordWorkload(init, tr, ws.zeroCounters(len(init)))
+	t.det = t.w
 }
 
 // runEpochTrial executes one supervised epoch trial and tallies its outcome.
@@ -391,10 +387,11 @@ func one(b bool) int {
 }
 
 // addrDetector is the PRESAGE-style address-stream backend: it folds every
-// access's (intended, effective) index pair and never looks at the data.
+// access's (intended, effective) index pair into a ModAdd tracker and never
+// looks at the data.
 type addrDetector struct {
 	mem *memsim.Memory
-	at  *addrsum.Tracker
+	tr  *rt.Tracker
 }
 
 func (d *addrDetector) Span(lo, hi int) {
@@ -404,43 +401,44 @@ func (d *addrDetector) Span(lo, hi int) {
 }
 
 func (d *addrDetector) Step(i, load, store int) {
-	v := d.mem.Load(load)
-	d.at.Load(i, load)
-	d.mem.Store(store, update(v))
-	d.at.Store(i, store)
+	d.mem.Store(store, update(d.mem.Load(load)))
+	addrsum.Fold(d.tr, i, load, store)
 }
 
 func (d *addrDetector) FlipBit(i, bit int) { d.mem.FlipBit(i, bit) }
 
 // Boundary verifies the address streams, quiescent at any boundary: every
-// fold is complete when its access is.
+// fold is complete when its access is. A mismatch is wrapped so a trace
+// names the address streams; it still classifies as a data fault.
 func (d *addrDetector) Boundary(last bool, check func() error) error {
 	if err := check(); err != nil {
 		return err
 	}
-	_, err := d.at.EndEpoch()
-	return err
+	if _, err := d.tr.EndEpoch(); err != nil {
+		return fmt.Errorf("addrsum: address streams: %w", err)
+	}
+	return nil
 }
 
 type addrCheckpoint struct {
-	mem  memsim.Snapshot
-	addr addrsum.EpochState
+	mem   memsim.Snapshot
+	state rt.EpochState
 }
 
 func (d *addrDetector) Checkpoint() any {
-	return &addrCheckpoint{mem: d.mem.Snapshot(), addr: d.at.BeginEpoch()}
+	return &addrCheckpoint{mem: d.mem.Snapshot(), state: d.tr.BeginEpoch()}
 }
 
 func (d *addrDetector) Restore(snap any, checked bool) error {
 	cp := snap.(*addrCheckpoint)
+	restore, rollback := d.mem.Restore, d.tr.Rollback
 	if !checked {
-		d.at.RollbackUnchecked(cp.addr)
-		return d.mem.RestoreUnchecked(cp.mem)
+		restore, rollback = d.mem.RestoreUnchecked, d.tr.RollbackUnchecked
 	}
-	if err := d.at.Rollback(cp.addr); err != nil {
+	if err := restore(cp.mem); err != nil {
 		return err
 	}
-	return d.mem.Restore(cp.mem)
+	return rollback(cp.state)
 }
 
 func (d *addrDetector) Holds(want []uint64) bool { return memHolds(d.mem, want) }

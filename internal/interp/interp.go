@@ -117,8 +117,9 @@ func WithMetrics(r *telemetry.Registry) Option { return func(o *options) { o.Met
 func WithTracer(t *telemetry.Tracer) Option { return func(o *options) { o.Tracer = t } }
 
 // WithBaseOffset shifts every declared array's base address by pad unused
-// words; internal/dme runs two machines with different offsets so a fault at
-// one physical address corrupts different logical elements in each.
+// words, so two machines with different offsets place each logical element
+// at a different physical address. The epoch plan's fingerprint covers the
+// offset, and a durable run resumes only on the layout that sealed it.
 func WithBaseOffset(pad int) Option { return func(o *options) { o.BaseOffset = pad } }
 
 // New builds a machine for prog with the given integer parameter values,

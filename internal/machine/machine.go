@@ -220,7 +220,6 @@ func (m *State) poll(step uint64) error {
 func (m *State) Reset() {
 	m.mem.Zero()
 	m.mem.SetLoadHook(nil)
-	m.mem.SetRedirect(nil)
 	m.pair.Reset()
 	m.stepHook = nil
 	m.ctx = nil

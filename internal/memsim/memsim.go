@@ -27,16 +27,10 @@ type Memory struct {
 	// every injection site.
 	faultHook func(addr, bit int)
 
-	// redirect, when set, maps an access's intended address to the one it
-	// actually touches — modeling an address-generation fault (a corrupted
-	// index register) rather than a data fault. The returned address must
-	// be in bounds.
-	redirect func(store bool, addr int) int
-
-	// accessHook, when set, observes every Load/Store with both the
-	// intended and the effective address; internal/addrsum folds the pair
-	// into its address-stream checksums through this hook.
-	accessHook func(store bool, intent, effective int)
+	// accessHook, when set, observes the address of every Load/Store;
+	// the codegen reload and durable oracle tests use it to see which
+	// words a kernel touches.
+	accessHook func(store bool, addr int)
 }
 
 // New returns a memory with the given capacity in 64-bit words.
@@ -52,20 +46,13 @@ func (m *Memory) Load(addr int) uint64 {
 	if addr < 0 || addr >= len(m.words) {
 		panic(fmt.Sprintf("memsim: load out of bounds: %d of %d", addr, len(m.words)))
 	}
-	eff := addr
-	if m.redirect != nil {
-		eff = m.redirect(false, addr)
-		if eff < 0 || eff >= len(m.words) {
-			panic(fmt.Sprintf("memsim: redirected load out of bounds: %d of %d", eff, len(m.words)))
-		}
-	}
 	m.loads++
-	raw := m.words[eff]
+	raw := m.words[addr]
 	if m.accessHook != nil {
-		m.accessHook(false, addr, eff)
+		m.accessHook(false, addr)
 	}
 	if m.loadHook != nil {
-		raw = m.loadHook(eff, raw)
+		raw = m.loadHook(addr, raw)
 	}
 	return raw
 }
@@ -75,18 +62,11 @@ func (m *Memory) Store(addr int, v uint64) {
 	if addr < 0 || addr >= len(m.words) {
 		panic(fmt.Sprintf("memsim: store out of bounds: %d of %d", addr, len(m.words)))
 	}
-	eff := addr
-	if m.redirect != nil {
-		eff = m.redirect(true, addr)
-		if eff < 0 || eff >= len(m.words) {
-			panic(fmt.Sprintf("memsim: redirected store out of bounds: %d of %d", eff, len(m.words)))
-		}
-	}
 	m.stores++
 	if m.accessHook != nil {
-		m.accessHook(true, addr, eff)
+		m.accessHook(true, addr)
 	}
-	m.words[eff] = v
+	m.words[addr] = v
 }
 
 // Peek reads a word without counting it as a program load (experiment
@@ -262,15 +242,9 @@ func (m *Memory) SetLoadHook(h func(addr int, raw uint64) uint64) { m.loadHook =
 // invoked after every FlipBit.
 func (m *Memory) SetFaultHook(h func(addr, bit int)) { m.faultHook = h }
 
-// SetRedirect installs (or clears, with nil) the address-fault hook: every
-// Load/Store passes its intended address through h and touches the address
-// h returns. Harnesses model wrong-address and aliasing faults with it; a
-// hook that returns its argument is a (slower) identity.
-func (m *Memory) SetRedirect(h func(store bool, addr int) int) { m.redirect = h }
-
-// SetAccessHook installs (or clears, with nil) the address-stream observer,
-// invoked on every Load/Store with the intended and effective addresses.
-func (m *Memory) SetAccessHook(h func(store bool, intent, effective int)) { m.accessHook = h }
+// SetAccessHook installs (or clears, with nil) the access observer,
+// invoked on every Load/Store with its address.
+func (m *Memory) SetAccessHook(h func(store bool, addr int)) { m.accessHook = h }
 
 // Loads returns the number of Load calls.
 func (m *Memory) Loads() uint64 { return m.loads }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"defuse/internal/addrsum"
 	"defuse/internal/checksum"
 	"defuse/internal/memsim"
 	"defuse/rt"
@@ -66,8 +65,8 @@ func (c FaultClass) String() string {
 }
 
 // SelfClassifying lets fault types defined above the runtime core (e.g. the
-// dme package's divergence errors, which sit above interp and hence above
-// this package) declare their own class without recovery importing them.
+// dme package's divergence errors; dme imports this package) declare their
+// own class without recovery importing them.
 // DefaultClassify consults it after the core error types.
 type SelfClassifying interface {
 	error
@@ -83,19 +82,16 @@ func DefaultClassify(err error) FaultClass {
 	if err == nil {
 		return ClassNone
 	}
-	if errors.Is(err, rt.ErrCheckpointCorrupt) || errors.Is(err, memsim.ErrCheckpointCorrupt) ||
-		errors.Is(err, addrsum.ErrCheckpointCorrupt) {
+	if errors.Is(err, rt.ErrCheckpointCorrupt) || errors.Is(err, memsim.ErrCheckpointCorrupt) {
 		return ClassCheckpoint
 	}
 	var df *rt.DetectorFaultError
 	var se *checksum.ScrubError
-	var ase *addrsum.ScrubError
-	if errors.As(err, &df) || errors.As(err, &se) || errors.As(err, &ase) {
+	if errors.As(err, &df) || errors.As(err, &se) {
 		return ClassDetector
 	}
 	var mm *checksum.MismatchError
-	var am *addrsum.MismatchError
-	if errors.As(err, &mm) || errors.As(err, &am) {
+	if errors.As(err, &mm) {
 		return ClassData
 	}
 	var sc SelfClassifying

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 
-	"defuse/internal/addrsum"
 	"defuse/internal/checksum"
 )
 
@@ -140,12 +139,6 @@ type Tracker struct {
 	// evidence is about to be erased (DefDyn/Final reset the counter they
 	// consume). ScrubDetector surfaces it; Reset and Rollback clear it.
 	latched *DetectorFaultError
-	// addr, when non-nil, is the attached address-stream checksummer
-	// (internal/addrsum): instrumented accesses additionally fold their
-	// (intended, effective) index pairs so wrong-location accesses are
-	// detected even when the observed value is a valid tracked word. The
-	// data fold path never consults it; call sites fold via Addr().
-	addr *addrsum.Tracker
 }
 
 // NewTracker returns a tracker using the paper's modulo-addition operator.
@@ -260,11 +253,6 @@ func (t *Tracker) ScrubDetector() error {
 	if err := t.pair.Scrub(); err != nil {
 		return &DetectorFaultError{Part: "accumulator", Err: err}
 	}
-	if t.addr != nil {
-		if err := t.addr.Scrub(); err != nil {
-			return &DetectorFaultError{Part: "addrsum", Err: err}
-		}
-	}
 	return nil
 }
 
@@ -290,9 +278,6 @@ func (t *Tracker) Reset() {
 	t.pair.Reset()
 	t.defs, t.uses, t.epoch = 0, 0, 0
 	t.latched = nil
-	if t.addr != nil {
-		t.addr.Reset()
-	}
 }
 
 // Checksums exposes the four accumulators (def, use, e_def, e_use) for
