@@ -15,14 +15,14 @@ import (
 // loop, both instrumented variants must anchor on a loop that assigns a
 // program variable — not a loop of checksum folds or counter writes — and
 // epoch 0 of a four-epoch plan must store into program variables on the
-// interpreter, the compiled closures and the generated source alike.
+// interpreter and the generated source alike.
 //
 // The exception is the Resilient-Optimized variants whose time loop
 // Algorithm 2 splits into six top-level segments: the rule anchors on the
 // one-iteration t = 0 segment, which is empty when tsteps < 3 (ADI and
 // seidel at this scale), so their epoch 0 need not store anything until
 // plans anchor on the segment group, an open ROADMAP item. Their anchor
-// must still assign a program variable, and the backends must still agree.
+// must still assign a program variable, and both backends must still agree.
 func TestEpochAnchorIsKernelLoop(t *testing.T) {
 	splitTime := map[string]bool{
 		"ADI/Resilient-Optimized": true, "jacobi1d/Resilient-Optimized": true, "seidel/Resilient-Optimized": true,
@@ -44,32 +44,23 @@ func TestEpochAnchorIsKernelLoop(t *testing.T) {
 				t.Errorf("%s: the epoch anchor assigns no variable of the original program", label)
 				continue
 			}
-			unit, err := codegen.Compile(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
 			gen, ok := gennative.Lookup(b.Name, string(v))
 			if !ok {
 				t.Fatalf("%s: no generated kernel", label)
 			}
-			im, cm := buildPair(t, b, prog, seed)
-			_, gm := buildPair(t, b, prog, seed)
+			im, gm := buildPair(t, b, prog, seed)
 			ip, err := im.PlanEpochs(epochs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := codegen.PlanEpochs(cm, unit, epochs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gp, err := codegen.PlanEpochs(gm, codegen.FnUnit(prog, gen.Fn), epochs)
+			gp, err := codegen.PlanEpochs(gm, prog, gen.Fn, epochs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, bk := range []struct {
 				name string
 				plan *machine.Plan
-			}{{"interp", ip}, {"closure", cp}, {"gennative", gp}} {
+			}{{"interp", ip}, {"gennative", gp}} {
 				st := bk.plan.State()
 				before := st.Mem().Words()
 				if err := bk.plan.RunEpoch(0); err != nil {
@@ -80,8 +71,7 @@ func TestEpochAnchorIsKernelLoop(t *testing.T) {
 						label, bk.name, epochs)
 				}
 			}
-			diffFullState(t, label+" closure epoch 0", im.Mem().Words(), cm.Mem().Words(), im.Pair(), cm.Pair())
-			diffFullState(t, label+" gennative epoch 0", im.Mem().Words(), gm.Mem().Words(), im.Pair(), gm.Pair())
+			diffFullState(t, label+" gennative epoch 0", im.Mem().Words(), gm.Mem().Words(), pairState(im.Pair()), pairState(gm.Pair()))
 		}
 	}
 }

@@ -10,22 +10,24 @@ import (
 
 	"defuse/internal/bench"
 	"defuse/internal/codegen"
+	"defuse/internal/codegen/gennative"
 	"defuse/internal/interp"
 	"defuse/internal/lang"
+	"defuse/internal/machine"
 	"defuse/internal/recovery"
 	"defuse/internal/wal"
 )
 
-// Context cancellation mid-epoch, for both backends. A cancelled epoch must
-// behave exactly like a crashed one: the tracker and memory roll back to the
-// epoch's entry checkpoint and the epoch re-executes cleanly, and under the
-// durable supervisor the cancelled epoch is never sealed into the WAL — a
-// resume starts from the last boundary that actually verified.
+// Context cancellation mid-epoch. A cancelled epoch must behave exactly like
+// a crashed one: the tracker and memory roll back to the epoch's entry
+// checkpoint and the epoch re-executes cleanly, on both backends, and under
+// the durable supervisor the cancelled epoch is never sealed into the WAL —
+// a resume starts from the last boundary that actually verified.
 
 // cancelScale sizes jacobi1d so every epoch spans comfortably more
 // statements/ticks than the backends' 256-step cancellation poll: epoch 2 of
 // the Resilient kernel loop is about 64,000 interpreted statements and 5,000
-// compiled loop ticks (n = 200, tsteps = 50).
+// generated loop ticks (n = 200, tsteps = 50).
 const cancelScale = 0.0005
 
 const cancelEpochs = 4
@@ -53,10 +55,10 @@ for i = 0 to n - 1 {
 `
 
 // buildPlan constructs an initialized machine of the requested kind and
-// plans cancelEpochs epochs over it.
-func buildPlan(t *testing.T, kind string, prog *lang.Program, params map[string]int64, init func(bench.DataHost)) *codegen.EpochRun {
+// plans cancelEpochs epochs over it; fn is prog's generated form.
+func buildPlan(t *testing.T, kind string, prog *lang.Program, fn codegen.Fn, params map[string]int64, init func(bench.DataHost)) *machine.Plan {
 	t.Helper()
-	var p *codegen.EpochRun
+	var p *machine.Plan
 	switch kind {
 	case "interp":
 		m, err := interp.New(prog, params)
@@ -72,12 +74,8 @@ func buildPlan(t *testing.T, kind string, prog *lang.Program, params map[string]
 		if err != nil {
 			t.Fatal(err)
 		}
-		unit, err := codegen.Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
 		init(m)
-		if p, err = codegen.PlanEpochs(m, unit, cancelEpochs); err != nil {
+		if p, err = codegen.PlanEpochs(m, prog, fn, cancelEpochs); err != nil {
 			t.Fatal(err)
 		}
 	default:
@@ -88,7 +86,7 @@ func buildPlan(t *testing.T, kind string, prog *lang.Program, params map[string]
 
 // jacobiBuilder returns a constructor for the jacobi1d Resilient kernel —
 // a real instrumented benchmark for the in-memory rollback test.
-func jacobiBuilder(t *testing.T) func(kind string) *codegen.EpochRun {
+func jacobiBuilder(t *testing.T) func(kind string) *machine.Plan {
 	t.Helper()
 	for _, b := range bench.Suite() {
 		if b.Name != "jacobi1d" {
@@ -98,9 +96,13 @@ func jacobiBuilder(t *testing.T) func(kind string) *codegen.EpochRun {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen, ok := gennative.Lookup(b.Name, string(bench.Resilient))
+		if !ok {
+			t.Fatal("no generated jacobi1d Resilient kernel")
+		}
 		params := b.Params(cancelScale)
-		return func(kind string) *codegen.EpochRun {
-			return buildPlan(t, kind, prog, params, func(h bench.DataHost) {
+		return func(kind string) *machine.Plan {
+			return buildPlan(t, kind, prog, gen.Fn, params, func(h bench.DataHost) {
 				b.Init(h, params, rand.New(rand.NewSource(7)))
 			})
 		}
@@ -110,16 +112,16 @@ func jacobiBuilder(t *testing.T) func(kind string) *codegen.EpochRun {
 }
 
 // balancedBuilder returns a constructor for the epoch-balanced kernel used
-// by the durable WAL test.
-func balancedBuilder(t *testing.T) func(kind string) *codegen.EpochRun {
+// by the durable WAL test, on the interpreter: it has no generated form.
+func balancedBuilder(t *testing.T) func() *machine.Plan {
 	t.Helper()
 	prog, err := lang.Parse(balancedSource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	params := map[string]int64{"n": 4000}
-	return func(kind string) *codegen.EpochRun {
-		return buildPlan(t, kind, prog, params, func(h bench.DataHost) {
+	return func() *machine.Plan {
+		return buildPlan(t, "interp", prog, nil, params, func(h bench.DataHost) {
 			rng := rand.New(rand.NewSource(7))
 			if err := h.FillFloat("B", func(int64) float64 { return rng.Float64()*4 - 2 }); err != nil {
 				t.Fatal(err)
@@ -130,7 +132,7 @@ func balancedBuilder(t *testing.T) func(kind string) *codegen.EpochRun {
 
 // epochSteps runs a clean reference and returns the cumulative step counter
 // at each epoch's exit plus the final memory words.
-func epochSteps(t *testing.T, p *codegen.EpochRun) ([]uint64, []uint64) {
+func epochSteps(t *testing.T, p *machine.Plan) ([]uint64, []uint64) {
 	t.Helper()
 	var last uint64
 	m := p.State()
@@ -159,7 +161,7 @@ func cancelTarget(t *testing.T, exits []uint64) uint64 {
 
 // armCancel installs a step hook that cancels the context at the target
 // step and arms the machine with it.
-func armCancel(p *codegen.EpochRun, target uint64) context.CancelFunc {
+func armCancel(p *machine.Plan, target uint64) context.CancelFunc {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := p.State()
 	m.SetStepHook(func(step uint64) {
@@ -237,56 +239,55 @@ func TestCancelMidEpochRollback(t *testing.T) {
 // TestCancelDurableWALUnsealed runs the durable supervisor over an
 // epoch-balanced kernel, cancels it mid-epoch, and asserts the WAL holds
 // seals only for boundaries that verified — then resumes from that WAL to a
-// bit-identical final state, on both backends.
+// bit-identical final state. The WAL and the supervisor are the shared epoch
+// layer, so the interpreter stands for both backends.
 func TestCancelDurableWALUnsealed(t *testing.T) {
 	build := balancedBuilder(t)
 	pol := recovery.Policy{MaxRetries: 1, MaxRestarts: 1}
 
-	for _, kind := range []string{"interp", "codegen"} {
-		t.Run(kind, func(t *testing.T) {
-			exits, wantWords := epochSteps(t, build(kind))
-			target := cancelTarget(t, exits)
+	t.Run("interp", func(t *testing.T) {
+		exits, wantWords := epochSteps(t, build())
+		target := cancelTarget(t, exits)
 
-			walPath := filepath.Join(t.TempDir(), "kernel.wal")
-			p := build(kind)
-			cancel := armCancel(p, target)
-			defer cancel()
-			out, err := p.SuperviseDurable(context.Background(), pol, walPath)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancelled durable run: got err %v, want context.Canceled", err)
-			}
-			if out.Seals != cancelEpoch {
-				t.Fatalf("sealed %d epochs, want %d (cancelled epoch must stay unsealed)", out.Seals, cancelEpoch)
-			}
+		walPath := filepath.Join(t.TempDir(), "kernel.wal")
+		p := build()
+		cancel := armCancel(p, target)
+		defer cancel()
+		out, err := p.SuperviseDurable(context.Background(), pol, walPath)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled durable run: got err %v, want context.Canceled", err)
+		}
+		if out.Seals != cancelEpoch {
+			t.Fatalf("sealed %d epochs, want %d (cancelled epoch must stay unsealed)", out.Seals, cancelEpoch)
+		}
 
-			// The WAL's newest record resumes from exactly the cancelled
-			// epoch: earlier boundaries sealed, the cancelled one absent.
-			scan, err := wal.Recover(walPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(scan.Records) != cancelEpoch {
-				t.Fatalf("WAL holds %d records, want %d", len(scan.Records), cancelEpoch)
-			}
-			newest := scan.Records[len(scan.Records)-1]
-			if got := binary.LittleEndian.Uint64(newest.Payload[8:]); got != uint64(cancelEpoch) {
-				t.Fatalf("newest record resumes at epoch %d, want %d", got, cancelEpoch)
-			}
+		// The WAL's newest record resumes from exactly the cancelled
+		// epoch: earlier boundaries sealed, the cancelled one absent.
+		scan, err := wal.Recover(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scan.Records) != cancelEpoch {
+			t.Fatalf("WAL holds %d records, want %d", len(scan.Records), cancelEpoch)
+		}
+		newest := scan.Records[len(scan.Records)-1]
+		if got := binary.LittleEndian.Uint64(newest.Payload[8:]); got != uint64(cancelEpoch) {
+			t.Fatalf("newest record resumes at epoch %d, want %d", got, cancelEpoch)
+		}
 
-			// Resume on a fresh machine: picks up after the last sealed
-			// boundary and completes to the reference state.
-			p2 := build(kind)
-			out2, err := p2.SuperviseDurable(context.Background(), pol, walPath)
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-			if !out2.Resumed || out2.ResumeEpoch != cancelEpoch {
-				t.Fatalf("resume: Resumed=%v ResumeEpoch=%d, want true/%d", out2.Resumed, out2.ResumeEpoch, cancelEpoch)
-			}
-			if out2.Tainted || out2.Detected {
-				t.Fatalf("resumed run not clean: %+v", out2.Outcome)
-			}
-			diffWords(t, p2.State().Mem().Words(), wantWords)
-		})
-	}
+		// Resume on a fresh machine: picks up after the last sealed
+		// boundary and completes to the reference state.
+		p2 := build()
+		out2, err := p2.SuperviseDurable(context.Background(), pol, walPath)
+		if err != nil {
+			t.Fatalf("resumed run: %v", err)
+		}
+		if !out2.Resumed || out2.ResumeEpoch != cancelEpoch {
+			t.Fatalf("resume: Resumed=%v ResumeEpoch=%d, want true/%d", out2.Resumed, out2.ResumeEpoch, cancelEpoch)
+		}
+		if out2.Tainted || out2.Detected {
+			t.Fatalf("resumed run not clean: %+v", out2.Outcome)
+		}
+		diffWords(t, p2.State().Mem().Words(), wantWords)
+	})
 }

@@ -1,12 +1,14 @@
 // Package codegen lowers checked (and typically instrumented) lang programs
-// to natively compiled Go: either a plugin-style compiled closure built at
-// runtime (Compile) or generated Go source committed and built with the
-// module (Source; see the gennative subpackage). Both forms execute against
-// Machine, which embeds the same simulated-machine state as interp.Machine
-// (internal/machine: memory, checksum.Pair, layout, telemetry wiring, and
-// the epoch layer with its checkpoints, durable encoding and fingerprint),
-// so fault coordinates, checkpoints, WAL records, and verdicts carry across
-// backends unchanged. This package owns only the lowering.
+// to natively compiled Go: Source and SourceFile render a program as Go
+// source, which cmd/genkernels commits for the Table 2 kernels (see the
+// gennative subpackage) and which tests build offline for any program they
+// generate. Generated code executes against Machine, which embeds the same
+// simulated-machine state as interp.Machine (internal/machine: memory,
+// checksum.Pair, layout, telemetry wiring, and the epoch layer with its
+// checkpoints, durable encoding and fingerprint), so fault coordinates,
+// checkpoints, WAL records, and verdicts carry across backends unchanged.
+// This package owns only the lowering and the runtime the generated code
+// calls.
 //
 // The interpreter remains the reference oracle: the native semantics below
 // replicate interp's dynamic semantics exactly — evaluation order, integer
@@ -16,9 +18,11 @@
 // checksum.Folds delta file, flushed into the checksum.Pair before every
 // assert_checksums and on return; the operators are associative, so the
 // Pair and its shadow copies end bit-identical to the interpreter's direct
-// ScaleFold calls. The differential harness in diff_test.go holds the two
-// backends to byte-identical outputs, accumulator and shadow state, epoch
-// digests, verdicts, and detection latencies.
+// ScaleFold calls. The differential harness in diff_test.go holds the
+// generated source to byte-identical outputs, accumulator and shadow state,
+// epoch digests, verdicts, and detection latencies: the committed kernels
+// in process, and generated programs and error programs through one offline
+// build of their rendered source.
 //
 // What is different, by design: the native backend does not maintain
 // interp's per-operation OpCounts (the cost-model columns stay
@@ -90,8 +94,8 @@ func (e *CancelError) Error() string { return fmt.Sprintf("codegen: %s: cancelle
 
 func (e *CancelError) Unwrap() error { return e.Err }
 
-// Runtime helpers referenced by generated code and compiled closures. They
-// replicate interp's intrinsic semantics for integer arguments.
+// Runtime helpers referenced by generated code. They replicate interp's
+// intrinsic semantics for integer arguments.
 
 // AbsI returns the integer absolute value, interp-style (no special casing
 // of MinInt64: Go negation wraps identically in both backends).

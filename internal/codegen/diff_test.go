@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,11 +20,12 @@ import (
 )
 
 // The differential oracle: the interpreter is the reference semantics, and
-// both native forms — the compiled-closure backend and the committed
-// generated source — must be observationally identical to it. Identical
+// the generated source must be observationally identical to it. Identical
 // means byte-identical: every memory word, every checksum accumulator and
 // shadow, every output array bit pattern, every verdict, every detection
-// latency, on clean runs and under injected faults alike.
+// latency, on clean runs and under injected faults alike. The committed
+// kernels (gennative) run in process; generated programs run through the
+// source leg (srcleg_test.go).
 
 // diffScale keeps kernel problem sizes small enough to run every kernel ×
 // variant × seed combination in test time.
@@ -49,7 +51,11 @@ func normErr(err error) string {
 	if err == nil {
 		return ""
 	}
-	s := err.Error()
+	return normMsg(err.Error())
+}
+
+// normMsg strips the backend prefix from an error's text.
+func normMsg(s string) string {
 	for _, p := range []string{"interp: ", "codegen: "} {
 		if len(s) >= len(p) && s[:len(p)] == p {
 			return s[len(p):]
@@ -58,8 +64,9 @@ func normErr(err error) string {
 	return s
 }
 
-// diffFullState asserts two machines hold bit-identical observable state.
-func diffFullState(t *testing.T, label string, iw, cw []uint64, ip, cp *checksum.Pair) {
+// diffFullState asserts two machines hold bit-identical observable state:
+// memory words and checksum pair state.
+func diffFullState(t *testing.T, label string, iw, cw []uint64, ip, cp [8]uint64) {
 	t.Helper()
 	if len(iw) != len(cw) {
 		t.Fatalf("%s: memory layout diverged: interp %d words, native %d", label, len(iw), len(cw))
@@ -69,9 +76,8 @@ func diffFullState(t *testing.T, label string, iw, cw []uint64, ip, cp *checksum
 			t.Fatalf("%s: word %d: interp %#x, native %#x", label, i, iw[i], cw[i])
 		}
 	}
-	if pairState(ip) != pairState(cp) {
-		t.Fatalf("%s: checksum state diverged:\ninterp %v\nnative %v",
-			label, pairState(ip), pairState(cp))
+	if ip != cp {
+		t.Fatalf("%s: checksum state diverged:\ninterp %#x\nnative %#x", label, ip, cp)
 	}
 }
 
@@ -86,7 +92,7 @@ func kernelSeeds(t *testing.T) []int64 {
 
 var allVariants = []bench.Variant{bench.Original, bench.Resilient, bench.ResilientOpt}
 
-// buildPair constructs an interp machine and a codegen machine over the same
+// buildPair constructs an interp machine and a native machine over the same
 // program with identically seeded data.
 func buildPair(t *testing.T, b *bench.Benchmark, prog *lang.Program, seed int64) (*interp.Machine, *codegen.Machine) {
 	t.Helper()
@@ -105,8 +111,8 @@ func buildPair(t *testing.T, b *bench.Benchmark, prog *lang.Program, seed int64)
 }
 
 // TestDiffCleanKernels runs every kernel × variant × seed clean, through the
-// interpreter, the compiled closure, and the committed generated source, and
-// asserts all three agree on every word, accumulator, output bit, and error.
+// interpreter and the committed generated source, and asserts both agree on
+// every word, accumulator, output bit, and error.
 func TestDiffCleanKernels(t *testing.T) {
 	seeds := kernelSeeds(t)
 	for _, b := range bench.Suite() {
@@ -115,10 +121,6 @@ func TestDiffCleanKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit, err := codegen.Compile(prog)
-			if err != nil {
-				t.Fatalf("%s/%s: Compile: %v", b.Name, v, err)
-			}
 			gen, ok := gennative.Lookup(b.Name, string(v))
 			if !ok {
 				t.Fatalf("%s/%s: no generated kernel in registry", b.Name, v)
@@ -126,20 +128,13 @@ func TestDiffCleanKernels(t *testing.T) {
 			for _, seed := range seeds {
 				label := string(b.Name) + "/" + string(v)
 				t.Run(label, func(t *testing.T) {
-					im, cm := buildPair(t, b, prog, seed)
+					im, gm := buildPair(t, b, prog, seed)
 					ierr := im.Run()
-					cerr := unit.Run(cm)
-					if normErr(ierr) != normErr(cerr) {
-						t.Fatalf("closure error diverged: interp %q, native %q", normErr(ierr), normErr(cerr))
-					}
-					diffFullState(t, "closure", im.Mem().Words(), cm.Mem().Words(), im.Pair(), cm.Pair())
-
-					_, gm := buildPair(t, b, prog, seed)
 					gerr := gen.Fn(gm, 0, 1)
 					if normErr(ierr) != normErr(gerr) {
 						t.Fatalf("gennative error diverged: interp %q, native %q", normErr(ierr), normErr(gerr))
 					}
-					diffFullState(t, "gennative", im.Mem().Words(), gm.Mem().Words(), im.Pair(), gm.Pair())
+					diffFullState(t, "gennative", im.Mem().Words(), gm.Mem().Words(), pairState(im.Pair()), pairState(gm.Pair()))
 
 					// Output arrays, compared through the same accessor the
 					// bench harness uses.
@@ -151,7 +146,7 @@ func TestDiffCleanKernels(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := cm.SnapshotFloats(d.Name)
+						got, err := gm.SnapshotFloats(d.Name)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -221,12 +216,12 @@ func diffTrials(t *testing.T, ri, rc faults.KernelTrialResult) {
 
 // TestDiffSupervisedFaults is the headline battery: every kernel, every
 // seed, clean AND fault-injected, run as a 4-epoch supervised trial with
-// rollback recovery through the interpreter backend, the compiled-closure
-// backend, and the generated-source backend — each trio must agree on
-// verdicts, detection latencies, retries, per-boundary state stamps, final
-// memory, and final checksum state. Both instrumented variants run, so the
-// injected, rolled-back and retried trials cross the generated kernels'
-// outlined loop nests in each (subtests of Resilient-Optimized end in -opt).
+// rollback recovery through the interpreter and the generated source —
+// each pair must agree on verdicts, detection latencies, retries,
+// per-boundary state stamps, final memory, and final checksum state. Both
+// instrumented variants run, so the injected, rolled-back and retried trials
+// cross the generated kernels' outlined loop nests in each (subtests of
+// Resilient-Optimized end in -opt).
 func TestDiffSupervisedFaults(t *testing.T) {
 	const epochs = 4
 	pol := recovery.Policy{MaxRetries: 2, MaxRestarts: 1}
@@ -237,15 +232,10 @@ func TestDiffSupervisedFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			unit, err := codegen.Compile(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
 			gen, ok := gennative.Lookup(b.Name, string(v))
 			if !ok {
 				t.Fatalf("%s %s: no generated kernel", b.Name, v)
 			}
-			genUnit := codegen.FnUnit(prog, gen.Fn)
 			targets := floatTargets(b)
 			name := b.Name
 			if v == bench.ResilientOpt {
@@ -257,7 +247,7 @@ func TestDiffSupervisedFaults(t *testing.T) {
 						cfg := faults.KernelTrialConfig{
 							Inject: inject, Seed: seed, Targets: targets, Policy: pol,
 						}
-						im, cm := buildPair(t, b, prog, seed)
+						im, gm := buildPair(t, b, prog, seed)
 						pi, err := im.PlanEpochs(epochs)
 						if err != nil {
 							t.Fatal(err)
@@ -274,18 +264,7 @@ func TestDiffSupervisedFaults(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						pc, err := codegen.PlanEpochs(cm, unit, epochs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						rc, err := faults.RunKernelTrial(ctx, pc, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						diffTrials(t, ri, rc)
-
-						_, gm := buildPair(t, b, prog, seed)
-						pg, err := codegen.PlanEpochs(gm, genUnit, epochs)
+						pg, err := codegen.PlanEpochs(gm, prog, gen.Fn, epochs)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -305,84 +284,114 @@ func TestDiffSupervisedFaults(t *testing.T) {
 // program initialization on any backend.
 func setupHost(t *testing.T, m host, gp *progen.Program, seed int64) {
 	t.Helper()
+	if err := initProgen(m, gp, seed); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// initProgen fills a generated program's arrays and scalars from seed.
+func initProgen(m host, gp *progen.Program, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for _, a := range gp.FloatArrays {
 		if err := m.FillFloat(a, func(int64) float64 { return rng.Float64()*8 - 4 }); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	for _, ia := range gp.IntArrays {
 		if err := m.FillInt(ia, func(int64) int64 { return rng.Int63n(gp.N) }); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	for _, s := range gp.Scalars {
 		if err := m.SetFloat(s, rng.Float64()); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
+	return nil
 }
 
-// diffGenerated runs one generated program through interp and the closure
-// backend under every instrumentation option set and asserts equivalence.
-func diffGenerated(t *testing.T, seed int64, indirect bool) {
-	rng := rand.New(rand.NewSource(seed))
+// legOptions are the instrumentation option sets every generated program
+// runs under.
+var legOptions = []instrument.Options{{}, {Split: true}, {Split: true, Inspector: true}}
+
+// generate builds the progen program of a seed.
+func generate(seed int64, indirect bool) (*progen.Program, *lang.Program, error) {
 	cfg := progen.DefaultConfig()
 	cfg.WithIndirect = indirect
-	gp := progen.Generate(rng, cfg)
+	gp := progen.Generate(rand.New(rand.NewSource(seed)), cfg)
 	prog, err := lang.Parse(gp.Source)
 	if err != nil {
-		t.Fatalf("seed %d: generated program does not parse: %v\n%s", seed, err, gp.Source)
+		return nil, nil, fmt.Errorf("seed %d: generated program does not parse: %v\n%s", seed, err, gp.Source)
 	}
-	for _, opt := range []instrument.Options{{}, {Split: true}, {Split: true, Inspector: true}} {
-		res, err := instrument.Instrument(prog, opt)
-		if err != nil {
-			t.Fatalf("seed %d opt %+v: instrument: %v\n%s", seed, opt, err, gp.Source)
-		}
-		im, err := interp.New(res.Prog, gp.Params)
-		if err != nil {
-			t.Fatalf("seed %d opt %+v: interp.New: %v", seed, opt, err)
-		}
-		cm, err := codegen.MachineFor(res.Prog, gp.Params)
-		if err != nil {
-			t.Fatalf("seed %d opt %+v: MachineFor: %v", seed, opt, err)
-		}
-		unit, err := codegen.Compile(res.Prog)
-		if err != nil {
-			t.Fatalf("seed %d opt %+v: Compile: %v\n%s", seed, opt, err, lang.Print(res.Prog))
-		}
-		setupHost(t, im, gp, seed)
-		setupHost(t, cm, gp, seed)
-		ierr := im.Run()
-		cerr := unit.Run(cm)
-		if normErr(ierr) != normErr(cerr) {
-			t.Fatalf("seed %d opt %+v: error diverged: interp %q, native %q\n%s",
-				seed, opt, normErr(ierr), normErr(cerr), gp.Source)
-		}
-		diffFullState(t, "generated", im.Mem().Words(), cm.Mem().Words(), im.Pair(), cm.Pair())
-	}
+	return gp, prog, nil
 }
 
-// TestDiffGeneratedPrograms sweeps deterministic progen seeds, affine and
-// indirect, through the differential check.
+// progenSeeds is the number of progen seeds, from 20000 on, the source leg
+// builds; every third one has indirect subscripts.
+const progenSeeds = 20
+
+// progenLegCases instruments every source-leg progen seed under every
+// option set.
+func progenLegCases() ([]legCase, error) {
+	var cases []legCase
+	for i := int64(0); i < progenSeeds; i++ {
+		seed := 20000 + i
+		gp, prog, err := generate(seed, i%3 == 2)
+		if err != nil {
+			return nil, err
+		}
+		for _, opt := range legOptions {
+			res, err := instrument.Instrument(prog, opt)
+			if err != nil {
+				return nil, fmt.Errorf("seed %d opt %+v: instrument: %v\n%s", seed, opt, err, gp.Source)
+			}
+			cases = append(cases, legCase{
+				name: fmt.Sprintf("progen%d/split=%v,inspector=%v", seed, opt.Split, opt.Inspector),
+				prog: res.Prog, params: gp.Params,
+				init: func(h host) error { return initProgen(h, gp, seed) },
+			})
+		}
+	}
+	return cases, nil
+}
+
+// TestDiffGeneratedPrograms runs deterministic progen seeds, affine and
+// indirect, under every instrumentation option set on interp and through
+// the source leg, and requires the same memory, checksum pair and error.
 func TestDiffGeneratedPrograms(t *testing.T) {
-	trials := int64(60)
-	if testing.Short() {
-		trials = 10
+	cases, err := progenLegCases()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for seed := int64(0); seed < trials; seed++ {
-		diffGenerated(t, 20000+seed, seed%3 == 2)
+	native := nativeLeg(t)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { diffLeg(t, interpLeg(t, c), native[c.name]) })
 	}
 }
 
-// FuzzCodegenDiff is the continuous form: any seed the fuzzer finds must
-// hold interp ≡ native over every instrumentation option set.
-func FuzzCodegenDiff(f *testing.F) {
+// FuzzSourceRenders renders any progen program under every instrumentation
+// option set: the source generator's planner and outliner must return Go
+// source, with no error and no panic. Building and running each input would
+// take a go build per input; TestDiffGeneratedPrograms does that for a
+// fixed seed set.
+func FuzzSourceRenders(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, indirect bool) {
-		diffGenerated(t, seed, indirect)
+		gp, prog, err := generate(seed, indirect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range legOptions {
+			res, err := instrument.Instrument(prog, opt)
+			if err != nil {
+				t.Fatalf("seed %d opt %+v: instrument: %v\n%s", seed, opt, err, gp.Source)
+			}
+			if _, err := codegen.Source(res.Prog, "run_fuzz"); err != nil {
+				t.Fatalf("seed %d opt %+v: render: %v\n%s", seed, opt, err, lang.Print(res.Prog))
+			}
+		}
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"defuse/internal/bench"
 	"defuse/internal/checksum"
 	"defuse/internal/codegen"
+	"defuse/internal/codegen/gennative"
 	"defuse/internal/interp"
 	"defuse/internal/lang"
 	"defuse/internal/memsim"
@@ -44,8 +45,9 @@ type durableRun struct {
 }
 
 // newDurableRun builds an initialized machine on backend ("interp" or
-// "codegen") with the given base offset and plans epochs over it.
-func newDurableRun(t *testing.T, backend string, prog *lang.Program, params map[string]int64,
+// "codegen", which runs fn, prog's generated form) with the given base
+// offset and plans epochs over it.
+func newDurableRun(t *testing.T, backend string, prog *lang.Program, fn codegen.Fn, params map[string]int64,
 	pad, epochs int, init func(bench.DataHost)) *durableRun {
 	t.Helper()
 	switch backend {
@@ -69,12 +71,8 @@ func newDurableRun(t *testing.T, backend string, prog *lang.Program, params map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, err := codegen.Compile(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
 		init(m)
-		p, err := codegen.PlanEpochs(m, u, epochs)
+		p, err := codegen.PlanEpochs(m, prog, fn, epochs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,10 +168,12 @@ for i = 0 to n - 1 {
 }
 `
 
-// durableCase is one program with its parameters and data.
+// durableCase is one program with its parameters and data, and its
+// generated form if it is a committed kernel.
 type durableCase struct {
 	name   string
 	prog   *lang.Program
+	fn     codegen.Fn
 	params map[string]int64
 	init   func(bench.DataHost)
 }
@@ -205,9 +205,13 @@ func kernelCase(t *testing.T, name string, v bench.Variant) durableCase {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gen, ok := gennative.Lookup(b.Name, string(v))
+		if !ok {
+			t.Fatalf("%s/%s: no generated kernel", name, v)
+		}
 		params := b.Params(diffScale)
 		return durableCase{
-			name: name + "/" + string(v), prog: prog, params: params,
+			name: name + "/" + string(v), prog: prog, fn: gen.Fn, params: params,
 			init: func(h bench.DataHost) { b.Init(h, params, rand.New(rand.NewSource(1))) },
 		}
 	}
@@ -216,12 +220,21 @@ func kernelCase(t *testing.T, name string, v bench.Variant) durableCase {
 }
 
 func (c durableCase) build(t *testing.T, backend string, pad, epochs int) func() *durableRun {
-	return func() *durableRun { return newDurableRun(t, backend, c.prog, c.params, pad, epochs, c.init) }
+	return func() *durableRun { return newDurableRun(t, backend, c.prog, c.fn, c.params, pad, epochs, c.init) }
+}
+
+// backends lists the backends a case runs on: interp, and codegen if the
+// case has a generated form.
+func (c durableCase) backends() []string {
+	if c.fn == nil {
+		return []string{"interp"}
+	}
+	return []string{"interp", "codegen"}
 }
 
 // TestDurableStateDigest pins the durable encoding of the machine state at
 // every verified epoch boundary: three Table 2 kernels × {Resilient,
-// Resilient-Optimized} × {interp, codegen closures}, as one whole-program
+// Resilient-Optimized} × {interp, generated source}, as one whole-program
 // epoch and as four epochs. Table 2 kernels balance their checksums only at
 // the program's post-dominator, so most four-epoch runs detect at the first
 // interior boundary that is not balanced; the seals before it are pinned
@@ -276,29 +289,28 @@ func TestDurableStateDigest(t *testing.T) {
 // TestDurableCrossBackendResume seals two of four epochs on one backend and
 // resumes the log on the other, both ways. The resumed run must pick up at
 // epoch 2 and finish bit-identical — memory, accumulators and shadows — to
-// an uninterrupted interpreter run. The real kernel is jacobi1d's Original:
-// its checksum pair stays zero, so its interior boundaries verify, while an
+// an uninterrupted interpreter run. The kernel is jacobi1d's Original: its
+// checksum pair stays zero, so its interior boundaries verify, while an
 // instrumented kernel's fail once epoch 0 holds kernel work (its checksums
 // balance only at the program's post-dominator).
 func TestDurableCrossBackendResume(t *testing.T) {
 	const epochs = 4
-	for _, c := range []durableCase{balancedCase(t, 64), kernelCase(t, "jacobi1d", bench.Original)} {
-		ref := c.build(t, "interp", 0, epochs)()
-		ref.runAllEpochs(t)
-		for _, dir := range [][2]string{{"interp", "codegen"}, {"codegen", "interp"}} {
-			label := c.name + "/" + dir[0] + "->" + dir[1]
-			path := filepath.Join(t.TempDir(), "cross.wal")
-			sealFirst(t, c.build(t, dir[0], 0, epochs), path, 2)
-			r := c.build(t, dir[1], 0, epochs)()
-			out, err := r.supervise(context.Background(), recovery.DefaultPolicy(), path)
-			if err != nil {
-				t.Fatalf("%s: resumed run: %v", label, err)
-			}
-			if !out.Resumed || out.ResumeEpoch != 2 || out.Detected || out.CorruptRecords != 0 {
-				t.Fatalf("%s: outcome %+v, want a clean resume at epoch 2", label, out)
-			}
-			sameState(t, label, r, ref)
+	c := kernelCase(t, "jacobi1d", bench.Original)
+	ref := c.build(t, "interp", 0, epochs)()
+	ref.runAllEpochs(t)
+	for _, dir := range [][2]string{{"interp", "codegen"}, {"codegen", "interp"}} {
+		label := c.name + "/" + dir[0] + "->" + dir[1]
+		path := filepath.Join(t.TempDir(), "cross.wal")
+		sealFirst(t, c.build(t, dir[0], 0, epochs), path, 2)
+		r := c.build(t, dir[1], 0, epochs)()
+		out, err := r.supervise(context.Background(), recovery.DefaultPolicy(), path)
+		if err != nil {
+			t.Fatalf("%s: resumed run: %v", label, err)
 		}
+		if !out.Resumed || out.ResumeEpoch != 2 || out.Detected || out.CorruptRecords != 0 {
+			t.Fatalf("%s: outcome %+v, want a clean resume at epoch 2", label, out)
+		}
+		sameState(t, label, r, ref)
 	}
 }
 
@@ -306,9 +318,8 @@ func TestDurableCrossBackendResume(t *testing.T) {
 // as balancedProgram's second statement loads it: memory keeps the flip and
 // the load returns it, so the def fold saw the stored value and the use
 // folds see the flipped one. Interp's folds re-read A[c] from memory around
-// that load, compiled folds take the registers, so a clean run on the same
-// backend tells which load of A[c] it is: the last one before B[c] is
-// stored.
+// that load, so a clean run tells which load of A[c] it is: the last one
+// before B[c] is stored.
 func armUseLoadFlips(t *testing.T, clean, r *durableRun, cells ...int) {
 	t.Helper()
 	a, _, err := clean.region("A")
@@ -357,7 +368,8 @@ func armUseLoadFlips(t *testing.T, clean, r *durableRun, cells ...int) {
 // the state is wrong. The degraded run must seal nothing after its
 // unverified epoch, so a second supervisor on the same log resumes before
 // the fault and ends at the clean reference state instead of reporting the
-// tainted state as a clean run.
+// tainted state as a clean run. balancedProgram has no generated form, so
+// it runs on the interpreter.
 func TestTaintedRunResumesFromLastCleanSeal(t *testing.T) {
 	const epochs, n = 4, 64 // epoch k defines A[16k .. 16k+15]
 	c := balancedCase(t, n)
@@ -377,7 +389,7 @@ func TestTaintedRunResumesFromLastCleanSeal(t *testing.T) {
 	if second == n {
 		t.Fatalf("no cell in epoch 3 has bit %d opposite to A[%d]'s", sweepBit, first)
 	}
-	for _, backend := range []string{"interp", "codegen"} {
+	for _, backend := range c.backends() {
 		build := c.build(t, backend, 0, epochs)
 		path := filepath.Join(t.TempDir(), "tainted.wal")
 		r := build()
@@ -419,36 +431,54 @@ last = 456.0;
 // TestDurableRefusesForeignBaseOffset seals two of four epochs at base
 // offset 0 and points a machine with base offset 3 at the log. The layouts
 // differ, so the record is foreign: the run must start fresh, not restore
-// words into the wrong addresses.
+// words into the wrong addresses. epochProgram, which leaves a mark in each
+// part of an epoch plan, runs on the interpreter; jacobi1d's Original, whose
+// interior boundaries verify, runs on both backends and must end as an
+// uninterrupted run at offset 3 does.
 func TestDurableRefusesForeignBaseOffset(t *testing.T) {
 	prog, err := lang.Parse(epochProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := durableCase{name: "epoch", prog: prog, params: map[string]int64{"n": 12}, init: func(bench.DataHost) {}}
-	for _, backend := range []string{"interp", "codegen"} {
-		path := filepath.Join(t.TempDir(), "offset.wal")
-		sealFirst(t, c.build(t, backend, 0, 4), path, 2)
-		r := c.build(t, backend, 3, 4)()
-		out, err := r.supervise(context.Background(), recovery.DefaultPolicy(), path)
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if out.Resumed || out.CorruptRecords == 0 {
-			t.Fatalf("%s: outcome %+v, want the offset-0 records refused and a fresh run", backend, out)
-		}
-		for i := int64(0); i < 12; i++ {
-			if got, _ := r.float("A", i); got != float64(3*i+1) {
-				t.Fatalf("%s: A[%d] = %v, want %v", backend, i, got, 3*i+1)
-			}
-		}
-		for name, want := range map[string]float64{"first": 123, "last": 456} {
-			if got, _ := r.float(name); got != want {
-				t.Fatalf("%s: %s = %v, want %v", backend, name, got, want)
-			}
-		}
-		if err := r.pair().Verify(); err != nil {
-			t.Fatalf("%s: %v", backend, err)
+	epoch := durableCase{name: "epoch", prog: prog, params: map[string]int64{"n": 12}, init: func(bench.DataHost) {}}
+	r := refuseForeign(t, epoch, "interp")
+	for i := int64(0); i < 12; i++ {
+		if got, _ := r.float("A", i); got != float64(3*i+1) {
+			t.Fatalf("A[%d] = %v, want %v", i, got, 3*i+1)
 		}
 	}
+	for name, want := range map[string]float64{"first": 123, "last": 456} {
+		if got, _ := r.float(name); got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
+	}
+	c := kernelCase(t, "jacobi1d", bench.Original)
+	for _, backend := range c.backends() {
+		r := refuseForeign(t, c, backend)
+		ref := c.build(t, backend, 3, 4)()
+		ref.runAllEpochs(t)
+		sameState(t, c.name+"/"+backend, r, ref)
+	}
+}
+
+// refuseForeign seals two of four epochs of c at base offset 0, supervises a
+// run at base offset 3 on the same log, and requires it to refuse the
+// records, start fresh and end verified.
+func refuseForeign(t *testing.T, c durableCase, backend string) *durableRun {
+	t.Helper()
+	label := c.name + "/" + backend
+	path := filepath.Join(t.TempDir(), "offset.wal")
+	sealFirst(t, c.build(t, backend, 0, 4), path, 2)
+	r := c.build(t, backend, 3, 4)()
+	out, err := r.supervise(context.Background(), recovery.DefaultPolicy(), path)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if out.Resumed || out.CorruptRecords == 0 {
+		t.Fatalf("%s: outcome %+v, want the offset-0 records refused and a fresh run", label, out)
+	}
+	if err := r.pair().Verify(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return r
 }

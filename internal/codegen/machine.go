@@ -10,11 +10,11 @@ import (
 
 // Machine is the native backend's execution state: the shared simulated
 // machine (memory, checksum pair, layout, telemetry wiring, epoch state)
-// without the tree-walking interpreter on top. Compiled closures and
-// generated code run against it through the Fn ABI; its Load/Store hot path
-// is the embedded State's, and compiled folds reach its Pair through
-// checksum.Folds flushes. A run may take at most maxTicks loop iterations,
-// which stops a non-converging while loop.
+// without the tree-walking interpreter on top. Generated code runs against
+// it through the Fn ABI; its Load/Store hot path is the embedded State's,
+// and generated folds reach its Pair through checksum.Folds flushes. A run
+// may take at most maxTicks loop iterations, which stops a non-converging
+// while loop.
 type Machine struct {
 	machine.State
 
@@ -57,6 +57,15 @@ func MachineFor(prog *lang.Program, params map[string]int64, opts ...Option) (*M
 		return nil, err
 	}
 	return m, nil
+}
+
+// PlanEpochs builds an n-epoch run of fn over m on the shared epoch layer
+// (verify at every boundary, checkpoint, roll back on detection, seal
+// durable checkpoints), cutting the kernel loop of prog exactly as
+// interp.PlanEpochs does. prog must be the program fn was generated from. A
+// program with no top-level loop collapses to a single epoch.
+func PlanEpochs(m *Machine, prog *lang.Program, fn Fn, n int) (*machine.Plan, error) {
+	return machine.NewPlan(&m.State, prog, n, func(k, n int) error { return fn(m, k, n) })
 }
 
 // Reset returns a pooled machine to its post-construction state: memory

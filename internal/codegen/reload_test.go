@@ -10,11 +10,11 @@ import (
 	"defuse/internal/bench"
 	"defuse/internal/checksum"
 	"defuse/internal/codegen"
+	"defuse/internal/codegen/gennative"
 	"defuse/internal/instrument"
 	"defuse/internal/interp"
 	"defuse/internal/lang"
 	"defuse/internal/memsim"
-	"defuse/internal/progen"
 )
 
 // The reload-window sweep holds the backends to the paper's def→use contract
@@ -34,6 +34,7 @@ const sweepBit = 40
 type sweepCase struct {
 	name    string
 	prog    *lang.Program // instrumented
+	fn      codegen.Fn    // prog's committed generated form, or nil
 	params  map[string]int64
 	init    func(host)
 	tracked []string // float arrays whose plan is not control
@@ -63,14 +64,14 @@ func newSweepCase(t *testing.T, name string, src *lang.Program, opt instrument.O
 
 // sweepCases returns trisolv at n = 4, moldyn (dynamic counters, indirect
 // subscripts) at n = 4, k = 2 and CG (counters kept in registers across its
-// inner loops) at n = 4, k = 2, each over two iterations, and three
-// generated programs (one with indirect subscripts), each as Resilient and
-// Resilient-Optimized.
+// inner loops) at n = 4, k = 2, each over two iterations, with their
+// generated kernels, and three generated programs (one with indirect
+// subscripts), each as Resilient and Resilient-Optimized.
 func sweepCases(t *testing.T) []sweepCase {
 	variants := []struct {
-		name string
-		opt  instrument.Options
-	}{{"Resilient", instrument.Options{}}, {"Resilient-Optimized", instrument.Options{Split: true, Inspector: true}}}
+		v   bench.Variant
+		opt instrument.Options
+	}{{bench.Resilient, instrument.Options{}}, {bench.ResilientOpt, instrument.Options{Split: true, Inspector: true}}}
 	kernels := map[string]map[string]int64{
 		"trisolv": {"n": 4},
 		"moldyn":  {"n": 4, "k": 2, "maxiter": 2},
@@ -84,24 +85,27 @@ func sweepCases(t *testing.T) []sweepCase {
 		}
 		init := func(h host) { b.Init(h, params, rand.New(rand.NewSource(1))) }
 		for _, v := range variants {
-			cases = append(cases, newSweepCase(t, b.Name+"/"+v.name, b.Program(), v.opt, params, init))
+			c := newSweepCase(t, b.Name+"/"+string(v.v), b.Program(), v.opt, params, init)
+			gen, ok := gennative.Lookup(b.Name, string(v.v))
+			if !ok {
+				t.Fatalf("%s: no generated kernel", c.name)
+			}
+			c.fn = gen.Fn
+			cases = append(cases, c)
 		}
 	}
 	for _, g := range []struct {
 		seed     int64
 		indirect bool
 	}{{20000, false}, {20003, false}, {20002, true}} {
-		cfg := progen.DefaultConfig()
-		cfg.WithIndirect = g.indirect
-		gp := progen.Generate(rand.New(rand.NewSource(g.seed)), cfg)
-		prog, err := lang.Parse(gp.Source)
+		gp, prog, err := generate(g.seed, g.indirect)
 		if err != nil {
-			t.Fatalf("seed %d: %v", g.seed, err)
+			t.Fatal(err)
 		}
 		seed := g.seed
 		init := func(h host) { setupHost(t, h, gp, seed) }
 		for _, v := range variants {
-			cases = append(cases, newSweepCase(t, fmt.Sprintf("progen%d/%s", g.seed, v.name), prog, v.opt, gp.Params, init))
+			cases = append(cases, newSweepCase(t, fmt.Sprintf("progen%d/%s", g.seed, v.v), prog, v.opt, gp.Params, init))
 		}
 	}
 	return cases
@@ -122,30 +126,36 @@ type sweepBackend struct {
 	build func(t *testing.T, c sweepCase) sweepRun
 }
 
-// sweepBackends builds a case's machine on interp or on the closure
-// compiler.
-var sweepBackends = []sweepBackend{
-	{"interp", func(t *testing.T, c sweepCase) sweepRun {
-		m, err := interp.New(c.prog, c.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.init(m)
-		return sweepRun{mem: m.Mem(), run: m.Run, snapshot: m.SnapshotFloats, region: m.Region,
-			csLoads: func() uint64 { return m.Counts.CsLoads }}
-	}},
-	{"closures", func(t *testing.T, c sweepCase) sweepRun {
-		m, err := codegen.MachineFor(c.prog, c.params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		u, err := codegen.Compile(c.prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.init(m)
-		return sweepRun{mem: m.Mem(), run: func() error { return u.Run(m) }, snapshot: m.SnapshotFloats, region: m.Region}
-	}},
+// interpBackend builds a case's machine on interp.
+var interpBackend = sweepBackend{"interp", func(t *testing.T, c sweepCase) sweepRun {
+	m, err := interp.New(c.prog, c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.init(m)
+	return sweepRun{mem: m.Mem(), run: m.Run, snapshot: m.SnapshotFloats, region: m.Region,
+		csLoads: func() uint64 { return m.Counts.CsLoads }}
+}}
+
+// gennativeBackend builds a case's machine for its generated kernel.
+var gennativeBackend = sweepBackend{"gennative", func(t *testing.T, c sweepCase) sweepRun {
+	m, err := codegen.MachineFor(c.prog, c.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.init(m)
+	return sweepRun{mem: m.Mem(), run: func() error { return c.fn(m, 0, 1) }, snapshot: m.SnapshotFloats, region: m.Region}
+}}
+
+// sweepBackends lists the backends a case runs on: interp, and the
+// generated kernel if the case has one. A program with no committed
+// generated form has no native form in this process, so it sweeps on interp
+// alone.
+func sweepBackends(c sweepCase) []sweepBackend {
+	if c.fn == nil {
+		return []sweepBackend{interpBackend}
+	}
+	return []sweepBackend{interpBackend, gennativeBackend}
 }
 
 // access is one memory access of a clean run, in program order.
@@ -160,7 +170,7 @@ type access struct {
 // program or checksum work right after it returns, so the CsLoads counter
 // seen by the next access tells which one it was.
 func cleanTrace(t *testing.T, c sweepCase) []access {
-	r := sweepBackends[0].build(t, c)
+	r := interpBackend.build(t, c)
 	var tr []access
 	var cs []uint64
 	r.mem.SetAccessHook(func(store bool, eff int) {
@@ -258,13 +268,13 @@ func flipBefore(r sweepRun, k, cell int) {
 }
 
 // TestReloadWindowSweep flips every tracked float cell at every step of a
-// clean run, on interp and on the compiled closures, and fails on any flip
+// clean run, on interp and on the generated kernels, and fails on any flip
 // after the cell's def and before a later program read of it that goes
 // undetected and changes the output.
 func TestReloadWindowSweep(t *testing.T) {
 	for _, c := range sweepCases(t) {
 		tr := cleanTrace(t, c)
-		for _, be := range sweepBackends {
+		for _, be := range sweepBackends(c) {
 			t.Run(c.name+"/"+be.name, func(t *testing.T) { sweep(t, c, tr, be) })
 		}
 	}
@@ -350,7 +360,7 @@ for i = 0 to n - 1 {
 `
 
 // TestAliasedCounterSameCell runs x[i] = x[i] + x[j[i]] with j[i] == i, as
-// Resilient and Resilient-Optimized, on interp and the closures: the clean
+// Resilient and Resilient-Optimized, on interp: the clean
 // run must verify and double every cell, and flips in its def→use windows
 // must be detected.
 func TestAliasedCounterSameCell(t *testing.T) {
@@ -374,7 +384,7 @@ func TestAliasedCounterSameCell(t *testing.T) {
 			t.Fatalf("%s: tracked arrays %v, want [x]", c.name, c.tracked)
 		}
 		tr := cleanTrace(t, c)
-		for _, be := range sweepBackends {
+		for _, be := range sweepBackends(c) {
 			t.Run(c.name+"/"+be.name, func(t *testing.T) {
 				r := be.build(t, c)
 				if err := r.run(); err != nil {
@@ -436,7 +446,7 @@ func runOriginal(t *testing.T, src *lang.Program, params map[string]int64, init 
 }
 
 // TestPromotedCounterDeltaAlias runs deltaAliasSrc with j[i][kk] == i as
-// Resilient and Resilient-Optimized, on interp and the closures: the inner
+// Resilient and Resilient-Optimized, on interp: the inner
 // loop's x[i] counter must be delta-promoted, the clean run must verify and
 // match the original program, and flips in its def→use windows must be
 // detected.
@@ -466,7 +476,7 @@ func TestPromotedCounterDeltaAlias(t *testing.T) {
 		c := newSweepCase(t, fmt.Sprintf("deltaalias split=%v", opt.Split), prog, opt, params, init)
 		want := runOriginal(t, prog, params, init, c.outputs)
 		tr := cleanTrace(t, c)
-		for _, be := range sweepBackends {
+		for _, be := range sweepBackends(c) {
 			t.Run(c.name+"/"+be.name, func(t *testing.T) {
 				r := be.build(t, c)
 				if err := r.run(); err != nil {
@@ -502,7 +512,7 @@ for m = 0 to n - 1 {
 `
 
 // TestPromotedCounterZeroTrip runs zeroTripSrc as Resilient and
-// Resilient-Optimized on interp and the closures: both promotion forms must
+// Resilient-Optimized on interp: both promotion forms must
 // apply, and the promoted counter cells, out of range when the inner loop is
 // empty, must not be touched then, so every run verifies and matches the
 // original program.
@@ -535,7 +545,7 @@ func TestPromotedCounterZeroTrip(t *testing.T) {
 		}
 		c := newSweepCase(t, fmt.Sprintf("zerotrip split=%v", opt.Split), prog, opt, params, init)
 		want := runOriginal(t, prog, params, init, c.outputs)
-		for _, be := range sweepBackends {
+		for _, be := range sweepBackends(c) {
 			r := be.build(t, c)
 			if err := r.run(); err != nil {
 				t.Fatalf("%s/%s: %v", c.name, be.name, err)

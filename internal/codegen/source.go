@@ -15,34 +15,40 @@ import (
 	"defuse/internal/lang"
 )
 
-// The source backend: renders a checked program as a committed Go function
-// over the same Machine runtime the closure compiler targets, so the Go
-// compiler — not a closure tree — executes the kernel. The emitted code is
-// administrative-normal-form Go: every operator lands in a temporary, every
-// fallible step checks its error, every float operation rounds through an
-// explicit float64 conversion (the FMA-fusion guard), and every memory
-// access goes through Machine.Load/Store so memsim accounting and fault
-// hooks behave identically to the other backends. Checksum folds go into a
-// local checksum.Folds, cs, flushed into the machine's Pair before every
-// assert_checksums and, by a defer, on every return, so the Pair holds the
-// interpreter's bits whenever anything reads it. cmd/genkernels commits the
-// rendered kernels under internal/codegen/gennative.
+// The source backend, the one native lowering: renders a checked program
+// as a Go function over the Machine runtime, so the Go compiler executes the
+// kernel. The emitted code is administrative-normal-form Go: every operator
+// lands in a temporary, every fallible step checks its error, every float
+// operation rounds through an explicit float64 conversion (the FMA-fusion
+// guard), and every memory access goes through Machine.Load/Store so memsim
+// accounting and fault hooks behave exactly as under the interpreter.
+// Checksum folds go into a local checksum.Folds, cs, flushed into the
+// machine's Pair before every assert_checksums and, by a defer, on every
+// return, so the Pair holds the interpreter's bits whenever anything reads
+// it. cmd/genkernels commits the rendered kernels under
+// internal/codegen/gennative; the differential tests render generated
+// programs the same way and build them offline.
 //
 // Loop nests are functions (DESIGN.md §10). In a program with folds, every
 // loop directly under the kernel loop and every top-level loop before or
 // after it is emitted as a helper function of its own, and a helper whose
 // body is still over maxFuncNodes outlines its largest nested loops in turn,
-// then its largest runs of fold-only statements, until every function fits.
-// Go inlines Folds.Fold and State.LoadF/StoreF only into functions under its
-// big-function limit. A helper takes the machine, a *checksum.Folds that
-// points at the entry function's cs, and the parameters, variables,
-// iterators and registers its statements read, and returns the first error
-// unchanged; it flushes through its pointer before each assert_checksums.
-// A register a loop assigns never crosses a helper boundary: a cut at such a
-// loop takes the register's Let and every later statement that reads it
-// (unit), and a loop that assigns a register bound in an enclosing list is
-// only cut with that list. Programs without folds (the Originals) are
-// emitted as one function.
+// then its largest runs of fold-only statements. Go inlines Folds.Fold and
+// State.LoadF/StoreF only into functions under its big-function limit. A
+// helper takes the machine, a *checksum.Folds that points at the entry
+// function's cs, and the parameters, variables, iterators and registers its
+// statements read, and returns the first error unchanged; it flushes through
+// its pointer before each assert_checksums. A register a loop assigns never
+// crosses a helper boundary: a cut at such a loop takes the register's Let
+// and every later statement that reads it (unit), and a loop that assigns a
+// register bound in an enclosing list is only cut with that list. Programs
+// without folds (the Originals) are emitted as one function.
+//
+// So a function can stay over the cap. When the loops that assign a promoted
+// counter register (r_<array>_cnt_d) fill a list, nothing in that list can
+// be cut out alone. The Table 2 kernels all fit (TestSourceNestsAreFunctions
+// checks), but progen seed 20000 with indirect subscripts renders three
+// helpers of 10,501, 5,320 and 5,303 go/ast nodes under Split.
 
 // SourceFunc names one program to render into a source file.
 type SourceFunc struct {

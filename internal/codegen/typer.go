@@ -14,10 +14,10 @@ import (
 // declared type, parameters and iterators are integers, and every operator's result type
 // depends only on its operand types (lang.Check rules out the constructs —
 // iterator shadowing, floats leaking into integer contexts — that could make
-// this context-sensitive). That function is exprIsInt; the compiler and the
-// source generator both consult it, so the native backend's static types
-// agree with the interpreter's dynamic ones by construction. This is one of
-// the oracle-equivalence invariants documented in DESIGN.md §10.
+// this context-sensitive). That function is exprIsInt; the source generator
+// consults it, so the native backend's static types agree with the
+// interpreter's dynamic ones by construction. This is one of the
+// oracle-equivalence invariants documented in DESIGN.md §10.
 
 // typeEnv resolves a name to its integer-ness: declared variables and
 // registers from their declaration, parameters and loop iterators always
