@@ -228,15 +228,30 @@ func TestRotation(t *testing.T) {
 	}
 }
 
+// dynDef and dynFinal are Algorithm 3's two compositions for a dynamically
+// counted variable, written out over ScaleFold: the def site folds the value
+// into def and e_def once each, and the epilogue (or overwrite) folds the
+// observed value into def n-1 more times and into e_use once. rt.Tracker
+// performs the same folds through a Folds delta.
+func dynDef(p *Pair, v uint64) {
+	p.ScaleFold(AccDef, v, 1)
+	p.ScaleFold(AccEDef, v, 1)
+}
+
+func dynFinal(p *Pair, v uint64, n int64) {
+	p.ScaleFold(AccDef, v, n-1)
+	p.ScaleFold(AccEUse, v, 1)
+}
+
 func TestPairNoErrorKnownCounts(t *testing.T) {
 	for _, k := range commutativeKinds() {
 		p := NewPair(k)
 		// def v used 3 times, all reads correct.
 		v := uint64(0xdeadbeefcafef00d)
-		p.AddDef(v, 3)
-		p.AddUse(v)
-		p.AddUse(v)
-		p.AddUse(v)
+		p.ScaleFold(AccDef, v, 3)
+		p.ScaleFold(AccUse, v, 1)
+		p.ScaleFold(AccUse, v, 1)
+		p.ScaleFold(AccUse, v, 1)
 		if err := p.Verify(); err != nil {
 			t.Errorf("%v: false positive: %v", k, err)
 		}
@@ -246,9 +261,9 @@ func TestPairNoErrorKnownCounts(t *testing.T) {
 func TestPairDetectsCorruptedUse(t *testing.T) {
 	p := NewPair(ModAdd)
 	v := uint64(42)
-	p.AddDef(v, 2)
-	p.AddUse(v)
-	p.AddUse(v ^ 1<<40) // corrupted second read
+	p.ScaleFold(AccDef, v, 2)
+	p.ScaleFold(AccUse, v, 1)
+	p.ScaleFold(AccUse, v^1<<40, 1) // corrupted second read
 	if err := p.Verify(); err == nil {
 		t.Error("corrupted use not detected")
 	}
@@ -258,11 +273,11 @@ func TestPairDynamicNoError(t *testing.T) {
 	// Unknown-use-count path: def once, 3 uses, adjust with final value.
 	p := NewPair(ModAdd)
 	v := uint64(7)
-	p.AddEDef(v)
+	dynDef(p, v)
 	for i := 0; i < 3; i++ {
-		p.AddUse(v)
+		p.ScaleFold(AccUse, v, 1)
 	}
-	p.Adjust(v, 3)
+	dynFinal(p, v, 3)
 	if err := p.Verify(); err != nil {
 		t.Errorf("false positive on dynamic path: %v", err)
 	}
@@ -273,8 +288,8 @@ func TestPairDynamicZeroUses(t *testing.T) {
 	// def-site contribution; e_use gets v to balance e_def (paper Case 2a).
 	p := NewPair(ModAdd)
 	v := uint64(1234)
-	p.AddEDef(v)
-	p.Adjust(v, 0)
+	dynDef(p, v)
+	dynFinal(p, v, 0)
 	if err := p.Verify(); err != nil {
 		t.Errorf("false positive when value is never used: %v", err)
 	}
@@ -287,10 +302,10 @@ func TestPairAuxiliaryCatchesPersistentCorruption(t *testing.T) {
 	p := NewPair(ModAdd)
 	v := uint64(1000)
 	vp := v ^ (1 << 13) // persistently corrupted value
-	p.AddEDef(v)
-	p.AddUse(v)  // first use correct
-	p.AddUse(vp) // second use corrupted
-	p.Adjust(vp, 2)
+	dynDef(p, v)
+	p.ScaleFold(AccUse, v, 1)  // first use correct
+	p.ScaleFold(AccUse, vp, 1) // second use corrupted
+	dynFinal(p, vp, 2)
 	if p.Def != p.Use {
 		t.Fatal("scenario mismatch: primary checksums should collide here")
 	}
@@ -306,9 +321,9 @@ func TestPairAuxiliaryCatchesPersistentCorruption(t *testing.T) {
 
 func TestPairReset(t *testing.T) {
 	p := NewPair(XOR)
-	p.AddDef(9, 2)
-	p.AddUse(9)
-	p.AddEDef(3)
+	p.ScaleFold(AccDef, 9, 2)
+	p.ScaleFold(AccUse, 9, 1)
+	dynDef(p, 3)
 	p.Reset()
 	if p.Def != 0 || p.Use != 0 || p.EDef != 0 || p.EUse != 0 {
 		t.Error("Reset did not zero all checksums")
@@ -347,16 +362,16 @@ func TestPairRandomizedNoFalsePositives(t *testing.T) {
 				v := rng.Uint64()
 				n := int64(rng.Intn(6))
 				if rng.Intn(2) == 0 { // static path
-					p.AddDef(v, n)
+					p.ScaleFold(AccDef, v, n)
 					for j := int64(0); j < n; j++ {
-						p.AddUse(v)
+						p.ScaleFold(AccUse, v, 1)
 					}
 				} else { // dynamic path
-					p.AddEDef(v)
+					dynDef(p, v)
 					for j := int64(0); j < n; j++ {
-						p.AddUse(v)
+						p.ScaleFold(AccUse, v, 1)
 					}
-					p.Adjust(v, n)
+					dynFinal(p, v, n)
 				}
 			}
 			if err := p.Verify(); err != nil {
@@ -373,14 +388,14 @@ func TestPairSingleBitFlipAlwaysDetected(t *testing.T) {
 		p := NewPair(ModAdd)
 		v := rng.Uint64()
 		n := int64(rng.Intn(4) + 1)
-		p.AddDef(v, n)
+		p.ScaleFold(AccDef, v, n)
 		flipAt := rng.Int63n(n)
 		for j := int64(0); j < n; j++ {
 			u := v
 			if j == flipAt {
 				u ^= 1 << uint(rng.Intn(64))
 			}
-			p.AddUse(u)
+			p.ScaleFold(AccUse, u, 1)
 		}
 		if err := p.Verify(); err == nil {
 			t.Fatalf("trial %d: single-bit flip escaped detection", trial)

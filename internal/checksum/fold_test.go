@@ -8,11 +8,12 @@ import (
 	"testing"
 )
 
-// Every fold entry point goes through ScaleFold, which has a ModAdd path of
-// its own next to the generic ScaleCombine one. These tests hold every entry
-// point, for every commutative operator, to a reference model computed in big
-// integers from each operator's definition, primaries and encoded shadows
-// alike.
+// A Pair's one fold entry point is ScaleFold (Flush goes through it too),
+// which has a ModAdd path of its own next to the generic ScaleCombine one.
+// These tests hold it, on every accumulator and for every commutative
+// operator, to a reference model computed in big integers from each
+// operator's definition, primaries and encoded shadows alike. rt's tests hold
+// the tracker's folds to ScaleFold.
 
 var (
 	two64     = new(big.Int).Lsh(big.NewInt(1), 64)
@@ -73,15 +74,6 @@ var foldOps = []foldOp{
 		func(r *refPair, v uint64, n int64) { r.fold(AccEDef, v, n) }},
 	{"ScaleFold/e_use", func(p *Pair, v uint64, n int64) { p.ScaleFold(AccEUse, v, n) },
 		func(r *refPair, v uint64, n int64) { r.fold(AccEUse, v, n) }},
-	{"AddDef", func(p *Pair, v uint64, n int64) { p.AddDef(v, n) },
-		func(r *refPair, v uint64, n int64) { r.fold(AccDef, v, n) }},
-	{"AddUse", func(p *Pair, v uint64, _ int64) { p.AddUse(v) },
-		func(r *refPair, v uint64, _ int64) { r.fold(AccUse, v, 1) }},
-	{"AddEDef", func(p *Pair, v uint64, _ int64) { p.AddEDef(v) },
-		func(r *refPair, v uint64, _ int64) { r.fold(AccDef, v, 1); r.fold(AccEDef, v, 1) }},
-	// Adjust's "n-1 more times" is int64 arithmetic: n-1 wraps at MinInt64.
-	{"Adjust", func(p *Pair, v uint64, n int64) { p.Adjust(v, n) },
-		func(r *refPair, v uint64, n int64) { r.fold(AccDef, v, n-1); r.fold(AccEUse, v, 1) }},
 }
 
 var foldCounts = []int64{math.MinInt64, -3, -1, 0, 1, 2, 3, math.MaxInt64}
@@ -148,7 +140,8 @@ func FuzzPairFold(f *testing.F) {
 
 // BenchmarkPairScaleFold is the per-fold cost under the interpreter's
 // add_to_chksm (State.Fold), cycling through the accumulators. Compiled
-// kernels pay it once per accumulator per flush (BenchmarkFoldsFold).
+// kernels and rt.Tracker pay it once per non-zero delta per flush
+// (BenchmarkFoldsFold).
 func BenchmarkPairScaleFold(b *testing.B) {
 	p := NewPair(ModAdd)
 	for i := 0; i < b.N; i++ {
@@ -167,18 +160,5 @@ func BenchmarkFoldsFold(b *testing.B) {
 		f.Fold(Acc(i&3), uint64(i), 3)
 	}
 	p.Flush(&f)
-	sinkU64 = p.Def
-}
-
-// BenchmarkPairDefUse is the per-value cost of the rt tracker's known-count
-// path: one AddDef with two uses.
-func BenchmarkPairDefUse(b *testing.B) {
-	p := NewPair(ModAdd)
-	for i := 0; i < b.N; i++ {
-		v := uint64(i)
-		p.AddDef(v, 2)
-		p.AddUse(v)
-		p.AddUse(v)
-	}
 	sinkU64 = p.Def
 }

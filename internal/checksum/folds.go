@@ -4,14 +4,16 @@ import "fmt"
 
 // Folds is a pending-delta file for a Pair: one running delta per
 // accumulator, each starting at the operator's identity (zero for every
-// commutative operator). Generated kernels fold into a Folds held in a
-// local and flush it into their Pair with Pair.Flush before anything reads
-// the Pair, so a ModAdd fold is one multiply-add, inlined wherever the Go
+// commutative operator). Every compiled fold lands in one: the generated
+// kernels hold a Folds in a local and rt.Tracker holds one in a field, and
+// each flushes it into its Pair with Pair.Flush before anything reads the
+// Pair. A ModAdd fold is then one multiply-add, inlined wherever the Go
 // compiler inlines Fold, instead of a call that also decodes and re-encodes
-// a shadow word. Because every commutative operator is associative, folding
-// a sequence of values into a delta and flushing the delta yields the same
-// primaries and shadows, bit for bit, as folding each value into the Pair
-// directly.
+// a shadow word. Only the interpreter, the reference, folds into the Pair
+// directly (Pair.ScaleFold). Because every commutative operator is
+// associative, folding a sequence of values into a delta and flushing the
+// delta yields the same primaries and shadows, bit for bit, as folding each
+// value into the Pair directly.
 //
 // The delta is the paper's register-resident accumulator (Section 5): it has
 // no shadow copy and lives only between two flushes. The Pair it flushes

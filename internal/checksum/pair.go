@@ -97,48 +97,14 @@ func (p *Pair) resealShadows() {
 // Kind returns the operator of the pair.
 func (p *Pair) Kind() Kind { return p.kind }
 
-// AddDef folds a defined value into the def-checksum n times, where n is the
-// value's (known) use count.
-func (p *Pair) AddDef(v uint64, n int64) { p.ScaleFold(AccDef, v, n) }
-
-// AddUse folds a consumed value into the use-checksum once.
-func (p *Pair) AddUse(v uint64) { p.ScaleFold(AccUse, v, 1) }
-
-// AddEDef folds a dynamically-counted defined value into both the def- and
-// the auxiliary def-checksum once (Algorithm 3, unknown-use-count def site).
-func (p *Pair) AddEDef(v uint64) {
-	p.ScaleFold(AccDef, v, 1)
-	p.ScaleFold(AccEDef, v, 1)
-}
-
-// Adjust performs the epilogue/overwrite adjustment for a dynamically-counted
-// definition whose observed current value is v and whose dynamic use count is
-// n: v is folded into the def-checksum n-1 more times and into the auxiliary
-// use-checksum once.
-func (p *Pair) Adjust(v uint64, n int64) {
-	p.ScaleFold(AccDef, v, n-1)
-	p.ScaleFold(AccEUse, v, 1)
-}
-
 // ScaleFold folds v into the selected accumulator n times, updating both
-// copies. It is the generic entry point for instrumented code that addresses
-// accumulators by name (the mini language's add_to_chksm), and every other
-// fold goes through it. The shadow is decoded from its own previous value,
-// folded and re-encoded, so a corrupted primary is never laundered into it.
+// copies. The interpreter's add_to_chksm (machine.State.Fold) calls it once
+// per fold, as the reference the delta discipline is compared against;
+// Flush calls it once per non-zero delta for the generated kernels and
+// rt.Tracker. The shadow is decoded from its own previous value, folded and
+// re-encoded, so a corrupted primary is never laundered into it.
 func (p *Pair) ScaleFold(a Acc, v uint64, n int64) {
-	var acc *uint64
-	switch a {
-	case AccDef:
-		acc = &p.Def
-	case AccUse:
-		acc = &p.Use
-	case AccEDef:
-		acc = &p.EDef
-	case AccEUse:
-		acc = &p.EUse
-	default:
-		panic(fmt.Sprintf("checksum: ScaleFold of unknown accumulator %v", a))
-	}
+	acc := p.primary(a)
 	s := decShadow(p.shadow[a], a)
 	if p.kind == ModAdd {
 		d := v * uint64(n) // two's-complement wraparound handles n < 0
@@ -209,18 +175,7 @@ func (p *Pair) SetState(def, use, edef, euse uint64, shadow [4]uint64) {
 // accumulator, leaving its shadow untouched — exactly the footprint of a
 // transient fault striking the detector's own state. Fault-injection
 // campaigns use it to target the detector; it has no other purpose.
-func (p *Pair) CorruptPrimary(a Acc, bit uint) {
-	switch a {
-	case AccDef:
-		p.Def ^= 1 << (bit & 63)
-	case AccUse:
-		p.Use ^= 1 << (bit & 63)
-	case AccEDef:
-		p.EDef ^= 1 << (bit & 63)
-	case AccEUse:
-		p.EUse ^= 1 << (bit & 63)
-	}
-}
+func (p *Pair) CorruptPrimary(a Acc, bit uint) { *p.primary(a) ^= 1 << (bit & 63) }
 
 // ScrubError reports a divergence between an accumulator and its
 // complement-encoded shadow copy: a fault struck the detector state itself.
@@ -242,7 +197,7 @@ func (e *ScrubError) Error() string {
 // is Verify's job; Scrub only asks whether the comparison can be trusted.
 func (p *Pair) Scrub() error {
 	for a := AccDef; a <= AccEUse; a++ {
-		primary := p.acc(a)
+		primary := *p.primary(a)
 		if dec := decShadow(p.shadow[a], a); dec != primary {
 			return &ScrubError{Acc: a, Primary: primary, Shadow: dec}
 		}
@@ -250,18 +205,19 @@ func (p *Pair) Scrub() error {
 	return nil
 }
 
-// acc returns the primary copy of the selected accumulator.
-func (p *Pair) acc(a Acc) uint64 {
+// primary returns the primary copy of the selected accumulator.
+func (p *Pair) primary(a Acc) *uint64 {
 	switch a {
 	case AccDef:
-		return p.Def
+		return &p.Def
 	case AccUse:
-		return p.Use
+		return &p.Use
 	case AccEDef:
-		return p.EDef
-	default:
-		return p.EUse
+		return &p.EDef
+	case AccEUse:
+		return &p.EUse
 	}
+	panic("checksum: unknown accumulator")
 }
 
 // Reset zeroes all four checksums and reseals the shadows.

@@ -8,20 +8,20 @@ import (
 )
 
 // exercise runs a representative mixed sequence of updates — known-count
-// defs, uses, dynamic defs, epilogue adjustments, and named folds — so the
-// shadow copies see every update path.
+// defs, uses, dynamic defs, epilogue adjustments, and folds into a random
+// accumulator — so the shadow copies see every update path.
 func exercise(p *Pair, r *rand.Rand) {
 	for i := 0; i < 50; i++ {
 		v := r.Uint64()
 		switch i % 5 {
 		case 0:
-			p.AddDef(v, int64(r.Intn(4)+1))
+			p.ScaleFold(AccDef, v, int64(r.Intn(4)+1))
 		case 1:
-			p.AddUse(v)
+			p.ScaleFold(AccUse, v, 1)
 		case 2:
-			p.AddEDef(v)
+			dynDef(p, v)
 		case 3:
-			p.Adjust(v, int64(r.Intn(3)+1))
+			dynFinal(p, v, int64(r.Intn(3)+1))
 		case 4:
 			p.ScaleFold(Acc(r.Intn(4)), v, int64(r.Intn(3)+1))
 		}
@@ -111,8 +111,8 @@ func TestScrubSurvivesVerifyMismatch(t *testing.T) {
 	// A data fault makes Verify fail but must leave Scrub clean: the two
 	// checks separate "the data is wrong" from "the detector is wrong".
 	p := NewPair(ModAdd)
-	p.AddDef(42, 1)
-	p.AddUse(43) // corrupted use observation
+	p.ScaleFold(AccDef, 42, 1)
+	p.ScaleFold(AccUse, 43, 1) // corrupted use observation
 	if err := p.Verify(); err == nil {
 		t.Fatal("mismatched pair verified clean")
 	}
@@ -148,15 +148,16 @@ func TestResetReseals(t *testing.T) {
 }
 
 func TestScaleFoldMatchesNamedOps(t *testing.T) {
-	// ScaleFold(AccDef, v, n) must be exactly AddDef(v, n), shadows included.
+	// ScaleFold(a, v, n) must update exactly the accumulator a names, shadows
+	// included: def += 99*3 and use += 7 leave the pair a restore of those
+	// values would.
 	a := NewPair(ModAdd)
 	b := NewPair(ModAdd)
-	a.AddDef(99, 3)
-	a.AddUse(7)
+	a.SetAccumulators(99*3, 7, 0, 0)
 	b.ScaleFold(AccDef, 99, 3)
 	b.ScaleFold(AccUse, 7, 1)
 	if *a != *b {
-		t.Fatalf("ScaleFold diverged from named ops: %+v vs %+v", a, b)
+		t.Fatalf("ScaleFold diverged from the named accumulators: %+v vs %+v", a, b)
 	}
 	if err := b.Scrub(); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package codegen_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"defuse/internal/checksum"
@@ -68,6 +69,33 @@ func flushCases() []errorCase {
 	return cases
 }
 
+// foldThenAssert folds every value twice into def and once into use, then
+// asserts: its first assert_checksums (line 8, column 1) must report a
+// def/use mismatch. Generated code flushes its delta file into the Pair
+// before every assert_checksums; without that flush the assert would check
+// a Pair that still balances and the run would go on past it.
+const foldThenAssert = `program t(n)
+float A[n];
+for i = 0 to n - 1 {
+  A[i] = i * 1.5 + 0.25;
+  add_to_chksm(def_cs, A[i], 2);
+  add_to_chksm(use_cs, A[i], 1);
+}
+assert_checksums();
+A[0] = 1.0;
+`
+
+// assertCases run foldThenAssert under every commutative operator. msg is
+// the mismatch the assert must report.
+func assertCases() []errorCase {
+	var cases []errorCase
+	for _, k := range []checksum.Kind{checksum.ModAdd, checksum.XOR, checksum.OnesComp} {
+		cases = append(cases, errorCase{name: k.String(), src: foldThenAssert,
+			params: map[string]int64{"n": 4}, kind: k, msg: "def/use mismatch"})
+	}
+	return cases
+}
+
 // legCase names an error case as a source-leg program.
 func (c errorCase) legCase(group string) (legCase, error) {
 	prog, err := lang.Parse(c.src)
@@ -83,7 +111,7 @@ func errorLegCases() ([]legCase, error) {
 	for _, g := range []struct {
 		name  string
 		cases []errorCase
-	}{{"parity", parityCases}, {"flush", flushCases()}} {
+	}{{"parity", parityCases}, {"flush", flushCases()}, {"assert", assertCases()}} {
 		for _, c := range g.cases {
 			lc, err := c.legCase(g.name)
 			if err != nil {
@@ -131,4 +159,24 @@ func TestRuntimeErrorParity(t *testing.T) {
 // and shadows included, because the delta is flushed on every exit.
 func TestRuntimeErrorFlushesFolds(t *testing.T) {
 	runErrorCases(t, "flush", flushCases(), true)
+}
+
+// TestAssertFlushesFolds runs programs whose first assert_checksums follows
+// unbalanced folds through the interpreter and the generated source, under
+// every commutative operator. Both must report the same mismatch at the
+// same position and stop there, leaving the same memory and Pair.
+func TestAssertFlushesFolds(t *testing.T) {
+	for _, c := range assertCases() {
+		t.Run(c.name, func(t *testing.T) {
+			lc, err := c.legCase("assert")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := interpLeg(t, lc)
+			if !strings.Contains(want.Msg, c.msg) || want.Pos != (lang.Pos{Line: 8, Col: 1}) {
+				t.Fatalf("interp: error %q, want a %s at 8:1", want.Err, c.msg)
+			}
+			diffLeg(t, want, nativeLeg(t)[lc.name])
+		})
+	}
 }

@@ -36,7 +36,8 @@ type legCase struct {
 
 // legRun is a program's observable end state on one backend: every memory
 // word, the checksum pair with its shadows, and the error the run returned.
-// Msg and Pos are a runtime error's message and position.
+// Msg and Pos are a runtime error's message and position, or a detection's
+// checksum mismatch and the position of its assert_checksums.
 type legRun struct {
 	Words []uint64
 	Pair  [8]uint64
@@ -72,8 +73,12 @@ func interpLeg(t *testing.T, c legCase) legRun {
 		r.Err = err.Error()
 	}
 	var re *interp.RuntimeError
-	if errors.As(err, &re) {
+	var de *interp.DetectionError
+	switch {
+	case errors.As(err, &re):
 		r.Msg, r.Pos = re.Msg, re.Pos
+	case errors.As(err, &de):
+		r.Msg, r.Pos = de.Err.Error(), de.Pos
 	}
 	return r
 }
@@ -262,8 +267,12 @@ func run(fn codegen.Fn, in input) (output, error) {
 	if err := fn(m, 0, 1); err != nil {
 		out.Err = err.Error()
 		var re *codegen.RuntimeError
-		if errors.As(err, &re) {
+		var de *codegen.DetectionError
+		switch {
+		case errors.As(err, &re):
 			out.Msg, out.Pos = re.Msg, re.Pos
+		case errors.As(err, &de):
+			out.Msg, out.Pos = de.Err.Error(), de.Pos
 		}
 	}
 	out.Words = m.Mem().Words()

@@ -248,11 +248,6 @@ func (m Map) IsEmpty() (empty, exact bool) {
 	return empty, exact
 }
 
-// Union merges two maps.
-func (m Map) Union(o Map) Map {
-	return Map{Pieces: append(append([]BasicMap(nil), m.Pieces...), o.Pieces...)}
-}
-
 // String renders the union.
 func (m Map) String() string {
 	if len(m.Pieces) == 0 {

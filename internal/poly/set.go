@@ -197,11 +197,6 @@ func (s Set) Contains(env map[string]int64) bool {
 	return false
 }
 
-// Union returns the union of s and o.
-func (s Set) Union(o Set) Set {
-	return Set{Pieces: append(append([]BasicSet(nil), s.Pieces...), o.Pieces...)}
-}
-
 // Intersect intersects every pair of pieces.
 func (s Set) Intersect(o Set) Set {
 	var out []BasicSet

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"defuse/internal/checksum"
 )
 
 // This file implements epoch-scoped verification. The paper places the
@@ -135,12 +137,13 @@ func DecodeEpochState(b []byte) (EpochState, error) {
 
 // snapshot captures the tracker's current state as a sealed EpochState.
 func (t *Tracker) snapshot() EpochState {
+	p := t.flushed()
 	s := EpochState{
 		Index: t.epoch,
-		Def:   t.pair.Def, Use: t.pair.Use,
-		EDef: t.pair.EDef, EUse: t.pair.EUse,
+		Def:   p.Def, Use: p.Use,
+		EDef: p.EDef, EUse: p.EUse,
 		Defs: t.defs, Uses: t.uses,
-		Shadow: t.pair.Shadows(),
+		Shadow: p.Shadows(),
 		sealed: true,
 	}
 	s.digest = s.computeDigest()
@@ -207,7 +210,9 @@ func (t *Tracker) restore(s EpochState) {
 	// the primaries: a consistent snapshot restores to a consistent pair
 	// either way, but a divergence captured at seal time (detector-fault
 	// evidence) must survive the round trip — resealing would launder it.
+	// Pending deltas belong to the state being undone: discard them.
 	t.pair.SetState(s.Def, s.Use, s.EDef, s.EUse, s.Shadow)
+	t.folds = checksum.NewFolds(t.pair.Kind())
 	t.defs, t.uses = s.Defs, s.Uses
 	t.epoch = s.Index
 	t.latched = nil

@@ -135,7 +135,9 @@ func TestResetClearsEpochState(t *testing.T) {
 
 // FuzzDefUsePair drives the dynamic def/use protocol with fuzz-chosen values
 // and use counts: a balanced sequence must always verify, and corrupting a
-// single use with a nonzero bit mask must always be detected.
+// single use with a nonzero bit mask must always be detected. A read of the
+// tracker halfway through the uses flushes the pending folds between a def
+// and its uses; the verdicts must not depend on where the flushes land.
 func FuzzDefUsePair(f *testing.F) {
 	f.Add(uint64(0x3ff8000000000000), uint8(1), uint64(0))
 	f.Add(uint64(0xdeadbeefcafebabe), uint8(7), uint64(1<<51))
@@ -147,9 +149,12 @@ func FuzzDefUsePair(f *testing.F) {
 			var c Counter
 			DefDyn(tr, &c, uint64(0), bits)
 			for i := uint8(0); i < nUses; i++ {
+				if i == nUses/2 {
+					midRead(t, tr)
+				}
 				Use(tr, &c, bits)
 			}
-			// Redefine (exercising the Adjust path), one more use, finalize.
+			// Redefine (exercising the overwrite adjustment), one more use, finalize.
 			next := bits ^ 0xa5a5a5a5a5a5a5a5
 			DefDyn(tr, &c, bits, next)
 			Use(tr, &c, next)
@@ -164,6 +169,7 @@ func FuzzDefUsePair(f *testing.F) {
 			tr.Reset()
 			c = Counter{}
 			DefDyn(tr, &c, uint64(0), bits)
+			midRead(t, tr)
 			Use(tr, &c, bits^mask) // single corrupted use
 			Final(tr, &c, bits)
 			if err := tr.Verify(); err == nil {
@@ -171,4 +177,14 @@ func FuzzDefUsePair(f *testing.F) {
 			}
 		}
 	})
+}
+
+// midRead reads the tracker mid-sequence, which flushes its pending folds:
+// the checksums and a scrub, which must be clean.
+func midRead(t *testing.T, tr *Tracker) {
+	t.Helper()
+	tr.Checksums()
+	if err := tr.ScrubDetector(); err != nil {
+		t.Fatalf("mid-sequence scrub: %v", err)
+	}
 }

@@ -5,43 +5,32 @@
 // the variable's bit pattern into global def/use checksums, and auxiliary
 // e_def/e_use checksums close the persistent-corruption loophole.
 //
-// The checksums live in Tracker fields — ordinary Go variables that the
-// instrumented code keeps "register-resident" in the paper's sense of being
-// outside the protected data set.
+// As in the generated kernels, every fold lands in a checksum.Folds delta,
+// the paper's register-resident accumulator (Section 5), and every reader of
+// the shadowed checksum.Pair flushes the delta into it first.
 package rt
 
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"defuse/internal/checksum"
 )
 
 // Word is the set of value types the instrumenter can track: their bit
-// patterns are folded into the checksums. The constraint is deliberately
-// exact (no ~): Bits must see the concrete type to pick the right bit
-// extraction.
+// patterns are folded into the checksums.
 type Word interface {
 	float64 | int | int64 | uint64 | int32 | uint32
 }
 
-// Bits returns the canonical 64-bit pattern of a tracked value.
+// Bits returns the canonical 64-bit pattern of a tracked value: the value's
+// own bits, zero-extended when it is 4 bytes wide (int32, uint32).
 func Bits[T Word](v T) uint64 {
-	switch x := any(v).(type) {
-	case float64:
-		return math.Float64bits(x)
-	case int:
-		return uint64(x)
-	case int64:
-		return uint64(x)
-	case uint64:
-		return x
-	case int32:
-		return uint64(uint32(x))
-	case uint32:
-		return uint64(x)
+	if unsafe.Sizeof(v) == 4 {
+		return uint64(*(*uint32)(unsafe.Pointer(&v)))
 	}
-	panic("rt: unreachable: Word constraint admits only the types above")
+	return *(*uint64)(unsafe.Pointer(&v))
 }
 
 // ctrRot is the rotation used for a Counter's redundant encoding. A pure
@@ -128,7 +117,8 @@ func (e *DetectorFaultError) Unwrap() error { return e.Err }
 // Tracker holds the global checksum state for one instrumented function
 // activation.
 type Tracker struct {
-	pair *checksum.Pair
+	pair  *checksum.Pair
+	folds checksum.Folds // pending deltas; see flushed
 	// defs/uses count dynamic def and use operations; epoch is the current
 	// epoch index (see epoch.go). Plain increments, kept on the hot path
 	// because epoch snapshots need them and they stay within the benchmark
@@ -146,34 +136,94 @@ func NewTracker() *Tracker { return NewTrackerWith(checksum.ModAdd) }
 
 // NewTrackerWith returns a tracker using the given commutative operator.
 func NewTrackerWith(k checksum.Kind) *Tracker {
-	return &Tracker{pair: checksum.NewPair(k)}
+	return &Tracker{pair: checksum.NewPair(k), folds: checksum.NewFolds(k)}
+}
+
+// flushed folds the pending deltas into the pair, for a reader, and returns it.
+func (t *Tracker) flushed() *checksum.Pair {
+	t.pair.Flush(&t.folds)
+	return t.pair
 }
 
 // Def records a definition with a compile-time-known use count n: the stored
 // value is folded into the def-checksum n times (Algorithm 3, known path).
 // It returns v so the call can wrap an assignment's right-hand side.
 func Def[T Word](t *Tracker, v T, n int64) T {
-	t.pair.AddDef(Bits(v), n)
-	t.defs++
+	t.def(Bits(v), n)
 	return v
 }
 
 // DefDyn records a definition whose use count is unknown at compile time
-// (Algorithm 3 lines 13-16): first the variable's previous value prev is
-// adjusted against its counter, then the new value v is folded into def and
-// e_def and the counter reset. The first definition of a variable has no
-// previous value to adjust; the counter tracks that.
+// (Algorithm 3 lines 13-16): first the variable's previous value prev gets
+// Final's adjustment against its counter, then the new value v is folded
+// into def and e_def once each and the counter reset. The first definition
+// of a variable has no previous value to adjust; the counter tracks that.
 func DefDyn[T Word](t *Tracker, c *Counter, prev, v T) T {
-	t.checkCounter(c)
-	if c.defined {
-		t.pair.Adjust(Bits(prev), c.n)
-	}
-	t.pair.AddEDef(Bits(v))
-	t.defs++
-	c.n = 0
-	c.defined = true
-	c.enc = encCounter(1)
+	t.defDyn(c, Bits(prev), Bits(v))
 	return v
+}
+
+// Use records a use of a dynamically counted variable: the observed value is
+// folded into the use-checksum and the counter incremented. It returns v so
+// reads can be wrapped in place.
+func Use[T Word](t *Tracker, c *Counter, v T) T {
+	t.use(c, Bits(v))
+	return v
+}
+
+// UseKnown records a use of a statically counted value (no counter needed).
+func UseKnown[T Word](t *Tracker, v T) T {
+	t.useKnown(Bits(v))
+	return v
+}
+
+// Final performs the epilogue adjustment for a dynamically counted variable
+// (Algorithm 3 lines 21-22): its current value joins the def-checksum
+// count-1 times and the auxiliary use-checksum once.
+func Final[T Word](t *Tracker, c *Counter, v T) {
+	t.final(c, Bits(v))
+}
+
+// The methods below do the entry points' folds on a value's bits. They are
+// not generic because Go inlines Fold into an instantiated generic body only
+// where the instantiating package imports checksum (addrsum, goinstr output
+// import only rt); here it inlines once, for every caller.
+func (t *Tracker) def(b uint64, n int64) {
+	t.folds.Fold(checksum.AccDef, b, n)
+	t.defs++
+}
+
+func (t *Tracker) defDyn(c *Counter, prev, b uint64) {
+	t.final(c, prev)
+	t.folds.Fold(checksum.AccDef, b, 1)
+	t.folds.Fold(checksum.AccEDef, b, 1)
+	t.defs++
+	*c = Counter{defined: true, enc: encCounter(1)}
+}
+
+func (t *Tracker) use(c *Counter, b uint64) {
+	t.folds.Fold(checksum.AccUse, b, 1)
+	t.uses++
+	c.n++
+	// Increment the redundant copy in its decoded domain (packed n sits one
+	// bit left of the defined flag, so +1 to n is +2 packed). Recomputing the
+	// encoding from c.n instead would mask a corrupted primary.
+	c.enc = encCounter(rotr(c.enc, ctrRot) + 2)
+}
+
+func (t *Tracker) useKnown(b uint64) {
+	t.folds.Fold(checksum.AccUse, b, 1)
+	t.uses++
+}
+
+func (t *Tracker) final(c *Counter, b uint64) {
+	t.checkCounter(c)
+	if !c.defined {
+		return
+	}
+	t.folds.Fold(checksum.AccDef, b, c.n-1)
+	t.folds.Fold(checksum.AccEUse, b, 1)
+	*c = Counter{} // encCounter(0) == 0
 }
 
 // checkCounter validates a counter's redundant copy at the point where its
@@ -191,45 +241,10 @@ func (t *Tracker) checkCounter(c *Counter) {
 	}
 }
 
-// Use records a use of a dynamically counted variable: the observed value is
-// folded into the use-checksum and the counter incremented. It returns v so
-// reads can be wrapped in place.
-func Use[T Word](t *Tracker, c *Counter, v T) T {
-	t.pair.AddUse(Bits(v))
-	t.uses++
-	c.n++
-	// Increment the redundant copy in its decoded domain (packed n sits one
-	// bit left of the defined flag, so +1 to n is +2 packed). Recomputing the
-	// encoding from c.n instead would mask a corrupted primary.
-	c.enc = encCounter(rotr(c.enc, ctrRot) + 2)
-	return v
-}
-
-// UseKnown records a use of a statically counted value (no counter needed).
-func UseKnown[T Word](t *Tracker, v T) T {
-	t.pair.AddUse(Bits(v))
-	t.uses++
-	return v
-}
-
-// Final performs the epilogue adjustment for a dynamically counted variable
-// (Algorithm 3 lines 21-22): its current value joins the def-checksum
-// count-1 times and the auxiliary use-checksum once.
-func Final[T Word](t *Tracker, c *Counter, v T) {
-	t.checkCounter(c)
-	if !c.defined {
-		return
-	}
-	t.pair.Adjust(Bits(v), c.n)
-	c.n = 0
-	c.defined = false
-	c.enc = 0 // encCounter(0)
-}
-
 // Verify compares the def/use and e_def/e_use checksums; a non-nil error is
 // a detected memory corruption (*checksum.MismatchError).
 func (t *Tracker) Verify() error {
-	return t.pair.Verify()
+	return t.flushed().Verify()
 }
 
 // MustVerify panics with the mismatch if a memory error was detected. The
@@ -250,7 +265,7 @@ func (t *Tracker) ScrubDetector() error {
 	if t.latched != nil {
 		return t.latched
 	}
-	if err := t.pair.Scrub(); err != nil {
+	if err := t.flushed().Scrub(); err != nil {
 		return &DetectorFaultError{Part: "accumulator", Err: err}
 	}
 	return nil
@@ -258,9 +273,10 @@ func (t *Tracker) ScrubDetector() error {
 
 // CorruptAccumulator flips one bit of the primary copy of the selected
 // checksum accumulator, leaving its shadow copy intact. Fault-injection
-// campaigns use it to aim a transient fault at the detector state.
+// campaigns use it to aim a transient fault at the detector state, as it
+// stands: pending deltas are flushed first.
 func (t *Tracker) CorruptAccumulator(a checksum.Acc, bit uint) {
-	t.pair.CorruptPrimary(a, bit)
+	t.flushed().CorruptPrimary(a, bit)
 }
 
 // CorruptCounter flips one bit of a counter's primary (packed) state, leaving
@@ -272,18 +288,18 @@ func CorruptCounter(c *Counter, bit uint) {
 	c.defined = p&1 == 1
 }
 
-// Reset clears all checksums, dynamic operation counters, the epoch index,
-// and any latched detector fault for reuse.
+// Reset clears all checksums and pending deltas, dynamic operation counters,
+// the epoch index, and any latched detector fault for reuse.
 func (t *Tracker) Reset() {
 	t.pair.Reset()
-	t.defs, t.uses, t.epoch = 0, 0, 0
-	t.latched = nil
+	t.restore(EpochState{Shadow: t.pair.Shadows()})
 }
 
 // Checksums exposes the four accumulators (def, use, e_def, e_use) for
 // inspection and testing.
 func (t *Tracker) Checksums() (def, use, edef, euse uint64) {
-	return t.pair.Def, t.pair.Use, t.pair.EDef, t.pair.EUse
+	p := t.flushed()
+	return p.Def, p.Use, p.EDef, p.EUse
 }
 
 // Kind returns the checksum operator the tracker folds with.
@@ -292,7 +308,7 @@ func (t *Tracker) Kind() checksum.Kind { return t.pair.Kind() }
 // ShadowCopies exposes the raw (encoded) shadow copies of the four
 // accumulators, indexed by checksum.Acc. Tests use it to assert that a
 // resumed tracker carries byte-identical detector state.
-func (t *Tracker) ShadowCopies() [4]uint64 { return t.pair.Shadows() }
+func (t *Tracker) ShadowCopies() [4]uint64 { return t.flushed().Shadows() }
 
 // CorruptBits is a test helper that flips the given bit of a float64's
 // representation, simulating a memory error on a tracked variable.
