@@ -26,18 +26,10 @@
 // detector's own code. ModAdd is required, not a default (see Fold).
 package addrsum
 
-import "defuse/rt"
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
+import (
+	"defuse/internal/splitmix"
+	"defuse/rt"
+)
 
 // Key binds an access's intended index to the index it actually touched.
 // Binding the pair — rather than folding a plain multiset of effective
@@ -45,7 +37,7 @@ func mix64(z uint64) uint64 {
 // leave a multiset sum unchanged but diverge the pair-bound fold. The
 // mixing is asymmetric in its arguments, so Key(i,j) != Key(j,i).
 func Key(intent, effective int) uint64 {
-	return mix64(uint64(int64(intent))*0x9e3779b97f4a7c15 ^ mix64(uint64(int64(effective))))
+	return splitmix.Mix(uint64(int64(intent))*splitmix.Golden ^ splitmix.Mix(uint64(int64(effective))))
 }
 
 // Fold records one read-modify-write of intended index i whose load touched

@@ -35,6 +35,9 @@ func (f *Folds) Fold(a Acc, v uint64, n int64) {
 	f.d[a] += v * uint64(n) // two's-complement wraparound handles n < 0
 }
 
+// Delta returns the pending delta of accumulator a.
+func (f *Folds) Delta(a Acc) uint64 { return f.d[a] }
+
 // scale is Fold's path for the operators other than ModAdd, kept out of
 // line so that Fold inlines.
 //

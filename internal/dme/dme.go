@@ -24,25 +24,15 @@ import (
 
 	"defuse/internal/memsim"
 	"defuse/internal/recovery"
+	"defuse/internal/splitmix"
 )
-
-// mix64 is the splitmix64 finalizer.
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
 
 // foldKey binds a store's logical index to the value it wrote. Folding the
 // bound pair (not just the value) makes the output accumulator sensitive to
 // *where* results landed, so two variants that computed the same multiset of
 // values in the wrong places still diverge.
 func foldKey(index int, value uint64) uint64 {
-	return mix64(uint64(int64(index))*0x9e3779b97f4a7c15 ^ mix64(value))
+	return splitmix.Mix(uint64(int64(index))*splitmix.Golden ^ splitmix.Mix(value))
 }
 
 // DivergenceError reports the two variants disagreeing at a cross-check.
@@ -141,14 +131,14 @@ type Snapshot struct {
 // Snapshot seals the variant's current state for rollback.
 func (v *Variant) Snapshot() Snapshot {
 	s := Snapshot{mem: v.mem.Snapshot(), out: v.out, stores: v.stores}
-	s.digest = mix64(s.out) ^ mix64(s.stores^0x5bd1e995)
+	s.digest = splitmix.Mix(s.out) ^ splitmix.Mix(s.stores^0x5bd1e995)
 	return s
 }
 
 // Restore rolls the variant back to a sealed snapshot, verifying both the
 // accumulator seal and the memory snapshot's own integrity check.
 func (v *Variant) Restore(s Snapshot) error {
-	if s.digest != mix64(s.out)^mix64(s.stores^0x5bd1e995) {
+	if s.digest != splitmix.Mix(s.out)^splitmix.Mix(s.stores^0x5bd1e995) {
 		return errSnapshotCorrupt
 	}
 	if err := v.mem.Restore(s.mem); err != nil {

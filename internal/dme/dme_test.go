@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"defuse/internal/recovery"
+	"defuse/internal/splitmix"
 )
 
 // step is the campaigns' bijective word update.
@@ -26,7 +27,7 @@ func newPair(words int) (*Variant, *Variant) {
 	a := NewVariant(words, 0)
 	b := NewVariant(words, words/2)
 	for i := 0; i < words; i++ {
-		init := mix64(uint64(i) + 7)
+		init := splitmix.Mix(uint64(i) + 7)
 		a.Poke(i, init)
 		b.Poke(i, init)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"defuse/internal/checksum"
+	"defuse/internal/splitmix"
 	"defuse/internal/wal"
 	"defuse/rt"
 	"defuse/telemetry"
@@ -266,7 +267,7 @@ func (r *CampaignResult) Gate() error {
 // a splitmix64 step, so trials are independent of execution order and of one
 // another's random streams.
 func trialSeed(seed int64, trial int) int64 {
-	return int64(splitmix64(uint64(seed) + uint64(trial)*0x9e3779b97f4a7c15))
+	return int64(splitmix.Mix(uint64(seed) + uint64(trial)*splitmix.Golden))
 }
 
 // chunkTally is the checkpointable aggregate of one chunk of trials.
@@ -624,6 +625,11 @@ func newCellInstruments(cfg CoverageConfig) cellInstruments {
 			telemetry.Label{Key: "result", Value: "fail"}),
 	}
 }
+
+// detachedInstruments serve the trials that belong to no campaign cell —
+// the service's verify jobs and the crash child — so no count of theirs
+// reaches a registry.
+var detachedInstruments = newCellInstruments(CoverageConfig{})
 
 // record tallies one trial's verdict.
 func (i cellInstruments) record(undetected bool) {

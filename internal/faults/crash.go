@@ -92,65 +92,30 @@ func CrashChildMain() {
 	os.Exit(0)
 }
 
-// crashReport is what a cleanly finishing child hands back to the parent.
+// crashReport is what a cleanly finishing child hands back to the parent:
+// the durable supervisor's outcome, and in Final the workload's encoded final
+// state — epoch state (accumulators, shadows, op counters), shadow use
+// counters, and memory snapshot. Two runs agree exactly when these bytes
+// agree.
 type crashReport struct {
-	// Final is the workload's encoded final state: epoch-state (accumulators,
-	// shadows, op counters), shadow use counters, and memory snapshot. Two
-	// runs agree exactly when these bytes agree.
-	Final          []byte `json:"final"`
-	Resumed        bool   `json:"resumed"`
-	ResumeEpoch    int    `json:"resume_epoch"`
-	Seals          int    `json:"seals"`
-	CorruptRecords int    `json:"corrupt_records"`
-	TornTail       bool   `json:"torn_tail"`
-	Detected       bool   `json:"detected"`
-	Tainted        bool   `json:"tainted"`
+	recovery.DurableOutcome
+	Final []byte `json:"final"`
 }
 
-// crashWorkload is the deterministic epoch program a crash trial runs: the
-// word workload with its boundary verification and no injected fault. The
-// only perturbation is the crash step.
-type crashWorkload struct {
-	*WordWorkload
-	epochs  int
-	crashAt int64 // global step to die before; -1 = never
-	step    int64
-}
-
-func newCrashWorkload(spec CrashSpec) *crashWorkload {
-	init := make([]uint64, spec.Words)
-	NewInjector(spec.Seed).Fill(init, Random)
-	tr := rt.NewTrackerWith(spec.Kind)
-	return &crashWorkload{
-		WordWorkload: NewWordWorkload(init, tr, make([]rt.Counter, spec.Words)),
-		epochs:       spec.Epochs,
-		crashAt:      spec.CrashStep,
-	}
-}
-
-// run executes epoch k, dying before the crash step if it falls inside.
-func (w *crashWorkload) run(k int) error {
-	// A crash step outside this epoch falls outside [0, words): no strike.
-	w.RunEpoch(int(w.crashAt-w.step), crash)
-	w.step += int64(len(w.counters))
-	return nil
-}
-
-// crash is the kill site: SIGKILL is unblockable and unhandlable, so the
-// process dies exactly as if the machine had lost power between two steps.
-func crash(int) (int, int) {
+// killSelf is the crash trial's strike: SIGKILL is unblockable and
+// unhandlable, so the process dies exactly as if the machine had lost power
+// between two steps.
+func killSelf() {
 	_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	select {} // unreachable: SIGKILL cannot be caught or ignored
 }
-
-func (w *crashWorkload) verify(k int) error { return w.Boundary(k == w.epochs-1, nil) }
 
 // encodeState renders the complete workload state: the sealed epoch state
 // (with its own digest), the shadow use counters verbatim, and the memory
 // snapshot (with its own digest). Called at verified epoch boundaries for WAL
 // payloads and once more at the end for the trial report, so byte equality of
 // two encodings is exactly state equality.
-func (w *crashWorkload) encodeState() ([]byte, error) {
+func (w *wordWorkload) encodeState() ([]byte, error) {
 	es, err := w.tr.BeginEpoch().Encode()
 	if err != nil {
 		return nil, err
@@ -172,7 +137,7 @@ func (w *crashWorkload) encodeState() ([]byte, error) {
 	return append(b, mb...), nil
 }
 
-func (w *crashWorkload) decodeState(b []byte) error {
+func (w *wordWorkload) decodeState(b []byte) error {
 	words := len(w.counters)
 	if len(b) < rt.EncodedEpochStateSize+8 {
 		return fmt.Errorf("faults: crash state of %d bytes: %w", len(b), rt.ErrCheckpointCorrupt)
@@ -217,45 +182,39 @@ func crashFingerprint(spec CrashSpec) uint64 {
 // spec's WAL if it holds a usable record, run (possibly dying at the crash
 // step), and report the final state. The parent calls it in-process with a
 // fresh WAL to compute the uninterrupted reference.
+//
+// The run is the hardened epoch trial over the spec's seeded words, whose
+// one strike is the SIGKILL before global step CrashStep, at (step / words,
+// step % words). A negative step, or one past the last epoch, never strikes.
 func runCrashSpec(ctx context.Context, spec CrashSpec) (crashReport, error) {
 	if spec.Words <= 0 || spec.Epochs <= 0 || spec.WAL == "" {
 		return crashReport{}, fmt.Errorf("faults: crash spec needs words, epochs, and a wal path")
 	}
-	w := newCrashWorkload(spec)
+	init := make([]uint64, spec.Words)
+	NewInjector(spec.Seed).Fill(init, Random)
+	t := newWordTrial(CoverageConfig{Kind: spec.Kind, Epochs: spec.Epochs, Recover: true, Hardened: true},
+		init, rt.NewTrackerWith(spec.Kind))
+	t.kill = true
+	if spec.CrashStep >= 0 {
+		words := int64(spec.Words)
+		t.d.epoch, t.d.word = int(spec.CrashStep/words), int(spec.CrashStep%words)
+	}
 	d := &recovery.DurableSupervisor{
-		Config: recovery.Config{
-			Epochs: spec.Epochs,
-			Run:    w.run,
-			Verify: w.verify,
-			// The crash trial injects no data faults: the in-memory
-			// checkpoint exists for supervisor symmetry.
-			Checkpoint: w.Checkpoint,
-			Restore:    func(snap any) error { return w.Restore(snap, true) },
-			Policy:     recovery.DefaultPolicy(),
-		},
+		Config:      t.config(),
 		Path:        spec.WAL,
 		Fingerprint: crashFingerprint(spec),
-		EncodeState: w.encodeState,
-		DecodeState: w.decodeState,
+		EncodeState: t.w.encodeState,
+		DecodeState: t.w.decodeState,
 	}
 	out, err := d.Run(ctx)
 	if err != nil {
 		return crashReport{}, err
 	}
-	final, err := w.encodeState()
+	final, err := t.w.encodeState()
 	if err != nil {
 		return crashReport{}, err
 	}
-	return crashReport{
-		Final:          final,
-		Resumed:        out.Resumed,
-		ResumeEpoch:    out.ResumeEpoch,
-		Seals:          out.Seals,
-		CorruptRecords: out.CorruptRecords,
-		TornTail:       out.TornTail,
-		Detected:       out.Detected,
-		Tainted:        out.Tainted,
-	}, nil
+	return crashReport{DurableOutcome: out, Final: final}, nil
 }
 
 // CrashCellKind selects what a crash cell does to the durable run.

@@ -155,6 +155,3 @@ func (in *Injector) WrongAddress(idx, n int) (int, error) {
 // Intn exposes the injector's deterministic random stream for experiment
 // schedules (e.g., choosing which dynamic load to corrupt).
 func (in *Injector) Intn(n int) int { return in.rng.Intn(n) }
-
-// Uint64 returns a uniformly random 64-bit value from the injector's stream.
-func (in *Injector) Uint64() uint64 { return in.rng.Uint64() }

@@ -1,5 +1,14 @@
 package faults
 
+import (
+	"context"
+
+	"defuse/internal/recovery"
+	"defuse/internal/splitmix"
+	"defuse/rt"
+	"defuse/telemetry"
+)
+
 // Live sampled fault injection (the FastFlip-style deployment mode from
 // PAPERS.md): instead of dedicated offline campaigns, a resident service
 // injects faults into a small sampled fraction of its live requests and
@@ -22,21 +31,20 @@ type LiveSampler struct {
 // NewLiveSampler returns a sampler hitting approximately rate (clamped to
 // [0,1]) of all request IDs under the given seed.
 func NewLiveSampler(rate float64, seed uint64) *LiveSampler {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	var th uint64
+	return &LiveSampler{seed: seed, threshold: drawThreshold(rate)}
+}
+
+// drawThreshold maps frac, clamped to [0,1], to the fixed-point threshold
+// that approximately frac of uniform 64-bit draws fall strictly below.
+func drawThreshold(frac float64) uint64 {
 	switch {
-	case rate == 1:
-		th = ^uint64(0)
-	default:
-		// rate * 2^64 without overflowing float64 conversion at the top end.
-		th = uint64(rate * float64(1<<63) * 2)
+	case frac < 0:
+		return 0
+	case frac >= 1:
+		return ^uint64(0)
 	}
-	return &LiveSampler{seed: seed, threshold: th}
+	// frac * 2^64 without overflowing float64 conversion at the top end.
+	return uint64(frac * float64(1<<63) * 2)
 }
 
 // WithAddrFraction makes approximately frac (clamped to [0,1]) of sampled
@@ -45,30 +53,8 @@ func NewLiveSampler(rate float64, seed uint64) *LiveSampler {
 // sampler's shared (rate, seed, frac) contract. The kind draw extends the
 // plan's derivation chain, so frac 0 reproduces the original plans exactly.
 func (s *LiveSampler) WithAddrFraction(frac float64) *LiveSampler {
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	if frac == 1 {
-		s.addrTh = ^uint64(0)
-	} else {
-		s.addrTh = uint64(frac * float64(1<<63) * 2)
-	}
+	s.addrTh = drawThreshold(frac)
 	return s
-}
-
-// splitmix64 is the finalizer used throughout the repo for deterministic
-// derivation (trial sub-seeds, snapshot digests).
-func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }
 
 // Draw returns the request's 64-bit hash draw. Callers that need more
@@ -76,7 +62,7 @@ func splitmix64(z uint64) uint64 {
 // derive it from this draw with further splitmix64 steps rather than from a
 // shared RNG, keeping requests independent.
 func (s *LiveSampler) Draw(id uint64) uint64 {
-	return splitmix64(s.seed ^ splitmix64(id))
+	return splitmix.Mix(s.seed ^ splitmix.Mix(id))
 }
 
 // Sample reports whether request id is selected for injection.
@@ -130,19 +116,19 @@ type LivePlan struct {
 // flip would land.
 func (s *LiveSampler) Plan(id uint64, words, epochs int) LivePlan {
 	d := s.Draw(id)
-	e := splitmix64(d)
-	w := splitmix64(e)
-	b := splitmix64(w)
+	e := splitmix.Mix(d)
+	w := splitmix.Mix(e)
+	b := splitmix.Mix(w)
 	p := LivePlan{
 		Epoch: int(e % uint64(epochs)),
 		Word:  int(w % uint64(words)),
 		Bit:   int(b % 64),
 	}
 	p.Partner = p.Word
-	kd := splitmix64(b)
+	kd := splitmix.Mix(b)
 	if kd < s.addrTh && words > 1 {
 		p.Kind = LiveAddrWrong
-		pd := splitmix64(kd)
+		pd := splitmix.Mix(kd)
 		j := int(pd % uint64(words-1))
 		if j >= p.Word {
 			j++ // skip the intended word: the partner must be a wrong location
@@ -150,4 +136,32 @@ func (s *LiveSampler) Plan(id uint64, words, epochs int) LivePlan {
 		p.Partner = j
 	}
 	return p
+}
+
+// RunLive runs one verify job of the resident service: the word workload
+// over init, folding through tr (which must arrive Reset), as a hardened
+// epoch trial supervised under pol. A non-nil plan is the job's one
+// transient fault in trial coordinates: a LiveFlip flips {Word, Bit} and a
+// LiveAddrWrong redirects Word's load to Partner (AddrWrong), both just
+// before iteration Word of epoch Plan.Epoch. The supervisor's spans and the
+// fault.injected mark hang from span. It returns the run's outcome and its
+// final words.
+func RunLive(ctx context.Context, tr *rt.Tracker, init []uint64, epochs int, plan *LivePlan, pol recovery.Policy, metrics *telemetry.Registry, tracer *telemetry.Tracer, span telemetry.SpanContext) (recovery.Outcome, []uint64, error) {
+	t := newWordTrial(CoverageConfig{Epochs: epochs, Hardened: true, Metrics: metrics, Tracer: tracer}, init, tr)
+	t.span = span
+	if plan != nil {
+		t.d.epoch, t.d.word = plan.Epoch, plan.Word
+		if plan.Kind == LiveAddrWrong {
+			t.cfg.AddrFault, t.d.addr = AddrWrong, plan.Partner
+		} else {
+			t.d.flips = []BitFlip{{Word: plan.Word, Bit: plan.Bit}}
+		}
+	}
+	cfg := t.config()
+	cfg.Policy = pol
+	out, err := recovery.Supervise(ctx, cfg)
+	if err != nil {
+		return out, nil, err
+	}
+	return out, t.w.Words(), nil
 }

@@ -29,6 +29,13 @@ import (
 // methods each cover a span of an epoch or a whole boundary, so the per-word
 // loop makes no interface call. Every backend consumes the same draws, so
 // per-backend cells differ only in the detector.
+//
+// The same runner, through its config method, supervises every other run of
+// the word workload: the resident service's verify jobs (RunLive, whose
+// LivePlan maps to a flip or an AddrWrong at the plan's coordinates) and the
+// crash campaign's child (crash.go, whose strike is a SIGKILL). Only the
+// classic Table 1 runner (campaign.go) and the kernel trials
+// (kerneltrial.go) keep their own.
 
 // trialDetector is one detection backend running the epoch workload.
 type trialDetector interface {
@@ -137,7 +144,10 @@ type epochTrial struct {
 	det trialDetector
 	// w is the checksum backend's workload, which the detector targets
 	// strike; nil for the other backends.
-	w *WordWorkload
+	w *wordWorkload
+	// kill makes the strike a SIGKILL of the whole process: the crash
+	// campaign's child (crash.go).
+	kill bool
 	// scrub cross-checks the detector's own state; nil when the backend has
 	// none.
 	scrub func() error
@@ -171,9 +181,26 @@ func (t *epochTrial) arm(ws *workerState) {
 	}
 	tr := ws.tracker(t.cfg.Kind)
 	tr.Reset()
+	t.armWords(tr, ws.zeroCounters(len(init)))
+}
+
+// armWords builds the checksum backend: the word workload over the trial's
+// initial words, folding through tr, which must arrive Reset, with zeroed
+// counters.
+func (t *epochTrial) armWords(tr *rt.Tracker, counters []rt.Counter) {
 	t.scrub = tr.ScrubDetector
-	t.w = NewWordWorkload(init, tr, ws.zeroCounters(len(init)))
+	t.w = newWordWorkload(t.d.init, tr, counters)
 	t.det = t.w
+}
+
+// newWordTrial returns a trial of cfg that belongs to no campaign cell: the
+// word workload over init, folding through tr (which must arrive Reset),
+// with no fault armed until the caller sets the strike coordinates.
+func newWordTrial(cfg CoverageConfig, init []uint64, tr *rt.Tracker) *epochTrial {
+	cfg.Words = len(init)
+	t := &epochTrial{cfg: cfg, d: trialDraws{init: init, epoch: -1}, inst: detachedInstruments}
+	t.armWords(tr, make([]rt.Counter, len(init)))
+	return t
 }
 
 // runEpochTrial executes one supervised epoch trial and tallies its outcome.
@@ -183,21 +210,30 @@ func (t *epochTrial) arm(ws *workerState) {
 func runEpochTrial(ctx context.Context, cfg CoverageConfig, trial int, ws *workerState, inst cellInstruments, span telemetry.SpanContext) (Tally, error) {
 	t := &epochTrial{cfg: cfg, d: drawTrial(cfg, trial), inst: inst, span: span}
 	t.arm(ws)
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs:     cfg.Epochs,
-		Run:        t.run,
-		Verify:     t.verify,
-		Checkpoint: t.checkpoint,
-		Restore:    func(snap any) error { return t.det.Restore(snap, cfg.Hardened) },
-		Policy:     trialPolicy(cfg),
-		Metrics:    cfg.Metrics,
-		Tracer:     cfg.Tracer,
-		Span:       span,
-	})
+	out, err := recovery.Supervise(ctx, t.config())
 	if err != nil {
 		return Tally{}, err
 	}
 	return t.classify(out), nil
+}
+
+// config is the supervisor configuration that runs the trial: Run with the
+// one-shot strike armed at (epoch, word), Verify at the cell's verifying
+// boundaries, Checkpoint, and a checked (hardened) or unchecked Restore.
+// Every word-workload run — campaign trial, service verify job, crash
+// child — is supervised through it.
+func (t *epochTrial) config() recovery.Config {
+	return recovery.Config{
+		Epochs:     t.cfg.Epochs,
+		Run:        t.run,
+		Verify:     t.verify,
+		Checkpoint: t.checkpoint,
+		Restore:    func(snap any) error { return t.det.Restore(snap, t.cfg.Hardened) },
+		Policy:     trialPolicy(t.cfg),
+		Metrics:    t.cfg.Metrics,
+		Tracer:     t.cfg.Tracer,
+		Span:       t.span,
+	}
 }
 
 // run executes epoch k, arming the trial's one-shot fault in its epoch.
@@ -219,6 +255,8 @@ func (t *epochTrial) strike(i int) (load, store int) {
 	cfg, d := t.cfg, t.d
 	load, store = i, i
 	switch {
+	case t.kill:
+		killSelf()
 	case cfg.AddrFault != AddrNone:
 		if d.addrSkip {
 			return i, i // nothing to inject: the trial runs clean

@@ -6,17 +6,17 @@ import (
 )
 
 // This file is the rt def/use word workload that every epoch-structured run
-// over a synthetic array executes: the campaigns' epoch trials (trial.go),
-// the crash campaign's child (crash.go), and the resident service's verify
-// requests (internal/server). Every epoch loads each word, advances it
+// over a synthetic array executes. Every epoch loads each word, advances it
 // through a bijective update, and stores it back under the def/use
 // discipline. At every boundary the workload finalizes all live words so the
 // checksums are quiescent, verifies them, and re-registers the words for the
 // next epoch — the paper's post-dominator verification placement applied per
 // iteration block — so a fault injected inside epoch k either aliases
-// (escapes, as in Table 1) or is detected at epoch k's own boundary. The
-// callers differ only in the one-shot fault they arm (RunEpoch's strike); the
-// fold tracker always owns the epoch operations.
+// (escapes, as in Table 1) or is detected at epoch k's own boundary. It is
+// the checksum backend of the epoch trial (trial.go), which alone arms its
+// one-shot fault and supervises it: for the campaigns' trials, the crash
+// campaign's child (crash.go) and the resident service's verify jobs
+// (RunLive). The fold tracker always owns the epoch operations.
 
 // update advances one word per epoch. It is a bijective (odd-multiplier) LCG
 // step, so any corruption of a word propagates to a wrong final state rather
@@ -36,18 +36,18 @@ func FaultFree(init []uint64, epochs int) []uint64 {
 	return out
 }
 
-// WordWorkload is the def/use word workload over one simulated memory.
-type WordWorkload struct {
+// wordWorkload is the def/use word workload over one simulated memory.
+type wordWorkload struct {
 	mem      *memsim.Memory
 	tr       *rt.Tracker // folds every def and use, and owns the epochs
 	counters []rt.Counter
 }
 
-// NewWordWorkload loads init into a fresh memory and registers every word's
+// newWordWorkload loads init into a fresh memory and registers every word's
 // first definition on tr. counters must be zeroed and hold at least
 // len(init) entries.
-func NewWordWorkload(init []uint64, tr *rt.Tracker, counters []rt.Counter) *WordWorkload {
-	w := &WordWorkload{mem: memsim.New(len(init)), tr: tr, counters: counters[:len(init)]}
+func newWordWorkload(init []uint64, tr *rt.Tracker, counters []rt.Counter) *wordWorkload {
+	w := &wordWorkload{mem: memsim.New(len(init)), tr: tr, counters: counters[:len(init)]}
 	for i, v := range init {
 		w.mem.Poke(i, v)
 		rt.DefDyn(tr, &w.counters[i], uint64(0), v)
@@ -56,7 +56,7 @@ func NewWordWorkload(init []uint64, tr *rt.Tracker, counters []rt.Counter) *Word
 }
 
 // Span runs iterations [lo, hi) of an epoch: load, use, update, store, def.
-func (w *WordWorkload) Span(lo, hi int) {
+func (w *wordWorkload) Span(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		w.Step(i, i, i)
 	}
@@ -64,18 +64,11 @@ func (w *WordWorkload) Span(lo, hi int) {
 
 // Step runs iteration i with its load from word load and its store to word
 // store. Both equal i except under an address fault.
-func (w *WordWorkload) Step(i, load, store int) {
+func (w *wordWorkload) Step(i, load, store int) {
 	v := rt.Use(w.tr, &w.counters[i], w.mem.Load(load))
 	next := update(v)
 	w.mem.Store(store, next)
 	rt.DefDyn(w.tr, &w.counters[i], v, next)
-}
-
-// RunEpoch runs one epoch. When strike is non-nil, it runs once just before
-// iteration at and returns that iteration's effective load and store
-// indices.
-func (w *WordWorkload) RunEpoch(at int, strike func(i int) (load, store int)) {
-	runEpoch(w, len(w.counters), at, strike)
 }
 
 // epochBody is an epoch's iteration space: clean spans and single
@@ -85,11 +78,11 @@ type epochBody interface {
 	Step(i, load, store int)
 }
 
-// runEpoch runs iterations [0, n) of body, arming strike (when non-nil)
-// just before iteration at. A backend's whole loop runs inside one Span
-// call, so the per-word loop makes no interface calls.
+// runEpoch runs iterations [0, n) of body, arming strike just before
+// iteration at (none when at is outside [0, n)). A backend's whole loop runs
+// inside one Span call, so the per-word loop makes no interface calls.
 func runEpoch(body epochBody, n, at int, strike func(i int) (load, store int)) {
-	if strike == nil || at < 0 || at >= n {
+	if at < 0 || at >= n {
 		body.Span(0, n)
 		return
 	}
@@ -100,12 +93,12 @@ func runEpoch(body epochBody, n, at int, strike func(i int) (load, store int)) {
 }
 
 // FlipBit flips one bit of word i in memory — a data fault.
-func (w *WordWorkload) FlipBit(i, bit int) { w.mem.FlipBit(i, bit) }
+func (w *wordWorkload) FlipBit(i, bit int) { w.mem.FlipBit(i, bit) }
 
 // Boundary closes an epoch: it finalizes every word so the checksums are
 // quiescent, runs check (when non-nil — a detector scrub, say), verifies and
 // seals the epoch, and re-registers the words unless the epoch was the last.
-func (w *WordWorkload) Boundary(last bool, check func() error) error {
+func (w *wordWorkload) Boundary(last bool, check func() error) error {
 	for i := range w.counters {
 		rt.Final(w.tr, &w.counters[i], w.mem.Peek(i))
 	}
@@ -133,7 +126,7 @@ type wordCheckpoint struct {
 }
 
 // Checkpoint captures the epoch-entry state, typed for recovery.Config.
-func (w *WordWorkload) Checkpoint() any {
+func (w *wordWorkload) Checkpoint() any {
 	return &wordCheckpoint{
 		mem:      w.mem.Snapshot(),
 		state:    w.tr.BeginEpoch(),
@@ -144,7 +137,7 @@ func (w *WordWorkload) Checkpoint() any {
 // Restore reinstates a checkpoint. Checked restores verify the memory and
 // epoch-state digests and refuse a corrupt checkpoint; unchecked ones are
 // the unhardened baseline.
-func (w *WordWorkload) Restore(snap any, checked bool) error {
+func (w *wordWorkload) Restore(snap any, checked bool) error {
 	cp := snap.(*wordCheckpoint)
 	restore, rollback := w.mem.Restore, w.tr.Rollback
 	if !checked {
@@ -161,7 +154,7 @@ func (w *WordWorkload) Restore(snap any, checked bool) error {
 }
 
 // Words returns a copy of the current memory words.
-func (w *WordWorkload) Words() []uint64 {
+func (w *wordWorkload) Words() []uint64 {
 	out := make([]uint64, len(w.counters))
 	for i := range out {
 		out[i] = w.mem.Peek(i)
@@ -170,7 +163,7 @@ func (w *WordWorkload) Words() []uint64 {
 }
 
 // Holds reports whether memory holds exactly want.
-func (w *WordWorkload) Holds(want []uint64) bool { return memHolds(w.mem, want) }
+func (w *wordWorkload) Holds(want []uint64) bool { return memHolds(w.mem, want) }
 
 // memHolds reports whether mem's first len(want) words are exactly want.
 func memHolds(mem *memsim.Memory, want []uint64) bool {

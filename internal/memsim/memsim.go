@@ -9,6 +9,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"defuse/internal/splitmix"
 )
 
 // Memory is a flat word-addressed memory with load/store accounting and an
@@ -148,14 +150,9 @@ func (s *Snapshot) Verify() error {
 // makes it order- and length-sensitive; a single flipped bit anywhere in the
 // snapshot changes the result.
 func digestWords(words []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15) + uint64(len(words))
+	h := splitmix.Golden + uint64(len(words))
 	for _, w := range words {
-		h ^= w
-		h ^= h >> 30
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
+		h = splitmix.Finalize(h ^ w)
 	}
 	return h
 }

@@ -34,6 +34,7 @@ import (
 	"defuse/internal/faults"
 	"defuse/internal/interp"
 	"defuse/internal/recovery"
+	"defuse/internal/splitmix"
 	"defuse/rt"
 	"defuse/telemetry"
 )
@@ -44,29 +45,12 @@ const (
 	KindKernel = "kernel"
 )
 
-// mix is the splitmix64 finalizer, used to derive per-request initial words
-// and to chain result digests.
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
-}
-
-// initWord derives word i's deterministic initial value for a verify job.
-func initWord(seed, id uint64, i int) uint64 {
-	return mix(seed ^ mix(id) ^ mix(uint64(i)+1))
-}
-
 // digestWords chains a word slice through splitmix64 — order- and
 // length-sensitive, like memsim's snapshot digest.
 func digestWords(words []uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15) + uint64(len(words))
+	h := splitmix.Golden + uint64(len(words))
 	for _, w := range words {
-		h = mix(h ^ w)
+		h = splitmix.Mix(h ^ w)
 	}
 	return h
 }
@@ -80,11 +64,11 @@ func ReferenceDigest(words, epochs int, seed, id uint64) uint64 {
 	return digestWords(faults.FaultFree(initWords(words, seed, id), epochs))
 }
 
-// initWords derives a verify job's initial words.
+// initWords derives a verify job's deterministic initial words.
 func initWords(words int, seed, id uint64) []uint64 {
 	init := make([]uint64, words)
 	for i := range init {
-		init[i] = initWord(seed, id, i)
+		init[i] = splitmix.Mix(seed ^ splitmix.Mix(id) ^ splitmix.Mix(uint64(i)+1))
 	}
 	return init
 }
@@ -106,59 +90,17 @@ type jobResult struct {
 
 // runVerify executes one verify job — the faults package's word workload,
 // folding through a pooled tracker that owns the epochs — under the recovery
-// supervisor. plan, when non-nil, arms a single transient fault at the
-// planned (epoch, word): injected once, mid-epoch, exactly as a live memory
-// fault would land. The tracker must arrive Reset.
+// supervisor, and digests its final words. plan, when non-nil, arms a single
+// transient fault at the planned (epoch, word): injected once, mid-epoch,
+// exactly as a live memory fault would land. The tracker must arrive Reset.
 func runVerify(ctx context.Context, tr *rt.Tracker, job verifyJob, plan *faults.LivePlan, pol recovery.Policy, tel bench.Telemetry, span telemetry.SpanContext) (jobResult, error) {
-	w := faults.NewWordWorkload(initWords(job.words, job.seed, job.id), tr, make([]rt.Counter, job.words))
-	injected := false
-	strike := func(i int) (load, store int) {
-		injected = true
-		load = i
-		if plan.Kind == faults.LiveAddrWrong {
-			// A corrupted index register: this one load observes a different
-			// valid word. The use fold sees the wrong value (distinct with
-			// overwhelming probability — words derive from splitmix64), so the
-			// boundary check flags it.
-			load = plan.Partner
-		} else {
-			w.FlipBit(plan.Word, plan.Bit)
-		}
-		if tel.Tracer.Enabled() {
-			tel.Tracer.Mark(span, telemetry.EvFaultInjected,
-				telemetry.Int("epoch", plan.Epoch), telemetry.Int("word", plan.Word),
-				telemetry.Int("bit", plan.Bit), telemetry.String("kind", plan.Kind.String()),
-				telemetry.Int("partner", plan.Partner), telemetry.String("mode", "live"))
-		}
-		return load, i
-	}
-	run := func(k int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		at := -1
-		if plan != nil && !injected && k == plan.Epoch {
-			at = plan.Word
-		}
-		w.RunEpoch(at, strike)
-		return nil
-	}
-	out, err := recovery.Supervise(ctx, recovery.Config{
-		Epochs:     job.epochs,
-		Run:        run,
-		Verify:     func(k int) error { return w.Boundary(k == job.epochs-1, tr.ScrubDetector) },
-		Checkpoint: w.Checkpoint,
-		Restore:    func(snap any) error { return w.Restore(snap, true) },
-		Policy:     pol,
-		Metrics:    tel.Metrics,
-		Tracer:     tel.Tracer,
-		Span:       span,
-	})
+	out, final, err := faults.RunLive(ctx, tr, initWords(job.words, job.seed, job.id), job.epochs,
+		plan, pol, tel.Metrics, tel.Tracer, span)
 	if err != nil {
 		return jobResult{}, err
 	}
 	return jobResult{
-		digest:    digestWords(w.Words()),
+		digest:    digestWords(final),
 		refDigest: ReferenceDigest(job.words, job.epochs, job.seed, job.id),
 		outcome:   out,
 	}, nil
@@ -224,9 +166,9 @@ func (kr *kernelRunner) run(ctx context.Context, pol recovery.Policy) (uint64, r
 // scalar — so two runs agree iff they are byte-identical.
 func (kr *kernelRunner) digest() uint64 {
 	mem := kr.m.Mem()
-	h := uint64(0x9e3779b97f4a7c15) + uint64(mem.Size())
+	h := splitmix.Golden + uint64(mem.Size())
 	for i := 0; i < mem.Size(); i++ {
-		h = mix(h ^ mem.Peek(i))
+		h = splitmix.Mix(h ^ mem.Peek(i))
 	}
 	return h
 }

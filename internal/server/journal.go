@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"defuse/internal/splitmix"
 	"defuse/internal/wal"
 )
 
@@ -211,7 +212,7 @@ func (s *journalSummary) fold(r JournalRecord) {
 		s.Kernel++
 	}
 	s.XorIDs ^= r.ID
-	s.Chain = mix(s.Chain ^ r.ID ^ r.Digest ^ r.RefDigest)
+	s.Chain = splitmix.Mix(s.Chain ^ r.ID ^ r.Digest ^ r.RefDigest)
 }
 
 // journalConfig sizes the segmented log under the journal.

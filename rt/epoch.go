@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"defuse/internal/checksum"
+	"defuse/internal/splitmix"
 )
 
 // This file implements epoch-scoped verification. The paper places the
@@ -52,25 +53,15 @@ type EpochState struct {
 // Sealed reports whether the snapshot was produced by BeginEpoch/EndEpoch.
 func (s EpochState) Sealed() bool { return s.sealed }
 
-// mix64 is the splitmix64 finalizer: a cheap bijective bit mixer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // computeDigest chains every covered field through the mixer. Chaining makes
 // the digest order-sensitive, so swapping two accumulators is caught too.
 func (s *EpochState) computeDigest() uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(splitmix.Golden)
 	for _, w := range [...]uint64{
 		uint64(s.Index), s.Def, s.Use, s.EDef, s.EUse, s.Defs, s.Uses,
 		s.Shadow[0], s.Shadow[1], s.Shadow[2], s.Shadow[3],
 	} {
-		h = mix64(h ^ w)
+		h = splitmix.Finalize(h ^ w)
 	}
 	return h
 }

@@ -12,31 +12,60 @@ import (
 // accumulator, updated by decode, combine and re-encode. Def and UseKnown
 // fold into the tracker's delta and pay that replay once per accumulator at
 // the next flush, not per fold. These benchmarks and the guard below pin the
-// cost of the hardened path against folding straight into unshadowed
-// accumulators.
+// cost of the hardened path against the same delta folds flushed into
+// unshadowed accumulators.
 
-// defPrimaryOnly/usePrimaryOnly are the unhardened baseline for Def/UseKnown:
-// the same generic shape and operation counters, but each fold combines
-// straight into the primary accumulator, with no delta and no shadow at all.
-func defPrimaryOnly[T Word](t *Tracker, v T, n int64) T {
-	t.pair.Def = checksum.ScaleCombine(t.pair.Kind(), t.pair.Def, Bits(v), n)
-	t.defs++
+// unshadowed is the unhardened baseline for the tracker's Def/UseKnown path:
+// the same delta folds and operation counters, but the delta flushes
+// straight into bare primary accumulators, with no shadow copy at all.
+type unshadowed struct {
+	kind       checksum.Kind
+	folds      checksum.Folds
+	def, use   uint64 // the primaries
+	defs, uses uint64
+}
+
+func newUnshadowed() *unshadowed {
+	return &unshadowed{kind: checksum.ModAdd, folds: checksum.NewFolds(checksum.ModAdd)}
+}
+
+// defPrimaryOnly/usePrimaryOnly mirror Def/UseKnown: generic shells over
+// non-generic folds, so Fold inlines into them the same way.
+func defPrimaryOnly[T Word](u *unshadowed, v T, n int64) T {
+	u.defFold(Bits(v), n)
 	return v
 }
 
-func usePrimaryOnly[T Word](t *Tracker, v T) T {
-	t.pair.Use = checksum.Combine(t.pair.Kind(), t.pair.Use, Bits(v))
-	t.uses++
+func usePrimaryOnly[T Word](u *unshadowed, v T) T {
+	u.useFold(Bits(v))
 	return v
+}
+
+func (u *unshadowed) defFold(b uint64, n int64) {
+	u.folds.Fold(checksum.AccDef, b, n)
+	u.defs++
+}
+
+func (u *unshadowed) useFold(b uint64) {
+	u.folds.Fold(checksum.AccUse, b, 1)
+	u.uses++
+}
+
+// flush combines the deltas into the primaries and clears them.
+func (u *unshadowed) flush() {
+	u.def = checksum.ScaleCombine(u.kind, u.def, u.folds.Delta(checksum.AccDef), 1)
+	u.use = checksum.ScaleCombine(u.kind, u.use, u.folds.Delta(checksum.AccUse), 1)
+	u.folds = checksum.NewFolds(u.kind)
 }
 
 // primaryOnlyLoop is the unhardened baseline fold sequence.
-func primaryOnlyLoop(tr *Tracker, n int) {
+func primaryOnlyLoop(u *unshadowed, n int) {
 	v := 1.5
 	for i := 0; i < n; i++ {
-		v = defPrimaryOnly(tr, v, 1)
-		_ = usePrimaryOnly(tr, v)
+		v = defPrimaryOnly(u, v, 1)
+		_ = usePrimaryOnly(u, v)
 	}
+	u.flush()
 }
 
 // shadowedLoop is the production hot path: Def/UseKnown fold into the
@@ -57,9 +86,9 @@ func BenchmarkPairShadowed(b *testing.B) {
 }
 
 func BenchmarkPairPrimaryOnly(b *testing.B) {
-	tr := NewTracker()
+	u := newUnshadowed()
 	b.ReportAllocs()
-	primaryOnlyLoop(tr, b.N)
+	primaryOnlyLoop(u, b.N)
 }
 
 // pairRatios times pairs short runs of base and other back to back,
@@ -104,7 +133,7 @@ func TestShadowedAccumulatorOverheadBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive; skipped in -short")
 	}
-	hardened, baseline := NewTracker(), NewTracker()
+	hardened, baseline := NewTracker(), newUnshadowed()
 	const ops, pairs = 1 << 14, 1001
 	r := pairRatios(pairs,
 		func() { primaryOnlyLoop(baseline, ops) },
