@@ -167,8 +167,20 @@ func TestCGPlansMatchPaper(t *testing.T) {
 	if p["cols"] != instrument.PlanInvariant || p["Aval"] != instrument.PlanInvariant {
 		t.Errorf("cols/Aval plans = %v/%v, want invariant", p["cols"], p["Aval"])
 	}
-	if p["q"] != instrument.PlanDynamic || p["r"] != instrument.PlanDynamic {
-		t.Errorf("q/r plans = %v/%v, want dynamic", p["q"], p["r"])
+	// The while body is read as the body of "for w = 0 to W - 1": values
+	// used up in the iteration that defines them get Algorithm 1's static
+	// counts; loop-carried values keep the counters (r) or the inspector
+	// (p, x, rnorm).
+	for _, v := range []string{"q", "pq", "alpha", "beta", "rnorm_new"} {
+		if p[v] != instrument.PlanStatic {
+			t.Errorf("%s plan = %v, want static (used only in its own iteration)", v, p[v])
+		}
+	}
+	if p["r"] != instrument.PlanDynamic {
+		t.Errorf("r plan = %v, want dynamic (loop-carried)", p["r"])
+	}
+	if p["x"] != instrument.PlanInspector || p["rnorm"] != instrument.PlanInspector {
+		t.Errorf("x/rnorm plans = %v/%v, want inspector", p["x"], p["rnorm"])
 	}
 	if res.Report.InspectorsHoisted != 1 {
 		t.Errorf("inspectors = %d, want 1", res.Report.InspectorsHoisted)
@@ -190,8 +202,13 @@ func TestMoldynPlansMatchPaper(t *testing.T) {
 	if p["x"] != instrument.PlanDynamic {
 		t.Errorf("x plan = %v, want dynamic (inspector not hoistable)", p["x"])
 	}
-	if p["neigh"] != instrument.PlanDynamic {
-		t.Errorf("neigh plan = %v, want dynamic", p["neigh"])
+	// The neighbor list and the forces are rebuilt and used up in every
+	// iteration: static counts. stride is loop-carried.
+	if p["neigh"] != instrument.PlanStatic || p["f"] != instrument.PlanStatic {
+		t.Errorf("neigh/f plans = %v/%v, want static", p["neigh"], p["f"])
+	}
+	if p["stride"] != instrument.PlanDynamic {
+		t.Errorf("stride plan = %v, want dynamic (loop-carried)", p["stride"])
 	}
 }
 

@@ -314,10 +314,12 @@ func initProgen(m host, gp *progen.Program, seed int64) error {
 // runs under.
 var legOptions = []instrument.Options{{}, {Split: true}, {Split: true, Inspector: true}}
 
-// generate builds the progen program of a seed.
-func generate(seed int64, indirect bool) (*progen.Program, *lang.Program, error) {
+// generate builds the progen program of a seed, with a top-level while loop
+// when while is set.
+func generate(seed int64, indirect, while bool) (*progen.Program, *lang.Program, error) {
 	cfg := progen.DefaultConfig()
 	cfg.WithIndirect = indirect
+	cfg.WithWhile = while
 	gp := progen.Generate(rand.New(rand.NewSource(seed)), cfg)
 	prog, err := lang.Parse(gp.Source)
 	if err != nil {
@@ -330,26 +332,66 @@ func generate(seed int64, indirect bool) (*progen.Program, *lang.Program, error)
 // builds; every third one has indirect subscripts.
 const progenSeeds = 20
 
-// progenLegCases instruments every source-leg progen seed under every
-// option set.
+// whileSeeds are progen seeds generated with a top-level while loop, whose
+// per-trip temporary and other arrays get static plans in the loop; 20023
+// has indirect subscripts. The source leg and the reload-window sweep run
+// each one at whileTrips trips.
+var whileSeeds = []struct {
+	seed     int64
+	indirect bool
+}{{20039, false}, {20018, false}, {20023, true}}
+
+// whileTrips are the trip counts each while seed runs at.
+var whileTrips = []int64{0, 1, 3}
+
+// whileParams returns gp's parameters with the while loop's trip count set.
+func whileParams(gp *progen.Program, trips int64) map[string]int64 {
+	params := map[string]int64{"w": trips}
+	for k, v := range gp.Params {
+		if k != "w" {
+			params[k] = v
+		}
+	}
+	return params
+}
+
+// progenLegCases instruments every source-leg progen seed, and every while
+// seed at every trip count, under every option set.
 func progenLegCases() ([]legCase, error) {
 	var cases []legCase
-	for i := int64(0); i < progenSeeds; i++ {
-		seed := 20000 + i
-		gp, prog, err := generate(seed, i%3 == 2)
-		if err != nil {
-			return nil, err
-		}
+	add := func(name string, seed int64, gp *progen.Program, prog *lang.Program, params map[string]int64) error {
 		for _, opt := range legOptions {
 			res, err := instrument.Instrument(prog, opt)
 			if err != nil {
-				return nil, fmt.Errorf("seed %d opt %+v: instrument: %v\n%s", seed, opt, err, gp.Source)
+				return fmt.Errorf("seed %d opt %+v: instrument: %v\n%s", seed, opt, err, gp.Source)
 			}
 			cases = append(cases, legCase{
-				name: fmt.Sprintf("progen%d/split=%v,inspector=%v", seed, opt.Split, opt.Inspector),
-				prog: res.Prog, params: gp.Params,
+				name: fmt.Sprintf("%s/split=%v,inspector=%v", name, opt.Split, opt.Inspector),
+				prog: res.Prog, params: params,
 				init: func(h host) error { return initProgen(h, gp, seed) },
 			})
+		}
+		return nil
+	}
+	for i := int64(0); i < progenSeeds; i++ {
+		seed := 20000 + i
+		gp, prog, err := generate(seed, i%3 == 2, false)
+		if err != nil {
+			return nil, err
+		}
+		if err := add(fmt.Sprintf("progen%d", seed), seed, gp, prog, gp.Params); err != nil {
+			return nil, err
+		}
+	}
+	for _, ws := range whileSeeds {
+		gp, prog, err := generate(ws.seed, ws.indirect, true)
+		if err != nil {
+			return nil, err
+		}
+		for _, trips := range whileTrips {
+			if err := add(fmt.Sprintf("while%d/w=%d", ws.seed, trips), ws.seed, gp, prog, whileParams(gp, trips)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return cases, nil
@@ -380,7 +422,7 @@ func FuzzSourceRenders(f *testing.F) {
 		f.Add(seed, true)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, indirect bool) {
-		gp, prog, err := generate(seed, indirect)
+		gp, prog, err := generate(seed, indirect, false)
 		if err != nil {
 			t.Fatal(err)
 		}

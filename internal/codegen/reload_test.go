@@ -65,8 +65,9 @@ func newSweepCase(t *testing.T, name string, src *lang.Program, opt instrument.O
 // sweepCases returns trisolv at n = 4, moldyn (dynamic counters, indirect
 // subscripts) at n = 4, k = 2 and CG (counters kept in registers across its
 // inner loops) at n = 4, k = 2, each over two iterations, with their
-// generated kernels, and three generated programs (one with indirect
-// subscripts), each as Resilient and Resilient-Optimized.
+// generated kernels, three generated programs (one with indirect
+// subscripts), and the while seeds at every trip count, each as Resilient
+// and Resilient-Optimized.
 func sweepCases(t *testing.T) []sweepCase {
 	variants := []struct {
 		v   bench.Variant
@@ -98,7 +99,7 @@ func sweepCases(t *testing.T) []sweepCase {
 		seed     int64
 		indirect bool
 	}{{20000, false}, {20003, false}, {20002, true}} {
-		gp, prog, err := generate(g.seed, g.indirect)
+		gp, prog, err := generate(g.seed, g.indirect, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,6 +107,20 @@ func sweepCases(t *testing.T) []sweepCase {
 		init := func(h host) { setupHost(t, h, gp, seed) }
 		for _, v := range variants {
 			cases = append(cases, newSweepCase(t, fmt.Sprintf("progen%d/%s", g.seed, v.v), prog, v.opt, gp.Params, init))
+		}
+	}
+	for _, g := range whileSeeds {
+		gp, prog, err := generate(g.seed, g.indirect, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := g.seed
+		init := func(h host) { setupHost(t, h, gp, seed) }
+		for _, trips := range whileTrips {
+			for _, v := range variants {
+				name := fmt.Sprintf("while%d/w=%d/%s", g.seed, trips, v.v)
+				cases = append(cases, newSweepCase(t, name, prog, v.opt, whileParams(gp, trips), init))
+			}
 		}
 	}
 	return cases

@@ -65,6 +65,28 @@ func TestFuzzIndirectPrograms(t *testing.T) {
 	}
 }
 
+// TestFuzzWhilePrograms puts a run of each generated program in a top-level
+// while loop, whose body reads a per-trip temporary, and checks the same
+// properties at 0, 1 and 3 trips: a use count that needs the trip count, or
+// a value carried between trips on a static plan, fails the checksums.
+func TestFuzzWhilePrograms(t *testing.T) {
+	trials := 60
+	if testing.Short() {
+		trials = 10
+	}
+	cfg := progen.DefaultConfig()
+	cfg.WithWhile = true
+	for trial := 0; trial < trials; trial++ {
+		cfg.WithIndirect = trial%3 == 2
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		gp := progen.Generate(rng, cfg)
+		for _, trips := range []int64{0, 1, 3} {
+			gp.Params["w"] = trips
+			checkGenerated(t, gp, trial)
+		}
+	}
+}
+
 func checkGenerated(t *testing.T, gp *progen.Program, trial int) {
 	t.Helper()
 	prog, err := lang.Parse(gp.Source)

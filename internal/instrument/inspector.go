@@ -38,6 +38,7 @@ type inspVar struct {
 // inspectorPlan is the full plan for one while loop.
 type inspectorPlan struct {
 	iterName  string
+	iterReg   string // the register the epilogue reads iterName from, once bound
 	vars      map[string]*inspVar
 	preWhile  []lang.Stmt
 	postWhile []lang.Stmt
@@ -67,7 +68,7 @@ func (ins *instrumenter) tryInspector(w *lang.While) *inspectorPlan {
 	}
 	// All region statements must be control-affine (no nested while/if).
 	for _, s := range rm.Stmts {
-		if !s.ControlAffine {
+		if !s.ControlAffine || len(s.Whiles) > 0 {
 			return nil
 		}
 	}
@@ -488,7 +489,14 @@ func (ins *instrumenter) emitInspectorProEpi(plan *inspectorPlan, iv *inspVar) {
 			addChk(lang.EDefCS, mkRef(iv.decl.Name), one()),
 		}
 		plan.preWhile = append(plan.preWhile, loopNestOver(iters, iv.decl.Dims, pro)...)
-		iterRef := &lang.Ref{Name: plan.iterName}
+		// The epilogue folds read the iteration count from one register,
+		// bound after the loop, instead of loading it for every fold.
+		if plan.iterReg == "" {
+			plan.iterReg = ins.names.fresh(plan.iterName + "_r")
+			plan.postWhile = append(plan.postWhile,
+				&lang.Let{Name: plan.iterReg, Type: lang.TypeInt, Value: &lang.Ref{Name: plan.iterName}})
+		}
+		iterRef := &lang.Ref{Name: plan.iterReg}
 		var epi []lang.Stmt
 		epi = append(epi, perIterAdds(lang.DefCS, func() *lang.Ref { return mkRef(iv.decl.Name) }, iterRef)...)
 		epi = append(epi,

@@ -10,6 +10,7 @@ import (
 
 	"defuse/internal/bench"
 	"defuse/internal/instrument"
+	"defuse/internal/interp"
 	"defuse/internal/lang"
 	"defuse/internal/pdg"
 	"defuse/internal/poly"
@@ -318,6 +319,35 @@ func (ls *loadScan) loads(es ...lang.Expr) {
 	}
 }
 
+// reloads reports a counter register loaded from the cell the statement
+// just before it set to an integer literal, directly or as the first
+// statement of the guard that follows the store: the literal is the value.
+func (rc *residueChecker) reloads(ss []lang.Stmt, path []string) {
+	for k, s := range ss {
+		switch x := s.(type) {
+		case *lang.Assign:
+			_, lit := x.RHS.(*lang.IntLit)
+			if !lit || !rc.isCounter(x.LHS.Name) || k+1 == len(ss) {
+				continue
+			}
+			next := ss[k+1]
+			if g, ok := next.(*lang.If); ok && len(g.Then) > 0 {
+				next = g.Then[0]
+			}
+			if l, ok := next.(*lang.Let); ok && lang.ExprString(l.Value) == lang.ExprString(x.LHS) {
+				rc.report(path, "%s is loaded right after %s = %s", l.Name, lang.ExprString(x.LHS), lang.ExprString(x.RHS))
+			}
+		case *lang.For:
+			rc.reloads(x.Body, append(path[:len(path):len(path)], fmt.Sprintf("for %s", x.Iter)))
+		case *lang.While:
+			rc.reloads(x.Body, path)
+		case *lang.If:
+			rc.reloads(x.Then, path)
+			rc.reloads(x.Else, path)
+		}
+	}
+}
+
 // counterName matches the use-counter arrays the instrumenter declares for
 // dynamic plans: <variable>_cnt, or with a number when that name was taken.
 var counterName = regexp.MustCompile(`_cnt[0-9]*$`)
@@ -586,6 +616,7 @@ func residue(t testing.TB, prog *lang.Program, opt instrument.Options) []string 
 	path := []string{res.Prog.Name}
 	rc.walk(res.Prog.Body, nil, nil, path)
 	rc.crossings(res.Prog.Body, true, path)
+	rc.reloads(res.Prog.Body, path)
 	if opt.Split {
 		newLoadScan(rc, path).list(res.Prog.Body)
 		rc.promotions(res.Prog.Body, nil, false, path)
@@ -609,16 +640,49 @@ func checkNoResidue(t *testing.T, name string, prog *lang.Program) {
 	}
 }
 
-func progenProgram(t testing.TB, seed int64, indirect bool) *lang.Program {
+func progenProgram(t testing.TB, seed int64, indirect, while bool) (*progen.Program, *lang.Program) {
 	t.Helper()
 	cfg := progen.DefaultConfig()
 	cfg.WithIndirect = indirect
+	cfg.WithWhile = while
 	gp := progen.Generate(rand.New(rand.NewSource(seed)), cfg)
 	prog, err := lang.Parse(gp.Source)
 	if err != nil {
 		t.Fatalf("seed %d: generated program does not parse: %v\n%s", seed, err, gp.Source)
 	}
-	return prog
+	return gp, prog
+}
+
+// runsClean runs prog, under every residue option set, at trips trips of
+// its while loop on interp from seeded data, and fails on any error: a
+// static use count that needs the trip count reports a false detection.
+func runsClean(t *testing.T, name string, gp *progen.Program, prog *lang.Program, trips int64) {
+	t.Helper()
+	params := map[string]int64{"n": gp.N, "w": trips}
+	for _, opt := range residueOptions {
+		res, err := instrument.Instrument(prog, opt)
+		if err != nil {
+			t.Fatalf("%s %+v: instrument: %v", name, opt, err)
+		}
+		m, err := interp.New(res.Prog, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(trips))
+		for _, a := range gp.FloatArrays {
+			if err := m.FillFloat(a, func(int64) float64 { return rng.Float64()*8 - 4 }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ia := range gp.IntArrays {
+			if err := m.FillInt(ia, func(int64) int64 { return rng.Int63n(gp.N) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Run(); err != nil {
+			t.Fatalf("%s %+v at %d trips: %v\n%s", name, opt, trips, err, gp.Source)
+		}
+	}
 }
 
 // promotionSrc reads a, a dynamic plan (it is written in a while loop), in
@@ -662,18 +726,39 @@ func TestNoResidue(t *testing.T) {
 	checkNoResidue(t, prog.Name, prog)
 	for seed := int64(0); seed < 64; seed++ {
 		for _, indirect := range []bool{false, true} {
-			checkNoResidue(t, fmt.Sprintf("progen seed %d indirect=%v", seed, indirect), progenProgram(t, seed, indirect))
+			_, prog := progenProgram(t, seed, indirect, false)
+			checkNoResidue(t, fmt.Sprintf("progen seed %d indirect=%v", seed, indirect), prog)
 		}
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		_, prog := progenProgram(t, seed, seed%3 == 2, true)
+		checkNoResidue(t, fmt.Sprintf("progen seed %d while", seed), prog)
 	}
 }
 
-// FuzzNoResidue is the continuous form over generated programs.
+// FuzzNoResidue is the continuous form over generated programs. A negative
+// trips generates a program without a while loop. Otherwise the program has
+// a top-level while loop, and each instrumented form must also run clean at
+// trips mod 8 trips.
 func FuzzNoResidue(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, false)
-		f.Add(seed, true)
+		f.Add(seed, false, int64(-1))
+		f.Add(seed, true, int64(-1))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, indirect bool) {
-		checkNoResidue(t, fmt.Sprintf("progen seed %d indirect=%v", seed, indirect), progenProgram(t, seed, indirect))
+	for seed := int64(0); seed < 4; seed++ {
+		for _, trips := range []int64{0, 1, 3} {
+			f.Add(seed, seed%2 == 1, trips)
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed int64, indirect bool, trips int64) {
+		name := fmt.Sprintf("progen seed %d indirect=%v", seed, indirect)
+		if trips < 0 {
+			_, prog := progenProgram(t, seed, indirect, false)
+			checkNoResidue(t, name, prog)
+			return
+		}
+		gp, prog := progenProgram(t, seed, indirect, true)
+		checkNoResidue(t, name+" while", prog)
+		runsClean(t, name+" while", gp, prog, trips%8)
 	})
 }

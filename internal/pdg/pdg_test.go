@@ -151,7 +151,11 @@ for i = 0 to n - 1 {
 	}
 }
 
-func TestWhileBodyNotControlAffine(t *testing.T) {
+// TestWhileBodyReadAsForLoop reads a while body as the body of
+// "for w = 0 to W - 1": the statements under it are control-affine, carry the
+// loop's fresh iterator first in their iterators and schedule, and have it
+// bounded by the loop's fresh trip count.
+func TestWhileBodyReadAsForLoop(t *testing.T) {
 	m := extract(t, `
 program t(n)
 float A[n];
@@ -168,10 +172,32 @@ while (k < 10) {
 	if s1 == nil {
 		t.Fatal("S1 not extracted")
 	}
-	if s1.ControlAffine {
-		t.Error("statements under while must not be control-affine")
+	if !s1.ControlAffine || !s1.FullyAffine() {
+		t.Error("statements under a while read as a for loop must be affine")
 	}
-	// But extracting the while body as a region makes them affine.
+	if len(m.Whiles) != 1 || len(s1.Whiles) != 1 || s1.Whiles[0] != m.Whiles[0] {
+		t.Fatalf("whiles: model %v, S1 %v", m.Whiles, s1.Whiles)
+	}
+	wl := m.Whiles[0]
+	if len(s1.Iters) != 2 || s1.Iters[0] != wl.Iter || s1.Iters[1] != "i" {
+		t.Errorf("S1 iterators = %v, want [%s i]", s1.Iters, wl.Iter)
+	}
+	if got := s1.Schedule[1]; !got.IsIter || got.Iter != wl.Iter {
+		t.Errorf("S1 schedule = %v, want the while iterator at position 1", s1.Schedule)
+	}
+	for _, c := range []struct {
+		w, trips int64
+		in       bool
+	}{{0, 1, true}, {2, 3, true}, {3, 3, false}, {0, 0, false}, {-1, 3, false}} {
+		env := map[string]int64{wl.Iter: c.w, wl.Trips: c.trips, "i": 0, "n": 2}
+		if got := s1.Domain.Contains(env); got != c.in {
+			t.Errorf("S1 domain at w=%d W=%d: %v, want %v", c.w, c.trips, got, c.in)
+		}
+	}
+	if !m.WhileSymbol(wl.Iter) || !m.WhileSymbol(wl.Trips) || m.WhileSymbol("k") || m.WhileSymbol("n") {
+		t.Error("WhileSymbol must name exactly the while iterator and trip count")
+	}
+	// Extracting the while body as a region models no while at all.
 	prog := lang.MustParse(`
 program t(n)
 float A[n];
@@ -187,8 +213,27 @@ while (k < 10) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs1 := rm.Statement("S1"); rs1 == nil || !rs1.ControlAffine {
+	if rs1 := rm.Statement("S1"); rs1 == nil || !rs1.ControlAffine || len(rs1.Whiles) != 0 {
 		t.Error("region extraction should treat while body as affine")
+	}
+}
+
+// TestWhileUnderIfNotAffine keeps a while loop under a data-dependent if out
+// of the affine fragment.
+func TestWhileUnderIfNotAffine(t *testing.T) {
+	m := extract(t, `
+program t(n)
+float A[n], x;
+int k;
+if (x > 0.0) {
+  while (k < 10) {
+    S1: A[0] = 1.0;
+    k = k + 1;
+  }
+}
+`)
+	if s1 := m.Statement("S1"); s1 == nil || s1.ControlAffine {
+		t.Error("a while under an if is not control-affine")
 	}
 }
 

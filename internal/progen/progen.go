@@ -14,11 +14,16 @@ import (
 
 // Config bounds the generator.
 type Config struct {
-	MaxArrays    int // number of 1-D float arrays (>=1)
-	MaxScalars   int // number of float scalars
-	MaxStmts     int // top-level constructs
-	MaxDepth     int // loop nest depth
-	MaxOffset    int // |c| in subscripts i+c
+	MaxArrays  int // number of 1-D float arrays (>=1)
+	MaxScalars int // number of float scalars
+	MaxStmts   int // top-level constructs
+	MaxDepth   int // loop nest depth
+	MaxOffset  int // |c| in subscripts i+c
+	// WithWhile puts a run of the top-level constructs in a top-level
+	// "while (wctr < w) { ...; wctr = wctr + 1; }", w a parameter (the trip
+	// count) drawn in [0, 3]. Each trip first overwrites every cell of the
+	// float array wtmp, which only the loop's constructs read: a value
+	// used up in the iteration that defines it.
 	WithWhile    bool
 	WithIndirect bool // indirect subscripts through an int array
 }
@@ -57,7 +62,12 @@ type gen struct {
 	ints    []string
 	scalars []string
 	label   int
+	indent  int  // nesting of the construct being emitted (1 inside the while)
+	inWhile bool // wctr's loop is open: its constructs may read wtmp
 }
+
+// whileTemp is the array the while loop of WithWhile overwrites each trip.
+const whileTemp = "wtmp"
 
 const pad = 8 // arrays sized n + 2*pad; subscripts stay within [0, n+2*pad)
 
@@ -74,7 +84,11 @@ func (g *gen) run() *Program {
 		g.ints = append(g.ints, "idx0")
 	}
 
-	fmt.Fprintf(&g.b, "program fuzz(n)\n")
+	if g.cfg.WithWhile {
+		fmt.Fprintf(&g.b, "program fuzz(n, w)\n")
+	} else {
+		fmt.Fprintf(&g.b, "program fuzz(n)\n")
+	}
 	for _, a := range g.arrays {
 		fmt.Fprintf(&g.b, "float %s[n + %d];\n", a, 2*pad)
 	}
@@ -85,19 +99,41 @@ func (g *gen) run() *Program {
 		fmt.Fprintf(&g.b, "int %s[n + %d];\n", ia, 2*pad)
 	}
 	if g.cfg.WithWhile {
-		fmt.Fprintf(&g.b, "int wctr;\nwctr = 0;\n")
+		fmt.Fprintf(&g.b, "float %s[n + %d];\nint wctr;\nwctr = 0;\n", whileTemp, 2*pad)
 	}
 
 	stmts := 1 + g.rng.Intn(g.cfg.MaxStmts)
+	// Constructs first..last-1 go in the while loop, the rest around it.
+	first, last := 0, 0
+	if g.cfg.WithWhile {
+		first = g.rng.Intn(stmts)
+		last = first + 1 + g.rng.Intn(stmts-first)
+	}
 	for i := 0; i < stmts; i++ {
+		if g.cfg.WithWhile && i == first {
+			g.label++
+			fmt.Fprintf(&g.b, "while (wctr < w) {\n  for wi = 0 to n + %d {\n    T%d: %s[wi] = (%s[wi] * %d.%d);\n  }\n",
+				2*pad-1, g.label, whileTemp, g.arrays[g.rng.Intn(len(g.arrays))], g.rng.Intn(9), g.rng.Intn(9))
+			g.indent, g.inWhile = 1, true
+		}
 		g.construct(0, nil)
+		if g.cfg.WithWhile && i == last-1 {
+			fmt.Fprintf(&g.b, "  wctr = wctr + 1;\n}\n")
+			g.indent, g.inWhile = 0, false
+		}
 	}
 
 	n := int64(4 + g.rng.Intn(8))
+	params := map[string]int64{"n": n}
+	floats := g.arrays
+	if g.cfg.WithWhile {
+		params["w"] = int64(g.rng.Intn(4))
+		floats = append(floats[:len(floats):len(floats)], whileTemp)
+	}
 	return &Program{
 		Source:      g.b.String(),
-		Params:      map[string]int64{"n": n},
-		FloatArrays: g.arrays,
+		Params:      params,
+		FloatArrays: floats,
 		IntArrays:   g.ints,
 		Scalars:     g.scalars,
 		N:           n,
@@ -107,7 +143,7 @@ func (g *gen) run() *Program {
 // construct emits one loop nest or statement at the given depth with the
 // in-scope iterators.
 func (g *gen) construct(depth int, iters []string) {
-	ind := strings.Repeat("  ", depth+boolToInt(g.cfg.WithWhile && depth > 0))
+	ind := strings.Repeat("  ", g.indent+depth)
 	switch {
 	case depth < g.cfg.MaxDepth && g.rng.Intn(3) != 0:
 		iter := fmt.Sprintf("i%d", len(iters))
@@ -148,7 +184,20 @@ func (g *gen) lvalue(iters []string) string {
 
 // arrayRef builds A[i + pad + c] (or A[c] at depth 0), always in bounds.
 func (g *gen) arrayRef(iters []string) string {
-	a := g.arrays[g.rng.Intn(len(g.arrays))]
+	return g.ref(g.arrays, iters)
+}
+
+// readRef builds an in-bounds reference to read: inside the while loop it
+// may name wtmp too.
+func (g *gen) readRef(iters []string) string {
+	if g.inWhile {
+		return g.ref(append(g.arrays[:len(g.arrays):len(g.arrays)], whileTemp), iters)
+	}
+	return g.ref(g.arrays, iters)
+}
+
+func (g *gen) ref(arrays, iters []string) string {
+	a := arrays[g.rng.Intn(len(arrays))]
 	return fmt.Sprintf("%s[%s]", a, g.subscript(iters))
 }
 
@@ -175,20 +224,13 @@ func (g *gen) expr(iters []string, budget int) string {
 			if len(g.scalars) > 0 {
 				return g.scalars[g.rng.Intn(len(g.scalars))]
 			}
-			return g.arrayRef(iters)
+			return g.readRef(iters)
 		default:
-			return g.arrayRef(iters)
+			return g.readRef(iters)
 		}
 	}
 	l := g.expr(iters, budget-1)
 	r := g.expr(iters, budget-1)
 	op := []string{"+", "-", "*"}[g.rng.Intn(3)]
 	return fmt.Sprintf("(%s %s %s)", l, op, r)
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

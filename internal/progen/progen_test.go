@@ -66,3 +66,42 @@ func TestIndirectConfigProducesIntArrays(t *testing.T) {
 		t.Error("WithIndirect should declare an index array")
 	}
 }
+
+// TestWhileConfigEmitsWhile checks that WithWhile wraps a run of the
+// top-level constructs in one top-level while loop whose trip count is the
+// parameter w, and that the program runs that many trips for w = 0, 1 and 3.
+func TestWhileConfigEmitsWhile(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WithWhile = true
+	for seed := int64(0); seed < 20; seed++ {
+		gp := Generate(rand.New(rand.NewSource(seed)), cfg)
+		prog, err := lang.Parse(gp.Source)
+		if err != nil {
+			t.Fatalf("seed %d: parse: %v\n%s", seed, err, gp.Source)
+		}
+		if w := gp.Params["w"]; w < 0 || w > 3 {
+			t.Fatalf("seed %d: trip count %d outside [0, 3]", seed, w)
+		}
+		whiles := 0
+		for _, s := range prog.Body {
+			if _, ok := s.(*lang.While); ok {
+				whiles++
+			}
+		}
+		if whiles != 1 {
+			t.Fatalf("seed %d: %d top-level while loops, want 1\n%s", seed, whiles, gp.Source)
+		}
+		for _, trips := range []int64{0, 1, 3} {
+			m, err := interp.New(prog, map[string]int64{"n": gp.N, "w": trips})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Run(); err != nil {
+				t.Fatalf("seed %d w=%d: run: %v\n%s", seed, trips, err, gp.Source)
+			}
+			if got, err := m.Int("wctr"); err != nil || got != trips {
+				t.Fatalf("seed %d: wctr = %d (%v) after the loop, want %d", seed, got, err, trips)
+			}
+		}
+	}
+}

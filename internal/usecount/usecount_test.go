@@ -146,24 +146,53 @@ S3: s = B[0];
 	}
 }
 
-func TestWhileMakesDynamic(t *testing.T) {
-	_, a := analyze(t, `
+// TestWhileCarriedCountNamesTripCount reads the while loop as
+// "for w = 0 to W - 1": A is affine there, but each def of A[i] is read in the
+// next iteration, so its count depends on whether one follows (the
+// instrumenter keeps such a variable on dynamic counters). The per-iteration
+// temporary t is used up in its own iteration: its count is n in every
+// iteration, the last one included.
+func TestWhileCarriedCountNamesTripCount(t *testing.T) {
+	m, a := analyze(t, `
 program t(n)
-float A[n];
+float A[n], t;
 int k;
 k = 0;
 while (k < 3) {
+  t = 2.0;
   for i = 0 to n - 1 {
-    S1: A[i] = A[i] + 1.0;
+    S1: A[i] = A[i] + t;
   }
   k = k + 1;
 }
 `)
-	if a.Analyzable("A") {
-		t.Error("A accessed under while: must be dynamic")
+	if !a.Analyzable("A") || !a.Analyzable("t") {
+		t.Fatalf("A and t are affine in the while body read as a loop: %v %v", a.Classes["A"], a.Classes["t"])
 	}
-	if a.Analyzable("k") {
-		t.Error("k accessed under while: must be dynamic")
+	wl := m.Whiles[0]
+	count := func(s *pdg.Statement, w int64) int64 {
+		t.Helper()
+		dc := a.Defs[s]
+		if dc == nil {
+			t.Fatalf("%s has no use counts", s.ID)
+		}
+		v, err := dc.TotalAt(map[string]int64{wl.Iter: w, wl.Trips: 3, "i": 1, "n": 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	s1 := m.Statement("S1")
+	if first, last := count(s1, 0), count(s1, 2); first != 1 || last != 0 {
+		t.Errorf("S1 counts at w = 0 and w = W - 1: %d, %d, want 1, 0", first, last)
+	}
+	for _, s := range m.Stmts {
+		if s.Write.Array != "t" {
+			continue
+		}
+		if first, last := count(s, 0), count(s, 2); first != 4 || last != 4 {
+			t.Errorf("t counts at w = 0 and w = W - 1: %d, %d, want 4, 4", first, last)
+		}
 	}
 }
 
